@@ -1479,7 +1479,7 @@ let serve_cmd =
     Arg.(value & opt (some string) None & info [ "job-delay-ms" ] ~docv:"MS" ~doc)
   in
   let seed_arg =
-    let doc = "Root seed of the deterministic per-job backoff-jitter streams." in
+    let doc = "Root seed of the deterministic backoff jitter, drawn per job and attempt." in
     Arg.(value & opt (some string) None & info [ "seed" ] ~docv:"N" ~doc)
   in
   let quiet_arg =
@@ -1503,7 +1503,9 @@ let serve_cmd =
   let trace_keep_arg =
     let doc =
       "With $(b,--trace-dir), keep at most $(docv) per-job trace files \
-       on disk (oldest are removed first)."
+       on disk (oldest are removed first). The ring is per process: with \
+       $(b,--workers) each worker keeps its own, so up to N*$(docv) files \
+       remain."
     in
     Arg.(value & opt (some string) None & info [ "trace-keep" ] ~docv:"N" ~doc)
   in

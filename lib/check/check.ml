@@ -9,7 +9,6 @@ module Testable_alloc = Bistpath_core.Testable_alloc
 module Budget = Bistpath_resilience.Budget
 module Diagnostic = Bistpath_resilience.Diagnostic
 module Inject = Bistpath_resilience.Inject
-module Par = Bistpath_parallel.Par
 module Telemetry = Bistpath_telemetry.Telemetry
 module Json = Bistpath_util.Json
 
@@ -109,7 +108,9 @@ let run ?(suppress = []) ?(budget = Budget.unlimited) ?(rules = all_rules) ctx =
       Telemetry.observe "check.rule_ns" (Int64.to_int (Int64.sub (Telemetry.now ()) t0));
     result
   in
-  let results = Par.map_list_budget ~budget eval rules in
+  let results =
+    List.map (fun r -> if Budget.should_stop budget then None else Some (eval r)) rules
+  in
   let findings, run_count, crashed, skipped =
     List.fold_left2
       (fun (fs, run_count, crashed, skipped) (r : Rule.t) result ->

@@ -160,12 +160,11 @@ val run :
   ?rules:Rule.t list ->
   ctx ->
   report
-(** Evaluate [rules] (default: every rule), in parallel via {!Bistpath_parallel.Par} under
-    the budget (a tripped budget skips the remaining rules and marks the
-    report degraded). A rule that raises — including an injected
-    [check.rule] fault — degrades to a CHK000 finding naming the rule;
-    the other rules still run. Deterministic at any pool width.
-    Telemetry: [check.rules_run], [check.rules_crashed],
+(** Evaluate [rules] (default: every rule) in order under the budget,
+    which is polled before each rule (a tripped budget skips the
+    remaining rules and marks the report degraded). A rule that raises
+    — including an injected [check.rule] fault — degrades to a CHK000
+    finding naming the rule; the other rules still run. Telemetry: [check.rules_run], [check.rules_crashed],
     [check.rules_skipped], [check.findings], [check.suppressed]. *)
 
 val errors : report -> int

@@ -1,21 +1,12 @@
 module Atomic_io = Bistpath_util.Atomic_io
 module Json = Bistpath_util.Json
-module Prng = Bistpath_util.Prng
 module Telemetry = Bistpath_telemetry.Telemetry
-module Budget = Bistpath_resilience.Budget
-module Cancel = Bistpath_resilience.Cancel
-module Inject = Bistpath_resilience.Inject
-module Store = Bistpath_cache.Store
 
 let now_ns () = Monotonic_clock.now ()
-let drain_cause = "drain requested (SIGINT/SIGTERM)"
-let job_prng ~seed id = Prng.split (Prng.create (seed lxor Hashtbl.hash id))
-let fleet_root (cfg : Service.config) = cfg.journal_path ^ ".fleet"
+let fleet_root (cfg : Config.config) = cfg.journal_path ^ ".fleet"
 
-let workers_json (cfg : Service.config) =
+let workers_json (cfg : Config.config) =
   Filename.concat (fleet_root cfg) "workers.json"
-
-let out_path (cfg : Service.config) id ext = Filename.concat cfg.out_dir (id ^ ext)
 
 let signal_name sg =
   if sg = Sys.sigkill then "SIGKILL"
@@ -29,28 +20,18 @@ let signal_name sg =
    Worker process: claim / attempt / commit loop.
 
    Runs post-fork in its own address space; all state below is the
-   child's private copy. The attempt policy (budgets, breaker, typed
-   give-ups, backoff with deterministic jitter) mirrors
-   [Service.run_attempt] exactly — fleet mode changes who runs a job,
-   never what running it means.
+   child's private copy. What an attempt means is [Lifecycle.attempt],
+   shared with the in-process service — fleet mode changes who runs a
+   job, never what running it means. The driver part is the lease: it
+   is bumped before each attempt, held through the backoff and
+   released or handed back after.
    ================================================================== *)
-
-let w_drain = Atomic.make false
-let w_cancel : Cancel.t option ref = ref None
-
-let worker_request_drain () =
-  Atomic.set w_drain true;
-  match !w_cancel with
-  | Some c -> ignore (Cancel.cancel c (Cancel.Cancelled drain_cause))
-  | None -> ()
-
-let worker_draining () = Atomic.get w_drain
 
 (* sleep in short slices so a drain signal is honoured promptly *)
 let sleep_or_drain seconds =
   let deadline = Unix.gettimeofday () +. seconds in
   let rec nap () =
-    if not (worker_draining ()) then begin
+    if not (Lifecycle.draining ()) then begin
       let left = deadline -. Unix.gettimeofday () in
       if left > 0.0 then begin
         Unix.sleepf (Float.min left 0.05);
@@ -60,34 +41,7 @@ let sleep_or_drain seconds =
   in
   nap ()
 
-type wstate = {
-  wcfg : Service.config;
-  slot : int;
-  wlease : Lease.t;
-  wjournal : Journal.t;
-  wbreaker : Breaker.t;
-  wcache : Store.t option;
-}
-
-let wlog w fmt =
-  Printf.ksprintf
-    (fun s -> if w.wcfg.verbose then Printf.eprintf "serve[w%d]: %s\n%!" w.slot s)
-    fmt
-
-(* Same degradation contract as the in-process service: a lost journal
-   record can only cause a byte-identical re-run, never a wrong result,
-   so the worker warns and keeps going. *)
-let journal_append_w w ev =
-  let rec go n =
-    match Journal.append w.wjournal ev with
-    | () -> ()
-    | exception Sys_error msg ->
-      if n < 4 then go (n + 1)
-      else
-        Printf.eprintf "serve[w%d]: warning: journal append failed: %s\n%!" w.slot
-          msg
-  in
-  go 0
+type wstate = { lc : Lifecycle.t; slot : int; wlease : Lease.t }
 
 let return_quiet w (l : Lease.lease) =
   try Lease.return_ w.wlease ~slot:w.slot l
@@ -96,24 +50,11 @@ let return_quiet w (l : Lease.lease) =
        back when it reaps this worker, so the job is not lost *)
     Printf.eprintf "serve[w%d]: warning: lease return failed: %s\n%!" w.slot msg
 
-let backoff_ns (cfg : Service.config) ~attempts ~prng =
-  let expo = Float.of_int (1 lsl min (attempts - 1) 10) in
-  let jitter = 0.5 +. Prng.float prng 1.0 in
-  Int64.of_float (cfg.retry_base_ms *. 1e6 *. expo *. jitter)
-
-let give_up_w w (job : Job.t) ~error =
-  let id = job.Job.id in
-  journal_append_w w (Journal.Give_up { id; error });
-  (try Atomic_io.write_file (out_path w.wcfg id ".err") (error ^ "\n")
-   with Sys_error _ -> ());
-  wlog w "[%s] FAILED permanently: %s" id error;
-  Lease.release w.wlease ~slot:w.slot id
-
 let rec claim_loop w =
-  if not (worker_draining ()) then
+  if not (Lifecycle.draining ()) then
     match Lease.claim w.wlease ~slot:w.slot with
     | Some l ->
-      run_lease w l;
+      attempt_loop w l;
       claim_loop w
     | None ->
       if Lease.eof w.wlease && Lease.pending_count w.wlease = 0 then ()
@@ -122,154 +63,40 @@ let rec claim_loop w =
         claim_loop w
       end
 
-and run_lease w (l : Lease.lease) =
-  (* per-job jitter stream, deterministic in (seed, id) like the
-     in-process service *)
-  let prng = job_prng ~seed:w.wcfg.seed l.job.Job.id in
-  attempt_loop w ~prng l
-
-and attempt_loop w ~prng (l : Lease.lease) =
-  if worker_draining () then return_quiet w l
+and attempt_loop w (l : Lease.lease) =
+  if Lifecycle.draining () then return_quiet w l
   else
-    match Breaker.check w.wbreaker (Job.class_of l.job) with
+    match Breaker.check (Lifecycle.breaker w.lc) (Job.class_of l.job) with
     | Breaker.Reject wait ->
       sleep_or_drain (Float.max 0.001 (Float.min wait 0.05));
-      attempt_loop w ~prng l
-    | Breaker.Allow | Breaker.Probe -> run_one w ~prng l
-
-and run_one w ~prng (l : Lease.lease) =
-  let cfg = w.wcfg in
-  let job = l.job in
-  let id = job.Job.id in
-  let attempt = l.attempts + 1 in
-  (* bump the held lease before the attempt starts, so a steal after a
-     crash charges this attempt against the retry budget even when the
-     start record never reached the shard *)
-  (try Lease.update w.wlease ~slot:w.slot { l with attempts = attempt }
-   with Sys_error _ -> ());
-  journal_append_w w (Journal.Start { id; attempt });
-  if cfg.job_delay_ms > 0 then
-    Unix.sleepf (Float.of_int cfg.job_delay_ms /. 1000.0);
-  let cancel = Cancel.create () in
-  w_cancel := Some cancel;
-  (* the signal may have raced the register above *)
-  if worker_draining () then
-    ignore (Cancel.cancel cancel (Cancel.Cancelled drain_cause));
-  let timeout_s =
-    match job.Job.timeout_s with Some s -> Some s | None -> cfg.default_timeout_s
-  in
-  let leaf_budget =
-    match job.Job.leaf_budget with
-    | Some n -> Some n
-    | None -> cfg.default_leaf_budget
-  in
-  let budget = Budget.create ?deadline_s:timeout_s ?leaf_budget ~cancel () in
-  let t0 = now_ns () in
-  let outcome =
-    match
-      Inject.fire "service.worker";
-      Runner.execute ?cache:w.wcache ~budget job
-    with
-    | r -> Ok r
-    | exception e -> Error (Printexc.to_string e)
-  in
-  w_cancel := None;
-  let ms = Int64.to_float (Int64.sub (now_ns ()) t0) /. 1e6 in
-  let drain_cancelled =
-    match Budget.stop_reason budget with
-    | Some (Cancel.Cancelled c) -> String.equal c drain_cause
-    | _ -> false
-  in
-  let l = { l with Lease.attempts = attempt } in
-  match outcome with
-  | Ok (Error (Runner.Invalid_input lines | Runner.Check_findings lines)) ->
-    (* deterministic failure: retrying cannot help and the breaker is
-       not fed, exactly like the in-process service *)
-    give_up_w w job ~error:(String.concat "; " lines)
-  | _ when drain_cancelled ->
-    (* the interrupted record un-counts the journaled start, and the
-       lease hands the job back uncharged for the same reason *)
-    journal_append_w w (Journal.Interrupted { id; attempt });
-    wlog w "[%s] interrupted by drain; handed back" id;
-    return_quiet w { l with Lease.attempts = attempt - 1 }
-  | Ok (Ok (artifact, cache_status)) -> (
-    match
-      Inject.fire_sys_error "service.result_io";
-      Atomic_io.write_file (out_path cfg id ".out") artifact
-    with
-    | () ->
-      let status, reason =
-        match Budget.stop_reason budget with
-        | Some r -> ("degraded", Some (Cancel.describe r))
-        | None -> ("ok", None)
+      attempt_loop w l
+    | Breaker.Allow | Breaker.Probe -> (
+      (* bump the held lease before the attempt starts, so a steal after
+         a crash charges this attempt against the retry budget even when
+         the start record never reached the shard *)
+      (try Lease.update w.wlease ~slot:w.slot { l with attempts = l.attempts + 1 }
+       with Sys_error _ -> ());
+      let state, decision =
+        Lifecycle.attempt w.lc l.job { Transition.fresh with attempts = l.attempts }
       in
-      let cache =
-        match cache_status with
-        | Some `Hit -> Some "hit"
-        | Some `Miss -> Some "miss"
-        | None -> None
-      in
-      journal_append_w w (Journal.Done { id; attempt; status; reason; cache });
-      Breaker.success w.wbreaker (Job.class_of job);
-      Lease.release w.wlease ~slot:w.slot id;
-      (match status with
-      | "degraded" ->
-        wlog w "[%s] degraded in %.1f ms (%s)" id ms
-          (Option.value reason ~default:"?")
-      | _ ->
-        wlog w "[%s] done in %.1f ms%s" id ms
-          (match cache with Some "hit" -> " (cache hit)" | _ -> ""))
-    | exception Sys_error msg ->
-      handle_failure_w w ~prng l ~error:("result write failed: " ^ msg))
-  | Error error -> handle_failure_w w ~prng l ~error
+      let l = { l with attempts = state.attempts } in
+      match decision with
+      | Transition.Commit _ | Transition.Give_up _ ->
+        Lease.release w.wlease ~slot:w.slot l.job.Job.id
+      | Transition.Pending -> return_quiet w l (* handed back uncharged *)
+      | Transition.Retry { backoff_ns; _ } ->
+        (* the lease stays held through the backoff — the heartbeat
+           domain keeps beating, so a slow retry is never mistaken for a
+           stall *)
+        sleep_or_drain (Int64.to_float backoff_ns /. 1e9);
+        attempt_loop w l)
 
-and handle_failure_w w ~prng (l : Lease.lease) ~error =
-  let id = l.job.Job.id in
-  ignore (Breaker.failure w.wbreaker (Job.class_of l.job) : bool);
-  journal_append_w w (Journal.Fail { id; attempt = l.attempts; error });
-  if l.attempts >= w.wcfg.max_attempts then give_up_w w l.job ~error
-  else begin
-    wlog w "[%s] attempt %d failed (%s); retrying with backoff" id l.attempts
-      error;
-    let wait_s =
-      Int64.to_float (backoff_ns w.wcfg ~attempts:l.attempts ~prng) /. 1e9
-    in
-    (* the lease stays held through the backoff — the heartbeat domain
-       keeps beating, so a slow retry is never mistaken for a stall *)
-    sleep_or_drain wait_s;
-    attempt_loop w ~prng l
-  end
-
-let worker_main (cfg : Service.config) ~slot =
-  Atomic.set w_drain false;
-  w_cancel := None;
+let worker_main (cfg : Config.config) ~slot =
   Sys.set_signal Sys.sigint Sys.Signal_ignore;
-  Sys.set_signal Sys.sigterm
-    (Sys.Signal_handle (fun _ -> worker_request_drain ()));
+  Sys.set_signal Sys.sigterm (Sys.Signal_handle (fun _ -> Lifecycle.request_drain ()));
   let wlease = Lease.create ~root:(fleet_root cfg) ~slots:cfg.workers in
-  let wjournal = Journal.open_ (Journal.shard_path cfg.journal_path slot) in
-  let wcache =
-    match cfg.cache_dir with
-    | None -> None
-    | Some dir -> (
-      try Some (Store.open_ ?max_mb:cfg.cache_max_mb ~dir ())
-      with Sys_error msg ->
-        Printf.eprintf "serve[w%d]: warning: result cache disabled: %s\n%!" slot
-          msg;
-        None)
-  in
-  let w =
-    {
-      wcfg = cfg;
-      slot;
-      wlease;
-      wjournal;
-      wbreaker =
-        Breaker.create ~threshold:cfg.breaker_threshold
-          ~cooldown_s:cfg.breaker_cooldown_s ();
-      wcache;
-    }
-  in
+  let lc = Lifecycle.worker cfg ~slot in
+  let w = { lc; slot; wlease } in
   (* first beat before the supervisor's expiry clock can see a gap *)
   (try Lease.beat wlease ~slot with Sys_error _ -> ());
   let hb_stop = Atomic.make false in
@@ -307,7 +134,7 @@ let worker_main (cfg : Service.config) ~slot =
   in
   Atomic.set hb_stop true;
   (try Domain.join hb with _ -> ());
-  (try Journal.close wjournal with Sys_error _ -> ());
+  Lifecycle.close lc;
   if cfg.verbose then Printf.eprintf "serve[w%d]: exiting\n%!" slot;
   (* _exit, not exit: the parent's at_exit sinks (--stats/--trace
      writers) must not run again in the child *)
@@ -316,8 +143,6 @@ let worker_main (cfg : Service.config) ~slot =
 (* ==================================================================
    Supervisor: fork, watch, steal, restart. Never runs a pipeline.
    ================================================================== *)
-
-let s_drain = Atomic.make false
 
 type slot_info = {
   mutable pid : int;  (* 0 = not running *)
@@ -330,50 +155,16 @@ type slot_info = {
 }
 
 type sup = {
-  scfg : Service.config;
-  sjournal : Journal.t;
+  scfg : Config.config;
+  lc : Lifecycle.t;
   slease : Lease.t;
   slots : slot_info array;
-  known : (string, unit) Hashtbl.t;  (* accepted ids, this run or replayed *)
-  counted : (string, unit) Hashtbl.t;  (* ids whose outcome this run reports *)
-  base_fails : (string, int) Hashtbl.t;  (* pre-run Fail counts (resume) *)
-  mutable s_accepted : int;
-  mutable s_rejected : int;
-  mutable s_journal_errors : int;
   mutable s_deaths_signal : int;
   mutable s_deaths_exit : int;
   mutable s_steals : int;
   mutable s_restarts : int;
-  mutable last_metrics_ns : int64;
-  mutable exhausted : bool;
   mutable eof_marked : bool;
 }
-
-let slog sup fmt =
-  Printf.ksprintf
-    (fun s -> if sup.scfg.verbose then Printf.eprintf "serve: %s\n%!" s)
-    fmt
-
-let journal_append_s sup ev =
-  let rec go n =
-    match Journal.append sup.sjournal ev with
-    | () -> ()
-    | exception Sys_error msg ->
-      if n < 4 then go (n + 1)
-      else begin
-        sup.s_journal_errors <- sup.s_journal_errors + 1;
-        Telemetry.incr "service.journal_errors";
-        Printf.eprintf "serve: warning: journal append failed: %s\n%!" msg
-      end
-  in
-  go 0
-
-let give_up_s sup id ~error =
-  journal_append_s sup (Journal.Give_up { id; error });
-  (try Atomic_io.write_file (out_path sup.scfg id ".err") (error ^ "\n")
-   with Sys_error _ -> ());
-  Telemetry.incr "service.jobs_failed";
-  slog sup "[%s] FAILED permanently: %s" id error
 
 (* A lease that cannot be published is a job that can never run: record
    the give-up so the run still terminates with a truthful journal. *)
@@ -383,17 +174,11 @@ let submit_retry sup (l : Lease.lease) =
     | () -> ()
     | exception Sys_error msg ->
       if n < 4 then go (n + 1)
-      else give_up_s sup l.Lease.job.Job.id ~error:("could not publish lease: " ^ msg)
+      else
+        Lifecycle.give_up sup.lc l.Lease.job.Job.id
+          ~error:("could not publish lease: " ^ msg)
   in
   go 0
-
-let reject_spec_s sup ~default_id ~error =
-  sup.s_rejected <- sup.s_rejected + 1;
-  (* same rule as the in-process service: never journal a give_up under
-     an id that names a legitimate accepted job *)
-  if not (Hashtbl.mem sup.known default_id) then
-    journal_append_s sup (Journal.Give_up { id = default_id; error });
-  Printf.eprintf "serve: rejected spec %s: %s\n%!" default_id error
 
 let alive sup =
   Array.fold_left (fun acc s -> if s.pid <> 0 then acc + 1 else acc) 0 sup.slots
@@ -415,27 +200,10 @@ let write_workers sup =
   try Atomic_io.write_file (workers_json sup.scfg) (Json.to_string json ^ "\n")
   with Sys_error _ -> ()
 
-let write_metrics_s sup =
-  match (sup.scfg.metrics_path, Telemetry.installed ()) with
-  | None, _ | _, None -> ()
-  | Some path, Some r ->
-    Telemetry.set "fleet.pending_depth" (Lease.pending_count sup.slease);
-    Telemetry.set "fleet.claimed_depth" (Lease.held_count sup.slease);
-    Telemetry.set "fleet.workers_alive" (alive sup);
-    (try Atomic_io.write_file path (Telemetry.prometheus_text r)
-     with Sys_error msg ->
-       Printf.eprintf "serve: warning: metrics write failed: %s\n%!" msg)
-
-let maybe_write_metrics_s sup =
-  if sup.scfg.metrics_path <> None then begin
-    let interval_ns = Int64.of_int (sup.scfg.metrics_interval_ms * 1_000_000) in
-    let now = now_ns () in
-    if sup.last_metrics_ns = 0L || Int64.sub now sup.last_metrics_ns >= interval_ns
-    then begin
-      sup.last_metrics_ns <- now;
-      write_metrics_s sup
-    end
-  end
+let gauges sup () =
+  Telemetry.set "fleet.pending_depth" (Lease.pending_count sup.slease);
+  Telemetry.set "fleet.claimed_depth" (Lease.held_count sup.slease);
+  Telemetry.set "fleet.workers_alive" (alive sup)
 
 (* Recover a dead worker's leases. A job whose started attempts already
    exhausted the retry budget took its killer down with its final
@@ -447,18 +215,18 @@ let steal sup slot ~cause =
   List.iter
     (fun (l : Lease.lease) ->
       let id = l.job.Job.id in
-      if l.attempts >= sup.scfg.max_attempts then begin
+      match
+        Transition.step (Lifecycle.policy sup.lc)
+          { Transition.fresh with attempts = l.attempts }
+          (Transition.Worker_died cause)
+      with
+      | _, Transition.Give_up { error; _ } ->
         Lease.discard sup.slease ~slot id;
-        give_up_s sup id
-          ~error:
-            (Printf.sprintf "worker died (%s) on final attempt %d of %d" cause
-               l.attempts sup.scfg.max_attempts)
-      end
-      else begin
+        Lifecycle.give_up sup.lc id ~error
+      | _ ->
         Lease.requeue sup.slease ~slot id;
         Telemetry.incr "fleet.requeued";
-        slog sup "worker %d: requeued job %s after %s" slot id cause
-      end)
+        Lifecycle.log sup.lc "worker %d: requeued job %s after %s" slot id cause)
     held;
   List.length held
 
@@ -492,7 +260,7 @@ let spawn sup slot =
     Telemetry.incr "fleet.spawns";
     Telemetry.set (Printf.sprintf "fleet.worker.%d" slot) 1;
     write_workers sup;
-    slog sup "worker %d started (pid %d)" slot pid
+    Lifecycle.log sup.lc "worker %d started (pid %d)" slot pid
 
 let on_death sup slot status =
   let s = sup.slots.(slot) in
@@ -540,7 +308,8 @@ let on_death sup slot status =
     end
   end;
   if cause <> "clean exit" then
-    slog sup "worker %d (pid %d) died (%s); %d lease(s) recovered" slot pid cause
+    Lifecycle.log sup.lc "worker %d (pid %d) died (%s); %d lease(s) recovered" slot pid
+      cause
       stolen;
   write_workers sup
 
@@ -580,7 +349,7 @@ let check_heartbeats sup =
           s.stall_killed <- true;
           Telemetry.incr "fleet.heartbeat_expiries";
           Telemetry.set (Printf.sprintf "fleet.worker.%d" slot) 2;
-          slog sup
+          Lifecycle.log sup.lc
             "worker %d (pid %d): heartbeat expired (%.1fs silent); killing and \
              stealing its leases"
             slot s.pid (now -. last);
@@ -590,12 +359,12 @@ let check_heartbeats sup =
     sup.slots
 
 let respawn sup =
-  if not (Atomic.get s_drain) then
+  if not (Lifecycle.draining ()) then
     Array.iteri
       (fun slot s ->
         if s.pid = 0 then begin
           let work_remains =
-            (not sup.exhausted) || Lease.pending_count sup.slease > 0
+            (not (Lifecycle.exhausted sup.lc)) || Lease.pending_count sup.slease > 0
           in
           if work_remains && Int64.compare (now_ns ()) s.next_spawn_ns >= 0
           then begin
@@ -608,99 +377,19 @@ let respawn sup =
         end)
       sup.slots
 
-let ingest sup next_spec =
-  if (not sup.exhausted) && not (Atomic.get s_drain) then begin
-    let depth =
-      ref (Lease.pending_count sup.slease + Lease.held_count sup.slease)
-    in
-    while
-      (not sup.exhausted)
-      && (not (Atomic.get s_drain))
-      && !depth < sup.scfg.queue_cap
-    do
-      match next_spec () with
-      | None -> sup.exhausted <- true
-      | Some (default_id, line) -> (
-        match Job.parse_line ~default_id line with
-        | Error e -> reject_spec_s sup ~default_id ~error:("invalid job spec: " ^ e)
-        | Ok job ->
-          if Hashtbl.mem sup.known job.Job.id then begin
-            if not sup.scfg.resume then
-              reject_spec_s sup ~default_id:job.Job.id
-                ~error:(Printf.sprintf "duplicate job id %S" job.Job.id)
-            (* on resume a known id is simply already journaled: skip *)
-          end
-          else begin
-            (* WAL order: the accept is durable before the job becomes
-               claimable *)
-            journal_append_s sup (Journal.Accept job);
-            Hashtbl.replace sup.known job.Job.id ();
-            Hashtbl.replace sup.counted job.Job.id ();
-            sup.s_accepted <- sup.s_accepted + 1;
-            Telemetry.incr "service.jobs_accepted";
-            submit_retry sup { Lease.job; attempts = 0 };
-            incr depth
-          end)
-    done
+let ingest sup =
+  if not (Lifecycle.exhausted sup.lc) then begin
+    let depth = ref (Lease.pending_count sup.slease + Lease.held_count sup.slease) in
+    Lifecycle.ingest sup.lc
+      ~room:(fun () -> !depth < sup.scfg.queue_cap)
+      ~admit:(fun job ->
+        submit_retry sup { Lease.job; attempts = 0 };
+        incr depth)
   end;
-  if sup.exhausted && not sup.eof_marked then begin
+  if Lifecycle.exhausted sup.lc && not sup.eof_marked then begin
     sup.eof_marked <- true;
     try Lease.mark_eof sup.slease with Sys_error _ -> ()
   end
-
-(* --- final accounting from the merged journal ---------------------- *)
-
-let count_retry_fails ~max_attempts events =
-  let tbl = Hashtbl.create 64 in
-  List.iter
-    (function
-      | Journal.Fail { id; attempt; _ } when attempt < max_attempts ->
-        Hashtbl.replace tbl id
-          (1 + Option.value (Hashtbl.find_opt tbl id) ~default:0)
-      | _ -> ())
-    events;
-  tbl
-
-(* Job outcomes live scattered across the supervisor journal and every
-   worker shard; the merged replay is the one place they all meet. Only
-   ids this run admitted or re-queued are reported (terminal jobs
-   replayed on resume are history, not output), and the first terminal
-   event per id wins — a crash-window duplicate re-run commits a
-   byte-identical result, so which record is counted does not matter. *)
-let summarize sup events =
-  let verdict = Hashtbl.create 64 in
-  List.iter
-    (function
-      | Journal.Done { id; status; _ }
-        when Hashtbl.mem sup.counted id && not (Hashtbl.mem verdict id) ->
-        Hashtbl.replace verdict id
-          (if String.equal status "degraded" then `Degraded else `Ok)
-      | Journal.Give_up { id; _ }
-        when Hashtbl.mem sup.counted id && not (Hashtbl.mem verdict id) ->
-        Hashtbl.replace verdict id `Failed
-      | _ -> ())
-    events;
-  let completed = ref 0 and degraded = ref 0 in
-  let failed = ref 0 and pending = ref 0 in
-  Hashtbl.iter
-    (fun id () ->
-      match Hashtbl.find_opt verdict id with
-      | Some `Ok -> incr completed
-      | Some `Degraded -> incr degraded
-      | Some `Failed -> incr failed
-      | None -> incr pending)
-    sup.counted;
-  let fails = count_retry_fails ~max_attempts:sup.scfg.max_attempts events in
-  let retries =
-    Hashtbl.fold
-      (fun id n acc ->
-        if Hashtbl.mem sup.counted id then
-          acc
-          + max 0 (n - Option.value (Hashtbl.find_opt sup.base_fails id) ~default:0)
-        else acc)
-      fails 0
-  in
-  (!completed, !degraded, !failed, retries, !pending)
 
 let shutdown sup ~drain =
   if drain then
@@ -735,60 +424,21 @@ let shutdown sup ~drain =
   in
   wait false
 
-let run (cfg : Service.config) =
+let run (cfg : Config.config) =
   if cfg.workers < 1 then invalid_arg "Fleet.run: workers must be >= 1";
-  if cfg.max_attempts < 1 then invalid_arg "Fleet.run: max_attempts must be >= 1";
-  if cfg.queue_cap < 1 then invalid_arg "Fleet.run: queue_cap must be >= 1";
   if cfg.heartbeat_interval_ms < 1 then
     invalid_arg "Fleet.run: heartbeat_interval_ms must be >= 1";
   if cfg.lease_expiry_ms < 1 then
     invalid_arg "Fleet.run: lease_expiry_ms must be >= 1";
-  if cfg.metrics_interval_ms < 1 then
-    invalid_arg "Fleet.run: metrics_interval_ms must be >= 1";
-  (match cfg.source with
-  | Service.Spool_dir dir when not (Sys.file_exists dir && Sys.is_directory dir)
-    ->
-    raise (Sys_error (dir ^ ": no such spool directory"))
-  | Service.Spool_dir _ | Service.Stdin -> ());
-  if not cfg.resume then
-    List.iter
-      (fun path ->
-        if Sys.file_exists path then begin
-          let st = Unix.stat path in
-          if st.Unix.st_size > 0 then
-            raise
-              (Sys_error
-                 (path
-                ^ ": journal already exists; pass --resume to continue it or \
-                   remove it to start fresh"))
-        end)
-      (cfg.journal_path :: Journal.shards cfg.journal_path);
-  Atomic_io.mkdir_p cfg.out_dir;
-  Atomic_io.mkdir_p (Filename.dirname cfg.journal_path);
-  (match cfg.metrics_path with
-  | Some p -> Atomic_io.mkdir_p (Filename.dirname p)
-  | None -> ());
-  let own_recorder =
-    if cfg.metrics_path <> None && not (Telemetry.enabled ()) then begin
-      Telemetry.install (Telemetry.create ());
-      true
-    end
-    else false
-  in
-  let initial_events =
-    if cfg.resume then Journal.replay_merged cfg.journal_path else []
-  in
-  let replayed = Journal.fold_state initial_events in
-  Atomic.set s_drain false;
+  Lifecycle.supervise cfg @@ fun lc ->
   let slease = Lease.create ~root:(fleet_root cfg) ~slots:cfg.workers in
   (* leftover leases from a previous incarnation are rebuilt from the
      journal below — the journal, not the lease directory, is truth *)
   Lease.reset slease;
-  let sjournal = Journal.open_ cfg.journal_path in
   let sup =
     {
       scfg = cfg;
-      sjournal;
+      lc;
       slease;
       slots =
         Array.init cfg.workers (fun _ ->
@@ -801,71 +451,29 @@ let run (cfg : Service.config) =
               next_spawn_ns = 0L;
               ever_spawned = false;
             });
-      known = Hashtbl.create 64;
-      counted = Hashtbl.create 64;
-      base_fails = count_retry_fails ~max_attempts:cfg.max_attempts initial_events;
-      s_accepted = 0;
-      s_rejected = 0;
-      s_journal_errors = 0;
       s_deaths_signal = 0;
       s_deaths_exit = 0;
       s_steals = 0;
       s_restarts = 0;
-      last_metrics_ns = 0L;
-      exhausted = false;
       eof_marked = false;
     }
   in
-  List.iter
-    (fun (js : Journal.job_state) ->
-      Hashtbl.replace sup.known js.Journal.job.Job.id ();
-      if not js.Journal.terminal then begin
-        Hashtbl.replace sup.counted js.Journal.job.Job.id ();
-        if js.Journal.attempts >= cfg.max_attempts then
-          give_up_s sup js.Journal.job.Job.id
-            ~error:"retry budget exhausted before the previous shutdown"
-        else begin
-          sup.s_accepted <- sup.s_accepted + 1;
-          Telemetry.incr "service.jobs_accepted";
-          submit_retry sup
-            { Lease.job = js.Journal.job; attempts = js.Journal.attempts }
-        end
-      end)
-    replayed;
-  if cfg.resume then
-    slog sup "resume: %d journaled job(s), %d re-queued" (List.length replayed)
-      (Lease.pending_count slease);
-  let next_spec = Service.spec_source cfg in
-  (* the handlers only set a flag: a delivery in the fork window before
-     a child resets them must be harmless there too *)
-  let previous_handlers =
-    List.map
-      (fun signum ->
-        ( signum,
-          Sys.signal signum (Sys.Signal_handle (fun _ -> Atomic.set s_drain true))
-        ))
-      [ Sys.sigint; Sys.sigterm ]
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter (fun (signum, h) -> Sys.set_signal signum h) previous_handlers;
-      Journal.close sjournal;
-      if own_recorder then Telemetry.uninstall ())
-  @@ fun () ->
+  Lifecycle.admit_replayed lc ~admit:(fun job (state : Transition.state) ->
+      submit_retry sup { Lease.job; attempts = state.attempts });
   write_workers sup;
-  maybe_write_metrics_s sup;
+  Lifecycle.maybe_write_metrics lc ~gauges:(gauges sup);
   for slot = 0 to cfg.workers - 1 do
     spawn sup slot
   done;
   let rec loop () =
     reap sup;
-    if not (Atomic.get s_drain) then begin
-      ingest sup next_spec;
+    if not (Lifecycle.draining ()) then begin
+      ingest sup;
       check_heartbeats sup;
       respawn sup;
-      maybe_write_metrics_s sup;
+      Lifecycle.maybe_write_metrics lc ~gauges:(gauges sup);
       if
-        sup.exhausted
+        Lifecycle.exhausted lc
         && Lease.pending_count sup.slease = 0
         && Lease.held_count sup.slease = 0
       then ()
@@ -876,32 +484,18 @@ let run (cfg : Service.config) =
     end
   in
   loop ();
-  let drained = Atomic.get s_drain in
-  shutdown sup ~drain:drained;
-  if drained then journal_append_s sup Journal.Drain;
+  shutdown sup ~drain:(Lifecycle.draining ());
   write_workers sup;
-  write_metrics_s sup;
-  let completed, degraded, failed, retries, pending =
-    summarize sup (Journal.replay_merged cfg.journal_path)
-  in
-  slog sup
-    "fleet finished: %d ok, %d degraded, %d failed, %d retries; %d worker \
-     death(s), %d steal(s), %d restart(s)%s"
-    completed degraded failed retries
+  Lifecycle.log lc "fleet: %d worker death(s), %d steal(s), %d restart(s)"
     (sup.s_deaths_signal + sup.s_deaths_exit)
-    sup.s_steals sup.s_restarts
-    (if drained then Printf.sprintf "; drained with %d pending" pending else "");
+    sup.s_steals sup.s_restarts;
+  (* job outcomes live scattered across the supervisor journal and every
+     worker shard; the merged replay is the one place they all meet *)
+  let stats =
+    Lifecycle.finish lc ~gauges:(gauges sup) (Journal.replay_merged cfg.journal_path)
+  in
   {
-    Service.accepted = sup.s_accepted;
-    completed;
-    degraded;
-    failed;
-    rejected_specs = sup.s_rejected;
-    retries;
-    breaker_trips = 0;
-    journal_errors = sup.s_journal_errors;
-    pending;
-    drained;
+    stats with
     workers = cfg.workers;
     worker_deaths_signal = sup.s_deaths_signal;
     worker_deaths_exit = sup.s_deaths_exit;

@@ -21,22 +21,27 @@
     (lease steal after heartbeat expiry). Crashed slots are refilled
     with exponential backoff.
 
-    {b Exactly-once.} The commit protocol is unchanged from the
-    in-process service: the result artifact is written atomically
-    {e before} its [done] record, and pipelines are deterministic, so
-    a worker SIGKILLed in the window between the two at worst causes a
-    byte-identical re-run. [--resume] replays the supervisor journal
-    merged with every worker shard ({!Journal.replay_merged}); the
-    final result set is byte-identical to an uninterrupted
-    single-worker run, each result exactly once.
+    {b One lifecycle.} A worker runs each claimed job through the same
+    {!Lifecycle.attempt} the in-process service uses — budgets,
+    breaker, typed give-ups, backoff, the result-before-[done] commit —
+    appending to its own journal shard. Fleet mode changes who runs a
+    job and where it waits: a worker holds the job's lease through a
+    retry's backoff and bumps the lease's attempt count before each
+    attempt, so a steal after a crash still charges it. [--resume]
+    replays the supervisor journal merged with every worker shard
+    ({!Journal.replay_merged}); the final result set is byte-identical
+    to an uninterrupted single-worker run, each result exactly once.
 
     {b Stats.} Worker-death causes are reported distinctly:
     [worker_deaths_signal] (killed), [worker_deaths_exit] (worker loop
-    bug), [lease_steals] (heartbeat-expiry reclaims). Job outcomes are
-    derived from the merged journal, counting only jobs this run
-    admitted or re-queued. [breaker_trips] is always 0 in fleet mode —
-    each worker runs its own per-class breaker and trips are not
-    journaled.
+    bug), [lease_steals] (heartbeat-expiry reclaims). Job outcomes come
+    from the same summary as the in-process run, folded over the
+    merged journal. [breaker_trips] is always 0 in fleet mode — each
+    worker runs its own per-class breaker and trips are not journaled.
+
+    {b Per-job traces.} With [trace_dir] set, each worker writes
+    [<id>.trace.json] for the jobs it runs. The [trace_keep] ring is
+    per worker process, so up to [workers * trace_keep] files remain.
 
     {b Telemetry} (supervisor process): counters [fleet.spawns],
     [fleet.restarts], [fleet.deaths_signal], [fleet.deaths_exit],
@@ -56,7 +61,7 @@
     atomically on every spawn and death) lets external chaos tooling
     target individual workers. *)
 
-val run : Service.config -> Service.stats
+val run : Config.config -> Config.stats
 (** Requires [config.workers >= 1] ([Invalid_argument] otherwise).
     Setup failures (unreadable spool, refused non-empty journal or
     shards without [resume]) raise [Sys_error] before any worker is

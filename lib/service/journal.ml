@@ -224,13 +224,24 @@ let replay_merged path =
 
 type job_state = { job : Job.t; attempts : int; terminal : bool }
 
+(* The journal records decisions; it does not make them. So the fold
+   needs no retry budget, and a [fail] record changes no state: the
+   give-up that follows a final failure is a record of its own. *)
+let replay_policy = { Transition.max_attempts = max_int; retry_base_ms = 0.0 }
+
 let fold_state events =
   let order = ref [] in
   let tbl : (string, job_state) Hashtbl.t = Hashtbl.create 16 in
-  let update id f =
+  let step id ev =
     match Hashtbl.find_opt tbl id with
     | None -> () (* record for a job we never saw accepted: ignore *)
-    | Some st -> Hashtbl.replace tbl id (f st)
+    | Some js ->
+      let s, _ =
+        Transition.step replay_policy
+          { Transition.attempts = js.attempts; terminal = js.terminal }
+          ev
+      in
+      Hashtbl.replace tbl id { js with attempts = s.attempts; terminal = s.terminal }
   in
   List.iter
     (fun ev ->
@@ -240,13 +251,10 @@ let fold_state events =
           Hashtbl.replace tbl job.Job.id { job; attempts = 0; terminal = false };
           order := job.Job.id :: !order
         end
-      | Start { id; _ } -> update id (fun st -> { st with attempts = st.attempts + 1 })
-      | Done { id; _ } | Give_up { id; _ } ->
-        update id (fun st -> { st with terminal = true })
-      | Interrupted { id; _ } ->
-        (* a drain cut this attempt short before it could fail: it must
-           not count against the retry budget on resume *)
-        update id (fun st -> { st with attempts = max 0 (st.attempts - 1) })
+      | Start { id; _ } -> step id Transition.Start
+      | Done { id; reason; _ } -> step id Transition.(Finished (Completed reason))
+      | Give_up { id; error } -> step id Transition.(Finished (Invalid error))
+      | Interrupted { id; _ } -> step id Transition.Interrupted
       | Fail _ | Drain -> ())
     events;
   List.rev_map (fun id -> Hashtbl.find tbl id) !order

@@ -105,7 +105,8 @@ type job_state = {
 val fold_state : event list -> job_state list
 (** Accepted jobs in first-accept order with their replayed state —
     what [--resume] re-queues ([terminal = false] entries). Duplicate
-    accepts of one id collapse onto the first. *)
+    accepts of one id collapse onto the first. Each job's state is a
+    fold of {!Transition.step} over its records. *)
 
 val event_to_json : event -> Bistpath_util.Json.t
 val event_of_json : Bistpath_util.Json.t -> (event, string) result

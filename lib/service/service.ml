@@ -1,672 +1,86 @@
-module Atomic_io = Bistpath_util.Atomic_io
-module Prng = Bistpath_util.Prng
 module Telemetry = Bistpath_telemetry.Telemetry
-module Budget = Bistpath_resilience.Budget
-module Cancel = Bistpath_resilience.Cancel
-module Inject = Bistpath_resilience.Inject
+include Config
 
-type source = Spool_dir of string | Stdin
-
-type config = {
-  source : source;
-  out_dir : string;
-  journal_path : string;
-  resume : bool;
-  max_attempts : int;
-  retry_base_ms : float;
-  breaker_threshold : int;
-  breaker_cooldown_s : float;
-  queue_cap : int;
-  job_delay_ms : int;
-  default_timeout_s : float option;
-  default_leaf_budget : int option;
-  seed : int;
-  verbose : bool;
-  metrics_path : string option;
-  metrics_interval_ms : int;
-  trace_dir : string option;
-  trace_keep : int;
-  cache_dir : string option;
-  cache_max_mb : int option;
-  workers : int;
-  heartbeat_interval_ms : int;
-  lease_expiry_ms : int;
-}
-
-let default_config source =
-  let base = match source with Spool_dir d -> d | Stdin -> "." in
-  {
-    source;
-    out_dir = Filename.concat base "results";
-    journal_path = Filename.concat base "journal.ndjson";
-    resume = false;
-    max_attempts = 3;
-    retry_base_ms = 100.0;
-    breaker_threshold = 3;
-    breaker_cooldown_s = 1.0;
-    queue_cap = 64;
-    job_delay_ms = 0;
-    default_timeout_s = None;
-    default_leaf_budget = None;
-    seed = 0x5E41CE;
-    verbose = true;
-    metrics_path = None;
-    metrics_interval_ms = 1000;
-    trace_dir = None;
-    trace_keep = 32;
-    cache_dir = None;
-    cache_max_mb = None;
-    workers = 0;
-    heartbeat_interval_ms = 250;
-    lease_expiry_ms = 5000;
-  }
-
-type stats = {
-  accepted : int;
-  completed : int;
-  degraded : int;
-  failed : int;
-  rejected_specs : int;
-  retries : int;
-  breaker_trips : int;
-  journal_errors : int;
-  pending : int;
-  drained : bool;
-  workers : int;
-  worker_deaths_signal : int;
-  worker_deaths_exit : int;
-  lease_steals : int;
-  worker_restarts : int;
-}
-
-(* --- drain signalling ---------------------------------------------- *)
-
-let drain_flag = Atomic.make false
-let current_cancel : Cancel.t option ref = ref None
-let drain_cause = "drain requested (SIGINT/SIGTERM)"
-
-let request_drain () =
-  Atomic.set drain_flag true;
-  match !current_cancel with
-  | Some c -> ignore (Cancel.cancel c (Cancel.Cancelled drain_cause))
-  | None -> ()
-
-let draining () = Atomic.get drain_flag
-
-(* --- helpers ------------------------------------------------------- *)
-
-let mkdir_p = Atomic_io.mkdir_p
+let request_drain = Lifecycle.request_drain
 let now_ns () = Monotonic_clock.now ()
-
-(* Per-job jitter stream: deterministic in (seed, id) only — stable
-   across restarts and independent of accept order. *)
-let job_prng ~seed id = Prng.split (Prng.create (seed lxor Hashtbl.hash id))
-
-(* One spec line at a time from the spool or stdin, with a
-   deterministic default id per line. *)
-let spec_source cfg =
-  match cfg.source with
-  | Stdin ->
-    let n = ref 0 in
-    let rec next () =
-      match In_channel.input_line stdin with
-      | None -> None
-      | Some line when String.trim line = "" -> next ()
-      | Some line ->
-        incr n;
-        Some (Printf.sprintf "stdin-%d" !n, line)
-    in
-    next
-  | Spool_dir dir ->
-    if not (Sys.file_exists dir && Sys.is_directory dir) then
-      raise (Sys_error (dir ^ ": no such spool directory"));
-    let spool_file f =
-      Filename.check_suffix f ".ndjson"
-      || Filename.check_suffix f ".jsonl"
-      || Filename.check_suffix f ".json"
-    in
-    (* The journal often lives inside the spool directory and would
-       match the glob; identify it by inode so no alias of its path can
-       ever be ingested as job specs (it grows while we run — reading
-       it back would chase our own appends forever). *)
-    let journal_ident =
-      try
-        let s = Unix.stat cfg.journal_path in
-        Some (s.Unix.st_dev, s.Unix.st_ino)
-      with Unix.Unix_error _ | Sys_error _ -> None
-    in
-    let is_journal f =
-      match journal_ident with
-      | None -> false
-      | Some id -> (
-        try
-          let s = Unix.stat f in
-          (s.Unix.st_dev, s.Unix.st_ino) = id
-        with Unix.Unix_error _ | Sys_error _ -> false)
-    in
-    let files =
-      Sys.readdir dir |> Array.to_list |> List.filter spool_file
-      |> List.sort compare
-      |> List.map (Filename.concat dir)
-      |> List.filter (fun f -> not (is_journal f))
-    in
-    let remaining = ref files in
-    let current : (string * In_channel.t * int ref) option ref = ref None in
-    let rec next () =
-      match !current with
-      | None -> (
-        match !remaining with
-        | [] -> None
-        | f :: rest ->
-          remaining := rest;
-          current := Some (Filename.remove_extension (Filename.basename f),
-                           In_channel.open_text f, ref 0);
-          next ())
-      | Some (stem, ic, lineno) -> (
-        match In_channel.input_line ic with
-        | None ->
-          In_channel.close ic;
-          current := None;
-          next ()
-        | Some line ->
-          incr lineno;
-          if String.trim line = "" then next ()
-          else Some (Printf.sprintf "%s-%d" stem !lineno, line))
-    in
-    next
-
-(* --- the supervisor ------------------------------------------------ *)
 
 type job_rec = {
   job : Job.t;
-  prng : Prng.t;
-  mutable attempts : int;
+  mutable state : Transition.state;
   mutable next_ready_ns : int64;  (* backoff gate; 0 = ready now *)
   mutable enqueued_ns : int64;  (* last (re-)enqueue, for queue-wait latency *)
 }
 
-type state = {
-  cfg : config;
-  journal : Journal.t;
-  breaker : Breaker.t;
-  cache : Bistpath_cache.Store.t option;
-  queue : job_rec Queue.t;  (* rotated to skip not-ready entries *)
-  known : (string, unit) Hashtbl.t;  (* accepted ids, this run or replayed *)
-  mutable s_accepted : int;
-  mutable s_completed : int;
-  mutable s_degraded : int;
-  mutable s_failed : int;
-  mutable s_rejected : int;
-  mutable s_retries : int;
-  mutable s_breaker_trips : int;
-  mutable s_journal_errors : int;
-  mutable last_metrics_ns : int64;  (* 0 = never written *)
-  trace_ring : string Queue.t;  (* per-job trace paths, oldest first *)
-}
-
-let log st fmt =
-  Printf.ksprintf
-    (fun s -> if st.cfg.verbose then Printf.eprintf "serve: %s\n%!" s)
-    fmt
-
-(* A lost journal record degrades resume fidelity (the job may re-run),
-   never correctness: results are committed atomically and re-runs are
-   byte-identical. So: bounded retries, then warn and move on. *)
-let journal_append st ev =
-  Telemetry.with_span "journal.append" @@ fun () ->
-  let rec go n =
-    match Journal.append st.journal ev with
-    | () -> ()
-    | exception Sys_error msg ->
-      if n < 4 then go (n + 1)
-      else begin
-        st.s_journal_errors <- st.s_journal_errors + 1;
-        Telemetry.incr "service.journal_errors";
-        Printf.eprintf "serve: warning: journal append failed: %s\n%!" msg
-      end
-  in
-  go 0
-
-let publish_queue_depth st =
-  Telemetry.set "service.queue_depth" (Queue.length st.queue)
-
-let enqueue st jr =
-  jr.enqueued_ns <- now_ns ();
-  Queue.add jr st.queue;
-  publish_queue_depth st
-
-let out_path st (job : Job.t) ext = Filename.concat st.cfg.out_dir (job.Job.id ^ ext)
-
-(* --- metrics snapshot and per-job traces --------------------------- *)
-
-(* Job ids come from spec files and may contain path separators; traces
-   are flat files keyed by id, so squash anything path-hostile. *)
-let safe_filename id =
-  String.map
-    (function ('a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '.' | '_' | '-') as c -> c | _ -> '_')
-    id
-
-(* Unconditional snapshot: refresh the operational gauges, then commit
-   the Prometheus exposition atomically so an external scraper reading
-   the file mid-write still sees a complete previous snapshot. *)
-let write_metrics st =
-  match (st.cfg.metrics_path, Telemetry.installed ()) with
-  | None, _ | _, None -> ()
-  | Some path, Some r ->
-    publish_queue_depth st;
-    List.iter
-      (fun (cls, name) ->
-        let v = match name with "closed" -> 0 | "half_open" -> 1 | _ -> 2 in
-        Telemetry.set ("service.breaker." ^ cls) v)
-      (Breaker.states st.breaker);
-    (try Atomic_io.write_file path (Telemetry.prometheus_text r)
-     with Sys_error msg ->
-       Printf.eprintf "serve: warning: metrics write failed: %s\n%!" msg)
-
-let maybe_write_metrics st =
-  if st.cfg.metrics_path <> None then begin
-    let interval_ns = Int64.of_int (st.cfg.metrics_interval_ms * 1_000_000) in
-    let now = now_ns () in
-    if st.last_metrics_ns = 0L || Int64.sub now st.last_metrics_ns >= interval_ns
-    then begin
-      st.last_metrics_ns <- now;
-      write_metrics st
-    end
-  end
-
-(* Bounded trace ring: remember each written path once (a retried job
-   overwrites its own file in place) and evict oldest-first beyond
-   [trace_keep] so long daemon runs cannot grow the disk unboundedly. *)
-let record_trace st path =
-  if not (Queue.fold (fun seen p -> seen || String.equal p path) false st.trace_ring)
-  then begin
-    Queue.add path st.trace_ring;
-    while Queue.length st.trace_ring > st.cfg.trace_keep do
-      let victim = Queue.pop st.trace_ring in
-      try Sys.remove victim with Sys_error _ -> ()
-    done
-  end
-
-let backoff_ns st (jr : job_rec) =
-  let attempt = jr.attempts in
-  let expo = Float.of_int (1 lsl min (attempt - 1) 10) in
-  let jitter = 0.5 +. Prng.float jr.prng 1.0 in
-  Int64.of_float (st.cfg.retry_base_ms *. 1e6 *. expo *. jitter)
-
-let give_up st (jr : job_rec) ~error =
-  journal_append st (Journal.Give_up { id = jr.job.Job.id; error });
-  (try Atomic_io.write_file (out_path st jr.job ".err") (error ^ "\n")
-   with Sys_error _ -> ());
-  st.s_failed <- st.s_failed + 1;
-  Telemetry.incr "service.jobs_failed";
-  log st "[%s] FAILED permanently: %s" jr.job.Job.id error
-
-let handle_failure st (jr : job_rec) ~error =
-  if Breaker.failure st.breaker (Job.class_of jr.job) then begin
-    st.s_breaker_trips <- st.s_breaker_trips + 1;
-    log st "breaker for class %S tripped open" (Job.class_of jr.job)
-  end;
-  journal_append st
-    (Journal.Fail { id = jr.job.Job.id; attempt = jr.attempts; error });
-  if jr.attempts >= st.cfg.max_attempts then give_up st jr ~error
-  else begin
-    st.s_retries <- st.s_retries + 1;
-    Telemetry.incr "service.retries";
-    jr.next_ready_ns <- Int64.add (now_ns ()) (backoff_ns st jr);
-    enqueue st jr;
-    log st "[%s] attempt %d failed (%s); retrying with backoff" jr.job.Job.id
-      jr.attempts error
-  end
-
-(* One attempt, recorded into whatever telemetry sink is active.
-   Returns [false] when the job was interrupted by a drain and should
-   stay pending. *)
-let run_attempt st (jr : job_rec) =
-  jr.attempts <- jr.attempts + 1;
-  if Telemetry.enabled () && jr.enqueued_ns <> 0L then
-    Telemetry.observe "service.queue_wait_ns"
-      (Int64.to_int (Int64.sub (now_ns ()) jr.enqueued_ns));
-  Telemetry.with_span "attempt" ~attrs:[ ("n", string_of_int jr.attempts) ]
-  @@ fun () ->
-  journal_append st (Journal.Start { id = jr.job.Job.id; attempt = jr.attempts });
-  if st.cfg.job_delay_ms > 0 then
-    Unix.sleepf (Float.of_int st.cfg.job_delay_ms /. 1000.0);
-  let cancel = Cancel.create () in
-  current_cancel := Some cancel;
-  (* the signal may have raced the register above *)
-  if draining () then ignore (Cancel.cancel cancel (Cancel.Cancelled drain_cause));
-  let timeout_s =
-    match jr.job.Job.timeout_s with Some s -> Some s | None -> st.cfg.default_timeout_s
-  in
-  let leaf_budget =
-    match jr.job.Job.leaf_budget with
-    | Some n -> Some n
-    | None -> st.cfg.default_leaf_budget
-  in
-  let budget = Budget.create ?deadline_s:timeout_s ?leaf_budget ~cancel () in
-  let t0 = now_ns () in
-  let outcome =
-    match
-      Inject.fire "service.worker";
-      Telemetry.with_span "pipeline" ~attrs:[ ("class", Job.class_of jr.job) ]
-        (fun () -> Runner.execute ?cache:st.cache ~budget jr.job)
-    with
-    | r -> Ok r
-    | exception e -> Error (Printexc.to_string e)
-  in
-  current_cancel := None;
-  let dur_ns = Int64.sub (now_ns ()) t0 in
-  (* Cache-served jobs complete orders of magnitude faster; recording
-     them into the same histogram would drag every latency quantile
-     down and hide real pipeline regressions. They get their own
-     series. *)
-  if Telemetry.enabled () then begin
-    let histogram =
-      match outcome with
-      | Ok (Ok (_, Some `Hit)) -> "service.job_ns_cached"
-      | _ -> "service.job_ns"
-    in
-    Telemetry.observe histogram (Int64.to_int dur_ns)
-  end;
-  let ms = Int64.to_float dur_ns /. 1e6 in
-  let drain_cancelled =
-    match Budget.stop_reason budget with
-    | Some (Cancel.Cancelled c) -> String.equal c drain_cause
-    | _ -> false
-  in
-  match outcome with
-  | Ok (Error (Runner.Invalid_input lines | Runner.Check_findings lines)) ->
-    (* deterministic: retrying cannot help, and a sick input (or a
-       design the checker rejects) says nothing about the pipeline's
-       health, so the breaker is not fed *)
-    give_up st jr ~error:(String.concat "; " lines);
-    true
-  | _ when drain_cancelled ->
-    (* partial work from a drained job is discarded; the job stays
-       pending and re-runs (from scratch, deterministically) on resume.
-       The interrupted record un-counts the journaled start so resume
-       does not charge this never-failed attempt against the retry
-       budget — a job drained on its last allowed attempt must re-run,
-       not be declared exhausted. *)
-    journal_append st
-      (Journal.Interrupted { id = jr.job.Job.id; attempt = jr.attempts });
-    jr.attempts <- jr.attempts - 1;
-    enqueue st jr;
-    log st "[%s] interrupted by drain; left pending" jr.job.Job.id;
-    false
-  | Ok (Ok (artifact, cache_status)) -> (
-    match
-      Inject.fire_sys_error "service.result_io";
-      Atomic_io.write_file (out_path st jr.job ".out") artifact
-    with
-    | () ->
-      let status, reason =
-        match Budget.stop_reason budget with
-        | Some r -> ("degraded", Some (Cancel.describe r))
-        | None -> ("ok", None)
-      in
-      let cache =
-        match cache_status with
-        | Some `Hit -> Some "hit"
-        | Some `Miss -> Some "miss"
-        | None -> None
-      in
-      journal_append st
-        (Journal.Done
-           { id = jr.job.Job.id; attempt = jr.attempts; status; reason; cache });
-      Breaker.success st.breaker (Job.class_of jr.job);
-      (match status with
-      | "degraded" ->
-        st.s_degraded <- st.s_degraded + 1;
-        Telemetry.incr "service.jobs_degraded";
-        log st "[%s] degraded in %.1f ms (%s)" jr.job.Job.id ms
-          (Option.value reason ~default:"?")
-      | _ ->
-        st.s_completed <- st.s_completed + 1;
-        Telemetry.incr "service.jobs_completed";
-        log st "[%s] done in %.1f ms%s" jr.job.Job.id ms
-          (match cache with Some "hit" -> " (cache hit)" | _ -> ""));
-      true
-    | exception Sys_error msg ->
-      handle_failure st jr ~error:("result write failed: " ^ msg);
-      true)
-  | Error error ->
-    handle_failure st jr ~error;
-    true
-
-(* Returns [false] when the job was interrupted by a drain and should
-   stay pending. With [trace_dir] set, the attempt records into its own
-   fresh recorder so long-lived daemons yield one readable Chrome-trace
-   file per job instead of a single flat lifetime trace; the scalar
-   aggregates (counters, gauges, histograms — O(metric names), never
-   O(jobs)) are folded back into the long-lived recorder so a
-   [--metrics] snapshot still reflects all job activity. *)
-let run_job st (jr : job_rec) =
-  match st.cfg.trace_dir with
-  | None -> run_attempt st jr
-  | Some dir ->
-    let keep_going, recording =
-      Telemetry.collect @@ fun () ->
-      Telemetry.with_span "job"
-        ~attrs:[ ("id", jr.job.Job.id); ("class", Job.class_of jr.job) ]
-        (fun () -> run_attempt st jr)
-    in
-    (match Telemetry.installed () with
-    | Some outer -> Telemetry.merge_into ~into:outer recording
-    | None -> ());
-    let path = Filename.concat dir (safe_filename jr.job.Job.id ^ ".trace.json") in
-    (try
-       Atomic_io.write_file path (Telemetry.chrome_trace_json recording);
-       record_trace st path
-     with Sys_error msg ->
-       Printf.eprintf "serve: warning: trace write failed: %s\n%!" msg);
-    keep_going
-
 (* Pick the first queued job that is past its backoff gate and admitted
    by its class breaker; rotate everything else. Returns the wait (in
    seconds) until something could become runnable when nothing is. *)
-let pick_runnable st =
-  let n = Queue.length st.queue in
+let pick_runnable breaker queue =
+  let n = Queue.length queue in
   let now = now_ns () in
   let min_wait = ref infinity in
   let found = ref None in
-  (try
-     for _ = 1 to n do
-       let jr = Queue.pop st.queue in
-       if !found <> None then Queue.add jr st.queue
-       else begin
-         let backoff_wait =
-           if jr.next_ready_ns = 0L || jr.next_ready_ns <= now then 0.0
-           else Int64.to_float (Int64.sub jr.next_ready_ns now) /. 1e9
-         in
-         if backoff_wait > 0.0 then begin
-           min_wait := Float.min !min_wait backoff_wait;
-           Queue.add jr st.queue
-         end
-         else
-           match Breaker.check st.breaker (Job.class_of jr.job) with
-           | Breaker.Allow | Breaker.Probe -> found := Some jr
-           | Breaker.Reject wait ->
-             min_wait := Float.min !min_wait wait;
-             Queue.add jr st.queue
-       end
-     done
-   with Queue.Empty -> ());
+  for _ = 1 to n do
+    let jr = Queue.pop queue in
+    if !found <> None then Queue.add jr queue
+    else begin
+      let backoff_wait =
+        if jr.next_ready_ns <= now then 0.0
+        else Int64.to_float (Int64.sub jr.next_ready_ns now) /. 1e9
+      in
+      if backoff_wait > 0.0 then begin
+        min_wait := Float.min !min_wait backoff_wait;
+        Queue.add jr queue
+      end
+      else
+        match Breaker.check breaker (Job.class_of jr.job) with
+        | Breaker.Allow | Breaker.Probe -> found := Some jr
+        | Breaker.Reject wait ->
+          min_wait := Float.min !min_wait wait;
+          Queue.add jr queue
+    end
+  done;
   match !found with
-  | Some jr ->
-    publish_queue_depth st;
-    `Run jr
-  | None -> if Queue.length st.queue = 0 then `Empty else `Wait !min_wait
-
-let accept st (job : Job.t) ~attempts ~journal_it =
-  if journal_it then journal_append st (Journal.Accept job);
-  Hashtbl.replace st.known job.Job.id ();
-  st.s_accepted <- st.s_accepted + 1;
-  Telemetry.incr "service.jobs_accepted";
-  enqueue st
-    { job; prng = job_prng ~seed:st.cfg.seed job.Job.id; attempts; next_ready_ns = 0L;
-      enqueued_ns = 0L }
-
-let reject_spec st ~default_id ~error =
-  (* a rejected spec never became a job, so it is counted separately
-     from jobs that ran and failed permanently *)
-  st.s_rejected <- st.s_rejected + 1;
-  (* A duplicate-id rejection carries the id of an already-accepted
-     job; journaling give_up under that id would mark the legitimate,
-     still-pending job terminal and --resume would silently drop it.
-     Known ids keep their journal history untouched. *)
-  if not (Hashtbl.mem st.known default_id) then
-    journal_append st (Journal.Give_up { id = default_id; error });
-  Printf.eprintf "serve: rejected spec %s: %s\n%!" default_id error
+  | Some jr -> `Run jr
+  | None -> if Queue.is_empty queue then `Empty else `Wait !min_wait
 
 let run cfg =
-  if cfg.max_attempts < 1 then invalid_arg "Service.run: max_attempts must be >= 1";
-  if cfg.queue_cap < 1 then invalid_arg "Service.run: queue_cap must be >= 1";
-  if cfg.metrics_interval_ms < 1 then
-    invalid_arg "Service.run: metrics_interval_ms must be >= 1";
-  if cfg.trace_keep < 1 then invalid_arg "Service.run: trace_keep must be >= 1";
-  (* validate the spool before mkdir_p below can create any of its tree *)
-  (match cfg.source with
-  | Spool_dir dir when not (Sys.file_exists dir && Sys.is_directory dir) ->
-    raise (Sys_error (dir ^ ": no such spool directory"))
-  | Spool_dir _ | Stdin -> ());
-  if not cfg.resume then
-    List.iter
-      (fun path ->
-        if Sys.file_exists path then begin
-          let st = Unix.stat path in
-          if st.Unix.st_size > 0 then
-            raise
-              (Sys_error
-                 (path
-                ^ ": journal already exists; pass --resume to continue it or \
-                   remove it to start fresh"))
-        end)
-      (cfg.journal_path :: Journal.shards cfg.journal_path);
-  mkdir_p cfg.out_dir;
-  mkdir_p (Filename.dirname cfg.journal_path);
-  (match cfg.trace_dir with Some d -> mkdir_p d | None -> ());
-  (match cfg.metrics_path with
-  | Some p -> mkdir_p (Filename.dirname p)
-  | None -> ());
-  (* --metrics needs a live recorder for the whole daemon lifetime; if
-     the caller did not install one (no --stats/--trace), own one. *)
-  let own_recorder =
-    if cfg.metrics_path <> None && not (Telemetry.enabled ()) then begin
-      Telemetry.install (Telemetry.create ());
-      true
-    end
-    else false
+  Lifecycle.supervise cfg @@ fun lc ->
+  let queue = Queue.create () in
+  let publish_depth () = Telemetry.set "service.queue_depth" (Queue.length queue) in
+  let enqueue jr =
+    jr.enqueued_ns <- now_ns ();
+    Queue.add jr queue;
+    publish_depth ()
   in
-  (* merged: a journal left by a fleet run has per-worker shards beside
-     it; resuming in-process must still see every worker's records *)
-  let replayed =
-    if cfg.resume then Journal.fold_state (Journal.replay_merged cfg.journal_path)
-    else []
-  in
-  Atomic.set drain_flag false;
-  current_cancel := None;
-  (* an unusable cache directory degrades to an uncached service, not a
-     startup failure — caching is an optimization, never a dependency *)
-  let cache =
-    match cfg.cache_dir with
-    | None -> None
-    | Some dir -> (
-      try Some (Bistpath_cache.Store.open_ ?max_mb:cfg.cache_max_mb ~dir ())
-      with Sys_error msg ->
-        Printf.eprintf "serve: warning: result cache disabled: %s\n%!" msg;
-        None)
-  in
-  let journal = Journal.open_ cfg.journal_path in
-  let st =
-    {
-      cfg;
-      journal;
-      cache;
-      breaker =
-        Breaker.create ~threshold:cfg.breaker_threshold
-          ~cooldown_s:cfg.breaker_cooldown_s ();
-      queue = Queue.create ();
-      known = Hashtbl.create 64;
-      s_accepted = 0;
-      s_completed = 0;
-      s_degraded = 0;
-      s_failed = 0;
-      s_rejected = 0;
-      s_retries = 0;
-      s_breaker_trips = 0;
-      s_journal_errors = 0;
-      last_metrics_ns = 0L;
-      trace_ring = Queue.create ();
-    }
-  in
-  (* Replay: every journaled job is known (so spool re-reads do not
-     double-accept); the non-terminal ones re-enter the queue with
-     their attempt count carried over. *)
-  List.iter
-    (fun (js : Journal.job_state) ->
-      Hashtbl.replace st.known js.Journal.job.Job.id ();
-      if not js.Journal.terminal then begin
-        if js.Journal.attempts >= cfg.max_attempts then begin
-          (* it crashed (or was killed) after its last allowed attempt *)
-          let jr =
-            { job = js.Journal.job; prng = job_prng ~seed:cfg.seed js.Journal.job.Job.id;
-              attempts = js.Journal.attempts; next_ready_ns = 0L; enqueued_ns = 0L }
-          in
-          give_up st jr ~error:"retry budget exhausted before the previous shutdown"
-        end
-        else
-          accept st js.Journal.job ~attempts:js.Journal.attempts ~journal_it:false
-      end)
-    replayed;
-  if cfg.resume then
-    log st "resume: %d journaled job(s), %d re-queued" (List.length replayed)
-      (Queue.length st.queue);
-  let next_spec = spec_source cfg in
-  let exhausted = ref false in
-  let ingest () =
-    while (not !exhausted) && (not (draining ())) && Queue.length st.queue < cfg.queue_cap do
-      match next_spec () with
-      | None -> exhausted := true
-      | Some (default_id, line) -> (
-        match Job.parse_line ~default_id line with
-        | Error e -> reject_spec st ~default_id ~error:("invalid job spec: " ^ e)
-        | Ok job ->
-          if Hashtbl.mem st.known job.Job.id then begin
-            if not cfg.resume then
-              reject_spec st ~default_id:job.Job.id
-                ~error:(Printf.sprintf "duplicate job id %S" job.Job.id)
-            (* on resume a known id is simply already journaled: skip *)
-          end
-          else accept st job ~attempts:0 ~journal_it:true)
-    done
-  in
-  let previous_handlers =
-    List.map
-      (fun signum ->
-        (signum, Sys.signal signum (Sys.Signal_handle (fun _ -> request_drain ()))))
-      [ Sys.sigint; Sys.sigterm ]
-  in
-  let restore () =
-    List.iter (fun (signum, h) -> Sys.set_signal signum h) previous_handlers
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      restore ();
-      Journal.close journal;
-      if own_recorder then Telemetry.uninstall ())
-  @@ fun () ->
+  let admit job state = enqueue { job; state; next_ready_ns = 0L; enqueued_ns = 0L } in
+  Lifecycle.admit_replayed lc ~admit;
   (* an early first snapshot so scrapers find the file as soon as the
      daemon is up, not only after the first interval elapses *)
-  maybe_write_metrics st;
+  Lifecycle.maybe_write_metrics lc ~gauges:publish_depth;
   let rec loop () =
-    if draining () then ()
-    else begin
-      ingest ();
-      maybe_write_metrics st;
-      match pick_runnable st with
-      | `Run jr -> if run_job st jr then loop () (* else: drained mid-job *)
-      | `Empty -> if not !exhausted then loop () (* ingest had no room? retry *)
+    if not (Lifecycle.draining ()) then begin
+      Lifecycle.ingest lc
+        ~room:(fun () -> Queue.length queue < cfg.queue_cap)
+        ~admit:(fun job -> admit job Transition.fresh);
+      Lifecycle.maybe_write_metrics lc ~gauges:publish_depth;
+      match pick_runnable (Lifecycle.breaker lc) queue with
+      | `Run jr -> (
+        publish_depth ();
+        if Telemetry.enabled () then
+          Telemetry.observe "service.queue_wait_ns"
+            (Int64.to_int (Int64.sub (now_ns ()) jr.enqueued_ns));
+        let state, decision = Lifecycle.attempt lc jr.job jr.state in
+        jr.state <- state;
+        match decision with
+        | Transition.Retry { backoff_ns; _ } ->
+          jr.next_ready_ns <- Int64.add (now_ns ()) backoff_ns;
+          enqueue jr;
+          loop ()
+        | Transition.Pending -> enqueue jr (* drained mid-job: pending for resume *)
+        | Transition.Commit _ | Transition.Give_up _ -> loop ())
+      | `Empty ->
+        (* ingest had no room? retry *)
+        if not (Lifecycle.exhausted lc) then loop ()
       | `Wait w ->
         (* sleep in short slices so a drain signal is honoured promptly *)
         Unix.sleepf (Float.max 0.001 (Float.min w 0.05));
@@ -674,28 +88,4 @@ let run cfg =
     end
   in
   loop ();
-  let pending = Queue.length st.queue in
-  let drained = draining () in
-  if drained then journal_append st Journal.Drain;
-  publish_queue_depth st;
-  write_metrics st;
-  log st "finished: %d ok, %d degraded, %d failed, %d retries%s" st.s_completed
-    st.s_degraded st.s_failed st.s_retries
-    (if drained then Printf.sprintf "; drained with %d pending" pending else "");
-  {
-    accepted = st.s_accepted;
-    completed = st.s_completed;
-    degraded = st.s_degraded;
-    failed = st.s_failed;
-    rejected_specs = st.s_rejected;
-    retries = st.s_retries;
-    breaker_trips = st.s_breaker_trips;
-    journal_errors = st.s_journal_errors;
-    pending;
-    drained;
-    workers = 0;
-    worker_deaths_signal = 0;
-    worker_deaths_exit = 0;
-    lease_steals = 0;
-    worker_restarts = 0;
-  }
+  Lifecycle.finish lc ~gauges:publish_depth (Lifecycle.history lc)

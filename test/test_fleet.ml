@@ -420,6 +420,85 @@ let fleet_supervisor_sigkill_resume () =
   rm_rf d;
   rm_rf ref_dir
 
+(* --workers honours --trace-dir: each worker writes the per-job trace
+   of every job it runs, through the writer the in-process run uses. *)
+let fleet_per_job_traces () =
+  let d = make_spool (fleet_jobs 3 "t") in
+  let tdir = Filename.concat d "traces" in
+  check Alcotest.int "fleet run exits 0" 0
+    (run_synth [ "serve"; d; "--workers"; "2"; "--trace-dir"; tdir; "--quiet" ]);
+  List.iter
+    (fun id ->
+      let f = Filename.concat tdir (id ^ ".trace.json") in
+      check Alcotest.bool (id ^ " trace written") true (Sys.file_exists f);
+      if Sys.file_exists f then
+        match Json.parse (read_file f) with
+        | Error e -> Alcotest.failf "%s: invalid trace JSON: %s" f e
+        | Ok v ->
+          check Alcotest.bool (id ^ " has traceEvents") true
+            (Json.member "traceEvents" v <> None))
+    (job_ids 3 "t");
+  rm_rf d
+
+(* One stream through both drivers: valid jobs, an invalid spec, a
+   duplicate id and a design with invalid input must leave the same
+   artifacts, the same exit code and the same job accounting. *)
+let parity_stream =
+  [
+    {|{"id":"p1","spec":"ex1","pipeline":"run"}|};
+    {|{"id":"p2","spec":"Paulin","pipeline":"rtl"}|};
+    {|not json at all|};
+    {|{"id":"p1","spec":"ex1"}|};
+    {|{"id":"bad","spec":"zzz-not-a-benchmark"}|};
+    {|{"id":"p3","spec":"ex1","pipeline":"export"}|};
+  ]
+
+let serve_with_stats dir args =
+  let stats_file = dir ^ ".stats" in
+  let out =
+    Unix.openfile stats_file [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
+  in
+  let err = devnull () in
+  let pid =
+    Unix.create_process synth_exe
+      (Array.of_list ((synth_exe :: "serve" :: dir :: "--quiet" :: args)))
+      Unix.stdin out err
+  in
+  Unix.close out;
+  Unix.close err;
+  let code = match wait_exit pid with `Exited c -> c | _ -> -1 in
+  let stats = read_file stats_file in
+  Sys.remove stats_file;
+  match Json.parse (String.trim stats) with
+  | Error e -> Alcotest.failf "stats line %S: %s" stats e
+  | Ok v ->
+    ( code,
+      List.map
+        (fun f -> (f, Option.bind (Json.member f v) Json.to_int))
+        [ "accepted"; "completed"; "degraded"; "failed"; "rejected_specs"; "retries";
+          "pending" ] )
+
+let inprocess_fleet_parity () =
+  let d = make_spool parity_stream in
+  let f = make_spool parity_stream in
+  let code_d, stats_d = serve_with_stats d [] in
+  let code_f, stats_f = serve_with_stats f [ "--workers"; "2" ] in
+  check Alcotest.int "same exit code" code_d code_f;
+  List.iter2
+    (fun (name, a) (_, b) ->
+      check Alcotest.(option int) (name ^ " equal in both modes") a b)
+    stats_d stats_f;
+  let results dir =
+    let r = Filename.concat dir "results" in
+    Sys.readdir r |> Array.to_list |> List.sort compare
+    |> List.map (fun n -> (n, read_file (Filename.concat r n)))
+  in
+  check
+    Alcotest.(list (pair string string))
+    "same .out/.err artifacts, byte for byte" (results d) (results f);
+  rm_rf d;
+  rm_rf f
+
 let suite =
   [
     case "lease: claim is exclusive" lease_claim_exclusive;
@@ -432,4 +511,7 @@ let suite =
     case "binary: SIGSTOPped worker heartbeat-stolen" fleet_sigstop_heartbeat_steal;
     case "binary: SIGKILLed supervisor resumes exactly-once"
       fleet_supervisor_sigkill_resume;
+    case "binary: fleet writes one per-job trace per job" fleet_per_job_traces;
+    case "binary: in-process and fleet runs agree on artifacts and stats"
+      inprocess_fleet_parity;
   ]

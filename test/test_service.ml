@@ -8,6 +8,7 @@ module Atomic_io = Bistpath_util.Atomic_io
 module Job = Bistpath_service.Job
 module Journal = Bistpath_service.Journal
 module Breaker = Bistpath_service.Breaker
+module Transition = Bistpath_service.Transition
 module Service = Bistpath_service.Service
 module Inject = Bistpath_resilience.Inject
 
@@ -275,6 +276,79 @@ let journal_fold_state () =
   with
   | [ st ] -> check Alcotest.int "interrupted attempt un-counted" 1 st.Journal.attempts
   | l -> Alcotest.failf "expected one job state, got %d" (List.length l)
+
+(* --- Transition: the lifecycle as a pure function -------------------- *)
+
+let policy = { Transition.max_attempts = 3; retry_base_ms = 100.0 }
+let at ?(terminal = false) attempts = { Transition.attempts; terminal }
+
+let decision_text = function
+  | Transition.Commit None -> "commit ok"
+  | Transition.Commit (Some reason) -> "commit degraded: " ^ reason
+  | Transition.Retry { error; _ } -> "retry: " ^ error
+  | Transition.Give_up { error; attempt_failed } ->
+    (* attempt_failed = the fail record is journaled and the breaker fed *)
+    Printf.sprintf "give up%s: %s" (if attempt_failed then " (breaker fed)" else "") error
+  | Transition.Pending -> "pending"
+
+let transition_table () =
+  let rows =
+    Transition.
+      [
+        ("start charges an attempt", at 0, Start, at 1, "pending");
+        ("success commits", at 1, Finished (Completed None), at ~terminal:true 1,
+         "commit ok");
+        ("degraded commits with its reason", at 1,
+         Finished (Completed (Some "deadline")), at ~terminal:true 1,
+         "commit degraded: deadline");
+        ("invalid input gives up at once, breaker not fed", at 1,
+         Finished (Invalid "bad design"), at ~terminal:true 1, "give up: bad design");
+        ("transient failure below the budget retries", at 2, Finished (Failed "boom"),
+         at 2, "retry: boom");
+        ("transient failure at the budget gives up", at 3, Finished (Failed "boom"),
+         at ~terminal:true 3, "give up (breaker fed): boom");
+        ("drain on the last attempt: pending and uncharged", at 3, Interrupted, at 2,
+         "pending");
+        ("resume with the budget spent gives up", at 3, Resume, at ~terminal:true 3,
+         "give up: retry budget exhausted before the previous shutdown");
+        ("resume with budget left stays pending", at 2, Resume, at 2, "pending");
+        ("worker death on the final attempt gives up", at 3, Worker_died "SIGKILL",
+         at ~terminal:true 3, "give up: worker died (SIGKILL) on final attempt 3 of 3");
+        ("worker death with budget left requeues", at 1, Worker_died "SIGKILL", at 1,
+         "pending");
+        ("terminal stays terminal", at ~terminal:true 3, Resume, at ~terminal:true 3,
+         "pending");
+      ]
+  in
+  List.iter
+    (fun (name, before, event, after, decision) ->
+      let state, d = Transition.step policy before event in
+      check Alcotest.int (name ^ ": attempts") after.Transition.attempts state.attempts;
+      check Alcotest.bool (name ^ ": terminal") after.terminal state.terminal;
+      check Alcotest.string (name ^ ": decision") decision (decision_text d))
+    rows
+
+let transition_backoff_bounds () =
+  let policy = { policy with max_attempts = 10 } in
+  let prng = Bistpath_util.Prng.create 7 in
+  for n = 1 to 6 do
+    let base_ns = 100.0 *. 1e6 *. Float.of_int (1 lsl (n - 1)) in
+    List.iter
+      (fun u ->
+        match
+          Transition.step policy ~jitter:(fun () -> u) (at n)
+            Transition.(Finished (Failed "x"))
+        with
+        | _, Transition.Retry { backoff_ns; _ } ->
+          let ns = Int64.to_float backoff_ns in
+          check Alcotest.bool
+            (Printf.sprintf "attempt %d, jitter %.3f: in [0.5, 1.5) x base" n u)
+            true
+            (ns >= Float.of_int (truncate (0.5 *. base_ns)) && ns < 1.5 *. base_ns)
+        | _, d -> Alcotest.failf "attempt %d: expected retry, got %s" n (decision_text d))
+      ([ 0.0; 0.5; 1.0 -. epsilon_float ]
+      @ List.init 50 (fun _ -> Bistpath_util.Prng.float prng 1.0))
+  done
 
 (* --- Breaker -------------------------------------------------------- *)
 
@@ -781,6 +855,9 @@ let suite =
     case "journal: torn tail repaired on reopen" journal_torn_tail_repaired_on_reopen;
     case "journal: mid-file corruption raises" journal_corruption_raises;
     case "journal: fold_state" journal_fold_state;
+    case "transition: lifecycle decision table" transition_table;
+    case "transition: backoff within [0.5, 1.5) x base x 2^(n-1)"
+      transition_backoff_bounds;
     case "breaker: closed/open/half-open machine" breaker_machine;
     case "breaker: verdict-less probe re-probes, no starvation"
       breaker_reprobe_without_verdict;
