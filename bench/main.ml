@@ -536,7 +536,7 @@ let rtl_test =
   Test.make ~name:"rtl+goldens:Paulin"
     (Staged.stage (fun () ->
          let golden =
-           Bistpath_rtl.Rtl_sim.golden_signatures r.Flow.datapath r.Flow.bist
+           Bistpath_rtl.Bist_wrapper.golden_signatures r.Flow.datapath r.Flow.bist
              r.Flow.sessions
          in
          ignore

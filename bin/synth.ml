@@ -580,7 +580,7 @@ let rtl_cmd =
         ^
         if wrapper then begin
           let golden =
-            Bistpath_rtl.Rtl_sim.golden_signatures ~width r.Flow.datapath
+            Bistpath_rtl.Bist_wrapper.golden_signatures ~width r.Flow.datapath
               r.Flow.bist r.Flow.sessions
           in
           Bistpath_rtl.Bist_wrapper.emit ~width ~golden r.Flow.datapath

@@ -66,14 +66,14 @@ let () =
       Format.printf "@.")
     iterations;
 
-  (* RTL self-test: golden signatures from the bit-exact model *)
+  (* RTL self-test: golden signatures simulated on the emitted netlist *)
   let goldens =
-    Bistpath_rtl.Rtl_sim.golden_signatures ours.Flow.datapath ours.Flow.bist
+    Bistpath_rtl.Bist_wrapper.golden_signatures ours.Flow.datapath ours.Flow.bist
       ours.Flow.sessions
   in
   Format.printf "@.=== RTL self-test golden signatures ===@.";
   List.iter
-    (fun (g : Bistpath_rtl.Rtl_sim.golden) ->
+    (fun (g : Bistpath_rtl.Bist_wrapper.golden) ->
       Format.printf "  session %d: %s = 0x%02X@." g.session g.rid g.signature)
     goldens;
   Format.printf

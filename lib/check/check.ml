@@ -36,7 +36,7 @@ type ctx = Rule.ctx = {
   sessions : Bistpath_bist.Session.t option;
   order : string list option;
   control : Control.t option;
-  model : Rtl_model.t;
+  rtl : Bistpath_rtl.Equiv.parsed option Lazy.t;
 }
 
 let all_rules =
@@ -58,9 +58,13 @@ let rule_info =
 let make_ctx ?bist ?sessions ?order ?(transparency = false) ?(vectors = 0) ?(assumes = [])
     ~design ~width dfg massign ~policy regalloc datapath =
   let control = try Some (Control.build datapath) with _ -> None in
-  let model = Rtl_model.of_datapath ~width datapath in
+  let rtl =
+    lazy
+      (Option.map Bistpath_rtl.Equiv.parse_back
+         (Equiv_rules.emitted ~width ?bist ?sessions datapath))
+  in
   { design; width; transparency; vectors; assumes; dfg; massign; policy; regalloc; datapath;
-    bist; sessions; order; control; model }
+    bist; sessions; order; control; rtl }
 
 let ctx_of_flow ?(vectors = 0) ?(transparency = false) ?(assumes = []) ~design ~width dfg
     massign ~policy (r : Flow.result) =

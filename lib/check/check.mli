@@ -2,7 +2,7 @@
 
     Re-derives the paper's structural invariants from the artifacts
     alone — scheduled DFG, register assignment, data path, BIST
-    allocation, control table, netlist structure — and reports every
+    allocation, control table, the emitted RTL parsed back — and reports every
     violation as a typed finding. The checker shares no code with the
     allocator paths it audits: lifetimes, conflicts, CBILBO conditions
     and connectivity are all recomputed here, so an allocator bug cannot
@@ -38,7 +38,7 @@
       EQ001   error    data path diverges from DFG semantics on random vectors
 
     RTL pass
-      RTL001  error    combinational loop (SCC over the structural netlist)
+      RTL001  error    combinational loop (SCC over the parsed-back netlist)
       RTL002  error    undriven net with readers
       RTL003  warning  floating net (driven, never read)
       RTL004  error    multi-driven net
@@ -87,7 +87,7 @@ type ctx = Rule.ctx = {
   sessions : Bistpath_bist.Session.t option;
   order : string list option;
   control : Bistpath_datapath.Control.t option;
-  model : Rtl_model.t;
+  rtl : Bistpath_rtl.Equiv.parsed option Lazy.t;
 }
 
 val rule_table : (string * string) list
@@ -121,10 +121,11 @@ val make_ctx :
   Bistpath_datapath.Regalloc.t ->
   Bistpath_datapath.Datapath.t ->
   ctx
-(** Bundle artifacts for checking. The control table and the structural
-    netlist model are derived here (a datapath [Control.build] rejects
-    yields [control = None]; the model builder is total); tests corrupt
-    individual fields afterwards with record update. [vectors] defaults
+(** Bundle artifacts for checking. The control table is derived here (a
+    datapath [Control.build] rejects yields [control = None]), and the
+    RTL is emitted ([bist]/[sessions] included) and parsed back lazily,
+    on the first rule that audits it; tests corrupt individual fields
+    afterwards with record update. [vectors] defaults
     to 0 (EQ001 off); [transparency] must match the flow that produced
     the BIST solution. *)
 

@@ -2,6 +2,7 @@ module Dfg = Bistpath_dfg.Dfg
 module Op = Bistpath_dfg.Op
 module Datapath = Bistpath_datapath.Datapath
 module Interp = Bistpath_datapath.Interp
+module Equiv = Bistpath_rtl.Equiv
 module Prng = Bistpath_util.Prng
 open Rule
 
@@ -50,23 +51,31 @@ let dp001 ctx =
     tbl []
   |> List.sort compare
 
-(* DP002: the width of every net's driver must match every reader. *)
+(* DP002: every connection of a net in the parsed-back netlist drives or
+   reads it at the net's declared width. *)
 let dp002 ctx =
-  let drivers = Rtl_model.drivers ctx.model in
-  let readers = Rtl_model.readers ctx.model in
-  List.concat_map
-    (fun (net, rs) ->
-      match List.assoc_opt net drivers with
-      | Some ((_, w) :: _) ->
-          List.filter_map
-            (fun (cid, w') ->
-              if w' <> w then
-                Some
-                  (v "DP002" error net "driven %d bits wide but %s reads it as %d bits" w cid w')
-              else None)
-            rs
-      | _ -> [])
-    readers
+  match parsed_rtl ctx with
+  | None -> []
+  | Some e ->
+      List.concat_map
+        (fun (n : Equiv.net) ->
+          let width =
+            match (n.Equiv.declared, n.Equiv.drivers) with
+            | Some w, _ -> Some w
+            | None, d :: _ -> d.Equiv.width
+            | None, [] -> None
+          in
+          let mismatch fmt (ep : Equiv.endpoint) =
+            match (width, ep.Equiv.width) with
+            | Some w, Some w' when w' <> w -> Some (fmt w ep.Equiv.cell w')
+            | _ -> None
+          in
+          let finding = v "DP002" error n.Equiv.net in
+          List.filter_map (mismatch (finding "declared %d bits wide but %s drives it with %d bits"))
+            n.Equiv.drivers
+          @ List.filter_map (mismatch (finding "driven %d bits wide but %s reads it as %d bits"))
+              n.Equiv.readers)
+        (Equiv.nets e)
 
 (* DP003: interconnect completeness — every scheduled transfer has a
    physical path. *)

@@ -1,55 +1,60 @@
 module Dfg = Bistpath_dfg.Dfg
 module Control = Bistpath_datapath.Control
+module Equiv = Bistpath_rtl.Equiv
 open Rule
 
 let error = Bistpath_resilience.Diagnostic.Error
 let warning = Bistpath_resilience.Diagnostic.Warning
 
-(* RTL001: combinational loop — an SCC among the combinational cells. *)
+(* RTL001..RTL004 and DP002 audit the emitted text itself: the
+   parsed-back netlist's nets, each with its drivers and readers. *)
+let nets ctx = match parsed_rtl ctx with Some e -> Equiv.nets e | None -> []
+
+let cells eps =
+  List.map (fun (ep : Equiv.endpoint) -> ep.Equiv.cell) eps
+  |> List.sort_uniq compare |> String.concat ", "
+
+(* RTL001: combinational loop — a cycle of nets no register breaks. *)
 let rtl001 ctx =
-  List.map
-    (fun comp ->
-      v "RTL001" error (List.hd comp) "combinational loop through %s"
-        (String.concat " -> " comp))
-    (Rtl_model.combinational_cycles ctx.model)
+  match parsed_rtl ctx with
+  | None -> []
+  | Some e ->
+      List.map
+        (fun comp ->
+          v "RTL001" error (List.hd comp) "combinational loop through %s"
+            (String.concat " -> " comp))
+        (Equiv.comb_cycles e)
 
 (* RTL002: a net something reads but nothing drives. *)
 let rtl002 ctx =
-  let drivers = Rtl_model.drivers ctx.model in
   List.filter_map
-    (fun (net, rs) ->
-      match List.assoc_opt net drivers with
-      | Some (_ :: _) -> None
-      | _ ->
-          Some
-            (v "RTL002" error net "undriven net read by %s"
-               (String.concat ", " (List.sort_uniq compare (List.map fst rs)))))
-    (Rtl_model.readers ctx.model)
+    (fun (n : Equiv.net) ->
+      if n.Equiv.drivers = [] && n.Equiv.readers <> [] then
+        Some (v "RTL002" error n.Equiv.net "undriven net read by %s" (cells n.Equiv.readers))
+      else None)
+    (nets ctx)
 
-(* RTL003: a net something drives but nothing reads. *)
+(* RTL003: an internal net something drives but nothing reads (an unused
+   port is interface, not a floating net). *)
 let rtl003 ctx =
-  let readers = Rtl_model.readers ctx.model in
   List.filter_map
-    (fun (net, ds) ->
-      match List.assoc_opt net readers with
-      | Some (_ :: _) -> None
-      | _ ->
-          Some
-            (v "RTL003" warning net "floating net driven by %s"
-               (String.concat ", " (List.sort_uniq compare (List.map fst ds)))))
-    (Rtl_model.drivers ctx.model)
+    (fun (n : Equiv.net) ->
+      if (not n.Equiv.port) && n.Equiv.drivers <> [] && n.Equiv.readers = [] then
+        Some (v "RTL003" warning n.Equiv.net "floating net driven by %s" (cells n.Equiv.drivers))
+      else None)
+    (nets ctx)
 
 (* RTL004: a net with more than one driver. *)
 let rtl004 ctx =
   List.filter_map
-    (fun (net, ds) ->
-      match ds with
-      | _ :: _ :: _ ->
+    (fun (n : Equiv.net) ->
+      match n.Equiv.drivers with
+      | _ :: _ :: _ as ds ->
           Some
-            (v "RTL004" error net "net driven by %d cells: %s" (List.length ds)
-               (String.concat ", " (List.sort_uniq compare (List.map fst ds))))
+            (v "RTL004" error n.Equiv.net "net driven by %d cells: %s" (List.length ds)
+               (cells ds))
       | _ -> None)
-    (Rtl_model.drivers ctx.model)
+    (nets ctx)
 
 (* CTL001: the control FSM must have exactly the states 0..T, each
    reachable from its predecessor (the FSM is a linear counter, so

@@ -26,7 +26,7 @@ type ctx = {
   sessions : Bistpath_bist.Session.t option;
   order : string list option;
   control : Bistpath_datapath.Control.t option;
-  model : Rtl_model.t;
+  rtl : Bistpath_rtl.Equiv.parsed option Lazy.t;
 }
 
 type t = {
@@ -78,6 +78,9 @@ let stored_vars ctx rid =
   List.find_map
     (fun (r : Datapath.reg) -> if r.Datapath.rid = rid then Some r.Datapath.vars else None)
     ctx.datapath.Datapath.regs
+
+let parsed_rtl ctx =
+  match Lazy.force ctx.rtl with Some (Ok e) -> Some e | Some (Error _) | None -> None
 
 let consumed_inputs ctx =
   List.filter

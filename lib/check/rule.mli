@@ -18,9 +18,9 @@ type finding = {
 type pass = Alloc | Datapath_pass | Rtl
 
 (** The artifact bundle under analysis. Tests corrupt individual fields
-    with record update (e.g. [{ ctx with model = broken }]); everything
-    here is data, so the rules see exactly the corruption and nothing
-    recomputed behind their back. *)
+    with record update (e.g. [{ ctx with rtl = lazy (Some tampered) }]);
+    everything here is data, so the rules see exactly the corruption and
+    nothing recomputed behind their back. *)
 type ctx = {
   design : string;
   width : int;
@@ -43,7 +43,9 @@ type ctx = {
   control : Bistpath_datapath.Control.t option;
       (** [None] when [Control.build] rejected the datapath — every
           cause of that is covered by a DP rule *)
-  model : Rtl_model.t;
+  rtl : Bistpath_rtl.Equiv.parsed option Lazy.t;
+      (** the emitted RTL parsed back, forced by the first rule that
+          audits it; [None] when the data path cannot be emitted *)
 }
 
 type t = {
@@ -86,6 +88,10 @@ val writers : ctx -> string -> Bistpath_datapath.Datapath.wsrc list
 
 val stored_vars : ctx -> string -> string list option
 (** Variables a register holds, [None] if no such register exists. *)
+
+val parsed_rtl : ctx -> Bistpath_rtl.Equiv.elab option
+(** The parsed-back netlist, [None] when there is none to audit (not
+    emittable, or unparsable — RTL005 reports that). *)
 
 val consumed_inputs : ctx -> string list
 (** Primary inputs read by at least one operation, sorted. *)

@@ -5,7 +5,7 @@ type t = {
   jobs : int;
   mutex : Mutex.t;
   work : Condition.t;  (* signalled when the queue gains tasks or on stop *)
-  queue : (unit -> unit) Queue.t;
+  queue : (track:int -> unit) Queue.t;
   mutable stop : bool;
   mutable domains : unit Domain.t list;
   mutable active : int;
@@ -15,22 +15,23 @@ type t = {
 
 let jobs t = t.jobs
 
-(* Runs one queued task with the pool mutex released. When a recorder is
-   installed, the task's wall time feeds the parallel.chunk_ns histogram
-   and parallel.busy_ns counter, and an explicit-track event pins it to
-   this worker's Perfetto lane (track 1 = submitting domain, 2..jobs =
-   spawned workers) so chunk-size skew is visible per worker. *)
-let exec_task ~track task =
+(* Runs a task's work on [track], before the task signals completion (so
+   [run] returns with every sample landed). When a recorder is installed,
+   the work's wall time feeds the parallel.chunk_ns histogram and
+   parallel.busy_ns counter, and an explicit-track event pins it to this
+   worker's Perfetto lane (track 1 = submitting domain, 2..jobs = spawned
+   workers) so chunk-size skew is visible per worker. *)
+let profiled ~track work =
   if Telemetry.enabled () then begin
     let t0 = Telemetry.now () in
-    task ();
+    work ();
     let dur = Int64.sub (Telemetry.now ()) t0 in
     let d = Int64.to_int dur in
     Telemetry.incr "parallel.busy_ns" ~by:d;
     Telemetry.observe "parallel.chunk_ns" d;
     Telemetry.add_timed ~track "chunk" ~start_ns:t0 ~dur_ns:dur
   end
-  else task ()
+  else work ()
 
 (* The telemetry mutex is a leaf lock, so sampling parallel.active while
    holding the pool mutex cannot deadlock (no telemetry code ever takes
@@ -51,7 +52,7 @@ let worker_loop t ~track =
         if t.active > t.max_active then t.max_active <- t.active;
         sample_active t;
         Mutex.unlock t.mutex;
-        exec_task ~track task;
+        task ~track;
         Mutex.lock t.mutex;
         t.active <- t.active - 1;
         sample_active t;
@@ -149,17 +150,18 @@ let run t thunks =
        same exception the sequential loop would have *)
     let failure = ref None in
     let batch_done = Condition.create () in
-    let task i f () =
-      (try
-         Inject.fire "pool.worker";
-         f ()
-       with e ->
-         let bt = Printexc.get_raw_backtrace () in
-         Mutex.lock t.mutex;
-         (match !failure with
-         | Some (j, _, _) when j < i -> ()
-         | _ -> failure := Some (i, e, bt));
-         Mutex.unlock t.mutex);
+    let task i f ~track =
+      profiled ~track (fun () ->
+          try
+            Inject.fire "pool.worker";
+            f ()
+          with e ->
+            let bt = Printexc.get_raw_backtrace () in
+            Mutex.lock t.mutex;
+            (match !failure with
+            | Some (j, _, _) when j < i -> ()
+            | _ -> failure := Some (i, e, bt));
+            Mutex.unlock t.mutex);
       Mutex.lock t.mutex;
       decr remaining;
       t.inflight <- t.inflight - 1;
@@ -183,7 +185,7 @@ let run t thunks =
         if t.active > t.max_active then t.max_active <- t.active;
         sample_active t;
         Mutex.unlock t.mutex;
-        exec_task ~track:1 task;
+        task ~track:1;
         Mutex.lock t.mutex;
         t.active <- t.active - 1;
         sample_active t;

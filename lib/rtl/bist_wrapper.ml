@@ -15,23 +15,51 @@ let session_sa_registers (sol : Allocator.solution) units =
     sol.Allocator.embeddings
   |> List.sort_uniq compare
 
+type golden = { session : int; rid : string; signature : int }
+
+(* Golden signatures come from the artifact itself: the data path is
+   emitted with its session overrides, parsed back, and each session is
+   clocked in test mode on the elaborated netlist. *)
+let golden_signatures ?(width = 8) ?patterns ?faulty_unit dp (sol : Allocator.solution)
+    (sessions : Session.t) =
+  let patterns = match patterns with Some p -> p | None -> (1 lsl width) - 1 in
+  List.iter
+    (fun (e : Ipath.embedding) ->
+      if (e.l_via, e.r_via) <> (None, None) && List.exists (List.mem e.mid) sessions.sessions
+      then
+        invalid_arg
+          ("Bist_wrapper.golden_signatures: emitted test overrides cover simple I-paths \
+            only, unit " ^ e.mid ^ " uses a transparent via"))
+    sol.Allocator.embeddings;
+  let elab =
+    match Equiv.parse_back (Verilog.emit ~width ~bist:sol ~sessions dp) with
+    | Ok elab -> elab
+    | Error _ -> invalid_arg "Bist_wrapper.golden_signatures: emitted RTL does not parse"
+  in
+  let faulty = Option.map (fun (mid, f) -> ("u_" ^ sanitize mid, f)) faulty_unit in
+  List.concat
+    (List.mapi
+       (fun session units ->
+         let sigs = Equiv.test_signatures ?faulty elab ~session ~patterns in
+         List.map
+           (fun rid ->
+             { session; rid; signature = List.assoc ("sig_" ^ sanitize rid) sigs })
+           (session_sa_registers sol units))
+       sessions.Session.sessions)
+
+let detects_fault ?(width = 8) ?patterns dp sol sessions ~mid ~fault =
+  let clean = golden_signatures ~width ?patterns dp sol sessions in
+  let faulty = golden_signatures ~width ?patterns ~faulty_unit:(mid, fault) dp sol sessions in
+  clean <> faulty
+
 let emit ?(width = 8) ?patterns ?(golden = []) dp (sol : Allocator.solution)
     (sessions : Session.t) =
   let patterns = match patterns with Some p -> p | None -> (1 lsl width) - 1 in
   let name = sanitize dp.Datapath.dfg.Dfg.name in
   let buf = Buffer.create 4096 in
   let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let inputs =
-    List.filter (fun v -> Dfg.consumers dp.Datapath.dfg v <> []) dp.Datapath.dfg.Dfg.inputs
-  in
-  let sa_regs =
-    List.filter_map
-      (fun (rid, style) ->
-        match style with
-        | Resource.Sa | Resource.Bilbo | Resource.Cbilbo -> Some rid
-        | Resource.Normal | Resource.Tpg -> None)
-      sol.Allocator.styles
-  in
+  let inputs = Verilog.used_inputs dp in
+  let sa_regs = Verilog.signature_registers (Some sol) in
   let nsess = List.length sessions.Session.sessions in
   pf "// Self-test wrapper for %s_datapath.\n" name;
   let dut_module = Verilog.module_name dp in
@@ -42,7 +70,7 @@ let emit ?(width = 8) ?patterns ?(golden = []) dp (sol : Allocator.solution)
     pf "// PATTERNS clocks of test_mode) and reading the sig_* taps.\n"
   end
   else
-    pf "// Golden signatures computed by the bit-exact RTL model (Rtl_sim).\n";
+    pf "// Golden signatures simulated on the parsed-back datapath netlist.\n";
   pf "module %s #(\n" wrapper;
   pf "  parameter PATTERNS = %d%s\n" patterns (if sa_regs = [] then "" else ",");
   List.iteri
@@ -50,19 +78,13 @@ let emit ?(width = 8) ?patterns ?(golden = []) dp (sol : Allocator.solution)
       let sas = session_sa_registers sol units in
       List.iteri
         (fun i rid ->
-          let last =
-            si = nsess - 1
-            && i = List.length (session_sa_registers sol units) - 1
-          in
+          let last = si = nsess - 1 && i = List.length sas - 1 in
           let value =
-            match
-              List.find_opt
-                (fun (g : Rtl_sim.golden) ->
-                  g.Rtl_sim.session = si && String.equal g.Rtl_sim.rid rid)
-                golden
-            with
-            | Some g -> g.Rtl_sim.signature
-            | None -> 0
+            List.find_map
+              (fun (g : golden) ->
+                if g.session = si && String.equal g.rid rid then Some g.signature else None)
+              golden
+            |> Option.value ~default:0
           in
           pf "  parameter [%d:0] GOLDEN_S%d_%s = %d'd%d%s\n" (width - 1) si
             (sanitize rid) width value
@@ -74,7 +96,7 @@ let emit ?(width = 8) ?patterns ?(golden = []) dp (sol : Allocator.solution)
   pf "  output reg  done,\n  output reg  pass\n";
   pf ");\n\n";
   (* datapath instance: pins tied off during self-test *)
-  let sess_bits = max 1 (int_of_float (ceil (log (float_of_int (nsess + 1)) /. log 2.0))) in
+  let sess_bits = Verilog.session_bits nsess in
   pf "  reg test_mode;\n";
   pf "  reg dp_rst;\n";
   pf "  reg [%d:0] session;\n" (sess_bits - 1);

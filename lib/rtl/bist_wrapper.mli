@@ -6,14 +6,44 @@
     of clocks (one LFSR period by default), compares the signature taps
     of the session's signature-analysis registers against golden
     parameters, then moves to the next session; [done]/[pass] report the
-    outcome. Golden signatures are module parameters (defaults 0) to be
-    filled from an RTL simulation of the fault-free design — the wrapper
-    documents this in a header comment. *)
+    outcome. Golden signatures are module parameters (defaults 0), filled
+    from {!golden_signatures} — a simulation of the fault-free emitted
+    netlist — when given; the wrapper's header comment says which. *)
+
+type golden = { session : int; rid : string; signature : int }
+
+val golden_signatures :
+  ?width:int ->
+  ?patterns:int ->
+  ?faulty_unit:string * (width:int -> int -> int -> int) ->
+  Bistpath_datapath.Datapath.t ->
+  Bistpath_bist.Allocator.solution ->
+  Bistpath_bist.Session.t ->
+  golden list
+(** The fault-free signature of each session's signature registers: the
+    data path is emitted with its session overrides, parsed back, and
+    each session clocked for [patterns] (default 2^width - 1) cycles of
+    test mode ({!Equiv.test_signatures}) — exactly what the [sig_*] taps
+    show. [faulty_unit] replaces the named unit's function. Raises
+    [Invalid_argument] if a tested unit's embedding uses a transparent
+    via (the emitted overrides cover simple I-paths only). *)
+
+val detects_fault :
+  ?width:int ->
+  ?patterns:int ->
+  Bistpath_datapath.Datapath.t ->
+  Bistpath_bist.Allocator.solution ->
+  Bistpath_bist.Session.t ->
+  mid:string ->
+  fault:(width:int -> int -> int -> int) ->
+  bool
+(** Do the golden signatures differ when [mid] computes [fault] instead
+    of its real function? *)
 
 val emit :
   ?width:int ->
   ?patterns:int ->
-  ?golden:Rtl_sim.golden list ->
+  ?golden:golden list ->
   Bistpath_datapath.Datapath.t ->
   Bistpath_bist.Allocator.solution ->
   Bistpath_bist.Session.t ->
@@ -21,6 +51,6 @@ val emit :
 (** Verilog source of module [<name>_bist]; instantiate together with
     {!Verilog.primitives} and [Verilog.emit ~bist ~sessions]. [patterns]
     defaults to 2^width - 1. With [golden] (typically from
-    {!Rtl_sim.golden_signatures}) the real fault-free signatures are
+    {!golden_signatures}) the real fault-free signatures are
     baked in as the parameter defaults, making the wrapper ready to
     detect faults out of the box. *)

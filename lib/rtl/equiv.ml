@@ -160,9 +160,6 @@ let op_name = function
   | Op.Xor -> "xor"
   | Op.Less -> "less"
 
-let sess_bits_of nsess =
-  max 1 (int_of_float (ceil (log (float_of_int (nsess + 1)) /. log 2.0)))
-
 let of_datapath ?(width = 8) ?bist ?sessions ?(regw = []) (dp : Datapath.t) =
   let rw rid = match List.assoc_opt rid regw with Some w -> w | None -> width in
   let dfg = dp.Datapath.dfg in
@@ -173,69 +170,24 @@ let of_datapath ?(width = 8) ?bist ?sessions ?(regw = []) (dp : Datapath.t) =
   in
   let nsess = List.length session_list in
   let has_tm = bist <> None in
-  let sess_bits = if nsess > 0 then Some (sess_bits_of nsess) else None in
+  let sess_bits = if nsess > 0 then Some (Verilog.session_bits nsess) else None in
   let contexts = contexts_of ~has_tm ~sess_bits in
   let slot_list = slots_of ~contexts ~steps in
   let nslots = List.length slot_list in
   let slot_arr = Array.of_list slot_list in
-  let style_of rid =
-    match bist with
-    | None -> Resource.Normal
-    | Some (sol : Allocator.solution) -> (
-      match List.assoc_opt rid sol.Allocator.styles with
-      | Some s -> s
-      | None -> Resource.Normal)
-  in
-  let embedding_of mid =
-    match bist with
-    | None -> None
-    | Some (sol : Allocator.solution) ->
-      List.find_opt
-        (fun (e : Ipath.embedding) ->
-          String.equal e.Ipath.mid mid && e.Ipath.l_via = None && e.Ipath.r_via = None)
-        sol.Allocator.embeddings
-  in
-  let session_of mid =
-    let rec go k = function
-      | [] -> None
-      | units :: rest -> if List.mem mid units then Some k else go (k + 1) rest
-    in
-    go 0 session_list
-  in
+  let embedding_of = Verilog.simple_embedding bist in
   let reg_index = Hashtbl.create 16 in
   List.iteri
     (fun i (r : Datapath.reg) -> Hashtbl.replace reg_index r.Datapath.rid i)
     dp.Datapath.regs;
   let idx rid = Hashtbl.find reg_index rid in
-  let activity_of mid =
-    List.concat_map
-      (fun (s : Control.step) ->
-        List.filter_map
-          (fun (o : Control.unit_op) ->
-            if String.equal o.Control.mid mid then
-              Some (s.Control.index, (o.Control.l_select, o.Control.r_select, o.Control.f_select))
-            else None)
-          s.Control.ops)
-      control.Control.steps
-  in
-  let write_schedule_of rid =
-    List.concat_map
-      (fun (s : Control.step) ->
-        List.filter_map
-          (fun (w : Control.write) ->
-            if String.equal w.Control.rid rid then
-              Some (s.Control.index, w.Control.source_index)
-            else None)
-          s.Control.writes)
-      control.Control.steps
-  in
   (* per-slot unit output trees, mirroring the emitted multiplexer and
      function-select chains exactly *)
   let unit_tree (tm, sess, s) (u : Massign.hw) =
     let l_srcs, r_srcs = Datapath.unit_port_sources dp u.Massign.mid in
     if l_srcs = [] && r_srcs = [] then Undriven
     else begin
-      let activity = activity_of u.Massign.mid in
+      let activity = Verilog.activity control u.Massign.mid in
       let port side srcs sel_of =
         match srcs with
         | [] -> Const 0
@@ -243,7 +195,7 @@ let of_datapath ?(width = 8) ?bist ?sessions ?(regw = []) (dp : Datapath.t) =
         | ss ->
           let test_idx =
             if nsess > 0 && tm = 1 then
-              match (session_of u.Massign.mid, embedding_of u.Massign.mid) with
+              match (Verilog.session_of session_list u.Massign.mid, embedding_of u.Massign.mid) with
               | Some k, Some e when sess = k ->
                 let tpg = if side = `L then e.Ipath.l_tpg else e.Ipath.r_tpg in
                 Listx.index_of (String.equal tpg) ss
@@ -260,8 +212,8 @@ let of_datapath ?(width = 8) ?bist ?sessions ?(regw = []) (dp : Datapath.t) =
           in
           RegQ (idx (List.nth ss i))
       in
-      let l = port `L l_srcs (fun (ls, _, _) -> ls) in
-      let r = port `R r_srcs (fun (_, rs, _) -> rs) in
+      let l = port `L l_srcs (fun (o : Control.unit_op) -> o.Control.l_select) in
+      let r = port `R r_srcs (fun (o : Control.unit_op) -> o.Control.r_select) in
       match u.Massign.kinds with
       | [ k ] -> Op (op_name k, [ l; r ])
       | kinds ->
@@ -269,7 +221,7 @@ let of_datapath ?(width = 8) ?bist ?sessions ?(regw = []) (dp : Datapath.t) =
            through to the last kind *)
         let fsel =
           match List.assoc_opt s activity with
-          | Some (_, _, fs) -> 1 lsl fs
+          | Some o -> 1 lsl o.Control.f_select
           | None -> 0
         in
         let rec pick i = function
@@ -294,7 +246,7 @@ let of_datapath ?(width = 8) ?bist ?sessions ?(regw = []) (dp : Datapath.t) =
           | Some ws -> ws
           | None -> []
         in
-        let sched = write_schedule_of rid in
+        let sched = Verilog.write_schedule control rid in
         let wsrc_tree slot = function
           | Datapath.From_port v -> Pin ("pin_" ^ sanitize v)
           | Datapath.From_unit mid -> (
@@ -328,7 +280,7 @@ let of_datapath ?(width = 8) ?bist ?sessions ?(regw = []) (dp : Datapath.t) =
         in
         let en_at (_, _, s) = Const (if List.mem_assoc s sched then 1 else 0) in
         let per f = Array.init nslots (fun i -> normalize (f slot_arr.(i))) in
-        let style = style_of rid in
+        let style = Verilog.style_of bist rid in
         let kind =
           match style with
           | Resource.Normal -> "dp_register"
@@ -382,25 +334,12 @@ let of_datapath ?(width = 8) ?bist ?sessions ?(regw = []) (dp : Datapath.t) =
         })
       dp.Datapath.regs
   in
-  let inputs =
-    List.filter (fun v -> Dfg.consumers dfg v <> []) dfg.Dfg.inputs
-  in
-  let sa_regs =
-    match bist with
-    | None -> []
-    | Some (sol : Allocator.solution) ->
-      List.filter_map
-        (fun (rid, style) ->
-          match style with
-          | Resource.Sa | Resource.Bilbo | Resource.Cbilbo -> Some rid
-          | Resource.Normal | Resource.Tpg -> None)
-        sol.Allocator.styles
-  in
+  let sa_regs = Verilog.signature_registers bist in
   let nin =
     [ ("clk", 1); ("rst", 1) ]
     @ (if has_tm then [ ("test_mode", 1) ] else [])
     @ (match sess_bits with Some b -> [ ("test_session", b) ] | None -> [])
-    @ List.map (fun v -> ("pin_" ^ sanitize v, width)) inputs
+    @ List.map (fun v -> ("pin_" ^ sanitize v, width)) (Verilog.used_inputs dp)
   in
   let nout =
     List.map (fun (v, _) -> ("pout_" ^ sanitize v, width)) dp.Datapath.outputs
@@ -442,12 +381,18 @@ let unit_kinds =
 let primitive_names = reg_kinds @ List.map fst unit_kinds
 
 type driver =
-  | Dassign of Parser.expr
+  | Dassign of Parser.expr * int  (* right-hand side, source line *)
   | Dq of int  (* q of register instance i *)
   | Dsig of int  (* sig_out of register instance i *)
   | Dunit of int  (* y of unit instance i *)
 
-type unit_inst = { uop : string; uwidth : int; ua : Parser.expr; ub : Parser.expr }
+type unit_inst = {
+  uinst : string;
+  uop : string;
+  uwidth : int;
+  ua : Parser.expr;
+  ub : Parser.expr;
+}
 
 type ecell = {
   ekind : string;
@@ -465,11 +410,12 @@ type elab = {
   always_body : Parser.stmt;
   localparams : (string * int) list;
   widths : (string * int) list;
-  drivers : (string, driver) Hashtbl.t;
+  drivers : (string, driver) Hashtbl.t;  (* every driver of a net, duplicates kept *)
   units : unit_inst array;
   ecells : ecell array;
   has_tm : bool;
   sess_bits : int option;
+  problems : string list;  (* elaboration errors; [] = well-formed *)
 }
 
 let binop_name : Parser.binop -> string = function
@@ -664,7 +610,9 @@ let pick_datapath (p : Parser.t) =
             (String.concat ", " (List.map (fun (m : Parser.module_) -> m.Parser.name) ms));
         ])
 
-let elaborate (m : Parser.module_) : (elab, string list) result =
+(* Total: a malformed module still yields its netlist (the rules audit
+   it), with every problem recorded in [problems]. *)
+let elaborate (m : Parser.module_) : elab =
   let errs = ref [] in
   let err fmt = Printf.ksprintf (fun s -> errs := s :: !errs) fmt in
   let localparams = ref [] in
@@ -672,8 +620,8 @@ let elaborate (m : Parser.module_) : (elab, string list) result =
   let regs_declared = ref [] in
   let drivers : (string, driver) Hashtbl.t = Hashtbl.create 64 in
   let set_driver name d =
-    if Hashtbl.mem drivers name then err "multiple drivers for %s" name
-    else Hashtbl.replace drivers name d
+    if Hashtbl.mem drivers name then err "multiple drivers for %s" name;
+    Hashtbl.add drivers name d
   in
   let width_of_range = function
     | None -> Some 1
@@ -699,7 +647,7 @@ let elaborate (m : Parser.module_) : (elab, string list) result =
   List.iter
     (fun (item : Parser.item) ->
       match item with
-      | Parser.Decl { dreg; drange; names; _ } ->
+      | Parser.Decl { dreg; drange; names; dline } ->
         let w = match width_of_range drange with Some w -> w | None -> 1 in
         List.iter
           (fun (n, init) ->
@@ -711,10 +659,10 @@ let elaborate (m : Parser.module_) : (elab, string list) result =
             else
               (* `wire x = e;` is declaration plus continuous assign *)
               match init with
-              | Some e -> set_driver n (Dassign e)
+              | Some e -> set_driver n (Dassign (e, dline))
               | None -> ())
           names
-      | Parser.Assign { lhs; rhs; _ } -> set_driver lhs (Dassign rhs)
+      | Parser.Assign { lhs; rhs; aline } -> set_driver lhs (Dassign (rhs, aline))
       | Parser.Localparam { name; value; _ } -> (
         match const_eval !localparams value with
         | Some v -> localparams := (name, v) :: !localparams
@@ -780,7 +728,9 @@ let elaborate (m : Parser.module_) : (elab, string list) result =
             let uwidth =
               match List.assoc_opt "WIDTH" eparams with Some w -> w | None -> 8
             in
-            units := { uop = op; uwidth; ua = arg "a"; ub = arg "b" } :: !units
+            units :=
+              { uinst = instance_name; uop = op; uwidth; ua = arg "a"; ub = arg "b" }
+              :: !units
           | None -> err "unknown instance module %s (%s)" module_name instance_name
         end)
     m.Parser.items;
@@ -841,26 +791,23 @@ let elaborate (m : Parser.module_) : (elab, string list) result =
       check 0 s (if s <= esteps then s + 1 else s)
     done
   end;
-  match !errs with
-  | [] ->
-    let ein = List.sort (fun (a, _) (b, _) -> compare a b) !ports_in in
-    Ok
-      {
-        ename = m.Parser.name;
-        ein;
-        eout = List.sort (fun (a, _) (b, _) -> compare a b) !ports_out;
-        esteps;
-        stepvar;
-        always_body = body;
-        localparams = !localparams;
-        widths = !widths;
-        drivers;
-        units = Array.of_list (List.rev !units);
-        ecells = Array.of_list (List.rev !cells);
-        has_tm = List.mem_assoc "test_mode" ein;
-        sess_bits = List.assoc_opt "test_session" ein;
-      }
-  | errs -> Error (List.rev errs)
+  let ein = List.sort (fun (a, _) (b, _) -> compare a b) !ports_in in
+  {
+    ename = m.Parser.name;
+    ein;
+    eout = List.sort (fun (a, _) (b, _) -> compare a b) !ports_out;
+    esteps;
+    stepvar;
+    always_body = body;
+    localparams = !localparams;
+    widths = !widths;
+    drivers;
+    units = Array.of_list (List.rev !units);
+    ecells = Array.of_list (List.rev !cells);
+    has_tm = List.mem_assoc "test_mode" ein;
+    sess_bits = List.assoc_opt "test_session" ein;
+    problems = List.rev !errs;
+  }
 
 (* --- per-slot symbolic evaluation of an elaborated module ----------- *)
 
@@ -885,7 +832,7 @@ let slot_values (e : elab) (tm, sess, s) =
       | Some v -> VNum v
       | None -> (
         match Hashtbl.find_opt e.drivers name with
-        | Some (Dassign ex) -> eval_expr wire ex
+        | Some (Dassign (ex, _)) -> eval_expr wire ex
         | Some (Dq i) -> VTree (RegQ i)
         | Some (Dsig i) -> VTree (RegSig i)
         | Some (Dunit j) ->
@@ -1038,126 +985,356 @@ let compare_netlists ~a_label ~b_label (a : netlist) (b : netlist) =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Functional simulation of the parsed AST                            *)
+(* Connectivity of an elaborated module                               *)
 (* ------------------------------------------------------------------ *)
 
-let op_eval ~width op a b =
-  let mask = (1 lsl width) - 1 in
-  match op with
-  | "add" -> Op.eval Op.Add ~width a b
-  | "sub" -> Op.eval Op.Sub ~width a b
-  | "mul" -> Op.eval Op.Mul ~width a b
-  | "div" -> Op.eval Op.Div ~width a b
-  | "and" -> Op.eval Op.And ~width a b
-  | "or" -> Op.eval Op.Or ~width a b
-  | "xor" -> Op.eval Op.Xor ~width a b
-  | "less" -> Op.eval Op.Less ~width a b
-  | _ -> 0 land mask
+type endpoint = { cell : string; width : int option }
+
+type net = {
+  net : string;
+  port : bool;
+  declared : int option;
+  drivers : endpoint list;
+  readers : endpoint list;
+}
+
+(* Identifiers an expression reads, each with the width it is read at:
+   [w] in data position (the whole value or a conditional's leg), [None]
+   under operators, conditions and selects. *)
+let rec reads w acc (x : Parser.expr) =
+  match x with
+  | Parser.Ident n -> (n, w) :: acc
+  | Parser.Cond (c, t, f) -> reads w (reads w (reads None acc c) t) f
+  | Parser.Num _ | Parser.Str _ -> acc
+  | Parser.Unop (_, a) -> reads None acc a
+  | Parser.Binop (_, a, b) | Parser.Repl (a, b) | Parser.Index (a, b) ->
+    reads None (reads None acc a) b
+  | Parser.Range (a, m, l) -> reads None (reads None (reads None acc a) m) l
+  | Parser.Concat xs -> List.fold_left (reads None) acc xs
+
+let cell_width (c : ecell) =
+  match List.assoc_opt "WIDTH" c.eparams with Some w -> w | None -> 8
+
+let nets (e : elab) =
+  let tbl = Hashtbl.create 64 in
+  let add ~driver cell (n, width) =
+    if not (List.mem_assoc n e.localparams) then begin
+      let ds, rs = try Hashtbl.find tbl n with Not_found -> ([], []) in
+      let ep = { cell; width } in
+      Hashtbl.replace tbl n (if driver then (ep :: ds, rs) else (ds, ep :: rs))
+    end
+  in
+  let declared n = List.assoc_opt n e.widths in
+  List.iter (fun (p, w) -> add ~driver:true "input" (p, Some w)) e.ein;
+  List.iter (fun (p, w) -> add ~driver:false "output" (p, Some w)) e.eout;
+  Hashtbl.iter
+    (fun n d ->
+      match d with
+      | Dassign (x, line) ->
+        let cell = Printf.sprintf "assign@%d" line in
+        add ~driver:true cell (n, declared n);
+        List.iter (add ~driver:false cell) (reads (declared n) [] x)
+      | Dq i | Dsig i ->
+        add ~driver:true e.ecells.(i).einst (n, Some (cell_width e.ecells.(i)))
+      | Dunit j ->
+        let u = e.units.(j) and w = Some e.units.(j).uwidth in
+        add ~driver:true u.uinst (n, w);
+        List.iter (add ~driver:false u.uinst) (reads w (reads w [] u.ua) u.ub))
+    e.drivers;
+  Array.iter
+    (fun c ->
+      List.iter
+        (fun (port, x) ->
+          let w = if port = "d" then cell_width c else 1 in
+          List.iter (add ~driver:false c.einst) (reads (Some w) [] x))
+        c.econns)
+    e.ecells;
+  (* the step counter (its semantics proved by elaboration) *)
+  if e.always_body <> Parser.Nop then begin
+    add ~driver:true "always" (e.stepvar, declared e.stepvar);
+    List.iter (fun n -> add ~driver:false "always" (n, None)) [ "clk"; "rst"; e.stepvar ]
+  end;
+  Hashtbl.fold
+    (fun n (ds, rs) acc ->
+      {
+        net = n;
+        port = List.mem_assoc n e.ein || List.mem_assoc n e.eout;
+        declared = declared n;
+        drivers = List.sort compare ds;
+        readers = List.sort compare rs;
+      }
+      :: acc)
+    tbl []
+  |> List.sort compare
+
+(* Strongly connected components (Tarjan) of the combinational
+   dependency graph, each net pointing at the nets its driver reads,
+   with each component's cyclicity; dependencies come first, which is
+   the order the simulator settles nets in. *)
+let components (e : elab) =
+  let deps = Hashtbl.create 64 in
+  (* a net depends on what its driver reads; register outputs on nothing *)
+  Hashtbl.iter
+    (fun n d ->
+      let srcs =
+        match d with
+        | Dassign (x, _) -> reads None [] x
+        | Dunit j -> reads None (reads None [] e.units.(j).ua) e.units.(j).ub
+        | Dq _ | Dsig _ -> []
+      in
+      Hashtbl.replace deps n (List.map fst srcs @ try Hashtbl.find deps n with Not_found -> []))
+    e.drivers;
+  let succ n = try List.sort_uniq compare (Hashtbl.find deps n) with Not_found -> [] in
+  let nodes =
+    List.sort_uniq compare (Hashtbl.fold (fun n ds acc -> (n :: ds) @ acc) deps [])
+  in
+  let index = Hashtbl.create 64 and low = Hashtbl.create 64 in
+  let on_stack = Hashtbl.create 64 in
+  let stack = ref [] and counter = ref 0 and out = ref [] in
+  let rec strong v =
+    Hashtbl.replace index v !counter;
+    Hashtbl.replace low v !counter;
+    incr counter;
+    stack := v :: !stack;
+    Hashtbl.replace on_stack v ();
+    List.iter
+      (fun w ->
+        if not (Hashtbl.mem index w) then begin
+          strong w;
+          Hashtbl.replace low v (min (Hashtbl.find low v) (Hashtbl.find low w))
+        end
+        else if Hashtbl.mem on_stack w then
+          Hashtbl.replace low v (min (Hashtbl.find low v) (Hashtbl.find index w)))
+      (succ v);
+    if Hashtbl.find low v = Hashtbl.find index v then begin
+      let rec pop acc =
+        match !stack with
+        | [] -> acc
+        | w :: rest ->
+          stack := rest;
+          Hashtbl.remove on_stack w;
+          if w = v then w :: acc else pop (w :: acc)
+      in
+      let comp = pop [] in
+      let cyclic = match comp with [ x ] -> List.mem x (succ x) | _ -> true in
+      out := (comp, cyclic) :: !out
+    end
+  in
+  List.iter (fun v -> if not (Hashtbl.mem index v) then strong v) nodes;
+  List.rev !out
+
+let comb_cycles e =
+  List.filter_map
+    (fun (comp, cyclic) -> if cyclic then Some (List.sort compare comp) else None)
+    (components e)
+  |> List.sort compare
+
+(* ------------------------------------------------------------------ *)
+(* Cycle simulation of an elaborated module                           *)
+(* ------------------------------------------------------------------ *)
+
+let mask w = (1 lsl min w 62) - 1
+
+(* The register primitives' generator/compactor update: feedback is the
+   shifted-out MSB xor the parity of (q & 4'b1011) — an invertible state
+   map, so no nonzero generator state collapses to all-zero — shift
+   left; a compactor XORs its data input in. *)
+let lfsr ~width q =
+  let fb = ((q lsr (width - 1)) lxor q lxor (q lsr 1) lxor (q lsr 3)) land 1 in
+  ((q lsl 1) lor fb) land mask width
+
+let misr ~width q d = lfsr ~width q lxor d
+
+let expr_width (e : elab) (x : Parser.expr) =
+  match x with
+  | Parser.Num (Some w, _) -> Some w
+  | Parser.Ident n -> List.assoc_opt n e.widths
+  | Parser.Binop ((Eq | Neq | Lt | Le | Gt | Ge | Land | Lor), _, _) -> Some 1
+  | _ -> None
+
+(* An expression as a closure over the settled net values; [net]
+   resolves the identifiers that are not localparams. *)
+let compile (e : elab) net =
+  let rec go (x : Parser.expr) : int array -> int =
+    match x with
+    | Parser.Ident n -> (
+      match List.assoc_opt n e.localparams with Some c -> fun _ -> c | None -> net n)
+    | Parser.Num (_, c) -> fun _ -> c
+    | Parser.Unop (op, a) ->
+      let a = go a in
+      fun v -> num_unop op (a v)
+    | Parser.Binop (op, a, b) ->
+      let a = go a and b = go b in
+      fun v -> num_binop op (a v) (b v)
+    | Parser.Cond (c, t, f) ->
+      let c = go c and t = go t and f = go f in
+      fun v -> if c v <> 0 then t v else f v
+    | Parser.Concat (first :: rest)
+      when not (List.mem None (List.map (expr_width e) rest)) ->
+      List.fold_left
+        (fun acc x ->
+          let w = Option.get (expr_width e x) and x = go x in
+          fun v -> (acc v lsl w) lor (x v land mask w))
+        (go first) rest
+    | Parser.Index (a, i) ->
+      let a = go a and i = go i in
+      fun v -> (a v lsr max (i v) 0) land 1
+    | Parser.Range (a, m, l) ->
+      let a = go a and m = go m and l = go l in
+      fun v ->
+        let m = m v and l = l v in
+        if m >= l then (a v lsr l) land mask (m - l + 1) else 0
+    | Parser.Str _ | Parser.Concat _ | Parser.Repl _ ->
+      (* the emitted replications are constants *)
+      let c = Option.value (const_eval e.localparams x) ~default:0 in
+      fun _ -> c
+  in
+  go
+
+type machine = {
+  settle : unit -> unit;  (* recompute every net from the current state *)
+  clock : unit -> unit;  (* one posedge: latch the registers, count a step *)
+  read : string -> int;  (* a net's value as of the last [settle] *)
+}
+
+(* A well-formed elaborated module as a cycle simulator: registers start
+   from reset (SEED for generators, 0 otherwise), [rst] stays low,
+   [test_mode]/[test_session] are held at [tm]/[sess], input pins at
+   [pin_env] (absent: 0). The register primitives follow their Verilog
+   semantics in both modes. [faulty] replaces the function of the named
+   unit instance. *)
+let machine ?faulty (e : elab) ~tm ~sess ~pin_env =
+  let step = ref 0 in
+  let q =
+    Array.map
+      (fun (c : ecell) ->
+        match c.ekind with
+        | "tpg_register" | "bilbo_register" | "cbilbo_register" ->
+          Option.value (List.assoc_opt "SEED" c.eparams) ~default:1 land mask (cell_width c)
+        | _ -> 0)
+      e.ecells
+  in
+  let sg = Array.make (Array.length q) 0 in
+  let index = Hashtbl.create 64 in
+  let slot n =
+    match Hashtbl.find_opt index n with
+    | Some i -> i
+    | None ->
+      let i = Hashtbl.length index in
+      Hashtbl.replace index n i;
+      i
+  in
+  (* driven nets are settled into slots; undriven ones are the inputs *)
+  let net n =
+    if Hashtbl.mem e.drivers n then begin
+      let i = slot n in
+      fun v -> v.(i)
+    end
+    else if n = e.stepvar then fun _ -> !step
+    else
+      let x =
+        match n with
+        | "test_mode" -> tm
+        | "test_session" -> sess
+        | _ -> Option.value (List.assoc_opt n pin_env) ~default:0
+      in
+      fun _ -> x
+  in
+  let compile = compile e net in
+  let value = function
+    | Dassign (x, _) -> compile x
+    | Dq i -> fun _ -> q.(i)
+    | Dsig i when e.ecells.(i).ekind = "cbilbo_register" -> fun _ -> sg.(i)
+    | Dsig i -> fun _ -> q.(i)
+    | Dunit j ->
+      let u = e.units.(j) in
+      let a = compile u.ua and b = compile u.ub in
+      let f =
+        match (faulty, List.find_opt (fun k -> op_name k = u.uop) Op.all_kinds) with
+        | Some (inst, f), _ when inst = u.uinst -> f ~width:u.uwidth
+        | _, Some k -> Op.eval k ~width:u.uwidth
+        | _, None -> fun _ _ -> 0
+      in
+      fun v -> f (a v) (b v)
+  in
+  let evals =
+    List.concat_map (fun (comp, _) -> List.filter (Hashtbl.mem e.drivers) comp) (components e)
+    |> List.map (fun n ->
+           let w = Option.value (List.assoc_opt n e.widths) ~default:62 in
+           (slot n, mask w, value (Hashtbl.find e.drivers n)))
+    |> Array.of_list
+  in
+  let conn port =
+    Array.map
+      (fun (c : ecell) ->
+        match List.assoc_opt port c.econns with Some x -> compile x | None -> fun _ -> 0)
+      e.ecells
+  in
+  let en = conn "en" and d = conn "d" in
+  let testing = conn "test_mode" and compact = conn "compact" in
+  let v = Array.make (Hashtbl.length index) 0 in
+  let settle () = Array.iter (fun (i, m, f) -> v.(i) <- f v land m) evals in
+  let clock () =
+    let next =
+      Array.mapi
+        (fun i (c : ecell) ->
+          let width = cell_width c in
+          let d = d.(i) v land mask width in
+          match (c.ekind, testing.(i) v <> 0) with
+          | "tpg_register", true -> (lfsr ~width q.(i), sg.(i))
+          | "sa_register", true -> (misr ~width q.(i) d, sg.(i))
+          | "bilbo_register", true when compact.(i) v <> 0 -> (misr ~width q.(i) d, sg.(i))
+          | "bilbo_register", true -> (lfsr ~width q.(i), sg.(i))
+          | "cbilbo_register", true -> (lfsr ~width q.(i), misr ~width sg.(i) d)
+          | _ -> ((if en.(i) v <> 0 then d else q.(i)), sg.(i)))
+        e.ecells
+    in
+    Array.iteri
+      (fun i (q', s') ->
+        q.(i) <- q';
+        sg.(i) <- s')
+      next;
+    (* elaboration proved the counter: count to NUM_STEPS + 1, then hold *)
+    if !step <= e.esteps then incr step
+  in
+  let read n = match Hashtbl.find_opt index n with Some i -> v.(i) | None -> 0 in
+  { settle; clock; read }
 
 (* One functional-mode run (test_mode = 0): reset, then num_steps + 1
    cycles following the testbench timing convention — outputs whose
    producing operation completes at control step [c] are sampled right
-   after cycle [c]'s latch. Register primitives follow their builtin
-   functional semantics (reset to 0 or SEED, latch d when enabled). *)
+   after cycle [c]'s latch. *)
 let simulate (e : elab) ~pin_env ~capture =
-  let cellw =
-    Array.map
-      (fun c -> match List.assoc_opt "WIDTH" c.eparams with Some w -> w | None -> 8)
-      e.ecells
-  in
-  let q =
-    Array.mapi
-      (fun i (c : ecell) ->
-        let mask = (1 lsl cellw.(i)) - 1 in
-        match c.ekind with
-        | "tpg_register" | "bilbo_register" | "cbilbo_register" -> (
-          match List.assoc_opt "SEED" c.eparams with
-          | Some s -> s land mask
-          | None -> 1)
-        | _ -> 0)
-      e.ecells
-  in
-  let wirew name =
-    match List.assoc_opt name e.widths with Some w -> w | None -> 62
-  in
-  let step = ref 0 in
+  let m = machine e ~tm:0 ~sess:0 ~pin_env in
   let results = Hashtbl.create 8 in
-  let cycle_values () =
-    let memo : (string, int option) Hashtbl.t = Hashtbl.create 64 in
-    let rec wire name =
-      match Hashtbl.find_opt memo name with
-      | Some (Some v) -> v
-      | Some None -> 0 (* combinational cycle: structural pass reports it *)
-      | None ->
-        Hashtbl.replace memo name None;
-        let v = compute name land ((1 lsl min (wirew name) 62) - 1) in
-        Hashtbl.replace memo name (Some v);
-        v
-    and lookup name : value = VNum (wire name)
-    and compute name =
-      if name = e.stepvar then !step
-      else if name = "rst" || name = "test_mode" || name = "test_session" then 0
-      else if name = "clk" then 0
-      else
-        match List.assoc_opt name e.localparams with
-        | Some v -> v
-        | None -> (
-          match Hashtbl.find_opt e.drivers name with
-          | Some (Dassign ex) -> (
-            match eval_expr lookup ex with VNum v -> v | VTree _ -> 0)
-          | Some (Dq i) -> q.(i)
-          | Some (Dsig _) -> 0
-          | Some (Dunit j) ->
-            let u = e.units.(j) in
-            let ev ex =
-              match eval_expr lookup ex with VNum v -> v | VTree _ -> 0
-            in
-            op_eval ~width:u.uwidth u.uop (ev u.ua) (ev u.ub)
-          | None -> ( match List.assoc_opt name pin_env with Some v -> v | None -> 0))
-    in
-    wire
-  in
-  let steps = e.esteps in
-  for c = 0 to steps do
-    let wire = cycle_values () in
-    (* latch phase: functional mode is plain enable-latch for every kind *)
-    let updates =
-      Array.mapi
-        (fun i (cell : ecell) ->
-          let conn p =
-            match List.assoc_opt p cell.econns with
-            | Some ex -> (
-              match eval_expr (fun n -> VNum (wire n)) ex with
-              | VNum v -> v
-              | VTree _ -> 0)
-            | None -> 0
-          in
-          let mask = (1 lsl cellw.(i)) - 1 in
-          if conn "en" <> 0 then conn "d" land mask else q.(i))
-        e.ecells
-    in
-    let next_step =
-      let lookup n =
-        if n = e.stepvar then VNum !step
-        else if n = "rst" then VNum 0
-        else
-          match List.assoc_opt n e.localparams with
-          | Some v -> VNum v
-          | None -> VNum (wire n)
-      in
-      match exec_stmts lookup e.always_body with
-      | Some [ (v, x) ] when v = e.stepvar -> x
-      | Some _ | None -> !step
-    in
-    Array.blit updates 0 q 0 (Array.length q);
-    step := next_step;
-    (* capture phase: sample outputs due at this control step *)
-    let wire = cycle_values () in
+  for c = 0 to e.esteps do
+    m.settle ();
+    m.clock ();
+    m.settle ();
     List.iter
-      (fun (port, at) -> if at = c then Hashtbl.replace results port (wire port))
+      (fun (port, at) -> if at = c then Hashtbl.replace results port (m.read port))
       capture
   done;
   results
+
+let test_signatures ?faulty (e : elab) ~session ~patterns =
+  if e.problems <> [] then
+    invalid_arg ("Equiv.test_signatures: " ^ String.concat "; " e.problems);
+  Option.iter
+    (fun (inst, _) ->
+      if not (Array.exists (fun u -> u.uinst = inst) e.units) then
+        invalid_arg ("Equiv.test_signatures: no unit instance " ^ inst))
+    faulty;
+  let m = machine ?faulty e ~tm:1 ~sess:session ~pin_env:[] in
+  for _ = 1 to patterns do
+    m.settle ();
+    m.clock ()
+  done;
+  m.settle ();
+  List.filter_map
+    (fun (port, _) ->
+      if String.starts_with ~prefix:"sig_" port then Some (port, m.read port) else None)
+    e.eout
 
 (* ------------------------------------------------------------------ *)
 (* Public entry points                                                *)
@@ -1202,36 +1379,45 @@ let cross_check (e : elab) (dp : Datapath.t) ~width ~vectors ~seed =
   in
   go 0
 
-let verify ?(vectors = 16) ?(seed = 7) ?(width = 8) ?bist ?sessions ?(regw = []) ~rtl dp =
-  let t0 = Telemetry.now () in
-  let finish r =
-    Telemetry.observe "rtl.verify_ns" (Int64.to_int (Int64.sub (Telemetry.now ()) t0));
-    r
-  in
+type parsed = (elab, Diagnostic.t list) result
+
+let parse_back rtl : parsed =
   let parsed = Parser.parse rtl in
   match Parser.errors parsed with
-  | _ :: _ as errs -> finish (Error errs)
+  | _ :: _ as errs -> Error errs
+  | [] -> (
+    match pick_datapath parsed with
+    | Ok m -> Ok (elaborate m)
+    | Error problems ->
+      let empty =
+        { Parser.name = ""; mparams = []; ports = []; items = []; mline = 0 }
+      in
+      Ok { (elaborate empty) with problems })
+
+let structural ?(width = 8) ?bist ?sessions ?(regw = []) e dp =
+  match e.problems with
+  | _ :: _ -> e.problems
   | [] ->
-    let reference = of_datapath ~width ?bist ?sessions ~regw dp in
-    let elab_result =
-      match pick_datapath parsed with
-      | Error diffs -> Error diffs
-      | Ok m -> elaborate m
-    in
-    finish
-      (Ok
-         (match elab_result with
-         | Error diffs -> { structural = diffs; functional = None; vectors_run = 0 }
-         | Ok e ->
-           let structural =
-             compare_netlists ~a_label:"model" ~b_label:"rtl" reference
-               (netlist_of_elab e)
-           in
-           let functional, vectors_run =
-             if vectors > 0 then cross_check e dp ~width ~vectors ~seed
-             else (None, 0)
-           in
-           { structural; functional; vectors_run }))
+    compare_netlists ~a_label:"model" ~b_label:"rtl"
+      (of_datapath ~width ?bist ?sessions ~regw dp)
+      (netlist_of_elab e)
+
+let functional ?(vectors = 16) ?(seed = 7) ?(width = 8) e dp =
+  if e.problems <> [] || vectors <= 0 then (None, 0)
+  else cross_check e dp ~width ~vectors ~seed
+
+let verify ?vectors ?seed ?width ?bist ?sessions ?regw ~rtl dp =
+  let t0 = Telemetry.now () in
+  let result =
+    match parse_back rtl with
+    | Error errs -> Error errs
+    | Ok e ->
+      let structural = structural ?width ?bist ?sessions ?regw e dp in
+      let functional, vectors_run = functional ?vectors ?seed ?width e dp in
+      Ok { structural; functional; vectors_run }
+  in
+  Telemetry.observe "rtl.verify_ns" (Int64.to_int (Int64.sub (Telemetry.now ()) t0));
+  result
 
 (* --- golden drift -------------------------------------------------- *)
 
@@ -1268,9 +1454,9 @@ let drift ~golden ~current =
     | Ok mg, Ok mc ->
       let structural =
         match (elaborate mg, elaborate mc) with
-        | Error eg, _ -> List.map (fun s -> "golden: " ^ s) eg
-        | _, Error ec -> List.map (fun s -> "current: " ^ s) ec
-        | Ok eg, Ok ec ->
+        | { problems = _ :: _ as pg; _ }, _ -> List.map (fun s -> "golden: " ^ s) pg
+        | _, { problems = _ :: _ as pc; _ } -> List.map (fun s -> "current: " ^ s) pc
+        | eg, ec ->
           compare_netlists ~a_label:"golden" ~b_label:"current"
             (netlist_of_elab eg) (netlist_of_elab ec)
       in

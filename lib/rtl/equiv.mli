@@ -13,7 +13,7 @@
     Weisfeiler–Leman style partition over the per-slot input trees),
     with commutative operator inputs canonicalized so benign operand
     reordering never false-alarms. A random-vector simulation
-    cross-check then runs the parsed AST cycle by cycle against
+    cross-check then runs the elaborated netlist cycle by cycle against
     {!Bistpath_datapath.Interp} and reports the first distinguishing
     vector.
 
@@ -37,6 +37,79 @@ type report = {
   vectors_run : int;
 }
 
+(** {1 The parsed-back netlist}
+
+    The one RTL model: an emitted text parsed and elaborated once, whose
+    connectivity the check rules query, which {!verify} compares to the
+    data path, and on which the BIST golden signatures are simulated. *)
+
+type elab
+(** A datapath module elaborated into its nets (every driver kept), unit
+    instances, register cells and step counter, plus the elaboration
+    problems (multiple drivers, malformed counter, unknown instances,
+    no or several datapath modules ...). *)
+
+type parsed = (elab, Bistpath_resilience.Diagnostic.t list) result
+
+val parse_back : string -> parsed
+(** [Error] carries the parser's diagnostics for unparsable text;
+    elaboration itself is total. *)
+
+type endpoint = { cell : string; width : int option }
+(** One connection of a net: the instance, [assign@LINE], [always],
+    [input] or [output], with the width it drives or reads the net at
+    ([None] under an operator or in a select). *)
+
+type net = {
+  net : string;
+  port : bool;
+  declared : int option;  (** declared width *)
+  drivers : endpoint list;
+  readers : endpoint list;
+}
+
+val nets : elab -> net list
+(** Every net some connection touches, sorted by name. *)
+
+val comb_cycles : elab -> string list list
+(** Combinational loops: the cyclic strongly connected components of the
+    graph from each net to the nets its assign or unit instance reads
+    (register cells break paths); each sorted, sorted. *)
+
+val structural :
+  ?width:int ->
+  ?bist:Bistpath_bist.Allocator.solution ->
+  ?sessions:Bistpath_bist.Session.t ->
+  ?regw:(string * int) list ->
+  elab ->
+  Bistpath_datapath.Datapath.t ->
+  string list
+(** The {!report}'s [structural] field: differences from the reference
+    netlist built from the data path, or the elaboration problems. *)
+
+val functional :
+  ?vectors:int ->
+  ?seed:int ->
+  ?width:int ->
+  elab ->
+  Bistpath_datapath.Datapath.t ->
+  mismatch option * int
+(** The {!report}'s [functional] and [vectors_run] fields; [(None, 0)]
+    without vectors or on a module with elaboration problems. *)
+
+val test_signatures :
+  ?faulty:string * (width:int -> int -> int -> int) ->
+  elab ->
+  session:int ->
+  patterns:int ->
+  (string * int) list
+(** Self-test simulation: from reset, with [test_mode] 1, [test_session]
+    [session] and every input pin low, clock [patterns] times under the
+    register primitives' test semantics (LFSR generators, MISR
+    compactors, feedback taps 0, 1, 3) and return each [sig_*] port's
+    value. [faulty] replaces the named unit instance's function. Raises
+    [Invalid_argument] on elaboration problems or an unknown instance. *)
+
 val verify :
   ?vectors:int ->
   ?seed:int ->
@@ -47,8 +120,9 @@ val verify :
   rtl:string ->
   Bistpath_datapath.Datapath.t ->
   (report, Bistpath_resilience.Diagnostic.t list) result
-(** Parse [rtl] (expected: {!Verilog.primitives} + {!Verilog.emit}
-    output, but any text is safe) and compare it against [dp] emitted
+(** {!parse_back}, {!structural} and {!functional} in one call: parse
+    [rtl] (expected: {!Verilog.primitives} + {!Verilog.emit} output,
+    but any text is safe) and compare it against [dp] emitted
     with the same [width]/[bist]/[sessions]/[regw] configuration
     ([regw] mirrors {!Verilog.emit}'s narrowed register widths so the
     reference register cells carry the same [WIDTH] parameters the

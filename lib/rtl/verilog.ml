@@ -6,6 +6,7 @@ module Resource = Bistpath_bist.Resource
 module Allocator = Bistpath_bist.Allocator
 module Session = Bistpath_bist.Session
 module Ipath = Bistpath_ipath.Ipath
+module Control = Bistpath_datapath.Control
 
 (* Hex-escaping keeps the map injective for names that differ only in
    their punctuation (greedy module binders name units "*1", "+1", ...,
@@ -64,6 +65,64 @@ let test_seed ~width rid =
   let mask = (1 lsl width) - 1 in
   match Hashtbl.hash rid land mask with 0 -> 1 | s -> s
 
+let style_of bist rid =
+  match bist with
+  | None -> Resource.Normal
+  | Some (sol : Allocator.solution) ->
+    Option.value (List.assoc_opt rid sol.Allocator.styles) ~default:Resource.Normal
+
+let simple_embedding bist mid =
+  match bist with
+  | None -> None
+  | Some (sol : Allocator.solution) ->
+    List.find_opt
+      (fun (e : Ipath.embedding) ->
+        String.equal e.Ipath.mid mid && e.Ipath.l_via = None && e.Ipath.r_via = None)
+      sol.Allocator.embeddings
+
+let signature_registers bist =
+  match bist with
+  | None -> []
+  | Some (sol : Allocator.solution) ->
+    List.filter_map
+      (fun (rid, style) ->
+        match style with
+        | Resource.Sa | Resource.Bilbo | Resource.Cbilbo -> Some rid
+        | Resource.Normal | Resource.Tpg -> None)
+      sol.Allocator.styles
+
+let session_bits nsess =
+  max 1 (int_of_float (ceil (log (float_of_int (nsess + 1)) /. log 2.0)))
+
+let session_of session_list mid =
+  let rec go k = function
+    | [] -> None
+    | units :: rest -> if List.mem mid units then Some k else go (k + 1) rest
+  in
+  go 0 session_list
+
+let used_inputs (dp : Datapath.t) =
+  List.filter (fun v -> Dfg.consumers dp.Datapath.dfg v <> []) dp.Datapath.dfg.Dfg.inputs
+
+let write_schedule (control : Control.t) rid =
+  List.concat_map
+    (fun (s : Control.step) ->
+      List.filter_map
+        (fun (w : Control.write) ->
+          if String.equal w.Control.rid rid then Some (s.Control.index, w.Control.source_index)
+          else None)
+        s.Control.writes)
+    control.Control.steps
+
+let activity (control : Control.t) mid =
+  List.concat_map
+    (fun (s : Control.step) ->
+      List.filter_map
+        (fun (o : Control.unit_op) ->
+          if String.equal o.Control.mid mid then Some (s.Control.index, o) else None)
+        s.Control.ops)
+    control.Control.steps
+
 let reg_module = function
   | Resource.Normal -> "dp_register"
   | Resource.Tpg -> "tpg_register"
@@ -80,15 +139,7 @@ let emit ?(width = 8) ?bist ?sessions ?(regw = []) ?(unitw = []) dp =
      expression structure is identical to the uniform-width netlist. *)
   let rw rid = match List.assoc_opt rid regw with Some w -> w | None -> width in
   let uw mid = match List.assoc_opt mid unitw with Some w -> w | None -> width in
-  let style_of rid =
-    match bist with
-    | None -> Resource.Normal
-    | Some (sol : Allocator.solution) -> (
-      match List.assoc_opt rid sol.Allocator.styles with
-      | Some s -> s
-      | None -> Resource.Normal)
-  in
-  let inputs = List.filter (fun v -> Dfg.consumers dp.Datapath.dfg v <> []) dp.Datapath.dfg.Dfg.inputs in
+  let inputs = used_inputs dp in
   pf "module %s (\n" (module_name dp);
   pf "  input  wire clk,\n  input  wire rst,\n";
   if bist <> None then pf "  input  wire test_mode,\n";
@@ -100,41 +151,13 @@ let emit ?(width = 8) ?bist ?sessions ?(regw = []) ?(unitw = []) dp =
     match sessions with Some (t : Session.t) -> t.Session.sessions | None -> []
   in
   let nsess = List.length session_list in
-  let sess_bits =
-    max 1 (int_of_float (ceil (log (float_of_int (nsess + 1)) /. log 2.0)))
-  in
+  let sess_bits = session_bits nsess in
   if nsess > 0 then pf "  input  wire [%d:0] test_session,\n" (sess_bits - 1);
-  let embedding_of mid =
-    match bist with
-    | None -> None
-    | Some (sol : Allocator.solution) ->
-      List.find_opt
-        (fun (e : Ipath.embedding) ->
-          String.equal e.Ipath.mid mid && e.Ipath.l_via = None && e.Ipath.r_via = None)
-        sol.Allocator.embeddings
-  in
+  let embedding_of = simple_embedding bist in
   let sess_eq k = Printf.sprintf "test_session == %d'd%d" sess_bits k in
-  (* session index in which a unit is tested *)
-  let session_of mid =
-    let rec go k = function
-      | [] -> None
-      | units :: rest -> if List.mem mid units then Some k else go (k + 1) rest
-    in
-    go 0 session_list
-  in
   List.iter (fun v -> pf "  input  wire [%d:0] pin_%s,\n" (width - 1) (sanitize v)) inputs;
   let outs = dp.Datapath.outputs in
-  let sa_regs =
-    match bist with
-    | None -> []
-    | Some (sol : Allocator.solution) ->
-      List.filter_map
-        (fun (rid, style) ->
-          match style with
-          | Resource.Sa | Resource.Bilbo | Resource.Cbilbo -> Some rid
-          | Resource.Normal | Resource.Tpg -> None)
-        sol.Allocator.styles
-  in
+  let sa_regs = signature_registers bist in
   List.iteri
     (fun i (v, _) ->
       pf "  output wire [%d:0] pout_%s%s\n" (width - 1) (sanitize v)
@@ -150,7 +173,7 @@ let emit ?(width = 8) ?bist ?sessions ?(regw = []) ?(unitw = []) dp =
      enables are derived from the synthesized control table so the
      module is self-contained (step 0 loads inputs, steps 1..T run the
      schedule, then the counter saturates). *)
-  let control = Bistpath_datapath.Control.build dp in
+  let control = Control.build dp in
   let steps = Dfg.num_csteps dp.Datapath.dfg in
   let step_bits =
     max 1 (int_of_float (ceil (log (float_of_int (steps + 2)) /. log 2.0)))
@@ -171,17 +194,7 @@ let emit ?(width = 8) ?bist ?sessions ?(regw = []) ?(unitw = []) dp =
         | Datapath.From_unit mid -> Printf.sprintf "out_%s" (sanitize mid)
         | Datapath.From_port v -> Printf.sprintf "pin_%s" (sanitize v)
       in
-      let write_schedule =
-        List.concat_map
-          (fun (s : Bistpath_datapath.Control.step) ->
-            List.filter_map
-              (fun (w : Bistpath_datapath.Control.write) ->
-                if String.equal w.Bistpath_datapath.Control.rid r.rid then
-                  Some (s.Bistpath_datapath.Control.index, w.Bistpath_datapath.Control.source_index)
-                else None)
-              s.Bistpath_datapath.Control.writes)
-          control.Bistpath_datapath.Control.steps
-      in
+      let write_schedule = write_schedule control r.rid in
       pf "  wire [%d:0] d_%s;\n" (rw r.rid - 1) rid;
       (match writers with
       | [] -> pf "  assign d_%s = {%d{1'b0}};\n" rid (rw r.rid)
@@ -222,7 +235,7 @@ let emit ?(width = 8) ?bist ?sessions ?(regw = []) ?(unitw = []) dp =
             if i = n - 1 then pf "    %s;\n" (wire_of w)
             else pf "    sel_%s == %d'd%d ? %s :\n" rid sel_bits i (wire_of w))
           ws);
-      let style = style_of r.rid in
+      let style = style_of bist r.rid in
       let inst = escape rid in
       pf "  wire en_%s;\n" rid;
       (match write_schedule with
@@ -276,22 +289,7 @@ let emit ?(width = 8) ?bist ?sessions ?(regw = []) ?(unitw = []) dp =
       let l, rr = Datapath.unit_port_sources dp u.mid in
       if l <> [] || rr <> [] then begin
         let mid = sanitize u.mid in
-        (* (step, l_select, r_select, f_select) whenever this unit runs *)
-        let activity =
-          List.concat_map
-            (fun (s : Bistpath_datapath.Control.step) ->
-              List.filter_map
-                (fun (o : Bistpath_datapath.Control.unit_op) ->
-                  if String.equal o.Bistpath_datapath.Control.mid u.mid then
-                    Some
-                      ( s.Bistpath_datapath.Control.index,
-                        o.Bistpath_datapath.Control.l_select,
-                        o.Bistpath_datapath.Control.r_select,
-                        o.Bistpath_datapath.Control.f_select )
-                  else None)
-                s.Bistpath_datapath.Control.ops)
-            control.Bistpath_datapath.Control.steps
-        in
+        let activity = activity control u.mid in
         let port side select_of srcs =
           pf "  wire [%d:0] %s_%s;\n" (uw u.mid - 1) side mid;
           match srcs with
@@ -303,7 +301,7 @@ let emit ?(width = 8) ?bist ?sessions ?(regw = []) ?(unitw = []) dp =
             pf "  wire [%d:0] %ssel_%s;\n" (sel_bits - 1) side mid;
             pf "  assign %ssel_%s =\n" side mid;
             (if nsess > 0 then
-               match (session_of u.mid, embedding_of u.mid) with
+               match (session_of session_list u.mid, embedding_of u.mid) with
                | Some k, Some e ->
                  let tpg = if String.equal side "l" then e.Ipath.l_tpg else e.Ipath.r_tpg in
                  (match Bistpath_util.Listx.index_of (String.equal tpg) ss with
@@ -312,9 +310,7 @@ let emit ?(width = 8) ?bist ?sessions ?(regw = []) ?(unitw = []) dp =
                  | None -> ())
                | _ -> ());
             List.iter
-              (fun entry ->
-                let st, _, _, _ = entry in
-                pf "    %s ? %d'd%d :\n" (step_eq st) sel_bits (select_of entry))
+              (fun (st, o) -> pf "    %s ? %d'd%d :\n" (step_eq st) sel_bits (select_of o))
               activity;
             pf "    %d'd0;\n" sel_bits;
             pf "  assign %s_%s =\n" side mid;
@@ -324,8 +320,8 @@ let emit ?(width = 8) ?bist ?sessions ?(regw = []) ?(unitw = []) dp =
                 else pf "    %ssel_%s == %d'd%d ? q_%s :\n" side mid sel_bits i (sanitize s))
               ss
         in
-        port "l" (fun (_, ls, _, _) -> ls) l;
-        port "r" (fun (_, _, rs, _) -> rs) rr;
+        port "l" (fun (o : Control.unit_op) -> o.Control.l_select) l;
+        port "r" (fun (o : Control.unit_op) -> o.Control.r_select) rr;
         pf "  wire [%d:0] out_%s;\n" (uw u.mid - 1) mid;
         (match u.kinds with
         | [ _ ] ->
@@ -355,7 +351,8 @@ let emit ?(width = 8) ?bist ?sessions ?(regw = []) ?(unitw = []) dp =
           pf "  wire [%d:0] fsel_%s;\n" (nf - 1) mid;
           pf "  assign fsel_%s =\n" mid;
           List.iter
-            (fun (st, _, _, fs) -> pf "    %s ? %d'd%d :\n" (step_eq st) nf (1 lsl fs))
+            (fun (st, (o : Control.unit_op)) ->
+              pf "    %s ? %d'd%d :\n" (step_eq st) nf (1 lsl o.Control.f_select))
             activity;
           pf "    %d'd0;\n" nf;
           pf "  assign out_%s =\n" mid;

@@ -34,8 +34,40 @@ val emit :
 
 val test_seed : width:int -> string -> int
 (** Per-register non-zero LFSR reset seed (hash of the register name),
-    baked into the emitted generator instances and mirrored by
-    {!Rtl_sim}. *)
+    baked into the emitted generator instances (their [SEED]
+    parameter). *)
+
+(** {1 The emitted test configuration}
+
+    How {!emit} reads an allocation and a control table, shared with the
+    reference netlist ({!Equiv}) and the self-test wrapper. *)
+
+val style_of : Bistpath_bist.Allocator.solution option -> string -> Bistpath_bist.Resource.style
+(** A register's test style; [Normal] without an allocation. *)
+
+val simple_embedding :
+  Bistpath_bist.Allocator.solution option -> string -> Bistpath_ipath.Ipath.embedding option
+(** A unit's embedding if it has no transparent via — the only kind the
+    test-mode multiplexer overrides steer. *)
+
+val signature_registers : Bistpath_bist.Allocator.solution option -> string list
+(** Registers with a [sig_*] port (SA, BILBO, CBILBO), allocation order. *)
+
+val session_bits : int -> int
+(** Width of the [test_session] port for a number of sessions. *)
+
+val session_of : string list list -> string -> int option
+(** The first session testing a unit. *)
+
+val used_inputs : Bistpath_datapath.Datapath.t -> string list
+(** Primary inputs some operation reads: the [pin_*] ports. *)
+
+val write_schedule : Bistpath_datapath.Control.t -> string -> (int * int) list
+(** [(step, writer index)] of every write into a register. *)
+
+val activity :
+  Bistpath_datapath.Control.t -> string -> (int * Bistpath_datapath.Control.unit_op) list
+(** [(step, operation)] of every step a unit runs in. *)
 
 val sanitize : string -> string
 (** Map arbitrary netlist names to Verilog identifiers: alphanumerics

@@ -1,11 +1,10 @@
-(* Tests for the bit-exact RTL test-mode simulation and the golden-baked
-   self-test wrapper. *)
+(* Tests for the test-mode simulation of the parsed-back RTL netlist (the
+   BIST golden signatures) and the golden-baked self-test wrapper. *)
 
 module Op = Bistpath_dfg.Op
 module B = Bistpath_benchmarks.Benchmarks
 module Flow = Bistpath_core.Flow
 module Verilog = Bistpath_rtl.Verilog
-module Rtl_sim = Bistpath_rtl.Rtl_sim
 module Bist_wrapper = Bistpath_rtl.Bist_wrapper
 
 let check = Alcotest.check
@@ -30,22 +29,22 @@ let seeds_distinct_and_nonzero () =
 
 let goldens_deterministic () =
   let r = run_flow "ex1" in
-  let g1 = Rtl_sim.golden_signatures r.Flow.datapath r.Flow.bist r.Flow.sessions in
-  let g2 = Rtl_sim.golden_signatures r.Flow.datapath r.Flow.bist r.Flow.sessions in
+  let g1 = Bist_wrapper.golden_signatures r.Flow.datapath r.Flow.bist r.Flow.sessions in
+  let g2 = Bist_wrapper.golden_signatures r.Flow.datapath r.Flow.bist r.Flow.sessions in
   check Alcotest.bool "stable" true (g1 = g2);
   check Alcotest.bool "one golden per session (shared SA)" true (List.length g1 >= 2);
   (* healthy signatures: none of them zero (an all-zero signature would
      indicate the degenerate x-x=0 pattern correlation this layer is
      designed to avoid) *)
   List.iter
-    (fun (g : Rtl_sim.golden) ->
-      check Alcotest.bool "non-zero signature" true (g.Rtl_sim.signature <> 0))
+    (fun (g : Bist_wrapper.golden) ->
+      check Alcotest.bool "non-zero signature" true (g.Bist_wrapper.signature <> 0))
     g1
 
 let goldens_differ_across_sessions () =
   let r = run_flow "ex1" in
-  let gs = Rtl_sim.golden_signatures r.Flow.datapath r.Flow.bist r.Flow.sessions in
-  let values = List.map (fun (g : Rtl_sim.golden) -> g.Rtl_sim.signature) gs in
+  let gs = Bist_wrapper.golden_signatures r.Flow.datapath r.Flow.bist r.Flow.sessions in
+  let values = List.map (fun (g : Bist_wrapper.golden) -> g.Bist_wrapper.signature) gs in
   check Alcotest.bool "sessions produce different signatures" true
     (List.length (List.sort_uniq compare values) > 1)
 
@@ -54,14 +53,14 @@ let wrong_function_detected () =
     (fun (tag, mid) ->
       let r = run_flow tag in
       check Alcotest.bool (tag ^ " wrong op caught") true
-        (Rtl_sim.detects_fault r.Flow.datapath r.Flow.bist r.Flow.sessions ~mid
+        (Bist_wrapper.detects_fault r.Flow.datapath r.Flow.bist r.Flow.sessions ~mid
            ~fault:(fun ~width x y -> Op.eval Op.Sub ~width x y)))
     [ ("ex1", "M1"); ("Paulin", "ADD"); ("Paulin", "MUL1") ]
 
 let stuck_output_bit_detected () =
   let r = run_flow "ex1" in
   check Alcotest.bool "stuck bit caught" true
-    (Rtl_sim.detects_fault r.Flow.datapath r.Flow.bist r.Flow.sessions ~mid:"M1"
+    (Bist_wrapper.detects_fault r.Flow.datapath r.Flow.bist r.Flow.sessions ~mid:"M1"
        ~fault:(fun ~width x y -> Op.eval Op.Add ~width x y land 0xFE))
 
 let full_period_constant_aliasing () =
@@ -71,24 +70,24 @@ let full_period_constant_aliasing () =
   let r = run_flow "ex1" in
   let fault ~width x y = Op.eval Op.Add ~width x y lxor 1 in
   check Alcotest.bool "caught one cycle short of the period" true
-    (Rtl_sim.detects_fault ~patterns:254 r.Flow.datapath r.Flow.bist r.Flow.sessions
+    (Bist_wrapper.detects_fault ~patterns:254 r.Flow.datapath r.Flow.bist r.Flow.sessions
        ~mid:"M1" ~fault);
   check Alcotest.bool "aliases at exactly the full period" false
-    (Rtl_sim.detects_fault ~patterns:255 r.Flow.datapath r.Flow.bist r.Flow.sessions
+    (Bist_wrapper.detects_fault ~patterns:255 r.Flow.datapath r.Flow.bist r.Flow.sessions
        ~mid:"M1" ~fault)
 
 let wrapper_bakes_goldens () =
   let r = run_flow "ex1" in
-  let golden = Rtl_sim.golden_signatures r.Flow.datapath r.Flow.bist r.Flow.sessions in
+  let golden = Bist_wrapper.golden_signatures r.Flow.datapath r.Flow.bist r.Flow.sessions in
   let w = Bist_wrapper.emit ~golden r.Flow.datapath r.Flow.bist r.Flow.sessions in
   List.iter
-    (fun (g : Rtl_sim.golden) ->
+    (fun (g : Bist_wrapper.golden) ->
       check Alcotest.bool "baked value" true
         (contains w
-           (Printf.sprintf "GOLDEN_S%d_%s = 8'd%d" g.Rtl_sim.session g.Rtl_sim.rid
-              g.Rtl_sim.signature)))
+           (Printf.sprintf "GOLDEN_S%d_%s = 8'd%d" g.Bist_wrapper.session g.Bist_wrapper.rid
+              g.Bist_wrapper.signature)))
     golden;
-  check Alcotest.bool "bit-exact note" true (contains w "bit-exact RTL model");
+  check Alcotest.bool "provenance note" true (contains w "parsed-back datapath netlist");
   check Alcotest.bool "drives session port" true (contains w ".test_session(session)")
 
 let datapath_emits_session_overrides () =
@@ -116,27 +115,72 @@ let transparent_embeddings_rejected () =
       r.Flow.bist.Bistpath_bist.Allocator.embeddings
   in
   if uses_via then
-    match Rtl_sim.golden_signatures r.Flow.datapath r.Flow.bist r.Flow.sessions with
+    match Bist_wrapper.golden_signatures r.Flow.datapath r.Flow.bist r.Flow.sessions with
     | exception Invalid_argument _ -> ()
-    | _ -> Alcotest.fail "via embedding accepted by Rtl_sim"
+    | _ -> Alcotest.fail "via embedding accepted"
 
 let goldens_across_widths () =
   let r = run_flow "Paulin" in
   List.iter
     (fun width ->
       let gs =
-        Rtl_sim.golden_signatures ~width r.Flow.datapath r.Flow.bist r.Flow.sessions
+        Bist_wrapper.golden_signatures ~width r.Flow.datapath r.Flow.bist r.Flow.sessions
       in
       check Alcotest.bool (Printf.sprintf "width %d goldens" width) true
         (gs <> []
         && List.for_all
-             (fun (g : Rtl_sim.golden) ->
-               g.Rtl_sim.signature >= 0 && g.Rtl_sim.signature < 1 lsl width)
+             (fun (g : Bist_wrapper.golden) ->
+               g.Bist_wrapper.signature >= 0 && g.Bist_wrapper.signature < 1 lsl width)
              gs))
     [ 4; 8; 16 ]
 
+(* Every signature of test/fixtures/golden_signatures.tsv (all benchmark
+   tags, testable flow, widths 4, 8 and 16) reproduced by simulating the
+   parsed-back netlist. *)
+let goldens_match_fixture () =
+  let rows =
+    In_channel.with_open_text (Filename.concat "fixtures" "golden_signatures.tsv")
+      In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+    |> List.map (String.split_on_char '\t')
+  in
+  let flows = Hashtbl.create 16 in
+  let simulated tag width =
+    let r =
+      match Hashtbl.find_opt flows tag with
+      | Some r -> r
+      | None ->
+        let r = run_flow tag in
+        Hashtbl.replace flows tag r;
+        r
+    in
+    List.map
+      (fun (g : Bist_wrapper.golden) ->
+        String.concat "\t"
+          [ tag; string_of_int width; string_of_int g.Bist_wrapper.session;
+            g.Bist_wrapper.rid; string_of_int g.Bist_wrapper.signature ])
+      (Bist_wrapper.golden_signatures ~width r.Flow.datapath r.Flow.bist r.Flow.sessions)
+  in
+  let keys =
+    List.fold_left
+      (fun acc row ->
+        match row with
+        | tag :: width :: _ ->
+          let key = (tag, int_of_string width) in
+          if List.mem key acc then acc else acc @ [ key ]
+        | _ -> Alcotest.fail "malformed fixture row")
+      [] rows
+  in
+  check Alcotest.int "all tags at three widths" 30 (List.length keys);
+  check
+    Alcotest.(list string)
+    "signatures" (List.map (String.concat "\t") rows)
+    (List.concat_map (fun (tag, width) -> simulated tag width) keys)
+
 let suite =
   [
+    case "goldens match the committed fixture" goldens_match_fixture;
     case "goldens across widths" goldens_across_widths;
     case "seeds distinct and nonzero" seeds_distinct_and_nonzero;
     case "goldens deterministic and healthy" goldens_deterministic;
