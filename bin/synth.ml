@@ -7,7 +7,6 @@ module Flow = Bistpath_core.Flow
 module Stage = Bistpath_core.Stage
 module Store = Bistpath_cache.Store
 module Testable_alloc = Bistpath_core.Testable_alloc
-module Policy = Bistpath_dfg.Policy
 module Parser = Bistpath_dfg.Parser
 module Report = Bistpath_report.Report
 module Verilog = Bistpath_rtl.Verilog
@@ -23,6 +22,7 @@ module Diagnostic = Bistpath_resilience.Diagnostic
 module Inject = Bistpath_resilience.Inject
 module Service = Bistpath_service.Service
 module Fleet = Bistpath_service.Fleet
+module Runner = Bistpath_service.Runner
 module Check = Bistpath_check.Check
 module Equiv = Bistpath_rtl.Equiv
 module Absint = Bistpath_absint.Absint
@@ -41,45 +41,6 @@ open Cmdliner
 let exit_findings = 2
 let exit_degraded = 3
 let exit_invalid_input = 4
-
-let instance_of_dfg dfg =
-  let massign = Bistpath_core.Module_assign.single_function dfg in
-  { B.tag = dfg.Bistpath_dfg.Dfg.name; dfg; massign; policy = Policy.default }
-
-(* Load a design, accumulating every diagnostic instead of stopping at
-   the first: one failed run reports all problems, capped at
-   --max-errors. [Error] carries pre-rendered lines. *)
-let load_instance ?max_errors spec =
-  match B.by_tag spec with
-  | Some inst -> Ok inst
-  | None ->
-    if Sys.file_exists spec then begin
-      let locate d = { d with Diagnostic.file = Some spec } in
-      let render ds = List.map (fun d -> Diagnostic.to_string (locate d)) ds in
-      if Filename.check_suffix spec ".beh" then
-        (* behavioural program: compile, schedule as soon as possible *)
-        let text = In_channel.with_open_text spec In_channel.input_all in
-        let name = Filename.remove_extension (Filename.basename spec) in
-        match Bistpath_dfg.Frontend.compile_diags ~name ?max_errors text with
-        | Ok dfg -> Ok (instance_of_dfg dfg)
-        | Error ds -> Error (render ds)
-      else begin
-        let u, diags = Parser.parse_file_diags ?max_errors spec in
-        if
-          List.exists
-            (fun (d : Diagnostic.t) -> d.severity = Diagnostic.Error)
-            diags
-        then Error (List.map Diagnostic.to_string diags)
-        else
-          match Parser.to_dfg_diags ?max_errors u with
-          | Ok dfg -> Ok (instance_of_dfg dfg)
-          | Error ds -> Error (render ds)
-      end
-    end
-    else
-      Error
-        [ Printf.sprintf "unknown benchmark %S (and no such file); known: %s" spec
-            (String.concat ", " B.all_tags) ]
 
 let instance_arg =
   let doc = "Benchmark tag (see $(b,synth list)) or path to a DFG file." in
@@ -418,7 +379,7 @@ let cli_artifact_key ~cache ~stage ~width ?(transparency = false) ~style extra
 let run_term =
   let run c spec width flow transparency check cache_o =
     with_common c @@ fun budget ->
-    let inst = or_die_input (load_instance ?max_errors:c.max_errors spec) in
+    let inst = or_die_input (Runner.load_instance ?max_errors:c.max_errors spec) in
     let style = or_die (style_of_flow flow) in
     let cache = open_cache cache_o in
     let key =
@@ -455,7 +416,7 @@ let run_cmd =
 let compare_cmd =
   let run c spec width =
     with_common c @@ fun _budget ->
-    let inst = or_die_input (load_instance ?max_errors:c.max_errors spec) in
+    let inst = or_die_input (Runner.load_instance ?max_errors:c.max_errors spec) in
     let c = Report.compare_instance ~width inst in
     Format.printf "=== traditional ===@.%a@.@.=== testable ===@.%a@.@.reduction: %.2f%%@."
       Flow.pp_result c.Report.traditional Flow.pp_result c.Report.testable
@@ -527,7 +488,7 @@ let rtl_cmd =
   in
   let run c spec width flow bist wrapper verify narrow check cache_o =
     with_common c @@ fun budget ->
-    let inst = or_die_input (load_instance ?max_errors:c.max_errors spec) in
+    let inst = or_die_input (Runner.load_instance ?max_errors:c.max_errors spec) in
     let style = or_die (style_of_flow flow) in
     let bist = bist || wrapper in
     if narrow && bist then
@@ -637,7 +598,7 @@ let dot_cmd =
   in
   let run c spec width flow what =
     with_common c @@ fun budget ->
-    let inst = or_die_input (load_instance ?max_errors:c.max_errors spec) in
+    let inst = or_die_input (Runner.load_instance ?max_errors:c.max_errors spec) in
     match what with
     | "dfg" -> print_endline (Dot.of_dfg inst.B.dfg)
     | "datapath" ->
@@ -658,7 +619,7 @@ let coverage_cmd =
   in
   let run c spec width flow patterns =
     with_common c @@ fun budget ->
-    let inst = or_die_input (load_instance ?max_errors:c.max_errors spec) in
+    let inst = or_die_input (Runner.load_instance ?max_errors:c.max_errors spec) in
     let style = or_die (style_of_flow flow) in
     let r = Flow.run ~budget ~width ~style inst.B.dfg inst.B.massign ~policy:inst.B.policy in
     let rep = Bist_sim.run ~budget ~width ~pattern_count:patterns r.Flow.datapath r.Flow.bist in
@@ -678,7 +639,7 @@ let vcd_cmd =
   in
   let run c spec width flow sets =
     with_common c @@ fun budget ->
-    let inst = or_die_input (load_instance ?max_errors:c.max_errors spec) in
+    let inst = or_die_input (Runner.load_instance ?max_errors:c.max_errors spec) in
     let style = or_die (style_of_flow flow) in
     let r = Flow.run ~budget ~width ~style inst.B.dfg inst.B.massign ~policy:inst.B.policy in
     let used =
@@ -727,7 +688,7 @@ let tb_cmd =
   in
   let run c spec width flow count seed =
     with_common c @@ fun budget ->
-    let inst = or_die_input (load_instance ?max_errors:c.max_errors spec) in
+    let inst = or_die_input (Runner.load_instance ?max_errors:c.max_errors spec) in
     let style = or_die (style_of_flow flow) in
     let r = Flow.run ~budget ~width ~style inst.B.dfg inst.B.massign ~policy:inst.B.policy in
     let rng = Bistpath_util.Prng.create seed in
@@ -749,7 +710,7 @@ let tb_cmd =
 let area_cmd =
   let run c spec width flow =
     with_common c @@ fun budget ->
-    let inst = or_die_input (load_instance ?max_errors:c.max_errors spec) in
+    let inst = or_die_input (Runner.load_instance ?max_errors:c.max_errors spec) in
     let style = or_die (style_of_flow flow) in
     let r = Flow.run ~budget ~width ~style inst.B.dfg inst.B.massign ~policy:inst.B.policy in
     let m = Bistpath_datapath.Area.default in
@@ -776,7 +737,7 @@ let area_cmd =
 let pareto_cmd =
   let run c spec width flow cache_o =
     with_common c @@ fun budget ->
-    let inst = or_die_input (load_instance ?max_errors:c.max_errors spec) in
+    let inst = or_die_input (Runner.load_instance ?max_errors:c.max_errors spec) in
     let style = or_die (style_of_flow flow) in
     let cache = open_cache cache_o in
     let key =
@@ -876,7 +837,7 @@ let check_cmd =
       | Some s -> s
       | None -> or_die (Error "missing DFG argument (or pass --list-rules)")
     in
-    let inst = or_die_input (load_instance ?max_errors:c.max_errors spec) in
+    let inst = or_die_input (Runner.load_instance ?max_errors:c.max_errors spec) in
     let suppress =
       List.filter_map
         (fun s ->
@@ -976,7 +937,7 @@ let analyze_cmd =
   in
   let run c spec width flow format assumes_raw =
     with_common c @@ fun budget ->
-    let inst = or_die_input (load_instance ?max_errors:c.max_errors spec) in
+    let inst = or_die_input (Runner.load_instance ?max_errors:c.max_errors spec) in
     (match format with
     | "text" | "json" | "sarif" -> ()
     | s -> or_die (Error (Printf.sprintf "unknown format %S (use text, json or sarif)" s)));
@@ -1181,7 +1142,7 @@ let verify_cmd =
   let run c spec width flow vectors format rtl_file bist_f sessions_f golden
       update_golden =
     with_common c @@ fun budget ->
-    let inst = or_die_input (load_instance ?max_errors:c.max_errors spec) in
+    let inst = or_die_input (Runner.load_instance ?max_errors:c.max_errors spec) in
     (match format with
     | "text" | "json" -> ()
     | s -> or_die (Error (Printf.sprintf "unknown format %S (use text or json)" s)));
@@ -1370,7 +1331,7 @@ let atpg_cmd =
   in
   let run c spec width max_backtracks =
     with_common c @@ fun budget ->
-    let inst = or_die_input (load_instance ?max_errors:c.max_errors spec) in
+    let inst = or_die_input (Runner.load_instance ?max_errors:c.max_errors spec) in
     List.iter
       (fun (u : Massign.hw) ->
         let circuit =
@@ -1403,7 +1364,7 @@ let atpg_cmd =
 let export_cmd =
   let run c spec =
     with_common c @@ fun _budget ->
-    let inst = or_die_input (load_instance ?max_errors:c.max_errors spec) in
+    let inst = or_die_input (Runner.load_instance ?max_errors:c.max_errors spec) in
     print_string (Parser.to_string inst.B.dfg)
   in
   let doc = "Print a design in the textual DFG format (re-loadable by every command)." in

@@ -314,13 +314,11 @@ let bist005 ctx =
     List.map (fun (r : Datapath.reg) -> (r.Datapath.rid, r.Datapath.vars)) ctx.datapath.Datapath.regs
   in
   List.concat_map
-    (fun mid ->
+    (fun (verdict : Cbilbo_rules.verdict) ->
+      let mid = verdict.Cbilbo_rules.mid in
       if Ipath.embeddings ~transparency:ctx.transparency ctx.datapath mid = [] then []
       else
-        let predicted =
-          Cbilbo_rules.forced
-            (Cbilbo_rules.check_module sctx ctx.massign ctx.dfg ~mid ~classes)
-        in
+        let predicted = Cbilbo_rules.forced verdict in
         let ground =
           Ipath.cbilbo_unavoidable ~transparency:ctx.transparency ctx.datapath mid
         in
@@ -343,7 +341,7 @@ let bist005 ctx =
               "every embedding needs a CBILBO but Lemma 1/2 did not predict it (known \
                ~90%%-recall escape)" ]
         else [])
-    (Sharing.units sctx)
+    (Cbilbo_rules.verdicts sctx ~classes)
 
 (* BIST006: two units in the same test session with conflicting duties —
    shared SA, or generate-for-one/compact-for-another on a non-CBILBO. *)

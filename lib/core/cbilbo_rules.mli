@@ -29,33 +29,54 @@ type verdict = {
 }
 
 val check_module :
-  Sharing.ctx ->
-  Bistpath_dfg.Massign.t ->
-  Bistpath_dfg.Dfg.t ->
-  mid:string ->
-  classes:(string * string list) list ->
-  verdict
+  Sharing.ctx -> mid:string -> classes:(string * string list) list -> verdict
 (** Evaluate Lemma 2 for one module against a (possibly partial) register
-    assignment given as register-id/variable-list classes. *)
+    assignment given as register-id/variable-list classes. The classes
+    must be disjoint; names outside the design are ignored. *)
+
+val verdicts : Sharing.ctx -> classes:(string * string list) list -> verdict list
+(** {!check_module} for every unit, in {!Sharing.units} order, counting
+    the classes once. *)
 
 val forced : verdict -> bool
 (** Does the verdict force a CBILBO for this module? *)
 
-val any_forced :
-  Sharing.ctx ->
-  Bistpath_dfg.Massign.t ->
-  Bistpath_dfg.Dfg.t ->
-  classes:(string * string list) list ->
-  bool
+val any_forced : Sharing.ctx -> classes:(string * string list) list -> bool
 (** Does any module end up with a forced CBILBO under this assignment? *)
 
-val min_cbilbo_count :
-  Sharing.ctx ->
-  Bistpath_dfg.Massign.t ->
-  Bistpath_dfg.Dfg.t ->
-  classes:(string * string list) list ->
-  int
+val min_cbilbo_count : Sharing.ctx -> classes:(string * string list) list -> int
 (** Lower bound on CBILBOs implied by the lemma: number of modules with a
     forced verdict, collapsed by shared registers (one CBILBO register
     can cover several modules' forced situations when the same register
-    triggers each of them). *)
+    triggers each of them). The cover commits, at each step, the register
+    offered by the most remaining modules, the first in string order
+    ("R10" < "R2") on a tie. *)
+
+(** {1 Live counters}
+
+    The same lemma over a register assignment that grows one variable at
+    a time, as the testable allocator builds it. Each register keeps,
+    per unit, how many of O_M it holds and how many instances it
+    covers; a verdict reads only those counts. Registers are numbered
+    in opening order. *)
+
+type t
+
+val create : Sharing.ctx -> t
+(** No registers yet. *)
+
+val open_register : t -> string -> unit
+(** Append an empty register with the given id. *)
+
+val add : t -> int -> int -> unit
+(** [add t i v] puts variable index [v] ({!Sharing.var_index}) into
+    register [i]. The variable must not already be in a register. *)
+
+val min_count : t -> int
+(** {!min_cbilbo_count} of the current assignment. The per-module
+    verdicts are kept until the next {!open_register} or {!add}. *)
+
+val min_count_with : t -> int -> int -> int
+(** [min_count_with t i v] is {!min_count} as if [add t i v] had been
+    done, without doing it: only the modules reading or writing [v] are
+    re-judged. *)

@@ -32,10 +32,9 @@ type result = {
   overhead_percent : float;
 }
 
-(* One sharing context and a memo per flow run: the interconnect
-   optimizer queries the weight many times per register. *)
-let sd_weight dfg massign regalloc =
-  let ctx = Sharing.make dfg massign in
+(* A memo per flow run: the interconnect optimizer queries the weight
+   many times per register. *)
+let sd_weight ctx regalloc =
   let cache = Hashtbl.create 8 in
   fun rid ->
     match Hashtbl.find_opt cache rid with
@@ -398,6 +397,9 @@ let run ?(model = Area.default) ?(width = 8) ?(io_penalty_percent = 100)
      identity everything downstream chains from. Only derived when a
      store is attached — uncached runs never pay for the rendering. *)
   let spec_h = Option.map (fun _ -> spec_hash dfg massign ~policy) cache in
+  (* The design's indexed view, shared by regalloc and the interconnect
+     weight; built at most once, and not at all when both stages hit. *)
+  let sharing = lazy (Sharing.make dfg massign) in
   let regalloc, alloc_h =
     Telemetry.with_span "regalloc" @@ fun () ->
     let key =
@@ -446,7 +448,9 @@ let run ?(model = Area.default) ?(width = 8) ?(io_penalty_percent = 100)
         match style with
         | Traditional -> Traditional_alloc.allocate dfg ~policy
         | Testable options ->
-          fst (Testable_alloc.allocate ~options dfg massign ~policy))
+          fst
+            (Testable_alloc.allocate ~options ~sharing:(Lazy.force sharing) dfg massign
+               ~policy))
   in
   let datapath, ic_h =
     Telemetry.with_span "interconnect" @@ fun () ->
@@ -475,7 +479,7 @@ let run ?(model = Area.default) ?(width = 8) ?(io_penalty_percent = 100)
         let objective =
           match style with
           | Traditional -> { Interconnect.weight = (fun _ -> 0) }
-          | Testable _ -> { Interconnect.weight = sd_weight dfg massign regalloc }
+          | Testable _ -> { Interconnect.weight = sd_weight (Lazy.force sharing) regalloc }
         in
         Interconnect.optimize dfg massign regalloc ~policy ~objective)
   in

@@ -4,8 +4,10 @@ module Massign = Bistpath_dfg.Massign
 module Ugraph = Bistpath_graphs.Ugraph
 module Clique_partition = Bistpath_graphs.Clique_partition
 module Listx = Bistpath_util.Listx
+module Telemetry = Bistpath_telemetry.Telemetry
 
 let single_function dfg =
+  Telemetry.with_span "massign" @@ fun () ->
   let ops = Array.of_list dfg.Dfg.ops in
   let n = Array.length ops in
   let compatible i j =

@@ -1,7 +1,6 @@
 module Dfg = Bistpath_dfg.Dfg
 module Lifetime = Bistpath_dfg.Lifetime
 module Massign = Bistpath_dfg.Massign
-module Sset = Bistpath_dfg.Dfg.Sset
 module Interval = Bistpath_graphs.Interval
 module Regalloc = Bistpath_datapath.Regalloc
 module Datapath = Bistpath_datapath.Datapath
@@ -21,12 +20,8 @@ type result = {
    of the same unit: after binding, a path register -> unit -> register
    exists. *)
 let self_adjacent_vars ctx vars =
-  List.exists
-    (fun m ->
-      let vs = Sset.of_list vars in
-      (not (Sset.is_empty (Sset.inter vs (Sharing.in_set ctx m))))
-      && not (Sset.is_empty (Sset.inter vs (Sharing.out_set ctx m))))
-    (Sharing.units ctx)
+  let ins, outs = Sharing.masks ctx vars in
+  ins land outs <> 0
 
 let allocate dfg massign ~policy =
   let ctx = Sharing.make dfg massign in

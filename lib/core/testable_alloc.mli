@@ -27,10 +27,18 @@ type trace_step = {
 
 val allocate :
   ?options:options ->
+  ?sharing:Sharing.ctx ->
   Bistpath_dfg.Dfg.t ->
   Bistpath_dfg.Massign.t ->
   policy:Bistpath_dfg.Policy.t ->
   Bistpath_datapath.Regalloc.t * trace_step list
 (** The assignment plus a decision trace (used to regenerate the paper's
     Section III walkthrough). Registers are named in creation order
-    R1..Rk. Deterministic. *)
+    R1..Rk. Deterministic. [sharing] is the design's indexed view when
+    the caller already built it ({!Sharing.make} of the same DFG and
+    module assignment).
+
+    Each register keeps its unit masks and its Lemma-2 counters
+    ({!Cbilbo_rules.t}) up to date, so a step costs one Lemma-2 baseline
+    plus, per candidate register, a re-judgement of the modules the
+    variable touches; sharing degrees and affinities are popcounts. *)

@@ -17,12 +17,14 @@ val mcs_order : Ugraph.t -> int list
 
 val is_chordal : Ugraph.t -> bool
 
-val peo_with_preference : Ugraph.t -> prefer:(int -> int -> int) -> int list
+val peo_with_preference : Ugraph.t -> key:(int -> 'k) -> int list
 (** A PEO built by repeatedly eliminating, among the currently simplicial
-    vertices, the one preferred by the comparison [prefer] (smaller =
-    chosen first, ties broken by vertex id). This is the paper's
-    structured PVES selection (Section III.A.1). Raises [Failure] if the
-    graph is not chordal (no simplicial vertex at some step). *)
+    vertices, the one with the smallest [key] (by [compare]; ties broken
+    by vertex id). This is the paper's structured PVES selection (Section
+    III.A.1). Each key is computed once and only the neighbours of an
+    eliminated vertex are rechecked, so a graph with n vertices and
+    maximum degree d takes O(n d^3) time. Raises [Failure] if the graph
+    is not chordal (no simplicial vertex at some step). *)
 
 val maximal_cliques : Ugraph.t -> Ugraph.Iset.t list
 (** All maximal cliques of a chordal graph, each exactly once, via a PEO.

@@ -16,9 +16,9 @@ module Check = Bistpath_check.Check
 
 type error = Invalid_input of string list | Check_findings of string list
 
-(* Mirrors the CLI's load_instance: benchmark tag, .beh program or
-   textual DFG file, with accumulated diagnostics. *)
-let load_instance spec =
+(* Benchmark tag, .beh program or textual DFG file, with accumulated
+   diagnostics (capped at [max_errors]) pre-rendered as lines. *)
+let load_instance ?max_errors spec =
   match B.by_tag spec with
   | Some inst -> Ok inst
   | None ->
@@ -30,17 +30,18 @@ let load_instance spec =
       let locate d = { d with Diagnostic.file = Some spec } in
       let render ds = List.map (fun d -> Diagnostic.to_string (locate d)) ds in
       if Filename.check_suffix spec ".beh" then
+        (* behavioural program: compile, schedule as soon as possible *)
         let text = In_channel.with_open_text spec In_channel.input_all in
         let name = Filename.remove_extension (Filename.basename spec) in
-        match Frontend.compile_diags ~name text with
+        match Frontend.compile_diags ~name ?max_errors text with
         | Ok dfg -> Ok (instance_of_dfg dfg)
         | Error ds -> Error (render ds)
       else begin
-        let u, diags = Parser.parse_file_diags spec in
+        let u, diags = Parser.parse_file_diags ?max_errors spec in
         if List.exists (fun (d : Diagnostic.t) -> d.severity = Diagnostic.Error) diags
         then Error (List.map Diagnostic.to_string diags)
         else
-          match Parser.to_dfg_diags u with
+          match Parser.to_dfg_diags ?max_errors u with
           | Ok dfg -> Ok (instance_of_dfg dfg)
           | Error ds -> Error (render ds)
       end

@@ -28,6 +28,15 @@
 
 type error = Invalid_input of string list | Check_findings of string list
 
+val load_instance :
+  ?max_errors:int -> string -> (Bistpath_benchmarks.Benchmarks.instance, string list) result
+(** The one spec loader of the CLI and the service: a benchmark tag, a
+    [.beh] behavioural program (compiled and scheduled as soon as
+    possible) or a textual DFG file. A file's operations get a
+    single-function module assignment ({!Bistpath_core.Module_assign}).
+    [Error] carries every diagnostic, at most [max_errors] of them,
+    rendered one per line; an unknown tag lists the known ones. *)
+
 val execute :
   ?cache:Bistpath_cache.Store.t ->
   budget:Bistpath_resilience.Budget.t ->

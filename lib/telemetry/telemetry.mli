@@ -189,6 +189,9 @@
 
     Span names emitted by [Flow.run]: a root [flow] span containing
     [regalloc], [interconnect], [bist_alloc] and [sessions], one each.
+    [Module_assign.single_function] emits a [massign] span: the
+    clique-partition module assignment of a DFG file or behavioural
+    program, run while the design loads, before any [flow] span.
 
     {1 Domain safety}
 

@@ -79,13 +79,13 @@ let is_peo_checks () =
 let peo_preference_respected () =
   (* path 0-1-2: both 0 and 2 simplicial; preference by descending id
      should eliminate 2 first. *)
-  let peo = Chordal.peo_with_preference path3 ~prefer:(fun u v -> compare v u) in
+  let peo = Chordal.peo_with_preference path3 ~key:(fun v -> -v) in
   check (Alcotest.list Alcotest.int) "highest id first" [ 2; 1; 0 ] peo
 
 let peo_nonchordal_fails () =
   Alcotest.check_raises "C4 has no simplicial vertex"
     (Failure "Chordal.peo_with_preference: graph is not chordal") (fun () ->
-      ignore (Chordal.peo_with_preference c4 ~prefer:compare))
+      ignore (Chordal.peo_with_preference c4 ~key:Fun.id))
 
 let maximal_cliques_triangle () =
   let cliques = Chordal.maximal_cliques triangle in
@@ -126,7 +126,7 @@ let prop_peo_preference_valid =
     QCheck.(pair (int_bound 1000) (int_range 1 25))
     (fun (seed, n) ->
       let g = random_interval_graph seed n in
-      Chordal.is_peo g (Chordal.peo_with_preference g ~prefer:compare))
+      Chordal.is_peo g (Chordal.peo_with_preference g ~key:Fun.id))
 
 let prop_cliques_are_maximal_cliques =
   QCheck.Test.make ~name:"maximal_cliques returns maximal cliques" ~count:60
@@ -169,7 +169,7 @@ let prop_reverse_peo_coloring_minimum =
     QCheck.(pair (int_bound 1000) (int_range 1 20))
     (fun (seed, n) ->
       let g = random_interval_graph seed n in
-      let order = List.rev (Chordal.peo_with_preference g ~prefer:compare) in
+      let order = List.rev (Chordal.peo_with_preference g ~key:Fun.id) in
       let coloring = Coloring.first_fit g order in
       Coloring.is_proper g coloring
       && Coloring.num_colors coloring = Chordal.clique_number g)
