@@ -40,4 +40,5 @@ let () =
       ("absint", Test_absint.suite);
       ("regalloc", Test_regalloc_trace.suite);
       ("incremental", Test_incremental.suite);
+      ("gate-trace", Test_gatelevel_trace.suite);
     ]

@@ -102,19 +102,18 @@ let fixture = Filename.concat "fixtures" "regalloc_trace.tsv"
 
 (* Compare line by line so a failure names the first decision that
    moved, not a megabyte-long string. *)
+let rec first_diff i = function
+  | e :: es, a :: as_ ->
+    if String.equal e a then first_diff (i + 1) (es, as_)
+    else Alcotest.failf "line %d: expected %S, got %S" i e a
+  | [], [] -> ()
+  | e :: _, [] -> Alcotest.failf "line %d: expected %S, got end of output" i e
+  | [], a :: _ -> Alcotest.failf "line %d: unexpected %S" i a
+
 let reproduces_fixture () =
   let expected =
     In_channel.with_open_text fixture In_channel.input_all |> String.split_on_char '\n'
   in
-  let actual = render () |> String.split_on_char '\n' in
-  let rec first_diff i = function
-    | e :: es, a :: as_ ->
-      if String.equal e a then first_diff (i + 1) (es, as_)
-      else Alcotest.failf "line %d: expected %S, got %S" i e a
-    | [], [] -> ()
-    | e :: _, [] -> Alcotest.failf "line %d: expected %S, got end of output" i e
-    | [], a :: _ -> Alcotest.failf "line %d: unexpected %S" i a
-  in
-  first_diff 1 (expected, actual)
+  first_diff 1 (expected, render () |> String.split_on_char '\n')
 
 let suite = [ Alcotest.test_case "fixture reproduces" `Quick reproduces_fixture ]
