@@ -1,5 +1,5 @@
 (* Benchmark regression gate: diffs fresh BENCH_telemetry.json /
-   BENCH_parallel.json / BENCH_service.json runs against a committed
+   BENCH_service.json / BENCH_cache.json runs against a committed
    baseline and fails loudly (exit 1) when a wall-time entry regressed
    beyond tolerance.
 
@@ -16,22 +16,20 @@
 module Json = Bistpath_util.Json
 
 let telemetry_file = "BENCH_telemetry.json"
-let parallel_file = "BENCH_parallel.json"
 let service_file = "BENCH_service.json"
 let cache_file = "BENCH_cache.json"
 
 let usage () =
   prerr_endline
     "usage: compare [--baseline FILE] [--update] [--tolerance PCT] [--min-ns NS]\n\
-    \               [--jobs N] [--absolute] [--dir DIR]\n\n\
-     Compares BENCH_telemetry.json, BENCH_parallel.json,\n\
-     BENCH_service.json and BENCH_cache.json (in DIR, default .)\n\
+    \               [--absolute] [--dir DIR]\n\n\
+     Compares BENCH_telemetry.json, BENCH_service.json and\n\
+     BENCH_cache.json (in DIR, default .)\n\
      against the baseline (default BENCH_baseline.json).\n\n\
     \  --update      write the baseline from the current BENCH files and exit\n\
     \  --tolerance   allowed slowdown per entry, percent (default 25)\n\
     \  --min-ns      ignore entries whose baseline is below this floor\n\
     \                (default 10000 ns: sub-10us spans are scheduler noise)\n\
-    \  --jobs        only compare telemetry entries recorded at this pool width\n\
     \  --absolute    skip median-ratio machine calibration\n";
   exit 2
 
@@ -46,46 +44,22 @@ let read_json path =
 
 let mem_num name obj = Option.bind (Json.member name obj) Json.to_num
 let mem_str name obj = Option.bind (Json.member name obj) Json.to_str
-let mem_int name obj = Option.bind (Json.member name obj) Json.to_int
 
 (* --- entry extraction: (key, ns) per BENCH record ------------------ *)
 
 (* Span names repeat across benches (and nest), so the telemetry key is
    bench-qualified; duplicate keys within one file sum, keeping the key
    space stable however the span tree is shaped. *)
-let telemetry_entries ~jobs json =
+let telemetry_entries json =
   match Json.to_list json with
   | None -> fail "%s: expected a top-level array" telemetry_file
   | Some records ->
     List.filter_map
       (fun r ->
         match (mem_str "bench" r, mem_str "stage" r, mem_num "ns" r) with
-        | Some bench, Some stage, Some ns ->
-          let keep =
-            match jobs with None -> true | Some j -> mem_int "jobs" r = Some j
-          in
-          if keep && ns >= 0.0 then
-            Some (Printf.sprintf "telemetry/%s/%s" bench stage, ns)
-          else None
+        | Some bench, Some stage, Some ns when ns >= 0.0 ->
+          Some (Printf.sprintf "telemetry/%s/%s" bench stage, ns)
         | _ -> None)
-      records
-
-let parallel_entries json =
-  match Json.to_list json with
-  | None -> fail "%s: expected a top-level array" parallel_file
-  | Some records ->
-    List.concat_map
-      (fun r ->
-        match (mem_str "stage" r, mem_str "bench" r) with
-        | Some stage, Some bench ->
-          let entry side name =
-            match mem_num name r with
-            | Some ns when ns >= 0.0 ->
-              [ (Printf.sprintf "parallel/%s/%s/%s" stage bench side, ns) ]
-            | _ -> []
-          in
-          entry "seq" "seq_ns" @ entry "par" "par_ns"
-        | _ -> [])
       records
 
 let service_entries json =
@@ -122,11 +96,10 @@ let cache_entries json =
         | None -> [])
       records
 
-let collect_entries ~dir ~jobs =
+let collect_entries ~dir =
   let in_dir f = Filename.concat dir f in
   let all =
-    telemetry_entries ~jobs (read_json (in_dir telemetry_file))
-    @ parallel_entries (read_json (in_dir parallel_file))
+    telemetry_entries (read_json (in_dir telemetry_file))
     @ service_entries (read_json (in_dir service_file))
     @ cache_entries (read_json (in_dir cache_file))
   in
@@ -144,16 +117,11 @@ let collect_entries ~dir ~jobs =
 
 (* --- baseline I/O --------------------------------------------------- *)
 
-let write_baseline path ~jobs entries =
+let write_baseline path entries =
   let fields =
     List.map (fun (k, ns) -> (k, Json.Num (Float.round ns))) entries
   in
-  let doc =
-    Json.Obj
-      [ ("jobs", Json.Num (float_of_int (Option.value jobs ~default:0)));
-        ("entries", Json.Obj fields);
-      ]
-  in
+  let doc = Json.Obj [ ("entries", Json.Obj fields) ] in
   Bistpath_util.Atomic_io.write_file path (Json.to_string doc ^ "\n");
   Printf.printf "compare: wrote %s (%d entries)\n" path (List.length fields)
 
@@ -162,7 +130,7 @@ let read_baseline path =
   match Option.bind (Json.member "entries" json) (fun e ->
       match e with Json.Obj fields -> Some fields | _ -> None)
   with
-  | None -> fail "%s: expected {\"jobs\":N,\"entries\":{...}}" path
+  | None -> fail "%s: expected {\"entries\":{...}}" path
   | Some fields ->
     List.filter_map
       (fun (k, v) -> match Json.to_num v with Some ns -> Some (k, ns) | None -> None)
@@ -183,7 +151,6 @@ let () =
   let dir = ref "." in
   let tolerance = ref 25.0 in
   let min_ns = ref 10_000.0 in
-  let jobs = ref None in
   let absolute = ref false in
   let update = ref false in
   let rec parse_args = function
@@ -206,12 +173,6 @@ let () =
         min_ns := t;
         parse_args rest
       | _ -> fail "--min-ns %s: expected a non-negative number" v)
-    | "--jobs" :: v :: rest -> (
-      match int_of_string_opt v with
-      | Some n when n >= 1 ->
-        jobs := Some n;
-        parse_args rest
-      | _ -> fail "--jobs %s: expected a positive integer" v)
     | "--absolute" :: rest ->
       absolute := true;
       parse_args rest
@@ -222,9 +183,9 @@ let () =
     | a :: _ -> fail "unknown argument %s (try --help)" a
   in
   parse_args (List.tl (Array.to_list Sys.argv));
-  let current = collect_entries ~dir:!dir ~jobs:!jobs in
+  let current = collect_entries ~dir:!dir in
   if current = [] then fail "no comparable entries found in the BENCH files";
-  if !update then write_baseline !baseline_path ~jobs:!jobs current
+  if !update then write_baseline !baseline_path current
   else begin
     let base = read_baseline !baseline_path in
     let base_tbl = Hashtbl.create 64 in

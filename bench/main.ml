@@ -9,8 +9,6 @@ module Testable_alloc = Bistpath_core.Testable_alloc
 module Report = Bistpath_report.Report
 module Bist_sim = Bistpath_gatelevel.Bist_sim
 module Telemetry = Bistpath_telemetry.Telemetry
-module Pool = Bistpath_parallel.Pool
-module Par = Bistpath_parallel.Par
 module Absint = Bistpath_absint.Absint
 module Control = Bistpath_datapath.Control
 module Runner = Bistpath_service.Runner
@@ -21,11 +19,7 @@ let section title body =
   Printf.printf "================================================================\n\n";
   print_endline body
 
-(* Runs inside a [run_reports] pool task; the parallelism budget is
-   already spent on the concurrent report sections, so the inner fault
-   grading stays sequential rather than flooding the pool further. *)
 let coverage_section () =
-  let seq = Pool.create ~jobs:1 () in
   List.map
     (fun tag ->
       match B.by_tag tag with
@@ -36,16 +30,13 @@ let coverage_section () =
             inst.B.massign ~policy:inst.B.policy
         in
         let rep =
-          Bist_sim.run ~width:8 ~pattern_count:255 ~pool:seq r.Flow.datapath
-            r.Flow.bist
+          Bist_sim.run ~width:8 ~pattern_count:255 r.Flow.datapath r.Flow.bist
         in
         Format.asprintf "%s:@.%a@.@." tag Bist_sim.pp rep)
     [ "ex1"; "Paulin" ]
   |> String.concat ""
 
 let run_reports () =
-  (* Section bodies are pure strings over independent instances; build
-     them concurrently on the shared pool and print in page order. *)
   let sections =
     [
       ( "Table I (paper: 30-46% BIST-area reduction, same register counts)",
@@ -70,8 +61,7 @@ let run_reports () =
         fun () -> coverage_section () );
     ]
   in
-  Par.map_list ~chunk:1 (fun (title, body) -> (title, body ())) sections
-  |> List.iter (fun (title, body) -> section title body)
+  List.iter (fun (title, body) -> section title (body ())) sections
 
 (* --- per-stage telemetry ------------------------------------------ *)
 
@@ -108,10 +98,9 @@ let telemetry_section () =
             if Buffer.length records > 0 then Buffer.add_string records ",\n";
             Buffer.add_string records
               (Printf.sprintf
-                 "{\"bench\":\"%s\",\"stage\":\"%s\",\"jobs\":%d,\"ns\":%Ld,\"counters\":{%s}}"
+                 "{\"bench\":\"%s\",\"stage\":\"%s\",\"ns\":%Ld,\"counters\":{%s}}"
                  (Telemetry.json_escape tag)
                  (Telemetry.json_escape s.Telemetry.name)
-                 (Pool.configured_jobs ())
                  s.Telemetry.dur_ns
                  (String.concat ","
                     (List.map
@@ -124,77 +113,6 @@ let telemetry_section () =
   Telemetry.write_file "BENCH_telemetry.json"
     ("[\n" ^ Buffer.contents records ^ "\n]\n");
   print_endline "(wrote BENCH_telemetry.json)"
-
-(* --- sequential vs parallel wall time ----------------------------- *)
-
-(* Times the parallelized hot paths at jobs=1 against a multi-domain
-   pool on fixed workloads and records the ratio, so the perf
-   trajectory shows what the engine buys on this machine. Stages where
-   the pool cannot help (a single core) honestly report speedup <= 1. *)
-let parallel_section () =
-  Printf.printf "\n================================================================\n";
-  Printf.printf "Parallel engine: sequential vs parallel wall time per stage\n";
-  Printf.printf "================================================================\n\n";
-  let par_jobs =
-    match Pool.configured_jobs () with 1 -> 4 | n -> n
-  in
-  let seq_pool = Pool.create ~jobs:1 () in
-  let par_pool = Pool.create ~jobs:par_jobs () in
-  let time f =
-    (* one warmup, then best of three *)
-    ignore (f ());
-    let best = ref Int64.max_int in
-    for _ = 1 to 3 do
-      let t0 = Monotonic_clock.now () in
-      ignore (f ());
-      let dt = Int64.sub (Monotonic_clock.now ()) t0 in
-      if dt < !best then best := dt
-    done;
-    !best
-  in
-  let mult = Bistpath_gatelevel.Library.array_multiplier ~width:4 in
-  let mult_faults = Bistpath_gatelevel.Fault.collapsed mult in
-  let rng = Bistpath_util.Prng.create 7 in
-  let patterns =
-    Bistpath_gatelevel.Fault_sim.random_operand_patterns rng ~width:4 ~count:1024
-  in
-  let paulin = match B.by_tag "Paulin" with Some i -> i | None -> assert false in
-  let paulin_dp =
-    (Flow.run ~style:(Flow.Testable Testable_alloc.default_options) paulin.B.dfg
-       paulin.B.massign ~policy:paulin.B.policy)
-      .Flow.datapath
-  in
-  let stages =
-    [
-      ( "fault_sim", "multiplier-w4",
-        fun pool ->
-          ignore
-            (Bistpath_gatelevel.Fault_sim.run_operand_patterns ~pool mult ~width:4
-               ~faults:mult_faults ~patterns) );
-      ( "podem", "multiplier-w4",
-        fun pool -> ignore (Bistpath_gatelevel.Podem.classify_all ~pool mult) );
-      ( "pareto", "Paulin",
-        fun pool -> ignore (Bistpath_bist.Pareto.explore ~pool paulin_dp) );
-    ]
-  in
-  let records =
-    List.map
-      (fun (stage, bench, f) ->
-        let seq_ns = time (fun () -> f seq_pool) in
-        let par_ns = time (fun () -> f par_pool) in
-        let speedup = Int64.to_float seq_ns /. Int64.to_float (Int64.max 1L par_ns) in
-        Printf.printf "  %-10s %-15s seq %10Ld ns   par(j=%d) %10Ld ns   speedup %.2fx\n"
-          stage bench seq_ns par_jobs par_ns speedup;
-        Printf.sprintf
-          "{\"stage\":\"%s\",\"bench\":\"%s\",\"jobs\":%d,\"seq_ns\":%Ld,\"par_ns\":%Ld,\"speedup\":%.3f}"
-          stage bench par_jobs seq_ns par_ns speedup)
-      stages
-  in
-  Pool.shutdown par_pool;
-  Bistpath_resilience.Inject.fire_sys_error "telemetry.write";
-  Telemetry.write_file "BENCH_parallel.json"
-    ("[\n" ^ String.concat ",\n" records ^ "\n]\n");
-  print_endline "\n(wrote BENCH_parallel.json)"
 
 (* --- service mode: supervised batch throughput -------------------- *)
 
@@ -596,7 +514,6 @@ let benchmark () =
 let () =
   run_reports ();
   telemetry_section ();
-  parallel_section ();
   service_section ();
   cache_section ();
   absint_section ();

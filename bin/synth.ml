@@ -117,7 +117,7 @@ let nonneg_int_of ~flag ~default = function
     | Some v when v >= 0 -> v
     | _ -> invalid_flag flag s "a non-negative integer")
 
-(* --- telemetry, parallelism and budget flags (every subcommand) ---- *)
+(* --- telemetry and budget flags (every subcommand) ----------------- *)
 
 let stats_arg =
   let doc =
@@ -136,19 +136,10 @@ let trace_dir_arg =
   let doc =
     "Write Chrome trace-event files into $(docv) (created if missing): \
      $(docv)/synth.trace.json for this run, plus — under $(b,serve) — \
-     one <id>.trace.json per job. Traces include per-worker pool lanes \
+     one <id>.trace.json per job. Traces include per-worker fleet lanes \
      and counter tracks (queue depth, busy workers) for Perfetto."
   in
   Arg.(value & opt (some string) None & info [ "trace-dir" ] ~docv:"DIR" ~doc)
-
-let jobs_arg =
-  let doc =
-    "Worker domains for the parallel stages (fault simulation, PODEM, \
-     Pareto exploration). Defaults to $(b,BISTPATH_JOBS) or the \
-     machine's core count; $(docv)=1 runs the exact sequential code \
-     path. Results are bit-identical at every value."
-  in
-  Arg.(value & opt (some string) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 let timeout_arg =
   let doc =
@@ -162,8 +153,7 @@ let leaf_budget_arg =
   let doc =
     "Stop after evaluating $(docv) enumeration leaves (anytime mode). \
      Like $(b,--timeout), a tripped budget prints best-so-far results \
-     and exits 3; unlike it, the truncation point is deterministic and \
-     independent of $(b,--jobs)."
+     and exits 3; unlike it, the truncation point is deterministic."
   in
   Arg.(value & opt (some string) None & info [ "leaf-budget" ] ~docv:"N" ~doc)
 
@@ -178,7 +168,6 @@ type common = {
   stats : bool;
   trace : string option;
   trace_dir : string option;
-  jobs : int option;
   timeout : float option;
   leaf_budget : int option;
   max_errors : int option;
@@ -186,18 +175,17 @@ type common = {
 
 let common_term =
   Term.(
-    const (fun stats trace trace_dir jobs timeout leaf_budget max_errors ->
+    const (fun stats trace trace_dir timeout leaf_budget max_errors ->
         {
           stats;
           trace;
           trace_dir;
-          jobs = pos_int_of ~flag:"--jobs" jobs;
           timeout = pos_float_of ~flag:"--timeout" timeout;
           leaf_budget = pos_int_of ~flag:"--leaf-budget" leaf_budget;
           max_errors = pos_int_of ~flag:"--max-errors" max_errors;
         })
-    $ stats_arg $ trace_arg $ trace_dir_arg $ jobs_arg $ timeout_arg
-    $ leaf_budget_arg $ max_errors_arg)
+    $ stats_arg $ trace_arg $ trace_dir_arg $ timeout_arg $ leaf_budget_arg
+    $ max_errors_arg)
 
 (* --- result cache flags (run/rtl/pareto/serve) --------------------- *)
 
@@ -264,7 +252,6 @@ let open_cache ?(default_dir = ".bistpath-cache") co =
    output [f] printed stands as the best-so-far answer and we exit 3
    after the telemetry epilogue. *)
 let with_common c f =
-  Option.iter Bistpath_parallel.Pool.set_jobs c.jobs;
   let budget =
     match (c.timeout, c.leaf_budget) with
     | None, None -> Budget.unlimited

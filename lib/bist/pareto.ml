@@ -47,8 +47,7 @@ let solution_of dp model width embeddings =
   }
 
 let explore_outcome ?(model = Area.default) ?(width = 8) ?(transparency = false)
-    ?(slack_percent = 50) ?(leaf_budget = 20_000) ?pool
-    ?(budget = Budget.unlimited) dp =
+    ?(slack_percent = 50) ?(leaf_budget = 20_000) ?(budget = Budget.unlimited) dp =
   let minimum = Allocator.solve ~model ~width ~transparency ~budget dp in
   let bound = minimum.Allocator.delta_gates * (100 + slack_percent) / 100 in
   let units =
@@ -61,17 +60,12 @@ let explore_outcome ?(model = Area.default) ?(width = 8) ?(transparency = false)
            | es -> Some es)
   in
   (* Enumerating the embedding combinations is cheap (cons cells only);
-     costing a leaf — building the solution and scheduling its sessions —
-     is the hot part, so the leaves are collected first and evaluated on
-     the domain pool. The collected list is in reverse enumeration order,
-     exactly the order the sequential evaluator accumulated results in,
-     so the front below is bit-identical at any pool width. *)
+     the leaves are collected first, in reverse enumeration order, and
+     costed below. Every leaf counts against both the local quota and
+     the shared budget here, so a leaf-budget truncation point depends
+     only on the enumeration. *)
   let chosen_leaves = ref [] in
   let count = ref 0 in
-  (* The enumeration counts every leaf against both the local quota and
-     the shared budget before fan-out, so a leaf-budget truncation is
-     decided here, sequentially — which is what keeps the truncated
-     front identical at every pool width. *)
   let rec enumerate chosen = function
     | [] ->
       incr count;
@@ -93,18 +87,10 @@ let explore_outcome ?(model = Area.default) ?(width = 8) ?(transparency = false)
           sol )
     else None
   in
+  (* Costing polls the budget before each leaf, so a deadline that trips
+     mid-evaluation abandons the remaining leaves. *)
   let leaves =
-    let evaluated =
-      if Budget.is_unlimited budget then
-        Bistpath_parallel.Par.map_list ?pool evaluate !chosen_leaves
-      else
-        (* Under a live budget the chunks poll the token too, so a
-           deadline that trips mid-evaluation abandons queued leaves
-           ([None]) instead of finishing the whole batch. *)
-        Bistpath_parallel.Par.map_list_budget ?pool ~budget evaluate !chosen_leaves
-        |> List.map (function Some r -> r | None -> None)
-    in
-    List.filter_map Fun.id evaluated
+    Budget.map budget evaluate !chosen_leaves |> List.filter_map Option.join
   in
   (* Always include the true minimum (the enumeration may be cut). *)
   let min_point =
@@ -130,10 +116,9 @@ let explore_outcome ?(model = Area.default) ?(width = 8) ?(transparency = false)
     if !count > leaf_budget then Outcome.Degraded (points, Cancel.Leaf_budget leaf_budget)
     else Outcome.Complete points
 
-let explore ?model ?width ?transparency ?slack_percent ?leaf_budget ?pool ?budget dp =
+let explore ?model ?width ?transparency ?slack_percent ?leaf_budget ?budget dp =
   Outcome.value
-    (explore_outcome ?model ?width ?transparency ?slack_percent ?leaf_budget ?pool
-       ?budget dp)
+    (explore_outcome ?model ?width ?transparency ?slack_percent ?leaf_budget ?budget dp)
 
 let pp ppf points =
   Format.fprintf ppf "@[<v>";

@@ -20,7 +20,6 @@ val explore :
   ?transparency:bool ->
   ?slack_percent:int ->
   ?leaf_budget:int ->
-  ?pool:Bistpath_parallel.Pool.t ->
   ?budget:Bistpath_resilience.Budget.t ->
   Bistpath_datapath.Datapath.t ->
   point list
@@ -29,17 +28,16 @@ val explore :
     50) bounds the search to cost <= minimum * (100+slack)/100;
     [leaf_budget] (default 20_000) caps the enumeration. The minimum-
     area solution's cost is always represented. Embedding leaves are
-    costed (solution build + session scheduling) in parallel on the
-    [Bistpath_parallel] pool (the shared pool unless [?pool] is given);
-    the front is assembled in deterministic enumeration order and is
-    bit-identical to the sequential result at any pool width.
+    enumerated first, then costed (solution build + session scheduling)
+    in enumeration order.
 
     [budget] (default {!Bistpath_resilience.Budget.unlimited}) makes the
     exploration anytime: the minimum-area search, the enumeration (one
-    {!Bistpath_resilience.Budget.leaf} per combination, checked before
-    fan-out — so a leaf-budget truncation is still width-independent),
-    leaf costing (budget-aware parallel map; a mid-batch deadline
-    abandons queued leaves) and session scheduling all observe it. The
+    {!Bistpath_resilience.Budget.leaf} per combination, counted before
+    any leaf is costed, so a leaf-budget truncation point is
+    deterministic), leaf costing ({!Bistpath_resilience.Budget.map}; a
+    deadline abandons the remaining leaves) and session scheduling all
+    observe it. The
     front of whatever was evaluated is still returned, with the
     always-included minimum point guaranteeing it is non-empty.
 
@@ -52,7 +50,6 @@ val explore_outcome :
   ?transparency:bool ->
   ?slack_percent:int ->
   ?leaf_budget:int ->
-  ?pool:Bistpath_parallel.Pool.t ->
   ?budget:Bistpath_resilience.Budget.t ->
   Bistpath_datapath.Datapath.t ->
   point list Bistpath_resilience.Outcome.t

@@ -1,10 +1,10 @@
 module Datapath = Bistpath_datapath.Datapath
 module Massign = Bistpath_dfg.Massign
-module Op = Bistpath_dfg.Op
 module Ipath = Bistpath_ipath.Ipath
 module Allocator = Bistpath_bist.Allocator
 module Listx = Bistpath_util.Listx
 module Budget = Bistpath_resilience.Budget
+module A1 = Bigarray.Array1
 
 type unit_report = {
   mid : string;
@@ -28,41 +28,90 @@ let seed_of_register ~salt ~seed rid =
   let h = Hashtbl.hash (rid, salt, seed) in
   match h land 0xFFFF with 0 -> 1 | s -> s
 
-let bits_of width v = List.init width (fun i -> (v lsr i) land 1)
-
-(* Fold a vector of output bits into a [width]-bit word for the MISR. *)
-let fold_outputs width bits =
-  let value =
-    snd (List.fold_left (fun (i, acc) b -> (i + 1, acc lor (b lsl i))) (0, 0) bits)
-  in
-  let mask = (1 lsl width) - 1 in
-  (value land mask) lxor (value lsr width)
-
-let rec drop n l = if n = 0 then l else match l with [] -> [] | _ :: t -> drop (n - 1) t
-
-let rec chunks n = function
-  | [] -> []
-  | l -> Listx.take n l :: chunks n (drop (min n (List.length l)) l)
-
-let pack num_inputs chunk =
+(* Input words of vectors [lo, lo + size). Vector v applies operand
+   pair p = v mod n; an ALU runs every kind in turn, with one-hot select
+   k = v / n on the inputs after the two operands. *)
+let pack ~width ~num_inputs operands lo size =
+  let n = Array.length operands in
   let words = Array.make num_inputs 0L in
-  List.iteri
-    (fun lane bits ->
-      List.iteri
-        (fun i bit ->
-          if bit <> 0 then words.(i) <- Int64.logor words.(i) (Int64.shift_left 1L lane))
-        bits)
-    chunk;
+  for lane = 0 to size - 1 do
+    let v = lo + lane in
+    let a, b = operands.(v mod n) and k = v / n in
+    for i = 0 to num_inputs - 1 do
+      let bit =
+        if i < width then (a lsr i) land 1
+        else if i < 2 * width then (b lsr (i - width)) land 1
+        else if i - (2 * width) = k then 1
+        else 0
+      in
+      if bit = 1 then words.(i) <- Int64.logor words.(i) (Int64.shift_left 1L lane)
+    done
+  done;
   words
 
-(* Per-lane decoded output bits of a net evaluation. *)
-let lane_outputs c nets lane =
-  List.map
-    (fun n -> if Int64.logand (Int64.shift_right_logical nets.(n) lane) 1L = 1L then 1 else 0)
-    c.Circuit.outputs
+(* Clock each live lane's response into the MISR. The response is the
+   outputs as a little-endian number with its high [width] bits
+   XOR-folded onto the low ones: output i lands on bit (i mod width),
+   and outputs past 2 * width fall outside the register's mask. *)
+let absorb_lanes misr ~width (nets : Sim.nets) outputs size =
+  let n = min (Array.length outputs) (2 * width) in
+  for lane = 0 to size - 1 do
+    let word = ref 0 in
+    for i = 0 to n - 1 do
+      let bit =
+        Int64.to_int (Int64.shift_right_logical (A1.get nets outputs.(i)) lane) land 1
+      in
+      word := !word lxor (bit lsl (i mod width))
+    done;
+    Misr.absorb misr !word
+  done
 
-let simulate_unit ?pool ?(budget = Budget.unlimited) ~width ~pattern_count ~seed
-    (e : Ipath.embedding) (u : Massign.hw) =
+let grade ?(budget = Budget.unlimited) ~width c ~operands faults =
+  let num_inputs = List.length c.Circuit.inputs in
+  let kinds = max 1 (num_inputs - (2 * width)) in
+  let vectors = Array.length operands * kinds in
+  let k = Sim.compile c in
+  let nets = Sim.nets k in
+  let outputs = Array.of_list c.Circuit.outputs in
+  (* Each chunk's input words, live lanes and fault-free output words;
+     [Array.init] runs in order, so the fault-free MISR absorbs the
+     vectors in sequence. *)
+  let golden_misr = Misr.create ~width in
+  let chunks =
+    Array.init ((vectors + 63) / 64) (fun i ->
+        let size = min 64 (vectors - (64 * i)) in
+        let words = pack ~width ~num_inputs operands (64 * i) size in
+        Sim.eval_chunk k nets words;
+        absorb_lanes golden_misr ~width nets outputs size;
+        (words, size, Array.map (A1.get nets) outputs))
+  in
+  let signature = Misr.signature golden_misr in
+  (* A fault is seen once any output differs from the fault-free run in
+     a live lane; it aliased if its own MISR still ends on the fault-free
+     signature. *)
+  let grade_fault f =
+    let stuck = Fault.stuck f in
+    let misr = Misr.create ~width in
+    let seen = ref false in
+    Array.iter
+      (fun (words, size, good) ->
+        Sim.eval_chunk k nets ~stuck words;
+        if not !seen then begin
+          let diff = ref 0L in
+          for o = 0 to Array.length outputs - 1 do
+            diff := Int64.logor !diff (Int64.logxor (A1.get nets outputs.(o)) good.(o))
+          done;
+          let live = if size = 64 then -1L else Int64.pred (Int64.shift_left 1L size) in
+          seen := not (Int64.equal (Int64.logand !diff live) 0L)
+        end;
+        absorb_lanes misr ~width nets outputs size)
+      chunks;
+    (!seen, !seen && Misr.signature misr = signature)
+  in
+  (signature, Budget.map budget grade_fault faults)
+
+let simulate_unit ~budget ~width ~pattern_count ~seed (e : Ipath.embedding)
+    (u : Massign.hw) =
   let circuit =
     match u.kinds with
     | [ k ] -> Library.of_kind k ~width
@@ -70,64 +119,12 @@ let simulate_unit ?pool ?(budget = Budget.unlimited) ~width ~pattern_count ~seed
   in
   let gen_l = Lfsr.create ~width ~seed:(seed_of_register ~salt:0 ~seed e.l_tpg) in
   let gen_r = Lfsr.create ~width ~seed:(seed_of_register ~salt:1 ~seed e.r_tpg) in
-  let operand_pairs =
-    List.init pattern_count (fun _ -> (Lfsr.step gen_l, Lfsr.step gen_r))
-  in
-  let vectors =
-    match u.kinds with
-    | [ _ ] -> List.map (fun (a, b) -> bits_of width a @ bits_of width b) operand_pairs
-    | kinds ->
-      List.concat_map
-        (fun ki ->
-          let select =
-            List.init (List.length kinds) (fun j -> if j = ki then 1 else 0)
-          in
-          List.map
-            (fun (a, b) -> bits_of width a @ bits_of width b @ select)
-            operand_pairs)
-        (Listx.range 0 (List.length kinds))
-  in
-  Bistpath_telemetry.Telemetry.incr "bist_sim.patterns" ~by:(List.length vectors);
-  let num_inputs = List.length circuit.Circuit.inputs in
-  let packed = List.map (pack num_inputs) (chunks 64 vectors) in
-  let chunk_sizes = List.map List.length (chunks 64 vectors) in
-  let golden_nets = List.map (Sim.eval_nets circuit) packed in
-  let golden_signature =
-    let misr = Misr.create ~width in
-    List.iter2
-      (fun nets size ->
-        for lane = 0 to size - 1 do
-          Misr.absorb misr (fold_outputs width (lane_outputs circuit nets lane))
-        done)
-      golden_nets chunk_sizes;
-    Misr.signature misr
-  in
+  let operands = Array.init pattern_count (fun _ -> (Lfsr.step gen_l, Lfsr.step gen_r)) in
+  let vectors = pattern_count * List.length u.kinds in
+  Bistpath_telemetry.Telemetry.incr "bist_sim.patterns" ~by:vectors;
   let faults = Fault.collapsed circuit in
   Bistpath_telemetry.Telemetry.incr "bist_sim.faults" ~by:(List.length faults);
-  (* Each fault carries its own MISR, so grading fans out over the
-     domain pool; the (detected, aliased) flags fold back in fault
-     order, keeping counts identical to the sequential loop. *)
-  let packed_golden = List.combine packed golden_nets in
-  let grade f =
-    let misr = Misr.create ~width in
-    let seen_diff = ref false in
-    List.iter2
-      (fun (words, golden) size ->
-        let nets = Fault.inject circuit f words in
-        for lane = 0 to size - 1 do
-          let out = lane_outputs circuit nets lane in
-          if not !seen_diff then
-            if out <> lane_outputs circuit golden lane then seen_diff := true;
-          Misr.absorb misr (fold_outputs width out)
-        done)
-      packed_golden chunk_sizes;
-    (!seen_diff, !seen_diff && Misr.signature misr = golden_signature)
-  in
-  let graded =
-    if Budget.is_unlimited budget then
-      List.map Option.some (Bistpath_parallel.Par.map_list ?pool grade faults)
-    else Bistpath_parallel.Par.map_list_budget ?pool ~budget grade faults
-  in
+  let signature, graded = grade ~budget ~width circuit ~operands faults in
   let detected = ref 0 and aliased = ref 0 and skipped = ref 0 in
   List.iter
     (function
@@ -140,18 +137,18 @@ let simulate_unit ?pool ?(budget = Budget.unlimited) ~width ~pattern_count ~seed
     graded;
   {
     mid = e.mid;
-    patterns = List.length vectors;
+    patterns = vectors;
     faults_total = List.length faults;
     faults_detected = !detected;
     coverage =
       (if faults = [] then 1.0
        else float_of_int !detected /. float_of_int (List.length faults));
-    signature = golden_signature;
+    signature;
     aliased = !aliased;
     skipped = !skipped;
   }
 
-let run ?(width = 8) ?(pattern_count = 255) ?(seed = 1) ?pool ?budget dp
+let run ?(width = 8) ?(pattern_count = 255) ?(seed = 1) ?(budget = Budget.unlimited) dp
     (sol : Allocator.solution) =
   let unit_by_id mid =
     List.find
@@ -161,7 +158,9 @@ let run ?(width = 8) ?(pattern_count = 255) ?(seed = 1) ?pool ?budget dp
   let units =
     List.map
       (fun (e : Ipath.embedding) ->
-        simulate_unit ?pool ?budget ~width ~pattern_count ~seed e (unit_by_id e.mid))
+        Bistpath_telemetry.Telemetry.with_span "bist_sim" ~attrs:[ ("unit", e.mid) ]
+          (fun () ->
+            simulate_unit ~budget ~width ~pattern_count ~seed e (unit_by_id e.mid)))
       sol.Allocator.embeddings
   in
   { width; pattern_count; units }

@@ -32,7 +32,6 @@ val run :
   ?width:int ->
   ?pattern_count:int ->
   ?seed:int ->
-  ?pool:Bistpath_parallel.Pool.t ->
   ?budget:Bistpath_resilience.Budget.t ->
   Bistpath_datapath.Datapath.t ->
   Bistpath_bist.Allocator.solution ->
@@ -41,11 +40,27 @@ val run :
     seed 1. Uses collapsed fault lists. Units reported untestable by the
     allocation are skipped. Multifunction ALUs are simulated per
     supported kind with the select line held; their coverage aggregates
-    over kinds. Fault grading fans out over the [Bistpath_parallel]
-    pool (the shared pool unless [?pool] is given) with results
-    identical to the sequential run at any pool width. Under a
+    over kinds. Each unit's circuit is compiled once and every fault is
+    graded through {!Sim.eval_chunk} into one reused net buffer; each
+    unit runs in a [bist_sim] telemetry span (attribute [unit]). Under a
     [budget] ({!Bistpath_resilience.Budget}), faults not graded before
     the token tripped are counted per unit in [skipped]. *)
+
+val grade :
+  ?budget:Bistpath_resilience.Budget.t ->
+  width:int ->
+  Circuit.t ->
+  operands:(int * int) array ->
+  Fault.t list ->
+  int * (bool * bool) option list
+(** One unit's session: [grade ~width c ~operands faults] applies every
+    operand pair (a, b) to the circuit's first [2 * width] inputs; when
+    the circuit has more inputs (an ALU's one-hot select lines) the
+    whole sequence is applied once per select line, in order. Returns
+    the fault-free MISR signature and, per fault, [(detected, aliased)]
+    — detected if some pattern changes some output, aliased if it was
+    detected yet its MISR signature equals the fault-free one — or
+    [None] if the budget tripped before the fault was graded. *)
 
 val overall_coverage : report -> float
 (** Fault-weighted mean coverage across units. *)

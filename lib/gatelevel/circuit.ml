@@ -12,24 +12,6 @@ type t = {
 
 let num_gates t = Array.length t.gates
 
-let reduce f = function
-  | [] -> invalid_arg "Circuit.eval_kind: no inputs"
-  | x :: rest -> List.fold_left f x rest
-
-let eval_kind kind ws =
-  match (kind, ws) with
-  | Not, [ w ] -> Int64.lognot w
-  | Buf, [ w ] -> w
-  | (Not | Buf), _ -> invalid_arg "Circuit.eval_kind: Not/Buf take exactly one input"
-  | (And | Or | Nand | Nor | Xor | Xnor), ([] | [ _ ]) ->
-    invalid_arg "Circuit.eval_kind: gate needs at least two inputs"
-  | And, ws -> reduce Int64.logand ws
-  | Or, ws -> reduce Int64.logor ws
-  | Nand, ws -> Int64.lognot (reduce Int64.logand ws)
-  | Nor, ws -> Int64.lognot (reduce Int64.logor ws)
-  | Xor, ws -> reduce Int64.logxor ws
-  | Xnor, ws -> Int64.lognot (reduce Int64.logxor ws)
-
 module Builder = struct
   type b = {
     name : string;

@@ -20,11 +20,6 @@ type t = {
 
 val num_gates : t -> int
 
-val eval_kind : kind -> int64 list -> int64
-(** Bit-parallel gate function over 64 patterns per word. Raises
-    [Invalid_argument] on an arity violation (Not/Buf take one input,
-    others at least two). *)
-
 (** Builder: allocate nets, emit gates, then {!Builder.finish}. *)
 module Builder : sig
   type b

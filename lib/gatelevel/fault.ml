@@ -70,18 +70,10 @@ let collapsed c =
     (fun f -> (not (Hashtbl.mem drop (f.net, f.polarity))) && not (untestable f))
     (all c)
 
+let stuck f = (f.net, match f.polarity with Stuck_at_0 -> 0L | Stuck_at_1 -> -1L)
+
 let inject c f input_words =
-  if Array.length input_words <> List.length c.Circuit.inputs then
-    invalid_arg "Fault.inject: input arity mismatch";
-  let nets = Array.make c.Circuit.num_nets 0L in
-  let force () =
-    nets.(f.net) <- (match f.polarity with Stuck_at_0 -> 0L | Stuck_at_1 -> -1L)
-  in
-  List.iteri (fun i n -> nets.(n) <- input_words.(i)) c.Circuit.inputs;
-  force ();
-  Array.iter
-    (fun (g : Circuit.gate) ->
-      nets.(g.output) <- Circuit.eval_kind g.kind (List.map (fun n -> nets.(n)) g.inputs);
-      if g.output = f.net then force ())
-    c.Circuit.gates;
-  nets
+  let k = Sim.compile c in
+  let nets = Sim.nets k in
+  Sim.eval_chunk k nets ~stuck:(stuck f) input_words;
+  Array.init c.Circuit.num_nets (Bigarray.Array1.get nets)

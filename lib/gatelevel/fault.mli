@@ -20,6 +20,10 @@ val collapsed : Circuit.t -> t list
     result is sound (every collapsed-list detection set equals the full
     list's) and typically 40-60%% of [all]. *)
 
+val stuck : t -> int * int64
+(** The fault as {!Sim.eval_chunk}'s [~stuck] argument: its net and the
+    word it is forced to. *)
+
 val inject : Circuit.t -> t -> int64 array -> int64 array
-(** Net values under the fault, given fault-free input words: re-evaluate
-    with the faulty net forced. *)
+(** Net values under the fault, given fault-free input words: one
+    {!Sim.eval_chunk} with the faulty net forced. *)

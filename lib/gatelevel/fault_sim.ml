@@ -9,27 +9,19 @@ type result = {
 
 let coverage r = if r.total = 0 then 1.0 else float_of_int r.detected /. float_of_int r.total
 
-(* Pack up to 64 patterns (lists of bits per input) into one word per
-   input: pattern j occupies bit lane j. *)
-let pack_chunk num_inputs chunk =
+(* Pack up to 64 patterns (bit lists, one bit per input) into one word
+   per input: pattern [lo + j] occupies bit lane j. *)
+let pack num_inputs patterns lo hi =
   let words = Array.make num_inputs 0L in
-  List.iteri
-    (fun lane bits ->
-      List.iteri
-        (fun i bit ->
-          if bit <> 0 then words.(i) <- Int64.logor words.(i) (Int64.shift_left 1L lane))
-        bits)
-    chunk;
+  for lane = 0 to hi - lo - 1 do
+    List.iteri
+      (fun i bit ->
+        if bit <> 0 then words.(i) <- Int64.logor words.(i) (Int64.shift_left 1L lane))
+      patterns.(lo + lane)
+  done;
   words
 
-let rec chunks n = function
-  | [] -> []
-  | l ->
-    let first = Bistpath_util.Listx.take n l in
-    let rec drop k l = if k = 0 then l else match l with [] -> [] | _ :: t -> drop (k - 1) t in
-    first :: chunks n (drop (List.length first) l)
-
-let run ?pool ?(budget = Budget.unlimited) c ~faults ~patterns =
+let run ?(budget = Budget.unlimited) c ~faults ~patterns =
   let num_inputs = List.length c.Circuit.inputs in
   List.iter
     (fun p ->
@@ -39,35 +31,32 @@ let run ?pool ?(budget = Budget.unlimited) c ~faults ~patterns =
   Bistpath_telemetry.Telemetry.incr "fault_sim.faults" ~by:(List.length faults);
   Bistpath_telemetry.Telemetry.incr "fault_sim.events"
     ~by:(List.length faults * List.length patterns);
-  let packed = List.map (pack_chunk num_inputs) (chunks 64 patterns) in
-  let golden =
-    List.map
-      (fun words ->
-        let nets = Sim.eval_nets c words in
-        List.map (fun n -> nets.(n)) c.Circuit.outputs)
-      packed
+  let k = Sim.compile c in
+  let nets = Sim.nets k in
+  let outputs = Array.of_list c.Circuit.outputs in
+  let patterns = Array.of_list patterns in
+  let n = Array.length patterns in
+  (* Each chunk's input words with its fault-free output words. *)
+  let chunks =
+    Array.init ((n + 63) / 64) (fun i ->
+        let words = pack num_inputs patterns (64 * i) (min n (64 * (i + 1))) in
+        Sim.eval_chunk k nets words;
+        (words, Array.map (Bigarray.Array1.get nets) outputs))
   in
+  (* Whole words are compared, so the unused lanes of a partial last
+     chunk (all inputs 0) are graded too. *)
   let detected f =
-    List.exists2
-      (fun words good ->
-        let nets = Fault.inject c f words in
-        List.exists2
-          (fun n g -> not (Int64.equal nets.(n) g))
-          c.Circuit.outputs good)
-      packed golden
+    let stuck = Fault.stuck f in
+    Array.exists
+      (fun (words, good) ->
+        Sim.eval_chunk k nets ~stuck words;
+        Array.exists2 (fun o g -> not (Int64.equal (Bigarray.Array1.get nets o) g)) outputs good)
+      chunks
   in
-  (* Fan out over the fault list; detection flags come back in fault
-     order, so the result is bit-identical at any pool width (and with
-     jobs = 1 this is exactly [List.map detected faults]). *)
-  let flags =
-    if Budget.is_unlimited budget then
-      List.map Option.some (Bistpath_parallel.Par.map_list ?pool detected faults)
-    else
-      (* Budget-aware path: faults not graded before the token tripped
-         come back [None] and are reported as [skipped], never silently
-         counted as undetected. *)
-      Bistpath_parallel.Par.map_list_budget ?pool ~budget detected faults
-  in
+  (* Faults not graded before the budget's token tripped come back
+     [None] and are reported as [skipped], never silently counted as
+     undetected. *)
+  let flags = Budget.map budget detected faults in
   let undetected, skipped =
     List.fold_left2
       (fun (und, sk) f hit ->
@@ -85,12 +74,12 @@ let run ?pool ?(budget = Budget.unlimited) c ~faults ~patterns =
     skipped;
   }
 
-let run_operand_patterns ?pool ?budget c ~width ~faults ~patterns =
+let run_operand_patterns ?budget c ~width ~faults ~patterns =
   if List.length c.Circuit.inputs <> 2 * width then
     invalid_arg "Fault_sim.run_operand_patterns: circuit is not a two-operand module";
   let bits_of v = List.init width (fun i -> (v lsr i) land 1) in
   let vectors = List.map (fun (a, b) -> bits_of a @ bits_of b) patterns in
-  run ?pool ?budget c ~faults ~patterns:vectors
+  run ?budget c ~faults ~patterns:vectors
 
 let random_operand_patterns rng ~width ~count =
   let bound = 1 lsl width in

@@ -1,12 +1,9 @@
-(** Fault simulation with 64-way bit-parallel patterns and optional
-    multi-domain fan-out over the fault list.
+(** Fault simulation with 64-way bit-parallel patterns.
 
     For each fault, the circuit is re-evaluated with the faulty net
-    forced; a fault is detected by a pattern whose fault-free and faulty
-    primary outputs differ. Faults are independent, so they are graded
-    on the [Bistpath_parallel] pool (the shared pool unless [?pool] is
-    given); results are assembled in fault order, so the outcome is
-    bit-identical to the sequential run at any pool width. *)
+    forced ({!Sim.eval_chunk}, one compiled circuit and one reused net
+    buffer for the whole run); a fault is detected by a pattern whose
+    fault-free and faulty primary outputs differ. *)
 
 type result = {
   total : int;
@@ -22,19 +19,18 @@ val coverage : result -> float
     faults count against coverage (conservative). *)
 
 val run :
-  ?pool:Bistpath_parallel.Pool.t ->
   ?budget:Bistpath_resilience.Budget.t ->
   Circuit.t -> faults:Fault.t list -> patterns:int list list -> result
 (** [patterns] is a list of input vectors, each one bit per primary input
     net (little-endian ints are NOT assumed — each element of a vector
-    is 0 or 1). Patterns are packed 64 per simulation pass.
+    is 0 or 1). Patterns are packed 64 per simulation pass; a partial
+    last pass also applies the all-zero vector in its unused lanes.
 
     [budget] (default {!Bistpath_resilience.Budget.unlimited}): once its
     token trips, remaining faults are abandoned cooperatively and listed
     in [skipped] — the grades already computed are still returned. *)
 
 val run_operand_patterns :
-  ?pool:Bistpath_parallel.Pool.t ->
   ?budget:Bistpath_resilience.Budget.t ->
   Circuit.t -> width:int -> faults:Fault.t list -> patterns:(int * int) list -> result
 (** Convenience for two-operand modules: each pattern is an (a, b) pair

@@ -1,13 +1,14 @@
-type t = { w : int; taps : int list; mutable s : int }
+type t = { mask : int; taps : int list; mutable s : int }
 
-let create ~width = { w = width; taps = Lfsr.primitive_taps width; s = 0 }
+let create ~width = { mask = (1 lsl width) - 1; taps = Lfsr.primitive_taps width; s = 0 }
 
-let absorb t word =
-  let fb =
-    List.fold_left (fun acc tap -> acc lxor ((t.s lsr (tap - 1)) land 1)) 0 t.taps
-  in
-  let mask = (1 lsl t.w) - 1 in
-  t.s <- (((t.s lsl 1) lor fb) lxor word) land mask
+(* XOR of the tapped state bits; a top-level loop, so clocking the
+   register builds no closure. *)
+let rec feedback s acc = function
+  | [] -> acc
+  | tap :: rest -> feedback s (acc lxor ((s lsr (tap - 1)) land 1)) rest
+
+let absorb t word = t.s <- (((t.s lsl 1) lor feedback t.s 0 t.taps) lxor word) land t.mask
 
 let signature t = t.s
 

@@ -34,17 +34,26 @@ let tri_xor a b =
   | TX, _ | _, TX -> TX
   | x, y -> if x = y then T0 else T1
 
-let eval_tri kind ins =
-  let reduce f = function x :: rest -> List.fold_left f x rest | [] -> TX in
-  match kind with
-  | Circuit.And -> reduce tri_and ins
-  | Circuit.Nand -> tri_not (reduce tri_and ins)
-  | Circuit.Or -> reduce tri_or ins
-  | Circuit.Nor -> tri_not (reduce tri_or ins)
-  | Circuit.Xor -> reduce tri_xor ins
-  | Circuit.Xnor -> tri_not (reduce tri_xor ins)
-  | Circuit.Not -> tri_not (List.hd ins)
-  | Circuit.Buf -> List.hd ins
+(* A gate's value over its input nets' values in [vals], folded in
+   place: evaluating a gate allocates nothing. *)
+let rec fold f (vals : tri array) acc = function
+  | [] -> acc
+  | i :: rest -> fold f vals (f acc vals.(i)) rest
+
+let eval_tri kind ins vals =
+  match ins with
+  | [] -> TX
+  | i :: rest -> (
+    let v = vals.(i) in
+    match kind with
+    | Circuit.And -> fold tri_and vals v rest
+    | Circuit.Nand -> tri_not (fold tri_and vals v rest)
+    | Circuit.Or -> fold tri_or vals v rest
+    | Circuit.Nor -> tri_not (fold tri_or vals v rest)
+    | Circuit.Xor -> fold tri_xor vals v rest
+    | Circuit.Xnor -> tri_not (fold tri_xor vals v rest)
+    | Circuit.Not -> tri_not v
+    | Circuit.Buf -> v)
 
 (* Controlling value of a gate kind, if any, and output inversion. *)
 let controlling = function
@@ -60,10 +69,11 @@ type state = {
   circuit : Circuit.t;
   fault : Fault.t;
   scoap : Scoap.t;
-  pi_value : (int, tri) Hashtbl.t;  (* assigned primary inputs *)
+  pi_value : tri array;  (* assigned primary inputs; TX = unassigned *)
   good : tri array;
   faulty : tri array;
-  driver : (int, Circuit.gate) Hashtbl.t;  (* net -> driving gate *)
+  driver : Circuit.gate option array;  (* net -> driving gate *)
+  cone : bool array;  (* the fault's fan-out cone; elsewhere faulty = good *)
 }
 
 let stuck_tri (f : Fault.t) =
@@ -71,24 +81,24 @@ let stuck_tri (f : Fault.t) =
 
 (* Forward simulation of both machines from the current PI assignment. *)
 let imply st =
-  let value tbl i = match Hashtbl.find_opt tbl i with Some v -> v | None -> TX in
   Array.fill st.good 0 (Array.length st.good) TX;
   Array.fill st.faulty 0 (Array.length st.faulty) TX;
   List.iter
     (fun i ->
-      st.good.(i) <- value st.pi_value i;
-      st.faulty.(i) <- value st.pi_value i)
+      st.good.(i) <- st.pi_value.(i);
+      st.faulty.(i) <- st.pi_value.(i))
     st.circuit.Circuit.inputs;
   if st.fault.Fault.net < Array.length st.faulty then
     if List.mem st.fault.Fault.net st.circuit.Circuit.inputs then
       st.faulty.(st.fault.Fault.net) <- stuck_tri st.fault;
   Array.iter
     (fun (g : Circuit.gate) ->
-      let gv = eval_tri g.Circuit.kind (List.map (fun i -> st.good.(i)) g.Circuit.inputs) in
-      let fv = eval_tri g.Circuit.kind (List.map (fun i -> st.faulty.(i)) g.Circuit.inputs) in
-      st.good.(g.Circuit.output) <- gv;
-      st.faulty.(g.Circuit.output) <-
-        (if g.Circuit.output = st.fault.Fault.net then stuck_tri st.fault else fv))
+      let out = g.Circuit.output in
+      st.good.(out) <- eval_tri g.Circuit.kind g.Circuit.inputs st.good;
+      st.faulty.(out) <-
+        (if out = st.fault.Fault.net then stuck_tri st.fault
+         else if st.cone.(out) then eval_tri g.Circuit.kind g.Circuit.inputs st.faulty
+         else st.good.(out)))
     st.circuit.Circuit.gates
 
 let is_d st i =
@@ -104,24 +114,35 @@ let excitation_blocked st =
   let g = st.good.(st.fault.Fault.net) in
   g <> TX && g = stuck_tri st.fault
 
-let d_frontier st =
-  Array.to_list st.circuit.Circuit.gates
-  |> List.filter (fun (g : Circuit.gate) ->
-         st.good.(g.Circuit.output) = TX
-         || st.faulty.(g.Circuit.output) = TX)
-  |> List.filter (fun (g : Circuit.gate) ->
-         (not (is_d st g.Circuit.output))
-         && List.exists (fun i -> is_d st i) g.Circuit.inputs)
+let rec any_d st = function [] -> false | i :: rest -> is_d st i || any_d st rest
 
-(* Objective: excite the fault, then propagate through the D-frontier. *)
+(* The first D-frontier gate in topological order, the only one
+   [objective] uses: an undecided output with a D or D-bar on an input
+   (so a gate in the fault's cone). *)
+let d_frontier st =
+  let gates = st.circuit.Circuit.gates in
+  let rec go k =
+    if k = Array.length gates then None
+    else
+      let g = gates.(k) in
+      if st.cone.(g.Circuit.output)
+         && (st.good.(g.Circuit.output) = TX || st.faulty.(g.Circuit.output) = TX)
+         && any_d st g.Circuit.inputs
+      then Some g
+      else go (k + 1)
+  in
+  go 0
+
+(* Objective: excite the fault, then propagate through the D-frontier;
+   [None] when neither is possible. *)
 let objective st =
   if not (excited st) then
     let want = tri_not (stuck_tri st.fault) in
     if st.good.(st.fault.Fault.net) = TX then Some (st.fault.Fault.net, want) else None
   else
     match d_frontier st with
-    | [] -> None
-    | g :: _ -> (
+    | None -> None
+    | Some g -> (
       let x_inputs =
         List.filter (fun i -> st.good.(i) = TX || st.faulty.(i) = TX) g.Circuit.inputs
       in
@@ -140,10 +161,10 @@ let backtrace st (net, want) =
   let rec go net want fuel =
     if fuel = 0 then None
     else
-      match Hashtbl.find_opt st.driver net with
+      match st.driver.(net) with
       | None ->
         (* primary input *)
-        if Hashtbl.mem st.pi_value net then None else Some (net, want)
+        if st.pi_value.(net) <> TX then None else Some (net, want)
       | Some (g : Circuit.gate) -> (
         let ctrl, inv = controlling g.Circuit.kind in
         let want' = if inv then tri_not want else want in
@@ -173,42 +194,54 @@ let backtrace st (net, want) =
   in
   go net want (Array.length st.good + 1)
 
-let generate ?(max_backtracks = 10_000) ?(budget = Budget.unlimited) (c : Circuit.t)
-    (fault : Fault.t) =
-  let driver = Hashtbl.create 64 in
-  Array.iter (fun (g : Circuit.gate) -> Hashtbl.replace driver g.Circuit.output g) c.Circuit.gates;
-  let st =
+(* SCOAP and the driver table depend only on the circuit: build them
+   once and hand each fault a fresh search state over them, with the
+   fault's fan-out cone — the only nets where the faulty machine can
+   differ from the good one. *)
+let prepare (c : Circuit.t) =
+  let scoap = Scoap.analyze c in
+  let driver = Array.make c.Circuit.num_nets None in
+  Array.iter (fun (g : Circuit.gate) -> driver.(g.Circuit.output) <- Some g) c.Circuit.gates;
+  fun (fault : Fault.t) ->
+    let cone = Array.make c.Circuit.num_nets false in
+    if fault.Fault.net < c.Circuit.num_nets then cone.(fault.Fault.net) <- true;
+    Array.iter
+      (fun (g : Circuit.gate) ->
+        if List.exists (fun i -> cone.(i)) g.Circuit.inputs then cone.(g.Circuit.output) <- true)
+      c.Circuit.gates;
     {
       circuit = c;
       fault;
-      scoap = Scoap.analyze c;
-      pi_value = Hashtbl.create 16;
+      scoap;
+      pi_value = Array.make c.Circuit.num_nets TX;
       good = Array.make c.Circuit.num_nets TX;
       faulty = Array.make c.Circuit.num_nets TX;
       driver;
+      cone;
     }
-  in
+
+let search ~max_backtracks ~budget st =
+  let c = st.circuit in
   let backtracks = ref 0 in
   (* decision stack: (pi, first value, flipped?) *)
   let stack = ref [] in
   let success () =
     Some
-      (List.map
-         (fun i -> match Hashtbl.find_opt st.pi_value i with Some T1 -> 1 | _ -> 0)
-         c.Circuit.inputs)
+      (List.map (fun i -> if st.pi_value.(i) = T1 then 1 else 0) c.Circuit.inputs)
   in
   let rec search () =
     imply st;
     if d_at_output st then success ()
-    else if excitation_blocked st || (excited st && d_frontier st = []) then backtrack ()
+    else if excitation_blocked st then backtrack ()
     else
+      (* an excited fault with an empty D-frontier has no objective *)
       match objective st with
       | None -> backtrack ()
       | Some obj -> (
         match backtrace st obj with
         | None -> backtrack ()
         | Some (pi, v) ->
-          Hashtbl.replace st.pi_value pi v;
+          st.pi_value.(pi) <- v;
           stack := (pi, v, false) :: !stack;
           search ())
   and backtrack () =
@@ -223,13 +256,13 @@ let generate ?(max_backtracks = 10_000) ?(budget = Budget.unlimited) (c : Circui
       | [] -> None
       | (pi, v, flipped) :: rest ->
         if flipped then begin
-          Hashtbl.remove st.pi_value pi;
+          st.pi_value.(pi) <- TX;
           stack := rest;
           backtrack ()
         end
         else begin
           let v' = tri_not v in
-          Hashtbl.replace st.pi_value pi v';
+          st.pi_value.(pi) <- v';
           stack := (pi, v', true) :: rest;
           search ()
         end
@@ -245,6 +278,9 @@ let generate ?(max_backtracks = 10_000) ?(budget = Budget.unlimited) (c : Circui
     Bistpath_telemetry.Telemetry.incr "podem.aborts";
     Aborted
 
+let generate ?(max_backtracks = 10_000) ?(budget = Budget.unlimited) c fault =
+  search ~max_backtracks ~budget (prepare c fault)
+
 let verify c fault vector =
   if List.length vector <> List.length c.Circuit.inputs then
     invalid_arg "Podem.verify: vector arity mismatch";
@@ -255,18 +291,10 @@ let verify c fault vector =
     (fun o g -> not (Int64.equal faulty.(o) g))
     c.Circuit.outputs (Array.to_list good)
 
-let classify_all ?(max_backtracks = 10_000) ?pool ?(budget = Budget.unlimited) c =
-  (* Per-fault test generation is independent (each call builds its own
-     implication state), so the fault list fans out across the domain
-     pool; folding the per-fault outcomes in fault order reproduces the
-     sequential classification exactly. *)
+let classify_all ?(max_backtracks = 10_000) ?(budget = Budget.unlimited) c =
+  let state = prepare c in
   let faults = Fault.collapsed c in
-  let gen f = generate ~max_backtracks ~budget c f in
-  let outcomes =
-    if Budget.is_unlimited budget then
-      List.map Option.some (Bistpath_parallel.Par.map_list ?pool gen faults)
-    else Bistpath_parallel.Par.map_list_budget ?pool ~budget gen faults
-  in
+  let outcomes = Budget.map budget (fun f -> search ~max_backtracks ~budget (state f)) faults in
   List.fold_left2
     (fun acc f outcome ->
       match outcome with

@@ -39,12 +39,10 @@ type classification = {
 
 val classify_all :
   ?max_backtracks:int ->
-  ?pool:Bistpath_parallel.Pool.t ->
   ?budget:Bistpath_resilience.Budget.t ->
   Circuit.t -> classification
-(** Run PODEM on every collapsed fault of the circuit. Faults are
-    generated in parallel on the [Bistpath_parallel] pool (the shared
-    pool unless [?pool] is given); the classification is assembled in
-    fault order and is identical to the sequential run at any pool
-    width. Under a [budget], in-flight generations abort ([aborted]) and
-    unstarted faults are abandoned ([skipped]) once the token trips. *)
+(** Run PODEM on every collapsed fault of the circuit, in fault order.
+    SCOAP and the net-to-driver table are built once for the circuit
+    and shared by every fault. Under a [budget], the generation in
+    flight when the token trips aborts ([aborted]) and the faults after
+    it are abandoned ([skipped]). *)

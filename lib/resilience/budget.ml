@@ -99,5 +99,7 @@ let should_stop t =
      (check_deadline t;
       Cancel.cancelled t.token))
 
+let map t f xs = List.map (fun x -> if should_stop t then None else Some (f x)) xs
+
 let stop_reason t = if t.limited then Cancel.reason t.token else None
 let tag t x = Outcome.of_reason x (stop_reason t)

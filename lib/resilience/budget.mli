@@ -5,9 +5,8 @@
     a {!Cancel} token. Solvers report progress with {!node} / {!leaf}
     and poll {!should_stop}; when any quota trips, the token is
     cancelled with the corresponding {!Cancel.reason} and every party
-    holding the budget (or just its token — the parallel engine's
-    chunks, for instance) unwinds cooperatively, returning best-so-far
-    results tagged via {!tag}.
+    holding the budget (or just its token) unwinds cooperatively,
+    returning best-so-far results tagged via {!tag}.
 
     {!unlimited} — the default everywhere — short-circuits every
     operation to a single branch, so budgeting is zero-cost when not
@@ -17,7 +16,7 @@
     Deadline checks are amortized: {!node} reads the clock every 64
     calls, {!leaf} and {!should_stop} on every call. Counters are
     plain mutable fields — only the owning solver should call {!node} /
-    {!leaf}; worker domains must restrict themselves to {!should_stop}
+    {!leaf}; other domains must restrict themselves to {!should_stop}
     and the token (both domain-safe).
 
     Telemetry: the first deadline trip increments
@@ -55,6 +54,13 @@ val leaf : t -> unit
 val should_stop : t -> bool
 (** [true] once any quota has tripped or the token was cancelled
     externally. Safe to call from any domain. *)
+
+val map : t -> ('a -> 'b) -> 'a list -> 'b option list
+(** [map t f xs] applies [f] in order, polling {!should_stop} before
+    each element: element [i] is [Some (f x_i)] if it was evaluated
+    before the budget tripped and [None] otherwise. With an untripped
+    budget (or {!unlimited}) this is [List.map (fun x -> Some (f x))];
+    a budget tripped before the call yields all-[None]. *)
 
 val stop_reason : t -> Cancel.reason option
 

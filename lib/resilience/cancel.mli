@@ -2,8 +2,8 @@
 
     A token is a single write-once cell shared between the party that
     decides to stop (a tripped {!Budget}, a driver handling a signal)
-    and the workers that should unwind. Observing a token costs one
-    atomic load, so solvers and pool workers can poll it in hot loops;
+    and the solvers that should unwind. Observing a token costs one
+    atomic load, so solvers can poll it in hot loops;
     the first cancellation reason wins and later ones are ignored.
 
     Tokens are domain-safe: any domain may cancel or poll. *)

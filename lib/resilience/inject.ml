@@ -5,9 +5,9 @@ exception Injected of string
 
 let sites =
   [
-    "pool.worker"; "telemetry.write"; "allocator.leaf"; "pareto.leaf";
-    "service.journal"; "service.result_io"; "service.worker"; "check.rule";
-    "cache.io"; "fleet.heartbeat"; "fleet.claim"; "rtl.parse";
+    "telemetry.write"; "allocator.leaf"; "pareto.leaf"; "service.journal";
+    "service.result_io"; "service.worker"; "check.rule"; "cache.io";
+    "fleet.heartbeat"; "fleet.claim"; "rtl.parse";
   ]
 
 type site_state = { prob : float; prng : Prng.t }
@@ -16,7 +16,7 @@ let default_seed = 0xB157
 
 (* [armed] is the fast-path switch: a single atomic load when injection
    is off (the production default). All slow-path state lives behind
-   [mutex] so worker domains can draw concurrently. *)
+   [mutex] so the fleet heartbeat domain can draw concurrently. *)
 let armed = Atomic.make false
 let mutex = Mutex.create ()
 let table : (string, site_state) Hashtbl.t = Hashtbl.create 8

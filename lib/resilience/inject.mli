@@ -5,28 +5,24 @@
     [BISTPATH_INJECT] environment variable or {!configure} — each call
     draws from a deterministic per-site PRNG stream and fails with
     probability [p], letting tests and CI prove that the degradation
-    paths (pool exception propagation, telemetry sink error handling,
-    allocator unwinding) actually recover. Disarmed (the production
+    paths (telemetry sink error handling, allocator unwinding, service
+    retries) actually recover. Disarmed (the production
     default), every probe costs one atomic load and a branch.
 
     {b Environment}: [BISTPATH_INJECT="site[=prob][,site[=prob]...]"],
     probability in \[0,1\] defaulting to 1.0 (always fire);
     [BISTPATH_INJECT_SEED] (integer, default 0xB157) seeds the root
     generator. Example:
-    [BISTPATH_INJECT="pool.worker=0.05,telemetry.write" synth ...].
+    [BISTPATH_INJECT="pareto.leaf=0.05,telemetry.write" synth ...].
 
     {b Determinism}: each site receives one {!Bistpath_util.Prng.split}
     child of the root generator, derived in sorted-site order, so a
     site's fire/no-fire stream depends only on the seed and the set of
     armed sites — not on configuration order. Draws within a site are
-    serialized by a mutex; with several domains probing one site the
-    {e assignment} of draws to callers follows scheduling, so exact-
-    reproducibility experiments should either run with [jobs = 1] or
-    use probability 1.0 (which never consumes a draw).
+    serialized by a mutex, so a site stays safe to probe from the fleet
+    heartbeat domain.
 
     {b Registered sites} (see {!sites}):
-    - [pool.worker] — a pool task raises before running its thunk
-      ([Bistpath_parallel.Pool.run], parallel path only).
     - [telemetry.write] — the trace-file sink fails with [Sys_error]
       (probed by the CLI and bench harness before
       [Telemetry.write_file]).

@@ -70,5 +70,4 @@ val run : Config.config -> Config.stats
     in-flight attempt cooperatively, journals [interrupted] and hands
     its lease back), stragglers are SIGKILLed after a bounded wait and
     their leases recovered. Must be called with no other domains
-    running in the process (it forks) — the CLI calls it before any
-    pipeline has touched the domain pool. *)
+    running in the process (it forks). *)

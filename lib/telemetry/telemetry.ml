@@ -681,7 +681,7 @@ let chrome_trace_json r =
            ]))
     insts;
   (* Gauge time series: one "C" (counter-track) event per [set] call, so
-     Perfetto draws queue depth / breaker state / pool occupancy as
+     Perfetto draws queue depth / breaker state / live workers as
      value tracks alongside the spans. *)
   List.iter
     (fun (name, ts, v) ->

@@ -38,7 +38,7 @@
       the branch-and-bound search (search nodes).
     - [bist.cbilbos_avoided] — enumerated CBILBO-requiring embeddings the
       chosen solution managed to avoid.
-    - [fault_sim.faults] — faults submitted to parallel fault simulation.
+    - [fault_sim.faults] — faults submitted to fault simulation.
     - [fault_sim.events] — fault-pattern simulation events
       (faults x patterns).
     - [podem.backtracks] — PODEM decision backtracks.
@@ -47,18 +47,8 @@
     - [bist_sim.patterns] — test patterns applied by the BIST session
       simulator.
     - [bist_sim.faults] — faults graded by the BIST session simulator.
-    - [parallel.tasks] — tasks executed by the domain pool
-      ([Bistpath_parallel.Pool]).
-    - [parallel.chunks] — work chunks formed by [Par.map_array] /
-      [Par.map_list] (parallel path only; [jobs = 1] runs sequentially
-      and counts nothing).
-    - [parallel.items] — elements processed through the parallel
-      combinators (parallel path only).
     - [resilience.deadline_hits] — budgets whose wall-clock deadline
       tripped ([Bistpath_resilience.Budget], first trip per budget).
-    - [resilience.cancelled_chunks] — parallel work chunks abandoned at
-      entry because a budget's token had tripped
-      ([Par.map_array_budget] / [Par.map_list_budget]).
     - [resilience.injected] — fault-injection shots that fired
       ([Bistpath_resilience.Inject]).
     - [service.jobs_accepted] — job specs admitted to the serve queue
@@ -95,15 +85,6 @@
     - [absint.iterations] — total fixpoint passes across all solves.
     - [absint.widenings] — abstract values widened to break an
       ascending chain (loop write-back kernels).
-    - [parallel.busy_ns] — summed wall time workers spent executing
-      pool tasks (all lanes).
-    - [parallel.idle_ns] — summed wall time workers spent parked while
-      a batch still had tasks in flight (starvation/skew signal).
-    - [parallel.stall_ns] — wall time the submitting domain waited on
-      the tail of a batch after the queue drained (load-imbalance
-      tail).
-    - [parallel.steals] — queued tasks the submitting domain stole
-      back and ran itself during its help-first wait.
     - [telemetry.dropped_samples] — gauge samples / instants / track
       events discarded because a bounded sample stream hit its cap
       (the scalar aggregates keep absorbing).
@@ -147,8 +128,6 @@
     {!Histogram}s; read back with {!histograms} / {!histogram}, export
     via {!prometheus_text} quantiles):
 
-    - [parallel.chunk_ns] — per-chunk (pool task) execution time.
-    - [parallel.stall_ns] — per-batch submitter tail-wait time.
     - [check.rule_ns] — per-rule static-analysis evaluation time.
     - [absint.solve_ns] — per-solve abstract-interpretation fixpoint
       time (both solvers).
@@ -165,13 +144,9 @@
       (or backoff) before its attempt started.
 
     Gauges set by [Flow.run]: [regs.allocated], [muxes.allocated],
-    [bist.delta_gates], [sessions.count]. Gauges set by the parallel
-    engine: [parallel.jobs] (pool width), [parallel.max_active] (peak
-    concurrently busy workers — pool occupancy) and [parallel.active]
-    (current busy workers; sampled on every task start/finish, so the
-    Chrome-trace sink shows pool occupancy as a counter track). The
-    CLI sets [resilience.degraded] to 1 when a run ends degraded (exit
-    code 3). Gauges set by the service layer: [service.queue_depth]
+    [bist.delta_gates], [sessions.count]. The CLI sets
+    [resilience.degraded] to 1 when a run ends degraded (exit code 3).
+    Gauges set by the service layer: [service.queue_depth]
     (jobs waiting or retrying), [service.breaker_open] (job classes
     currently failing fast) and — in the [--metrics] snapshot —
     [service.breaker.<class>] (0 closed, 1 half-open, 2 open). Gauges
@@ -192,16 +167,19 @@
     [Module_assign.single_function] emits a [massign] span: the
     clique-partition module assignment of a DFG file or behavioural
     program, run while the design loads, before any [flow] span.
+    [Bist_sim.run] emits one [bist_sim] span per graded unit, with a
+    [unit] attribute naming it; [synth atpg] wraps each unit's
+    [Podem.classify_all] in a [podem] span with the same attribute.
 
     {1 Domain safety}
 
-    All instrumentation points ({!with_span}, {!incr}, {!set}) and
-    recorder reads are serialized by one process-wide mutex, so worker
-    domains of [Bistpath_parallel] may bump counters concurrently with
-    the main domain without crashing the recorder or losing counts.
-    Spans, however, form a single stack: open and close spans from one
-    domain at a time (in practice, only the main domain opens spans;
-    workers only touch counters). When no recorder is installed the
+    All instrumentation points ({!with_span}, {!incr}, {!set},
+    {!add_timed}) and recorder reads are serialized by one process-wide
+    mutex, so another domain (the fleet supervisor's heartbeat domain)
+    may record concurrently with the main domain without crashing the
+    recorder or losing counts. Spans, however, form a single stack:
+    open and close spans from one domain at a time (in practice, only
+    the main domain opens spans). When no recorder is installed the
     fast path remains a lock-free global read and branch. *)
 
 type attr = string * string
@@ -273,8 +251,8 @@ type span = private {
 type track_event = {
   ev_name : string;
   track : int;
-      (** explicit Chrome-trace lane ([tid]): 1 = submitting domain,
-          2..jobs = spawned pool workers *)
+      (** explicit Chrome-trace lane ([tid]): the fleet supervisor puts
+          worker slot [k]'s lifetime on lane [k + 2] *)
   ev_start_ns : int64;
   ev_dur_ns : int64;
   ev_attrs : attr list;
@@ -343,8 +321,8 @@ val instant : ?attrs:attr list -> string -> unit
 val add_timed :
   ?attrs:attr list -> track:int -> string -> start_ns:int64 -> dur_ns:int64 -> unit
 (** Record an already-measured interval on an explicit track (see
-    {!type:track_event}). Pool workers use this for per-chunk
-    profiling events; safe from any domain. No-op when disabled. *)
+    {!type:track_event}). The fleet supervisor uses this for its
+    per-worker lanes; safe from any domain. No-op when disabled. *)
 
 (** {1 Reading a recording} *)
 
@@ -405,7 +383,7 @@ val stats_json : t -> string
 val chrome_trace_json : t -> string
 (** Chrome trace-event JSON ([{"traceEvents":[...]}]): one [B]/[E] event
     pair per span (properly nested), one [X] (complete) event per
-    explicit-track event (per-worker pool lanes), one [i] (instant)
+    explicit-track event (per-worker fleet lanes), one [i] (instant)
     event per recorded mark, one [C] (counter) event per gauge sample
     (Perfetto renders these as counter tracks) and one final [C] event
     per counter. Load in [chrome://tracing] or Perfetto. *)

@@ -48,15 +48,10 @@ let write_bench_files dir ~scale ?(perturb = false) () =
   let in_dir f = Filename.concat dir f in
   write (in_dir "BENCH_telemetry.json")
     (Printf.sprintf
-       {|[{"bench":"ex1","stage":"alloc","jobs":1,"ns":%d},
-          {"bench":"ex1","stage":"alloc","jobs":1,"ns":%d},
-          {"bench":"Paulin","stage":"rtl","jobs":1,"ns":%d},
-          {"bench":"Paulin","stage":"rtl","jobs":4,"ns":%d}]|}
-       (ns 40_000.0) (ns 20_000.0) (ns 90_000.0) (ns 900_000.0));
-  write (in_dir "BENCH_parallel.json")
-    (Printf.sprintf
-       {|[{"stage":"fault_sim","bench":"ex1","jobs":4,"seq_ns":%d,"par_ns":%d}]|}
-       (ns 200_000.0) (ns 80_000.0));
+       {|[{"bench":"ex1","stage":"alloc","ns":%d},
+          {"bench":"ex1","stage":"alloc","ns":%d},
+          {"bench":"Paulin","stage":"rtl","ns":%d}]|}
+       (ns 40_000.0) (ns 20_000.0) (ns 90_000.0));
   write (in_dir "BENCH_service.json")
     (Printf.sprintf {|[{"scenario":"clean","jobs":1,"wall_ns":%d}]|}
        (ns (if perturb then 2_000_000.0 else 100_000.0)));
@@ -70,17 +65,17 @@ let gate_identical_and_perturbed () =
   let base = Filename.concat d "base.json" in
   write_bench_files d ~scale:1.0 ();
   check Alcotest.int "--update exits 0" 0
-    (run_compare [ "--dir"; d; "--baseline"; base; "--jobs"; "1"; "--update" ]);
+    (run_compare [ "--dir"; d; "--baseline"; base; "--update" ]);
   check Alcotest.bool "baseline written" true (Sys.file_exists base);
   check Alcotest.int "identical run passes" 0
-    (run_compare [ "--dir"; d; "--baseline"; base; "--jobs"; "1"; "--absolute" ]);
+    (run_compare [ "--dir"; d; "--baseline"; base; "--absolute" ]);
   (* one scenario blows up 20x: must trip the gate even in calibrated
      mode, since the median ratio of its unchanged peers stays ~1 *)
   write_bench_files d ~scale:1.0 ~perturb:true ();
   check Alcotest.int "perturbed run fails (absolute)" 1
-    (run_compare [ "--dir"; d; "--baseline"; base; "--jobs"; "1"; "--absolute" ]);
+    (run_compare [ "--dir"; d; "--baseline"; base; "--absolute" ]);
   check Alcotest.int "perturbed run fails (calibrated)" 1
-    (run_compare [ "--dir"; d; "--baseline"; base; "--jobs"; "1" ]);
+    (run_compare [ "--dir"; d; "--baseline"; base ]);
   rm_rf d
 
 let calibration_absorbs_machine_factor () =
@@ -88,18 +83,18 @@ let calibration_absorbs_machine_factor () =
   let base = Filename.concat d "base.json" in
   write_bench_files d ~scale:1.0 ();
   check Alcotest.int "--update exits 0" 0
-    (run_compare [ "--dir"; d; "--baseline"; base; "--jobs"; "1"; "--update" ]);
+    (run_compare [ "--dir"; d; "--baseline"; base; "--update" ]);
   (* everything uniformly 2x slower: a different machine, not a
      regression -- calibrated mode passes, absolute mode fails *)
   write_bench_files d ~scale:2.0 ();
   check Alcotest.int "uniform 2x passes calibrated" 0
-    (run_compare [ "--dir"; d; "--baseline"; base; "--jobs"; "1" ]);
+    (run_compare [ "--dir"; d; "--baseline"; base ]);
   check Alcotest.int "uniform 2x fails absolute" 1
-    (run_compare [ "--dir"; d; "--baseline"; base; "--jobs"; "1"; "--absolute" ]);
+    (run_compare [ "--dir"; d; "--baseline"; base; "--absolute" ]);
   (* a generous tolerance admits it even in absolute mode *)
   check Alcotest.int "tolerance 150% admits 2x" 0
     (run_compare
-       [ "--dir"; d; "--baseline"; base; "--jobs"; "1"; "--absolute";
+       [ "--dir"; d; "--baseline"; base; "--absolute";
          "--tolerance"; "150" ]);
   rm_rf d
 

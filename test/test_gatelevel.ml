@@ -102,17 +102,24 @@ let builder_validation () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "no outputs accepted"
 
+(* One gate of [kind] over fresh inputs, evaluated by the kernel. *)
+let eval_gate kind words =
+  let b = Circuit.Builder.create "gate" in
+  let ins = Circuit.Builder.inputs b (List.length words) in
+  Circuit.Builder.output b (Circuit.Builder.gate b kind ins);
+  (Sim.eval (Circuit.Builder.finish b) (Array.of_list words)).(0)
+
 let eval_kind_semantics () =
   let t = -1L and f = 0L in
-  check Alcotest.int64 "and" f (Circuit.eval_kind Circuit.And [ t; f ]);
-  check Alcotest.int64 "or" t (Circuit.eval_kind Circuit.Or [ t; f ]);
-  check Alcotest.int64 "nand" t (Circuit.eval_kind Circuit.Nand [ t; f ]);
-  check Alcotest.int64 "nor" f (Circuit.eval_kind Circuit.Nor [ t; f ]);
-  check Alcotest.int64 "xor" t (Circuit.eval_kind Circuit.Xor [ t; f ]);
-  check Alcotest.int64 "xnor" f (Circuit.eval_kind Circuit.Xnor [ t; f ]);
-  check Alcotest.int64 "not" f (Circuit.eval_kind Circuit.Not [ t ]);
-  check Alcotest.int64 "buf" t (Circuit.eval_kind Circuit.Buf [ t ]);
-  check Alcotest.int64 "3-input and" f (Circuit.eval_kind Circuit.And [ t; t; f ])
+  check Alcotest.int64 "and" f (eval_gate Circuit.And [ t; f ]);
+  check Alcotest.int64 "or" t (eval_gate Circuit.Or [ t; f ]);
+  check Alcotest.int64 "nand" t (eval_gate Circuit.Nand [ t; f ]);
+  check Alcotest.int64 "nor" f (eval_gate Circuit.Nor [ t; f ]);
+  check Alcotest.int64 "xor" t (eval_gate Circuit.Xor [ t; f ]);
+  check Alcotest.int64 "xnor" f (eval_gate Circuit.Xnor [ t; f ]);
+  check Alcotest.int64 "not" f (eval_gate Circuit.Not [ t ]);
+  check Alcotest.int64 "buf" t (eval_gate Circuit.Buf [ t ]);
+  check Alcotest.int64 "3-input and" f (eval_gate Circuit.And [ t; t; f ])
 
 let fault_lists () =
   let c = Library.ripple_adder ~width:3 in
@@ -269,6 +276,102 @@ let prop_alu_random_kind_sets =
             got = Library.behavioural (List.nth kinds i) ~width:3 a b)
           (List.init (List.length kinds) Fun.id))
 
+(* --- the compiled kernel against the list-based oracles ------------ *)
+
+module Podem = G.Podem
+module Telemetry = Bistpath_telemetry.Telemetry
+
+(* A random single-function module or ALU (2-4 kinds) at width 2-6, a
+   random subset of its faults and 1-200 random operand pairs — half
+   the time at most 8, so most lanes of the one chunk are unused. *)
+let random_unit seed =
+  let rng = Prng.create seed in
+  let width = 2 + Prng.int rng 5 in
+  let circuit =
+    if Prng.bool rng then Library.of_kind (Prng.pick rng Op.all_kinds) ~width
+    else
+      let kinds = Array.of_list Op.all_kinds in
+      Prng.shuffle rng kinds;
+      Library.alu (Array.to_list (Array.sub kinds 0 (2 + Prng.int rng 3))) ~width
+  in
+  let faults = List.filter (fun _ -> Prng.int rng 4 = 0) (Fault.all circuit) in
+  let operands =
+    List.init (1 + Prng.int rng (if Prng.bool rng then 8 else 200)) (fun _ ->
+        (Prng.int rng (1 lsl width), Prng.int rng (1 lsl width)))
+  in
+  (rng, width, circuit, faults, operands)
+
+let prop_kernel_matches_oracle =
+  QCheck.Test.make ~name:"compiled kernel matches list evaluation under a forced fault"
+    ~count:100 QCheck.(int_bound 100_000)
+    (fun seed ->
+      let rng, _, c, faults, _ = random_unit seed in
+      let words =
+        Array.of_list (List.map (fun _ -> Prng.next_int64 rng) c.Circuit.inputs)
+      in
+      Sim.eval_nets c words = Oracles.inject c words
+      && List.for_all
+           (fun f -> Fault.inject c f words = Oracles.inject ~fault:f c words)
+           faults)
+
+let prop_fault_sim_matches_oracle =
+  QCheck.Test.make ~name:"fault_sim flags match the list-based grader" ~count:60
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let rng, _, c, faults, operands = random_unit seed in
+      let patterns =
+        List.map
+          (fun _ -> List.map (fun _ -> Prng.int rng 2) c.Circuit.inputs)
+          operands
+      in
+      let r = Fault_sim.run c ~faults ~patterns in
+      let flags = Oracles.fault_sim_flags c ~faults ~patterns in
+      r.Fault_sim.undetected
+      = List.filteri (fun i _ -> not (List.nth flags i)) faults
+      && r.Fault_sim.detected = List.length (List.filter Fun.id flags))
+
+let prop_bist_grade_matches_oracle =
+  QCheck.Test.make ~name:"bist_sim grading matches the lane-by-lane grader" ~count:60
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let _, width, c, faults, operands = random_unit seed in
+      let signature, graded =
+        Bist_sim.grade ~width c ~operands:(Array.of_list operands) faults
+      in
+      let signature', flags = Oracles.bist_grade ~width c ~operands faults in
+      signature = signature' && graded = List.map Option.some flags)
+
+let prop_podem_matches_oracle =
+  QCheck.Test.make ~name:"podem classification matches the list-based search" ~count:20
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let rng, _, c, _, _ = random_unit seed in
+      let max_backtracks = Prng.int rng 30 in
+      let cls = Podem.classify_all ~max_backtracks c in
+      let tested, untestable, aborted =
+        List.fold_left
+          (fun (t, u, a) f ->
+            match Oracles.podem ~max_backtracks c f with
+            | Oracles.Test v -> ((f, v) :: t, u, a)
+            | Oracles.Untestable -> (t, f :: u, a)
+            | Oracles.Aborted -> (t, u, f :: a))
+          ([], [], []) (Fault.collapsed c)
+      in
+      cls.Podem.tested = tested && cls.Podem.untestable = untestable
+      && cls.Podem.aborted = aborted)
+
+let bist_sim_unit_spans () =
+  let inst = B.paulin () in
+  let r = Flow.run ~style:Flow.Traditional inst.B.dfg inst.B.massign ~policy:inst.B.policy in
+  let rep, t =
+    Telemetry.collect (fun () -> Bist_sim.run ~pattern_count:63 r.Flow.datapath r.Flow.bist)
+  in
+  let spans = List.filter (fun s -> s.Telemetry.name = "bist_sim") (Telemetry.spans t) in
+  check (Alcotest.list (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.string)))
+    "one span per graded unit, in report order"
+    (List.map (fun u -> [ ("unit", u.Bist_sim.mid) ]) rep.Bist_sim.units)
+    (List.map (fun s -> s.Telemetry.attrs) spans)
+
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
 let suite =
@@ -294,3 +397,7 @@ let suite =
     case "coverage monotone in patterns" more_patterns_never_hurt;
   ]
   @ qcheck [ prop_circuits_random_w8; prop_alu_random_kind_sets ]
+  @ [ case "BIST sim: one span per graded unit" bist_sim_unit_spans ]
+  @ qcheck
+      [ prop_kernel_matches_oracle; prop_fault_sim_matches_oracle;
+        prop_bist_grade_matches_oracle; prop_podem_matches_oracle ]

@@ -5,7 +5,6 @@ let () =
     [
       ("util", Test_util.suite);
       ("telemetry", Test_telemetry.suite);
-      ("parallel", Test_parallel.suite);
       ("graphs", Test_graphs.suite);
       ("dfg", Test_dfg.suite);
       ("lifetime", Test_lifetime.suite);

@@ -1,16 +1,13 @@
 (* Tests for the resilience layer: budgets and cancellation tokens,
-   anytime (degraded) solver outcomes, accumulated diagnostics, and
-   deterministic fault injection — including that truncated results are
-   identical at every pool width and that an injected worker crash
-   leaves the pool reusable. *)
+   the budgeted sequential map, anytime (degraded) solver outcomes,
+   accumulated diagnostics, and deterministic fault injection —
+   including that a leaf-budget truncation is deterministic. *)
 
 module Budget = Bistpath_resilience.Budget
 module Cancel = Bistpath_resilience.Cancel
 module Outcome = Bistpath_resilience.Outcome
 module Diagnostic = Bistpath_resilience.Diagnostic
 module Inject = Bistpath_resilience.Inject
-module Pool = Bistpath_parallel.Pool
-module Par = Bistpath_parallel.Par
 module B = Bistpath_benchmarks.Benchmarks
 module Flow = Bistpath_core.Flow
 module Allocator = Bistpath_bist.Allocator
@@ -23,8 +20,6 @@ module Frontend = Bistpath_dfg.Frontend
 
 let check = Alcotest.check
 let case name f = Alcotest.test_case name `Quick f
-let par_pool = lazy (Pool.create ~jobs:4 ())
-let seq_pool = lazy (Pool.create ~jobs:1 ())
 
 (* --- budgets and tokens -------------------------------------------- *)
 
@@ -123,35 +118,31 @@ let outcome_accessors () =
   | Outcome.Complete 7 -> ()
   | _ -> Alcotest.fail "of_reason None = Complete"
 
-(* --- budget-aware parallel combinators ----------------------------- *)
+(* --- budgeted map ---------------------------------------------------- *)
 
 let map_budget_untripped_parity () =
   let b = Budget.create ~leaf_budget:1_000_000 () in
   let xs = List.init 200 Fun.id in
   let expect = List.map (fun x -> Some (x * x)) xs in
-  List.iter
-    (fun pool ->
-      let r =
-        Par.map_list_budget ~pool:(Lazy.force pool) ~chunk:7 ~budget:b
-          (fun x -> x * x)
-          xs
-      in
-      check (Alcotest.list (Alcotest.option Alcotest.int)) "all evaluated" expect r)
-    [ seq_pool; par_pool ]
+  check (Alcotest.list (Alcotest.option Alcotest.int)) "all evaluated" expect
+    (Budget.map b (fun x -> x * x) xs);
+  check (Alcotest.list (Alcotest.option Alcotest.int)) "unlimited evaluates all" expect
+    (Budget.map Budget.unlimited (fun x -> x * x) xs);
+  (* a quota tripping mid-map stops before the next element *)
+  let b = Budget.create ~leaf_budget:5 () in
+  let r = Budget.map b (fun x -> Budget.leaf b; x) xs in
+  check (Alcotest.list (Alcotest.option Alcotest.int)) "cut after the tripping leaf"
+    (List.map (fun x -> if x < 5 then Some x else None) xs)
+    r
 
 let map_budget_pretripped_all_none () =
   let b = Budget.create ~leaf_budget:1 () in
   Budget.leaf b;
   check Alcotest.bool "tripped" true (Budget.should_stop b);
-  List.iter
-    (fun pool ->
-      let r =
-        Par.map_array_budget ~pool:(Lazy.force pool) ~budget:b
-          (fun x -> x + 1)
-          (Array.init 50 Fun.id)
-      in
-      check Alcotest.bool "nothing evaluated" true (Array.for_all Option.is_none r))
-    [ seq_pool; par_pool ]
+  let evaluated = ref 0 in
+  let r = Budget.map b (fun x -> incr evaluated; x + 1) (List.init 50 Fun.id) in
+  check Alcotest.bool "nothing evaluated" true (List.for_all Option.is_none r);
+  check Alcotest.int "f never called" 0 !evaluated
 
 (* --- anytime solvers ----------------------------------------------- *)
 
@@ -189,19 +180,19 @@ let flow_run_outcome_degrades () =
 let pareto_leaf_budget_width_independent () =
   let inst = Option.get (B.by_tag "ewf") in
   let r = Flow.run ~style:Flow.Traditional inst.B.dfg inst.B.massign ~policy:inst.B.policy in
-  let explore pool =
+  let explore () =
     let budget = Budget.create ~leaf_budget:60 () in
-    Pareto.explore_outcome ~pool:(Lazy.force pool) ~budget r.Flow.datapath
+    Pareto.explore_outcome ~budget r.Flow.datapath
   in
   let front o =
     List.map (fun p -> (p.Pareto.delta_gates, p.Pareto.sessions)) (Outcome.value o)
   in
-  let o1 = explore seq_pool and o4 = explore par_pool in
-  check Alcotest.bool "degraded at 1" false (Outcome.is_complete o1);
-  check Alcotest.bool "degraded at 4" false (Outcome.is_complete o4);
+  let o1 = explore () and o2 = explore () in
+  check Alcotest.bool "degraded" false (Outcome.is_complete o1);
+  check Alcotest.bool "degraded again" false (Outcome.is_complete o2);
   check
     (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
-    "identical truncated front" (front o1) (front o4);
+    "identical truncated front" (front o1) (front o2);
   check Alcotest.bool "front non-empty" true (front o1 <> [])
 
 let pareto_unbudgeted_equals_budgeted_untripped () =
@@ -329,7 +320,7 @@ let with_injection config ~seed f =
 let inject_disarmed_by_default () =
   Inject.configure [];
   check Alcotest.bool "disarmed" false (Inject.enabled ());
-  check Alcotest.bool "no fire" false (Inject.should_fire "pool.worker")
+  check Alcotest.bool "no fire" false (Inject.should_fire "pareto.leaf")
 
 let inject_certain_hit () =
   with_injection [ ("allocator.leaf", 1.0) ] ~seed:1 (fun () ->
@@ -347,22 +338,13 @@ let inject_sys_error_variant () =
 
 let inject_stream_deterministic () =
   let draw () =
-    with_injection [ ("pool.worker", 0.4) ] ~seed:77 (fun () ->
-        List.init 64 (fun _ -> Inject.should_fire "pool.worker"))
+    with_injection [ ("pareto.leaf", 0.4) ] ~seed:77 (fun () ->
+        List.init 64 (fun _ -> Inject.should_fire "pareto.leaf"))
   in
   let a = draw () and b = draw () in
   check (Alcotest.list Alcotest.bool) "same stream" a b;
   check Alcotest.bool "mixed stream" true
     (List.exists Fun.id a && List.exists (fun x -> not x) a)
-
-let inject_worker_crash_recovers () =
-  let pool = Lazy.force par_pool in
-  with_injection [ ("pool.worker", 1.0) ] ~seed:1 (fun () ->
-      Alcotest.check_raises "batch fails" (Inject.Injected "pool.worker")
-        (fun () -> ignore (Par.map_list ~pool ~chunk:1 Fun.id [ 1; 2; 3 ])));
-  (* the injected crash must not wedge or poison the shared pool *)
-  let r = Par.map_list ~pool (fun x -> x * 10) [ 1; 2; 3 ] in
-  check (Alcotest.list Alcotest.int) "pool reusable" [ 10; 20; 30 ] r
 
 let inject_allocator_unwinds () =
   let inst = Option.get (B.by_tag "ex1") in
@@ -404,5 +386,4 @@ let suite =
     case "inject: certain hit" inject_certain_hit;
     case "inject: sys-error variant" inject_sys_error_variant;
     case "inject: per-site stream deterministic" inject_stream_deterministic;
-    case "inject: pool survives worker crash" inject_worker_crash_recovers;
     case "inject: allocator unwinds and recovers" inject_allocator_unwinds ]

@@ -833,7 +833,6 @@ let flags_reject_garbage () =
   let expect_4 args = check Alcotest.int (String.concat " " args) 4 (run_synth args) in
   expect_4 [ "run"; "ex1"; "--timeout=-1" ];
   expect_4 [ "run"; "ex1"; "--timeout=soon" ];
-  expect_4 [ "run"; "ex1"; "--jobs=0" ];
   expect_4 [ "run"; "ex1"; "--leaf-budget=-5" ];
   expect_4 [ "run"; "ex1"; "--max-errors=many" ];
   expect_4 [ "serve"; "/no/such/spool-dir" ];

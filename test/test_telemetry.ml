@@ -507,6 +507,28 @@ let flow_stage_spans () =
     (Telemetry.counter r "bist.embedding_candidates" > 0);
   check Alcotest.bool "gauges set" true (Telemetry.counter r "regs.allocated" > 0)
 
+(* The fleet's heartbeat domain bumps counters and records track events
+   while the main domain does too; the mutex-guarded recorder must lose
+   neither. *)
+let concurrent_domains () =
+  let n = 500 in
+  let (), r =
+    Telemetry.collect (fun () ->
+        let bump track () =
+          for i = 1 to n do
+            Telemetry.incr "test.concurrent_incr";
+            if i mod 100 = 0 then
+              Telemetry.add_timed ~track "tick" ~start_ns:(Telemetry.now ()) ~dur_ns:1L
+          done
+        in
+        let others = List.init 2 (fun k -> Domain.spawn (bump (k + 2))) in
+        bump 1 ();
+        List.iter Domain.join others)
+  in
+  check Alcotest.int "every increment counted" (3 * n)
+    (Telemetry.counter r "test.concurrent_incr");
+  check Alcotest.int "every track event kept" 15 (List.length (Telemetry.track_events r))
+
 let suite =
   [
     case "span nesting and ordering" span_nesting;
@@ -527,4 +549,5 @@ let suite =
     case "stats json well-formed and escaped" stats_json_well_formed;
     case "clique partition counters" greedy_clique_counters;
     case "flow emits each stage span once" flow_stage_spans;
+    case "counters survive concurrent domains" concurrent_domains;
   ]
