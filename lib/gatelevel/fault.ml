@@ -72,8 +72,4 @@ let collapsed c =
 
 let stuck f = (f.net, match f.polarity with Stuck_at_0 -> 0L | Stuck_at_1 -> -1L)
 
-let inject c f input_words =
-  let k = Sim.compile c in
-  let nets = Sim.nets k in
-  Sim.eval_chunk k nets ~stuck:(stuck f) input_words;
-  Array.init c.Circuit.num_nets (Bigarray.Array1.get nets)
+let inject c f input_words = Sim.eval_nets ~stuck:(stuck f) c input_words

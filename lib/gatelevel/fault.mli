@@ -25,5 +25,5 @@ val stuck : t -> int * int64
     word it is forced to. *)
 
 val inject : Circuit.t -> t -> int64 array -> int64 array
-(** Net values under the fault, given fault-free input words: one
-    {!Sim.eval_chunk} with the faulty net forced. *)
+(** Net values under the fault, given fault-free input words:
+    {!Sim.eval_nets} with the faulty net forced. *)

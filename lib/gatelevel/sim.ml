@@ -100,10 +100,10 @@ let eval_chunk k (buf : nets) ?stuck inputs =
     if out = forced then A1.unsafe_set buf out word
   done
 
-let eval_nets c input_words =
+let eval_nets ?stuck c input_words =
   let k = compile c in
   let buf = nets k in
-  eval_chunk k buf input_words;
+  eval_chunk k buf ?stuck input_words;
   Array.init k.num_nets (A1.get buf)
 
 let eval c input_words =

@@ -35,8 +35,9 @@ val eval : Circuit.t -> int64 array -> int64 array
     word per primary input (in port order), the result one word per
     primary output. Raises [Invalid_argument] on arity mismatch. *)
 
-val eval_nets : Circuit.t -> int64 array -> int64 array
-(** Like {!eval} but returns the value of every net (indexed by net id). *)
+val eval_nets : ?stuck:int * int64 -> Circuit.t -> int64 array -> int64 array
+(** Like {!eval} but returns the value of every net (indexed by net id),
+    with [~stuck] forcing a net as in {!eval_chunk}. *)
 
 val eval_ints : Circuit.t -> int list -> int list
 (** Single-pattern convenience: one integer per input port bit... no —
