@@ -4,14 +4,10 @@
 
 module B = Bistpath_benchmarks.Benchmarks
 module Flow = Bistpath_core.Flow
-module Stage = Bistpath_core.Stage
 module Store = Bistpath_cache.Store
-module Testable_alloc = Bistpath_core.Testable_alloc
-module Parser = Bistpath_dfg.Parser
 module Report = Bistpath_report.Report
 module Verilog = Bistpath_rtl.Verilog
 module Dot = Bistpath_rtl.Dot
-module Bist_sim = Bistpath_gatelevel.Bist_sim
 module Podem = Bistpath_gatelevel.Podem
 module Library = Bistpath_gatelevel.Library
 module Massign = Bistpath_dfg.Massign
@@ -23,6 +19,7 @@ module Inject = Bistpath_resilience.Inject
 module Service = Bistpath_service.Service
 module Fleet = Bistpath_service.Fleet
 module Runner = Bistpath_service.Runner
+module Job = Bistpath_service.Job
 module Check = Bistpath_check.Check
 module Equiv = Bistpath_rtl.Equiv
 module Absint = Bistpath_absint.Absint
@@ -58,11 +55,6 @@ let transparency_arg =
   let doc = "Let pattern generators reach ports through transparent units." in
   Arg.(value & flag & info [ "transparency" ] ~doc)
 
-let style_of_flow = function
-  | "traditional" -> Ok Flow.Traditional
-  | "testable" -> Ok (Flow.Testable Testable_alloc.default_options)
-  | s -> Error (Printf.sprintf "unknown flow %S (use testable or traditional)" s)
-
 let or_die = function
   | Ok x -> x
   | Error msg ->
@@ -76,6 +68,13 @@ let or_die_input = function
   | Error lines ->
     List.iter (fun l -> prerr_endline ("synth: " ^ l)) lines;
     exit exit_invalid_input
+
+(* The flows a [--flow] value names, each with its style: [both] is
+   traditional then testable. An unknown name exits 1. *)
+let styles_of_flow flow =
+  List.map
+    (fun f -> (f, or_die (Flow.parse_style f)))
+    (if flow = "both" then [ "traditional"; "testable" ] else [ flow ])
 
 (* --- uniform numeric-flag validation ------------------------------- *)
 
@@ -335,62 +334,48 @@ let check_gate_arg =
   in
   Arg.(value & flag & info [ "check" ] ~doc)
 
-let run_check_gate ~budget ~width ~transparency (inst : B.instance) label r =
-  let ctx =
-    Check.ctx_of_flow ~vectors:10 ~transparency
-      ~design:(inst.B.tag ^ "/" ^ label)
-      ~width inst.B.dfg inst.B.massign ~policy:inst.B.policy r
-  in
-  let rep = Check.run ~budget ctx in
+let check_gate ~budget inst job r =
+  let rep = Runner.check_report ~budget inst job r in
   if rep.Check.findings <> [] || rep.Check.suppressed <> [] then
     prerr_string (Check.to_text rep);
   if Check.errors rep > 0 then exit exit_findings
 
-(* Key for a whole rendered artifact. [None] turns the terminal-stage
-   caching off (while Flow.run ?cache still reuses inner stages) —
-   used under --check, which needs the live flow result. Must stay in
-   lock-step with Runner's derivation so the CLI and the service share
-   one cache. *)
-let cli_artifact_key ~cache ~stage ~width ?(transparency = false) ~style extra
-    (inst : B.instance) =
-  Option.map
-    (fun _ ->
-      Flow.artifact_key ~stage
-        ~spec_hash:(Flow.spec_hash inst.B.dfg inst.B.massign ~policy:inst.B.policy)
-        ~params:
-          (Bistpath_util.Json.Obj
-             (("flow", Flow.flow_params_json ~width ~transparency ~style ())
-             :: extra)))
-    cache
+(* --- the pipelines shared with serve (Runner) ------------------------ *)
+
+(* The job a command line describes; it carries no budget, as
+   [with_common] builds one from the flags. An unknown --flow exits 1,
+   after the spec's own diagnostics (exit 4) if it fails to load too. *)
+let cli_job c ?(width = 8) ?(flow = "testable") ?(transparency = false)
+    ?(patterns = 255) pipeline spec =
+  (match Flow.parse_style flow with
+  | Ok _ -> ()
+  | Error msg ->
+    ignore (or_die_input (Runner.load_instance ?max_errors:c.max_errors spec));
+    or_die (Error msg));
+  { Job.id = "synth"; spec; pipeline; width; flow; transparency; patterns;
+    timeout_s = None; leaf_budget = None }
+
+let print_job c ?cache ~budget job =
+  match Runner.execute ?max_errors:c.max_errors ?cache ~budget job with
+  | Ok (artifact, _) -> print_string artifact
+  | Error (Runner.Invalid_input lines) -> or_die_input (Error lines)
+  | Error (Runner.Check_findings lines) ->
+    List.iter (fun l -> prerr_endline ("synth: " ^ l)) lines;
+    exit exit_findings
 
 let run_term =
   let run c spec width flow transparency check cache_o =
     with_common c @@ fun budget ->
-    let inst = or_die_input (Runner.load_instance ?max_errors:c.max_errors spec) in
-    let style = or_die (style_of_flow flow) in
+    let job = cli_job c ~width ~flow ~transparency Job.Run spec in
     let cache = open_cache cache_o in
-    let key =
-      if check then None
-      else
-        cli_artifact_key ~cache ~stage:Stage.Report ~width ~transparency ~style
-          [ ("artifact", Bistpath_util.Json.Str "run") ]
-          inst
-    in
-    match Flow.artifact_find ~cache ~stage:Stage.Report ~key with
-    | Some payload -> print_string payload
-    | None ->
-      let r =
-        Flow.run ~budget ~width ~transparency ?cache ~style inst.B.dfg
-          inst.B.massign ~policy:inst.B.policy
-      in
-      let payload =
-        Format.asprintf "%a@.@.%a@.@.test sessions: %a@." Bistpath_dfg.Dfg.pp
-          inst.B.dfg Flow.pp_result r Bistpath_bist.Session.pp r.Flow.sessions
-      in
-      print_string payload;
-      if not (Budget.should_stop budget) then
-        Flow.artifact_store ~cache ~stage:Stage.Report ~key payload;
-      if check then run_check_gate ~budget ~width ~transparency inst flow r
+    if not check then print_job c ?cache ~budget job
+    else begin
+      (* the gate needs the live flow result, so no terminal artifact *)
+      let inst = or_die_input (Runner.load_instance ?max_errors:c.max_errors spec) in
+      let r = Runner.flow ?cache ~budget inst job in
+      print_string (Runner.render_run inst r);
+      check_gate ~budget inst job r
+    end
   in
   Term.(
     const run $ common_term $ instance_arg $ width_arg $ flow_arg
@@ -475,27 +460,20 @@ let rtl_cmd =
   in
   let run c spec width flow bist wrapper verify narrow check cache_o =
     with_common c @@ fun budget ->
+    let job = cli_job c ~width ~flow Job.Rtl spec in
     let inst = or_die_input (Runner.load_instance ?max_errors:c.max_errors spec) in
-    let style = or_die (style_of_flow flow) in
     let bist = bist || wrapper in
     if narrow && bist then
       invalid_flag "--narrow"
         (if wrapper then "--wrapper" else "--bist")
         "a plain datapath (BIST register semantics are width-dependent)";
     let cache = open_cache cache_o in
-    let key =
-      if check || verify || narrow then None
-      else
-        cli_artifact_key ~cache ~stage:Stage.Rtl ~width ~style
-          [ ("artifact", Bistpath_util.Json.Str "rtl");
-            ("bist", Bistpath_util.Json.Bool bist);
-            ("wrapper", Bistpath_util.Json.Bool wrapper) ]
-          inst
-    in
-    match Flow.artifact_find ~cache ~stage:Stage.Rtl ~key with
-    | Some payload -> print_string payload
-    | None ->
-      let r = Flow.run ~budget ~width ?cache ~style inst.B.dfg inst.B.massign ~policy:inst.B.policy in
+    if not (check || verify || narrow) then
+      print_string (fst (Runner.rtl ?cache ~budget ~bist ~wrapper inst job))
+    else begin
+      (* the gates and the narrowing plan need the live flow result, so
+         no terminal artifact *)
+      let r = Runner.flow ?cache ~budget inst job in
       let plan =
         if not narrow then None
         else
@@ -518,28 +496,8 @@ let rtl_cmd =
             (List.length p.Absint.regw)
             (List.length p.Absint.unitw))
         plan;
-      let payload =
-        Verilog.primitives ~width ^ "\n"
-        ^ Verilog.emit ~width
-            ?bist:(if bist then Some r.Flow.bist else None)
-            ?sessions:(if wrapper then Some r.Flow.sessions else None)
-            ~regw ~unitw r.Flow.datapath
-        ^ "\n"
-        ^
-        if wrapper then begin
-          let golden =
-            Bistpath_rtl.Bist_wrapper.golden_signatures ~width r.Flow.datapath
-              r.Flow.bist r.Flow.sessions
-          in
-          Bistpath_rtl.Bist_wrapper.emit ~width ~golden r.Flow.datapath
-            r.Flow.bist r.Flow.sessions
-          ^ "\n"
-        end
-        else ""
-      in
+      let payload = Runner.render_rtl ~width ~regw ~unitw ~bist ~wrapper r in
       print_string payload;
-      if not (Budget.should_stop budget) then
-        Flow.artifact_store ~cache ~stage:Stage.Rtl ~key payload;
       if verify then begin
         (* parse the just-printed text back and prove it equivalent *)
         match
@@ -570,7 +528,8 @@ let rtl_cmd =
             exit exit_findings
           end
       end;
-      if check then run_check_gate ~budget ~width ~transparency:false inst flow r
+      if check then check_gate ~budget inst job r
+    end
   in
   let doc = "Emit structural Verilog for the synthesized data path." in
   Cmd.v (Cmd.info "rtl" ~doc)
@@ -589,7 +548,7 @@ let dot_cmd =
     match what with
     | "dfg" -> print_endline (Dot.of_dfg inst.B.dfg)
     | "datapath" ->
-      let style = or_die (style_of_flow flow) in
+      let style = or_die (Flow.parse_style flow) in
       let r = Flow.run ~budget ~width ~style inst.B.dfg inst.B.massign ~policy:inst.B.policy in
       print_endline (Dot.of_datapath ~bist:r.Flow.bist r.Flow.datapath)
     | s -> or_die (Error (Printf.sprintf "unknown kind %S" s))
@@ -606,11 +565,7 @@ let coverage_cmd =
   in
   let run c spec width flow patterns =
     with_common c @@ fun budget ->
-    let inst = or_die_input (Runner.load_instance ?max_errors:c.max_errors spec) in
-    let style = or_die (style_of_flow flow) in
-    let r = Flow.run ~budget ~width ~style inst.B.dfg inst.B.massign ~policy:inst.B.policy in
-    let rep = Bist_sim.run ~budget ~width ~pattern_count:patterns r.Flow.datapath r.Flow.bist in
-    Format.printf "%a@." Bist_sim.pp rep
+    print_job c ~budget (cli_job c ~width ~flow ~patterns Job.Coverage spec)
   in
   let doc = "Gate-level stuck-at coverage of the chosen BIST configuration." in
   Cmd.v
@@ -627,7 +582,7 @@ let vcd_cmd =
   let run c spec width flow sets =
     with_common c @@ fun budget ->
     let inst = or_die_input (Runner.load_instance ?max_errors:c.max_errors spec) in
-    let style = or_die (style_of_flow flow) in
+    let style = or_die (Flow.parse_style flow) in
     let r = Flow.run ~budget ~width ~style inst.B.dfg inst.B.massign ~policy:inst.B.policy in
     let used =
       List.filter
@@ -676,14 +631,13 @@ let tb_cmd =
   let run c spec width flow count seed =
     with_common c @@ fun budget ->
     let inst = or_die_input (Runner.load_instance ?max_errors:c.max_errors spec) in
-    let style = or_die (style_of_flow flow) in
+    let style = or_die (Flow.parse_style flow) in
     let r = Flow.run ~budget ~width ~style inst.B.dfg inst.B.massign ~policy:inst.B.policy in
     let rng = Bistpath_util.Prng.create seed in
     let vectors =
       Bistpath_rtl.Testbench.random_vectors rng r.Flow.datapath ~width ~count
     in
-    print_endline (Verilog.primitives ~width);
-    print_endline (Verilog.emit ~width r.Flow.datapath);
+    print_string (Verilog.source ~width r.Flow.datapath);
     print_endline (Bistpath_rtl.Testbench.generate ~width r.Flow.datapath ~vectors)
   in
   let doc =
@@ -698,7 +652,7 @@ let area_cmd =
   let run c spec width flow =
     with_common c @@ fun budget ->
     let inst = or_die_input (Runner.load_instance ?max_errors:c.max_errors spec) in
-    let style = or_die (style_of_flow flow) in
+    let style = or_die (Flow.parse_style flow) in
     let r = Flow.run ~budget ~width ~style inst.B.dfg inst.B.massign ~policy:inst.B.policy in
     let m = Bistpath_datapath.Area.default in
     Format.printf "functional: %a@."
@@ -724,25 +678,8 @@ let area_cmd =
 let pareto_cmd =
   let run c spec width flow cache_o =
     with_common c @@ fun budget ->
-    let inst = or_die_input (Runner.load_instance ?max_errors:c.max_errors spec) in
-    let style = or_die (style_of_flow flow) in
-    let cache = open_cache cache_o in
-    let key =
-      cli_artifact_key ~cache ~stage:Stage.Report ~width ~style
-        [ ("artifact", Bistpath_util.Json.Str "pareto") ]
-        inst
-    in
-    match Flow.artifact_find ~cache ~stage:Stage.Report ~key with
-    | Some payload -> print_string payload
-    | None ->
-      let r = Flow.run ~budget ~width ?cache ~style inst.B.dfg inst.B.massign ~policy:inst.B.policy in
-      let payload =
-        Format.asprintf "%a@." Bistpath_bist.Pareto.pp
-          (Bistpath_bist.Pareto.explore ~width ~budget r.Flow.datapath)
-      in
-      print_string payload;
-      if not (Budget.should_stop budget) then
-        Flow.artifact_store ~cache ~stage:Stage.Report ~key payload
+    let job = cli_job c ~width ~flow Job.Pareto spec in
+    print_job c ?cache:(open_cache cache_o) ~budget job
   in
   let doc = "Area vs test-session Pareto front for one design." in
   Cmd.v (Cmd.info "pareto" ~doc)
@@ -837,32 +774,20 @@ let check_cmd =
               ^ String.concat ", " (List.map fst Check.rule_table)))
         (String.split_on_char ',' suppress)
     in
-    let styles =
-      match flow with
-      | "both" ->
-        [ ("traditional", Flow.Traditional);
-          ("testable", Flow.Testable Testable_alloc.default_options) ]
-      | s -> [ (s, or_die (style_of_flow s)) ]
-    in
     let total_errors = ref 0 in
     List.iter
-      (fun (label, style) ->
-        let r =
-          Flow.run ~budget ~width ~transparency ~style inst.B.dfg inst.B.massign
-            ~policy:inst.B.policy
+      (fun (flow, _) ->
+        let job = cli_job c ~width ~flow ~transparency Job.Check spec in
+        let rep =
+          Runner.check_report ~suppress ~vectors ~budget inst job
+            (Runner.flow ~budget inst job)
         in
-        let ctx =
-          Check.ctx_of_flow ~vectors ~transparency
-            ~design:(inst.B.tag ^ "/" ^ label)
-            ~width inst.B.dfg inst.B.massign ~policy:inst.B.policy r
-        in
-        let rep = Check.run ~suppress ~budget ctx in
         (match format with
         | "json" -> print_endline (Bistpath_util.Json.to_string (Check.to_json rep))
         | "sarif" -> print_endline (Json.to_string (Check.to_sarif rep))
         | _ -> print_string (Check.to_text rep));
         total_errors := !total_errors + Check.errors rep)
-      styles;
+      (styles_of_flow flow);
     if !total_errors > 0 then exit exit_findings
     end
   in
@@ -937,13 +862,7 @@ let analyze_cmd =
             ^ String.concat ", " inst.B.dfg.Bistpath_dfg.Dfg.inputs
             ^ ")"))
       assumes;
-    let styles =
-      match flow with
-      | "both" ->
-        [ ("traditional", Flow.Traditional);
-          ("testable", Flow.Testable Testable_alloc.default_options) ]
-      | s -> [ (s, or_die (style_of_flow s)) ]
-    in
+    let styles = styles_of_flow flow in
     let total_errors = ref 0 in
     let degraded = ref false in
     List.iter
@@ -1134,13 +1053,7 @@ let verify_cmd =
     | "text" | "json" -> ()
     | s -> or_die (Error (Printf.sprintf "unknown format %S (use text or json)" s)));
     if vectors < 0 then invalid_flag "--vectors" (string_of_int vectors) "a non-negative integer";
-    let styles =
-      match flow with
-      | "both" ->
-        [ ("traditional", Flow.Traditional);
-          ("testable", Flow.Testable Testable_alloc.default_options) ]
-      | s -> [ (s, or_die (style_of_flow s)) ]
-    in
+    let styles = styles_of_flow flow in
     let mismatches = ref 0 and unparsable = ref 0 in
     let json = format = "json" in
     let report_text label lines ok_note =
@@ -1207,11 +1120,6 @@ let verify_cmd =
           report_text label lines
             (Printf.sprintf " (%d vectors)" rep.Equiv.vectors_run)
     in
-    let full_rtl ?bist ?sessions dp =
-      Verilog.primitives ~width ^ "\n"
-      ^ Verilog.emit ~width ?bist ?sessions dp
-      ^ "\n"
-    in
     (match (rtl_file, golden) with
     | Some file, _ ->
       let label, style =
@@ -1234,7 +1142,8 @@ let verify_cmd =
         (fun (label, style) ->
           let r = Flow.run ~budget ~width ~style inst.B.dfg inst.B.massign ~policy:inst.B.policy in
           let current =
-            full_rtl ~bist:r.Flow.bist ~sessions:r.Flow.sessions r.Flow.datapath
+            Verilog.source ~width ~bist:r.Flow.bist ~sessions:r.Flow.sessions
+              r.Flow.datapath
           in
           (* Keyed by the spec as written, not the instance tag: a DFG
              file may carry the same internal name as a benchmark tag
@@ -1291,7 +1200,7 @@ let verify_cmd =
               emit_report
                 (Printf.sprintf "%s/%s/%s" inst.B.tag label vname)
                 (Equiv.verify ~vectors ~width ?bist ?sessions
-                   ~rtl:(full_rtl ?bist ?sessions dp)
+                   ~rtl:(Verilog.source ~width ?bist ?sessions dp)
                    dp))
             variants)
         styles);
@@ -1349,11 +1258,7 @@ let atpg_cmd =
     Term.(const run $ common_term $ instance_arg $ width_arg $ backtracks_arg)
 
 let export_cmd =
-  let run c spec =
-    with_common c @@ fun _budget ->
-    let inst = or_die_input (Runner.load_instance ?max_errors:c.max_errors spec) in
-    print_string (Parser.to_string inst.B.dfg)
-  in
+  let run c spec = with_common c @@ fun budget -> print_job c ~budget (cli_job c Job.Export spec) in
   let doc = "Print a design in the textual DFG format (re-loadable by every command)." in
   Cmd.v (Cmd.info "export" ~doc) Term.(const run $ common_term $ instance_arg)
 

@@ -21,6 +21,11 @@ module Interval = Bistpath_graphs.Interval
 
 type style = Traditional | Testable of Testable_alloc.options
 
+let parse_style = function
+  | "traditional" -> Ok Traditional
+  | "testable" -> Ok (Testable Testable_alloc.default_options)
+  | s -> Error (Printf.sprintf "unknown flow %S (use testable or traditional)" s)
+
 type result = {
   style : style;
   regalloc : Regalloc.t;

@@ -8,6 +8,10 @@ type style =
       (** the paper's allocation; interconnect weighted by register
           sharing degrees *)
 
+val parse_style : string -> (style, string) Stdlib.result
+(** The one flow-name parser: ["traditional"], or ["testable"] with the
+    default options. Any other name is an error message. *)
+
 type result = {
   style : style;
   regalloc : Bistpath_datapath.Regalloc.t;

@@ -23,10 +23,11 @@ type report = {
   units : unit_report list;
 }
 
-(* Deterministic non-zero LFSR seed from a register name. *)
-let seed_of_register ~salt ~seed rid =
-  let h = Hashtbl.hash (rid, salt, seed) in
-  match h land 0xFFFF with 0 -> 1 | s -> s
+(* Deterministic LFSR seed from a register name, non-zero in the low
+   [width] bits that [Lfsr.create] keeps. *)
+let seed_of_register ~width ~salt ~seed rid =
+  let s = Hashtbl.hash (rid, salt, seed) land 0xFFFF in
+  if s land ((1 lsl width) - 1) = 0 then 1 else s
 
 (* Input words of vectors [lo, lo + size). Vector v applies operand
    pair p = v mod n; an ALU runs every kind in turn, with one-hot select
@@ -101,8 +102,7 @@ let grade ?(budget = Budget.unlimited) ~width c ~operands faults =
           for o = 0 to Array.length outputs - 1 do
             diff := Int64.logor !diff (Int64.logxor (A1.get nets outputs.(o)) good.(o))
           done;
-          let live = if size = 64 then -1L else Int64.pred (Int64.shift_left 1L size) in
-          seen := not (Int64.equal (Int64.logand !diff live) 0L)
+          seen := not (Int64.equal (Int64.logand !diff (Sim.live_lanes size)) 0L)
         end;
         absorb_lanes misr ~width nets outputs size)
       chunks;
@@ -117,8 +117,8 @@ let simulate_unit ~budget ~width ~pattern_count ~seed (e : Ipath.embedding)
     | [ k ] -> Library.of_kind k ~width
     | kinds -> Library.alu kinds ~width
   in
-  let gen_l = Lfsr.create ~width ~seed:(seed_of_register ~salt:0 ~seed e.l_tpg) in
-  let gen_r = Lfsr.create ~width ~seed:(seed_of_register ~salt:1 ~seed e.r_tpg) in
+  let gen_l = Lfsr.create ~width ~seed:(seed_of_register ~width ~salt:0 ~seed e.l_tpg) in
+  let gen_r = Lfsr.create ~width ~seed:(seed_of_register ~width ~salt:1 ~seed e.r_tpg) in
   let operands = Array.init pattern_count (fun _ -> (Lfsr.step gen_l, Lfsr.step gen_r)) in
   let vectors = pattern_count * List.length u.kinds in
   Bistpath_telemetry.Telemetry.incr "bist_sim.patterns" ~by:vectors;

@@ -36,21 +36,24 @@ let run ?(budget = Budget.unlimited) c ~faults ~patterns =
   let outputs = Array.of_list c.Circuit.outputs in
   let patterns = Array.of_list patterns in
   let n = Array.length patterns in
-  (* Each chunk's input words with its fault-free output words. *)
+  (* Each chunk's input words, live lanes and fault-free output words. *)
   let chunks =
     Array.init ((n + 63) / 64) (fun i ->
-        let words = pack num_inputs patterns (64 * i) (min n (64 * (i + 1))) in
+        let size = min 64 (n - (64 * i)) in
+        let words = pack num_inputs patterns (64 * i) (64 * i + size) in
         Sim.eval_chunk k nets words;
-        (words, Array.map (Bigarray.Array1.get nets) outputs))
+        (words, Sim.live_lanes size, Array.map (Bigarray.Array1.get nets) outputs))
   in
-  (* Whole words are compared, so the unused lanes of a partial last
-     chunk (all inputs 0) are graded too. *)
   let detected f =
     let stuck = Fault.stuck f in
     Array.exists
-      (fun (words, good) ->
+      (fun (words, live, good) ->
         Sim.eval_chunk k nets ~stuck words;
-        Array.exists2 (fun o g -> not (Int64.equal (Bigarray.Array1.get nets o) g)) outputs good)
+        Array.exists2
+          (fun o g ->
+            let diff = Int64.logxor (Bigarray.Array1.get nets o) g in
+            not (Int64.equal (Int64.logand diff live) 0L))
+          outputs good)
       chunks
   in
   (* Faults not graded before the budget's token tripped come back

@@ -23,8 +23,8 @@ val run :
   Circuit.t -> faults:Fault.t list -> patterns:int list list -> result
 (** [patterns] is a list of input vectors, each one bit per primary input
     net (little-endian ints are NOT assumed — each element of a vector
-    is 0 or 1). Patterns are packed 64 per simulation pass; a partial
-    last pass also applies the all-zero vector in its unused lanes.
+    is 0 or 1). Patterns are packed 64 per simulation pass; only the
+    lanes that hold a pattern are graded.
 
     [budget] (default {!Bistpath_resilience.Budget.unlimited}): once its
     token trips, remaining faults are abandoned cooperatively and listed

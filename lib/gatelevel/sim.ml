@@ -61,6 +61,8 @@ let compile (c : Circuit.t) =
 
 let nets k = A1.init Bigarray.int64 Bigarray.c_layout k.num_nets (fun _ -> 0L)
 
+let live_lanes size = if size >= 64 then -1L else Int64.pred (Int64.shift_left 1L size)
+
 (* [compile] bounds-checked every net, so the loop reads and writes the
    buffer unchecked; each word is computed in place in the gate's output
    slot, so nothing is boxed. Clearing first makes a reused buffer read

@@ -30,6 +30,11 @@ val eval_chunk : compiled -> nets -> ?stuck:int * int64 -> int64 array -> unit
     [Invalid_argument] on input arity mismatch or a buffer sized for
     another circuit. *)
 
+val live_lanes : int -> int64
+(** The lane mask of a chunk's first [size] patterns ([0 < size <= 64]):
+    a partial last chunk's other lanes hold no pattern and must not be
+    graded. *)
+
 val eval : Circuit.t -> int64 array -> int64 array
 (** [eval c input_words] evaluates the circuit; [input_words] has one
     word per primary input (in port order), the result one word per

@@ -564,13 +564,3 @@ let io_sensitivity ?(width = 8) () =
    registers become 1x..3x as expensive to convert as datapath registers\n\
    (benchmarks without dedicated registers are flat by construction)\n\n"
   ^ Table.to_string t
-
-let all ?(width = 8) () =
-  String.concat "\n\n================================================================\n\n"
-    [
-      table1 ~width (); table2 ~width (); table3 ~width ();
-      fig2 (); fig4 (); fig5 ~width (); fig1_3 ~width (); fig6 ();
-      ablation ~width (); transparency ~width (); pareto ~width ();
-      scan_vs_bist ~width (); io_sensitivity ~width (); width_sweep ();
-      testability ();
-    ]

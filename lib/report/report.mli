@@ -80,6 +80,3 @@ val io_sensitivity : ?width:int -> unit -> string
     modify than datapath registers): sweep the penalty from 1x to 3x.
     Only benchmarks with dedicated registers (Paulin and the extension
     set) move. *)
-
-val all : ?width:int -> unit -> string
-(** Every section above, concatenated with headers. *)

@@ -466,3 +466,6 @@ let primitives ~width =
       "endmodule";
       "";
     ]
+
+let source ~width ?bist ?sessions ?regw ?unitw dp =
+  primitives ~width ^ "\n" ^ emit ~width ?bist ?sessions ?regw ?unitw dp ^ "\n"

@@ -91,3 +91,14 @@ val primitives : width:int -> string
 (** Library of the register/unit/mux primitives the emitted module
     instantiates (behavioural Verilog), so [primitives ^ emit dp] is a
     complete compilation unit. *)
+
+val source :
+  width:int ->
+  ?bist:Bistpath_bist.Allocator.solution ->
+  ?sessions:Bistpath_bist.Session.t ->
+  ?regw:(string * int) list ->
+  ?unitw:(string * int) list ->
+  Bistpath_datapath.Datapath.t ->
+  string
+(** {!primitives} then {!emit}, each followed by a newline: the
+    compilation unit [synth rtl] prints and [synth verify] parses back. *)

@@ -97,9 +97,9 @@ let of_json ~default_id json =
     let* flow = field "flow" Json.to_str "a string" in
     let flow = Option.value flow ~default:"testable" in
     let* () =
-      match flow with
-      | "testable" | "traditional" -> Ok ()
-      | s -> Error (Printf.sprintf "unknown flow %S (want testable or traditional)" s)
+      match Bistpath_core.Flow.parse_style flow with
+      | Ok _ -> Ok ()
+      | Error _ -> Error (Printf.sprintf "unknown flow %S (want testable or traditional)" flow)
     in
     let* transparency = field "transparency" Json.to_bool "a boolean" in
     let transparency = Option.value transparency ~default:false in

@@ -1,8 +1,9 @@
 (** In-process execution of one job.
 
-    Runs the same library pipeline the corresponding CLI subcommand
-    would, but renders the artifact to a string instead of stdout, so
-    the supervisor can commit it atomically.
+    The one implementation of every pipeline [synth] and [synth serve]
+    both offer: loading, rendering and terminal-artifact caching. The
+    CLI subcommands print the artifact these functions render; the
+    supervisor commits it atomically.
 
     The split of failure modes matters for retry policy:
 
@@ -37,7 +38,57 @@ val load_instance :
     [Error] carries every diagnostic, at most [max_errors] of them,
     rendered one per line; an unknown tag lists the known ones. *)
 
+val flow :
+  ?cache:Bistpath_cache.Store.t ->
+  budget:Bistpath_resilience.Budget.t ->
+  Bistpath_benchmarks.Benchmarks.instance ->
+  Job.t ->
+  Bistpath_core.Flow.result
+(** The job's flow over a loaded instance: its width, flow style and
+    transparency. Raises [Invalid_argument] on a flow name
+    {!Bistpath_core.Flow.parse_style} rejects ({!Job.of_json} never
+    builds one). *)
+
+val render_run : Bistpath_benchmarks.Benchmarks.instance -> Bistpath_core.Flow.result -> string
+(** The [run] artifact: the DFG, the flow summary and the test sessions. *)
+
+val render_rtl :
+  width:int ->
+  ?regw:(string * int) list ->
+  ?unitw:(string * int) list ->
+  bist:bool ->
+  wrapper:bool ->
+  Bistpath_core.Flow.result ->
+  string
+(** The [rtl] artifact ({!Bistpath_rtl.Verilog.source}): BIST register
+    variants with [bist], plus session steering and the self-test
+    wrapper with [wrapper] (which needs [bist]). [regw]/[unitw] narrow
+    components as in {!Bistpath_rtl.Verilog.emit}. *)
+
+val rtl :
+  ?cache:Bistpath_cache.Store.t ->
+  budget:Bistpath_resilience.Budget.t ->
+  bist:bool ->
+  wrapper:bool ->
+  Bistpath_benchmarks.Benchmarks.instance ->
+  Job.t ->
+  string * [ `Hit | `Miss ] option
+(** {!render_rtl} of the job's flow as a terminal artifact stage: served
+    from [cache] when warm, else rendered and stored (see {!execute}). *)
+
+val check_report :
+  ?suppress:string list ->
+  ?vectors:int ->
+  budget:Bistpath_resilience.Budget.t ->
+  Bistpath_benchmarks.Benchmarks.instance ->
+  Job.t ->
+  Bistpath_core.Flow.result ->
+  Bistpath_check.Check.report
+(** The static verifier over the job's flow result, for the design
+    [<tag>/<flow>]; [vectors] (default 10) feeds EQ001. *)
+
 val execute :
+  ?max_errors:int ->
   ?cache:Bistpath_cache.Store.t ->
   budget:Bistpath_resilience.Budget.t ->
   Job.t ->
@@ -45,7 +96,8 @@ val execute :
 (** Deterministic for a fixed job and untripped budget: two runs
     produce byte-identical artifacts (the exactly-once guarantee
     leans on this — re-running a job after a crash rewrites the same
-    bytes).
+    bytes). [max_errors] caps the spec's diagnostics as in
+    {!load_instance}.
 
     [cache] attaches the content-addressed result store. [run], [rtl]
     and [pareto] jobs become terminal artifact stages: a warm job is
@@ -57,4 +109,5 @@ val execute :
     [check]/[verify]/[coverage]
     still reuses cached stages). Without [cache] the second component
     is always [None] and behaviour is byte-identical to the uncached
-    runner. *)
+    runner. The CLI's [run], [rtl --bist] and [pareto] are these jobs,
+    so the two front ends share one cache. *)

@@ -202,26 +202,29 @@ let pack num_inputs chunk =
     chunk;
   words
 
-(* Fault_sim.run's detection flag per fault: whole output words differ
-   in some chunk. *)
-let fault_sim_flags c ~faults ~patterns =
-  let packed = List.map (pack (List.length c.Circuit.inputs)) (chunks 64 patterns) in
-  let outputs nets = List.map (fun n -> nets.(n)) c.Circuit.outputs in
-  let golden = List.map (fun w -> outputs (inject c w)) packed in
-  List.map
-    (fun f ->
-      List.exists2
-        (fun w good ->
-          List.exists2 (fun x g -> not (Int64.equal x g)) (outputs (inject ~fault:f c w)) good)
-        packed golden)
-    faults
-
 let bits_of width v = List.init width (fun i -> (v lsr i) land 1)
 
 let lane_outputs c nets lane =
   List.map
     (fun n -> if Int64.logand (Int64.shift_right_logical nets.(n) lane) 1L = 1L then 1 else 0)
     c.Circuit.outputs
+
+(* Fault_sim.run's detection flag per fault: the outputs differ in some
+   lane that holds a pattern. *)
+let fault_sim_flags c ~faults ~patterns =
+  let cs = chunks 64 patterns in
+  let packed = List.map (pack (List.length c.Circuit.inputs)) cs in
+  let golden = List.map (inject c) packed in
+  List.map
+    (fun f ->
+      List.exists2
+        (fun (words, good) size ->
+          let nets = inject ~fault:f c words in
+          List.exists
+            (fun lane -> lane_outputs c nets lane <> lane_outputs c good lane)
+            (Listx.range 0 size))
+        (List.combine packed golden) (List.map List.length cs))
+    faults
 
 let fold_outputs width bits =
   let value = snd (List.fold_left (fun (i, acc) b -> (i + 1, acc lor (b lsl i))) (0, 0) bits) in

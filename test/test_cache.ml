@@ -511,6 +511,123 @@ let journal_tolerates_pre_cache_lines () =
   | Ok _ -> Alcotest.fail "expected a done event"
   | Error e -> Alcotest.failf "event_of_json: %s" e
 
+(* --- one pipeline behind the CLI and serve ---------------------------- *)
+
+let both_flows = [ "traditional"; "testable" ]
+
+(* The CLI spelling of each serve pipeline; [export] takes no flow. *)
+let cli_args pipeline tag flow =
+  match pipeline with
+  | "rtl" -> [ "rtl"; tag; "--bist"; "--flow"; flow ]
+  | "check" -> [ "check"; tag; "--format"; "json"; "--flow"; flow ]
+  | "export" -> [ "export"; tag ]
+  | p -> [ p; tag; "--flow"; flow ]
+
+let job_id tag flow pipeline = Printf.sprintf "%s-%s-%s" tag flow pipeline
+
+(* Spool the (tag, flow, pipeline) jobs into [d] and serve them in
+   process; returns each job's [<id>.out]. *)
+let serve_jobs ?cache_dir d triples =
+  write_lines
+    (Filename.concat d "jobs.ndjson")
+    (List.map
+       (fun (tag, flow, pipeline) ->
+         Printf.sprintf {|{"id":"%s","spec":"%s","pipeline":"%s","flow":"%s"}|}
+           (job_id tag flow pipeline) tag pipeline flow)
+       triples);
+  let stats = Service.run { (quiet_config d) with Service.cache_dir } in
+  check Alcotest.int "every job completed" (List.length triples)
+    stats.Service.completed;
+  fun (tag, flow, pipeline) ->
+    read_file
+      (Filename.concat (Filename.concat d "results")
+         (job_id tag flow pipeline ^ ".out"))
+
+let cli_stdout args =
+  let code, out, err = run_synth args in
+  check Alcotest.int (String.concat " " args ^ ": exit") 0 code;
+  (out, err)
+
+let triples pipelines =
+  List.concat_map
+    (fun tag ->
+      List.concat_map
+        (fun flow -> List.map (fun p -> (tag, flow, p)) pipelines)
+        both_flows)
+    B.all_tags
+
+(* Every benchmark tag in both flows: the CLI prints exactly the bytes
+   one in-process serve run commits as <id>.out. *)
+let cli_matches_serve_artifacts () =
+  let d = tmpdir () in
+  let jobs =
+    triples [ "run"; "pareto"; "coverage"; "export"; "rtl"; "check" ]
+  in
+  let served = serve_jobs d jobs in
+  List.iter
+    (fun ((tag, flow, pipeline) as t) ->
+      let out, _ = cli_stdout (cli_args pipeline tag flow) in
+      check Alcotest.string (job_id tag flow pipeline) (served t) out)
+    jobs;
+  rm_rf d
+
+let done_cache d =
+  let events =
+    String.split_on_char '\n' (read_file (Filename.concat d "journal.ndjson"))
+    |> List.filter (fun l -> l <> "")
+    |> List.filter_map (fun l -> Result.to_option (Json.parse l))
+    |> List.filter_map (fun j -> Result.to_option (Journal.event_of_json j))
+  in
+  fun id ->
+    List.find_map
+      (function
+        | Journal.Done { id = i; cache; _ } when i = id -> Some cache
+        | _ -> None)
+      events
+
+(* Terminal run/rtl artifacts share one cache: entries the CLI stored
+   are hits for serve, and entries serve stored are hits for the CLI,
+   with the same bytes either way. *)
+let cli_and_serve_share_one_cache () =
+  let jobs = triples [ "run"; "rtl" ] in
+  let cache_args d = [ "--cache"; "--cache-dir"; Filename.concat d "cache" ] in
+  let cli_warmed = tmpdir () in
+  let cli_out =
+    List.map
+      (fun (tag, flow, pipeline) ->
+        fst (cli_stdout (cli_args pipeline tag flow @ cache_args cli_warmed)))
+      jobs
+  in
+  let served =
+    serve_jobs ~cache_dir:(Filename.concat cli_warmed "cache") cli_warmed jobs
+  in
+  let cached = done_cache cli_warmed in
+  List.iter2
+    (fun ((tag, flow, pipeline) as t) out ->
+      let id = job_id tag flow pipeline in
+      check Alcotest.(option (option string)) (id ^ ": serve hit")
+        (Some (Some "hit")) (cached id);
+      check Alcotest.string (id ^ ": same bytes") out (served t))
+    jobs cli_out;
+  let serve_warmed = tmpdir () in
+  let served =
+    serve_jobs ~cache_dir:(Filename.concat serve_warmed "cache") serve_warmed jobs
+  in
+  List.iter
+    (fun ((tag, flow, pipeline) as t) ->
+      let id = job_id tag flow pipeline in
+      let out, stats =
+        cli_stdout
+          (cli_args pipeline tag flow @ cache_args serve_warmed @ [ "--stats" ])
+      in
+      check Alcotest.bool (id ^ ": CLI hit") true (contains ~sub:"cache.hit" stats);
+      check Alcotest.bool (id ^ ": CLI never misses") false
+        (contains ~sub:"cache.miss" stats);
+      check Alcotest.string (id ^ ": same bytes") (served t) out)
+    jobs;
+  rm_rf cli_warmed;
+  rm_rf serve_warmed
+
 let suite =
   [
     case "canonical JSON sorts object keys at every depth" canonical_sorts_keys;
@@ -536,4 +653,6 @@ let suite =
       serve_splits_cached_latency;
     case "journal: pre-cache done lines replay with cache=None"
       journal_tolerates_pre_cache_lines;
+    case "cli: every tag's stdout equals serve's artifact" cli_matches_serve_artifacts;
+    case "cli: CLI and serve warm one shared cache" cli_and_serve_share_one_cache;
   ]

@@ -17,8 +17,7 @@ let testable = Flow.Testable Bistpath_core.Testable_alloc.default_options
 let run_flow style inst =
   Flow.run ~style inst.B.dfg inst.B.massign ~policy:inst.B.policy
 
-let full_rtl ?(width = 8) ?bist ?sessions dp =
-  Verilog.primitives ~width ^ "\n" ^ Verilog.emit ~width ?bist ?sessions dp ^ "\n"
+let full_rtl ?(width = 8) ?bist ?sessions dp = Verilog.source ~width ?bist ?sessions dp
 
 let expect_clean name r =
   match r with

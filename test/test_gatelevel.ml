@@ -159,6 +159,18 @@ let fault_sim_chunking () =
   check Alcotest.bool "high coverage with 100 random patterns" true
     (Fault_sim.coverage r > 0.95)
 
+(* A partial last chunk leaves lanes with no pattern in them. They must
+   not grade: a fault only the all-zero vector detects stays undetected
+   by fewer than 64 non-zero patterns. *)
+let fault_sim_grades_live_lanes_only () =
+  let c = Library.logic_unit Circuit.Or ~width:1 in
+  (* a | b stuck at 1 shows only when a = b = 0 *)
+  let f = { Fault.net = List.hd c.Circuit.outputs; polarity = Fault.Stuck_at_1 } in
+  let detected patterns = (Fault_sim.run c ~faults:[ f ] ~patterns).Fault_sim.detected in
+  check Alcotest.int "the zero vector detects it" 1 (detected [ [ 0; 0 ] ]);
+  check Alcotest.int "non-zero patterns do not" 0
+    (detected [ [ 1; 0 ]; [ 0; 1 ]; [ 1; 1 ] ])
+
 let coverage_edge_cases () =
   check (Alcotest.float 1e-9) "empty fault list" 1.0
     (Fault_sim.coverage { Fault_sim.total = 0; detected = 0; undetected = []; skipped = [] })
@@ -401,3 +413,4 @@ let suite =
   @ qcheck
       [ prop_kernel_matches_oracle; prop_fault_sim_matches_oracle;
         prop_bist_grade_matches_oracle; prop_podem_matches_oracle ]
+  @ [ case "fault sim grades only the live lanes" fault_sim_grades_live_lanes_only ]

@@ -10,7 +10,6 @@ let () =
       ("lifetime", Test_lifetime.suite);
       ("benchmarks", Test_benchmarks.suite);
       ("frontend", Test_frontend.suite);
-      ("fds", Test_fds.suite);
       ("sharing", Test_sharing.suite);
       ("cbilbo", Test_cbilbo.suite);
       ("alloc", Test_alloc.suite);

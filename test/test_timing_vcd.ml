@@ -1,5 +1,4 @@
-(* Tests for the timing model, the VCD exporter and the fault-diagnosis
-   dictionary. *)
+(* Tests for the timing model and the VCD exporter. *)
 
 module Op = Bistpath_dfg.Op
 module Massign = Bistpath_dfg.Massign
@@ -8,8 +7,6 @@ module Flow = Bistpath_core.Flow
 module Timing = Bistpath_datapath.Timing
 module Interp = Bistpath_datapath.Interp
 module Vcd = Bistpath_rtl.Vcd
-module G = Bistpath_gatelevel
-module Prng = Bistpath_util.Prng
 
 let check = Alcotest.check
 let case name f = Alcotest.test_case name `Quick f
@@ -102,56 +99,6 @@ let vcd_timesteps_match_trace () =
         (contains vcd (Printf.sprintf "#%d\n" (e.Interp.step * 10))))
     trace
 
-(* --- diagnosis ------------------------------------------------------ *)
-
-let diagnosis_dictionary () =
-  let c = G.Library.ripple_adder ~width:3 in
-  let patterns =
-    List.concat_map (fun a -> List.init 8 (fun b -> (a, b))) (List.init 8 Fun.id)
-  in
-  (* a wide MISR makes aliasing to the golden signature negligible *)
-  let d = G.Diagnosis.build ~misr_width:20 c ~width:3 ~patterns in
-  (* exhaustive patterns detect everything: golden bucket is empty *)
-  check (Alcotest.list Alcotest.string) "no undetected faults" []
-    (List.map (Format.asprintf "%a" G.Fault.pp) (G.Diagnosis.candidates d (G.Diagnosis.golden d)));
-  (* every faulty signature's candidates contain a fault with exactly
-     that signature (self-consistency) *)
-  List.iter
-    (fun f ->
-      match G.Podem.generate c f with
-      | G.Podem.Test _ -> ()
-      | _ -> Alcotest.fail "adder fault should be testable")
-    (Bistpath_util.Listx.take 5 (G.Fault.collapsed c));
-  check Alcotest.bool "several signature classes" true (G.Diagnosis.distinct_signatures d > 4);
-  check Alcotest.bool "resolution in range" true
-    (G.Diagnosis.resolution d >= 0.0 && G.Diagnosis.resolution d <= 1.0)
-
-let diagnosis_lookup_roundtrip () =
-  let c = G.Library.logic_unit G.Circuit.And ~width:2 in
-  let patterns = [ (3, 3); (3, 0); (0, 3); (1, 2) ] in
-  let d = G.Diagnosis.build c ~width:2 ~patterns in
-  (* pick any fault, look its signature class up: the fault must be a
-     candidate of its own signature *)
-  List.iter
-    (fun f ->
-      let sig_of =
-        (* rebuild to find this fault's signature via candidates search *)
-        List.find_opt
-          (fun s -> List.mem f (G.Diagnosis.candidates d s))
-          (List.init 4 Fun.id)
-      in
-      check Alcotest.bool "fault found in some signature class" true (sig_of <> None))
-    (G.Fault.collapsed c)
-
-let diagnosis_wider_misr_sharper () =
-  let c = G.Library.ripple_adder ~width:3 in
-  let rng = Prng.create 11 in
-  let patterns = G.Fault_sim.random_operand_patterns rng ~width:3 ~count:25 in
-  let narrow = G.Diagnosis.build ~misr_width:3 c ~width:3 ~patterns in
-  let wide = G.Diagnosis.build ~misr_width:12 c ~width:3 ~patterns in
-  check Alcotest.bool "wider MISR separates at least as well" true
-    (G.Diagnosis.distinct_signatures wide >= G.Diagnosis.distinct_signatures narrow)
-
 let suite =
   [
     case "mux levels" mux_levels_known;
@@ -161,7 +108,4 @@ let suite =
     case "test time accounting" test_time_accounting;
     case "vcd structure" vcd_structure;
     case "vcd timesteps match trace" vcd_timesteps_match_trace;
-    case "diagnosis dictionary" diagnosis_dictionary;
-    case "diagnosis lookup roundtrip" diagnosis_lookup_roundtrip;
-    case "wider MISR sharper" diagnosis_wider_misr_sharper;
   ]
