@@ -5,8 +5,6 @@ module Ipath = Bistpath_ipath.Ipath
 module Listx = Bistpath_util.Listx
 module Telemetry = Bistpath_telemetry.Telemetry
 module Budget = Bistpath_resilience.Budget
-module Cancel = Bistpath_resilience.Cancel
-module Outcome = Bistpath_resilience.Outcome
 module Inject = Bistpath_resilience.Inject
 
 type solution = {
@@ -85,9 +83,11 @@ let unapply eng (e : Ipath.embedding) =
       s.gen <- s.gen - 1;
       if String.equal e.l_tpg e.sa then s.both <- s.both - 1)
 
+(* Ample to prove every paper design optimal; bounds large generated ones. *)
+let node_cap = 200_000
+
 let solve ?(model = Area.default) ?(width = 8) ?(forbidden = [])
-    ?(node_budget = 200_000) ?(io_penalty_percent = 100) ?(transparency = false)
-    ?(budget = Budget.unlimited) dp =
+    ?(io_penalty_percent = 100) ?(transparency = false) ?(budget = Budget.unlimited) dp =
   let penalized = Hashtbl.create 8 in
   if io_penalty_percent <> 100 then
     List.iter
@@ -168,7 +168,7 @@ let solve ?(model = Area.default) ?(width = 8) ?(forbidden = [])
   let nodes = ref 0 in
   let exhausted = ref false in
   let rec branch i =
-    if !nodes > node_budget || Budget.should_stop budget then exhausted := true
+    if !nodes > node_cap || Budget.should_stop budget then exhausted := true
     else if i = n then begin
       Inject.fire "allocator.leaf";
       if eng.feasible = 0 && eng.cost < !best_cost then begin
@@ -264,21 +264,6 @@ let solve ?(model = Area.default) ?(width = 8) ?(forbidden = [])
     delta_gates = eng3.cost;
     exact = not !exhausted;
   }
-
-let solve_outcome ?model ?width ?forbidden ?(node_budget = 200_000)
-    ?io_penalty_percent ?transparency ?(budget = Budget.unlimited) dp =
-  let sol =
-    solve ?model ?width ?forbidden ~node_budget ?io_penalty_percent ?transparency
-      ~budget dp
-  in
-  if sol.exact then Outcome.Complete sol
-  else
-    (* Token first: a deadline or external cancel is the real cause even
-       though it surfaces through the same [exhausted] flag as the local
-       node quota. *)
-    match Budget.stop_reason budget with
-    | Some r -> Outcome.Degraded (sol, r)
-    | None -> Outcome.Degraded (sol, Cancel.Node_budget node_budget)
 
 let style_counts sol =
   [ Resource.Cbilbo; Resource.Bilbo; Resource.Tpg; Resource.Sa ]

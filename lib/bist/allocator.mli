@@ -7,30 +7,32 @@
     warm start and incremental cost maintenance: units in
     fewest-embeddings-first order, branches in cheapest-delta-first
     order, pruning on the running cost. The paper-scale designs are
-    solved exactly; a node budget caps the search on large generated
-    designs (the [exact] flag reports which happened). *)
+    solved exactly; a fixed cap of 200,000 search nodes ([node_cap])
+    bounds the search on large generated designs. Hitting the cap is
+    reported only through [exact = false]: it does not trip the caller's
+    {!Bistpath_resilience.Budget}, whose {!Bistpath_resilience.Budget.stop_reason}
+    stays [None]. *)
 
 type solution = {
   embeddings : Bistpath_ipath.Ipath.embedding list;  (** one per testable unit *)
   styles : (string * Resource.style) list;  (** per register, Normal included *)
   untestable : string list;  (** units with no usable embedding *)
   delta_gates : int;  (** total modification cost *)
-  exact : bool;  (** search completed within the node budget *)
+  exact : bool;  (** search completed within the node cap and the budget *)
 }
 
 val solve :
   ?model:Bistpath_datapath.Area.model ->
   ?width:int ->
   ?forbidden:Resource.style list ->
-  ?node_budget:int ->
   ?io_penalty_percent:int ->
   ?transparency:bool ->
   ?budget:Bistpath_resilience.Budget.t ->
   Bistpath_datapath.Datapath.t ->
   solution
-(** Default model {!Bistpath_datapath.Area.default}, width 8, node budget
-    200_000. Units with no operations bound to them are skipped (they
-    exist only on paper). [forbidden] styles are rejected outright (used
+(** Default model {!Bistpath_datapath.Area.default}, width 8. Units
+    with no operations bound to them are skipped (they exist only on
+    paper). [forbidden] styles are rejected outright (used
     by the SYNTEST-like baseline, whose self-testable template never
     mixes generate and compact duties on one register); a unit whose
     every embedding would need a forbidden style is reported untestable.
@@ -45,28 +47,14 @@ val solve :
     [budget] (default {!Bistpath_resilience.Budget.unlimited}) makes the
     search anytime: every branch-and-bound node is counted against the
     budget and the search polls its token, so a deadline or external
-    cancel truncates it exactly like the local node quota — the greedy
-    warm start (or best solution found so far) is returned with
-    [exact = false]. With the default budget behaviour and results are
-    bit-identical to previous releases.
+    cancel truncates it exactly like the node cap — the greedy warm
+    start (or best solution found so far) is returned with
+    [exact = false], and the budget's stop reason says why. With the
+    default budget behaviour and results are bit-identical to previous
+    releases.
 
     Fault injection: each complete leaf probes the [allocator.leaf] site
     ({!Bistpath_resilience.Inject}). *)
-
-val solve_outcome :
-  ?model:Bistpath_datapath.Area.model ->
-  ?width:int ->
-  ?forbidden:Resource.style list ->
-  ?node_budget:int ->
-  ?io_penalty_percent:int ->
-  ?transparency:bool ->
-  ?budget:Bistpath_resilience.Budget.t ->
-  Bistpath_datapath.Datapath.t ->
-  solution Bistpath_resilience.Outcome.t
-(** [solve] with the truncation cause made explicit: [Complete] iff
-    [exact], otherwise [Degraded] carrying the budget's stop reason
-    (falling back to [Node_budget] for the local quota, which has no
-    token). *)
 
 val style_counts : solution -> (Resource.style * int) list
 (** Histogram of non-[Normal] styles (Table II's resource mixes). *)

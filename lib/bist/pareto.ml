@@ -3,8 +3,6 @@ module Datapath = Bistpath_datapath.Datapath
 module Massign = Bistpath_dfg.Massign
 module Ipath = Bistpath_ipath.Ipath
 module Budget = Bistpath_resilience.Budget
-module Cancel = Bistpath_resilience.Cancel
-module Outcome = Bistpath_resilience.Outcome
 module Inject = Bistpath_resilience.Inject
 
 type point = {
@@ -46,8 +44,14 @@ let solution_of dp model width embeddings =
     exact = true;
   }
 
-let explore_outcome ?(model = Area.default) ?(width = 8) ?(transparency = false)
-    ?(slack_percent = 50) ?(leaf_budget = 20_000) ?(budget = Budget.unlimited) dp =
+(* Points costing over 1.5x the minimum area are not worth their test time. *)
+let slack_percent = 50
+
+(* Bounds the sweep on the largest designs; reaching it is silent. *)
+let leaf_cap = 20_000
+
+let explore ?(model = Area.default) ?(width = 8) ?(transparency = false)
+    ?(budget = Budget.unlimited) dp =
   let minimum = Allocator.solve ~model ~width ~transparency ~budget dp in
   let bound = minimum.Allocator.delta_gates * (100 + slack_percent) / 100 in
   let units =
@@ -61,19 +65,19 @@ let explore_outcome ?(model = Area.default) ?(width = 8) ?(transparency = false)
   in
   (* Enumerating the embedding combinations is cheap (cons cells only);
      the leaves are collected first, in reverse enumeration order, and
-     costed below. Every leaf counts against both the local quota and
-     the shared budget here, so a leaf-budget truncation point depends
-     only on the enumeration. *)
+     costed below. Every leaf counts against both [leaf_cap] and the
+     shared budget here, so a leaf-budget truncation point depends only
+     on the enumeration. *)
   let chosen_leaves = ref [] in
   let count = ref 0 in
   let rec enumerate chosen = function
     | [] ->
       incr count;
       Budget.leaf budget;
-      if !count <= leaf_budget && not (Budget.should_stop budget) then
+      if !count <= leaf_cap && not (Budget.should_stop budget) then
         chosen_leaves := chosen :: !chosen_leaves
     | es :: rest ->
-      if !count <= leaf_budget && not (Budget.should_stop budget) then
+      if !count <= leaf_cap && not (Budget.should_stop budget) then
         List.iter (fun e -> enumerate (e :: chosen) rest) es
   in
   enumerate [] units;
@@ -104,21 +108,10 @@ let explore_outcome ?(model = Area.default) ?(width = 8) ?(transparency = false)
       (fun (d', s', _) -> d' <= d && s' <= s && (d' < d || s' < s))
       candidates
   in
-  let points =
-    candidates
-    |> List.filter (fun p -> not (dominated p))
-    |> List.sort_uniq (fun (d, s, _) (d', s', _) -> compare (d, s) (d', s'))
-    |> List.map (fun (delta_gates, sessions, solution) -> { delta_gates; sessions; solution })
-  in
-  match Budget.stop_reason budget with
-  | Some r -> Outcome.Degraded (points, r)
-  | None ->
-    if !count > leaf_budget then Outcome.Degraded (points, Cancel.Leaf_budget leaf_budget)
-    else Outcome.Complete points
-
-let explore ?model ?width ?transparency ?slack_percent ?leaf_budget ?budget dp =
-  Outcome.value
-    (explore_outcome ?model ?width ?transparency ?slack_percent ?leaf_budget ?budget dp)
+  candidates
+  |> List.filter (fun p -> not (dominated p))
+  |> List.sort_uniq (fun (d, s, _) (d', s', _) -> compare (d, s) (d', s'))
+  |> List.map (fun (delta_gates, sessions, solution) -> { delta_gates; sessions; solution })
 
 let pp ppf points =
   Format.fprintf ppf "@[<v>";

@@ -18,15 +18,15 @@ val explore :
   ?model:Bistpath_datapath.Area.model ->
   ?width:int ->
   ?transparency:bool ->
-  ?slack_percent:int ->
-  ?leaf_budget:int ->
   ?budget:Bistpath_resilience.Budget.t ->
   Bistpath_datapath.Datapath.t ->
   point list
 (** Points sorted by [delta_gates], mutually non-dominated (no point is
-    at least as good on both axes as another). [slack_percent] (default
-    50) bounds the search to cost <= minimum * (100+slack)/100;
-    [leaf_budget] (default 20_000) caps the enumeration. The minimum-
+    at least as good on both axes as another). A fixed slack
+    ([slack_percent], 50) bounds the search to cost <=
+    minimum * (100+slack)/100, and a fixed cap ([leaf_cap], 20,000)
+    bounds the enumeration. The cap is silent: a front cut by it is
+    returned as if complete and does not trip [budget]. The minimum-
     area solution's cost is always represented. Embedding leaves are
     enumerated first, then costed (solution build + session scheduling)
     in enumeration order.
@@ -37,25 +37,12 @@ val explore :
     any leaf is costed, so a leaf-budget truncation point is
     deterministic), leaf costing ({!Bistpath_resilience.Budget.map}; a
     deadline abandons the remaining leaves) and session scheduling all
-    observe it. The
-    front of whatever was evaluated is still returned, with the
-    always-included minimum point guaranteeing it is non-empty.
+    observe it. The front of whatever was evaluated is still returned,
+    with the always-included minimum point guaranteeing it is non-empty;
+    {!Bistpath_resilience.Budget.stop_reason} says whether the budget
+    cut it.
 
     Fault injection: every costed leaf probes the [pareto.leaf] site
     ({!Bistpath_resilience.Inject}). *)
-
-val explore_outcome :
-  ?model:Bistpath_datapath.Area.model ->
-  ?width:int ->
-  ?transparency:bool ->
-  ?slack_percent:int ->
-  ?leaf_budget:int ->
-  ?budget:Bistpath_resilience.Budget.t ->
-  Bistpath_datapath.Datapath.t ->
-  point list Bistpath_resilience.Outcome.t
-(** [explore] with the truncation cause made explicit: [Degraded] with
-    the budget's stop reason if its token tripped, [Degraded] with
-    [Leaf_budget] if the local enumeration cap was exceeded, [Complete]
-    otherwise. *)
 
 val pp : Format.formatter -> point list -> unit

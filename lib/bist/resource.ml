@@ -2,15 +2,6 @@ module Area = Bistpath_datapath.Area
 
 type style = Normal | Tpg | Sa | Bilbo | Cbilbo
 
-let pp_style ppf s =
-  Format.pp_print_string ppf
-    (match s with
-    | Normal -> "Normal"
-    | Tpg -> "Tpg"
-    | Sa -> "Sa"
-    | Bilbo -> "Bilbo"
-    | Cbilbo -> "Cbilbo")
-
 let style_label = function
   | Normal -> "none"
   | Tpg -> "TPG"

@@ -13,8 +13,6 @@
 
 type style = Normal | Tpg | Sa | Bilbo | Cbilbo
 
-val pp_style : Format.formatter -> style -> unit
-
 val style_label : style -> string
 (** "none", "TPG", "SA", "TPG/SA", "CBILBO" — Table II's vocabulary
     ([Bilbo] prints as "TPG/SA"). *)

@@ -8,7 +8,6 @@ module Session = Bistpath_bist.Session
 module Ipath = Bistpath_ipath.Ipath
 module Telemetry = Bistpath_telemetry.Telemetry
 module Budget = Bistpath_resilience.Budget
-module Outcome = Bistpath_resilience.Outcome
 module Json = Bistpath_util.Json
 module Store = Bistpath_cache.Store
 module Dfg = Bistpath_dfg.Dfg
@@ -536,14 +535,6 @@ let run ?(model = Area.default) ?(width = 8) ?(io_penalty_percent = 100)
     muxes = Datapath.mux_count datapath;
     overhead_percent = Allocator.overhead_percent ~model ~width datapath bist;
   }
-
-let run_outcome ?model ?width ?io_penalty_percent ?transparency
-    ?(budget = Budget.unlimited) ?cache ~style dfg massign ~policy =
-  let r =
-    run ?model ?width ?io_penalty_percent ?transparency ~budget ?cache ~style
-      dfg massign ~policy
-  in
-  Budget.tag budget r
 
 let reduction_percent ~traditional ~testable =
   if traditional.overhead_percent = 0.0 then 0.0

@@ -41,7 +41,9 @@ val run :
     {!Bistpath_resilience.Budget.unlimited}) is forwarded to the BIST
     allocation and session scheduling, the two unbounded-search stages;
     a tripped budget yields a valid flow built from the best allocation
-    found so far (check [result.bist.exact], or use {!run_outcome}).
+    found so far, and {!Bistpath_resilience.Budget.stop_reason} says
+    why. [result.bist.exact] is also [false] when the allocator reached
+    its fixed node cap (200,000 nodes), which does not trip the budget.
 
     [cache] attaches a content-addressed result store: the flow becomes
     a walk over the keyed stage DAG ({!Stage}), where each stage first
@@ -52,21 +54,6 @@ val run :
     BIST solutions are returned but never stored. Without [cache]
     (the default) the historical straight-line behaviour — spans,
     telemetry, outputs — is byte-identical. *)
-
-val run_outcome :
-  ?model:Bistpath_datapath.Area.model ->
-  ?width:int ->
-  ?io_penalty_percent:int ->
-  ?transparency:bool ->
-  ?budget:Bistpath_resilience.Budget.t ->
-  ?cache:Bistpath_cache.Store.t ->
-  style:style ->
-  Bistpath_dfg.Dfg.t ->
-  Bistpath_dfg.Massign.t ->
-  policy:Bistpath_dfg.Policy.t ->
-  result Bistpath_resilience.Outcome.t
-(** [run] tagged with the budget's stop reason ([Degraded] iff its token
-    tripped). *)
 
 (** {1 Cache keys}
 

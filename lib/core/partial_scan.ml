@@ -1,7 +1,6 @@
 module Datapath = Bistpath_datapath.Datapath
 module Area = Bistpath_datapath.Area
 module Massign = Bistpath_dfg.Massign
-module Listx = Bistpath_util.Listx
 
 let s_graph (dp : Datapath.t) =
   List.concat_map

@@ -1,4 +1,3 @@
-module Dfg = Bistpath_dfg.Dfg
 module Lifetime = Bistpath_dfg.Lifetime
 module Massign = Bistpath_dfg.Massign
 module Interval = Bistpath_graphs.Interval

@@ -12,15 +12,6 @@ let name = function
   | Rtl -> "rtl"
   | Report -> "report"
 
-let of_name = function
-  | "schedule" -> Some Schedule
-  | "alloc" -> Some Alloc
-  | "interconnect" -> Some Interconnect
-  | "bist" -> Some Bist
-  | "rtl" -> Some Rtl
-  | "report" -> Some Report
-  | _ -> None
-
 (* Bump a stage's version whenever its payload encoding *or* the
    semantics of the computation it memoizes change: the version is
    hashed into every key, so old entries become unreachable (and

@@ -52,8 +52,6 @@ val name : t -> string
     ["report"] — the names used in cache entry headers and in the
     per-stage [cache.hit.<stage>] / [cache.miss.<stage>] counters. *)
 
-val of_name : string -> t option
-
 val schema_version : t -> int
 (** Hashed into every key; bump on any payload-encoding or semantic
     change so stale entries miss instead of decoding wrongly. *)

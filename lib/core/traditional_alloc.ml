@@ -1,4 +1,3 @@
-module Dfg = Bistpath_dfg.Dfg
 module Lifetime = Bistpath_dfg.Lifetime
 module Interval = Bistpath_graphs.Interval
 module Regalloc = Bistpath_datapath.Regalloc

@@ -1,8 +1,6 @@
-module Dfg = Bistpath_dfg.Dfg
 module Op = Bistpath_dfg.Op
 module Massign = Bistpath_dfg.Massign
 module Policy = Bistpath_dfg.Policy
-module Listx = Bistpath_util.Listx
 module Telemetry = Bistpath_telemetry.Telemetry
 
 type objective = { weight : string -> int }

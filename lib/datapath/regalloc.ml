@@ -1,4 +1,3 @@
-module Dfg = Bistpath_dfg.Dfg
 module Lifetime = Bistpath_dfg.Lifetime
 module Interval = Bistpath_graphs.Interval
 
@@ -16,14 +15,6 @@ let make classes =
   if List.length (List.sort_uniq compare all) <> List.length all then
     invalid_arg "Regalloc.make: variable allocated twice";
   { classes = List.map (fun (rid, vars) -> (rid, List.sort compare vars)) classes }
-
-let of_coloring coloring ~index_to_var =
-  let classes =
-    Bistpath_graphs.Coloring.classes coloring
-    |> List.map (fun (c, members) ->
-           (Printf.sprintf "R%d" (c + 1), List.map index_to_var members))
-  in
-  make classes
 
 let register_of t v =
   List.find_opt (fun (_, vars) -> List.mem v vars) t.classes |> Option.map fst

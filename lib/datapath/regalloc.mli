@@ -10,10 +10,6 @@ val make : (string * string list) list -> t
 (** Validate: unique register ids, no variable in two registers, no empty
     register. Raises [Invalid_argument]. *)
 
-val of_coloring :
-  Bistpath_graphs.Coloring.t -> index_to_var:(int -> string) -> t
-(** Registers named "R1".."Rk" from color classes 0..k-1. *)
-
 val register_of : t -> string -> string option
 (** Register holding a variable, if allocated. *)
 

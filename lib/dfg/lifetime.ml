@@ -1,5 +1,4 @@
 module Interval = Bistpath_graphs.Interval
-module Ugraph = Bistpath_graphs.Ugraph
 module Chordal = Bistpath_graphs.Chordal
 
 let span t v =

@@ -3,9 +3,6 @@ module Massign = Bistpath_dfg.Massign
 
 type side = L | R
 
-let pp_side ppf side =
-  Format.pp_print_string ppf (match side with L -> "L" | R -> "R")
-
 let tpg_candidates dp mid side =
   let l, r = Datapath.unit_port_sources dp mid in
   match side with L -> l | R -> r
@@ -81,26 +78,6 @@ let cbilbo_unavoidable ?(transparency = false) dp mid =
   match embeddings ~transparency dp mid with
   | [] -> false
   | es -> List.for_all requires_cbilbo es
-
-let forced_cbilbo_registers dp mid =
-  match embeddings dp mid with
-  | [] -> []
-  | es ->
-    if List.exists (fun e -> not (requires_cbilbo e)) es then []
-    else
-      (* Every embedding needs a CBILBO; report registers playing the
-         double role in all of them (there may be several options per
-         embedding; a register is "forced" if it takes the double role
-         in every embedding). *)
-      let double_roles e =
-        List.filter
-          (fun r -> String.equal r e.sa)
-          [ e.l_tpg; e.r_tpg ]
-        |> List.sort_uniq compare
-      in
-      let sets = List.map double_roles es in
-      let universe = List.sort_uniq compare (List.concat sets) in
-      List.filter (fun r -> List.for_all (List.mem r) sets) universe
 
 let simple_ipaths dp =
   let unit_paths =

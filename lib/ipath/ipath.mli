@@ -15,8 +15,6 @@
 
 type side = L | R
 
-val pp_side : Format.formatter -> side -> unit
-
 val tpg_candidates : Bistpath_datapath.Datapath.t -> string -> side -> string list
 (** Registers with a simple I-path to the given port of the unit. *)
 
@@ -58,13 +56,6 @@ val cbilbo_unavoidable :
     the situation the paper's Lemma 2 characterizes at the register-
     assignment level. False when some embedding needs no CBILBO, or when
     there are no embeddings at all. *)
-
-val forced_cbilbo_registers : Bistpath_datapath.Datapath.t -> string -> string list
-(** Registers playing the double role in {e every} simple-I-path
-    embedding of the unit: Lemma 2's case (i). Empty in case-(ii)
-    situations (where either register of a pair can take the CBILBO, see
-    {!cbilbo_unavoidable}) and when some embedding avoids CBILBOs
-    entirely. *)
 
 val simple_ipaths : Bistpath_datapath.Datapath.t -> string list
 (** Human-readable list of every simple I-path in the data path, e.g.

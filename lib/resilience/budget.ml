@@ -4,12 +4,10 @@ type t = {
   limited : bool;
   deadline_ns : int64;  (* absolute monotonic deadline; max_int64 = none *)
   deadline_s : float;  (* as configured, for the reason *)
-  node_budget : int;  (* max_int = none *)
   leaf_budget : int;  (* max_int = none *)
   token : Cancel.t;
   mutable nodes : int;
   mutable leaves : int;
-  mutable node_tick : int;  (* nodes since the last clock read *)
 }
 
 let no_deadline = Int64.max_int
@@ -19,24 +17,19 @@ let unlimited =
     limited = false;
     deadline_ns = no_deadline;
     deadline_s = 0.0;
-    node_budget = max_int;
     leaf_budget = max_int;
     token = Cancel.never;
     nodes = 0;
     leaves = 0;
-    node_tick = 0;
   }
 
-let create ?deadline_s ?node_budget ?leaf_budget ?cancel () =
+let create ?deadline_s ?leaf_budget ?cancel () =
   (match deadline_s with
   | Some s when s <= 0.0 -> invalid_arg "Budget.create: deadline_s must be > 0"
   | _ -> ());
-  let check_pos what = function
-    | Some n when n < 1 -> invalid_arg (Printf.sprintf "Budget.create: %s must be >= 1" what)
-    | _ -> ()
-  in
-  check_pos "node_budget" node_budget;
-  check_pos "leaf_budget" leaf_budget;
+  (match leaf_budget with
+  | Some n when n < 1 -> invalid_arg "Budget.create: leaf_budget must be >= 1"
+  | _ -> ());
   {
     limited = true;
     deadline_ns =
@@ -44,12 +37,10 @@ let create ?deadline_s ?node_budget ?leaf_budget ?cancel () =
       | None -> no_deadline
       | Some s -> Int64.add (Monotonic_clock.now ()) (Int64.of_float (s *. 1e9)));
     deadline_s = (match deadline_s with None -> 0.0 | Some s -> s);
-    node_budget = (match node_budget with None -> max_int | Some n -> n);
     leaf_budget = (match leaf_budget with None -> max_int | Some n -> n);
     token = (match cancel with None -> Cancel.create () | Some c -> c);
     nodes = 0;
     leaves = 0;
-    node_tick = 0;
   }
 
 let is_unlimited t = not t.limited
@@ -77,12 +68,7 @@ let deadline_stride = 64
 let node t =
   if t.limited then begin
     t.nodes <- t.nodes + 1;
-    if t.nodes >= t.node_budget then trip t (Cancel.Node_budget t.node_budget);
-    t.node_tick <- t.node_tick + 1;
-    if t.node_tick >= deadline_stride then begin
-      t.node_tick <- 0;
-      check_deadline t
-    end
+    if t.nodes mod deadline_stride = 0 then check_deadline t
   end
 
 let leaf t =
@@ -102,4 +88,3 @@ let should_stop t =
 let map t f xs = List.map (fun x -> if should_stop t then None else Some (f x)) xs
 
 let stop_reason t = if t.limited then Cancel.reason t.token else None
-let tag t x = Outcome.of_reason x (stop_reason t)

@@ -1,12 +1,19 @@
 (** Resource budgets for anytime search.
 
     A budget bundles a wall-clock deadline (monotonic clock, immune to
-    system-time jumps) with search-node and enumeration-leaf quotas and
-    a {!Cancel} token. Solvers report progress with {!node} / {!leaf}
-    and poll {!should_stop}; when any quota trips, the token is
-    cancelled with the corresponding {!Cancel.reason} and every party
+    system-time jumps) with an enumeration-leaf quota and a {!Cancel}
+    token. Solvers report progress with {!node} / {!leaf} and poll
+    {!should_stop}; when the deadline or the leaf quota trips, the token
+    is cancelled with the corresponding {!Cancel.reason} and every party
     holding the budget (or just its token) unwinds cooperatively,
-    returning best-so-far results tagged via {!tag}.
+    returning its best-so-far result.
+
+    {!stop_reason} is the one way a caller learns that a search stopped
+    early: [synth] exits 3 and [synth serve] journals the job as
+    degraded and does not cache it. The solvers' own fixed caps — the
+    allocator's [node_cap] and the Pareto sweep's [leaf_cap] — do not
+    trip the budget: the allocator reports its cap only through
+    [solution.exact], and the Pareto cap is silent.
 
     {!unlimited} — the default everywhere — short-circuits every
     operation to a single branch, so budgeting is zero-cost when not
@@ -29,13 +36,12 @@ val unlimited : t
 
 val create :
   ?deadline_s:float ->
-  ?node_budget:int ->
   ?leaf_budget:int ->
   ?cancel:Cancel.t ->
   unit ->
   t
-(** All quotas optional (omitted = unbounded). [deadline_s] is relative
-    to now and must be positive; budgets must be >= 1
+(** Both quotas optional (omitted = unbounded). [deadline_s] is relative
+    to now and must be positive; [leaf_budget] must be >= 1
     ([Invalid_argument] otherwise). [cancel] shares an external token,
     e.g. to link several budgets to one kill switch. *)
 
@@ -46,7 +52,7 @@ val token : t -> Cancel.t
     {!unlimited}). *)
 
 val node : t -> unit
-(** Count one search node against the node budget. *)
+(** Count one search node; every 64th reads the deadline clock. *)
 
 val leaf : t -> unit
 (** Count one enumeration leaf against the leaf budget. *)
@@ -63,10 +69,9 @@ val map : t -> ('a -> 'b) -> 'a list -> 'b option list
     a budget tripped before the call yields all-[None]. *)
 
 val stop_reason : t -> Cancel.reason option
-
-val tag : t -> 'a -> 'a Outcome.t
-(** Wrap a result: [Degraded] with the stop reason if the budget
-    tripped, [Complete] otherwise. *)
+(** Why the budget tripped, or [None] if it has not (always [None] for
+    {!unlimited}). A solver's result is degraded — valid but possibly
+    sub-optimal or incomplete — exactly when this is [Some]. *)
 
 val nodes : t -> int
 (** Nodes counted so far (0 for {!unlimited}). *)

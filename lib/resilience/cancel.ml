@@ -1,6 +1,5 @@
 type reason =
   | Deadline of float
-  | Node_budget of int
   | Leaf_budget of int
   | Cancelled of string
 
@@ -18,6 +17,5 @@ let reason t = Atomic.get t.cell
 
 let describe = function
   | Deadline s -> Printf.sprintf "deadline of %.2fs exceeded" s
-  | Node_budget n -> Printf.sprintf "node budget of %d exhausted" n
   | Leaf_budget n -> Printf.sprintf "leaf budget of %d exhausted" n
   | Cancelled why -> Printf.sprintf "cancelled: %s" why

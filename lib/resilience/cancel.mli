@@ -11,7 +11,6 @@
 (** Why a computation was asked to stop. *)
 type reason =
   | Deadline of float  (** wall-clock budget, in configured seconds *)
-  | Node_budget of int  (** search-node budget, configured node count *)
   | Leaf_budget of int  (** enumeration-leaf budget, configured leaves *)
   | Cancelled of string  (** external cancellation with a free-form cause *)
 

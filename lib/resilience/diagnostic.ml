@@ -13,7 +13,6 @@ let warning ?file ?line message = make Warning ?file ?line message
 let note ?file ?line message = make Note ?file ?line message
 
 let errorf ?file ?line fmt = Format.kasprintf (fun m -> error ?file ?line m) fmt
-let warningf ?file ?line fmt = Format.kasprintf (fun m -> warning ?file ?line m) fmt
 
 let severity_label = function Error -> "error" | Warning -> "warning" | Note -> "note"
 

@@ -21,7 +21,6 @@ val error : ?file:string -> ?line:int -> string -> t
 val warning : ?file:string -> ?line:int -> string -> t
 val note : ?file:string -> ?line:int -> string -> t
 val errorf : ?file:string -> ?line:int -> ('a, Format.formatter, unit, t) format4 -> 'a
-val warningf : ?file:string -> ?line:int -> ('a, Format.formatter, unit, t) format4 -> 'a
 
 val to_string : t -> string
 (** ["file:3: error: ..."] / ["line 3: error: ..."] / ["error: ..."]. *)

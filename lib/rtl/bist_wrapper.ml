@@ -1,6 +1,5 @@
 module Datapath = Bistpath_datapath.Datapath
 module Dfg = Bistpath_dfg.Dfg
-module Resource = Bistpath_bist.Resource
 module Allocator = Bistpath_bist.Allocator
 module Session = Bistpath_bist.Session
 module Ipath = Bistpath_ipath.Ipath

@@ -5,7 +5,6 @@ module Dfg = Bistpath_dfg.Dfg
 module Op = Bistpath_dfg.Op
 module Massign = Bistpath_dfg.Massign
 module Resource = Bistpath_bist.Resource
-module Allocator = Bistpath_bist.Allocator
 module Session = Bistpath_bist.Session
 module Ipath = Bistpath_ipath.Ipath
 module Listx = Bistpath_util.Listx

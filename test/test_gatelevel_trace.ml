@@ -14,7 +14,6 @@ module Flow = Bistpath_core.Flow
 module Testable_alloc = Bistpath_core.Testable_alloc
 module Pareto = Bistpath_bist.Pareto
 module Budget = Bistpath_resilience.Budget
-module Outcome = Bistpath_resilience.Outcome
 module Library = Bistpath_gatelevel.Library
 module Fault = Bistpath_gatelevel.Fault
 module Podem = Bistpath_gatelevel.Podem
@@ -102,11 +101,12 @@ let pareto_rows spec =
 
 let truncated_rows () =
   let r = flow_result ~width:8 "ewf" (List.assoc "testable" flows) in
-  let o = Pareto.explore_outcome ~budget:(Budget.create ~leaf_budget:100 ()) r.Flow.datapath in
+  let budget = Budget.create ~leaf_budget:100 () in
+  let points = Pareto.explore ~budget r.Flow.datapath in
   [ row
       [ "pareto-leaf100"; "ewf"; "testable";
-        (if Outcome.is_complete o then "complete" else "degraded");
-        front (Outcome.value o) ] ]
+        (if Budget.stop_reason budget = None then "complete" else "degraded");
+        front points ] ]
 
 let render () =
   String.concat ""

@@ -1,11 +1,11 @@
 (* Tests for the resilience layer: budgets and cancellation tokens,
-   the budgeted sequential map, anytime (degraded) solver outcomes,
+   the budgeted sequential map, anytime solvers reporting truncation
+   through the budget's stop reason,
    accumulated diagnostics, and deterministic fault injection —
    including that a leaf-budget truncation is deterministic. *)
 
 module Budget = Bistpath_resilience.Budget
 module Cancel = Bistpath_resilience.Cancel
-module Outcome = Bistpath_resilience.Outcome
 module Diagnostic = Bistpath_resilience.Diagnostic
 module Inject = Bistpath_resilience.Inject
 module B = Bistpath_benchmarks.Benchmarks
@@ -32,7 +32,7 @@ let budget_unlimited () =
   done;
   check Alcotest.bool "never stops" false (Budget.should_stop b);
   check Alcotest.int "no node count" 0 (Budget.nodes b);
-  check Alcotest.bool "tag complete" true (Outcome.is_complete (Budget.tag b 42))
+  check Alcotest.bool "no stop reason" true (Budget.stop_reason b = None)
 
 let budget_leaf_trip () =
   let b = Budget.create ~leaf_budget:3 () in
@@ -41,22 +41,11 @@ let budget_leaf_trip () =
   check Alcotest.bool "under budget" false (Budget.should_stop b);
   Budget.leaf b;
   check Alcotest.bool "tripped" true (Budget.should_stop b);
-  (match Budget.stop_reason b with
+  match Budget.stop_reason b with
   | Some (Cancel.Leaf_budget 3) -> ()
   | r ->
     Alcotest.failf "wrong reason: %s"
-      (match r with Some x -> Cancel.describe x | None -> "none"));
-  match Budget.tag b "front" with
-  | Outcome.Degraded ("front", Cancel.Leaf_budget 3) -> ()
-  | _ -> Alcotest.fail "tag should be Degraded"
-
-let budget_node_trip () =
-  let b = Budget.create ~node_budget:10 () in
-  for _ = 1 to 10 do
-    Budget.node b
-  done;
-  check Alcotest.bool "tripped" true (Budget.should_stop b);
-  check Alcotest.int "counted" 10 (Budget.nodes b)
+      (match r with Some x -> Cancel.describe x | None -> "none")
 
 let budget_deadline_trip () =
   let b = Budget.create ~deadline_s:0.005 () in
@@ -106,18 +95,6 @@ let cancel_never_is_sacred () =
     (Invalid_argument "Cancel.cancel: the never token cannot be cancelled")
     (fun () -> ignore (Cancel.cancel Cancel.never (Cancel.Cancelled "x")))
 
-let outcome_accessors () =
-  let c = Outcome.Complete 1 in
-  let d = Outcome.Degraded (2, Cancel.Leaf_budget 5) in
-  check Alcotest.int "value complete" 1 (Outcome.value c);
-  check Alcotest.int "value degraded" 2 (Outcome.value d);
-  check Alcotest.bool "is_complete" true (Outcome.is_complete c);
-  check Alcotest.bool "not complete" false (Outcome.is_complete d);
-  check Alcotest.int "map" 4 (Outcome.value (Outcome.map (fun x -> 2 * x) d));
-  match Outcome.of_reason 7 None with
-  | Outcome.Complete 7 -> ()
-  | _ -> Alcotest.fail "of_reason None = Complete"
-
 (* --- budgeted map ---------------------------------------------------- *)
 
 let map_budget_untripped_parity () =
@@ -146,67 +123,86 @@ let map_budget_pretripped_all_none () =
 
 (* --- anytime solvers ----------------------------------------------- *)
 
-let allocator_outcome_complete () =
+let allocator_complete () =
   let inst = Option.get (B.by_tag "ex1") in
   let r = Flow.run ~style:Flow.Traditional inst.B.dfg inst.B.massign ~policy:inst.B.policy in
-  match Allocator.solve_outcome r.Flow.datapath with
-  | Outcome.Complete sol -> check Alcotest.bool "exact" true sol.Allocator.exact
-  | Outcome.Degraded _ -> Alcotest.fail "ex1 should complete"
+  let budget = Budget.create () in
+  let sol = Allocator.solve ~budget r.Flow.datapath in
+  check Alcotest.bool "exact" true sol.Allocator.exact;
+  check Alcotest.bool "nodes counted" true (Budget.nodes budget > 0);
+  check Alcotest.bool "no stop reason" true (Budget.stop_reason budget = None)
 
-let allocator_outcome_node_budget () =
+(* A budget whose token is already cancelled, as a driver shutting down
+   would leave it. *)
+let cancelled_budget () =
+  let token = Cancel.create () in
+  ignore (Cancel.cancel token (Cancel.Cancelled "test"));
+  Budget.create ~cancel:token ()
+
+let allocator_cancelled_degrades () =
   let inst = Option.get (B.by_tag "Paulin") in
   let r = Flow.run ~style:Flow.Traditional inst.B.dfg inst.B.massign ~policy:inst.B.policy in
-  let budget = Budget.create ~node_budget:3 () in
-  match Allocator.solve_outcome ~budget r.Flow.datapath with
-  | Outcome.Degraded (sol, _) ->
-    (* still a usable (greedy-seeded) solution, just not proven optimal *)
-    check Alcotest.bool "inexact" false sol.Allocator.exact;
-    check Alcotest.bool "has embeddings" true (sol.Allocator.embeddings <> [])
-  | Outcome.Complete _ -> Alcotest.fail "3-node budget must degrade Paulin"
+  let budget = cancelled_budget () in
+  let sol = Allocator.solve ~budget r.Flow.datapath in
+  (* still a usable (greedy-seeded) solution, just not proven optimal *)
+  check Alcotest.bool "inexact" false sol.Allocator.exact;
+  check Alcotest.bool "has embeddings" true (sol.Allocator.embeddings <> []);
+  check Alcotest.bool "cancelled" true
+    (Budget.stop_reason budget = Some (Cancel.Cancelled "test"))
 
-let flow_run_outcome_degrades () =
+let flow_cancelled_degrades () =
   let inst = Option.get (B.by_tag "Paulin") in
-  let budget = Budget.create ~node_budget:3 () in
-  match
-    Flow.run_outcome ~budget ~style:Flow.Traditional inst.B.dfg inst.B.massign
+  let budget = cancelled_budget () in
+  let r =
+    Flow.run ~budget ~style:Flow.Traditional inst.B.dfg inst.B.massign
       ~policy:inst.B.policy
-  with
-  | Outcome.Degraded (r, Cancel.Node_budget _) ->
-    check Alcotest.bool "sessions still valid" true
-      (Bistpath_bist.Session.num_sessions r.Flow.sessions >= 1)
-  | Outcome.Degraded _ -> Alcotest.fail "expected node-budget reason"
-  | Outcome.Complete _ -> Alcotest.fail "expected degraded flow"
+  in
+  check Alcotest.bool "cancelled" true
+    (Budget.stop_reason budget = Some (Cancel.Cancelled "test"));
+  check Alcotest.bool "inexact" false r.Flow.bist.Allocator.exact;
+  check Alcotest.bool "sessions still valid" true
+    (Bistpath_bist.Session.num_sessions r.Flow.sessions >= 1)
+
+let front points = List.map (fun p -> (p.Pareto.delta_gates, p.Pareto.sessions)) points
+let front_t = Alcotest.(list (pair int int))
 
 let pareto_leaf_budget_width_independent () =
   let inst = Option.get (B.by_tag "ewf") in
   let r = Flow.run ~style:Flow.Traditional inst.B.dfg inst.B.massign ~policy:inst.B.policy in
   let explore () =
     let budget = Budget.create ~leaf_budget:60 () in
-    Pareto.explore_outcome ~budget r.Flow.datapath
+    let points = Pareto.explore ~budget r.Flow.datapath in
+    (Budget.stop_reason budget, front points)
   in
-  let front o =
-    List.map (fun p -> (p.Pareto.delta_gates, p.Pareto.sessions)) (Outcome.value o)
-  in
-  let o1 = explore () and o2 = explore () in
-  check Alcotest.bool "degraded" false (Outcome.is_complete o1);
-  check Alcotest.bool "degraded again" false (Outcome.is_complete o2);
-  check
-    (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
-    "identical truncated front" (front o1) (front o2);
-  check Alcotest.bool "front non-empty" true (front o1 <> [])
+  let (r1, f1) = explore () and (r2, f2) = explore () in
+  check Alcotest.bool "degraded" true (r1 = Some (Cancel.Leaf_budget 60));
+  check Alcotest.bool "degraded again" true (r2 = Some (Cancel.Leaf_budget 60));
+  check front_t "identical truncated front" f1 f2;
+  check Alcotest.bool "front non-empty" true (f1 <> [])
 
 let pareto_unbudgeted_equals_budgeted_untripped () =
   let inst = Option.get (B.by_tag "ex2") in
   let r = Flow.run ~style:Flow.Traditional inst.B.dfg inst.B.massign ~policy:inst.B.policy in
   let plain = Pareto.explore r.Flow.datapath in
   let roomy = Budget.create ~leaf_budget:10_000_000 () in
-  let tagged = Pareto.explore_outcome ~budget:roomy r.Flow.datapath in
-  check Alcotest.bool "completes" true (Outcome.is_complete tagged);
-  check
-    (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
-    "same front"
-    (List.map (fun p -> (p.Pareto.delta_gates, p.Pareto.sessions)) plain)
-    (List.map (fun p -> (p.Pareto.delta_gates, p.Pareto.sessions)) (Outcome.value tagged))
+  let budgeted = Pareto.explore ~budget:roomy r.Flow.datapath in
+  check Alcotest.bool "completes" true (Budget.stop_reason roomy = None);
+  check front_t "same front" (front plain) (front budgeted)
+
+(* The sweep's fixed leaf cap does not trip the budget: on ewf it stops
+   enumerating just past 20,000 leaves and reports nothing. *)
+let pareto_leaf_cap_is_silent () =
+  let inst = Option.get (B.by_tag "ewf") in
+  let r =
+    Flow.run ~style:(Flow.Testable Bistpath_core.Testable_alloc.default_options)
+      inst.B.dfg inst.B.massign ~policy:inst.B.policy
+  in
+  let budget = Budget.create ~leaf_budget:10_000_000 () in
+  let points = Pareto.explore ~budget r.Flow.datapath in
+  check Alcotest.int "leaves counted" 20_016 (Budget.leaves budget);
+  check Alcotest.bool "no stop reason" true (Budget.stop_reason budget = None);
+  check front_t "same front as unbudgeted" (front (Pareto.explore r.Flow.datapath))
+    (front points)
 
 let fault_sim_pretripped_skips_everything () =
   let circuit = Library.of_kind Bistpath_dfg.Op.Add ~width:4 in
@@ -359,18 +355,16 @@ let inject_allocator_unwinds () =
 let suite =
   [ case "budget: unlimited is inert" budget_unlimited;
     case "budget: leaf quota trips" budget_leaf_trip;
-    case "budget: node quota trips" budget_node_trip;
     case "budget: deadline trips" budget_deadline_trip;
     case "budget: constructor validation" budget_validation;
     case "cancel: first reason wins" cancel_first_reason_wins;
     case "cancel: shared kill switch" cancel_shared_token;
     case "cancel: never is immutable" cancel_never_is_sacred;
-    case "outcome: accessors" outcome_accessors;
     case "par: budget map parity when untripped" map_budget_untripped_parity;
     case "par: pre-tripped budget evaluates nothing" map_budget_pretripped_all_none;
-    case "allocator: complete outcome" allocator_outcome_complete;
-    case "allocator: node budget degrades" allocator_outcome_node_budget;
-    case "flow: run_outcome tags degradation" flow_run_outcome_degrades;
+    case "allocator: complete outcome" allocator_complete;
+    case "allocator: node budget degrades" allocator_cancelled_degrades;
+    case "flow: run_outcome tags degradation" flow_cancelled_degrades;
     case "pareto: truncated front is width-independent"
       pareto_leaf_budget_width_independent;
     case "pareto: untripped budget is bit-identical"
@@ -386,4 +380,5 @@ let suite =
     case "inject: certain hit" inject_certain_hit;
     case "inject: sys-error variant" inject_sys_error_variant;
     case "inject: per-site stream deterministic" inject_stream_deterministic;
-    case "inject: allocator unwinds and recovers" inject_allocator_unwinds ]
+    case "inject: allocator unwinds and recovers" inject_allocator_unwinds;
+    case "pareto: leaf cap is silent" pareto_leaf_cap_is_silent ]
