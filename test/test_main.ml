@@ -39,4 +39,5 @@ let () =
       ("regalloc", Test_regalloc_trace.suite);
       ("incremental", Test_incremental.suite);
       ("gate-trace", Test_gatelevel_trace.suite);
+      ("bist-trace", Test_bist_trace.suite);
     ]

@@ -11,6 +11,7 @@ module Inject = Bistpath_resilience.Inject
 module B = Bistpath_benchmarks.Benchmarks
 module Flow = Bistpath_core.Flow
 module Allocator = Bistpath_bist.Allocator
+module Telemetry = Bistpath_telemetry.Telemetry
 module Pareto = Bistpath_bist.Pareto
 module Library = Bistpath_gatelevel.Library
 module Fault_sim = Bistpath_gatelevel.Fault_sim
@@ -352,6 +353,32 @@ let inject_allocator_unwinds () =
   (* after disarming, the same call succeeds *)
   check Alcotest.bool "recovers" true (Allocator.solve r.Flow.datapath).Allocator.exact
 
+(* The explored-node counter is reported even when the search dies at
+   its first leaf: 3 nodes on fir8's testable flow, whose first descent
+   reaches a leaf, and 436 on ewf's, which backtracks first. *)
+let inject_allocator_counts_nodes () =
+  List.iter
+    (fun (tag, expected) ->
+      let inst = Option.get (B.by_tag tag) in
+      let r =
+        Flow.run ~style:(Flow.Testable Bistpath_core.Testable_alloc.default_options)
+          inst.B.dfg inst.B.massign ~policy:inst.B.policy
+      in
+      let recorder = Telemetry.create () in
+      let prev = Telemetry.installed () in
+      Fun.protect
+        ~finally:(fun () ->
+          match prev with Some p -> Telemetry.install p | None -> Telemetry.uninstall ())
+        (fun () ->
+          Telemetry.install recorder;
+          with_injection [ ("allocator.leaf", 1.0) ] ~seed:1 (fun () ->
+              match Allocator.solve r.Flow.datapath with
+              | _ -> Alcotest.fail "expected injected crash"
+              | exception Inject.Injected "allocator.leaf" -> ()));
+      check Alcotest.int (tag ^ ": nodes explored before the crash") expected
+        (Telemetry.counter recorder "bist.embeddings_explored"))
+    [ ("fir8", 3); ("ewf", 436) ]
+
 let suite =
   [ case "budget: unlimited is inert" budget_unlimited;
     case "budget: leaf quota trips" budget_leaf_trip;
@@ -364,6 +391,7 @@ let suite =
     case "par: pre-tripped budget evaluates nothing" map_budget_pretripped_all_none;
     case "allocator: complete outcome" allocator_complete;
     case "allocator: node budget degrades" allocator_cancelled_degrades;
+    case "allocator: leaf crash still counts nodes" inject_allocator_counts_nodes;
     case "flow: run_outcome tags degradation" flow_cancelled_degrades;
     case "pareto: truncated front is width-independent"
       pareto_leaf_budget_width_independent;
