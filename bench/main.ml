@@ -69,8 +69,9 @@ let run_reports () =
    span as one JSON record so the repo's perf trajectory has
    machine-readable data points. The DFG files are the slowest designs
    to synthesize; they load through the CLI's loader inside the
-   recording, so their module assignment ([massign]) is measured too. *)
-let telemetry_tags = [ "ex1"; "ex2"; "Tseng1"; "Paulin"; "ewf" ]
+   recording, so their module assignment ([massign]) is measured too.
+   fir8's testable flow is the BIST search's worst case. *)
+let telemetry_tags = [ "ex1"; "ex2"; "Tseng1"; "Paulin"; "ewf"; "fir8" ]
 
 let telemetry_files = [ "data/ewf.dfg"; "data/fir32.dfg" ]
 

@@ -11,7 +11,21 @@
     bounds the search on large generated designs. Hitting the cap is
     reported only through [exact = false]: it does not trip the caller's
     {!Bistpath_resilience.Budget}, whose {!Bistpath_resilience.Budget.stop_reason}
-    stays [None]. *)
+    stays [None].
+
+    The engine is indexed: each call numbers the data path's registers
+    once and turns every embedding into a triple of register numbers.
+    Per register it keeps generate, compact and same-unit counts and the
+    style they imply in int arrays, and a per-(register, style) gate
+    table, I/O penalty included, plus a per-style forbidden flag make
+    each search node a few array updates. Every phase runs on it:
+    keying, the greedy warm start, the search, the infeasible-core
+    shrink and the final restyle ({!solution_of}). Node counts, visiting
+    order and tie-breaks are those of the earlier string-keyed engine,
+    which test/oracles.ml keeps as the reference: units by their
+    embedding count, embeddings by [compare] on (cost against the empty
+    state, embedding), and a leaf replaces the best solution only if it
+    is strictly cheaper. *)
 
 type solution = {
   embeddings : Bistpath_ipath.Ipath.embedding list;  (** one per testable unit *)
@@ -54,7 +68,22 @@ val solve :
     releases.
 
     Fault injection: each complete leaf probes the [allocator.leaf] site
-    ({!Bistpath_resilience.Inject}). *)
+    ({!Bistpath_resilience.Inject}). The [bist.embeddings_explored]
+    counter gets the number of search nodes once, also when an injected
+    fault unwinds the search. *)
+
+val solution_of :
+  model:Bistpath_datapath.Area.model ->
+  width:int ->
+  Bistpath_datapath.Datapath.t ->
+  Bistpath_ipath.Ipath.embedding list ->
+  solution
+(** The solution a chosen embedding list (one per unit) amounts to:
+    the embeddings sorted by unit, every register's style and the total
+    modification cost, with [untestable = []] and [exact = true]. The
+    same costing ends {!solve}, whose I/O penalty is the only
+    difference. Partially applied to a data path, it numbers the
+    registers once for any number of embedding lists. *)
 
 val style_counts : solution -> (Resource.style * int) list
 (** Histogram of non-[Normal] styles (Table II's resource mixes). *)

@@ -11,39 +11,6 @@ type point = {
   solution : Allocator.solution;
 }
 
-let solution_of dp model width embeddings =
-  let tbl = Hashtbl.create 16 in
-  let push rid role =
-    Hashtbl.replace tbl rid
-      (role :: (match Hashtbl.find_opt tbl rid with Some l -> l | None -> []))
-  in
-  List.iter
-    (fun (e : Ipath.embedding) ->
-      push e.l_tpg (Resource.Generates e.mid);
-      push e.r_tpg (Resource.Generates e.mid);
-      push e.sa (Resource.Compacts e.mid))
-    embeddings;
-  let styles =
-    List.map
-      (fun (r : Datapath.reg) ->
-        let roles = match Hashtbl.find_opt tbl r.rid with Some l -> l | None -> [] in
-        (r.rid, Resource.style_of_roles roles))
-      dp.Datapath.regs
-  in
-  let delta =
-    Bistpath_util.Listx.sum_by
-      (fun (_, s) -> Resource.delta_gates model ~width s)
-      styles
-  in
-  {
-    Allocator.embeddings =
-      List.sort (fun (a : Ipath.embedding) b -> compare a.mid b.mid) embeddings;
-    styles;
-    untestable = [];
-    delta_gates = delta;
-    exact = true;
-  }
-
 (* Points costing over 1.5x the minimum area are not worth their test time. *)
 let slack_percent = 50
 
@@ -81,9 +48,10 @@ let explore ?(model = Area.default) ?(width = 8) ?(transparency = false)
         List.iter (fun e -> enumerate (e :: chosen) rest) es
   in
   enumerate [] units;
+  let solution_of = Allocator.solution_of ~model ~width dp in
   let evaluate chosen =
     Inject.fire "pareto.leaf";
-    let sol = solution_of dp model width chosen in
+    let sol = solution_of chosen in
     if sol.Allocator.delta_gates <= bound then
       Some
         ( sol.Allocator.delta_gates,

@@ -1,8 +1,10 @@
 (* The incremental algorithms against their list-scan oracles
    (oracles.ml): Lemma-2 verdicts and CBILBO counts, both from
    ~classes and through the live counters the testable allocator keeps;
-   sharing degrees from unit masks; the preferred PEO; and the
-   Tseng-Siewiorek clique partition, including its score rule. *)
+   sharing degrees from unit masks; the preferred PEO; the
+   Tseng-Siewiorek clique partition, including its score rule; and the
+   indexed BIST branch-and-bound against the string-keyed one, node
+   count included. *)
 
 module B = Bistpath_benchmarks.Benchmarks
 module Dfg = Bistpath_dfg.Dfg
@@ -13,6 +15,11 @@ module Clique_partition = Bistpath_graphs.Clique_partition
 module Sharing = Bistpath_core.Sharing
 module Cbilbo_rules = Bistpath_core.Cbilbo_rules
 module Prng = Bistpath_util.Prng
+module Flow = Bistpath_core.Flow
+module Testable_alloc = Bistpath_core.Testable_alloc
+module Resource = Bistpath_bist.Resource
+module Allocator = Bistpath_bist.Allocator
+module Telemetry = Bistpath_telemetry.Telemetry
 
 let check = Alcotest.check
 let case name f = Alcotest.test_case name `Quick f
@@ -153,8 +160,64 @@ let weight_never_outranks_common_neighbours () =
     "most common neighbours first" [ [ 0; 1; 3 ]; [ 2; 4; 5 ] ]
     (List.sort compare (List.map Ugraph.Iset.elements parts))
 
+(* The library's solution and explored-node count next to the
+   oracle's, for one data path and one set of options. *)
+let bist_pair ?forbidden ?io_penalty_percent ?transparency dp =
+  let sol, t =
+    Telemetry.collect (fun () ->
+        Allocator.solve ?forbidden ?io_penalty_percent ?transparency dp)
+  in
+  ( (sol, Telemetry.counter t "bist.embeddings_explored"),
+    Oracles.bist_solve ?forbidden ?io_penalty_percent ?transparency dp )
+
+let bist_flows =
+  [ Flow.Testable Testable_alloc.default_options; Flow.Traditional ]
+
+(* Every option combination the front ends and reports use, on both
+   flows of a random design. *)
+let prop_bist_matches_oracle =
+  QCheck.Test.make ~name:"indexed BIST search matches the string-keyed oracle" ~count:30
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let rng = Prng.create seed in
+      let inst = B.random rng ~ops:(5 + Prng.int rng 8) ~inputs:(2 + Prng.int rng 3) in
+      List.for_all
+        (fun style ->
+          let dp =
+            (Flow.run ~style inst.B.dfg inst.B.massign ~policy:inst.B.policy).Flow.datapath
+          in
+          List.for_all
+            (fun forbidden ->
+              List.for_all
+                (fun io_penalty_percent ->
+                  List.for_all
+                    (fun transparency ->
+                      let lib, oracle =
+                        bist_pair ~forbidden ~io_penalty_percent ~transparency dp
+                      in
+                      lib = oracle)
+                    [ false; true ])
+                [ 100; 150 ])
+            [ []; [ Resource.Cbilbo ]; [ Resource.Bilbo; Resource.Cbilbo ] ])
+        bist_flows)
+
+(* fir10 is past the node cap: both searches stop at the same node
+   with the same inexact solution. *)
+let bist_truncated_matches_oracle () =
+  let inst = B.fir ~taps:10 in
+  let dp =
+    (Flow.run ~style:(List.hd bist_flows) inst.B.dfg inst.B.massign ~policy:inst.B.policy)
+      .Flow.datapath
+  in
+  let (sol, nodes), (osol, onodes) = bist_pair dp in
+  check Alcotest.bool "inexact" false sol.Allocator.exact;
+  check Alcotest.int "nodes explored" onodes nodes;
+  check Alcotest.bool "same solution" true (sol = osol)
+
 let suite =
   case "weight never outranks common neighbours" weight_never_outranks_common_neighbours
+  :: case "BIST search past the node cap matches the oracle" bist_truncated_matches_oracle
   :: List.map QCheck_alcotest.to_alcotest
        [ prop_lemma2_matches_oracle; prop_live_counters_match_oracle; prop_sd_matches_oracle;
-         prop_peo_matches_oracle; prop_clique_partition_matches_oracle ]
+         prop_peo_matches_oracle; prop_clique_partition_matches_oracle;
+         prop_bist_matches_oracle ]
