@@ -35,6 +35,7 @@ module Job = Bistpath_service.Job
 module Bench = Bistpath_benchmarks.Benchmarks
 module Flow = Bistpath_core.Flow
 module Equiv = Bistpath_rtl.Equiv
+module Runner = Bistpath_service.Runner
 
 let usage () =
   prerr_endline
@@ -431,31 +432,11 @@ let () =
             incr rtl_checked;
             let rtl = read_file out in
             if Hashtbl.find_opt verified_rtl j.Job.spec <> Some rtl then begin
-              let r =
-                Flow.run ~width:j.Job.width
-                  ~transparency:j.Job.transparency
-                  ~style:(Flow.Testable Bistpath_core.Testable_alloc.default_options)
-                  inst.Bench.dfg inst.Bench.massign ~policy:inst.Bench.policy
-              in
-              (match
-                 Equiv.verify ~width:j.Job.width ~bist:r.Flow.bist ~rtl
-                   r.Flow.datapath
-               with
-              | Error diags ->
-                bad "%s: rtl artifact does not parse back (%s)" id
-                  (match diags with
-                  | d :: _ -> Bistpath_resilience.Diagnostic.to_string d
-                  | [] -> "no diagnostics")
-              | Ok rep ->
-                (match rep.Equiv.structural with
-                | diff :: _ ->
-                  bad "%s: rtl artifact not structurally equivalent (%s)" id diff
-                | [] -> ());
-                (match rep.Equiv.functional with
-                | Some m ->
-                  bad "%s: rtl artifact disagrees with the interpreter on %s" id
-                    m.Equiv.output
-                | None -> ()));
+              let r = Runner.flow ~budget:Bistpath_resilience.Budget.unlimited inst j in
+              List.iter
+                (fun f -> bad "%s: rtl artifact: %s" id (Equiv.line f))
+                (Equiv.verdict
+                   (Equiv.verify ~width:j.Job.width ~bist:r.Flow.bist ~rtl r.Flow.datapath));
               Hashtbl.replace verified_rtl j.Job.spec rtl
             end))
     stream;

@@ -100,13 +100,13 @@ let telemetry_section () =
             Buffer.add_string records
               (Printf.sprintf
                  "{\"bench\":\"%s\",\"stage\":\"%s\",\"ns\":%Ld,\"counters\":{%s}}"
-                 (Telemetry.json_escape tag)
-                 (Telemetry.json_escape s.Telemetry.name)
+                 (Bistpath_util.Json.escape tag)
+                 (Bistpath_util.Json.escape s.Telemetry.name)
                  s.Telemetry.dur_ns
                  (String.concat ","
                     (List.map
                        (fun (k, v) ->
-                         Printf.sprintf "\"%s\":%d" (Telemetry.json_escape k) v)
+                         Printf.sprintf "\"%s\":%d" (Bistpath_util.Json.escape k) v)
                        s.Telemetry.counters))))
           (Telemetry.spans r))
     (telemetry_tags @ telemetry_files);

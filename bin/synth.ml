@@ -69,13 +69,6 @@ let or_die_input = function
     List.iter (fun l -> prerr_endline ("synth: " ^ l)) lines;
     exit exit_invalid_input
 
-(* The flows a [--flow] value names, each with its style: [both] is
-   traditional then testable. An unknown name exits 1. *)
-let styles_of_flow flow =
-  List.map
-    (fun f -> (f, or_die (Flow.parse_style f)))
-    (if flow = "both" then [ "traditional"; "testable" ] else [ flow ])
-
 (* --- uniform numeric-flag validation ------------------------------- *)
 
 (* Numeric resource flags share one parse path: a negative, zero or
@@ -355,6 +348,46 @@ let cli_job c ?(width = 8) ?(flow = "testable") ?(transparency = false)
   { Job.id = "synth"; spec; pipeline; width; flow; transparency; patterns;
     timeout_s = None; leaf_budget = None }
 
+(* One job per flow a [--flow both|testable|traditional] value names:
+   [both] is traditional then testable. *)
+let cli_jobs c ?width ?transparency pipeline spec flow =
+  List.map
+    (fun flow -> cli_job c ?width ~flow ?transparency pipeline spec)
+    (if flow = "both" then [ "traditional"; "testable" ] else [ flow ])
+
+(* --- the report commands' shared flags (check, analyze, verify) ------ *)
+
+let flows_arg ~verb =
+  let doc =
+    Printf.sprintf
+      "Which flow(s) to %s: $(b,both) (default), $(b,testable) or $(b,traditional)."
+      verb
+  in
+  Arg.(value & opt string "both" & info [ "flow" ] ~docv:"FLOW" ~doc)
+
+(* "a, b or c" *)
+let one_of names =
+  match List.rev names with
+  | last :: (_ :: _ as rest) -> String.concat ", " (List.rev rest) ^ " or " ^ last
+  | _ -> String.concat "" names
+
+(* The first format is the default. *)
+let format_arg formats ~per =
+  let name i f = Printf.sprintf "$(b,%s)%s" f (if i = 0 then " (default)" else "") in
+  let doc =
+    Printf.sprintf "Report format: %s (one %s)." (one_of (List.mapi name formats)) per
+  in
+  Arg.(value & opt string (List.hd formats) & info [ "format" ] ~docv:"FMT" ~doc)
+
+(* An unknown --format exits 1. *)
+let valid_format formats format =
+  if not (List.mem format formats) then
+    or_die (Error (Printf.sprintf "unknown format %S (use %s)" format (one_of formats)))
+
+(* A negative --vectors is invalid input (exit 4), like every numeric flag. *)
+let valid_vectors n =
+  if n < 0 then invalid_flag "--vectors" (string_of_int n) "a non-negative integer"
+
 let print_job c ?cache ~budget job =
   match Runner.execute ?max_errors:c.max_errors ?cache ~budget job with
   | Ok (artifact, _) -> print_string artifact
@@ -511,22 +544,12 @@ let rtl_cmd =
             (fun d -> prerr_endline ("synth: " ^ Diagnostic.to_string d))
             diags;
           exit exit_invalid_input
-        | Ok rep ->
-          let bad =
-            List.map (fun d -> "RTL005 " ^ d) rep.Equiv.structural
-            @
-            match rep.Equiv.functional with
-            | None -> []
-            | Some m ->
-              [
-                Printf.sprintf "EQ002 output %s: expected %d got %d"
-                  m.Equiv.output m.Equiv.expected m.Equiv.actual;
-              ]
-          in
-          if bad <> [] then begin
-            List.iter (fun l -> prerr_endline ("synth: verify: " ^ l)) bad;
-            exit exit_findings
-          end
+        | Ok _ as result -> (
+          match Equiv.verdict result with
+          | [] -> ()
+          | findings ->
+            List.iter (fun f -> prerr_endline ("synth: verify: " ^ Equiv.line f)) findings;
+            exit exit_findings)
       end;
       if check then check_gate ~budget inst job r
     end
@@ -548,8 +571,7 @@ let dot_cmd =
     match what with
     | "dfg" -> print_endline (Dot.of_dfg inst.B.dfg)
     | "datapath" ->
-      let style = or_die (Flow.parse_style flow) in
-      let r = Flow.run ~budget ~width ~style inst.B.dfg inst.B.massign ~policy:inst.B.policy in
+      let r = Runner.flow ~budget inst (cli_job c ~width ~flow Job.Run spec) in
       print_endline (Dot.of_datapath ~bist:r.Flow.bist r.Flow.datapath)
     | s -> or_die (Error (Printf.sprintf "unknown kind %S" s))
   in
@@ -582,8 +604,7 @@ let vcd_cmd =
   let run c spec width flow sets =
     with_common c @@ fun budget ->
     let inst = or_die_input (Runner.load_instance ?max_errors:c.max_errors spec) in
-    let style = or_die (Flow.parse_style flow) in
-    let r = Flow.run ~budget ~width ~style inst.B.dfg inst.B.massign ~policy:inst.B.policy in
+    let r = Runner.flow ~budget inst (cli_job c ~width ~flow Job.Run spec) in
     let used =
       List.filter
         (fun v -> Bistpath_dfg.Dfg.consumers inst.B.dfg v <> [])
@@ -631,8 +652,7 @@ let tb_cmd =
   let run c spec width flow count seed =
     with_common c @@ fun budget ->
     let inst = or_die_input (Runner.load_instance ?max_errors:c.max_errors spec) in
-    let style = or_die (Flow.parse_style flow) in
-    let r = Flow.run ~budget ~width ~style inst.B.dfg inst.B.massign ~policy:inst.B.policy in
+    let r = Runner.flow ~budget inst (cli_job c ~width ~flow Job.Run spec) in
     let rng = Bistpath_util.Prng.create seed in
     let vectors =
       Bistpath_rtl.Testbench.random_vectors rng r.Flow.datapath ~width ~count
@@ -652,8 +672,7 @@ let area_cmd =
   let run c spec width flow =
     with_common c @@ fun budget ->
     let inst = or_die_input (Runner.load_instance ?max_errors:c.max_errors spec) in
-    let style = or_die (Flow.parse_style flow) in
-    let r = Flow.run ~budget ~width ~style inst.B.dfg inst.B.massign ~policy:inst.B.policy in
+    let r = Runner.flow ~budget inst (cli_job c ~width ~flow Job.Run spec) in
     let m = Bistpath_datapath.Area.default in
     Format.printf "functional: %a@."
       Bistpath_datapath.Area.pp_breakdown
@@ -690,21 +709,9 @@ let severity_name = function
   | Diagnostic.Warning -> "warning"
   | Diagnostic.Note -> "note"
 
+let report_formats = [ "text"; "json"; "sarif" ]
+
 let check_cmd =
-  let vectors_arg =
-    let doc =
-      "Random vectors for the dynamic-equivalence rule EQ001 (0 disables \
-       it; the static rules always run)."
-    in
-    Arg.(value & opt int 10 & info [ "vectors" ] ~docv:"N" ~doc)
-  in
-  let format_arg =
-    let doc =
-      "Report format: $(b,text) (default), $(b,json) or $(b,sarif) (one \
-       NDJSON object / SARIF 2.1.0 document per checked flow)."
-    in
-    Arg.(value & opt string "text" & info [ "format" ] ~docv:"FMT" ~doc)
-  in
   let list_rules_arg =
     let doc =
       "List every rule (id, worst severity, title) and exit without \
@@ -724,18 +731,16 @@ let check_cmd =
     in
     Arg.(value & opt string "" & info [ "suppress" ] ~docv:"IDS" ~doc)
   in
-  let check_flow_arg =
+  let vectors_arg =
     let doc =
-      "Which flow(s) to verify: $(b,both) (default), $(b,testable) or \
-       $(b,traditional)."
+      "Random vectors for the dynamic-equivalence rule EQ001 (0 disables \
+       it; the static rules always run)."
     in
-    Arg.(value & opt string "both" & info [ "flow" ] ~docv:"FLOW" ~doc)
+    Arg.(value & opt int 10 & info [ "vectors" ] ~docv:"N" ~doc)
   in
   let run c spec width flow transparency vectors format suppress list_rules =
     with_common c @@ fun budget ->
-    (match format with
-    | "text" | "json" | "sarif" -> ()
-    | s -> or_die (Error (Printf.sprintf "unknown format %S (use text, json or sarif)" s)));
+    valid_format report_formats format;
     if list_rules then begin
       match format with
       | "json" | "sarif" ->
@@ -762,6 +767,7 @@ let check_cmd =
       | None -> or_die (Error "missing DFG argument (or pass --list-rules)")
     in
     let inst = or_die_input (Runner.load_instance ?max_errors:c.max_errors spec) in
+    valid_vectors vectors;
     let suppress =
       List.filter_map
         (fun s ->
@@ -776,8 +782,7 @@ let check_cmd =
     in
     let total_errors = ref 0 in
     List.iter
-      (fun (flow, _) ->
-        let job = cli_job c ~width ~flow ~transparency Job.Check spec in
+      (fun job ->
         let rep =
           Runner.check_report ~suppress ~vectors ~budget inst job
             (Runner.flow ~budget inst job)
@@ -787,7 +792,7 @@ let check_cmd =
         | "sarif" -> print_endline (Json.to_string (Check.to_sarif rep))
         | _ -> print_string (Check.to_text rep));
         total_errors := !total_errors + Check.errors rep)
-      (styles_of_flow flow);
+      (cli_jobs c ~width ~transparency Job.Check spec flow);
     if !total_errors > 0 then exit exit_findings
     end
   in
@@ -798,8 +803,11 @@ let check_cmd =
   in
   Cmd.v (Cmd.info "check" ~doc)
     Term.(
-      const run $ common_term $ spec_opt_arg $ width_arg $ check_flow_arg
-      $ transparency_arg $ vectors_arg $ format_arg $ suppress_arg
+      const run $ common_term $ spec_opt_arg $ width_arg $ flows_arg ~verb:"verify"
+      $ transparency_arg
+      $ vectors_arg
+      $ format_arg report_formats ~per:"NDJSON object / SARIF 2.1.0 document per checked flow"
+      $ suppress_arg
       $ list_rules_arg)
 
 (* `synth analyze`: run the abstract interpreter on its own — per-value
@@ -807,20 +815,6 @@ let check_cmd =
    estimated area savings. Exit 0 clean, 2 on error findings, 3 when an
    injected absint.fixpoint fault degrades the analysis. *)
 let analyze_cmd =
-  let format_arg =
-    let doc =
-      "Report format: $(b,text) (default), $(b,json) or $(b,sarif) (one \
-       NDJSON object / SARIF 2.1.0 document per analyzed flow)."
-    in
-    Arg.(value & opt string "text" & info [ "format" ] ~docv:"FMT" ~doc)
-  in
-  let analyze_flow_arg =
-    let doc =
-      "Which flow(s) to analyze: $(b,both) (default), $(b,testable) or \
-       $(b,traditional)."
-    in
-    Arg.(value & opt string "both" & info [ "flow" ] ~docv:"FLOW" ~doc)
-  in
   let assume_arg =
     let doc =
       "Assert that primary input $(b,VAR) only takes values in \
@@ -850,9 +844,7 @@ let analyze_cmd =
   let run c spec width flow format assumes_raw =
     with_common c @@ fun budget ->
     let inst = or_die_input (Runner.load_instance ?max_errors:c.max_errors spec) in
-    (match format with
-    | "text" | "json" | "sarif" -> ()
-    | s -> or_die (Error (Printf.sprintf "unknown format %S (use text, json or sarif)" s)));
+    valid_format report_formats format;
     let assumes = List.map (parse_assume ~width) assumes_raw in
     List.iter
       (fun (v, _) ->
@@ -862,16 +854,13 @@ let analyze_cmd =
             ^ String.concat ", " inst.B.dfg.Bistpath_dfg.Dfg.inputs
             ^ ")"))
       assumes;
-    let styles = styles_of_flow flow in
+    let jobs = cli_jobs c ~width Job.Check spec flow in
     let total_errors = ref 0 in
     let degraded = ref false in
     List.iter
-      (fun (label, style) ->
-        let design = inst.B.tag ^ "/" ^ label in
-        let r =
-          Flow.run ~budget ~width ~style inst.B.dfg inst.B.massign
-            ~policy:inst.B.policy
-        in
+      (fun job ->
+        let design = inst.B.tag ^ "/" ^ job.Job.flow in
+        let r = Runner.flow ~budget inst job in
         let analysis =
           try
             let dres =
@@ -973,7 +962,7 @@ let analyze_cmd =
                 p.Absint.saved_bits p.Absint.total_bits (Absint.saved_percent p));
             print_string (Check.to_text rep));
           total_errors := !total_errors + Check.errors rep)
-      styles;
+      jobs;
     if !degraded then exit exit_degraded;
     if !total_errors > 0 then exit exit_findings
   in
@@ -985,35 +974,16 @@ let analyze_cmd =
   in
   Cmd.v (Cmd.info "analyze" ~doc)
     Term.(
-      const run $ common_term $ instance_arg $ width_arg $ analyze_flow_arg
-      $ format_arg $ assume_arg)
+      const run $ common_term $ instance_arg $ width_arg $ flows_arg ~verb:"analyze"
+      $ format_arg report_formats ~per:"NDJSON object / SARIF 2.1.0 document per analyzed flow"
+      $ assume_arg)
 
 (* `synth verify`: close the RTL loop. The emitted Verilog (or a user
    file, or a committed golden artifact) is parsed back, structurally
    matched against the in-memory data path and simulated on random
    vectors. Exit 0 equivalent, 2 mismatch, 4 unparsable RTL. *)
 let verify_cmd =
-  let vectors_arg =
-    let doc =
-      "Random vectors for the simulation cross-check EQ002 (0 disables it; \
-       the structural comparison RTL005 always runs)."
-    in
-    Arg.(value & opt int 16 & info [ "vectors" ] ~docv:"N" ~doc)
-  in
-  let format_arg =
-    let doc =
-      "Report format: $(b,text) (default) or $(b,json) (one NDJSON object \
-       per verified artifact)."
-    in
-    Arg.(value & opt string "text" & info [ "format" ] ~docv:"FMT" ~doc)
-  in
-  let verify_flow_arg =
-    let doc =
-      "Which flow(s) to verify: $(b,both) (default), $(b,testable) or \
-       $(b,traditional)."
-    in
-    Arg.(value & opt string "both" & info [ "flow" ] ~docv:"FLOW" ~doc)
-  in
+  let formats = [ "text"; "json" ] in
   let rtl_arg =
     let doc =
       "Verify this RTL file instead of re-emitting (requires a single \
@@ -1045,15 +1015,20 @@ let verify_cmd =
     let doc = "Rewrite the golden files under $(b,--golden) instead of comparing." in
     Arg.(value & flag & info [ "update-golden" ] ~doc)
   in
+  let vectors_arg =
+    let doc =
+      "Random vectors for the simulation cross-check EQ002 (0 disables it; \
+       the structural comparison RTL005 always runs)."
+    in
+    Arg.(value & opt int 16 & info [ "vectors" ] ~docv:"N" ~doc)
+  in
   let run c spec width flow vectors format rtl_file bist_f sessions_f golden
       update_golden =
     with_common c @@ fun budget ->
     let inst = or_die_input (Runner.load_instance ?max_errors:c.max_errors spec) in
-    (match format with
-    | "text" | "json" -> ()
-    | s -> or_die (Error (Printf.sprintf "unknown format %S (use text or json)" s)));
-    if vectors < 0 then invalid_flag "--vectors" (string_of_int vectors) "a non-negative integer";
-    let styles = styles_of_flow flow in
+    valid_format formats format;
+    valid_vectors vectors;
+    let jobs = cli_jobs c ~width Job.Verify spec flow in
     let mismatches = ref 0 and unparsable = ref 0 in
     let json = format = "json" in
     let report_text label lines ok_note =
@@ -1062,19 +1037,6 @@ let verify_cmd =
         Printf.printf "verify %s: MISMATCH\n" label;
         List.iter (fun l -> Printf.printf "  %s\n" l) lines
       end
-    in
-    let finding_lines (rep : Equiv.report) =
-      List.map (fun d -> "RTL005 " ^ d) rep.Equiv.structural
-      @
-      match rep.Equiv.functional with
-      | None -> []
-      | Some m ->
-        [
-          Printf.sprintf "EQ002 output %s: expected %d got %d on vector %s"
-            m.Equiv.output m.Equiv.expected m.Equiv.actual
-            (String.concat ", "
-               (List.map (fun (x, v) -> Printf.sprintf "%s=%d" x v) m.Equiv.vector));
-        ]
     in
     let emit_report label result =
       match result with
@@ -1101,7 +1063,7 @@ let verify_cmd =
             diags
         end
       | Ok (rep : Equiv.report) ->
-        let lines = finding_lines rep in
+        let lines = List.map Equiv.line (Equiv.verdict result) in
         if lines <> [] then incr mismatches;
         if json then
           print_endline
@@ -1122,8 +1084,8 @@ let verify_cmd =
     in
     (match (rtl_file, golden) with
     | Some file, _ ->
-      let label, style =
-        match styles with
+      let job =
+        match jobs with
         | [ one ] -> one
         | _ -> or_die (Error "--rtl needs a single --flow (testable or traditional)")
       in
@@ -1131,16 +1093,17 @@ let verify_cmd =
         try In_channel.with_open_bin file In_channel.input_all
         with Sys_error e -> or_die (Error e)
       in
-      let r = Flow.run ~budget ~width ~style inst.B.dfg inst.B.massign ~policy:inst.B.policy in
+      let r = Runner.flow ~budget inst job in
       let bist = if bist_f || sessions_f then Some r.Flow.bist else None in
       let sessions = if sessions_f then Some r.Flow.sessions else None in
       emit_report
-        (Printf.sprintf "%s/%s/%s" inst.B.tag label (Filename.basename file))
+        (Printf.sprintf "%s/%s/%s" inst.B.tag job.Job.flow (Filename.basename file))
         (Equiv.verify ~vectors ~width ?bist ?sessions ~rtl:text r.Flow.datapath)
     | None, Some dir ->
       List.iter
-        (fun (label, style) ->
-          let r = Flow.run ~budget ~width ~style inst.B.dfg inst.B.massign ~policy:inst.B.policy in
+        (fun job ->
+          let label = job.Job.flow in
+          let r = Runner.flow ~budget inst job in
           let current =
             Verilog.source ~width ~bist:r.Flow.bist ~sessions:r.Flow.sessions
               r.Flow.datapath
@@ -1182,11 +1145,11 @@ let verify_cmd =
                   (fun d -> Printf.printf "  %s\n" (Diagnostic.to_string d))
                   diags
           end)
-        styles
+        jobs
     | None, None ->
       List.iter
-        (fun (label, style) ->
-          let r = Flow.run ~budget ~width ~style inst.B.dfg inst.B.massign ~policy:inst.B.policy in
+        (fun job ->
+          let r = Runner.flow ~budget inst job in
           let dp = r.Flow.datapath in
           let variants =
             [
@@ -1198,12 +1161,12 @@ let verify_cmd =
           List.iter
             (fun (vname, bist, sessions) ->
               emit_report
-                (Printf.sprintf "%s/%s/%s" inst.B.tag label vname)
+                (Printf.sprintf "%s/%s/%s" inst.B.tag job.Job.flow vname)
                 (Equiv.verify ~vectors ~width ?bist ?sessions
                    ~rtl:(Verilog.source ~width ?bist ?sessions dp)
                    dp))
             variants)
-        styles);
+        jobs);
     if !unparsable > 0 then exit exit_invalid_input;
     if !mismatches > 0 then exit exit_findings
   in
@@ -1216,8 +1179,10 @@ let verify_cmd =
   in
   Cmd.v (Cmd.info "verify" ~doc)
     Term.(
-      const run $ common_term $ instance_arg $ width_arg $ verify_flow_arg
-      $ vectors_arg $ format_arg $ rtl_arg $ bist_arg $ sessions_arg
+      const run $ common_term $ instance_arg $ width_arg $ flows_arg ~verb:"verify"
+      $ vectors_arg
+      $ format_arg formats ~per:"NDJSON object per verified artifact"
+      $ rtl_arg $ bist_arg $ sessions_arg
       $ golden_arg $ update_golden_arg)
 
 let atpg_cmd =

@@ -25,39 +25,31 @@ let emitted ~width ?bist ?sessions datapath =
   | _, rtl -> Some rtl
   | exception _ -> None
 
+let finding ctx (f : Equiv.finding) = v f.Equiv.rule error ctx.design "%s" f.Equiv.message
+
 (* RTL005: structural equivalence of the parsed-back netlist. *)
 let rtl005 ctx =
-  match Lazy.force ctx.rtl with
-  | None -> []
-  | Some (Error diags) ->
-    List.map
-      (fun d ->
-        v "RTL005" error ctx.design "emitted RTL is unparsable: %s"
-          (Bistpath_resilience.Diagnostic.to_string d))
-      diags
-  | Some (Ok e) ->
-    List.map
-      (fun diff -> v "RTL005" error ctx.design "parse-back mismatch: %s" diff)
-      (Equiv.structural ~width:ctx.width ?bist:ctx.bist ?sessions:ctx.sessions e
-         ctx.datapath)
+  List.map (finding ctx)
+    (match Lazy.force ctx.rtl with
+    | None -> []
+    | Some (Error unparsable) -> Equiv.findings ~unparsable ()
+    | Some (Ok e) ->
+      Equiv.findings
+        ~structural:
+          (Equiv.structural ~width:ctx.width ?bist:ctx.bist ?sessions:ctx.sessions e
+             ctx.datapath)
+        ())
 
 (* EQ002: random-vector simulation of the parsed netlist against the
    interpreter. Gated on [vectors] like EQ001; structural problems are
    RTL005's to report, so this rule stays quiet on them. *)
 let eq002 ctx =
   match parsed_rtl ctx with
-  | Some e when ctx.vectors > 0 -> (
-    match fst (Equiv.functional ~vectors:ctx.vectors ~width:ctx.width e ctx.datapath) with
-    | None -> []
-    | Some m ->
-      [
-        v "EQ002" error ctx.design
-          "parsed RTL disagrees with the interpreter on output %s \
-           (expected %d, got %d) for vector %s"
-          m.Equiv.output m.Equiv.expected m.Equiv.actual
-          (String.concat ", "
-             (List.map (fun (x, value) -> Printf.sprintf "%s=%d" x value) m.Equiv.vector));
-      ])
+  | Some e when ctx.vectors > 0 ->
+    List.map (finding ctx)
+      (Equiv.findings
+         ?functional:(fst (Equiv.functional ~vectors:ctx.vectors ~width:ctx.width e ctx.datapath))
+         ())
   | Some _ | None -> []
 
 let rules =

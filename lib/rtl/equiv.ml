@@ -1418,6 +1418,39 @@ let verify ?vectors ?seed ?width ?bist ?sessions ?regw ~rtl dp =
   Telemetry.observe "rtl.verify_ns" (Int64.to_int (Int64.sub (Telemetry.now ()) t0));
   result
 
+(* --- the verdict text ------------------------------------------------ *)
+
+type finding = { rule : string; message : string }
+
+let findings ?(unparsable = []) ?(structural = []) ?functional () =
+  List.map
+    (fun d ->
+      { rule = "RTL005"; message = "emitted RTL is unparsable: " ^ Diagnostic.to_string d })
+    unparsable
+  @ List.map (fun d -> { rule = "RTL005"; message = "parse-back mismatch: " ^ d }) structural
+  @
+  match functional with
+  | None -> []
+  | Some m ->
+    [
+      {
+        rule = "EQ002";
+        message =
+          Printf.sprintf
+            "parsed RTL disagrees with the interpreter on output %s (expected %d, got \
+             %d) for vector %s"
+            m.output m.expected m.actual
+            (String.concat ", "
+               (List.map (fun (x, v) -> Printf.sprintf "%s=%d" x v) m.vector));
+      };
+    ]
+
+let verdict = function
+  | Error unparsable -> findings ~unparsable ()
+  | Ok r -> findings ~structural:r.structural ?functional:r.functional ()
+
+let line f = f.rule ^ " " ^ f.message
+
 (* --- golden drift -------------------------------------------------- *)
 
 let strip_item (it : Parser.item) : Parser.item =

@@ -133,6 +133,33 @@ val verify :
     drive the simulation cross-check; 0 skips it ([functional] is
     [None]). [seed] (default 7) seeds the vector generator. *)
 
+(** {1 The verdict text}
+
+    The one rendering of a verification result. Every front end — the
+    [check] rules, [synth verify], [synth rtl --verify], serve's
+    [verify] job and the chaos harness — prints these sentences, only
+    prefixed or wrapped. *)
+
+type finding = { rule : string;  (** [RTL005] or [EQ002] *) message : string }
+
+val findings :
+  ?unparsable:Bistpath_resilience.Diagnostic.t list ->
+  ?structural:string list ->
+  ?functional:mismatch ->
+  unit ->
+  finding list
+(** In this order: [RTL005 emitted RTL is unparsable: <diagnostic>] per
+    parser diagnostic, [RTL005 parse-back mismatch: <difference>] per
+    structural difference, and [EQ002 parsed RTL disagrees with the
+    interpreter on output o (expected e, got a) for vector x=1, y=2]
+    for the first distinguishing vector. *)
+
+val verdict : (report, Bistpath_resilience.Diagnostic.t list) result -> finding list
+(** {!findings} of a {!verify} result; [[]] means equivalent. *)
+
+val line : finding -> string
+(** ["<rule> <message>"], the line serve's [verify] job records. *)
+
 val drift :
   golden:string -> current:string -> (string list, Bistpath_resilience.Diagnostic.t list) result
 (** Structural (not byte) comparison of two emitted RTL artifacts: the

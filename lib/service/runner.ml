@@ -129,43 +129,20 @@ let verify ?cache ~budget inst (job : Job.t) =
   let width = job.Job.width in
   let r = flow ?cache ~budget inst job in
   let rtl = render_rtl ~width ~bist:true ~wrapper:false r in
-  match Equiv.verify ~width ~bist:r.Flow.bist ~rtl r.Flow.datapath with
-  | Error diags ->
-    Error
-      (Check_findings
-         (List.map
-            (fun d -> "RTL005 emitted RTL is unparsable: " ^ Diagnostic.to_string d)
-            diags))
-  | Ok rep ->
-    let structural =
-      List.map (fun d -> "RTL005 parse-back mismatch: " ^ d) rep.Equiv.structural
-    in
-    let functional =
-      match rep.Equiv.functional with
-      | None -> []
-      | Some m ->
-        [
-          Printf.sprintf
-            "EQ002 parsed RTL disagrees with the interpreter on output %s \
-             (expected %d, got %d) for vector %s"
-            m.Equiv.output m.Equiv.expected m.Equiv.actual
-            (String.concat ", "
-               (List.map (fun (x, v) -> Printf.sprintf "%s=%d" x v) m.Equiv.vector));
-        ]
-    in
-    if structural <> [] || functional <> [] then
-      Error (Check_findings (structural @ functional))
-    else
-      Ok
-        ( Json.to_string
-            (Json.Obj
-               [
-                 ("design", Json.Str (inst.B.tag ^ "/" ^ job.Job.flow));
-                 ("equivalent", Json.Bool true);
-                 ("vectors_run", Json.Num (float_of_int rep.Equiv.vectors_run));
-               ])
-          ^ "\n",
-          None )
+  let result = Equiv.verify ~width ~bist:r.Flow.bist ~rtl r.Flow.datapath in
+  match (result, Equiv.verdict result) with
+  | Ok rep, [] ->
+    Ok
+      ( Json.to_string
+          (Json.Obj
+             [
+               ("design", Json.Str (inst.B.tag ^ "/" ^ job.Job.flow));
+               ("equivalent", Json.Bool true);
+               ("vectors_run", Json.Num (float_of_int rep.Equiv.vectors_run));
+             ])
+        ^ "\n",
+        None )
+  | _, findings -> Error (Check_findings (List.map Equiv.line findings))
 
 let execute ?max_errors ?cache ~budget (job : Job.t) =
   match load_instance ?max_errors job.Job.spec with

@@ -1,4 +1,5 @@
 module Table = Bistpath_util.Table
+module Json = Bistpath_util.Json
 
 type attr = string * string
 
@@ -509,66 +510,15 @@ let prometheus_text r =
 
 (* --- JSON ---------------------------------------------------------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let json_obj_of_pairs pairs =
   "{"
   ^ String.concat ","
-      (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%s" (json_escape k) v) pairs)
+      (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%s" (Json.escape k) v) pairs)
   ^ "}"
-
-let json_counters cs =
-  json_obj_of_pairs (List.map (fun (k, v) -> (k, string_of_int v)) cs)
 
 let json_attrs attrs =
   json_obj_of_pairs
-    (List.map (fun (k, v) -> (k, "\"" ^ json_escape v ^ "\"")) attrs)
-
-let stats_json r =
-  let span_json s =
-    json_obj_of_pairs
-      [
-        ("name", "\"" ^ json_escape s.name ^ "\"");
-        ("depth", string_of_int s.depth);
-        ("start_ns", Int64.to_string s.start_ns);
-        ("dur_ns", Int64.to_string s.dur_ns);
-        ("attrs", json_attrs s.attrs);
-        ("counters", json_counters s.counters);
-      ]
-  in
-  let hist_json (k, h) =
-    ( k,
-      json_obj_of_pairs
-        [
-          ("count", string_of_int (Histogram.count h));
-          ("sum", string_of_int (Histogram.sum h));
-          ("min", string_of_int (Histogram.min_value h));
-          ("max", string_of_int (Histogram.max_value h));
-          ("p50", string_of_int (Histogram.quantile h 0.5));
-          ("p90", string_of_int (Histogram.quantile h 0.9));
-          ("p99", string_of_int (Histogram.quantile h 0.99));
-        ] )
-  in
-  json_obj_of_pairs
-    [
-      ("spans", "[" ^ String.concat "," (List.map span_json (spans r)) ^ "]");
-      ("counters", json_counters (counters r));
-      ("histograms", json_obj_of_pairs (List.map hist_json (histograms r)));
-    ]
+    (List.map (fun (k, v) -> (k, "\"" ^ Json.escape v ^ "\"")) attrs)
 
 let chrome_trace_json r =
   let ss = Array.of_list (spans r) in
@@ -626,7 +576,7 @@ let chrome_trace_json r =
       (json_obj_of_pairs
          [
            ("ph", "\"B\"");
-           ("name", "\"" ^ json_escape s.name ^ "\"");
+           ("name", "\"" ^ Json.escape s.name ^ "\"");
            ("cat", "\"bistpath\"");
            ("pid", "1");
            ("tid", "1");
@@ -638,7 +588,7 @@ let chrome_trace_json r =
       (json_obj_of_pairs
          [
            ("ph", "\"E\"");
-           ("name", "\"" ^ json_escape s.name ^ "\"");
+           ("name", "\"" ^ Json.escape s.name ^ "\"");
            ("cat", "\"bistpath\"");
            ("pid", "1");
            ("tid", "1");
@@ -655,7 +605,7 @@ let chrome_trace_json r =
         (json_obj_of_pairs
            [
              ("ph", "\"X\"");
-             ("name", "\"" ^ json_escape e.ev_name ^ "\"");
+             ("name", "\"" ^ Json.escape e.ev_name ^ "\"");
              ("cat", "\"bistpath\"");
              ("pid", "1");
              ("tid", string_of_int e.track);
@@ -672,7 +622,7 @@ let chrome_trace_json r =
            [
              ("ph", "\"i\"");
              ("s", "\"g\"");
-             ("name", "\"" ^ json_escape name ^ "\"");
+             ("name", "\"" ^ Json.escape name ^ "\"");
              ("cat", "\"bistpath\"");
              ("pid", "1");
              ("tid", "1");
@@ -689,7 +639,7 @@ let chrome_trace_json r =
         (json_obj_of_pairs
            [
              ("ph", "\"C\"");
-             ("name", "\"" ^ json_escape name ^ "\"");
+             ("name", "\"" ^ Json.escape name ^ "\"");
              ("pid", "1");
              ("tid", "1");
              ("ts", us ts);
@@ -703,7 +653,7 @@ let chrome_trace_json r =
         (json_obj_of_pairs
            [
              ("ph", "\"C\"");
-             ("name", "\"" ^ json_escape k ^ "\"");
+             ("name", "\"" ^ Json.escape k ^ "\"");
              ("pid", "1");
              ("tid", "1");
              ("ts", us trace_end);

@@ -8,10 +8,9 @@
     leaving the calls in hot paths is free in practice. Installing a
     {!type:t} recorder (see {!install} / {!collect}) captures a trace that
     can then be exported as a human-readable summary table
-    ({!summary_table}), a JSON statistics dump ({!stats_json}), or a
-    Chrome trace-event file ({!chrome_trace_json}) loadable in
-    [chrome://tracing] or {{:https://ui.perfetto.dev}Perfetto} for
-    flamegraph views.
+    ({!summary_table}) or a Chrome trace-event file
+    ({!chrome_trace_json}) loadable in [chrome://tracing] or
+    {{:https://ui.perfetto.dev}Perfetto} for flamegraph views.
 
     {1 Counter name registry}
 
@@ -377,9 +376,6 @@ val summary_table : t -> string
     with wall times and per-span counter deltas, then the counter
     totals. *)
 
-val stats_json : t -> string
-(** [{"spans":[...],"counters":{...}}] machine-readable dump. *)
-
 val chrome_trace_json : t -> string
 (** Chrome trace-event JSON ([{"traceEvents":[...]}]): one [B]/[E] event
     pair per span (properly nested), one [X] (complete) event per
@@ -402,7 +398,3 @@ val write_file : string -> string -> unit
     Writes atomically via {!Bistpath_util.Atomic_io.write_file}
     (tmp + rename + fsync), so a crash mid-write can never leave a
     truncated artifact on disk. Raises [Sys_error] on failure. *)
-
-val json_escape : string -> string
-(** Escape a string for inclusion inside JSON double quotes (exposed for
-    external sinks such as the benchmark harness). *)

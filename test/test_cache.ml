@@ -628,6 +628,18 @@ let cli_and_serve_share_one_cache () =
   rm_rf cli_warmed;
   rm_rf serve_warmed
 
+(* A negative --vectors is the same invalid-input error (exit 4) on both
+   commands that take it, before any flow runs. *)
+let cli_negative_vectors_rejected () =
+  List.iter
+    (fun cmd ->
+      let code, out, err = run_synth [ cmd; "ex1"; "--vectors=-3" ] in
+      check Alcotest.int (cmd ^ ": exit 4") 4 code;
+      check Alcotest.string (cmd ^ ": no report") "" out;
+      check Alcotest.string (cmd ^ ": message")
+        "synth: error: --vectors: expected a non-negative integer, got \"-3\"\n" err)
+    [ "check"; "verify" ]
+
 let suite =
   [
     case "canonical JSON sorts object keys at every depth" canonical_sorts_keys;
@@ -655,4 +667,6 @@ let suite =
       journal_tolerates_pre_cache_lines;
     case "cli: every tag's stdout equals serve's artifact" cli_matches_serve_artifacts;
     case "cli: CLI and serve warm one shared cache" cli_and_serve_share_one_cache;
+    case "cli: check and verify reject a negative --vectors alike"
+      cli_negative_vectors_rejected;
   ]

@@ -100,14 +100,6 @@ let round_trip_data_dfgs () =
 
 (* --- seeded mutations: each must be caught, never crash ------------- *)
 
-let structural_diffs name r =
-  match r with
-  | Error diags ->
-    Alcotest.failf "%s: unexpectedly unparsable: %s" name
-      (String.concat "; "
-         (List.map Bistpath_resilience.Diagnostic.to_string diags))
-  | Ok (rep : Equiv.report) -> rep.Equiv.structural
-
 (* swap the .a/.b operand wires on the first subtractor instance *)
 let mutate_swap_operands rtl =
   let lines = String.split_on_char '\n' rtl in
@@ -176,46 +168,96 @@ let mutate_drop_wire rtl =
   if not !dropped then Alcotest.fail "mutation: no assign d_* line to drop";
   String.concat "\n" lines
 
-(* widen the first data output port by one bit *)
-let mutate_widen_port rtl =
-  let needle = "output wire [7:0] pout_" in
-  let replacement = "output wire [8:0] pout_" in
-  let nl = String.length needle in
+(* [from] replaced by [to_] once; a missing [from] fails the test, so an
+   emitter change cannot turn a mutant into the clean text unnoticed *)
+let replace ~from ~to_ rtl =
+  let n = String.length from in
   let rec find i =
-    if i + nl > String.length rtl then None
-    else if String.sub rtl i nl = needle then Some i
+    if i + n > String.length rtl then Alcotest.failf "mutation: %S not found" from
+    else if String.sub rtl i n = from then i
     else find (i + 1)
   in
-  match find 0 with
-  | None -> Alcotest.fail "mutation: no 8-bit pout port found"
-  | Some i ->
-    String.sub rtl 0 i ^ replacement
-    ^ String.sub rtl (i + nl) (String.length rtl - i - nl)
+  let i = find 0 in
+  String.sub rtl 0 i ^ to_ ^ String.sub rtl (i + n) (String.length rtl - i - n)
+
+(* widen the first data output port by one bit *)
+let mutate_widen_port = replace ~from:"output wire [7:0] pout_" ~to_:"output wire [8:0] pout_"
 
 let find_sub_instance () =
   (* Tseng1 has a dedicated subtractor *)
   run_flow testable (Option.get (B.by_tag "Tseng1"))
 
-let mutation_swapped_operands () =
-  let r = find_sub_instance () in
-  let dp = r.Flow.datapath in
-  let rtl = mutate_swap_operands (full_rtl dp) in
-  let diffs = structural_diffs "swap" (Equiv.verify ~rtl dp) in
-  check Alcotest.bool "swap caught structurally" true (diffs <> [])
+(* The emitted-RTL mutant corpus, on the testable flow: each row names
+   the design, the variant it mutates (plain, BIST registers, BIST
+   registers plus session steering) and the mutation. The first three
+   run on Tseng1 for its dedicated subtractor; the text-level rows match
+   Paulin's emitted RTL. *)
+let mutants =
+  [
+    ("swapped operands", "Tseng1", `Plain, mutate_swap_operands);
+    ("dropped wire", "Tseng1", `Plain, mutate_drop_wire);
+    ("widened port", "Tseng1", `Plain, mutate_widen_port);
+    ( "dropped enable term",
+      "Paulin",
+      `Plain,
+      replace ~from:"en_R2 = (step == 3'd1) || (step == 3'd2) || (step == 3'd3);"
+        ~to_:"en_R2 = (step == 3'd1) || (step == 3'd2);" );
+    ( "wrong mux-select constant",
+      "Paulin",
+      `Plain,
+      replace ~from:"step == 3'd1 ? 1'd0 :" ~to_:"step == 3'd1 ? 1'd1 :" );
+    ( "off-by-one step compare",
+      "Paulin",
+      `Plain,
+      replace ~from:"en_R1 = (step == 3'd1);" ~to_:"en_R1 = (step == 3'd2);" );
+    ( "changed NUM_STEPS",
+      "Paulin",
+      `Plain,
+      replace ~from:"localparam NUM_STEPS = 4;" ~to_:"localparam NUM_STEPS = 5;" );
+    ("wrong SEED parameter", "Paulin", `Bist, replace ~from:".SEED(8'd241)" ~to_:".SEED(8'd242)");
+    ( "swapped session decode",
+      "Paulin",
+      `Sessions,
+      replace
+        ~from:
+          "(test_mode && test_session == 2'd0) ? 2'd0 :\n\
+          \    (test_mode && test_session == 2'd1) ? 2'd1 :"
+        ~to_:
+          "(test_mode && test_session == 2'd1) ? 2'd0 :\n\
+          \    (test_mode && test_session == 2'd0) ? 2'd1 :" );
+  ]
 
-let mutation_dropped_wire () =
-  let r = find_sub_instance () in
-  let dp = r.Flow.datapath in
-  let rtl = mutate_drop_wire (full_rtl dp) in
-  let diffs = structural_diffs "drop" (Equiv.verify ~rtl dp) in
-  check Alcotest.bool "dropped wire caught structurally" true (diffs <> [])
+let starts_with prefix s =
+  String.length s >= String.length prefix
+  && String.sub s 0 (String.length prefix) = prefix
 
-let mutation_widened_port () =
-  let r = find_sub_instance () in
+(* Each mutant is caught structurally (at least one RTL005 parse-back
+   mismatch, whatever the vectors find) and reported only in the shared
+   verdict text. *)
+let mutant_caught tag variant mutate () =
+  let r = run_flow testable (Option.get (B.by_tag tag)) in
   let dp = r.Flow.datapath in
-  let rtl = mutate_widen_port (full_rtl dp) in
-  let diffs = structural_diffs "widen" (Equiv.verify ~rtl dp) in
-  check Alcotest.bool "widened port caught structurally" true (diffs <> [])
+  let bist, sessions =
+    match variant with
+    | `Plain -> (None, None)
+    | `Bist -> (Some r.Flow.bist, None)
+    | `Sessions -> (Some r.Flow.bist, Some r.Flow.sessions)
+  in
+  let result = Equiv.verify ?bist ?sessions ~rtl:(mutate (full_rtl ?bist ?sessions dp)) dp in
+  (match result with
+  | Ok _ -> ()
+  | Error _ -> Alcotest.fail "mutant is unparsable");
+  let lines = List.map Equiv.line (Equiv.verdict result) in
+  check Alcotest.bool "caught structurally" true
+    (List.exists (starts_with "RTL005 parse-back mismatch: ") lines);
+  List.iter
+    (fun l ->
+      if
+        not
+          (starts_with "RTL005 parse-back mismatch: " l
+          || starts_with "EQ002 parsed RTL disagrees with the interpreter on output " l)
+      then Alcotest.failf "not the shared verdict text: %s" l)
+    lines
 
 let unparsable_is_diagnosed () =
   let r = find_sub_instance () in
@@ -352,9 +394,12 @@ let suite =
     case "round-trip ex1" round_trip_ex1;
     case "round-trip all benchmarks" round_trip_all_benchmarks;
     case "round-trip data/*.dfg both flows" round_trip_data_dfgs;
-    case "mutation: swapped operands caught" mutation_swapped_operands;
-    case "mutation: dropped wire caught" mutation_dropped_wire;
-    case "mutation: widened port caught" mutation_widened_port;
+  ]
+  @ List.map
+      (fun (name, tag, variant, mutate) ->
+        case (Printf.sprintf "mutation: %s caught" name) (mutant_caught tag variant mutate))
+      mutants
+  @ [
     case "unparsable RTL yields diagnostics" unparsable_is_diagnosed;
     case "sanitize is injective on punctuation" sanitize_is_injective_on_punctuation;
     case "fir8 netlist has no duplicate wires" fir8_has_no_duplicate_wires;

@@ -461,17 +461,33 @@ let bounded_sample_streams () =
   check Alcotest.int "overflow counted" 1
     (Telemetry.counter r "telemetry.dropped_samples")
 
-let stats_json_well_formed () =
+(* decoded by the library's own parser: the test's [parse_json] does not
+   unescape *)
+let chrome_trace_escapes_names () =
+  let module Json = Bistpath_util.Json in
+  let weird = "weird \"name\"\n" in
   let (), r =
-    Telemetry.collect (fun () ->
-        Telemetry.with_span "weird \"name\"\n" (fun () -> Telemetry.incr "k"))
+    Telemetry.collect (fun () -> Telemetry.with_span weird (fun () -> Telemetry.incr weird))
   in
-  match parse_json (Telemetry.stats_json r) with
-  | Jobj _ as j ->
-    (match field "counters" j with
-    | Some (Jobj [ ("k", Jnum 1.0) ]) -> ()
-    | _ -> Alcotest.fail "counters object wrong")
-  | _ -> Alcotest.fail "stats not an object"
+  let events =
+    match Json.parse (Telemetry.chrome_trace_json r) with
+    | Ok (Json.Obj kvs) -> (
+      match List.assoc_opt "traceEvents" kvs with
+      | Some (Json.Arr events) -> events
+      | _ -> Alcotest.fail "no traceEvents array")
+    | Ok _ -> Alcotest.fail "not a JSON object"
+    | Error e -> Alcotest.failf "not JSON: %s" e
+  in
+  let names ph =
+    List.filter_map
+      (function
+        | Json.Obj kvs when List.assoc_opt "ph" kvs = Some (Json.Str ph) -> (
+          match List.assoc_opt "name" kvs with Some (Json.Str n) -> Some n | _ -> None)
+        | _ -> None)
+      events
+  in
+  check Alcotest.(list string) "span name round-trips" [ weird ] (names "B");
+  check Alcotest.(list string) "counter name round-trips" [ weird ] (names "C")
 
 let greedy_clique_counters () =
   let g = Ugraph.of_edges ~vertices:[ 0; 1; 2 ] [ (0, 1); (1, 2); (0, 2) ] in
@@ -546,7 +562,7 @@ let suite =
     case "prometheus exposition format" prometheus_exposition;
     case "chrome trace gauge/instant/track events" chrome_trace_gauge_instant_track;
     case "bounded sample streams drop and count" bounded_sample_streams;
-    case "stats json well-formed and escaped" stats_json_well_formed;
+    case "chrome trace escapes span names" chrome_trace_escapes_names;
     case "clique partition counters" greedy_clique_counters;
     case "flow emits each stage span once" flow_stage_spans;
     case "counters survive concurrent domains" concurrent_domains;
