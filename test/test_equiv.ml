@@ -225,16 +225,21 @@ let mutants =
         ~to_:
           "(test_mode && test_session == 2'd1) ? 2'd0 :\n\
           \    (test_mode && test_session == 2'd0) ? 2'd1 :" );
+    ( "two-wire combinational loop",
+      "Paulin",
+      `Plain,
+      fun rtl ->
+        rtl
+        |> replace ~from:"assign d_R1 = out_MUL2;" ~to_:"assign d_R1 = out_MUL2 ^ d_R3;"
+        |> replace ~from:"assign d_R3 = out_MUL1;" ~to_:"assign d_R3 = out_MUL1 ^ d_R1;" );
   ]
 
 let starts_with prefix s =
   String.length s >= String.length prefix
   && String.sub s 0 (String.length prefix) = prefix
 
-(* Each mutant is caught structurally (at least one RTL005 parse-back
-   mismatch, whatever the vectors find) and reported only in the shared
-   verdict text. *)
-let mutant_caught tag variant mutate () =
+(* The verdict lines {!Equiv.verify} reports on a mutant. *)
+let mutant_verdict tag variant mutate =
   let r = run_flow testable (Option.get (B.by_tag tag)) in
   let dp = r.Flow.datapath in
   let bist, sessions =
@@ -247,7 +252,13 @@ let mutant_caught tag variant mutate () =
   (match result with
   | Ok _ -> ()
   | Error _ -> Alcotest.fail "mutant is unparsable");
-  let lines = List.map Equiv.line (Equiv.verdict result) in
+  List.map Equiv.line (Equiv.verdict result)
+
+(* Each mutant is caught structurally (at least one RTL005 parse-back
+   mismatch, whatever the vectors find) and reported only in the shared
+   verdict text. *)
+let mutant_caught tag variant mutate () =
+  let lines = mutant_verdict tag variant mutate in
   check Alcotest.bool "caught structurally" true
     (List.exists (starts_with "RTL005 parse-back mismatch: ") lines);
   List.iter
@@ -258,6 +269,78 @@ let mutant_caught tag variant mutate () =
           || starts_with "EQ002 parsed RTL disagrees with the interpreter on output " l)
       then Alcotest.failf "not the shared verdict text: %s" l)
     lines
+
+(* test/fixtures/equiv_verdicts.txt pins every verdict line of the
+   corpus, under a "# <mutant>" header per row, so a change to the
+   matcher shows up as a line diff of the text users read. *)
+let render_verdicts () =
+  String.concat ""
+    (List.concat_map
+       (fun (name, tag, variant, mutate) ->
+         ("# " ^ name ^ "\n")
+         :: List.map (fun l -> l ^ "\n") (mutant_verdict tag variant mutate))
+       mutants)
+
+let verdicts_reproduce_fixture () =
+  let expected =
+    In_channel.with_open_text (Filename.concat "fixtures" "equiv_verdicts.txt")
+      In_channel.input_all
+  in
+  Test_regalloc_trace.first_diff 1
+    (String.split_on_char '\n' expected, String.split_on_char '\n' (render_verdicts ()))
+
+(* every [from] replaced by [to_] *)
+let replace_all ~from ~to_ s =
+  let n = String.length from and len = String.length s in
+  let b = Buffer.create len in
+  let rec go i =
+    if i + n > len then Buffer.add_substring b s i (len - i)
+    else if String.sub s i n = from then begin
+      Buffer.add_string b to_;
+      go (i + n)
+    end
+    else begin
+      Buffer.add_char b s.[i];
+      go (i + 1)
+    end
+  in
+  go 0;
+  Buffer.contents b
+
+(* Registers are paired by structure alone: Paulin's committed BIST +
+   sessions RTL with two register instances moved to the end of the
+   module and two registers renamed (instance and wires) still verifies
+   clean. *)
+let pairing_ignores_names_and_order () =
+  let r = run_flow testable (Option.get (B.by_tag "Paulin")) in
+  let golden = read_file (Filename.concat (Filename.concat ".." "golden") "Paulin__testable.v") in
+  let moved l =
+    List.exists
+      (fun inst ->
+        let needle = " " ^ inst ^ " (.clk(" in
+        replace_all ~from:needle ~to_:"" l <> l)
+      [ "R1"; "IN_x" ]
+  in
+  let lines = String.split_on_char '\n' golden in
+  let tail = List.filter moved lines in
+  check Alcotest.int "instance lines moved" 2 (List.length tail);
+  (* the datapath module is the file's last *)
+  let rec insert = function
+    | "endmodule" :: rest when not (List.mem "endmodule" rest) -> tail @ ("endmodule" :: rest)
+    | l :: rest -> l :: insert rest
+    | [] -> Alcotest.fail "no endmodule"
+  in
+  let rtl =
+    String.concat "\n" (insert (List.filter (fun l -> not (moved l)) lines))
+    |> replace_all ~from:"_R1" ~to_:"_acc_a"
+    |> replace_all ~from:" R1 (" ~to_:" acc_a ("
+    |> replace_all ~from:"_R3" ~to_:"_acc_b"
+    |> replace_all ~from:" R3 (" ~to_:" acc_b ("
+  in
+  check Alcotest.bool "no old register name left" true
+    (replace_all ~from:"R1" ~to_:"" rtl = rtl && replace_all ~from:"R3" ~to_:"" rtl = rtl);
+  expect_clean "reordered, renamed Paulin"
+    (Equiv.verify ~bist:r.Flow.bist ~sessions:r.Flow.sessions ~rtl r.Flow.datapath)
 
 let unparsable_is_diagnosed () =
   let r = find_sub_instance () in
@@ -400,6 +483,8 @@ let suite =
         case (Printf.sprintf "mutation: %s caught" name) (mutant_caught tag variant mutate))
       mutants
   @ [
+    case "mutant verdicts reproduce the fixture" verdicts_reproduce_fixture;
+    case "pairing ignores register names and instance order" pairing_ignores_names_and_order;
     case "unparsable RTL yields diagnostics" unparsable_is_diagnosed;
     case "sanitize is injective on punctuation" sanitize_is_injective_on_punctuation;
     case "fir8 netlist has no duplicate wires" fir8_has_no_duplicate_wires;
