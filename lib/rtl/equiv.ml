@@ -107,8 +107,8 @@ let commutative = [ "add"; "mul"; "and"; "or"; "xor" ]
 let rec ser colors t =
   match t with
   | Pin p -> "p:" ^ p
-  | RegQ i -> "q:" ^ colors i
-  | RegSig i -> "s:" ^ colors i
+  | RegQ i -> "q:" ^ string_of_int (colors i)
+  | RegSig i -> "s:" ^ string_of_int (colors i)
   | Const c -> "c:" ^ string_of_int c
   | Undriven -> "undriven"
   | Op (o, ts) ->
@@ -127,21 +127,34 @@ let cell_signature colors c =
                (Array.to_list (Array.map (ser colors) slots)))
          c.conns)
 
-(* Weisfeiler–Leman style refinement: each register's color is the hash
-   of its local signature with neighbor registers replaced by their
-   previous colors. The color strings are pure functions of structure,
-   so they are directly comparable across netlists. *)
-let refine nl iterations =
-  let n = Array.length nl.cells in
-  let colors = Array.make n "0" in
-  for _ = 1 to iterations do
-    let get i = colors.(i) in
+(* Weisfeiler–Leman colour refinement over the disjoint union of two
+   netlists: a register's colour numbers its signature, neighbours
+   replaced by their last colours, in one table both sides share. Each
+   round refines the last; one that gains no class on the union is the
+   fixed point (stopping on each side alone would miss a swap). *)
+let refine a b =
+  let na = Array.length a.cells in
+  let colors = Array.make (na + Array.length b.cells) 0 in
+  let rec round classes =
+    let table = Hashtbl.create 64 in
     let next =
-      Array.map (fun c -> Digest.to_hex (Digest.string (cell_signature get c))) nl.cells
+      Array.mapi
+        (fun i _ ->
+          let c, off = if i < na then (a.cells.(i), 0) else (b.cells.(i - na), na) in
+          let s = cell_signature (fun j -> colors.(off + j)) c in
+          match Hashtbl.find_opt table s with
+          | Some k -> k
+          | None ->
+            let k = Hashtbl.length table in
+            Hashtbl.add table s k;
+            k)
+        colors
     in
-    Array.blit next 0 colors 0 n
-  done;
-  colors
+    Array.blit next 0 colors 0 (Array.length colors);
+    if Hashtbl.length table > classes then round (Hashtbl.length table)
+  in
+  round 1;
+  (Array.sub colors 0 na, Array.sub colors na (Array.length colors - na))
 
 (* ------------------------------------------------------------------ *)
 (* Reference netlist from the in-memory model                         *)
@@ -845,13 +858,14 @@ let slot_values (e : elab) (tm, sess, s) =
         | None ->
           if List.mem_assoc name e.ein then VTree (Pin name) else VTree Undriven)
   in
-  (wire, fun ex -> eval_expr wire ex)
+  wire
 
 let netlist_of_elab (e : elab) =
   let contexts = contexts_of ~has_tm:e.has_tm ~sess_bits:e.sess_bits in
   let slot_list = slots_of ~contexts ~steps:e.esteps in
-  let slot_arr = Array.of_list slot_list in
-  let nslots = Array.length slot_arr in
+  (* one evaluator per slot, its wire memo shared by every cell and port *)
+  let wires = Array.of_list (List.map (slot_values e) slot_list) in
+  let per ex = Array.map (fun wire -> normalize (tree_of (eval_expr wire ex))) wires in
   let cells =
     Array.map
       (fun (c : ecell) ->
@@ -859,26 +873,11 @@ let netlist_of_elab (e : elab) =
           kind = c.ekind;
           cname = c.einst;
           params = c.eparams;
-          conns =
-            List.map
-              (fun (port, ex) ->
-                ( port,
-                  Array.init nslots (fun i ->
-                      let _, evale = slot_values e slot_arr.(i) in
-                      normalize (tree_of (evale ex))) ))
-              c.econns;
+          conns = List.map (fun (port, ex) -> (port, per ex)) c.econns;
         })
       e.ecells
   in
-  let outdrv =
-    List.map
-      (fun (port, _) ->
-        ( port,
-          Array.init nslots (fun i ->
-              let wire, _ = slot_values e slot_arr.(i) in
-              normalize (tree_of (wire port))) ))
-      e.eout
-  in
+  let outdrv = List.map (fun (port, _) -> (port, per (Parser.Ident port))) e.eout in
   {
     nname = e.ename;
     nin = e.ein;
@@ -937,28 +936,26 @@ let compare_netlists ~a_label ~b_label (a : netlist) (b : netlist) =
     if Array.length a.cells <> Array.length b.cells then
       diff "register count: %d in %s vs %d in %s"
         (Array.length a.cells) a_label (Array.length b.cells) b_label;
-    let k = max (Array.length a.cells) (Array.length b.cells) + 1 in
-    let ca = refine a k and cb = refine b k in
-    let tagged colors (nl : netlist) =
-      List.sort compare
-        (Array.to_list
-           (Array.mapi (fun i (c : cell) -> (colors.(i), c.cname, c.kind)) nl.cells))
+    let ca, cb = refine a b in
+    (* per colour, the first copies in cell order pair off; the copies
+       beyond the other side's count have no counterpart *)
+    let count colors =
+      let k = Array.make (Array.length a.cells + Array.length b.cells) 0 in
+      Array.iter (fun c -> k.(c) <- k.(c) + 1) colors;
+      k
     in
-    let rec walk xs ys =
-      match (xs, ys) with
-      | [], [] -> ()
-      | (c1, n1, k1) :: xs', ys' when ys' = [] || c1 < (match ys' with (c2, _, _) :: _ -> c2 | [] -> "") ->
-        diff "register %s (%s) in %s has no structural counterpart in %s" n1 k1
-          a_label b_label;
-        walk xs' ys'
-      | xs', (c2, n2, k2) :: ys' when xs' = [] || c2 < (match xs' with (c1, _, _) :: _ -> c1 | [] -> "") ->
-        diff "register %s (%s) in %s has no structural counterpart in %s" n2 k2
-          b_label a_label;
-        walk xs' ys'
-      | _ :: xs', _ :: ys' -> walk xs' ys'
-      | _ -> ()
+    let unmatched nl colors other label other_label =
+      Array.iteri
+        (fun i (c : cell) ->
+          if other.(colors.(i)) > 0 then other.(colors.(i)) <- other.(colors.(i)) - 1
+          else
+            diff "register %s (%s) in %s has no structural counterpart in %s" c.cname c.kind
+              label other_label)
+        nl.cells
     in
-    walk (tagged ca a) (tagged cb b);
+    let ka = count ca and kb = count cb in
+    unmatched a ca kb a_label b_label;
+    unmatched b cb ka b_label a_label;
     let steps = a.nsteps in
     List.iter
       (fun (port, sa) ->
@@ -969,8 +966,7 @@ let compare_netlists ~a_label ~b_label (a : netlist) (b : netlist) =
           let rec first i =
             if i >= n then None
             else
-              let s1 = ser (fun j -> ca.(j)) sa.(i)
-              and s2 = ser (fun j -> cb.(j)) sb.(i) in
+              let s1 = ser (Array.get ca) sa.(i) and s2 = ser (Array.get cb) sb.(i) in
               if s1 <> s2 then Some (i, s1, s2) else first (i + 1)
           in
           (match first 0 with
@@ -1135,9 +1131,10 @@ let comb_cycles e =
 let mask w = (1 lsl min w 62) - 1
 
 (* The register primitives' generator/compactor update: feedback is the
-   shifted-out MSB xor the parity of (q & 4'b1011) — an invertible state
-   map, so no nonzero generator state collapses to all-zero — shift
-   left; a compactor XORs its data input in. *)
+   shifted-out MSB xor the parity of (q & 4'b1011), shifted in at the
+   LSB; a compactor XORs its data input in. Neither invertible nor
+   maximal-length: at W = 4, 4'b1000 steps to all-zero and seed 1 enters
+   a 3-cycle after 2 steps (see the LFSR item in ROADMAP.md). *)
 let lfsr ~width q =
   let fb = ((q lsr (width - 1)) lxor q lxor (q lsr 1) lxor (q lsr 3)) land 1 in
   ((q lsl 1) lor fb) land mask width

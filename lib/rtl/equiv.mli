@@ -9,10 +9,11 @@
     netlist is built the same way directly from the
     {!Bistpath_datapath.Datapath.t} and its control table, and the two
     are matched name-insensitively: anchored on the port interface,
-    registers paired by iterated structural color refinement (a
-    Weisfeiler–Leman style partition over the per-slot input trees),
-    with commutative operator inputs canonicalized so benign operand
-    reordering never false-alarms. A random-vector simulation
+    registers paired by one Weisfeiler–Leman colour refinement over the
+    disjoint union of both netlists, run until a round gains no class
+    on the union (per colour, the copies beyond the other side's count
+    are unmatched), with commutative operator inputs canonicalized so
+    benign operand reordering never false-alarms. A random-vector simulation
     cross-check then runs the elaborated netlist cycle by cycle against
     {!Bistpath_datapath.Interp} and reports the first distinguishing
     vector.

@@ -100,6 +100,13 @@ let round_trip_data_dfgs () =
 
 (* --- seeded mutations: each must be caught, never crash ------------- *)
 
+let contains line needle =
+  let nl = String.length needle in
+  let rec find i =
+    i + nl <= String.length line && (String.sub line i nl = needle || find (i + 1))
+  in
+  find 0
+
 (* swap the .a/.b operand wires on the first subtractor instance *)
 let mutate_swap_operands rtl =
   let lines = String.split_on_char '\n' rtl in
@@ -124,13 +131,6 @@ let mutate_swap_operands rtl =
       end
     done;
     Buffer.contents buf
-  in
-  let contains line needle =
-    let nl = String.length needle in
-    let rec find i =
-      i + nl <= String.length line && (String.sub line i nl = needle || find (i + 1))
-    in
-    find 0
   in
   let lines =
     List.map
@@ -314,13 +314,7 @@ let replace_all ~from ~to_ s =
 let pairing_ignores_names_and_order () =
   let r = run_flow testable (Option.get (B.by_tag "Paulin")) in
   let golden = read_file (Filename.concat (Filename.concat ".." "golden") "Paulin__testable.v") in
-  let moved l =
-    List.exists
-      (fun inst ->
-        let needle = " " ^ inst ^ " (.clk(" in
-        replace_all ~from:needle ~to_:"" l <> l)
-      [ "R1"; "IN_x" ]
-  in
+  let moved l = List.exists (fun inst -> contains l (" " ^ inst ^ " (.clk(")) [ "R1"; "IN_x" ] in
   let lines = String.split_on_char '\n' golden in
   let tail = List.filter moved lines in
   check Alcotest.int "instance lines moved" 2 (List.length tail);
@@ -337,8 +331,7 @@ let pairing_ignores_names_and_order () =
     |> replace_all ~from:"_R3" ~to_:"_acc_b"
     |> replace_all ~from:" R3 (" ~to_:" acc_b ("
   in
-  check Alcotest.bool "no old register name left" true
-    (replace_all ~from:"R1" ~to_:"" rtl = rtl && replace_all ~from:"R3" ~to_:"" rtl = rtl);
+  check Alcotest.bool "no old register name left" false (contains rtl "R1" || contains rtl "R3");
   expect_clean "reordered, renamed Paulin"
     (Equiv.verify ~bist:r.Flow.bist ~sessions:r.Flow.sessions ~rtl r.Flow.datapath)
 
