@@ -40,4 +40,5 @@ let () =
       ("incremental", Test_incremental.suite);
       ("gate-trace", Test_gatelevel_trace.suite);
       ("bist-trace", Test_bist_trace.suite);
+      ("func-trace", Test_functional_trace.suite);
     ]
