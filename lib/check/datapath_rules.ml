@@ -190,23 +190,27 @@ let dp006 ctx =
 let eq001 ctx =
   if ctx.vectors <= 0 then []
   else
-    let rng = Prng.create 0x5EED in
-    let limit = 1 lsl ctx.width in
-    let rec go i =
-      if i > ctx.vectors then []
-      else
-        let inputs = List.map (fun x -> (x, Prng.int rng limit)) ctx.dfg.Dfg.inputs in
-        match Interp.equivalent_to_dfg ctx.datapath ~width:ctx.width ~inputs with
-        | true -> go (i + 1)
-        | false ->
-            [ v "EQ001" error ctx.design
-                "data path diverges from the DFG semantics on random vector %d of %d" i
-                ctx.vectors ]
-        | exception e ->
-            [ v "EQ001" error ctx.design "data-path interpretation failed: %s"
-                (Printexc.to_string e) ]
+    let failed e =
+      [ v "EQ001" error ctx.design "data-path interpretation failed: %s" (Printexc.to_string e) ]
     in
-    go 1
+    match Interp.equivalent_to_dfg ctx.datapath ~width:ctx.width with
+    | exception e -> failed e
+    | equivalent ->
+      let rng = Prng.create 0x5EED in
+      let limit = 1 lsl ctx.width in
+      let rec go i =
+        if i > ctx.vectors then []
+        else
+          let inputs = List.map (fun x -> (x, Prng.int rng limit)) ctx.dfg.Dfg.inputs in
+          match equivalent ~inputs with
+          | true -> go (i + 1)
+          | false ->
+              [ v "EQ001" error ctx.design
+                  "data path diverges from the DFG semantics on random vector %d of %d" i
+                  ctx.vectors ]
+          | exception e -> failed e
+      in
+      go 1
 
 let rules =
   [

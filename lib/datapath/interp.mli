@@ -24,12 +24,20 @@ val run :
   (string * int) list * trace_entry list
 (** Returns the primary outputs (sorted by name) and, with [~trace:true],
     the register file after every step. Raises [Invalid_argument] on
-    missing inputs (via {!Bistpath_dfg.Eval}-compatible checking). *)
+    missing inputs (via {!Bistpath_dfg.Eval}-compatible checking).
+
+    Partial application stages the run: [run dp ~width] builds the
+    control table once and resolves every step's routes, operation
+    kinds and register and unit indices to arrays; the returned
+    [~inputs] function only executes them, so one staged closure serves
+    any number of input sets (the RTL cross-check reuses one per
+    check). Input validation and its [Invalid_argument] messages belong
+    to the [~inputs] call; a malformed data path raises at staging. *)
 
 val equivalent_to_dfg :
   Datapath.t -> width:int -> inputs:(string * int) list -> bool
 (** Do the interpreted data path and the behavioural evaluation agree on
-    every primary output? *)
+    every primary output? Staged like {!run}. *)
 
 val run_iterations :
   Datapath.t ->

@@ -465,6 +465,74 @@ let cli_golden_lifecycle () =
     (run_synth [ "verify"; "ex1"; "--golden"; g ]);
   rm_rf d
 
+(* [synth ARGS]'s stderr, stdout discarded *)
+let synth_stderr args =
+  let d = tmpdir () in
+  let err_path = Filename.concat d "stderr" in
+  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let err = Unix.openfile err_path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
+  let pid = Unix.create_process synth_exe (Array.of_list (synth_exe :: args)) Unix.stdin null err in
+  Unix.close null;
+  Unix.close err;
+  ignore (Unix.waitpid [] pid);
+  let text = read_file err_path in
+  rm_rf d;
+  text
+
+(* The --stats span table's (name, depth, wall in ns, rounding bound in
+   ns) rows, as printed by Telemetry.summary_table. *)
+let span_rows table =
+  List.filter_map
+    (fun line ->
+      match String.split_on_char '|' line with
+      | [ ""; name; wall; _; _; "" ] -> (
+        let rec indent i = if i < String.length name && name.[i] = ' ' then indent (i + 1) else i in
+        let indent = indent 0 in
+        match String.split_on_char ' ' (String.trim wall) with
+        | [ x; unit ] -> (
+          let scale, half =
+            match unit with
+            | "ns" -> (1., 0.5)
+            | "us" -> (1e3, 50.)
+            | "ms" -> (1e6, 5e3)
+            | _ -> (1e9, 5e5)
+          in
+          match float_of_string_opt x with
+          | Some x -> Some (String.trim name, (indent - 1) / 2, x *. scale, half)
+          | None -> None)
+        | _ -> None)
+      | _ -> None)
+    (String.split_on_char '\n' table)
+
+(* Equiv.verify's layers show in --stats: rtl.parse, rtl.structural and
+   rtl.functional directly under rtl.equiv, adding up to no more than
+   it (up to the table's rounding). *)
+let cli_verify_spans () =
+  let rows =
+    span_rows
+      (synth_stderr [ "rtl"; Filename.concat ".." (Filename.concat "data" "fir32.dfg");
+                      "--verify"; "--stats" ])
+  in
+  let rec under = function
+    | ("rtl.equiv", d, total, half) :: rest ->
+      let rec children acc = function
+        | (name, d', ns, h) :: rest when d' > d ->
+          children (if d' = d + 1 then (name, ns, h) :: acc else acc) rest
+        | _ -> List.rev acc
+      in
+      (total, half, children [] rest)
+    | _ :: rest -> under rest
+    | [] -> Alcotest.fail "no rtl.equiv span"
+  in
+  let total, half, kids = under rows in
+  check Alcotest.(list string) "children of rtl.equiv"
+    [ "rtl.parse"; "rtl.structural"; "rtl.functional" ]
+    (List.map (fun (n, _, _) -> n) kids);
+  let sum = List.fold_left (fun acc (_, ns, _) -> acc +. ns) 0. kids in
+  let slack = List.fold_left (fun acc (_, _, h) -> acc +. h) half kids in
+  if sum > total +. slack then
+    Alcotest.failf "children sum to %.0f ns, more than rtl.equiv's %.0f ns" sum total
+
 let suite =
   [
     case "round-trip ex1" round_trip_ex1;
@@ -485,4 +553,5 @@ let suite =
     case "width-1 Less round-trips" width1_less_round_trips;
     case "binary: verify --rtl exit codes (0/2/4)" cli_verify_exit_codes;
     case "binary: golden lifecycle (update, churn, drift)" cli_golden_lifecycle;
+    case "binary: rtl --verify --stats spans its layers" cli_verify_spans;
   ]

@@ -241,6 +241,39 @@ let prop_control_ops_cover_schedule =
             s.Control.ops)
         c.Control.steps)
 
+(* [Interp.run dp ~width] stages the run once; the closure must answer
+   every input set, a missing input included, as a fresh full
+   application does. *)
+let prop_staged_run_reusable =
+  QCheck.Test.make ~name:"interp: one staged run equals fresh runs over 50 inputs" ~count:20
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let rng = Prng.create seed in
+      let inst = B.random rng ~ops:12 ~inputs:4 in
+      let dfg = inst.B.dfg in
+      let irng = Prng.create (seed + 1) in
+      let outcome f = match f () with r -> Ok r | exception Invalid_argument m -> Error m in
+      List.for_all
+        (fun style ->
+          let dp = (Flow.run ~style dfg inst.B.massign ~policy:inst.B.policy).Flow.datapath in
+          let staged = Interp.run ~trace:true dp ~width:8 in
+          let agrees inputs =
+            outcome (fun () -> staged ~inputs)
+            = outcome (fun () -> Interp.run ~trace:true dp ~width:8 ~inputs)
+          in
+          List.for_all agrees
+            (List.init 50 (fun _ ->
+                 List.map (fun v -> (v, Prng.int irng 256)) dfg.Dfg.inputs))
+          &&
+          match List.find_opt (fun v -> Dfg.consumers dfg v <> []) dfg.Dfg.inputs with
+          | None -> true
+          | Some v ->
+            let inputs = List.filter (fun (w, _) -> w <> v) (List.map (fun w -> (w, 1)) dfg.Dfg.inputs) in
+            outcome (fun () -> staged ~inputs)
+            = Error ("Interp.run: missing value for input " ^ v)
+            && agrees inputs)
+        [ Flow.Traditional; testable ])
+
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
 let suite =
@@ -264,4 +297,5 @@ let suite =
         prop_interp_equivalence_widths;
         prop_control_single_write;
         prop_control_ops_cover_schedule;
+        prop_staged_run_reusable;
       ]
