@@ -605,11 +605,7 @@ let vcd_cmd =
     with_common c @@ fun budget ->
     let inst = or_die_input (Runner.load_instance ?max_errors:c.max_errors spec) in
     let r = Runner.flow ~budget inst (cli_job c ~width ~flow Job.Run spec) in
-    let used =
-      List.filter
-        (fun v -> Bistpath_dfg.Dfg.consumers inst.B.dfg v <> [])
-        inst.B.dfg.Bistpath_dfg.Dfg.inputs
-    in
+    let used = Bistpath_dfg.Dfg.used_inputs inst.B.dfg in
     let rng = Bistpath_util.Prng.create 1 in
     let defaults = List.map (fun v -> (v, Bistpath_util.Prng.int rng (1 lsl width))) used in
     let overrides =

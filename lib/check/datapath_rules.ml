@@ -1,6 +1,7 @@
 module Dfg = Bistpath_dfg.Dfg
 module Op = Bistpath_dfg.Op
 module Datapath = Bistpath_datapath.Datapath
+module Control = Bistpath_datapath.Control
 module Interp = Bistpath_datapath.Interp
 module Equiv = Bistpath_rtl.Equiv
 module Prng = Bistpath_util.Prng
@@ -11,19 +12,14 @@ let warning = Bistpath_resilience.Diagnostic.Warning
 
 (* DP001: a register would have to latch two values in one control step.
    Re-derived from the schedule and routes, independently of
-   [Control.build] (which refuses to build such a table at all). *)
+   [Control.build] (which refuses to build such a table at all); a
+   stored primary input latches at its [Control.latch_step]. *)
 let dp001 ctx =
   let writes =
-    (* a stored primary input latches at the end of its birth step (one
-       step before first use), mirroring the controller's load schedule *)
     List.filter_map
       (fun x ->
         match expected_reg ctx x with
-        | Some r ->
-            let birth =
-              (Bistpath_dfg.Lifetime.span ctx.dfg x).Bistpath_graphs.Interval.birth
-            in
-            Some (birth, r, x)
+        | Some r -> Some (Control.latch_step ctx.dfg x, r, x)
         | None -> None)
       (consumed_inputs ctx)
     @ List.concat_map

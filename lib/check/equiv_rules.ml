@@ -18,11 +18,8 @@ let error = Bistpath_resilience.Diagnostic.Error
    apply when an RTL artifact exists to parse back. The datapath module
    is all the parse-back elaborates, so the primitives are left out. *)
 let emitted ~width ?bist ?sessions datapath =
-  match
-    ( Bistpath_datapath.Control.build datapath,
-      Verilog.emit ~width ?bist ?sessions datapath )
-  with
-  | _, rtl -> Some rtl
+  match Verilog.emit ~width ?bist ?sessions datapath with
+  | rtl -> Some rtl
   | exception _ -> None
 
 let finding ctx (f : Equiv.finding) = v f.Equiv.rule error ctx.design "%s" f.Equiv.message

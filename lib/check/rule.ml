@@ -82,7 +82,4 @@ let stored_vars ctx rid =
 let parsed_rtl ctx =
   match Lazy.force ctx.rtl with Some (Ok e) -> Some e | Some (Error _) | None -> None
 
-let consumed_inputs ctx =
-  List.filter
-    (fun v -> List.exists (fun (op : Op.t) -> List.mem v (Op.operands op)) ctx.dfg.Dfg.ops)
-    (List.sort_uniq compare ctx.dfg.Dfg.inputs)
+let consumed_inputs ctx = List.sort_uniq compare (Dfg.used_inputs ctx.dfg)

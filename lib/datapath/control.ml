@@ -31,6 +31,8 @@ let index_of_exn what x l =
   | Some i -> i
   | None -> invalid_arg (Printf.sprintf "Control.build: %s not found" what)
 
+let latch_step dfg v = (Lifetime.span dfg v).Bistpath_graphs.Interval.birth
+
 let build (dp : Datapath.t) =
   let dfg = dp.Datapath.dfg in
   let num_steps = Dfg.num_csteps dfg in
@@ -69,17 +71,16 @@ let build (dp : Datapath.t) =
         (cstep, uop, write))
       dp.Datapath.routes
   in
-  (* input loads: latch each stored primary input at the end of its
-     birth step (one step before first use) *)
+  (* input loads: latch each stored primary input at its latch step *)
+  let used_inputs = Dfg.used_inputs dfg in
   let load_events =
     List.concat_map
       (fun (r : Datapath.reg) ->
         List.filter_map
           (fun v ->
-            if List.mem v dfg.Dfg.inputs && Dfg.consumers dfg v <> [] then
-              let birth = (Lifetime.span dfg v).Bistpath_graphs.Interval.birth in
+            if List.mem v used_inputs then
               Some
-                ( birth,
+                ( latch_step dfg v,
                   {
                     rid = r.Datapath.rid;
                     source_index = writer_index r.Datapath.rid (Datapath.From_port v);
@@ -113,9 +114,18 @@ let build (dp : Datapath.t) =
   in
   { steps }
 
-let register_enables t rid =
-  List.filter_map
-    (fun s -> if List.exists (fun w -> String.equal w.rid rid) s.writes then Some s.index else None)
+let write_schedule t rid =
+  List.concat_map
+    (fun s ->
+      List.filter_map
+        (fun w -> if String.equal w.rid rid then Some (s.index, w.source_index) else None)
+        s.writes)
+    t.steps
+
+let activity t mid =
+  List.concat_map
+    (fun s ->
+      List.filter_map (fun o -> if String.equal o.mid mid then Some (s.index, o) else None) s.ops)
     t.steps
 
 let pp ppf t =

@@ -42,8 +42,7 @@ let build dfg massign regalloc ~policy ~swap =
   let dedicated_inputs =
     if policy.Bistpath_dfg.Policy.allocate_inputs then []
     else
-      dfg.Dfg.inputs
-      |> List.filter (fun v -> Dfg.consumers dfg v <> [])
+      Dfg.used_inputs dfg
       |> List.map (fun v ->
              { rid = dedicated_rid v; vars = v :: carried_of v; dedicated = true })
   in

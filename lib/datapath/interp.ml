@@ -8,10 +8,9 @@ type trace_entry = {
 
 (* A control step resolved to indices: each active unit's kind and
    operand registers, each latch's register and source, and each primary
-   output sampled at the step's end. *)
+   output whose register latches it this step ({!Control.latch_step}). *)
 type source =
   | Unit of int  (* a unit slot computed this step *)
-  | Reg of int  (* a register slot *)
   | Pin of int * string  (* an input slot, by name for the error *)
   | Idle of string * string  (* (register, unit): the unit is not active *)
 
@@ -19,12 +18,12 @@ type step_program = {
   index : int;
   ops : (int * (int -> int -> int) * int * int) array;  (* unit slot, function, left, right *)
   writes : (int * source) array;  (* register slot, source *)
-  captures : (int * source) list;  (* output position, source *)
+  captures : (int * int) list;  (* output position, register slot *)
 }
 
 let run ?(trace = false) (dp : Datapath.t) ~width =
   let dfg = dp.Datapath.dfg in
-  let used_inputs = List.filter (fun v -> Dfg.consumers dfg v <> []) dfg.Dfg.inputs in
+  let used_inputs = Dfg.used_inputs dfg in
   let control = Control.build dp in
   let slots () =
     let tbl = Hashtbl.create 16 in
@@ -45,12 +44,10 @@ let run ?(trace = false) (dp : Datapath.t) ~width =
   let route_of opid =
     List.find (fun (rt : Datapath.route) -> String.equal rt.opid opid) dp.Datapath.routes
   in
-  let capture_step v =
-    match Dfg.producer dfg v with
-    | Some op -> Dfg.cstep dfg op.Op.id
-    | None -> 0
-  in
   let outputs = Array.of_list dp.Datapath.outputs in
+  let latches =
+    List.mapi (fun k (v, rid) -> (Control.latch_step dfg v, (k, reg_slot rid))) dp.Datapath.outputs
+  in
   let steps =
     List.map
       (fun (s : Control.step) ->
@@ -82,15 +79,7 @@ let run ?(trace = false) (dp : Datapath.t) ~width =
             s.Control.writes
         in
         let captures =
-          List.concat
-            (List.mapi
-               (fun k (v, rid) ->
-                 if capture_step v <> s.Control.index then []
-                 else
-                   match Dfg.producer dfg v with
-                   | Some _ -> [ (k, Reg (reg_slot rid)) ]
-                   | None -> [ (k, Pin (pin_slot v, v)) ])
-               dp.Datapath.outputs)
+          List.filter_map (fun (at, c) -> if at = s.Control.index then Some c else None) latches
         in
         { index = s.Control.index; ops = Array.of_list ops; writes = Array.of_list writes; captures })
       control.Control.steps
@@ -130,14 +119,13 @@ let run ?(trace = false) (dp : Datapath.t) ~width =
            latching in order is latching at once *)
         let value = function
           | Unit u -> unit_result.(u)
-          | Reg r -> reg.(r)
           | Pin (i, v) -> pin i v
           | Idle (rid, mid) ->
             invalid_arg (Printf.sprintf "Interp.run: %s latches from idle unit %s" rid mid)
         in
         Array.iter (fun (r, src) -> reg.(r) <- value src) st.writes;
-        (* capture primary outputs that became available this step *)
-        List.iter (fun (k, src) -> captured.(k) <- Some (value src)) st.captures;
+        (* capture primary outputs latched this step *)
+        List.iter (fun (k, r) -> captured.(k) <- Some reg.(r)) st.captures;
         if trace then
           traces :=
             { step = st.index; register_file = List.init traced (fun i -> (rids.(i), reg.(i))) }

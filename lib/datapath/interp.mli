@@ -2,9 +2,9 @@
 
     Executes the control table step by step over the register file:
     during a step every active unit reads its selected registers and
-    computes; at the step's end the selected registers latch. Primary
-    outputs are captured from their registers in the step after their
-    value is latched (while it is still live).
+    computes; at the step's end the selected registers latch. Each
+    primary output is captured from its register, never from a pin,
+    right after the step that latches it ({!Control.latch_step}).
 
     This is the repository's strongest functional check: for every
     register assignment and interconnect choice, the interpreted data

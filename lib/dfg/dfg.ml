@@ -25,6 +25,8 @@ let producer t v = List.find_opt (fun (op : Op.t) -> String.equal op.out v) t.op
 let consumers t v =
   List.filter (fun (op : Op.t) -> String.equal op.left v || String.equal op.right v) t.ops
 
+let used_inputs t = List.filter (fun v -> consumers t v <> []) t.inputs
+
 let cstep t id =
   match Smap.find_opt id t.schedule with Some c -> c | None -> raise Not_found
 
@@ -74,7 +76,9 @@ let diagnostics ?max_errors t =
   List.iter
     (fun v ->
       if not (Sset.mem v defined) then
-        err "Dfg %s: primary output %s is undefined" t.name v)
+        err "Dfg %s: primary output %s is undefined" t.name v
+      else if List.mem v t.inputs && consumers t v = [] then
+        err "Dfg %s: primary output %s is an input no operation reads" t.name v)
     t.outputs;
   List.iter
     (fun (op : Op.t) ->

@@ -24,8 +24,10 @@ val make :
     violation found: duplicate op ids, a variable produced twice, an
     operand that is neither a primary input nor produced, a cycle, a
     missing or non-positive schedule entry, an operation scheduled no
-    later than one of its producers, or an output variable that does not
-    exist. (The message is the first diagnostic of {!diagnostics}.) *)
+    later than one of its producers, an output variable that does not
+    exist, or an output that is a primary input no operation reads (no
+    register would hold it). (The message is the first diagnostic of
+    {!diagnostics}.) *)
 
 val make_diags :
   ?max_errors:int ->
@@ -56,6 +58,10 @@ val producer : t -> string -> Op.t option
 
 val consumers : t -> string -> Op.t list
 (** Operations reading a variable, in declaration order. *)
+
+val used_inputs : t -> string list
+(** Primary inputs some operation reads, in declaration order: the ones
+    the data path stores and the emitted module has pins for. *)
 
 val cstep : t -> string -> int
 (** Control step of an operation id. Raises [Not_found] if unknown. *)

@@ -1,10 +1,9 @@
 let env_of dfg ~inputs =
-  let used_inputs = List.filter (fun v -> Dfg.consumers dfg v <> []) dfg.Dfg.inputs in
   List.iter
     (fun v ->
       if not (List.mem_assoc v inputs) then
         invalid_arg (Printf.sprintf "Eval.run: missing value for input %s" v))
-    used_inputs;
+    (Dfg.used_inputs dfg);
   List.iter
     (fun (v, _) ->
       if not (List.mem v dfg.Dfg.inputs) then

@@ -57,7 +57,7 @@ let emit ?(width = 8) ?patterns ?(golden = []) dp (sol : Allocator.solution)
   let name = sanitize dp.Datapath.dfg.Dfg.name in
   let buf = Buffer.create 4096 in
   let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let inputs = Verilog.used_inputs dp in
+  let inputs = Dfg.used_inputs dp.Datapath.dfg in
   let sa_regs = Verilog.signature_registers (Some sol) in
   let nsess = List.length sessions.Session.sessions in
   pf "// Self-test wrapper for %s_datapath.\n" name;

@@ -203,7 +203,7 @@ let of_datapath ?(width = 8) ?bist ?sessions ?(regw = []) (dp : Datapath.t) =
         Hashtbl.replace unit_info mid
           ( u,
             Datapath.unit_port_sources dp mid,
-            Verilog.activity control mid,
+            Control.activity control mid,
             Verilog.session_of session_list mid,
             embedding_of mid ))
     dp.Datapath.massign.Massign.units;
@@ -265,7 +265,7 @@ let of_datapath ?(width = 8) ?bist ?sessions ?(regw = []) (dp : Datapath.t) =
           | Some ws -> ws
           | None -> []
         in
-        let sched = Verilog.write_schedule control rid in
+        let sched = Control.write_schedule control rid in
         let wsrc_tree slot = function
           | Datapath.From_port v -> Pin ("pin_" ^ sanitize v)
           | Datapath.From_unit mid -> (
@@ -300,14 +300,6 @@ let of_datapath ?(width = 8) ?bist ?sessions ?(regw = []) (dp : Datapath.t) =
         let en_at (_, _, s) = Const (if List.mem_assoc s sched then 1 else 0) in
         let per f = Array.init nslots (fun i -> normalize (f slot_arr.(i))) in
         let style = Verilog.style_of bist rid in
-        let kind =
-          match style with
-          | Resource.Normal -> "dp_register"
-          | Resource.Tpg -> "tpg_register"
-          | Resource.Sa -> "sa_register"
-          | Resource.Bilbo -> "bilbo_register"
-          | Resource.Cbilbo -> "cbilbo_register"
-        in
         let params =
           match style with
           | Resource.Normal | Resource.Sa -> [ ("WIDTH", rw rid) ]
@@ -346,7 +338,7 @@ let of_datapath ?(width = 8) ?bist ?sessions ?(regw = []) (dp : Datapath.t) =
             :: tm_conn :: base
         in
         {
-          kind;
+          kind = Verilog.reg_module style;
           cname = rid;
           params;
           conns = List.sort (fun (a, _) (b, _) -> compare a b) conns;
@@ -358,7 +350,7 @@ let of_datapath ?(width = 8) ?bist ?sessions ?(regw = []) (dp : Datapath.t) =
     [ ("clk", 1); ("rst", 1) ]
     @ (if has_tm then [ ("test_mode", 1) ] else [])
     @ (match sess_bits with Some b -> [ ("test_session", b) ] | None -> [])
-    @ List.map (fun v -> ("pin_" ^ sanitize v, width)) (Verilog.used_inputs dp)
+    @ List.map (fun v -> ("pin_" ^ sanitize v, width)) (Dfg.used_inputs dfg)
   in
   let nout =
     List.map (fun (v, _) -> ("pout_" ^ sanitize v, width)) dp.Datapath.outputs
@@ -388,16 +380,15 @@ let of_datapath ?(width = 8) ?bist ?sessions ?(regw = []) (dp : Datapath.t) =
 (* Elaboration of a parsed module                                     *)
 (* ------------------------------------------------------------------ *)
 
-let reg_kinds =
-  [ "dp_register"; "tpg_register"; "sa_register"; "bilbo_register";
-    "cbilbo_register" ]
+(* The primitive vocabulary, named by the emitter *)
+let reg_styles =
+  List.map
+    (fun s -> (Verilog.reg_module s, s))
+    [ Resource.Normal; Resource.Tpg; Resource.Sa; Resource.Bilbo; Resource.Cbilbo ]
 
-let unit_kinds =
-  [ ("dp_add", "add"); ("dp_sub", "sub"); ("dp_mul", "mul");
-    ("dp_div", "div"); ("dp_and", "and"); ("dp_or", "or");
-    ("dp_xor", "xor"); ("dp_less", "less") ]
+let unit_kinds = List.map (fun k -> (Verilog.unit_module k, k)) Op.all_kinds
 
-let primitive_names = reg_kinds @ List.map fst unit_kinds
+let primitive_names = List.map fst reg_styles @ List.map fst unit_kinds
 
 type driver =
   | Dassign of Parser.expr * int  (* right-hand side, source line *)
@@ -407,14 +398,14 @@ type driver =
 
 type unit_inst = {
   uinst : string;
-  uop : string;
+  ukind : Op.kind;
   uwidth : int;
   ua : Parser.expr;
   ub : Parser.expr;
 }
 
 type ecell = {
-  ekind : string;
+  estyle : Resource.style;
   einst : string;
   eparams : (string * int) list;
   econns : (string * Parser.expr) list;  (* input connections *)
@@ -700,7 +691,8 @@ let elaborate (m : Parser.module_) : elab =
             params
           |> List.sort (fun (a, _) (b, _) -> compare a b)
         in
-        if List.mem module_name reg_kinds then begin
+        match List.assoc_opt module_name reg_styles with
+        | Some estyle ->
           let i = !ncells in
           incr ncells;
           let inputs =
@@ -721,16 +713,15 @@ let elaborate (m : Parser.module_) : elab =
           in
           cells :=
             {
-              ekind = module_name;
+              estyle;
               einst = instance_name;
               eparams;
               econns = List.sort (fun (a, _) (b, _) -> compare a b) inputs;
             }
             :: !cells
-        end
-        else begin
+        | None -> (
           match List.assoc_opt module_name unit_kinds with
-          | Some op ->
+          | Some ukind ->
             let j = !nunits in
             incr nunits;
             let get p = List.assoc_opt p conns in
@@ -748,10 +739,9 @@ let elaborate (m : Parser.module_) : elab =
               match List.assoc_opt "WIDTH" eparams with Some w -> w | None -> 8
             in
             units :=
-              { uinst = instance_name; uop = op; uwidth; ua = arg "a"; ub = arg "b" }
+              { uinst = instance_name; ukind; uwidth; ua = arg "a"; ub = arg "b" }
               :: !units
-          | None -> err "unknown instance module %s (%s)" module_name instance_name
-        end)
+          | None -> err "unknown instance module %s (%s)" module_name instance_name))
     m.Parser.items;
   (* step counter: exactly one posedge always block driving one reg *)
   let stepvar, body =
@@ -858,7 +848,7 @@ let slot_values (e : elab) (tm, sess, s) =
           let u = e.units.(j) in
           VTree
             (Op
-               ( u.uop,
+               ( op_name u.ukind,
                  [
                    tree_of (eval_expr wire u.ua); tree_of (eval_expr wire u.ub);
                  ] ))
@@ -877,7 +867,7 @@ let netlist_of_elab (e : elab) =
     Array.map
       (fun (c : ecell) ->
         {
-          kind = c.ekind;
+          kind = Verilog.reg_module c.estyle;
           cname = c.einst;
           params = c.eparams;
           conns = List.map (fun (port, ex) -> (port, per ex)) c.econns;
@@ -1217,10 +1207,10 @@ let machine ?faulty (e : elab) ~tm ~sess =
   let seeds =
     Array.map
       (fun (c : ecell) ->
-        match c.ekind with
-        | "tpg_register" | "bilbo_register" | "cbilbo_register" ->
+        match c.estyle with
+        | Resource.Tpg | Resource.Bilbo | Resource.Cbilbo ->
           Option.value (List.assoc_opt "SEED" c.eparams) ~default:1 land mask (cell_width c)
-        | _ -> 0)
+        | Resource.Normal | Resource.Sa -> 0)
       e.ecells
   in
   let ncells = Array.length seeds in
@@ -1255,16 +1245,15 @@ let machine ?faulty (e : elab) ~tm ~sess =
   let value = function
     | Dassign (x, _) -> compile x
     | Dq i -> fun _ -> q.(i)
-    | Dsig i when e.ecells.(i).ekind = "cbilbo_register" -> fun _ -> sg.(i)
+    | Dsig i when e.ecells.(i).estyle = Resource.Cbilbo -> fun _ -> sg.(i)
     | Dsig i -> fun _ -> q.(i)
     | Dunit j ->
       let u = e.units.(j) in
       let a = compile u.ua and b = compile u.ub in
       let f =
-        match (faulty, List.find_opt (fun k -> op_name k = u.uop) Op.all_kinds) with
-        | Some (inst, f), _ when inst = u.uinst -> f ~width:u.uwidth
-        | _, Some k -> Op.eval k ~width:u.uwidth
-        | _, None -> fun _ _ -> 0
+        match faulty with
+        | Some (inst, f) when inst = u.uinst -> f ~width:u.uwidth
+        | Some _ | None -> Op.eval u.ukind ~width:u.uwidth
       in
       fun v -> f (a v) (b v)
   in
@@ -1319,13 +1308,13 @@ let machine ?faulty (e : elab) ~tm ~sess =
           end
         in
         let gen _ = lfsr ~width q.(i) and keep _ = sg.(i) in
-        match c.ekind with
-        | "tpg_register" -> test gen keep
-        | "sa_register" -> test (fun v -> misr ~width q.(i) (d v)) keep
-        | "bilbo_register" ->
+        match c.estyle with
+        | Resource.Tpg -> test gen keep
+        | Resource.Sa -> test (fun v -> misr ~width q.(i) (d v)) keep
+        | Resource.Bilbo ->
           test (fun v -> if compact v <> 0 then misr ~width q.(i) (d v) else gen v) keep
-        | "cbilbo_register" -> test gen (fun v -> misr ~width sg.(i) (d v))
-        | _ -> normal)
+        | Resource.Cbilbo -> test gen (fun v -> misr ~width sg.(i) (d v))
+        | Resource.Normal -> normal)
       e.ecells
   in
   let clock () =
@@ -1377,21 +1366,16 @@ let test_signatures ?faulty (e : elab) ~session ~patterns =
 (* Public entry points                                                *)
 (* ------------------------------------------------------------------ *)
 
-let capture_step (dp : Datapath.t) v =
-  match Dfg.producer dp.Datapath.dfg v with
-  | Some op -> Dfg.cstep dp.Datapath.dfg op.Op.id
-  | None -> 0
-
 (* A functional-mode sampler on one machine, reset per vector: a vector
    (DFG input -> value) to each output port's value, in output order.
    Each run follows the testbench timing convention: [num_steps + 1]
-   cycles from reset, and an output whose producing operation completes
-   at control step [c] is sampled right after cycle [c]'s latch. *)
+   cycles from reset, and an output latched at the end of control step
+   [c] ({!Control.latch_step}) is sampled right after cycle [c]'s latch. *)
 let sampler (e : elab) (dp : Datapath.t) ~width =
   let m = machine e ~tm:0 ~sess:0 in
   let capture =
     List.map
-      (fun (v, _) -> ("pout_" ^ sanitize v, capture_step dp v))
+      (fun (v, _) -> ("pout_" ^ sanitize v, Control.latch_step dp.Datapath.dfg v))
       dp.Datapath.outputs
   in
   fun inputs ->

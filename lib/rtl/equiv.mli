@@ -57,6 +57,11 @@ type elab
 
 type parsed = (elab, Bistpath_resilience.Diagnostic.t list) result
 
+val primitive_names : string list
+(** The register and unit modules elaboration treats as primitives,
+    named by {!Verilog.reg_module} and {!Verilog.unit_module}: the
+    modules {!Verilog.primitives} declares. *)
+
 val parse_back : string -> parsed
 (** [Error] carries the parser's diagnostics for unparsable text;
     elaboration itself is total. *)

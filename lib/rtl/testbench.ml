@@ -1,19 +1,11 @@
 module Datapath = Bistpath_datapath.Datapath
 module Dfg = Bistpath_dfg.Dfg
-module Op = Bistpath_dfg.Op
+module Control = Bistpath_datapath.Control
 module Eval = Bistpath_dfg.Eval
 module Prng = Bistpath_util.Prng
 module Listx = Bistpath_util.Listx
 
 let sanitize = Verilog.sanitize
-
-let used_inputs (dp : Datapath.t) =
-  List.filter (fun v -> Dfg.consumers dp.Datapath.dfg v <> []) dp.Datapath.dfg.Dfg.inputs
-
-let capture_step (dp : Datapath.t) v =
-  match Dfg.producer dp.Datapath.dfg v with
-  | Some op -> Dfg.cstep dp.Datapath.dfg op.Op.id
-  | None -> 0
 
 let generate ?(width = 8) ?name (dp : Datapath.t) ~vectors =
   let dut = Verilog.module_name dp in
@@ -22,8 +14,10 @@ let generate ?(width = 8) ?name (dp : Datapath.t) ~vectors =
     | Some n -> Verilog.mangle n
     | None -> Verilog.mangle (dp.Datapath.dfg.Dfg.name ^ "_datapath_tb")
   in
-  let ins = used_inputs dp in
-  let outs = dp.Datapath.outputs in
+  let ins = Dfg.used_inputs dp.Datapath.dfg in
+  let outs =
+    List.map (fun (v, _) -> (v, Control.latch_step dp.Datapath.dfg v)) dp.Datapath.outputs
+  in
   let steps = Dfg.num_csteps dp.Datapath.dfg in
   let buf = Buffer.create 4096 in
   let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
@@ -58,8 +52,8 @@ let generate ?(width = 8) ?name (dp : Datapath.t) ~vectors =
         (fun step ->
           pf "    @(posedge clk); #1;\n";
           List.iter
-            (fun (v, _) ->
-              if capture_step dp v = step then begin
+            (fun (v, at) ->
+              if at = step then begin
                 let e = List.assoc v expected in
                 pf "    if (pout_%s !== %d'd%d) begin\n" (sanitize v) width e;
                 pf "      errors = errors + 1;\n";
@@ -78,6 +72,6 @@ let generate ?(width = 8) ?name (dp : Datapath.t) ~vectors =
   Buffer.contents buf
 
 let random_vectors rng (dp : Datapath.t) ~width ~count =
-  let ins = used_inputs dp in
+  let ins = Dfg.used_inputs dp.Datapath.dfg in
   List.init count (fun _ ->
       List.map (fun v -> (v, Prng.int rng (1 lsl width))) ins)

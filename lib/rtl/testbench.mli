@@ -14,9 +14,9 @@ val generate :
   vectors:(string * int) list list ->
   string
 (** One test per vector set (a full assignment of the DFG's used
-    inputs). Outputs are sampled at the control step in which they are
-    produced. Raises [Invalid_argument] on incomplete vectors (via
-    {!Bistpath_dfg.Eval}). *)
+    inputs). Each output is checked right after the step that latches
+    it ({!Bistpath_datapath.Control.latch_step}). Raises
+    [Invalid_argument] on incomplete vectors (via {!Bistpath_dfg.Eval}). *)
 
 val random_vectors :
   Bistpath_util.Prng.t ->

@@ -45,17 +45,22 @@ let mangle name = escape (sanitize name)
 let module_name (dp : Datapath.t) =
   escape (sanitize dp.Datapath.dfg.Bistpath_dfg.Dfg.name ^ "_datapath")
 
-let unit_module (u : Massign.hw) =
-  match u.kinds with
-  | [ Op.Add ] -> "dp_add"
-  | [ Op.Sub ] -> "dp_sub"
-  | [ Op.Mul ] -> "dp_mul"
-  | [ Op.Div ] -> "dp_div"
-  | [ Op.And ] -> "dp_and"
-  | [ Op.Or ] -> "dp_or"
-  | [ Op.Xor ] -> "dp_xor"
-  | [ Op.Less ] -> "dp_less"
-  | _ -> "dp_alu"
+let unit_module = function
+  | Op.Add -> "dp_add"
+  | Op.Sub -> "dp_sub"
+  | Op.Mul -> "dp_mul"
+  | Op.Div -> "dp_div"
+  | Op.And -> "dp_and"
+  | Op.Or -> "dp_or"
+  | Op.Xor -> "dp_xor"
+  | Op.Less -> "dp_less"
+
+let reg_module = function
+  | Resource.Normal -> "dp_register"
+  | Resource.Tpg -> "tpg_register"
+  | Resource.Sa -> "sa_register"
+  | Resource.Bilbo -> "bilbo_register"
+  | Resource.Cbilbo -> "cbilbo_register"
 
 (* Distinct non-zero LFSR reset seed per register: identically seeded
    generators would feed correlated (even identical) streams into the
@@ -101,35 +106,6 @@ let session_of session_list mid =
   in
   go 0 session_list
 
-let used_inputs (dp : Datapath.t) =
-  List.filter (fun v -> Dfg.consumers dp.Datapath.dfg v <> []) dp.Datapath.dfg.Dfg.inputs
-
-let write_schedule (control : Control.t) rid =
-  List.concat_map
-    (fun (s : Control.step) ->
-      List.filter_map
-        (fun (w : Control.write) ->
-          if String.equal w.Control.rid rid then Some (s.Control.index, w.Control.source_index)
-          else None)
-        s.Control.writes)
-    control.Control.steps
-
-let activity (control : Control.t) mid =
-  List.concat_map
-    (fun (s : Control.step) ->
-      List.filter_map
-        (fun (o : Control.unit_op) ->
-          if String.equal o.Control.mid mid then Some (s.Control.index, o) else None)
-        s.Control.ops)
-    control.Control.steps
-
-let reg_module = function
-  | Resource.Normal -> "dp_register"
-  | Resource.Tpg -> "tpg_register"
-  | Resource.Sa -> "sa_register"
-  | Resource.Bilbo -> "bilbo_register"
-  | Resource.Cbilbo -> "cbilbo_register"
-
 let emit ?(width = 8) ?bist ?sessions ?(regw = []) ?(unitw = []) dp =
   let buf = Buffer.create 4096 in
   let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
@@ -139,7 +115,7 @@ let emit ?(width = 8) ?bist ?sessions ?(regw = []) ?(unitw = []) dp =
      expression structure is identical to the uniform-width netlist. *)
   let rw rid = match List.assoc_opt rid regw with Some w -> w | None -> width in
   let uw mid = match List.assoc_opt mid unitw with Some w -> w | None -> width in
-  let inputs = used_inputs dp in
+  let inputs = Dfg.used_inputs dp.Datapath.dfg in
   pf "module %s (\n" (module_name dp);
   pf "  input  wire clk,\n  input  wire rst,\n";
   if bist <> None then pf "  input  wire test_mode,\n";
@@ -194,7 +170,7 @@ let emit ?(width = 8) ?bist ?sessions ?(regw = []) ?(unitw = []) dp =
         | Datapath.From_unit mid -> Printf.sprintf "out_%s" (sanitize mid)
         | Datapath.From_port v -> Printf.sprintf "pin_%s" (sanitize v)
       in
-      let write_schedule = write_schedule control r.rid in
+      let write_schedule = Control.write_schedule control r.rid in
       pf "  wire [%d:0] d_%s;\n" (rw r.rid - 1) rid;
       (match writers with
       | [] -> pf "  assign d_%s = {%d{1'b0}};\n" rid (rw r.rid)
@@ -246,20 +222,20 @@ let emit ?(width = 8) ?bist ?sessions ?(regw = []) ?(unitw = []) dp =
       pf "  wire [%d:0] q_%s;\n" (rw r.rid - 1) rid;
       (match style with
       | Resource.Normal ->
-        pf "  dp_register #(.WIDTH(%d)) %s (.clk(clk), .rst(rst), .en(en_%s), .d(d_%s), .q(q_%s));\n"
-          (rw r.rid) inst rid rid rid
+        pf "  %s #(.WIDTH(%d)) %s (.clk(clk), .rst(rst), .en(en_%s), .d(d_%s), .q(q_%s));\n"
+          (reg_module style) (rw r.rid) inst rid rid rid
       | Resource.Tpg ->
         pf
           "  %s #(.WIDTH(%d), .SEED(%d'd%d)) %s (.clk(clk), .rst(rst), .en(en_%s), .test_mode(test_mode), .d(d_%s), .q(q_%s));\n"
           (reg_module style) width width (test_seed ~width r.rid) inst rid rid rid
       | Resource.Sa ->
         pf
-          "  sa_register #(.WIDTH(%d)) %s (.clk(clk), .rst(rst), .en(en_%s), .test_mode(test_mode), .d(d_%s), .q(q_%s), .sig_out(sig_%s));\n"
-          width inst rid rid rid rid
+          "  %s #(.WIDTH(%d)) %s (.clk(clk), .rst(rst), .en(en_%s), .test_mode(test_mode), .d(d_%s), .q(q_%s), .sig_out(sig_%s));\n"
+          (reg_module style) width inst rid rid rid rid
       | Resource.Cbilbo ->
         pf
-          "  cbilbo_register #(.WIDTH(%d), .SEED(%d'd%d)) %s (.clk(clk), .rst(rst), .en(en_%s), .test_mode(test_mode), .d(d_%s), .q(q_%s), .sig_out(sig_%s));\n"
-          width width (test_seed ~width r.rid) inst rid rid rid rid
+          "  %s #(.WIDTH(%d), .SEED(%d'd%d)) %s (.clk(clk), .rst(rst), .en(en_%s), .test_mode(test_mode), .d(d_%s), .q(q_%s), .sig_out(sig_%s));\n"
+          (reg_module style) width width (test_seed ~width r.rid) inst rid rid rid rid
       | Resource.Bilbo ->
         (* compact whenever the active session tests a unit whose SA
            this register is; otherwise generate *)
@@ -279,8 +255,8 @@ let emit ?(width = 8) ?bist ?sessions ?(regw = []) ?(unitw = []) dp =
         | [] -> pf "  wire compact_%s = 1'b0;\n" rid
         | ts -> pf "  wire compact_%s = %s;\n" rid (String.concat " || " (List.map (fun t -> "(" ^ t ^ ")") ts)));
         pf
-          "  bilbo_register #(.WIDTH(%d), .SEED(%d'd%d)) %s (.clk(clk), .rst(rst), .en(en_%s), .test_mode(test_mode), .compact(compact_%s), .d(d_%s), .q(q_%s), .sig_out(sig_%s));\n"
-          width width (test_seed ~width r.rid) inst rid rid rid rid rid);
+          "  %s #(.WIDTH(%d), .SEED(%d'd%d)) %s (.clk(clk), .rst(rst), .en(en_%s), .test_mode(test_mode), .compact(compact_%s), .d(d_%s), .q(q_%s), .sig_out(sig_%s));\n"
+          (reg_module style) width width (test_seed ~width r.rid) inst rid rid rid rid rid);
       pf "\n")
     dp.Datapath.regs;
   (* Functional units with port muxes. *)
@@ -289,7 +265,7 @@ let emit ?(width = 8) ?bist ?sessions ?(regw = []) ?(unitw = []) dp =
       let l, rr = Datapath.unit_port_sources dp u.mid in
       if l <> [] || rr <> [] then begin
         let mid = sanitize u.mid in
-        let activity = activity control u.mid in
+        let activity = Control.activity control u.mid in
         let port side select_of srcs =
           pf "  wire [%d:0] %s_%s;\n" (uw u.mid - 1) side mid;
           match srcs with
@@ -324,9 +300,9 @@ let emit ?(width = 8) ?bist ?sessions ?(regw = []) ?(unitw = []) dp =
         port "r" (fun (o : Control.unit_op) -> o.Control.r_select) rr;
         pf "  wire [%d:0] out_%s;\n" (uw u.mid - 1) mid;
         (match u.kinds with
-        | [ _ ] ->
+        | [ k ] ->
           pf "  %s #(.WIDTH(%d)) u_%s (.a(l_%s), .b(r_%s), .y(out_%s));\n"
-            (unit_module u) (uw u.mid) mid mid mid mid
+            (unit_module k) (uw u.mid) mid mid mid mid
         | kinds ->
           (* multifunction unit: one-hot select, specialized inline *)
           let w = uw u.mid in

@@ -39,8 +39,8 @@ val test_seed : width:int -> string -> int
 
 (** {1 The emitted test configuration}
 
-    How {!emit} reads an allocation and a control table, shared with the
-    reference netlist ({!Equiv}) and the self-test wrapper. *)
+    How {!emit} reads an allocation and names its primitives, shared
+    with the reference netlist ({!Equiv}) and the self-test wrapper. *)
 
 val style_of : Bistpath_bist.Allocator.solution option -> string -> Bistpath_bist.Resource.style
 (** A register's test style; [Normal] without an allocation. *)
@@ -59,15 +59,14 @@ val session_bits : int -> int
 val session_of : string list list -> string -> int option
 (** The first session testing a unit. *)
 
-val used_inputs : Bistpath_datapath.Datapath.t -> string list
-(** Primary inputs some operation reads: the [pin_*] ports. *)
+val reg_module : Bistpath_bist.Resource.style -> string
+(** The register primitive a style is emitted as ([dp_register],
+    [tpg_register], ...): with {!unit_module}, the primitive vocabulary
+    {!Equiv} elaborates. *)
 
-val write_schedule : Bistpath_datapath.Control.t -> string -> (int * int) list
-(** [(step, writer index)] of every write into a register. *)
-
-val activity :
-  Bistpath_datapath.Control.t -> string -> (int * Bistpath_datapath.Control.unit_op) list
-(** [(step, operation)] of every step a unit runs in. *)
+val unit_module : Bistpath_dfg.Op.kind -> string
+(** The unit primitive a single-function unit of this kind is emitted as
+    ([dp_add], ...); multifunction units are emitted inline. *)
 
 val sanitize : string -> string
 (** Map arbitrary netlist names to Verilog identifiers: alphanumerics

@@ -297,3 +297,10 @@ let suite =
       case "scheduler alap" scheduler_alap;
     ]
   @ qcheck [ prop_parser_roundtrip_random; prop_list_schedule_valid ]
+  @ [
+      expects_invalid "output is an unread input" (fun () ->
+          Dfg.make ~name:"bad"
+            ~ops:[ op "x" Op.Add "a" "b" "d" ]
+            ~inputs:[ "a"; "b"; "e" ] ~outputs:[ "e"; "d" ]
+            ~schedule:[ ("x", 1) ]);
+    ]

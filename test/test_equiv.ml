@@ -8,6 +8,9 @@ module Parser = Bistpath_rtl.Parser
 module Dfg_parser = Bistpath_dfg.Parser
 module Module_assign = Bistpath_core.Module_assign
 module Policy = Bistpath_dfg.Policy
+module Datapath = Bistpath_datapath.Datapath
+module Control = Bistpath_datapath.Control
+module Interp = Bistpath_datapath.Interp
 
 let check = Alcotest.check
 let case name f = Alcotest.test_case name `Quick f
@@ -465,19 +468,23 @@ let cli_golden_lifecycle () =
     (run_synth [ "verify"; "ex1"; "--golden"; g ]);
   rm_rf d
 
-(* [synth ARGS]'s stderr, stdout discarded *)
-let synth_stderr args =
+(* [synth ARGS]'s exit code, stdout and stderr *)
+let synth_capture args =
   let d = tmpdir () in
-  let err_path = Filename.concat d "stderr" in
-  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
-  let err = Unix.openfile err_path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-  let pid = Unix.create_process synth_exe (Array.of_list (synth_exe :: args)) Unix.stdin null err in
-  Unix.close null;
+  let out_path = Filename.concat d "stdout" and err_path = Filename.concat d "stderr" in
+  let open_out path = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
+  let out = open_out out_path and err = open_out err_path in
+  let pid = Unix.create_process synth_exe (Array.of_list (synth_exe :: args)) Unix.stdin out err in
+  Unix.close out;
   Unix.close err;
-  ignore (Unix.waitpid [] pid);
-  let text = read_file err_path in
+  let code = match snd (Unix.waitpid [] pid) with Unix.WEXITED c -> c | _ -> -1 in
+  let stdout = read_file out_path and stderr = read_file err_path in
   rm_rf d;
-  text
+  (code, stdout, stderr)
+
+let synth_stderr args =
+  let _, _, stderr = synth_capture args in
+  stderr
 
 (* The --stats span table's (name, depth, wall in ns, rounding bound in
    ns) rows, as printed by Telemetry.summary_table. *)
@@ -533,6 +540,91 @@ let cli_verify_spans () =
   if sum > total +. slack then
     Alcotest.failf "children sum to %.0f ns, more than rtl.equiv's %.0f ns" sum total
 
+(* --- the controller's capture rule ---------------------------------- *)
+
+let fixture name = Filename.concat "fixtures" name
+
+let load_dfg path =
+  match Dfg_parser.parse_file path with
+  | Error e -> Alcotest.failf "%s: parse: %s" path e
+  | Ok u -> (
+    match Dfg_parser.to_dfg u with
+    | Ok dfg -> dfg
+    | Error e -> Alcotest.failf "%s: to_dfg: %s" path e)
+
+(* Output e is also a primary input, first read at step 2: it is loaded
+   at the end of step 1 (Control.latch_step), and every reader samples
+   its register then. A reader sampling at step 0 sees the register
+   before the load and reports a false EQ002. *)
+let passthrough_output () =
+  let path = fixture "passthrough.dfg" in
+  check Alcotest.int "verify exits 0 on both flows" 0 (run_synth [ "verify"; path ]);
+  let dfg = load_dfg path in
+  check Alcotest.int "e latches at the end of step 1" 1 (Control.latch_step dfg "e");
+  let massign = Module_assign.single_function dfg in
+  let rng = Bistpath_util.Prng.create 7 in
+  let vectors =
+    List.init 16 (fun _ ->
+        List.map (fun v -> (v, Bistpath_util.Prng.int rng 256)) dfg.Bistpath_dfg.Dfg.inputs)
+  in
+  List.iter
+    (fun style ->
+      let dp = (Flow.run ~style dfg massign ~policy:Policy.default).Flow.datapath in
+      let e =
+        match Equiv.parse_back (full_rtl dp) with
+        | Ok e -> e
+        | Error _ -> Alcotest.fail "passthrough RTL is unparsable"
+      in
+      List.iter2
+        (fun inputs sampled ->
+          let expected = Bistpath_dfg.Eval.run dfg ~width:8 ~inputs in
+          check Alcotest.(list (pair string int)) "Interp = Eval" expected
+            (fst (Interp.run dp ~width:8 ~inputs));
+          check Alcotest.(list (pair string int)) "RTL = Eval"
+            (List.map (fun (v, _) -> ("pout_" ^ v, List.assoc v expected)) dp.Datapath.outputs)
+            sampled)
+        vectors
+        (Equiv.simulate_vectors e dp ~width:8 vectors))
+    [ testable; Flow.Traditional ];
+  (* the testbench checks pout_e after the clock that ends step 1: the
+     second step edge after reset is released *)
+  let rc, tb, _ = synth_capture [ "tb"; path ] in
+  check Alcotest.int "tb exits 0" 0 rc;
+  let rec edges_before_check n = function
+    | [] -> Alcotest.fail "no check of pout_e"
+    | line :: rest ->
+      if contains line "if (pout_e !==" then n
+      else if String.trim line = "@(posedge clk); #1;" then edges_before_check (n + 1) rest
+      else edges_before_check n rest
+  in
+  let rec after_release = function
+    | [] -> Alcotest.fail "no reset release"
+    | line :: rest -> if contains line "#1 rst = 1'b0;" then rest else after_release rest
+  in
+  check Alcotest.int "pout_e sampled after the load cycle" 2
+    (edges_before_check 0 (after_release (String.split_on_char '\n' tb)))
+
+(* An output that is an input no operation reads has no register; it is
+   rejected at validation (exit 4) instead of crashing the data path
+   builder (exit 125). *)
+let unread_input_output () =
+  let path = fixture "unread_output.dfg" in
+  List.iter
+    (fun cmd ->
+      let rc, _, err = synth_capture [ cmd; path ] in
+      check Alcotest.int (cmd ^ " exits 4") 4 rc;
+      check Alcotest.bool (cmd ^ " names the output") true
+        (contains err "error: Dfg unread_output: primary output e is an input no operation reads"))
+    [ "run"; "check"; "verify" ]
+
+(* Equiv elaborates exactly the primitives the emitter declares. *)
+let primitive_vocabulary () =
+  let parsed = Parser.parse (Verilog.primitives ~width:8) in
+  check Alcotest.int "primitives parse" 0 (List.length (Parser.errors parsed));
+  check Alcotest.(list string) "declared = recognised"
+    (List.sort compare Equiv.primitive_names)
+    (List.sort compare (List.map (fun (m : Parser.module_) -> m.Parser.name) parsed.Parser.modules))
+
 let suite =
   [
     case "round-trip ex1" round_trip_ex1;
@@ -554,4 +646,7 @@ let suite =
     case "binary: verify --rtl exit codes (0/2/4)" cli_verify_exit_codes;
     case "binary: golden lifecycle (update, churn, drift)" cli_golden_lifecycle;
     case "binary: rtl --verify --stats spans its layers" cli_verify_spans;
+    case "pass-through output samples after its load" passthrough_output;
+    case "binary: unread-input output exits 4" unread_input_output;
+    case "primitive vocabulary matches the emitter" primitive_vocabulary;
   ]

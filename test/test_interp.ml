@@ -77,7 +77,7 @@ let control_enables () =
   let r = Flow.run ~style:testable inst.B.dfg inst.B.massign ~policy:inst.B.policy in
   let c = Control.build r.Flow.datapath in
   (* R3 = {e}: loaded once, at the end of step 2 (e born at 2) *)
-  check (Alcotest.list Alcotest.int) "R3 enabled once" [ 2 ] (Control.register_enables c "R3")
+  check (Alcotest.list Alcotest.int) "R3 enabled once" [ 2 ] (List.map fst (Control.write_schedule c "R3"))
 
 let interp_matches_eval_paper_benchmarks () =
   let rng = Prng.create 2024 in
@@ -265,9 +265,9 @@ let prop_staged_run_reusable =
             (List.init 50 (fun _ ->
                  List.map (fun v -> (v, Prng.int irng 256)) dfg.Dfg.inputs))
           &&
-          match List.find_opt (fun v -> Dfg.consumers dfg v <> []) dfg.Dfg.inputs with
-          | None -> true
-          | Some v ->
+          match Dfg.used_inputs dfg with
+          | [] -> true
+          | v :: _ ->
             let inputs = List.filter (fun (w, _) -> w <> v) (List.map (fun w -> (w, 1)) dfg.Dfg.inputs) in
             outcome (fun () -> staged ~inputs)
             = Error ("Interp.run: missing value for input " ^ v)
