@@ -75,11 +75,35 @@ let telemetry_tags = [ "ex1"; "ex2"; "Tseng1"; "Paulin"; "ewf"; "fir8" ]
 
 let telemetry_files = [ "data/ewf.dfg"; "data/fir32.dfg" ]
 
+(* The two slowest analysis ops, each recorded as its one root span
+   over an unrecorded flow: Tseng2's gate-level coverage and fir8's
+   Pareto sweep. *)
+let telemetry_ops =
+  [
+    ( "Tseng2",
+      "gatelevel.coverage",
+      fun (r : Flow.result) ->
+        ignore (Bist_sim.run ~width:8 ~pattern_count:255 r.Flow.datapath r.Flow.bist) );
+    ("fir8", "pareto", fun r -> ignore (Bistpath_bist.Pareto.explore r.Flow.datapath));
+  ]
+
 let telemetry_section () =
   Printf.printf "\n================================================================\n";
   Printf.printf "Per-stage telemetry (spans, counters; one flow per benchmark)\n";
   Printf.printf "================================================================\n\n";
   let records = Buffer.create 1024 in
+  let record bench (s : Telemetry.span) =
+    if Buffer.length records > 0 then Buffer.add_string records ",\n";
+    Buffer.add_string records
+      (Printf.sprintf "{\"bench\":\"%s\",\"stage\":\"%s\",\"ns\":%Ld,\"counters\":{%s}}"
+         (Bistpath_util.Json.escape bench)
+         (Bistpath_util.Json.escape s.Telemetry.name)
+         s.Telemetry.dur_ns
+         (String.concat ","
+            (List.map
+               (fun (k, v) -> Printf.sprintf "\"%s\":%d" (Bistpath_util.Json.escape k) v)
+               s.Telemetry.counters)))
+  in
   List.iter
     (fun tag ->
       let loaded, r =
@@ -94,22 +118,21 @@ let telemetry_section () =
       | Error _ -> ()
       | Ok _ ->
         Printf.printf "%s:\n%s\n" tag (Telemetry.summary_table r);
-        List.iter
-          (fun (s : Telemetry.span) ->
-            if Buffer.length records > 0 then Buffer.add_string records ",\n";
-            Buffer.add_string records
-              (Printf.sprintf
-                 "{\"bench\":\"%s\",\"stage\":\"%s\",\"ns\":%Ld,\"counters\":{%s}}"
-                 (Bistpath_util.Json.escape tag)
-                 (Bistpath_util.Json.escape s.Telemetry.name)
-                 s.Telemetry.dur_ns
-                 (String.concat ","
-                    (List.map
-                       (fun (k, v) ->
-                         Printf.sprintf "\"%s\":%d" (Bistpath_util.Json.escape k) v)
-                       s.Telemetry.counters))))
-          (Telemetry.spans r))
+        List.iter (record tag) (Telemetry.spans r))
     (telemetry_tags @ telemetry_files);
+  List.iter
+    (fun (tag, span, op) ->
+      let inst = Option.get (B.by_tag tag) in
+      let flow =
+        Flow.run ~style:(Flow.Testable Testable_alloc.default_options) inst.B.dfg
+          inst.B.massign ~policy:inst.B.policy
+      in
+      let (), r = Telemetry.collect (fun () -> op flow) in
+      Printf.printf "%s %s:\n%s\n" tag span (Telemetry.summary_table r);
+      List.iter
+        (fun (s : Telemetry.span) -> if s.Telemetry.name = span then record tag s)
+        (Telemetry.spans r))
+    telemetry_ops;
   Bistpath_resilience.Inject.fire_sys_error "telemetry.write";
   Telemetry.write_file "BENCH_telemetry.json"
     ("[\n" ^ Buffer.contents records ^ "\n]\n");

@@ -17,8 +17,30 @@ let slack_percent = 50
 (* Bounds the sweep on the largest designs; reaching it is silent. *)
 let leaf_cap = 20_000
 
+(* A pair is dominated exactly when some pair has fewer gates and at
+   most its sessions, or equal gates and fewer sessions. In ascending
+   (gates, sessions) order the first pair of each gate count has that
+   count's fewest sessions, and it survives if no pair with fewer gates
+   has as few: one sweep carrying the fewest sessions seen so far. *)
+let front candidates =
+  let rec skip d = function (d', _) :: rest when d' = d -> skip d rest | l -> l in
+  let rec sweep best = function
+    | [] -> []
+    | (d, s) :: rest ->
+      if s < best then (d, s) :: sweep s (skip d rest) else sweep best (skip d rest)
+  in
+  let survivors = Hashtbl.create 16 in
+  let by_pair (d, s) (d', s') = if d <> d' then Int.compare d d' else Int.compare s s' in
+  List.sort_uniq by_pair (List.map (fun (d, s, _) -> (d, s)) candidates)
+  |> sweep max_int
+  |> List.iter (fun pair -> Hashtbl.replace survivors pair ());
+  candidates
+  |> List.filter (fun (d, s, _) -> Hashtbl.mem survivors (d, s))
+  |> List.sort_uniq (fun (d, s, _) (d', s', _) -> compare (d, s) (d', s'))
+
 let explore ?(model = Area.default) ?(width = 8) ?(transparency = false)
     ?(budget = Budget.unlimited) dp =
+  Bistpath_telemetry.Telemetry.with_span "pareto" @@ fun () ->
   let minimum = Allocator.solve ~model ~width ~transparency ~budget dp in
   let bound = minimum.Allocator.delta_gates * (100 + slack_percent) / 100 in
   let units =
@@ -70,15 +92,7 @@ let explore ?(model = Area.default) ?(width = 8) ?(transparency = false)
       Session.num_sessions (Session.schedule ~budget minimum),
       minimum )
   in
-  let candidates = min_point :: leaves in
-  let dominated (d, s, _) =
-    List.exists
-      (fun (d', s', _) -> d' <= d && s' <= s && (d' < d || s' < s))
-      candidates
-  in
-  candidates
-  |> List.filter (fun p -> not (dominated p))
-  |> List.sort_uniq (fun (d, s, _) (d', s', _) -> compare (d, s) (d', s'))
+  front (min_point :: leaves)
   |> List.map (fun (delta_gates, sessions, solution) -> { delta_gates; sessions; solution })
 
 let pp ppf points =

@@ -29,7 +29,8 @@ val explore :
     returned as if complete and does not trip [budget]. The minimum-
     area solution's cost is always represented. Embedding leaves are
     enumerated first, then costed (solution build + session scheduling)
-    in enumeration order.
+    in enumeration order, and the costed leaves go through {!front}.
+    The whole call runs in a [pareto] telemetry span.
 
     [budget] (default {!Bistpath_resilience.Budget.unlimited}) makes the
     exploration anytime: the minimum-area search, the enumeration (one
@@ -44,5 +45,15 @@ val explore :
 
     Fault injection: every costed leaf probes the [pareto.leaf] site
     ({!Bistpath_resilience.Inject}). *)
+
+val front : (int * int * 'a) list -> (int * int * 'a) list
+(** [front candidates] keeps the [(gates, sessions, _)] candidates that
+    no other candidate dominates (no other has at most as many gates
+    and sessions and fewer of one), one per distinct pair, sorted by
+    pair. Among candidates with the same pair it keeps the one
+    [List.sort_uniq] keeps, so the kept values are the candidates
+    themselves. One sort of the distinct pairs and one sweep find the
+    survivors: a pair survives when it has its gate count's fewest
+    sessions and fewer sessions than every pair with fewer gates. *)
 
 val pp : Format.formatter -> point list -> unit

@@ -36,55 +36,69 @@ let num_csteps t = Smap.fold (fun _ c acc -> max acc c) t.schedule 0
 
 let ops_in_step t step = List.filter (fun (op : Op.t) -> cstep t op.id = step) t.ops
 
-let diagnostics ?max_errors t =
+type lines = { op_lines : int list; output_lines : int list }
+
+let diagnostics ?max_errors ?lines t =
   let coll = Diagnostic.collector ?max_errors () in
-  let err fmt = Format.kasprintf (fun m -> Diagnostic.emit coll (Diagnostic.error m)) fmt in
+  let err ?line fmt =
+    Format.kasprintf (fun m -> Diagnostic.emit coll (Diagnostic.error ?line m)) fmt
+  in
+  let line_of get i = Option.bind lines (fun l -> List.nth_opt (get l) i) in
+  let op_line = line_of (fun l -> l.op_lines) in
+  let output_line = line_of (fun l -> l.output_lines) in
   (* Report each duplicated element once, at its first occurrence,
      scanning positions in order — so the first diagnostic is exactly
-     the one the first-error path used to raise. *)
+     the one the first-error path used to raise. Its line is that of
+     the second occurrence, the one that duplicates it. *)
   let dup_once l report =
     let seen = Hashtbl.create 16 in
-    List.iter
-      (fun x ->
-        if
-          (not (Hashtbl.mem seen x))
-          && List.length (List.filter (String.equal x) l) > 1
-        then begin
+    List.iteri
+      (fun i x ->
+        if not (Hashtbl.mem seen x) then begin
           Hashtbl.replace seen x ();
-          report x
+          let rec second j = function
+            | [] -> ()
+            | y :: rest -> if j > i && String.equal x y then report j x else second (j + 1) rest
+          in
+          second 0 l
         end)
       l
   in
   let ids = List.map (fun (op : Op.t) -> op.id) t.ops in
-  dup_once ids (fun id -> err "Dfg %s: duplicate operation id %s" t.name id);
+  dup_once ids (fun i id ->
+      err ?line:(op_line i) "Dfg %s: duplicate operation id %s" t.name id);
   let produced = List.map (fun (op : Op.t) -> op.out) t.ops in
-  dup_once produced (fun v -> err "Dfg %s: variable %s produced by two operations" t.name v);
-  List.iter
-    (fun v ->
+  dup_once produced (fun i v ->
+      err ?line:(op_line i) "Dfg %s: variable %s produced by two operations" t.name v);
+  List.iteri
+    (fun i v ->
       if List.mem v t.inputs then
-        err "Dfg %s: primary input %s is also an operation result" t.name v)
+        err ?line:(op_line i) "Dfg %s: primary input %s is also an operation result" t.name
+          v)
     produced;
   let defined = Sset.union (Sset.of_list t.inputs) (Sset.of_list produced) in
-  List.iter
-    (fun (op : Op.t) ->
+  List.iteri
+    (fun i (op : Op.t) ->
       List.iter
         (fun v ->
           if not (Sset.mem v defined) then
-            err "Dfg %s: operand %s of %s is undefined" t.name v op.id)
+            err ?line:(op_line i) "Dfg %s: operand %s of %s is undefined" t.name v op.id)
         [ op.left; op.right ])
     t.ops;
-  List.iter
-    (fun v ->
+  List.iteri
+    (fun i v ->
       if not (Sset.mem v defined) then
-        err "Dfg %s: primary output %s is undefined" t.name v
+        err ?line:(output_line i) "Dfg %s: primary output %s is undefined" t.name v
       else if List.mem v t.inputs && consumers t v = [] then
-        err "Dfg %s: primary output %s is an input no operation reads" t.name v)
+        err ?line:(output_line i) "Dfg %s: primary output %s is an input no operation reads"
+          t.name v)
     t.outputs;
-  List.iter
-    (fun (op : Op.t) ->
+  List.iteri
+    (fun i (op : Op.t) ->
       match Smap.find_opt op.id t.schedule with
-      | None -> err "Dfg %s: operation %s is not scheduled" t.name op.id
-      | Some c when c < 1 -> err "Dfg %s: operation %s has control step %d < 1" t.name op.id c
+      | None -> err ?line:(op_line i) "Dfg %s: operation %s is not scheduled" t.name op.id
+      | Some c when c < 1 ->
+        err ?line:(op_line i) "Dfg %s: operation %s has control step %d < 1" t.name op.id c
       | Some _ -> ())
     t.ops;
   (* Data dependencies: a producer must finish strictly before any use;
@@ -93,15 +107,16 @@ let diagnostics ?max_errors t =
      stage with unscheduled operations still present (reported above),
      so comparisons are restricted to scheduled pairs. *)
   let step id = Smap.find_opt id t.schedule in
-  List.iter
-    (fun (op : Op.t) ->
+  List.iteri
+    (fun i (op : Op.t) ->
       List.iter
         (fun v ->
           match producer t v with
           | Some p -> (
             match (step p.id, step op.id) with
             | Some pc, Some oc when pc >= oc ->
-              err "Dfg %s: %s reads %s before %s produces it" t.name op.id v p.id
+              err ?line:(op_line i) "Dfg %s: %s reads %s before %s produces it" t.name op.id
+                v p.id
             | _ -> ())
           | None -> ())
         [ op.left; op.right ])
@@ -125,12 +140,12 @@ let make ~name ~ops ~inputs ~outputs ~schedule =
   validate t;
   t
 
-let make_diags ?max_errors ~name ~ops ~inputs ~outputs ~schedule () =
+let make_diags ?max_errors ?lines ~name ~ops ~inputs ~outputs ~schedule () =
   let schedule =
     List.fold_left (fun m (id, c) -> Smap.add id c m) Smap.empty schedule
   in
   let t = { name; ops; inputs; outputs; schedule } in
-  match diagnostics ?max_errors t with [] -> Ok t | ds -> Error ds
+  match diagnostics ?max_errors ?lines t with [] -> Ok t | ds -> Error ds
 
 let kind_counts t =
   Op.all_kinds

@@ -29,8 +29,16 @@ val make :
     register would hold it). (The message is the first diagnostic of
     {!diagnostics}.) *)
 
+type lines = {
+  op_lines : int list;  (** source line of each operation, in [ops] order *)
+  output_lines : int list;  (** source line of each primary output, in [outputs] order *)
+}
+(** Where a textual DFG declared its pieces ({!Parser}), so a
+    diagnostic can point at the line to fix. *)
+
 val make_diags :
   ?max_errors:int ->
+  ?lines:lines ->
   name:string ->
   ops:Op.t list ->
   inputs:string list ->
@@ -41,9 +49,12 @@ val make_diags :
 (** Like {!make} but accumulating: [Error] carries every violation found
     (capped at [max_errors],
     {!Bistpath_resilience.Diagnostic.default_max_errors} by default)
-    instead of raising on the first. *)
+    instead of raising on the first. With [lines], each diagnostic
+    carries the line of the operation or output declaration it names;
+    a duplicate id or result, that of the operation repeating it. *)
 
-val diagnostics : ?max_errors:int -> t -> Bistpath_resilience.Diagnostic.t list
+val diagnostics :
+  ?max_errors:int -> ?lines:lines -> t -> Bistpath_resilience.Diagnostic.t list
 (** All validation violations of an already-built value, in the order
     {!make} checks them; empty iff the DFG is valid. *)
 

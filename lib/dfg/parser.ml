@@ -6,7 +6,18 @@ type unscheduled = {
   inputs : string list;
   outputs : string list;
   partial_schedule : (string * int) list;
+  lines : Dfg.lines;
 }
+
+let empty =
+  {
+    name = "unnamed";
+    ops = [];
+    inputs = [];
+    outputs = [];
+    partial_schedule = [];
+    lines = { Dfg.op_lines = []; output_lines = [] };
+  }
 
 let split_words s =
   String.split_on_char ' ' s
@@ -30,9 +41,8 @@ let parse_op_line words =
 
 let parse_string_diags ?max_errors text =
   let coll = Diagnostic.collector ?max_errors () in
-  let acc =
-    ref { name = "unnamed"; ops = []; inputs = []; outputs = []; partial_schedule = [] }
-  in
+  let acc = ref empty in
+  let op_lines = ref [] and output_lines = ref [] in
   List.iteri
     (fun i line ->
       let lineno = i + 1 in
@@ -47,12 +57,15 @@ let parse_string_diags ?max_errors text =
       | [] -> ()
       | "dfg" :: [ name ] -> acc := { !acc with name }
       | "input" :: vars -> acc := { !acc with inputs = !acc.inputs @ vars }
-      | "output" :: vars -> acc := { !acc with outputs = !acc.outputs @ vars }
+      | "output" :: vars ->
+        acc := { !acc with outputs = !acc.outputs @ vars };
+        output_lines := List.rev_append (List.map (fun _ -> lineno) vars) !output_lines
       | "op" :: _ as words -> (
         match parse_op_line words with
         | Error msg -> Diagnostic.emit coll (Diagnostic.error ~line:lineno msg)
         | Ok (op, step) ->
           acc := { !acc with ops = !acc.ops @ [ op ] };
+          op_lines := lineno :: !op_lines;
           (match step with
           | Some s ->
             acc := { !acc with partial_schedule = !acc.partial_schedule @ [ (op.Op.id, s) ] }
@@ -60,7 +73,8 @@ let parse_string_diags ?max_errors text =
       | w :: _ ->
         Diagnostic.emit coll (Diagnostic.errorf ~line:lineno "unknown directive %S" w))
     (String.split_on_char '\n' text);
-  (!acc, Diagnostic.all coll)
+  let lines = { Dfg.op_lines = List.rev !op_lines; output_lines = List.rev !output_lines } in
+  ({ !acc with lines }, Diagnostic.all coll)
 
 (* Reconstruct the legacy single-error message — with its "line N: "
    prefix when the diagnostic has a location — byte-identically. *)
@@ -89,9 +103,7 @@ let parse_file_diags ?max_errors path =
   | text ->
     let u, diags = parse_string_diags ?max_errors text in
     (u, List.map (fun d -> { d with Diagnostic.file = Some path }) diags)
-  | exception Sys_error msg ->
-    ( { name = "unnamed"; ops = []; inputs = []; outputs = []; partial_schedule = [] },
-      [ Diagnostic.error msg ] )
+  | exception Sys_error msg -> (empty, [ Diagnostic.error msg ])
 
 let to_dfg_diags ?max_errors u =
   let unscheduled =
@@ -101,15 +113,17 @@ let to_dfg_diags ?max_errors u =
   in
   match unscheduled with
   | [] ->
-    Dfg.make_diags ?max_errors ~name:u.name ~ops:u.ops ~inputs:u.inputs
+    Dfg.make_diags ?max_errors ~lines:u.lines ~name:u.name ~ops:u.ops ~inputs:u.inputs
       ~outputs:u.outputs ~schedule:u.partial_schedule ()
-  | ops ->
+  | _ ->
     let coll = Diagnostic.collector ?max_errors () in
-    List.iter
-      (fun (op : Op.t) ->
-        Diagnostic.emit coll
-          (Diagnostic.errorf "operation %s has no control step" op.Op.id))
-      ops;
+    List.iteri
+      (fun i (op : Op.t) ->
+        if not (List.mem_assoc op.id u.partial_schedule) then
+          Diagnostic.emit coll
+            (Diagnostic.errorf ?line:(List.nth_opt u.lines.Dfg.op_lines i)
+               "operation %s has no control step" op.Op.id))
+      u.ops;
     Error (Diagnostic.all coll)
 
 let to_dfg u =

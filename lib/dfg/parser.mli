@@ -19,6 +19,7 @@ type unscheduled = {
   inputs : string list;
   outputs : string list;
   partial_schedule : (string * int) list;
+  lines : Dfg.lines;  (** where each op and output was declared *)
 }
 
 val parse_string : string -> (unscheduled, string) result
@@ -50,7 +51,8 @@ val to_dfg_diags :
   (Dfg.t, Bistpath_resilience.Diagnostic.t list) result
 (** Accumulating {!to_dfg}: reports {e every} unscheduled operation, or
     every validation violation ({!Dfg.make_diags}), instead of only the
-    first. *)
+    first. Each diagnostic carries the line of the op or output it
+    names. *)
 
 val to_string : Dfg.t -> string
 (** Render in the accepted format. *)

@@ -50,65 +50,100 @@ let pack ~width ~num_inputs operands lo size =
   done;
   words
 
-(* Clock each live lane's response into the MISR. The response is the
-   outputs as a little-endian number with its high [width] bits
-   XOR-folded onto the low ones: output i lands on bit (i mod width),
-   and outputs past 2 * width fall outside the register's mask. *)
-let absorb_lanes misr ~width (nets : Sim.nets) outputs size =
-  let n = min (Array.length outputs) (2 * width) in
-  for lane = 0 to size - 1 do
-    let word = ref 0 in
-    for i = 0 to n - 1 do
-      let bit =
-        Int64.to_int (Int64.shift_right_logical (A1.get nets outputs.(i)) lane) land 1
-      in
-      word := !word lxor (bit lsl (i mod width))
-    done;
-    Misr.absorb misr !word
+(* The MISR as lane masks. From the zero state, the signature of N
+   response words is the XOR over vectors v and set bits j of word v of
+   A^(N-1-v) e_j, where A is one clock with a zero word ({!Misr}'s
+   linearity). Mask ((c * width + j) * width + b) has lane l set when
+   bit b of A^(N-1-v) e_j is, for vector v = 64c + l; lanes past the
+   last vector stay clear. *)
+let misr_masks ~width ~vectors =
+  let chunks = (vectors + 63) / 64 in
+  let masks = A1.create Bigarray.int64 Bigarray.c_layout (max 1 (chunks * width * width)) in
+  A1.fill masks 0L;
+  for j = 0 to width - 1 do
+    let column = ref (1 lsl j) in
+    for v = vectors - 1 downto 0 do
+      for b = 0 to width - 1 do
+        if (!column lsr b) land 1 = 1 then begin
+          let i = ((((v / 64) * width) + j) * width) + b in
+          A1.set masks i (Int64.logor (A1.get masks i) (Int64.shift_left 1L (v mod 64)))
+        end
+      done;
+      column := Misr.clock ~width !column 0
+    done
+  done;
+  masks
+
+(* XOR chunk [c]'s responses into the per-bit accumulators: [words.{o}]
+   is output port o's word. The response of a vector is the outputs as
+   a little-endian number with its high [width] bits XOR-folded onto
+   the low ones, so output o lands on bit (o mod width) and outputs
+   past 2 * width fall outside the register's mask. *)
+let absorb ~width ~folded masks (acc : Sim.nets) c (words : Sim.nets) =
+  for o = 0 to folded - 1 do
+    if not (Int64.equal (A1.unsafe_get words o) 0L) then begin
+      let base = ((c * width) + (o mod width)) * width in
+      for b = 0 to width - 1 do
+        A1.unsafe_set acc b
+          (Int64.logxor (A1.unsafe_get acc b)
+             (Int64.logand (A1.unsafe_get words o) (A1.unsafe_get masks (base + b))))
+      done
+    end
   done
+
+(* Signature bit b is the parity of accumulator b. *)
+let signature_of ~width (acc : Sim.nets) =
+  let s = ref 0 in
+  for b = 0 to width - 1 do
+    let x = A1.get acc b in
+    let x = Int64.logxor x (Int64.shift_right_logical x 32) in
+    let x = Int64.logxor x (Int64.shift_right_logical x 16) in
+    let x = Int64.logxor x (Int64.shift_right_logical x 8) in
+    let x = Int64.logxor x (Int64.shift_right_logical x 4) in
+    let x = Int64.logxor x (Int64.shift_right_logical x 2) in
+    let x = Int64.logxor x (Int64.shift_right_logical x 1) in
+    s := !s lor (Int64.to_int (Int64.logand x 1L) lsl b)
+  done;
+  !s
 
 let grade ?(budget = Budget.unlimited) ~width c ~operands faults =
   let num_inputs = List.length c.Circuit.inputs in
   let kinds = max 1 (num_inputs - (2 * width)) in
   let vectors = Array.length operands * kinds in
-  let k = Sim.compile c in
-  let nets = Sim.nets k in
+  let size i = min 64 (vectors - (64 * i)) in
+  let chunks = (vectors + 63) / 64 in
+  let r =
+    Sim.reference (Sim.compile c)
+      (Array.init chunks (fun i -> pack ~width ~num_inputs operands (64 * i) (size i)))
+  in
   let outputs = Array.of_list c.Circuit.outputs in
-  (* Each chunk's input words, live lanes and fault-free output words;
-     [Array.init] runs in order, so the fault-free MISR absorbs the
-     vectors in sequence. *)
-  let golden_misr = Misr.create ~width in
-  let chunks =
-    Array.init ((vectors + 63) / 64) (fun i ->
-        let size = min 64 (vectors - (64 * i)) in
-        let words = pack ~width ~num_inputs operands (64 * i) size in
-        Sim.eval_chunk k nets words;
-        absorb_lanes golden_misr ~width nets outputs size;
-        (words, size, Array.map (A1.get nets) outputs))
-  in
-  let signature = Misr.signature golden_misr in
+  let folded = min (Array.length outputs) (2 * width) in
+  let masks = misr_masks ~width ~vectors in
+  let acc = A1.create Bigarray.int64 Bigarray.c_layout width in
+  let absorb = absorb ~width ~folded masks acc in
+  A1.fill acc 0L;
+  let good = A1.create Bigarray.int64 Bigarray.c_layout (max 1 (Array.length outputs)) in
+  for i = 0 to chunks - 1 do
+    Array.iteri (fun o net -> A1.set good o (Sim.good_word r i net)) outputs;
+    absorb i good
+  done;
+  let signature = signature_of ~width acc in
   (* A fault is seen once any output differs from the fault-free run in
-     a live lane; it aliased if its own MISR still ends on the fault-free
-     signature. *)
+     a live lane. It aliased if its MISR still ends on the fault-free
+     signature, that is, if its error words sign to 0. *)
   let grade_fault f =
-    let stuck = Fault.stuck f in
-    let misr = Misr.create ~width in
+    A1.fill acc 0L;
     let seen = ref false in
-    Array.iter
-      (fun (words, size, good) ->
-        Sim.eval_chunk k nets ~stuck words;
-        if not !seen then begin
-          let diff = ref 0L in
-          for o = 0 to Array.length outputs - 1 do
-            diff := Int64.logor !diff (Int64.logxor (A1.get nets outputs.(o)) good.(o))
-          done;
-          seen := not (Int64.equal (Int64.logand !diff (Sim.live_lanes size)) 0L)
-        end;
-        absorb_lanes misr ~width nets outputs size)
-      chunks;
-    (!seen, !seen && Misr.signature misr = signature)
+    ignore
+      (Sim.faulty_chunks r (Fault.stuck f) (fun i diff ->
+           if not !seen then seen := Sim.detects diff (Sim.live_lanes (size i));
+           absorb i diff;
+           false));
+    (!seen, !seen && signature_of ~width acc = 0)
   in
-  (signature, Budget.map budget grade_fault faults)
+  let graded = Budget.map budget grade_fault faults in
+  Bistpath_telemetry.Telemetry.incr "bist_sim.gate_evals" ~by:(Sim.gate_evals r);
+  (signature, graded)
 
 let simulate_unit ~budget ~width ~pattern_count ~seed (e : Ipath.embedding)
     (u : Massign.hw) =
@@ -150,6 +185,7 @@ let simulate_unit ~budget ~width ~pattern_count ~seed (e : Ipath.embedding)
 
 let run ?(width = 8) ?(pattern_count = 255) ?(seed = 1) ?(budget = Budget.unlimited) dp
     (sol : Allocator.solution) =
+  Bistpath_telemetry.Telemetry.with_span "gatelevel.coverage" @@ fun () ->
   let unit_by_id mid =
     List.find
       (fun (u : Massign.hw) -> String.equal u.mid mid)

@@ -40,11 +40,11 @@ val run :
     seed 1. Uses collapsed fault lists. Units reported untestable by the
     allocation are skipped. Multifunction ALUs are simulated per
     supported kind with the select line held; their coverage aggregates
-    over kinds. Each unit's circuit is compiled once and every fault is
-    graded through {!Sim.eval_chunk} into one reused net buffer; each
-    unit runs in a [bist_sim] telemetry span (attribute [unit]). Under a
-    [budget] ({!Bistpath_resilience.Budget}), faults not graded before
-    the token tripped are counted per unit in [skipped]. *)
+    over kinds. Each unit is graded by {!grade}. The whole call runs in
+    a [gatelevel.coverage] telemetry span, each unit in a [bist_sim]
+    span under it (attribute [unit]). Under a [budget]
+    ({!Bistpath_resilience.Budget}), faults not graded before the token
+    tripped are counted per unit in [skipped]. *)
 
 val grade :
   ?budget:Bistpath_resilience.Budget.t ->
@@ -60,7 +60,18 @@ val grade :
     the fault-free MISR signature and, per fault, [(detected, aliased)]
     — detected if some pattern changes some output, aliased if it was
     detected yet its MISR signature equals the fault-free one — or
-    [None] if the budget tripped before the fault was graded. *)
+    [None] if the budget tripped before the fault was graded.
+
+    The fault-free circuit is evaluated once ({!Sim.reference}); each
+    fault re-evaluates only its net's fanout cone, on the chunks where
+    the fault can show ({!Sim.faulty_chunks}). No response is clocked
+    into a MISR lane by lane. The MISR is linear ({!Misr}), so its
+    signature from the zero state is an XOR of per-chunk lane masks
+    (one per response bit and signature bit) ANDed with the response
+    words. A fault aliased when the signature of its error words
+    (faulty XOR fault-free responses) is 0. Detection still compares
+    every output on the live lanes. The gates evaluated in faulty
+    passes are counted in [bist_sim.gate_evals]. *)
 
 val overall_coverage : report -> float
 (** Fault-weighted mean coverage across units. *)

@@ -31,30 +31,17 @@ let run ?(budget = Budget.unlimited) c ~faults ~patterns =
   Bistpath_telemetry.Telemetry.incr "fault_sim.faults" ~by:(List.length faults);
   Bistpath_telemetry.Telemetry.incr "fault_sim.events"
     ~by:(List.length faults * List.length patterns);
-  let k = Sim.compile c in
-  let nets = Sim.nets k in
-  let outputs = Array.of_list c.Circuit.outputs in
   let patterns = Array.of_list patterns in
   let n = Array.length patterns in
-  (* Each chunk's input words, live lanes and fault-free output words. *)
-  let chunks =
-    Array.init ((n + 63) / 64) (fun i ->
-        let size = min 64 (n - (64 * i)) in
-        let words = pack num_inputs patterns (64 * i) (64 * i + size) in
-        Sim.eval_chunk k nets words;
-        (words, Sim.live_lanes size, Array.map (Bigarray.Array1.get nets) outputs))
+  let size i = min 64 (n - (64 * i)) in
+  let r =
+    Sim.reference (Sim.compile c)
+      (Array.init ((n + 63) / 64) (fun i ->
+           pack num_inputs patterns (64 * i) ((64 * i) + size i)))
   in
   let detected f =
-    let stuck = Fault.stuck f in
-    Array.exists
-      (fun (words, live, good) ->
-        Sim.eval_chunk k nets ~stuck words;
-        Array.exists2
-          (fun o g ->
-            let diff = Int64.logxor (Bigarray.Array1.get nets o) g in
-            not (Int64.equal (Int64.logand diff live) 0L))
-          outputs good)
-      chunks
+    Sim.faulty_chunks r (Fault.stuck f) (fun i diff ->
+        Sim.detects diff (Sim.live_lanes (size i)))
   in
   (* Faults not graded before the budget's token tripped come back
      [None] and are reported as [skipped], never silently counted as

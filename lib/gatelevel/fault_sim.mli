@@ -1,8 +1,9 @@
 (** Fault simulation with 64-way bit-parallel patterns.
 
-    For each fault, the circuit is re-evaluated with the faulty net
-    forced ({!Sim.eval_chunk}, one compiled circuit and one reused net
-    buffer for the whole run); a fault is detected by a pattern whose
+    The fault-free circuit is evaluated once per chunk of 64 patterns
+    ({!Sim.reference}); each fault then re-evaluates only its net's
+    fanout cone, chunk by chunk, until a chunk detects it
+    ({!Sim.faulty_chunks}). A fault is detected by a pattern whose
     fault-free and faulty primary outputs differ. *)
 
 type result = {

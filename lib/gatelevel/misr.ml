@@ -8,7 +8,12 @@ let rec feedback s acc = function
   | [] -> acc
   | tap :: rest -> feedback s (acc lxor ((s lsr (tap - 1)) land 1)) rest
 
-let absorb t word = t.s <- (((t.s lsl 1) lor feedback t.s 0 t.taps) lxor word) land t.mask
+let next ~mask ~taps s word = (((s lsl 1) lor feedback s 0 taps) lxor word) land mask
+
+let absorb t word = t.s <- next ~mask:t.mask ~taps:t.taps t.s word
+
+let clock ~width s word =
+  next ~mask:((1 lsl width) - 1) ~taps:(Lfsr.primitive_taps width) s word
 
 let signature t = t.s
 

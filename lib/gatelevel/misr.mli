@@ -1,6 +1,13 @@
 (** Multiple-input signature register: the response-compaction half of a
     BILBO-style test register. Same primitive feedback as {!Lfsr}, with
-    the response word XOR-ed into the state every clock. *)
+    the response word XOR-ed into the state every clock.
+
+    The register is linear over GF(2): from the zero state, the
+    signature of the XOR of two equally long response sequences is the
+    XOR of their signatures ([run (a xor b) = run a xor run b]). So a
+    faulty signature equals the fault-free one exactly when the error
+    sequence (faulty XOR fault-free responses) has signature 0, which
+    is how {!Bist_sim.grade} decides aliasing. *)
 
 type t
 
@@ -9,6 +16,10 @@ val create : width:int -> t
 
 val absorb : t -> int -> unit
 (** Clock once with the given response word. *)
+
+val clock : width:int -> int -> int -> int
+(** [clock ~width s word] is the state one clock after state [s] with
+    response [word]: {!absorb} as a function of the state. *)
 
 val signature : t -> int
 

@@ -1,12 +1,14 @@
 (** Bit-parallel logic simulation: 64 test patterns per pass, one bit
     lane per pattern.
 
-    Every evaluation — fault-free or with one stuck-at net forced — runs
-    one kernel over a circuit compiled to flat arrays ({!compile}),
-    writing net words into a reused buffer ({!nets}). Evaluating a chunk
-    allocates nothing per gate or per lane; fault grading
-    ({!Fault_sim}, {!Bist_sim}) compiles once and reuses one buffer for
-    every fault and chunk. *)
+    Every evaluation runs over a circuit compiled to flat arrays
+    ({!compile}) and writes net words into a buffer without allocating
+    per gate or per lane. {!eval_chunk} evaluates the whole circuit,
+    optionally with one stuck-at net forced ({!Fault.inject}). Fault
+    grading ({!Fault_sim}, {!Bist_sim}) goes through {!faulty_chunks}:
+    the fault-free net words of every chunk are computed once
+    ({!reference}), and each fault re-evaluates only its net's fanout
+    cone. *)
 
 type compiled
 (** A circuit as flat arrays: per gate its function, inversion, input
@@ -14,7 +16,10 @@ type compiled
 
 val compile : Circuit.t -> compiled
 (** Raises [Invalid_argument] if a gate or port names a net outside
-    [0, num_nets) or a gate violates its kind's arity. *)
+    [0, num_nets), a gate violates its kind's arity, a net has two
+    drivers, a gate drives a primary input, or a gate reads a net that
+    it or a later gate drives. {!Circuit.Builder} builds only circuits
+    that pass. *)
 
 type nets = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
 (** One 64-lane word per net, indexed by net id. *)
@@ -23,12 +28,49 @@ val nets : compiled -> nets
 (** A fresh zeroed buffer for the compiled circuit. *)
 
 val eval_chunk : compiled -> nets -> ?stuck:int * int64 -> int64 array -> unit
-(** [eval_chunk k buf ?stuck inputs] evaluates one chunk into [buf]:
+(** [eval_chunk k buf ?stuck inputs] evaluates one chunk, every gate,
+    into [buf]:
     [inputs] has one word per primary input (in port order). With
     [~stuck:(net, word)] the net is forced to [word] (0L for stuck-at-0,
     -1L for stuck-at-1) before any gate reads it. Raises
     [Invalid_argument] on input arity mismatch or a buffer sized for
     another circuit. *)
+
+type reference
+(** A compiled circuit with the fault-free net words of every chunk of
+    one pattern set, and the scratch {!faulty_chunks} grades faults in.
+    It is mutable: one fault at a time. *)
+
+val reference : compiled -> int64 array array -> reference
+(** [reference k chunks] evaluates each chunk's input words
+    ([chunks.(c)], as {!eval_chunk} takes them) fault-free and keeps
+    every net word. *)
+
+val good_word : reference -> int -> int -> int64
+(** [good_word r c net] is [net]'s fault-free word in chunk [c]. *)
+
+val faulty_chunks : reference -> int * int64 -> (int -> nets -> bool) -> bool
+(** [faulty_chunks r (net, word) f] grades one stuck-at fault, given as
+    {!eval_chunk}'s [~stuck]. The fault's static fanout cone (the gates
+    that read [net] or a net such a gate drives, in gate order) is built
+    once; per chunk, only the cone is re-evaluated over the fault-free
+    words, which equals a whole-circuit {!eval_chunk} with [~stuck].
+    Then [f c diff] is called, where [diff.{o}] is primary output
+    port [o]'s faulty word XOR its fault-free word. A chunk whose
+    fault-free [net] word already equals [word] cannot differ and is
+    skipped without a call. The cone is evaluated gate by gate over
+    every chunk not skipped before the first call. Calls run in chunk
+    order and stop at the first that returns [true]; the result is
+    whether one did. [diff] is overwritten by the next call. Raises
+    [Invalid_argument] if [net] is out of range. *)
+
+val detects : nets -> int64 -> bool
+(** [detects diff live]: some word of [diff] (as {!faulty_chunks}
+    passes it) is nonzero in a lane of [live]. *)
+
+val gate_evals : reference -> int
+(** Gates evaluated by {!faulty_chunks} on [r] so far: the cone size
+    summed over the chunks evaluated. *)
 
 val live_lanes : int -> int64
 (** The lane mask of a chunk's first [size] patterns ([0 < size <= 64]):

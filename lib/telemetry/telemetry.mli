@@ -46,6 +46,9 @@
     - [bist_sim.patterns] — test patterns applied by the BIST session
       simulator.
     - [bist_sim.faults] — faults graded by the BIST session simulator.
+    - [bist_sim.gate_evals] — gate evaluations in the BIST session
+      simulator's faulty passes: each fault's fanout-cone size summed
+      over the 64-pattern chunks it was re-evaluated on.
     - [resilience.deadline_hits] — budgets whose wall-clock deadline
       tripped ([Bistpath_resilience.Budget], first trip per budget).
     - [resilience.injected] — fault-injection shots that fired
@@ -166,9 +169,11 @@
     [Module_assign.single_function] emits a [massign] span: the
     clique-partition module assignment of a DFG file or behavioural
     program, run while the design loads, before any [flow] span.
-    [Bist_sim.run] emits one [bist_sim] span per graded unit, with a
-    [unit] attribute naming it; [synth atpg] wraps each unit's
-    [Podem.classify_all] in a [podem] span with the same attribute.
+    [Bist_sim.run] opens a [gatelevel.coverage] span around one
+    [bist_sim] span per graded unit, with a [unit] attribute naming it;
+    [synth atpg] wraps each unit's [Podem.classify_all] in a [podem]
+    span with the same attribute. [Pareto.explore] opens a [pareto]
+    span.
 
     {1 Domain safety}
 

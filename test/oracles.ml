@@ -674,3 +674,17 @@ let bist_solve ?(model = Area.default) ?(width = 8) ?(forbidden = [])
       exact = not !exhausted;
     },
     !nodes )
+
+(* --- Pareto front --------------------------------------------------
+
+   Pareto.front's filter before the sweep: every candidate scans the
+   whole list for one that dominates it, then the survivors go through
+   the same [sort_uniq]. *)
+
+let pareto_front candidates =
+  let dominated (d, s, _) =
+    List.exists (fun (d', s', _) -> d' <= d && s' <= s && (d' < d || s' < s)) candidates
+  in
+  candidates
+  |> List.filter (fun p -> not (dominated p))
+  |> List.sort_uniq (fun (d, s, _) (d', s', _) -> compare (d, s) (d', s'))

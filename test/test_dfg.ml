@@ -192,6 +192,27 @@ let parser_errors () =
     | Ok _ -> Alcotest.fail "accepted unscheduled op")
   | Error msg -> Alcotest.fail msg
 
+(* A DFG broken on one line is reported at that line, as the parser's
+   syntax errors are: the loader's lines are what [synth run] prints. *)
+let validation_errors_carry_lines () =
+  let expect text want =
+    let path = Filename.temp_file "broken" ".dfg" in
+    Out_channel.with_open_text path (fun oc -> output_string oc text);
+    let got = Bistpath_service.Runner.load_instance path in
+    Sys.remove path;
+    match got with
+    | Ok _ -> Alcotest.fail "broken DFG accepted"
+    | Error lines -> check (Alcotest.list Alcotest.string) want [ path ^ want ] lines
+  in
+  expect "dfg u\ninput a b\noutput h\nop +1 = a + q -> h @ 1\n"
+    ":4: error: Dfg u: operand q of +1 is undefined";
+  expect "dfg u\ninput a b\noutput h z\nop +1 = a + b -> h @ 1\n"
+    ":3: error: Dfg u: primary output z is undefined";
+  expect "dfg u\ninput a b e\noutput e h\nop +1 = a + b -> h @ 1\n"
+    ":3: error: Dfg u: primary output e is an input no operation reads";
+  expect "dfg u\ninput a b\noutput h\nop +1 = a + b -> h @ 1\nop +1 = b + b -> k @ 2\n"
+    ":5: error: Dfg u: duplicate operation id +1"
+
 let parser_comments_and_whitespace () =
   let text = "# header\ndfg t\n  input a b  # trailing\n\nop x = a + b -> c @ 1\noutput c\n" in
   match Parser.parse_string text with
@@ -292,6 +313,7 @@ let suite =
       case "massign describe" massign_describe;
       case "parser round-trip" parser_roundtrip;
       case "parser errors" parser_errors;
+      case "validation errors carry lines" validation_errors_carry_lines;
       case "parser comments/whitespace" parser_comments_and_whitespace;
       case "scheduler asap" scheduler_asap;
       case "scheduler alap" scheduler_alap;

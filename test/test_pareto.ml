@@ -93,6 +93,29 @@ let prop_front_valid_random =
       && (List.hd points).Pareto.delta_gates = minimum.Allocator.delta_gates
       && List.for_all (fun p -> p.Pareto.sessions >= 1) points)
 
+(* Few distinct (gates, sessions) pairs among many candidates, as on
+   fir8 (20,001 candidates, 3 front points): each payload is a fresh
+   block, so the sweep must keep the very candidates the quadratic
+   filter keeps. *)
+let prop_front_matches_quadratic_filter =
+  QCheck.Test.make ~name:"sweep keeps the quadratic filter's candidates" ~count:300
+    QCheck.(list_of_size Gen.(int_range 0 400) (pair (int_bound 15) (int_range 1 6)))
+    (fun pairs ->
+      let candidates = List.mapi (fun i (d, s) -> (d, s, ref i)) pairs in
+      let got = Pareto.front candidates and want = Oracles.pareto_front candidates in
+      List.length got = List.length want && List.for_all2 ( == ) got want)
+
+let explore_span () =
+  let dp = datapath_of "ex1" in
+  let (), t =
+    Bistpath_telemetry.Telemetry.collect (fun () -> ignore (Pareto.explore dp))
+  in
+  check (Alcotest.list Alcotest.string) "one root span" [ "pareto" ]
+    (List.filter_map
+       (fun (s : Bistpath_telemetry.Telemetry.span) ->
+         if s.depth = 0 then Some s.name else None)
+       (Bistpath_telemetry.Telemetry.spans t))
+
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
 let suite =
@@ -103,5 +126,6 @@ let suite =
     case "sessions strictly decrease along the front" front_sessions_decrease;
     case "points internally consistent" points_internally_consistent;
     case "ex1 known front" ex1_known_front;
+    case "explore runs in a pareto span" explore_span;
   ]
-  @ qcheck [ prop_front_valid_random ]
+  @ qcheck [ prop_front_valid_random; prop_front_matches_quadratic_filter ]
