@@ -152,20 +152,157 @@ let solution_of ~model ~width dp =
   let idx = index ~model ~width ~forbidden:[] ~io_penalty_percent:100 dp in
   costed idx dp
 
+(* Session conflicts, by number. A unit under test is its embedding's
+   registers, its rank in session order and the ranks of the units its
+   patterns pass through (-1: none, or not under test). *)
+type tested = { l : int; r : int; sa : int; rank : int; l_via : int; r_via : int }
+
+let cbilbo = 4
+
+(* The session conflict rule, its one implementation: a shared SA
+   register, a register generating for one unit while compacting for
+   the other unless it is a CBILBO, or a unit that is the other's
+   transparent pattern channel. *)
+let conflict code a b =
+  a.sa = b.sa
+  || ((b.sa = a.l || b.sa = a.r) && code.(b.sa) <> cbilbo)
+  || ((a.sa = b.l || a.sa = b.r) && code.(a.sa) <> cbilbo)
+  || a.l_via = b.rank || a.r_via = b.rank || b.l_via = a.rank || b.r_via = a.rank
+
+(* First-fit in array order: each unit takes the lowest session that no
+   earlier unit it conflicts with holds. Fills [session], returns the
+   number of sessions. *)
+let first_fit code ts session =
+  let n = Array.length ts in
+  let used = Array.make (n + 1) false in
+  let count = ref 0 in
+  for i = 0 to n - 1 do
+    Array.fill used 0 (i + 1) false;
+    for j = 0 to i - 1 do
+      if conflict code ts.(i) ts.(j) then used.(session.(j)) <- true
+    done;
+    let s = ref 0 in
+    while used.(!s) do incr s done;
+    session.(i) <- !s;
+    if !s >= !count then count := !s + 1
+  done;
+  !count
+
+let sessions (sol : solution) =
+  let regs = Hashtbl.create 16 in
+  let reg rid =
+    match Hashtbl.find_opt regs rid with
+    | Some i -> i
+    | None ->
+      let i = Hashtbl.length regs in
+      Hashtbl.add regs rid i;
+      i
+  in
+  let es = Array.of_list sol.embeddings in
+  let ranks = Hashtbl.create 16 in
+  Array.iteri (fun i (e : Ipath.embedding) -> Hashtbl.replace ranks e.mid i) es;
+  let rank = function
+    | None -> -1
+    | Some mid -> Option.value (Hashtbl.find_opt ranks mid) ~default:(-1)
+  in
+  let ts =
+    Array.mapi
+      (fun i (e : Ipath.embedding) ->
+        { l = reg e.l_tpg; r = reg e.r_tpg; sa = reg e.sa; rank = i; l_via = rank e.l_via;
+          r_via = rank e.r_via })
+      es
+  in
+  let code = Array.make (Hashtbl.length regs) 0 in
+  Hashtbl.iter
+    (fun rid i ->
+      if List.assoc_opt rid sol.styles = Some Resource.Cbilbo then code.(i) <- cbilbo)
+    regs;
+  let session = Array.make (Array.length es) 0 in
+  ignore (first_fit code ts session);
+  session
+
+(* Units with operations bound to them, each with its embeddings. *)
+let unit_embeddings ~transparency dp =
+  dp.Datapath.massign.Massign.units
+  |> List.filter (fun (u : Massign.hw) ->
+         Massign.temporal_multiplicity dp.Datapath.massign dp.Datapath.dfg u.mid > 0)
+  |> List.map (fun (u : Massign.hw) -> (u.mid, Ipath.embeddings ~transparency dp u.mid))
+
+type leaf = {
+  eng : engine;
+  ts : tested array;  (* the chosen embeddings, in session (unit id) order *)
+  session : int array;  (* first-fit work array *)
+  mutable chosen : Ipath.embedding list;  (* last unit first *)
+}
+
+let leaf_gates leaf = leaf.eng.cost
+let leaf_sessions leaf = first_fit leaf.eng.code leaf.ts leaf.session
+let leaf_embeddings leaf = leaf.chosen
+
+let walk ~model ~width ~transparency dp ~descend f =
+  let idx = index ~model ~width ~forbidden:[] ~io_penalty_percent:100 dp in
+  let units =
+    unit_embeddings ~transparency dp
+    |> List.filter (fun (_, es) -> es <> [])
+    |> Array.of_list
+  in
+  let n = Array.length units in
+  (* A unit's rank is its place in session order, which is [solution_of]'s
+     embedding order: by unit id. *)
+  let by_id = Array.init n Fun.id in
+  Array.stable_sort (fun i j -> compare (fst units.(i)) (fst units.(j))) by_id;
+  let rank = Array.make n 0 in
+  Array.iteri (fun k i -> rank.(i) <- k) by_id;
+  let rank_of = function
+    | None -> -1
+    | Some mid -> (
+      match Array.find_index (fun (m, _) -> m = mid) units with
+      | Some i -> rank.(i)
+      | None -> -1)
+  in
+  let options =
+    Array.mapi
+      (fun i (_, es) ->
+        Array.of_list
+          (List.map
+             (fun (e : Ipath.embedding) ->
+               let x = indexed idx e in
+               ( x,
+                 { l = x.l; r = x.r; sa = x.sa; rank = rank.(i); l_via = rank_of e.l_via;
+                   r_via = rank_of e.r_via } ))
+             es))
+      units
+  in
+  let leaf =
+    { eng = engine idx;
+      ts = Array.make n { l = 0; r = 0; sa = 0; rank = 0; l_via = -1; r_via = -1 };
+      session = Array.make n 0; chosen = [] }
+  in
+  (* Depth first, first unit outermost, each unit's embeddings in order;
+     [descend] is asked before every internal node's children. *)
+  let rec go i =
+    if i = n then f leaf
+    else if descend () then
+      Array.iter
+        (fun (x, t) ->
+          apply leaf.eng x;
+          leaf.ts.(rank.(i)) <- t;
+          let parent = leaf.chosen in
+          leaf.chosen <- x.e :: parent;
+          go (i + 1);
+          leaf.chosen <- parent;
+          unapply leaf.eng x)
+        options.(i)
+  in
+  go 0
+
 (* Ample to prove every paper design optimal; bounds large generated ones. *)
 let node_cap = 200_000
 
 let solve ?(model = Area.default) ?(width = 8) ?(forbidden = [])
     ?(io_penalty_percent = 100) ?(transparency = false) ?(budget = Budget.unlimited) dp =
   let idx = index ~model ~width ~forbidden ~io_penalty_percent dp in
-  let units =
-    dp.Datapath.massign.Massign.units
-    |> List.filter (fun (u : Massign.hw) ->
-           Massign.temporal_multiplicity dp.Datapath.massign dp.Datapath.dfg u.mid > 0)
-  in
-  let with_embeddings =
-    List.map (fun (u : Massign.hw) -> (u.mid, Ipath.embeddings ~transparency dp u.mid)) units
-  in
+  let with_embeddings = unit_embeddings ~transparency dp in
   let untestable =
     List.filter_map (fun (m, es) -> if es = [] then Some m else None) with_embeddings
   in

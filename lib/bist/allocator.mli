@@ -20,7 +20,8 @@
     table, I/O penalty included, plus a per-style forbidden flag make
     each search node a few array updates. Every phase runs on it:
     keying, the greedy warm start, the search, the infeasible-core
-    shrink and the final restyle ({!solution_of}). Node counts, visiting
+    shrink, the final restyle ({!solution_of}) and the Pareto sweep's
+    {!walk}. Node counts, visiting
     order and tie-breaks are those of the earlier string-keyed engine,
     which test/oracles.ml keeps as the reference: units by their
     embedding count, embeddings by [compare] on (cost against the empty
@@ -84,6 +85,51 @@ val solution_of :
     same costing ends {!solve}, whose I/O penalty is the only
     difference. Partially applied to a data path, it numbers the
     registers once for any number of embedding lists. *)
+
+val sessions : solution -> int array
+(** The session of each of the solution's embeddings, in list order:
+    first-fit, each unit taking the lowest session that no earlier unit
+    it conflicts with holds. This is the session conflict rule's one
+    implementation ({!Session} documents the rule), an int kernel over
+    register numbers, CBILBO style codes and unit ranks that
+    {!Session.schedule} and {!walk}'s {!leaf_sessions} share. A
+    register's first entry in [styles] is its style; a register without
+    one is not a CBILBO. *)
+
+type leaf
+(** The walk's state at one complete choice of embeddings. Valid only
+    inside the callback it is passed to. *)
+
+val walk :
+  model:Bistpath_datapath.Area.model ->
+  width:int ->
+  transparency:bool ->
+  Bistpath_datapath.Datapath.t ->
+  descend:(unit -> bool) ->
+  (leaf -> unit) ->
+  unit
+(** [walk ~model ~width ~transparency dp ~descend f] visits the product
+    of the embeddings of every unit {!solve} searches that has any,
+    depth first: units in module-assignment order, the first outermost,
+    each unit's embeddings in {!Bistpath_ipath.Ipath.embeddings} order.
+    [descend ()] is asked before the children of every internal node
+    (the root included, unless there are no units); [false] skips them.
+    [f] gets every leaf reached. Each level applies one embedding to the
+    indexed engine and removes it on the way back, so a leaf's cost is
+    its parent's plus a few table lookups. Costs are {!solution_of}'s
+    (no forbidden style, no I/O penalty). *)
+
+val leaf_gates : leaf -> int
+(** The leaf's modification cost: [(solution_of ... (leaf_embeddings
+    leaf)).delta_gates]. *)
+
+val leaf_sessions : leaf -> int
+(** The number of sessions {!Session.schedule} gives the leaf's
+    solution, counted by the {!sessions} kernel over the units in unit
+    id order, with no solution built. *)
+
+val leaf_embeddings : leaf -> Bistpath_ipath.Ipath.embedding list
+(** The chosen embeddings, last unit first. *)
 
 val style_counts : solution -> (Resource.style * int) list
 (** Histogram of non-[Normal] styles (Table II's resource mixes). *)

@@ -1,9 +1,7 @@
 module Area = Bistpath_datapath.Area
-module Datapath = Bistpath_datapath.Datapath
-module Massign = Bistpath_dfg.Massign
-module Ipath = Bistpath_ipath.Ipath
 module Budget = Bistpath_resilience.Budget
 module Inject = Bistpath_resilience.Inject
+module Telemetry = Bistpath_telemetry.Telemetry
 
 type point = {
   delta_gates : int;
@@ -40,60 +38,42 @@ let front candidates =
 
 let explore ?(model = Area.default) ?(width = 8) ?(transparency = false)
     ?(budget = Budget.unlimited) dp =
-  Bistpath_telemetry.Telemetry.with_span "pareto" @@ fun () ->
+  Telemetry.with_span "pareto" @@ fun () ->
   let minimum = Allocator.solve ~model ~width ~transparency ~budget dp in
   let bound = minimum.Allocator.delta_gates * (100 + slack_percent) / 100 in
-  let units =
-    dp.Datapath.massign.Massign.units
-    |> List.filter (fun (u : Massign.hw) ->
-           Massign.temporal_multiplicity dp.Datapath.massign dp.Datapath.dfg u.mid > 0)
-    |> List.filter_map (fun (u : Massign.hw) ->
-           match Ipath.embeddings ~transparency dp u.mid with
-           | [] -> None
-           | es -> Some es)
-  in
-  (* Enumerating the embedding combinations is cheap (cons cells only);
-     the leaves are collected first, in reverse enumeration order, and
-     costed below. Every leaf counts against both [leaf_cap] and the
-     shared budget here, so a leaf-budget truncation point depends only
-     on the enumeration. *)
-  let chosen_leaves = ref [] in
-  let count = ref 0 in
-  let rec enumerate chosen = function
-    | [] ->
+  (* One walk over the embedding product: every leaf counts against both
+     [leaf_cap] and the shared budget, and a leaf reached before either
+     stops the walk is costed on the spot. Only the front's points are
+     built as solutions. *)
+  let count = ref 0 and in_bound = ref 0 and leaves = ref [] in
+  let uncut () = !count <= leaf_cap && not (Budget.should_stop budget) in
+  let solution_of = Allocator.solution_of ~model ~width dp in
+  Allocator.walk ~model ~width ~transparency dp ~descend:uncut (fun leaf ->
       incr count;
       Budget.leaf budget;
-      if !count <= leaf_cap && not (Budget.should_stop budget) then
-        chosen_leaves := chosen :: !chosen_leaves
-    | es :: rest ->
-      if !count <= leaf_cap && not (Budget.should_stop budget) then
-        List.iter (fun e -> enumerate (e :: chosen) rest) es
-  in
-  enumerate [] units;
-  let solution_of = Allocator.solution_of ~model ~width dp in
-  let evaluate chosen =
-    Inject.fire "pareto.leaf";
-    let sol = solution_of chosen in
-    if sol.Allocator.delta_gates <= bound then
-      Some
-        ( sol.Allocator.delta_gates,
-          Session.num_sessions (Session.schedule ~budget sol),
-          sol )
-    else None
-  in
-  (* Costing polls the budget before each leaf, so a deadline that trips
-     mid-evaluation abandons the remaining leaves. *)
-  let leaves =
-    Budget.map budget evaluate !chosen_leaves |> List.filter_map Option.join
-  in
-  (* Always include the true minimum (the enumeration may be cut). *)
+      if uncut () then begin
+        Inject.fire "pareto.leaf";
+        let gates = Allocator.leaf_gates leaf in
+        if gates <= bound then begin
+          incr in_bound;
+          let chosen = Allocator.leaf_embeddings leaf in
+          leaves := (gates, Allocator.leaf_sessions leaf, lazy (solution_of chosen)) :: !leaves
+        end
+      end);
+  Telemetry.incr "pareto.leaves" ~by:!count;
+  Telemetry.incr "pareto.in_bound" ~by:!in_bound;
+  if !count > leaf_cap then Telemetry.incr "pareto.capped";
+  (* A budget that tripped during the walk voids every leaf; the true
+     minimum is always included (the walk may be cut). *)
+  let leaves = if Budget.should_stop budget then [] else !leaves in
   let min_point =
     ( minimum.Allocator.delta_gates,
       Session.num_sessions (Session.schedule ~budget minimum),
-      minimum )
+      Lazy.from_val minimum )
   in
   front (min_point :: leaves)
-  |> List.map (fun (delta_gates, sessions, solution) -> { delta_gates; sessions; solution })
+  |> List.map (fun (delta_gates, sessions, solution) ->
+         { delta_gates; sessions; solution = Lazy.force solution })
 
 let pp ppf points =
   Format.fprintf ppf "@[<v>";

@@ -27,19 +27,33 @@ val explore :
     minimum * (100+slack)/100, and a fixed cap ([leaf_cap], 20,000)
     bounds the enumeration. The cap is silent: a front cut by it is
     returned as if complete and does not trip [budget]. The minimum-
-    area solution's cost is always represented. Embedding leaves are
-    enumerated first, then costed (solution build + session scheduling)
-    in enumeration order, and the costed leaves go through {!front}.
-    The whole call runs in a [pareto] telemetry span.
+    area solution's cost is always represented.
+
+    One depth-first {!Allocator.walk} visits the product of every
+    testable unit's embeddings: units in module-assignment order, the
+    first outermost, each unit's embeddings in I-path order. Each leaf
+    (combination) counts against the cap and the budget; one reached
+    before either stops the walk is costed on the spot (its cost is
+    the engine's running total), and one within the slack bound also
+    gets its session count from the int first-fit kernel that
+    {!Session.schedule} uses, over its units in unit id order. The
+    walk stops descending once the cap is passed or the budget has
+    tripped; the leaves under a node already being expanded are still
+    counted. The candidates {!front} sees are the minimum first, then
+    the in-bound leaves in reverse walk order, and only the surviving
+    points are built with {!Allocator.solution_of}. The whole call runs
+    in a [pareto] telemetry span and adds [pareto.leaves] (leaves
+    walked), [pareto.in_bound] (leaves costed within the bound) and,
+    when the cap cut the walk, [pareto.capped] (1).
 
     [budget] (default {!Bistpath_resilience.Budget.unlimited}) makes the
-    exploration anytime: the minimum-area search, the enumeration (one
-    {!Bistpath_resilience.Budget.leaf} per combination, counted before
-    any leaf is costed, so a leaf-budget truncation point is
-    deterministic), leaf costing ({!Bistpath_resilience.Budget.map}; a
-    deadline abandons the remaining leaves) and session scheduling all
-    observe it. The front of whatever was evaluated is still returned,
-    with the always-included minimum point guaranteeing it is non-empty;
+    exploration anytime: the minimum-area search, the walk (one
+    {!Bistpath_resilience.Budget.leaf} per leaf) and the minimum's
+    session schedule observe it. If it has tripped by the end of the
+    walk, no leaf counts: the front is the minimum alone, with the
+    degenerate one-unit-per-session count of a cancelled
+    {!Session.schedule}. So a leaf-budget truncation is deterministic,
+    and under a deadline the front is still non-empty.
     {!Bistpath_resilience.Budget.stop_reason} says whether the budget
     cut it.
 

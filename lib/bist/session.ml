@@ -1,23 +1,7 @@
 module Ipath = Bistpath_ipath.Ipath
-module Ugraph = Bistpath_graphs.Ugraph
-module Coloring = Bistpath_graphs.Coloring
-module Listx = Bistpath_util.Listx
 module Budget = Bistpath_resilience.Budget
 
 type t = { sessions : string list list }
-
-let conflict styles (a : Ipath.embedding) (b : Ipath.embedding) =
-  let is_cbilbo r = List.assoc_opt r styles = Some Resource.Cbilbo in
-  let tpgs (e : Ipath.embedding) = [ e.l_tpg; e.r_tpg ] in
-  let channels (e : Ipath.embedding) =
-    List.filter_map Fun.id [ e.l_via; e.r_via ]
-  in
-  String.equal a.sa b.sa
-  || (List.mem b.sa (tpgs a) && not (is_cbilbo b.sa))
-  || (List.mem a.sa (tpgs b) && not (is_cbilbo a.sa))
-  (* a unit cannot be a transparent pattern channel while under test *)
-  || List.mem b.mid (channels a)
-  || List.mem a.mid (channels b)
 
 let schedule ?(budget = Budget.unlimited) (sol : Allocator.solution) =
   if Budget.should_stop budget then
@@ -25,19 +9,13 @@ let schedule ?(budget = Budget.unlimited) (sol : Allocator.solution) =
        per session trivially satisfies every conflict constraint. *)
     { sessions = List.map (fun (e : Ipath.embedding) -> [ e.Ipath.mid ]) sol.embeddings }
   else
-  let es = Array.of_list sol.embeddings in
-  let n = Array.length es in
-  let edges =
-    Listx.pairs (Listx.range 0 n)
-    |> List.filter (fun (i, j) -> conflict sol.styles es.(i) es.(j))
-  in
-  let g = Ugraph.of_edges ~vertices:(Listx.range 0 n) edges in
-  let coloring = Coloring.first_fit g (Listx.range 0 n) in
-  let sessions =
-    Coloring.classes coloring
-    |> List.map (fun (_, members) -> List.map (fun i -> es.(i).Ipath.mid) members)
-  in
-  { sessions }
+    let session = Allocator.sessions sol in
+    let count = Array.fold_left (fun n s -> max n (s + 1)) 0 session in
+    let members s =
+      List.filteri (fun i _ -> session.(i) = s) sol.embeddings
+      |> List.map (fun (e : Ipath.embedding) -> e.Ipath.mid)
+    in
+    { sessions = List.init count members }
 
 let num_sessions t = List.length t.sessions
 

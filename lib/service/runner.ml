@@ -165,8 +165,13 @@ let execute ?max_errors ?cache ~budget (job : Job.t) =
     | Job.Verify -> verify ?cache ~budget inst job
     | Job.Run -> report ~artifact:"run" (render_run inst)
     | Job.Pareto ->
-      report ~artifact:"pareto" (fun r ->
-          Format.asprintf "%a@." Pareto.pp (Pareto.explore ~width ~budget r.Flow.datapath))
+      let transparency = job.Job.transparency in
+      (* Transparency fronts were once cached from a sweep without it:
+         their own artifact name keeps those stale entries unserved. *)
+      let artifact = if transparency then "pareto-transparent" else "pareto" in
+      report ~artifact (fun r ->
+          Format.asprintf "%a@." Pareto.pp
+            (Pareto.explore ~width ~transparency ~budget r.Flow.datapath))
     | Job.Rtl -> Ok (rtl ?cache ~budget ~bist:true ~wrapper:false inst job)
     | Job.Coverage ->
       (* gate-level simulation is not a DAG stage; the flow underneath

@@ -37,6 +37,13 @@
       the branch-and-bound search (search nodes).
     - [bist.cbilbos_avoided] — enumerated CBILBO-requiring embeddings the
       chosen solution managed to avoid.
+    - [pareto.leaves] — embedding combinations the Pareto sweep
+      walked ([Bistpath_bist.Pareto.explore]), the same count as the
+      budget's leaves.
+    - [pareto.in_bound] — walked combinations costed within the
+      sweep's area slack bound (each also gets a session count).
+    - [pareto.capped] — sweeps whose fixed 20,000-leaf cap cut the
+      walk (1 per such sweep; the cap does not trip the budget).
     - [fault_sim.faults] — faults submitted to fault simulation.
     - [fault_sim.events] — fault-pattern simulation events
       (faults x patterns).

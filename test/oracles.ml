@@ -688,3 +688,87 @@ let pareto_front candidates =
   candidates
   |> List.filter (fun p -> not (dominated p))
   |> List.sort_uniq (fun (d, s, _) (d', s', _) -> compare (d, s) (d', s'))
+
+(* --- Session scheduling and the Pareto sweep ------------------------
+
+   Session.schedule before the int kernel: a string-keyed conflict
+   graph over the solution's embeddings, coloured first-fit. And
+   Pareto.explore before the one-walk sweep: every combination is
+   enumerated first (counted against the leaf cap and the budget), then
+   each is costed by a full [Allocator.solution_of] and a schedule, and
+   the minimum plus the in-bound leaves, in reverse enumeration order,
+   go through the front. *)
+
+module Coloring = Bistpath_graphs.Coloring
+module Session = Bistpath_bist.Session
+module Pareto = Bistpath_bist.Pareto
+
+let session_conflict styles (a : Ipath.embedding) (b : Ipath.embedding) =
+  let is_cbilbo r = List.assoc_opt r styles = Some Resource.Cbilbo in
+  let tpgs (e : Ipath.embedding) = [ e.l_tpg; e.r_tpg ] in
+  let channels (e : Ipath.embedding) = List.filter_map Fun.id [ e.l_via; e.r_via ] in
+  String.equal a.sa b.sa
+  || (List.mem b.sa (tpgs a) && not (is_cbilbo b.sa))
+  || (List.mem a.sa (tpgs b) && not (is_cbilbo a.sa))
+  || List.mem b.mid (channels a)
+  || List.mem a.mid (channels b)
+
+let session_schedule ?(budget = Budget.unlimited) (sol : Allocator.solution) =
+  if Budget.should_stop budget then
+    { Session.sessions = List.map (fun (e : Ipath.embedding) -> [ e.mid ]) sol.embeddings }
+  else
+    let es = Array.of_list sol.embeddings in
+    let n = Array.length es in
+    let edges =
+      Listx.pairs (Listx.range 0 n)
+      |> List.filter (fun (i, j) -> session_conflict sol.styles es.(i) es.(j))
+    in
+    let g = Ugraph.of_edges ~vertices:(Listx.range 0 n) edges in
+    let coloring = Coloring.first_fit g (Listx.range 0 n) in
+    {
+      Session.sessions =
+        Coloring.classes coloring
+        |> List.map (fun (_, members) -> List.map (fun i -> es.(i).Ipath.mid) members);
+    }
+
+let pareto_slack_percent = 50
+let pareto_leaf_cap = 20_000
+
+let pareto_explore ?(model = Area.default) ?(width = 8) ?(transparency = false)
+    ?(budget = Budget.unlimited) dp =
+  let minimum = Allocator.solve ~model ~width ~transparency ~budget dp in
+  let bound = minimum.Allocator.delta_gates * (100 + pareto_slack_percent) / 100 in
+  let units =
+    dp.Datapath.massign.Massign.units
+    |> List.filter (fun (u : Massign.hw) ->
+           Massign.temporal_multiplicity dp.Datapath.massign dp.Datapath.dfg u.mid > 0)
+    |> List.filter_map (fun (u : Massign.hw) ->
+           match Ipath.embeddings ~transparency dp u.mid with [] -> None | es -> Some es)
+  in
+  let chosen_leaves = ref [] in
+  let count = ref 0 in
+  let rec enumerate chosen = function
+    | [] ->
+      incr count;
+      Budget.leaf budget;
+      if !count <= pareto_leaf_cap && not (Budget.should_stop budget) then
+        chosen_leaves := chosen :: !chosen_leaves
+    | es :: rest ->
+      if !count <= pareto_leaf_cap && not (Budget.should_stop budget) then
+        List.iter (fun e -> enumerate (e :: chosen) rest) es
+  in
+  enumerate [] units;
+  let solution_of = Allocator.solution_of ~model ~width dp in
+  let sessions sol = List.length (session_schedule ~budget sol).Session.sessions in
+  let evaluate chosen =
+    Inject.fire "pareto.leaf";
+    let sol = solution_of chosen in
+    if sol.Allocator.delta_gates <= bound then
+      Some (sol.Allocator.delta_gates, sessions sol, sol)
+    else None
+  in
+  let leaves = Budget.map budget evaluate !chosen_leaves |> List.filter_map Option.join in
+  let min_point = (minimum.Allocator.delta_gates, sessions minimum, minimum) in
+  Pareto.front (min_point :: leaves)
+  |> List.map (fun (delta_gates, sessions, solution) ->
+         { Pareto.delta_gates; sessions; solution })

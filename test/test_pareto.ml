@@ -6,6 +6,10 @@ module Allocator = Bistpath_bist.Allocator
 module Pareto = Bistpath_bist.Pareto
 module Session = Bistpath_bist.Session
 module Prng = Bistpath_util.Prng
+module Budget = Bistpath_resilience.Budget
+module Telemetry = Bistpath_telemetry.Telemetry
+module Runner = Bistpath_service.Runner
+module Job = Bistpath_service.Job
 
 let check = Alcotest.check
 let case name f = Alcotest.test_case name `Quick f
@@ -116,6 +120,140 @@ let explore_span () =
          if s.depth = 0 then Some s.name else None)
        (Bistpath_telemetry.Telemetry.spans t))
 
+(* test/fixtures/pareto_fronts.txt pins every design's printed front in
+   both flows at widths 8 and 4 and with transparent I-paths, as a
+   [pareto] job renders it (the CLI's and serve's one path). It was
+   recorded with the collect-then-cost sweep; CI diffs the CLI's
+   non-transparency blocks against it too. *)
+let job ?(width = 8) ?(transparency = false) pipeline spec flow =
+  { Job.id = "t"; spec; pipeline; width; flow; transparency; patterns = 255;
+    timeout_s = None; leaf_budget = None }
+
+(* Data files are read from the test directory's parent. *)
+let path spec = if B.by_tag spec = None then Filename.concat ".." spec else spec
+
+let execute job =
+  match Runner.execute ~budget:Budget.unlimited job with
+  | Ok (text, _) -> text
+  | Error _ -> Alcotest.failf "%s (%s) failed" job.Job.spec job.Job.flow
+
+let render_fronts () =
+  List.concat_map
+    (fun spec ->
+      List.concat_map
+        (fun flow ->
+          List.map
+            (fun (width, transparency) ->
+              Printf.sprintf "== %s %s w%d%s\n" spec flow width
+                (if transparency then " transparency" else "")
+              ^ execute (job ~width ~transparency Job.Pareto (path spec) flow))
+            [ (8, false); (4, false); (8, true) ])
+        [ "traditional"; "testable" ])
+    Test_regalloc_trace.(tags @ data)
+  |> String.concat ""
+
+let fronts_reproduce_fixture () =
+  let expected =
+    In_channel.with_open_text (Filename.concat "fixtures" "pareto_fronts.txt")
+      In_channel.input_all
+  in
+  Test_regalloc_trace.first_diff 1
+    (String.split_on_char '\n' expected, String.split_on_char '\n' (render_fronts ()))
+
+(* The minimum is always on the front, so a transparency pareto job
+   starts at the delta gates its run job reports. *)
+let transparency_front_starts_at_minimum () =
+  let first_int format text =
+    String.split_on_char '\n' text
+    |> List.find_map (fun line -> Scanf.sscanf_opt line format Fun.id)
+  in
+  List.iter
+    (fun spec ->
+      List.iter
+        (fun flow ->
+          let run = execute (job ~transparency:true Job.Run spec flow) in
+          let front = execute (job ~transparency:true Job.Pareto spec flow) in
+          check Alcotest.(option int) (spec ^ " " ^ flow)
+            (first_int " delta gates: %d" run) (first_int " %d gates" front))
+        [ "traditional"; "testable" ])
+    Test_regalloc_trace.tags
+
+(* Counters: [pareto.leaves] counts every enumerated leaf (ewf testable
+   stops just past the cap, like the budget's leaf count),
+   [pareto.capped] says the cap cut the walk and [pareto.in_bound]
+   counts the leaves costed within the slack bound. *)
+let sweep_counters () =
+  let counters tag =
+    let (), t =
+      Telemetry.collect (fun () -> ignore (Pareto.explore (datapath_of tag)))
+    in
+    List.map (Telemetry.counter t) [ "pareto.leaves"; "pareto.in_bound"; "pareto.capped" ]
+  in
+  (match counters "ewf" with
+  | [ leaves; in_bound; capped ] ->
+    check Alcotest.int "ewf leaves" 20_016 leaves;
+    check Alcotest.int "ewf capped" 1 capped;
+    (* none of the first 20,000 combinations is within the slack bound:
+       the capped front is the minimum alone *)
+    check Alcotest.int "ewf in bound" 0 in_bound
+  | _ -> assert false);
+  match counters "ex1" with
+  | [ leaves; in_bound; capped ] ->
+    check Alcotest.bool "ex1 leaves" true (leaves > 0 && leaves < 20_000);
+    check Alcotest.bool "ex1 in bound" true (in_bound > 0 && in_bound <= leaves);
+    check Alcotest.int "ex1 not capped" 0 capped
+  | _ -> assert false
+
+let random_datapath seed testable =
+  let rng = Prng.create seed in
+  let inst = B.random rng ~ops:(6 + (seed mod 7)) ~inputs:3 in
+  let style =
+    if testable then Flow.Testable Bistpath_core.Testable_alloc.default_options
+    else Flow.Traditional
+  in
+  (Flow.run ~style inst.B.dfg inst.B.massign ~policy:inst.B.policy).Flow.datapath
+
+(* The one-walk sweep against the collect-then-cost sweep it replaced
+   (Oracles.pareto_explore): the same points, solutions included, and
+   the same leaf count, with a roomy budget and with one that trips
+   partway through the enumeration, whichever order the units come in. *)
+let prop_explore_matches_oracle =
+  QCheck.Test.make ~name:"one-walk sweep matches the collect-then-cost oracle" ~count:40
+    QCheck.(pair (triple (int_bound 100_000) bool bool) (triple bool bool (int_range 1 40)))
+    (fun ((seed, testable, transparency), (narrow, reversed, leaf_budget)) ->
+      let dp = random_datapath seed testable in
+      (* Reversed, the units are walked out of unit id (session) order. *)
+      let dp =
+        if reversed then
+          { dp with massign = { dp.massign with units = List.rev dp.massign.units } }
+        else dp
+      in
+      let width = if narrow then 4 else 8 in
+      let agree make_budget =
+        let sweep explore =
+          let budget = make_budget () in
+          let points = explore budget in
+          (points, Budget.leaves budget, Budget.stop_reason budget)
+        in
+        sweep (fun budget -> Pareto.explore ~width ~transparency ~budget dp)
+        = sweep (fun budget -> Oracles.pareto_explore ~width ~transparency ~budget dp)
+      in
+      agree (fun () -> Budget.create ~leaf_budget:10_000_000 ())
+      && agree (fun () -> Budget.create ~leaf_budget ()))
+
+(* [Session.schedule] through the int kernel groups every front point's
+   and every minimum's units as the string-keyed conflict graph did. *)
+let prop_schedule_matches_oracle =
+  QCheck.Test.make ~name:"session kernel schedules as the conflict-graph oracle" ~count:40
+    QCheck.(triple (int_bound 100_000) bool bool)
+    (fun (seed, testable, transparency) ->
+      let dp = random_datapath seed testable in
+      Allocator.solve ~transparency dp
+      :: List.map (fun p -> p.Pareto.solution) (Pareto.explore ~transparency dp)
+      |> List.for_all (fun sol ->
+             (Session.schedule sol).Session.sessions
+             = (Oracles.session_schedule sol).Session.sessions))
+
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
 let suite =
@@ -129,3 +267,10 @@ let suite =
     case "explore runs in a pareto span" explore_span;
   ]
   @ qcheck [ prop_front_valid_random; prop_front_matches_quadratic_filter ]
+  @ [
+      case "fronts reproduce the fixture" fronts_reproduce_fixture;
+      case "transparency fronts start at the run minimum"
+        transparency_front_starts_at_minimum;
+      case "sweep counters" sweep_counters;
+    ]
+  @ qcheck [ prop_explore_matches_oracle; prop_schedule_matches_oracle ]
