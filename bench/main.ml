@@ -12,6 +12,8 @@ module Telemetry = Bistpath_telemetry.Telemetry
 module Absint = Bistpath_absint.Absint
 module Control = Bistpath_datapath.Control
 module Runner = Bistpath_service.Runner
+module Equiv = Bistpath_rtl.Equiv
+module Verilog = Bistpath_rtl.Verilog
 
 let section title body =
   Printf.printf "\n================================================================\n";
@@ -75,16 +77,28 @@ let telemetry_tags = [ "ex1"; "ex2"; "Tseng1"; "Paulin"; "ewf"; "fir8" ]
 
 let telemetry_files = [ "data/ewf.dfg"; "data/fir32.dfg" ]
 
-(* The two slowest analysis ops, each recorded as its one root span
-   over an unrecorded flow: Tseng2's gate-level coverage and fir8's
-   Pareto sweep. *)
+(* The slowest analysis ops, each recorded as its one root span over an
+   unrecorded flow: Tseng2's gate-level coverage, fir8's Pareto sweep
+   and the structural match of data/fir32.dfg's BIST + sessions RTL
+   (RTL005 of [check]). Each op prepares outside the recording (the
+   RTL is emitted and parsed back there) and returns what is recorded. *)
 let telemetry_ops =
   [
     ( "Tseng2",
       "gatelevel.coverage",
-      fun (r : Flow.result) ->
+      fun (r : Flow.result) () ->
         ignore (Bist_sim.run ~width:8 ~pattern_count:255 r.Flow.datapath r.Flow.bist) );
-    ("fir8", "pareto", fun r -> ignore (Bistpath_bist.Pareto.explore r.Flow.datapath));
+    ( "fir8",
+      "pareto",
+      fun r () ->
+        ignore (Bistpath_bist.Pareto.explore ~minimum:r.Flow.bist r.Flow.datapath) );
+    ( "data/fir32.dfg",
+      "rtl.structural",
+      fun r ->
+        let bist = r.Flow.bist and sessions = r.Flow.sessions and dp = r.Flow.datapath in
+        match Equiv.parse_back (Verilog.source ~width:8 ~bist ~sessions dp) with
+        | Ok e -> fun () -> ignore (Equiv.structural ~bist ~sessions e dp)
+        | Error _ -> failwith "data/fir32.dfg: emitted RTL is unparsable" );
   ]
 
 let telemetry_section () =
@@ -122,12 +136,16 @@ let telemetry_section () =
     (telemetry_tags @ telemetry_files);
   List.iter
     (fun (tag, span, op) ->
-      let inst = Option.get (B.by_tag tag) in
+      let inst =
+        match Runner.load_instance tag with
+        | Ok inst -> inst
+        | Error _ -> failwith (tag ^ ": cannot load")
+      in
       let flow =
         Flow.run ~style:(Flow.Testable Testable_alloc.default_options) inst.B.dfg
           inst.B.massign ~policy:inst.B.policy
       in
-      let (), r = Telemetry.collect (fun () -> op flow) in
+      let (), r = Telemetry.collect (op flow) in
       Printf.printf "%s %s:\n%s\n" tag span (Telemetry.summary_table r);
       List.iter
         (fun (s : Telemetry.span) -> if s.Telemetry.name = span then record tag s)
@@ -475,7 +493,8 @@ let pareto_test =
       inst.B.massign ~policy:inst.B.policy
   in
   Test.make ~name:"pareto:ex1"
-    (Staged.stage (fun () -> ignore (Bistpath_bist.Pareto.explore r.Flow.datapath)))
+    (Staged.stage (fun () ->
+         ignore (Bistpath_bist.Pareto.explore ~minimum:r.Flow.bist r.Flow.datapath)))
 
 let rtl_test =
   let inst = B.paulin () in

@@ -37,9 +37,13 @@ let front candidates =
   |> List.sort_uniq (fun (d, s, _) (d', s', _) -> compare (d, s) (d', s'))
 
 let explore ?(model = Area.default) ?(width = 8) ?(transparency = false)
-    ?(budget = Budget.unlimited) dp =
+    ?(budget = Budget.unlimited) ?minimum dp =
   Telemetry.with_span "pareto" @@ fun () ->
-  let minimum = Allocator.solve ~model ~width ~transparency ~budget dp in
+  let minimum =
+    match minimum with
+    | Some m -> m
+    | None -> Allocator.solve ~model ~width ~transparency ~budget dp
+  in
   let bound = minimum.Allocator.delta_gates * (100 + slack_percent) / 100 in
   (* One walk over the embedding product: every leaf counts against both
      [leaf_cap] and the shared budget, and a leaf reached before either

@@ -19,10 +19,16 @@ val explore :
   ?width:int ->
   ?transparency:bool ->
   ?budget:Bistpath_resilience.Budget.t ->
+  ?minimum:Allocator.solution ->
   Bistpath_datapath.Datapath.t ->
   point list
 (** Points sorted by [delta_gates], mutually non-dominated (no point is
-    at least as good on both axes as another). A fixed slack
+    at least as good on both axes as another). [minimum] is the
+    minimum-area solution of [dp] under the same [model], [width] and
+    [transparency] with the default I/O penalty, as {!Allocator.solve}
+    returns it: a caller that ran the flow passes the flow's own
+    solution. Without it, [explore] solves it first, under [budget].
+    A fixed slack
     ([slack_percent], 50) bounds the search to cost <=
     minimum * (100+slack)/100, and a fixed cap ([leaf_cap], 20,000)
     bounds the enumeration. The cap is silent: a front cut by it is
@@ -47,9 +53,10 @@ val explore :
     when the cap cut the walk, [pareto.capped] (1).
 
     [budget] (default {!Bistpath_resilience.Budget.unlimited}) makes the
-    exploration anytime: the minimum-area search, the walk (one
-    {!Bistpath_resilience.Budget.leaf} per leaf) and the minimum's
-    session schedule observe it. If it has tripped by the end of the
+    exploration anytime: the walk (one
+    {!Bistpath_resilience.Budget.leaf} per leaf), the minimum's session
+    schedule and, without [minimum], the minimum-area search observe
+    it. If it has tripped by the end of the
     walk, no leaf counts: the front is the minimum alone, with the
     degenerate one-unit-per-session count of a cancelled
     {!Session.schedule}. So a leaf-budget truncation is deterministic,

@@ -491,7 +491,9 @@ let pareto ?(width = 8) () =
           Flow.run ~width ~style:(Flow.Testable Testable_alloc.default_options)
             inst.B.dfg inst.B.massign ~policy:inst.B.policy
         in
-        let points = Bistpath_bist.Pareto.explore ~width r.Flow.datapath in
+        let points =
+          Bistpath_bist.Pareto.explore ~width ~minimum:r.Flow.bist r.Flow.datapath
+        in
         Buffer.add_string buf
           (Printf.sprintf "  %-7s %s\n" tag
              (String.concat "  |  "

@@ -25,356 +25,7 @@ type report = {
   vectors_run : int;
 }
 
-(* ------------------------------------------------------------------ *)
-(* Canonical netlist form                                             *)
-(* ------------------------------------------------------------------ *)
-
-(* Every combinational cone is partially evaluated per slot — a (test
-   context, control step) pair — into a tree over opaque atoms: input
-   ports and register instance outputs. Register instances are the only
-   cells; their identity is resolved by color refinement, never by
-   name. *)
-type tree =
-  | Pin of string
-  | RegQ of int
-  | RegSig of int
-  | Const of int
-  | Undriven
-  | Op of string * tree list
-
-type cell = {
-  kind : string;  (* primitive module name *)
-  cname : string;  (* representative name, messages only *)
-  params : (string * int) list;  (* sorted *)
-  conns : (string * tree array) list;  (* input port -> per-slot tree; sorted *)
-}
-
-type netlist = {
-  nname : string;
-  nin : (string * int) list;  (* input port -> width, sorted *)
-  nout : (string * int) list;
-  nsteps : int;
-  ncontexts : (int * int) list;  (* (test_mode, test_session) *)
-  cells : cell array;
-  outdrv : (string * tree array) list;  (* output port -> per-slot tree *)
-}
-
-(* Session contexts are bounded so a pathological session count cannot
-   make slot enumeration explode; both sides apply the same bound. *)
-let max_session_contexts = 16
-
-let contexts_of ~has_tm ~sess_bits =
-  let tms = if has_tm then [ 0; 1 ] else [ 0 ] in
-  let sess =
-    match sess_bits with
-    | None -> [ 0 ]
-    | Some b ->
-      List.init (min (1 lsl min b 30) max_session_contexts) (fun k -> k)
-  in
-  List.concat_map (fun tm -> List.map (fun k -> (tm, k)) sess) tms
-
-(* slot enumeration: for contexts [c0; c1; ...] and steps 0..nsteps+1 *)
-let slots_of ~contexts ~steps =
-  List.concat_map
-    (fun (tm, sess) -> List.init (steps + 2) (fun s -> (tm, sess, s)))
-    contexts
-
-let slot_describe ~contexts ~steps i =
-  let per = steps + 2 in
-  let tm, sess = List.nth contexts (i / per) in
-  Printf.sprintf "test_mode=%d session=%d step=%d" tm sess (i mod per)
-
-(* --- normalization ------------------------------------------------- *)
-
-(* [lt] only occurs as the data-position comparison of a Less function;
-   the emitter's zero-padded concat and guarded-division idioms collapse
-   so that formatting choices never affect the canonical form. *)
-let rec normalize t =
-  match t with
-  | Pin _ | RegQ _ | RegSig _ | Const _ | Undriven -> t
-  | Op (o, ts) -> (
-    let ts = List.map normalize ts in
-    match (o, ts) with
-    | "lt", _ -> Op ("less", ts)
-    | "concat", [ Const 0; (Op ("less", _) as l) ] -> l
-    | "cond", [ Op ("eq", [ r; Const 0 ]); Const _; Op ("udiv", [ l; r' ]) ]
-      when r = r' ->
-      Op ("div", [ l; r ])
-    | _ -> Op (o, ts))
-
-let commutative = [ "add"; "mul"; "and"; "or"; "xor" ]
-
-let rec ser colors t =
-  match t with
-  | Pin p -> "p:" ^ p
-  | RegQ i -> "q:" ^ string_of_int (colors i)
-  | RegSig i -> "s:" ^ string_of_int (colors i)
-  | Const c -> "c:" ^ string_of_int c
-  | Undriven -> "undriven"
-  | Op (o, ts) ->
-    let ss = List.map (ser colors) ts in
-    let ss = if List.mem o commutative then List.sort compare ss else ss in
-    o ^ "(" ^ String.concat "," ss ^ ")"
-
-let cell_signature colors c =
-  String.concat "|"
-    (c.kind
-     :: List.map (fun (p, v) -> Printf.sprintf "%s=%d" p v) c.params
-     @ List.map
-         (fun (port, slots) ->
-           port ^ ":"
-           ^ String.concat ";"
-               (Array.to_list (Array.map (ser colors) slots)))
-         c.conns)
-
-(* Weisfeiler–Leman colour refinement over the disjoint union of two
-   netlists: a register's colour numbers its signature, neighbours
-   replaced by their last colours, in one table both sides share. Each
-   round refines the last; one that gains no class on the union is the
-   fixed point (stopping on each side alone would miss a swap). *)
-let refine a b =
-  let na = Array.length a.cells in
-  let colors = Array.make (na + Array.length b.cells) 0 in
-  let rec round classes =
-    let table = Hashtbl.create 64 in
-    let next =
-      Array.mapi
-        (fun i _ ->
-          let c, off = if i < na then (a.cells.(i), 0) else (b.cells.(i - na), na) in
-          let s = cell_signature (fun j -> colors.(off + j)) c in
-          match Hashtbl.find_opt table s with
-          | Some k -> k
-          | None ->
-            let k = Hashtbl.length table in
-            Hashtbl.add table s k;
-            k)
-        colors
-    in
-    Array.blit next 0 colors 0 (Array.length colors);
-    if Hashtbl.length table > classes then round (Hashtbl.length table)
-  in
-  round 1;
-  (Array.sub colors 0 na, Array.sub colors na (Array.length colors - na))
-
-(* ------------------------------------------------------------------ *)
-(* Reference netlist from the in-memory model                         *)
-(* ------------------------------------------------------------------ *)
-
 let sanitize = Verilog.sanitize
-
-let op_name = function
-  | Op.Add -> "add"
-  | Op.Sub -> "sub"
-  | Op.Mul -> "mul"
-  | Op.Div -> "div"
-  | Op.And -> "and"
-  | Op.Or -> "or"
-  | Op.Xor -> "xor"
-  | Op.Less -> "less"
-
-let of_datapath ?(width = 8) ?bist ?sessions ?(regw = []) (dp : Datapath.t) =
-  let rw rid = match List.assoc_opt rid regw with Some w -> w | None -> width in
-  let dfg = dp.Datapath.dfg in
-  let control = Control.build dp in
-  let steps = Dfg.num_csteps dfg in
-  let session_list =
-    match sessions with Some (t : Session.t) -> t.Session.sessions | None -> []
-  in
-  let nsess = List.length session_list in
-  let has_tm = bist <> None in
-  let sess_bits = if nsess > 0 then Some (Verilog.session_bits nsess) else None in
-  let contexts = contexts_of ~has_tm ~sess_bits in
-  let slot_list = slots_of ~contexts ~steps in
-  let nslots = List.length slot_list in
-  let slot_arr = Array.of_list slot_list in
-  let embedding_of = Verilog.simple_embedding bist in
-  let reg_index = Hashtbl.create 16 in
-  List.iteri
-    (fun i (r : Datapath.reg) -> Hashtbl.replace reg_index r.Datapath.rid i)
-    dp.Datapath.regs;
-  let idx rid = Hashtbl.find reg_index rid in
-  (* what a unit's trees need, computed once per unit: its port sources,
-     control activity, test session and simple embedding *)
-  let unit_info = Hashtbl.create 16 in
-  List.iter
-    (fun (u : Massign.hw) ->
-      let mid = u.Massign.mid in
-      if not (Hashtbl.mem unit_info mid) then
-        Hashtbl.replace unit_info mid
-          ( u,
-            Datapath.unit_port_sources dp mid,
-            Control.activity control mid,
-            Verilog.session_of session_list mid,
-            embedding_of mid ))
-    dp.Datapath.massign.Massign.units;
-  (* per-slot unit output trees, mirroring the emitted multiplexer and
-     function-select chains exactly *)
-  let unit_tree (tm, sess, s) (u, (l_srcs, r_srcs), activity, session, embedding) =
-    if l_srcs = [] && r_srcs = [] then Undriven
-    else begin
-      let port side srcs sel_of =
-        match srcs with
-        | [] -> Const 0
-        | [ src ] -> RegQ (idx src)
-        | ss ->
-          let test_idx =
-            if nsess > 0 && tm = 1 then
-              match (session, embedding) with
-              | Some k, Some e when sess = k ->
-                let tpg = if side = `L then e.Ipath.l_tpg else e.Ipath.r_tpg in
-                Listx.index_of (String.equal tpg) ss
-              | _ -> None
-            else None
-          in
-          let i =
-            match test_idx with
-            | Some i -> i
-            | None -> (
-              match List.assoc_opt s activity with
-              | Some sel -> sel_of sel
-              | None -> 0)
-          in
-          RegQ (idx (List.nth ss i))
-      in
-      let l = port `L l_srcs (fun (o : Control.unit_op) -> o.Control.l_select) in
-      let r = port `R r_srcs (fun (o : Control.unit_op) -> o.Control.r_select) in
-      match u.Massign.kinds with
-      | [ k ] -> Op (op_name k, [ l; r ])
-      | kinds ->
-        (* emitted chain: fsel[0] ? e0 : ... : e_last; fsel = 0 falls
-           through to the last kind *)
-        let fsel =
-          match List.assoc_opt s activity with
-          | Some o -> 1 lsl o.Control.f_select
-          | None -> 0
-        in
-        let rec pick i = function
-          | [ k ] -> k
-          | k :: rest -> if (fsel lsr i) land 1 = 1 then k else pick (i + 1) rest
-          | [] -> assert false
-        in
-        Op (op_name (pick 0 kinds), [ l; r ])
-    end
-  in
-  let cells =
-    List.map
-      (fun (r : Datapath.reg) ->
-        let rid = r.Datapath.rid in
-        let writers =
-          match List.assoc_opt rid dp.Datapath.reg_writers with
-          | Some ws -> ws
-          | None -> []
-        in
-        let sched = Control.write_schedule control rid in
-        let wsrc_tree slot = function
-          | Datapath.From_port v -> Pin ("pin_" ^ sanitize v)
-          | Datapath.From_unit mid -> (
-            match Hashtbl.find_opt unit_info mid with
-            | Some info -> unit_tree slot info
-            | None -> Undriven)
-        in
-        let d_at ((tm, sess, s) as slot) =
-          match writers with
-          | [] -> Const 0
-          | [ w ] -> wsrc_tree slot w
-          | ws ->
-            let sa_override =
-              if nsess > 0 && tm = 1 && sess < nsess then
-                List.find_map
-                  (fun mid ->
-                    match embedding_of mid with
-                    | Some e when String.equal e.Ipath.sa rid ->
-                      Listx.index_of (fun w -> w = Datapath.From_unit mid) ws
-                    | Some _ | None -> None)
-                  (List.nth session_list sess)
-              else None
-            in
-            let sel =
-              match sa_override with
-              | Some i -> i
-              | None -> (
-                match List.assoc_opt s sched with Some src -> src | None -> 0)
-            in
-            wsrc_tree slot (List.nth ws sel)
-        in
-        let en_at (_, _, s) = Const (if List.mem_assoc s sched then 1 else 0) in
-        let per f = Array.init nslots (fun i -> normalize (f slot_arr.(i))) in
-        let style = Verilog.style_of bist rid in
-        let params =
-          match style with
-          | Resource.Normal | Resource.Sa -> [ ("WIDTH", rw rid) ]
-          | Resource.Tpg | Resource.Bilbo | Resource.Cbilbo ->
-            [ ("SEED", Verilog.test_seed ~width rid); ("WIDTH", width) ]
-        in
-        let base =
-          [
-            ("clk", per (fun _ -> Pin "clk"));
-            ("rst", per (fun _ -> Const 0));
-            ("en", per en_at);
-            ("d", per d_at);
-          ]
-        in
-        let tm_conn = ("test_mode", per (fun (tm, _, _) -> Const tm)) in
-        let conns =
-          match style with
-          | Resource.Normal -> base
-          | Resource.Tpg | Resource.Sa | Resource.Cbilbo -> tm_conn :: base
-          | Resource.Bilbo ->
-            let compact_sessions =
-              List.concat
-                (List.mapi
-                   (fun k units ->
-                     List.filter_map
-                       (fun mid ->
-                         match embedding_of mid with
-                         | Some e when String.equal e.Ipath.sa rid -> Some k
-                         | Some _ | None -> None)
-                       units)
-                   session_list)
-            in
-            ("compact",
-             per (fun (_, sess, _) ->
-                 Const (if List.mem sess compact_sessions then 1 else 0)))
-            :: tm_conn :: base
-        in
-        {
-          kind = Verilog.reg_module style;
-          cname = rid;
-          params;
-          conns = List.sort (fun (a, _) (b, _) -> compare a b) conns;
-        })
-      dp.Datapath.regs
-  in
-  let sa_regs = Verilog.signature_registers bist in
-  let nin =
-    [ ("clk", 1); ("rst", 1) ]
-    @ (if has_tm then [ ("test_mode", 1) ] else [])
-    @ (match sess_bits with Some b -> [ ("test_session", b) ] | None -> [])
-    @ List.map (fun v -> ("pin_" ^ sanitize v, width)) (Dfg.used_inputs dfg)
-  in
-  let nout =
-    List.map (fun (v, _) -> ("pout_" ^ sanitize v, width)) dp.Datapath.outputs
-    @ List.map (fun rid -> ("sig_" ^ sanitize rid, width)) sa_regs
-  in
-  let outdrv =
-    List.map
-      (fun (v, rid) ->
-        ("pout_" ^ sanitize v, Array.make nslots (RegQ (idx rid))))
-      dp.Datapath.outputs
-    @ List.map
-        (fun rid -> ("sig_" ^ sanitize rid, Array.make nslots (RegSig (idx rid))))
-        sa_regs
-  in
-  let bycol l = List.sort (fun (a, _) (b, _) -> compare a b) l in
-  {
-    nname = sanitize dfg.Dfg.name ^ "_datapath";
-    nin = bycol nin;
-    nout = bycol nout;
-    nsteps = steps;
-    ncontexts = contexts;
-    cells = Array.of_list cells;
-    outdrv = List.sort (fun (a, _) (b, _) -> compare a b) outdrv;
-  }
 
 (* ------------------------------------------------------------------ *)
 (* Elaboration of a parsed module                                     *)
@@ -468,78 +119,116 @@ let num_unop (op : Parser.unop) a =
     parity 0 a
   | Neg -> -a
 
-type value = VNum of int | VTree of tree
+(* A node id of the structural store; [opaque] where no store is built *)
+type value = VNum of int | VNode of int
 
-let tree_of = function VNum n -> Const n | VTree t -> t
+let opaque = VNode (-1)
 
-(* Generic expression evaluation over a name-resolution function.
-   Numeric operands fold; anything touching an opaque atom becomes a
-   tree. Conditionals are lazy on numeric conditions, which is what
-   makes the emitted division guard safe to evaluate. *)
-let rec eval_expr lookup (e : Parser.expr) : value =
-  match e with
-  | Parser.Ident n -> lookup n
-  | Parser.Num (_, v) -> VNum v
-  | Parser.Str _ -> VTree Undriven
-  | Parser.Unop (op, a) -> (
-    match eval_expr lookup a with
-    | VNum v -> VNum (num_unop op v)
-    | VTree t -> VTree (Op (unop_name op, [ t ])))
-  | Parser.Binop (op, a, b) -> (
-    match (eval_expr lookup a, eval_expr lookup b) with
-    | VNum x, VNum y -> VNum (num_binop op x y)
-    | va, vb -> VTree (Op (binop_name op, [ tree_of va; tree_of vb ])))
-  | Parser.Cond (c, t, f) -> (
-    match eval_expr lookup c with
-    | VNum 0 -> eval_expr lookup f
-    | VNum _ -> eval_expr lookup t
-    | VTree ct ->
-      VTree
-        (Op
-           ( "cond",
-             [ ct; tree_of (eval_expr lookup t); tree_of (eval_expr lookup f) ] )))
-  | Parser.Concat es ->
-    let parts = List.map (fun e -> (e, eval_expr lookup e)) es in
-    let numeric =
-      List.for_all
-        (fun (e, v) ->
-          match (e, v) with Parser.Num (Some _, _), VNum _ -> true | _ -> false)
-        parts
-    in
-    if numeric then
-      VNum
-        (List.fold_left
-           (fun acc (e, v) ->
-             match (e, v) with
-             | Parser.Num (Some w, _), VNum v -> (acc lsl w) lor v
-             | _ -> acc)
-           0 parts)
-    else VTree (Op ("concat", List.map (fun (_, v) -> tree_of v) parts))
-  | Parser.Repl (c, e) -> (
-    match (eval_expr lookup c, e) with
-    | VNum n, Parser.Num (Some w, v) when n >= 0 && n * w <= 62 ->
-      let rec go acc i = if i = 0 then acc else go ((acc lsl w) lor v) (i - 1) in
-      VNum (go 0 n)
-    | vc, _ ->
-      VTree (Op ("repl", [ tree_of vc; tree_of (eval_expr lookup e) ])))
-  | Parser.Index (e, i) -> (
-    match (eval_expr lookup e, eval_expr lookup i) with
-    | VNum v, VNum i -> VNum ((v lsr max i 0) land 1)
-    | ve, vi -> VTree (Op ("index", [ tree_of ve; tree_of vi ])))
-  | Parser.Range (e, m, l) -> (
-    match (eval_expr lookup e, eval_expr lookup m, eval_expr lookup l) with
-    | VNum v, VNum m, VNum l when m >= l ->
-      VNum ((v lsr l) land ((1 lsl min (m - l + 1) 62) - 1))
-    | ve, vm, vl ->
-      VTree (Op ("range", [ tree_of ve; tree_of vm; tree_of vl ])))
-
-let const_eval localparams e =
-  let lookup n =
-    match List.assoc_opt n localparams with
-    | Some v -> VNum v
-    | None -> VTree Undriven
+(* An expression compiled over a name resolution into a function of the
+   slot. Numeric operands fold; anything touching an opaque atom becomes
+   a node through [build]. Conditionals are lazy on numeric conditions,
+   which is what makes the emitted division guard safe to evaluate.
+   Operands run in a fixed order — left to right, but a conditional's
+   false leg before its true leg — because the order decides where a
+   combinational loop is cut (equiv_verdicts.txt pins it). *)
+let compile_sym ?(numeric = fun _ -> false) ~resolve ~undriven ~build () =
+  (* whether an expression folds to a number in every slot: it reads
+     only names [numeric] accepts, through operators that fold *)
+  let rec folds (x : Parser.expr) =
+    match x with
+    | Parser.Ident n -> numeric n
+    | Parser.Num _ -> true
+    | Parser.Unop (_, a) -> folds a
+    | Parser.Binop (_, a, b) | Parser.Index (a, b) -> folds a && folds b
+    | Parser.Cond (c, t, f) -> folds c && folds t && folds f
+    | Parser.Concat es -> List.for_all (function Parser.Num (Some _, _) -> true | _ -> false) es
+    | Parser.Str _ | Parser.Repl _ | Parser.Range _ -> false
   in
-  match eval_expr lookup e with VNum n -> Some n | VTree _ -> None
+  let rec go (x : Parser.expr) : int -> value =
+    match x with
+    | Parser.Ident n -> resolve n
+    | Parser.Num (_, v) ->
+      let v = VNum v in
+      fun _ -> v
+    | Parser.Str _ -> fun _ -> undriven
+    | Parser.Unop (op, a) ->
+      let a = go a and name = unop_name op in
+      fun i -> ( match a i with VNum v -> VNum (num_unop op v) | va -> build name [| va |])
+    (* a right operand that folds cannot change a decided logical
+       operator, so it is not evaluated *)
+    | Parser.Binop (((Parser.Land | Parser.Lor) as op), a, b) when folds b -> (
+      let a = go a and b = go b in
+      fun i ->
+        match (op, a i) with
+        | Parser.Land, VNum 0 -> VNum 0
+        | Parser.Lor, VNum x when x <> 0 -> VNum 1
+        | _, va -> (
+          match (va, b i) with
+          | VNum x, VNum y -> VNum (num_binop op x y)
+          | va, vb -> build (binop_name op) [| va; vb |]))
+    | Parser.Binop (op, a, b) ->
+      let a = go a and b = go b and name = binop_name op in
+      fun i ->
+        let va = a i in
+        let vb = b i in
+        ( match (va, vb) with
+        | VNum x, VNum y -> VNum (num_binop op x y)
+        | _ -> build name [| va; vb |])
+    | Parser.Cond (c, t, f) -> (
+      let c = go c and t = go t and f = go f in
+      fun i ->
+        match c i with
+        | VNum 0 -> f i
+        | VNum _ -> t i
+        | vc ->
+          let vf = f i in
+          let vt = t i in
+          build "cond" [| vc; vt; vf |])
+    | Parser.Concat es ->
+      let sized = List.filter_map (function Parser.Num (Some w, v) -> Some (w, v) | _ -> None) es in
+      if List.length sized = List.length es then
+        let v = List.fold_left (fun acc (w, v) -> (acc lsl w) lor v) 0 sized in
+        fun _ -> VNum v
+      else
+        let parts = List.map go es in
+        fun i -> build "concat" (Array.of_list (List.map (fun p -> p i) parts))
+    | Parser.Repl (c, e) -> (
+      let c = go c and ge = go e in
+      fun i ->
+        match (c i, e) with
+        | VNum n, Parser.Num (Some w, v) when n >= 0 && n * w <= 62 ->
+          let rec rep acc k = if k = 0 then acc else rep ((acc lsl w) lor v) (k - 1) in
+          VNum (rep 0 n)
+        | vc, _ -> build "repl" [| vc; ge i |])
+    | Parser.Index (e, ix) -> (
+      let e = go e and ix = go ix in
+      fun i ->
+        let ve = e i in
+        let vi = ix i in
+        match (ve, vi) with
+        | VNum v, VNum k -> VNum ((v lsr max k 0) land 1)
+        | _ -> build "index" [| ve; vi |])
+    | Parser.Range (e, m, l) -> (
+      let e = go e and m = go m and l = go l in
+      fun i ->
+        let ve = e i in
+        let vm = m i in
+        let vl = l i in
+        match (ve, vm, vl) with
+        | VNum v, VNum m, VNum l when m >= l ->
+          VNum ((v lsr l) land ((1 lsl min (m - l + 1) 62) - 1))
+        | _ -> build "range" [| ve; vm; vl |])
+  in
+  go
+
+(* An expression's value if it folds to a number under [lookup] *)
+let eval_num lookup e =
+  let resolve n = match lookup n with Some v -> fun _ -> VNum v | None -> fun _ -> opaque in
+  match compile_sym ~resolve ~undriven:opaque ~build:(fun _ _ -> opaque) () e 0 with
+  | VNum n -> Some n
+  | VNode _ -> None
+
+let const_eval localparams e = eval_num (fun n -> List.assoc_opt n localparams) e
 
 (* Statement execution over numeric state: returns the nonblocking
    assignments the body performs, or None if control flow depends on
@@ -551,20 +240,20 @@ let exec_stmts lookup body =
     | Parser.Block ss -> List.fold_left exec acc ss
     | Parser.Nop -> acc
     | Parser.If (c, t, f) -> (
-      match eval_expr lookup c with
-      | VNum 0 -> ( match f with Some f -> exec acc f | None -> acc)
-      | VNum _ -> exec acc t
-      | VTree _ -> raise Symbolic)
+      match eval_num lookup c with
+      | Some 0 -> ( match f with Some f -> exec acc f | None -> acc)
+      | Some _ -> exec acc t
+      | None -> raise Symbolic)
     | Parser.Case (scrut, arms, dflt) -> (
-      match eval_expr lookup scrut with
-      | VTree _ -> raise Symbolic
-      | VNum v -> (
+      match eval_num lookup scrut with
+      | None -> raise Symbolic
+      | Some v -> (
         let arm =
           List.find_opt
             (fun (labels, _) ->
               List.exists
                 (fun l ->
-                  match eval_expr lookup l with VNum x -> x = v | VTree _ -> false)
+                  eval_num lookup l = Some v)
                 labels)
             arms
         in
@@ -573,9 +262,9 @@ let exec_stmts lookup body =
         | None, Some d -> exec acc d
         | None, None -> acc))
     | Parser.Nonblocking (n, e) | Parser.Blocking (n, e) -> (
-      match eval_expr lookup e with
-      | VNum v -> (n, v) :: List.remove_assoc n acc
-      | VTree _ -> raise Symbolic)
+      match eval_num lookup e with
+      | Some v -> (n, v) :: List.remove_assoc n acc
+      | None -> raise Symbolic)
     | Parser.Sys _ -> acc
     | Parser.Timing _ -> raise Symbolic
   in
@@ -778,12 +467,9 @@ let elaborate (m : Parser.module_) : elab =
   if !errs = [] then begin
     let check rst s expect =
       let lookup n =
-        if n = stepvar then VNum s
-        else if n = "rst" then VNum rst
-        else
-          match List.assoc_opt n !localparams with
-          | Some v -> VNum v
-          | None -> VTree Undriven
+        if n = stepvar then Some s
+        else if n = "rst" then Some rst
+        else List.assoc_opt n !localparams
       in
       let got =
         match exec_stmts lookup body with
@@ -817,164 +503,6 @@ let elaborate (m : Parser.module_) : elab =
     sess_bits = List.assoc_opt "test_session" ein;
     problems = List.rev !errs;
   }
-
-(* --- per-slot symbolic evaluation of an elaborated module ----------- *)
-
-let slot_values (e : elab) (tm, sess, s) =
-  let memo : (string, value option) Hashtbl.t = Hashtbl.create 64 in
-  let rec wire name =
-    match Hashtbl.find_opt memo name with
-    | Some (Some v) -> v
-    | Some None -> VTree Undriven (* combinational cycle *)
-    | None ->
-      Hashtbl.replace memo name None;
-      let v = compute name in
-      Hashtbl.replace memo name (Some v);
-      v
-  and compute name =
-    if name = e.stepvar then VNum s
-    else if name = "rst" then VNum 0
-    else if name = "test_mode" then VNum tm
-    else if name = "test_session" then VNum sess
-    else
-      match List.assoc_opt name e.localparams with
-      | Some v -> VNum v
-      | None -> (
-        match Hashtbl.find_opt e.drivers name with
-        | Some (Dassign (ex, _)) -> eval_expr wire ex
-        | Some (Dq i) -> VTree (RegQ i)
-        | Some (Dsig i) -> VTree (RegSig i)
-        | Some (Dunit j) ->
-          let u = e.units.(j) in
-          VTree
-            (Op
-               ( op_name u.ukind,
-                 [
-                   tree_of (eval_expr wire u.ua); tree_of (eval_expr wire u.ub);
-                 ] ))
-        | None ->
-          if List.mem_assoc name e.ein then VTree (Pin name) else VTree Undriven)
-  in
-  wire
-
-let netlist_of_elab (e : elab) =
-  let contexts = contexts_of ~has_tm:e.has_tm ~sess_bits:e.sess_bits in
-  let slot_list = slots_of ~contexts ~steps:e.esteps in
-  (* one evaluator per slot, its wire memo shared by every cell and port *)
-  let wires = Array.of_list (List.map (slot_values e) slot_list) in
-  let per ex = Array.map (fun wire -> normalize (tree_of (eval_expr wire ex))) wires in
-  let cells =
-    Array.map
-      (fun (c : ecell) ->
-        {
-          kind = Verilog.reg_module c.estyle;
-          cname = c.einst;
-          params = c.eparams;
-          conns = List.map (fun (port, ex) -> (port, per ex)) c.econns;
-        })
-      e.ecells
-  in
-  let outdrv = List.map (fun (port, _) -> (port, per (Parser.Ident port))) e.eout in
-  {
-    nname = e.ename;
-    nin = e.ein;
-    nout = e.eout;
-    nsteps = e.esteps;
-    ncontexts = contexts;
-    cells;
-    outdrv;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Comparison                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let max_diffs = 24
-
-let truncate_str n s = if String.length s <= n then s else String.sub s 0 n ^ "…"
-
-let compare_netlists ~a_label ~b_label (a : netlist) (b : netlist) =
-  let diffs = ref [] and count = ref 0 in
-  let diff fmt =
-    Printf.ksprintf
-      (fun s ->
-        incr count;
-        if !count <= max_diffs then diffs := s :: !diffs
-        else if !count = max_diffs + 1 then diffs := "… (more differences omitted)" :: !diffs)
-      fmt
-  in
-  let compare_ports what pa pb =
-    List.iter
-      (fun (p, w) ->
-        match List.assoc_opt p pb with
-        | None -> diff "%s port %s missing in %s" what p b_label
-        | Some w' when w' <> w ->
-          diff "%s port %s: width %d in %s vs %d in %s" what p w a_label w' b_label
-        | Some _ -> ())
-      pa;
-    List.iter
-      (fun (p, _) ->
-        if not (List.mem_assoc p pa) then
-          diff "unexpected %s port %s in %s" what p b_label)
-      pb
-  in
-  if a.nname <> b.nname then
-    diff "module name: %s in %s vs %s in %s" a.nname a_label b.nname b_label;
-  compare_ports "input" a.nin b.nin;
-  compare_ports "output" a.nout b.nout;
-  if a.nsteps <> b.nsteps then
-    diff "NUM_STEPS: %d in %s vs %d in %s" a.nsteps a_label b.nsteps b_label;
-  if a.ncontexts <> b.ncontexts then
-    diff "test contexts differ (%d in %s vs %d in %s)"
-      (List.length a.ncontexts) a_label (List.length b.ncontexts) b_label;
-  if !diffs <> [] then List.rev !diffs
-  else begin
-    (* interfaces agree, so slots align: match registers by refinement *)
-    if Array.length a.cells <> Array.length b.cells then
-      diff "register count: %d in %s vs %d in %s"
-        (Array.length a.cells) a_label (Array.length b.cells) b_label;
-    let ca, cb = refine a b in
-    (* per colour, the first copies in cell order pair off; the copies
-       beyond the other side's count have no counterpart *)
-    let count colors =
-      let k = Array.make (Array.length a.cells + Array.length b.cells) 0 in
-      Array.iter (fun c -> k.(c) <- k.(c) + 1) colors;
-      k
-    in
-    let unmatched nl colors other label other_label =
-      Array.iteri
-        (fun i (c : cell) ->
-          if other.(colors.(i)) > 0 then other.(colors.(i)) <- other.(colors.(i)) - 1
-          else
-            diff "register %s (%s) in %s has no structural counterpart in %s" c.cname c.kind
-              label other_label)
-        nl.cells
-    in
-    let ka = count ca and kb = count cb in
-    unmatched a ca kb a_label b_label;
-    unmatched b cb ka b_label a_label;
-    let steps = a.nsteps in
-    List.iter
-      (fun (port, sa) ->
-        match List.assoc_opt port b.outdrv with
-        | None -> diff "output %s is undriven in %s" port b_label
-        | Some sb ->
-          let n = min (Array.length sa) (Array.length sb) in
-          let rec first i =
-            if i >= n then None
-            else
-              let s1 = ser (Array.get ca) sa.(i) and s2 = ser (Array.get cb) sb.(i) in
-              if s1 <> s2 then Some (i, s1, s2) else first (i + 1)
-          in
-          (match first 0 with
-          | None -> ()
-          | Some (i, s1, s2) ->
-            diff "output %s differs at %s: %s vs %s" port
-              (slot_describe ~contexts:a.ncontexts ~steps i)
-              (truncate_str 48 s1) (truncate_str 48 s2)))
-      a.outdrv;
-    List.rev !diffs
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Connectivity of an elaborated module                               *)
@@ -1120,6 +648,181 @@ let comb_cycles e =
     (fun (comp, cyclic) -> if cyclic then Some (List.sort compare comp) else None)
     (components e)
   |> List.sort compare
+
+(* --- symbolic evaluation of an elaborated module ------------------- *)
+
+(* Every net's value per slot, as a node of [st]. A net is evaluated
+   once per class of slots that agree on what the evaluation read of the
+   step counter, test_mode and test_session, itself or through other
+   nets: the first evaluation in a class records what it read, and every
+   slot of that class reuses its value.
+
+   A net on a combinational loop reads undriven at its back edge, and
+   which net gets cut depends on where evaluation entered the loop,
+   which a step-selected mux can move from slot to slot. So a net in a
+   cyclic component of the dependency graph, and every net that reads
+   one, is evaluated per slot, in the order the cells and ports ask for
+   it, and never shares a value across slots. *)
+let netlist st (e : elab) =
+  let g = Netlist.grid ~has_tm:e.has_tm ~sess_bits:e.sess_bits ~steps:e.esteps in
+  let base = Netlist.reserve st (Array.length e.ecells) in
+  let undriven = VNode (Netlist.undriven st) in
+  let node = function VNum n -> Netlist.const st n | VNode t -> t in
+  let build o vs = VNode (Netlist.op st o (Array.map node vs)) in
+  let wire_of = Hashtbl.create 64 in
+  Hashtbl.iter
+    (fun n _ -> if not (Hashtbl.mem wire_of n) then Hashtbl.add wire_of n (Hashtbl.length wire_of))
+    e.drivers;
+  let nw = Hashtbl.length wire_of in
+  (* names resolve as the driver table is read: the counter, controls
+     and localparams before nets; other names are pins or undriven *)
+  let control n =
+    n = e.stepvar || n = "rst" || n = "test_mode" || n = "test_session"
+    || List.mem_assoc n e.localparams
+  in
+  (* dependencies come first *)
+  let looped = Array.make nw false in
+  let reads_loop x =
+    List.exists
+      (fun (n, _) ->
+        (not (control n))
+        && match Hashtbl.find_opt wire_of n with Some w -> looped.(w) | None -> false)
+      (reads None [] x)
+  in
+  List.iter
+    (fun (comp, cyclic) ->
+      List.iter
+        (fun n ->
+          Option.iter
+            (fun w ->
+              looped.(w) <-
+                cyclic
+                ||
+                match Hashtbl.find e.drivers n with
+                | Dassign (x, _) -> reads_loop x
+                | Dunit j -> reads_loop e.units.(j).ua || reads_loop e.units.(j).ub
+                | Dq _ | Dsig _ -> false)
+            (Hashtbl.find_opt wire_of n))
+        comp)
+    (components e);
+  let n = Netlist.slot_count g in
+  (* a looped net: its value per slot, [Busy] while being evaluated *)
+  let per_slot = Array.map (fun l -> if l then Array.make n `Unset else [||]) looped in
+  (* any other net: (what it read, its value per class of that) *)
+  let shared = Array.make nw [] in
+  let read = ref 0 in
+  let compute = Array.make nw (fun _ -> undriven) in
+  let wire w i =
+    if looped.(w) then (
+      match per_slot.(w).(i) with
+      | `Done v -> v
+      | `Busy -> undriven
+      | `Unset ->
+        per_slot.(w).(i) <- `Busy;
+        let v = compute.(w) i in
+        per_slot.(w).(i) <- `Done v;
+        v)
+    else
+      let rec find = function
+        | [] -> None
+        | (m, values) :: rest -> (
+          match values.(Netlist.class_of g m i) with
+          | Some v ->
+            read := !read lor m;
+            Some v
+          | None -> find rest)
+      in
+      match find shared.(w) with
+      | Some v -> v
+      | None ->
+        let outer = !read in
+        read := 0;
+        let v = compute.(w) i in
+        let m = !read in
+        let values =
+          match List.assq_opt m shared.(w) with
+          | Some values -> values
+          | None ->
+            let values = Array.make (Netlist.classes g m) None in
+            shared.(w) <- (m, values) :: shared.(w);
+            values
+        in
+        values.(Netlist.class_of g m i) <- Some v;
+        read := outer lor m;
+        v
+  in
+  let reading bit f i =
+    read := !read lor bit;
+    VNum (f g i)
+  in
+  let resolve n =
+    if n = e.stepvar then reading Netlist.reads_step Netlist.step_of
+    else if n = "rst" then fun _ -> VNum 0
+    else if n = "test_mode" then reading Netlist.reads_tm Netlist.tm_of
+    else if n = "test_session" then reading Netlist.reads_session Netlist.session_of
+    else
+      match List.assoc_opt n e.localparams with
+      | Some v -> fun _ -> VNum v
+      | None -> (
+        match Hashtbl.find_opt wire_of n with
+        | Some w -> wire w
+        | None ->
+          if List.mem_assoc n e.ein then
+            let p = lazy (VNode (Netlist.pin st n)) in
+            fun _ -> Lazy.force p
+          else fun _ -> undriven)
+  in
+  let sym = compile_sym ~numeric:control ~resolve ~undriven ~build () in
+  Hashtbl.iter
+    (fun n w ->
+      compute.(w) <-
+        (match Hashtbl.find e.drivers n with
+        | Dassign (x, _) -> sym x
+        | Dq i ->
+          let v = VNode (Netlist.reg_q st (base + i)) in
+          fun _ -> v
+        | Dsig i ->
+          let v = VNode (Netlist.reg_sig st (base + i)) in
+          fun _ -> v
+        | Dunit j ->
+          let u = e.units.(j) in
+          let a = sym u.ua and b = sym u.ub and name = Netlist.op_name u.ukind in
+          fun i ->
+            (* operand b first, like a conditional's legs *)
+            let vb = b i in
+            let va = a i in
+            build name [| va; vb |]))
+    wire_of;
+  (* a port reading a looped net asks for it in every slot, in order *)
+  let per x =
+    let f = sym x and looped = reads_loop x in
+    Netlist.per_slot g (fun i ->
+        read := 0;
+        let v = node (f i) in
+        ((if looped then Netlist.reads_all else !read), v))
+  in
+  let cells =
+    Array.map
+      (fun (c : ecell) ->
+        {
+          Netlist.kind = Verilog.reg_module c.estyle;
+          cname = c.einst;
+          params = c.eparams;
+          conns = List.map (fun (port, x) -> (port, per x)) c.econns;
+        })
+      e.ecells
+  in
+  let outdrv = List.map (fun (port, _) -> (port, per (Parser.Ident port))) e.eout in
+  {
+    Netlist.nname = e.ename;
+    nin = e.ein;
+    nout = e.eout;
+    nsteps = e.esteps;
+    ncontexts = Netlist.contexts g;
+    base;
+    cells;
+    outdrv;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Cycle simulation of an elaborated module                           *)
@@ -1443,9 +1146,9 @@ let structural ?(width = 8) ?bist ?sessions ?(regw = []) e dp =
   match e.problems with
   | _ :: _ -> e.problems
   | [] ->
-    compare_netlists ~a_label:"model" ~b_label:"rtl"
-      (of_datapath ~width ?bist ?sessions ~regw dp)
-      (netlist_of_elab e)
+    let st = Netlist.create () in
+    let model = Netlist.of_datapath st ~width ?bist ?sessions ~regw dp in
+    Netlist.differences st ~a_label:"model" ~b_label:"rtl" model (netlist st e)
 
 let functional ?(vectors = 16) ?(seed = 7) ?(width = 8) e dp =
   Telemetry.with_span "rtl.functional" @@ fun () ->
@@ -1537,8 +1240,9 @@ let drift ~golden ~current =
         | { problems = _ :: _ as pg; _ }, _ -> List.map (fun s -> "golden: " ^ s) pg
         | _, { problems = _ :: _ as pc; _ } -> List.map (fun s -> "current: " ^ s) pc
         | eg, ec ->
-          compare_netlists ~a_label:"golden" ~b_label:"current"
-            (netlist_of_elab eg) (netlist_of_elab ec)
+          let st = Netlist.create () in
+          let golden = netlist st eg in
+          Netlist.differences st ~a_label:"golden" ~b_label:"current" golden (netlist st ec)
       in
       List.iter add structural;
       let sg = support pg mg and sc = support pc mc in

@@ -2,18 +2,23 @@
     in-memory data path.
 
     Closes the emission loop: {!Verilog.emit} output is parsed back
-    ({!Parser}) and elaborated into a canonical netlist — one cell per
-    register instance, with every combinational cone partially
-    evaluated per (test context, control step) into name-free
-    expression trees over the ports and register outputs. A reference
-    netlist is built the same way directly from the
-    {!Bistpath_datapath.Datapath.t} and its control table, and the two
-    are matched name-insensitively: anchored on the port interface,
+    ({!Parser}), elaborated, and evaluated into a canonical
+    {!Netlist.t} — one cell per register instance, with every
+    combinational cone partially evaluated per (test context, control
+    step) into a name-free expression DAG over the ports and register
+    outputs, its nodes hash-consed in a store the reference netlist
+    shares. A net is evaluated once per distinct value of what it reads
+    of the slot (step, test_mode, test_session), except on or behind a
+    combinational loop, where it is evaluated per slot. The reference
+    netlist is built directly from the
+    {!Bistpath_datapath.Datapath.t} and its control table
+    ({!Netlist.of_datapath}), and the two are matched name-insensitively
+    by {!Netlist.differences}: anchored on the port interface,
     registers paired by one Weisfeiler–Leman colour refinement over the
     disjoint union of both netlists, run until a round gains no class
     on the union (per colour, the copies beyond the other side's count
-    are unmatched), with commutative operator inputs canonicalized so
-    benign operand reordering never false-alarms. A random-vector simulation
+    are unmatched), with commutative operator inputs taken as multisets
+    so benign operand reordering never false-alarms. A random-vector simulation
     cross-check then runs the elaborated netlist cycle by cycle against
     {!Bistpath_datapath.Interp} and reports the first distinguishing
     vector. Each check compiles one cycle machine and one staged
@@ -86,6 +91,13 @@ val comb_cycles : elab -> string list list
 (** Combinational loops: the cyclic strongly connected components of the
     graph from each net to the nets its assign or unit instance reads
     (register cells break paths); each sorted, sorted. *)
+
+val netlist : Netlist.store -> elab -> Netlist.t
+(** The canonical netlist of a module, built into the store: what
+    {!structural} and {!drift} compare. A net reads undriven at the
+    back edge of a combinational loop, cut where the cells' ports, in
+    order, first reach the loop in each slot. Meant for a module
+    without elaboration problems. *)
 
 val structural :
   ?width:int ->

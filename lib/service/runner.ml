@@ -171,7 +171,8 @@ let execute ?max_errors ?cache ~budget (job : Job.t) =
       let artifact = if transparency then "pareto-transparent" else "pareto" in
       report ~artifact (fun r ->
           Format.asprintf "%a@." Pareto.pp
-            (Pareto.explore ~width ~transparency ~budget r.Flow.datapath))
+            (Pareto.explore ~width ~transparency ~budget ~minimum:r.Flow.bist
+               r.Flow.datapath))
     | Job.Rtl -> Ok (rtl ?cache ~budget ~bist:true ~wrapper:false inst job)
     | Job.Coverage ->
       (* gate-level simulation is not a DAG stage; the flow underneath

@@ -88,6 +88,13 @@
     - [rtl.parse_errors] — error-severity diagnostics accumulated by
       the Verilog parse-back front end ([Bistpath_rtl.Parser.parse]),
       including injected [rtl.parse] faults.
+    - [rtl.slot_trees] — per-slot register-cell connections
+      (cells x input ports x slots, both netlists) a structural match
+      compared ([Bistpath_rtl.Netlist.differences]).
+    - [rtl.nodes] — distinct hash-consed nodes those connections
+      share, counted once per structural match.
+    - [rtl.refine_rounds] — colour-refinement rounds run to the fixed
+      point ([Bistpath_rtl.Netlist.refine]).
     - [absint.solves] — abstract-interpretation fixpoint solves
       completed ([Bistpath_absint.Absint.solve_dfg] /
       [solve_control]).

@@ -772,3 +772,428 @@ let pareto_explore ?(model = Area.default) ?(width = 8) ?(transparency = false)
   Pareto.front (min_point :: leaves)
   |> List.map (fun (delta_gates, sessions, solution) ->
          { Pareto.delta_gates; sessions; solution })
+
+(* The structural equivalence engine on trees, as Equiv ran it before
+   the hash-consed node store: every slot's cone is a tree, [normalize]
+   rewrites it bottom-up, and every refinement round serializes every
+   slot tree of every cell into a string ([ser], [cell_signature]) to
+   number its colours. [of_datapath] builds the reference netlist
+   straight from the data path; [of_netlist] unfolds a netlist of the
+   node store (the parsed-back side) into trees and normalizes them
+   again. The [equiv] properties in test_equiv.ml compare
+   [Bistpath_rtl.Netlist] against [refine] and [compare_netlists]. *)
+module Equiv_trees = struct
+  module Control = Bistpath_datapath.Control
+  module Op = Bistpath_dfg.Op
+  module Verilog = Bistpath_rtl.Verilog
+  module Netlist = Bistpath_rtl.Netlist
+
+  type tree =
+    | Pin of string
+    | RegQ of int
+    | RegSig of int
+    | Const of int
+    | Undriven
+    | Op of string * tree list
+
+  type cell = {
+    kind : string;
+    cname : string;
+    params : (string * int) list;
+    conns : (string * tree array) list;
+  }
+
+  type netlist = {
+    nname : string;
+    nin : (string * int) list;
+    nout : (string * int) list;
+    nsteps : int;
+    ncontexts : (int * int) list;
+    cells : cell array;
+    outdrv : (string * tree array) list;
+  }
+
+  let max_session_contexts = 16
+
+  let contexts_of ~has_tm ~sess_bits =
+    let tms = if has_tm then [ 0; 1 ] else [ 0 ] in
+    let sess =
+      match sess_bits with
+      | None -> [ 0 ]
+      | Some b -> List.init (min (1 lsl min b 30) max_session_contexts) (fun k -> k)
+    in
+    List.concat_map (fun tm -> List.map (fun k -> (tm, k)) sess) tms
+
+  let slots_of ~contexts ~steps =
+    List.concat_map (fun (tm, sess) -> List.init (steps + 2) (fun s -> (tm, sess, s))) contexts
+
+  let slot_describe ~contexts ~steps i =
+    let per = steps + 2 in
+    let tm, sess = List.nth contexts (i / per) in
+    Printf.sprintf "test_mode=%d session=%d step=%d" tm sess (i mod per)
+
+  let rec normalize t =
+    match t with
+    | Pin _ | RegQ _ | RegSig _ | Const _ | Undriven -> t
+    | Op (o, ts) -> (
+      let ts = List.map normalize ts in
+      match (o, ts) with
+      | "lt", _ -> Op ("less", ts)
+      | "concat", [ Const 0; (Op ("less", _) as l) ] -> l
+      | "cond", [ Op ("eq", [ r; Const 0 ]); Const _; Op ("udiv", [ l; r' ]) ] when r = r' ->
+        Op ("div", [ l; r ])
+      | _ -> Op (o, ts))
+
+  let commutative = [ "add"; "mul"; "and"; "or"; "xor" ]
+
+  let rec ser colors t =
+    match t with
+    | Pin p -> "p:" ^ p
+    | RegQ i -> "q:" ^ string_of_int (colors i)
+    | RegSig i -> "s:" ^ string_of_int (colors i)
+    | Const c -> "c:" ^ string_of_int c
+    | Undriven -> "undriven"
+    | Op (o, ts) ->
+      let ss = List.map (ser colors) ts in
+      let ss = if List.mem o commutative then List.sort compare ss else ss in
+      o ^ "(" ^ String.concat "," ss ^ ")"
+
+  let cell_signature colors c =
+    String.concat "|"
+      (c.kind
+       :: List.map (fun (p, v) -> Printf.sprintf "%s=%d" p v) c.params
+       @ List.map
+           (fun (port, slots) ->
+             port ^ ":" ^ String.concat ";" (Array.to_list (Array.map (ser colors) slots)))
+           c.conns)
+
+  let refine a b =
+    let na = Array.length a.cells in
+    let colors = Array.make (na + Array.length b.cells) 0 in
+    let rec round classes =
+      let table = Hashtbl.create 64 in
+      let next =
+        Array.mapi
+          (fun i _ ->
+            let c, off = if i < na then (a.cells.(i), 0) else (b.cells.(i - na), na) in
+            let s = cell_signature (fun j -> colors.(off + j)) c in
+            match Hashtbl.find_opt table s with
+            | Some k -> k
+            | None ->
+              let k = Hashtbl.length table in
+              Hashtbl.add table s k;
+              k)
+          colors
+      in
+      Array.blit next 0 colors 0 (Array.length colors);
+      if Hashtbl.length table > classes then round (Hashtbl.length table)
+    in
+    round 1;
+    (Array.sub colors 0 na, Array.sub colors na (Array.length colors - na))
+
+  let max_diffs = 24
+
+  let truncate_str n s = if String.length s <= n then s else String.sub s 0 n ^ "…"
+
+  let compare_netlists ~a_label ~b_label a b =
+    let diffs = ref [] and count = ref 0 in
+    let diff fmt =
+      Printf.ksprintf
+        (fun s ->
+          incr count;
+          if !count <= max_diffs then diffs := s :: !diffs
+          else if !count = max_diffs + 1 then diffs := "… (more differences omitted)" :: !diffs)
+        fmt
+    in
+    let compare_ports what pa pb =
+      List.iter
+        (fun (p, w) ->
+          match List.assoc_opt p pb with
+          | None -> diff "%s port %s missing in %s" what p b_label
+          | Some w' when w' <> w ->
+            diff "%s port %s: width %d in %s vs %d in %s" what p w a_label w' b_label
+          | Some _ -> ())
+        pa;
+      List.iter
+        (fun (p, _) ->
+          if not (List.mem_assoc p pa) then diff "unexpected %s port %s in %s" what p b_label)
+        pb
+    in
+    if a.nname <> b.nname then
+      diff "module name: %s in %s vs %s in %s" a.nname a_label b.nname b_label;
+    compare_ports "input" a.nin b.nin;
+    compare_ports "output" a.nout b.nout;
+    if a.nsteps <> b.nsteps then
+      diff "NUM_STEPS: %d in %s vs %d in %s" a.nsteps a_label b.nsteps b_label;
+    if a.ncontexts <> b.ncontexts then
+      diff "test contexts differ (%d in %s vs %d in %s)" (List.length a.ncontexts) a_label
+        (List.length b.ncontexts) b_label;
+    if !diffs <> [] then List.rev !diffs
+    else begin
+      if Array.length a.cells <> Array.length b.cells then
+        diff "register count: %d in %s vs %d in %s" (Array.length a.cells) a_label
+          (Array.length b.cells) b_label;
+      let ca, cb = refine a b in
+      let count colors =
+        let k = Array.make (Array.length a.cells + Array.length b.cells) 0 in
+        Array.iter (fun c -> k.(c) <- k.(c) + 1) colors;
+        k
+      in
+      let unmatched nl colors other label other_label =
+        Array.iteri
+          (fun i (c : cell) ->
+            if other.(colors.(i)) > 0 then other.(colors.(i)) <- other.(colors.(i)) - 1
+            else
+              diff "register %s (%s) in %s has no structural counterpart in %s" c.cname c.kind
+                label other_label)
+          nl.cells
+      in
+      let ka = count ca and kb = count cb in
+      unmatched a ca kb a_label b_label;
+      unmatched b cb ka b_label a_label;
+      let steps = a.nsteps in
+      List.iter
+        (fun (port, sa) ->
+          match List.assoc_opt port b.outdrv with
+          | None -> diff "output %s is undriven in %s" port b_label
+          | Some sb -> (
+            let n = min (Array.length sa) (Array.length sb) in
+            let rec first i =
+              if i >= n then None
+              else
+                let s1 = ser (Array.get ca) sa.(i) and s2 = ser (Array.get cb) sb.(i) in
+                if s1 <> s2 then Some (i, s1, s2) else first (i + 1)
+            in
+            match first 0 with
+            | None -> ()
+            | Some (i, s1, s2) ->
+              diff "output %s differs at %s: %s vs %s" port
+                (slot_describe ~contexts:a.ncontexts ~steps i)
+                (truncate_str 48 s1) (truncate_str 48 s2)))
+        a.outdrv;
+      List.rev !diffs
+    end
+
+  let sanitize = Verilog.sanitize
+
+  let op_name = function
+    | Op.Add -> "add"
+    | Op.Sub -> "sub"
+    | Op.Mul -> "mul"
+    | Op.Div -> "div"
+    | Op.And -> "and"
+    | Op.Or -> "or"
+    | Op.Xor -> "xor"
+    | Op.Less -> "less"
+
+  let of_datapath ?(width = 8) ?bist ?sessions ?(regw = []) (dp : Datapath.t) =
+    let rw rid = match List.assoc_opt rid regw with Some w -> w | None -> width in
+    let dfg = dp.Datapath.dfg in
+    let control = Control.build dp in
+    let steps = Dfg.num_csteps dfg in
+    let session_list =
+      match sessions with Some (t : Session.t) -> t.Session.sessions | None -> []
+    in
+    let nsess = List.length session_list in
+    let has_tm = bist <> None in
+    let sess_bits = if nsess > 0 then Some (Verilog.session_bits nsess) else None in
+    let contexts = contexts_of ~has_tm ~sess_bits in
+    let slot_arr = Array.of_list (slots_of ~contexts ~steps) in
+    let nslots = Array.length slot_arr in
+    let embedding_of = Verilog.simple_embedding bist in
+    let reg_index = Hashtbl.create 16 in
+    List.iteri (fun i (r : Datapath.reg) -> Hashtbl.replace reg_index r.Datapath.rid i) dp.Datapath.regs;
+    let idx rid = Hashtbl.find reg_index rid in
+    let unit_tree (tm, sess, s) mid =
+      let u = List.find (fun (u : Massign.hw) -> u.Massign.mid = mid) dp.Datapath.massign.Massign.units in
+      let l_srcs, r_srcs = Datapath.unit_port_sources dp mid in
+      let activity = Control.activity control mid in
+      let session = Verilog.session_of session_list mid and embedding = embedding_of mid in
+      if l_srcs = [] && r_srcs = [] then Undriven
+      else begin
+        let port side srcs sel_of =
+          match srcs with
+          | [] -> Const 0
+          | [ src ] -> RegQ (idx src)
+          | ss ->
+            let test_idx =
+              if nsess > 0 && tm = 1 then
+                match (session, embedding) with
+                | Some k, Some e when sess = k ->
+                  let tpg = if side = `L then e.Ipath.l_tpg else e.Ipath.r_tpg in
+                  Listx.index_of (String.equal tpg) ss
+                | _ -> None
+              else None
+            in
+            let i =
+              match test_idx with
+              | Some i -> i
+              | None -> (
+                match List.assoc_opt s activity with Some sel -> sel_of sel | None -> 0)
+            in
+            RegQ (idx (List.nth ss i))
+        in
+        let l = port `L l_srcs (fun (o : Control.unit_op) -> o.Control.l_select) in
+        let r = port `R r_srcs (fun (o : Control.unit_op) -> o.Control.r_select) in
+        match u.Massign.kinds with
+        | [ k ] -> Op (op_name k, [ l; r ])
+        | kinds ->
+          let fsel =
+            match List.assoc_opt s activity with
+            | Some o -> 1 lsl o.Control.f_select
+            | None -> 0
+          in
+          let rec pick i = function
+            | [ k ] -> k
+            | k :: rest -> if (fsel lsr i) land 1 = 1 then k else pick (i + 1) rest
+            | [] -> assert false
+          in
+          Op (op_name (pick 0 kinds), [ l; r ])
+      end
+    in
+    let has_unit mid =
+      List.exists (fun (u : Massign.hw) -> u.Massign.mid = mid) dp.Datapath.massign.Massign.units
+    in
+    let cells =
+      List.map
+        (fun (r : Datapath.reg) ->
+          let rid = r.Datapath.rid in
+          let writers =
+            match List.assoc_opt rid dp.Datapath.reg_writers with Some ws -> ws | None -> []
+          in
+          let sched = Control.write_schedule control rid in
+          let wsrc_tree slot = function
+            | Datapath.From_port v -> Pin ("pin_" ^ sanitize v)
+            | Datapath.From_unit mid -> if has_unit mid then unit_tree slot mid else Undriven
+          in
+          let d_at ((tm, sess, s) as slot) =
+            match writers with
+            | [] -> Const 0
+            | [ w ] -> wsrc_tree slot w
+            | ws ->
+              let sa_override =
+                if nsess > 0 && tm = 1 && sess < nsess then
+                  List.find_map
+                    (fun mid ->
+                      match embedding_of mid with
+                      | Some e when String.equal e.Ipath.sa rid ->
+                        Listx.index_of (fun w -> w = Datapath.From_unit mid) ws
+                      | Some _ | None -> None)
+                    (List.nth session_list sess)
+                else None
+              in
+              let sel =
+                match sa_override with
+                | Some i -> i
+                | None -> ( match List.assoc_opt s sched with Some src -> src | None -> 0)
+              in
+              wsrc_tree slot (List.nth ws sel)
+          in
+          let en_at (_, _, s) = Const (if List.mem_assoc s sched then 1 else 0) in
+          let per f = Array.init nslots (fun i -> normalize (f slot_arr.(i))) in
+          let style = Verilog.style_of bist rid in
+          let params =
+            match style with
+            | Resource.Normal | Resource.Sa -> [ ("WIDTH", rw rid) ]
+            | Resource.Tpg | Resource.Bilbo | Resource.Cbilbo ->
+              [ ("SEED", Verilog.test_seed ~width rid); ("WIDTH", width) ]
+          in
+          let base =
+            [
+              ("clk", per (fun _ -> Pin "clk"));
+              ("rst", per (fun _ -> Const 0));
+              ("en", per en_at);
+              ("d", per d_at);
+            ]
+          in
+          let tm_conn = ("test_mode", per (fun (tm, _, _) -> Const tm)) in
+          let conns =
+            match style with
+            | Resource.Normal -> base
+            | Resource.Tpg | Resource.Sa | Resource.Cbilbo -> tm_conn :: base
+            | Resource.Bilbo ->
+              let compact_sessions =
+                List.concat
+                  (List.mapi
+                     (fun k units ->
+                       List.filter_map
+                         (fun mid ->
+                           match embedding_of mid with
+                           | Some e when String.equal e.Ipath.sa rid -> Some k
+                           | Some _ | None -> None)
+                         units)
+                     session_list)
+              in
+              ( "compact",
+                per (fun (_, sess, _) -> Const (if List.mem sess compact_sessions then 1 else 0)) )
+              :: tm_conn :: base
+          in
+          {
+            kind = Verilog.reg_module style;
+            cname = rid;
+            params;
+            conns = List.sort (fun (a, _) (b, _) -> compare a b) conns;
+          })
+        dp.Datapath.regs
+    in
+    let sa_regs = Verilog.signature_registers bist in
+    let nin =
+      [ ("clk", 1); ("rst", 1) ]
+      @ (if has_tm then [ ("test_mode", 1) ] else [])
+      @ (match sess_bits with Some b -> [ ("test_session", b) ] | None -> [])
+      @ List.map (fun v -> ("pin_" ^ sanitize v, width)) (Dfg.used_inputs dfg)
+    in
+    let nout =
+      List.map (fun (v, _) -> ("pout_" ^ sanitize v, width)) dp.Datapath.outputs
+      @ List.map (fun rid -> ("sig_" ^ sanitize rid, width)) sa_regs
+    in
+    let outdrv =
+      List.map
+        (fun (v, rid) -> ("pout_" ^ sanitize v, Array.make nslots (RegQ (idx rid))))
+        dp.Datapath.outputs
+      @ List.map (fun rid -> ("sig_" ^ sanitize rid, Array.make nslots (RegSig (idx rid)))) sa_regs
+    in
+    let bycol l = List.sort (fun (a, _) (b, _) -> compare a b) l in
+    {
+      nname = sanitize dfg.Dfg.name ^ "_datapath";
+      nin = bycol nin;
+      nout = bycol nout;
+      nsteps = steps;
+      ncontexts = contexts;
+      cells = Array.of_list cells;
+      outdrv = bycol outdrv;
+    }
+
+  (* A store netlist as trees, registers by cell index on its own side *)
+  let of_netlist st (n : Netlist.t) =
+    let rec tree id =
+      match Netlist.node st id with
+      | Netlist.Pin p -> Pin p
+      | Netlist.RegQ i -> RegQ (i - n.Netlist.base)
+      | Netlist.RegSig i -> RegSig (i - n.Netlist.base)
+      | Netlist.Const c -> Const c
+      | Netlist.Undriven -> Undriven
+      | Netlist.Op (o, kids) -> Op (o, List.map tree (Array.to_list kids))
+    in
+    let slots = Array.map (fun id -> normalize (tree id)) in
+    {
+      nname = n.Netlist.nname;
+      nin = n.Netlist.nin;
+      nout = n.Netlist.nout;
+      nsteps = n.Netlist.nsteps;
+      ncontexts = n.Netlist.ncontexts;
+      cells =
+        Array.map
+          (fun (c : Netlist.cell) ->
+            {
+              kind = c.Netlist.kind;
+              cname = c.Netlist.cname;
+              params = c.Netlist.params;
+              conns = List.map (fun (p, a) -> (p, slots a)) c.Netlist.conns;
+            })
+          n.Netlist.cells;
+      outdrv = List.map (fun (p, a) -> (p, slots a)) n.Netlist.outdrv;
+    }
+end
+
+let equiv_structural = Equiv_trees.compare_netlists

@@ -11,6 +11,11 @@ module Policy = Bistpath_dfg.Policy
 module Datapath = Bistpath_datapath.Datapath
 module Control = Bistpath_datapath.Control
 module Interp = Bistpath_datapath.Interp
+module Netlist = Bistpath_rtl.Netlist
+module Dfg = Bistpath_dfg.Dfg
+module Op = Bistpath_dfg.Op
+module Massign = Bistpath_dfg.Massign
+module Telemetry = Bistpath_telemetry.Telemetry
 
 let check = Alcotest.check
 let case name f = Alcotest.test_case name `Quick f
@@ -190,6 +195,14 @@ let find_sub_instance () =
   (* Tseng1 has a dedicated subtractor *)
   run_flow testable (Option.get (B.by_tag "Tseng1"))
 
+(* A loop between d_R3 and d_R4 that d_R1 enters through d_R3 at step 1
+   and through d_R4 at every other step *)
+let step_mux_loop rtl =
+  rtl
+  |> replace ~from:"assign d_R1 = out_MUL2;" ~to_:"assign d_R1 = (step == 3'd1) ? d_R3 : d_R4;"
+  |> replace ~from:"assign d_R3 = out_MUL1;" ~to_:"assign d_R3 = out_MUL1 ^ d_R4;"
+  |> replace ~from:"assign d_R4 = out_SUB;" ~to_:"assign d_R4 = out_SUB ^ d_R3;"
+
 (* The emitted-RTL mutant corpus, on the testable flow: each row names
    the design, the variant it mutates (plain, BIST registers, BIST
    registers plus session steering) and the mutation. The first three
@@ -235,6 +248,7 @@ let mutants =
         rtl
         |> replace ~from:"assign d_R1 = out_MUL2;" ~to_:"assign d_R1 = out_MUL2 ^ d_R3;"
         |> replace ~from:"assign d_R3 = out_MUL1;" ~to_:"assign d_R3 = out_MUL1 ^ d_R1;" );
+    ("loop entered through a step mux", "Paulin", `Plain, step_mux_loop);
   ]
 
 let starts_with prefix s =
@@ -345,6 +359,205 @@ let unparsable_is_diagnosed () =
   | Ok _ -> Alcotest.fail "garbage accepted"
   | Error diags ->
     check Alcotest.bool "diagnostics accumulated" true (List.length diags >= 1)
+
+(* A combinational loop is cut where evaluation enters it. In the
+   step-mux loop mutant, R1's data input (the first cell's first port
+   that reaches the loop) enters through d_R3 at step 1, so d_R4 is cut
+   there and R3 reads out_MUL1 ^ (out_SUB ^ undriven); at step 2 it
+   enters through d_R4 and R3 reads out_MUL1 ^ undriven. A loop net
+   whose value were shared across slots would read the same at both. *)
+let loop_cut_follows_entry () =
+  let r = run_flow testable (Option.get (B.by_tag "Paulin")) in
+  let e =
+    match Equiv.parse_back (step_mux_loop (full_rtl r.Flow.datapath)) with
+    | Ok e -> e
+    | Error _ -> Alcotest.fail "mutant is unparsable"
+  in
+  let st = Netlist.create () in
+  let n = Equiv.netlist st e in
+  let r3 =
+    List.find (fun (c : Netlist.cell) -> c.Netlist.cname = "R3") (Array.to_list n.Netlist.cells)
+  in
+  let d = List.assoc "d" r3.Netlist.conns in
+  let xor_with id =
+    match Netlist.node st id with Netlist.Op ("xor", [| _; x |]) -> Some x | _ -> None
+  in
+  let undriven id = match Netlist.node st id with Netlist.Undriven -> true | _ -> false in
+  (* plain RTL has one context, so slot i is step i *)
+  check Alcotest.bool "step 2: cut at d_R3" true
+    (match xor_with d.(2) with Some x -> undriven x | None -> false);
+  check Alcotest.bool "step 1: cut at d_R4" true
+    (match Option.bind (xor_with d.(1)) xor_with with Some x -> undriven x | None -> false)
+
+(* --- the node store against the tree engine ------------------------ *)
+
+(* [needle]'s first index in [s] at or after [i] *)
+let find_from s i needle =
+  let n = String.length needle in
+  let rec go i =
+    if i + n > String.length s then None
+    else if String.sub s i n = needle then Some i
+    else go (i + 1)
+  in
+  go i
+
+let has_at s i needle =
+  let n = String.length needle in
+  i + n <= String.length s && String.sub s i n = needle
+
+let splice s i len repl =
+  String.sub s 0 i ^ repl ^ String.sub s (i + len) (String.length s - i - len)
+
+(* Single edits of emitted RTL, each on the first place it applies, or
+   [None]: a bumped mux-select constant, the operands of the first unit
+   instance (of module [unit]...) swapped, and the last term of the
+   first multi-term enable dropped. *)
+let bump_select rtl =
+  let digits s i =
+    let rec go j = if j < String.length s && s.[j] >= '0' && s.[j] <= '9' then go (j + 1) else j in
+    go i
+  in
+  (* "step == N'dK ? W'dV :" *)
+  let rec from i =
+    match find_from rtl i "? " with
+    | None -> None
+    | Some q -> (
+      let w0 = q + 2 in
+      let w1 = digits rtl w0 in
+      if w1 > w0 && has_at rtl w1 "'d" then
+        let v0 = w1 + 2 in
+        let v1 = digits rtl v0 in
+        if v1 > v0 && has_at rtl v1 " :" then
+          let w = int_of_string (String.sub rtl w0 (w1 - w0)) in
+          let v = int_of_string (String.sub rtl v0 (v1 - v0)) in
+          Some (splice rtl v0 (v1 - v0) (string_of_int ((v + 1) mod (1 lsl w))))
+        else from (q + 1)
+      else from (q + 1))
+  in
+  from 0
+
+let swap_operands ?(unit = "") rtl =
+  let rec from i =
+    match find_from rtl i " (.a(" with
+    | None -> None
+    | Some k -> (
+      let line_start = match String.rindex_from_opt rtl k '\n' with Some l -> l + 1 | None -> 0 in
+      let a0 = k + 5 in
+      match String.index_from_opt rtl a0 ')' with
+      | Some a1 when has_at rtl a1 "), .b(" && has_at rtl line_start ("  " ^ unit) -> (
+        let b0 = a1 + 6 in
+        match String.index_from_opt rtl b0 ')' with
+        | Some b1 ->
+          let av = String.sub rtl a0 (a1 - a0) and bv = String.sub rtl b0 (b1 - b0) in
+          Some (splice rtl a0 (b1 - a0) (bv ^ "), .b(" ^ av))
+        | None -> None)
+      | _ -> from a0)
+  in
+  from 0
+
+let drop_enable_term rtl =
+  let rec from i =
+    match find_from rtl i "  assign en_" with
+    | None -> None
+    | Some a -> (
+      match String.index_from_opt rtl a ';' with
+      | None -> None
+      | Some semi -> (
+        let line = String.sub rtl a (semi - a) in
+        let rec last j k =
+          match find_from line j " || " with Some k' -> last (k' + 1) (Some k') | None -> k
+        in
+        match last 0 None with
+        | Some k -> Some (splice rtl (a + k) (semi - a - k) "")
+        | None -> from (semi + 1)))
+  in
+  from 0
+
+(* [rtl] and each of its single edits through both engines: the same
+   verdict lines and the same register colours *)
+let engines_agree ~width ?bist ?sessions dp rtl =
+  List.for_all
+    (fun text ->
+      match Option.map Equiv.parse_back text with
+      | None | Some (Error _) -> true
+      | Some (Ok e) ->
+        let st = Netlist.create () in
+        let model = Netlist.of_datapath st ~width ?bist ?sessions dp in
+        let parsed = Equiv.netlist st e in
+        let tmodel = Oracles.Equiv_trees.of_datapath ~width ?bist ?sessions dp in
+        let tparsed = Oracles.Equiv_trees.of_netlist st parsed in
+        Equiv.structural ~width ?bist ?sessions e dp
+        = Oracles.equiv_structural ~a_label:"model" ~b_label:"rtl" tmodel tparsed
+        && Netlist.refine st model parsed = Oracles.Equiv_trees.refine tmodel tparsed)
+    (Some rtl :: bump_select rtl :: drop_enable_term rtl :: swap_operands rtl
+    :: List.map (fun unit -> swap_operands ~unit rtl) [ "dp_sub"; "dp_div"; "dp_less" ])
+
+(* Every flow and RTL variant of a design, at the given widths *)
+let engines_agree_on ~widths inst =
+  List.for_all
+    (fun style ->
+      let r = run_flow style inst in
+      List.for_all
+        (fun (bist, sessions) ->
+          List.for_all
+            (fun width ->
+              engines_agree ~width ?bist ?sessions r.Flow.datapath
+                (full_rtl ~width ?bist ?sessions r.Flow.datapath))
+            widths)
+        [ (None, None); (Some r.Flow.bist, None); (Some r.Flow.bist, Some r.Flow.sessions) ])
+    [ testable; Flow.Traditional ]
+
+(* The hash-consed engine against the tree engine it replaced
+   (Oracles.Equiv_trees) on random designs, both flows, plain, BIST and
+   BIST + sessions RTL at widths 4 and 8, clean and under each single
+   edit: the same verdict lines and the same register colours. The
+   model side is built independently by each engine; the parsed-back
+   side is the store's netlist unfolded into trees. *)
+let prop_store_matches_trees =
+  QCheck.Test.make ~name:"node store matches the tree engine" ~count:20
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let rng = Bistpath_util.Prng.create seed in
+      let ops = 4 + Bistpath_util.Prng.int rng 8 and inputs = 2 + Bistpath_util.Prng.int rng 3 in
+      engines_agree_on ~widths:[ 4; 8 ] (B.random rng ~ops ~inputs))
+
+(* The single edits apply to Paulin's BIST + sessions RTL: each is
+   caught, except swapped operands of a commutative unit *)
+let single_edits_apply () =
+  let r = run_flow testable (Option.get (B.by_tag "Paulin")) in
+  let bist = r.Flow.bist and sessions = r.Flow.sessions in
+  let rtl = full_rtl ~bist ~sessions r.Flow.datapath in
+  List.iter
+    (fun (name, edit, caught) ->
+      match edit rtl with
+      | None -> Alcotest.failf "%s: no place to apply" name
+      | Some text -> (
+        match Equiv.verify ~bist ~sessions ~vectors:0 ~rtl:text r.Flow.datapath with
+        | Ok rep -> check Alcotest.bool (name ^ " caught") caught (rep.Equiv.structural <> [])
+        | Error _ -> Alcotest.failf "%s: unparsable" name))
+    [
+      ("bumped select", bump_select, true);
+      ("swapped subtractor operands", swap_operands ~unit:"dp_sub", true);
+      ("swapped adder operands", swap_operands ~unit:"dp_add", false);
+      ("dropped enable term", drop_enable_term, true);
+    ]
+
+(* The structural match counts its slot trees, its distinct nodes and
+   its refinement rounds; most slots share their node. *)
+let structural_counters () =
+  let r = run_flow testable (Option.get (B.by_tag "ewf")) in
+  let bist = r.Flow.bist and sessions = r.Flow.sessions and dp = r.Flow.datapath in
+  let e =
+    match Equiv.parse_back (full_rtl ~bist ~sessions dp) with
+    | Ok e -> e
+    | Error _ -> Alcotest.fail "unparsable"
+  in
+  let diffs, t = Telemetry.collect (fun () -> Equiv.structural ~bist ~sessions e dp) in
+  check Alcotest.(list string) "clean" [] diffs;
+  let count = Telemetry.counter t in
+  check Alcotest.bool "rounds counted" true (count "rtl.refine_rounds" > 0);
+  check Alcotest.bool "fewer distinct nodes than slot trees" true
+    (count "rtl.nodes" > 0 && count "rtl.nodes" < count "rtl.slot_trees")
 
 (* --- emitter regressions ------------------------------------------- *)
 
@@ -617,6 +830,28 @@ let unread_input_output () =
         (contains err "error: Dfg unread_output: primary output e is an input no operation reads"))
     [ "run"; "check"; "verify" ]
 
+(* Random designs have no Less and no multifunction unit, so they never
+   emit the inline [l < r] (padded by a concat above width 1) that
+   normalization folds into [less]: the comparison designs bound to
+   ALUs do. Each control step's operations go to ALU1, ALU2, ... in
+   order, every ALU doing every kind the design uses. *)
+let engines_agree_on_alus () =
+  List.iter
+    (fun file ->
+      let dfg = load_dfg (Filename.concat ".." (Filename.concat "data" file)) in
+      let kinds = List.sort_uniq compare (List.map (fun (o : Op.t) -> o.Op.kind) dfg.Dfg.ops) in
+      let alu k = Printf.sprintf "ALU%d" (k + 1) in
+      let steps = List.init (Dfg.num_csteps dfg) (fun s -> Dfg.ops_in_step dfg (s + 1)) in
+      let alus = List.fold_left (fun m ops -> max m (List.length ops)) 0 steps in
+      let massign =
+        Massign.make dfg
+          ~units:(List.init alus (fun k -> { Massign.mid = alu k; kinds }))
+          ~bind:(List.concat_map (List.mapi (fun k (o : Op.t) -> (o.Op.id, alu k))) steps)
+      in
+      let inst = { B.tag = file; dfg; massign; policy = Policy.default } in
+      check Alcotest.bool file true (engines_agree_on ~widths:[ 1; 4; 8 ] inst))
+    [ "minmax4.dfg"; "cmp4.dfg"; "clip8.dfg" ]
+
 (* Equiv elaborates exactly the primitives the emitter declares. *)
 let primitive_vocabulary () =
   let parsed = Parser.parse (Verilog.primitives ~width:8) in
@@ -649,4 +884,9 @@ let suite =
     case "pass-through output samples after its load" passthrough_output;
     case "binary: unread-input output exits 4" unread_input_output;
     case "primitive vocabulary matches the emitter" primitive_vocabulary;
+    case "a loop is cut where its step mux enters it" loop_cut_follows_entry;
+    case "single edits apply and are caught" single_edits_apply;
+    case "structural counters: nodes below slot trees" structural_counters;
+    QCheck_alcotest.to_alcotest prop_store_matches_trees;
+    case "node store matches the tree engine on ALUs" engines_agree_on_alus;
   ]

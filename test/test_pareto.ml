@@ -254,6 +254,24 @@ let prop_schedule_matches_oracle =
              (Session.schedule sol).Session.sessions
              = (Oracles.session_schedule sol).Session.sessions))
 
+(* Callers that ran the flow pass its solution as the minimum; the
+   front is the one [explore] finds when it solves the minimum itself. *)
+let flow_minimum_same_front () =
+  List.iter
+    (fun tag ->
+      let inst = Option.get (B.by_tag tag) in
+      let r =
+        Flow.run ~style:(Flow.Testable Bistpath_core.Testable_alloc.default_options)
+          inst.B.dfg inst.B.massign ~policy:inst.B.policy
+      in
+      let gates points = List.map (fun p -> (p.Pareto.delta_gates, p.Pareto.sessions)) points in
+      check
+        Alcotest.(list (pair int int))
+        tag
+        (gates (Pareto.explore r.Flow.datapath))
+        (gates (Pareto.explore ~minimum:r.Flow.bist r.Flow.datapath)))
+    B.all_tags
+
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
 let suite =
@@ -272,5 +290,6 @@ let suite =
       case "transparency fronts start at the run minimum"
         transparency_front_starts_at_minimum;
       case "sweep counters" sweep_counters;
+      case "the flow's minimum gives the same front" flow_minimum_same_front;
     ]
   @ qcheck [ prop_explore_matches_oracle; prop_schedule_matches_oracle ]
