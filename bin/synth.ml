@@ -700,11 +700,6 @@ let pareto_cmd =
   Cmd.v (Cmd.info "pareto" ~doc)
     Term.(const run $ common_term $ instance_arg $ width_arg $ flow_arg $ cache_term)
 
-let severity_name = function
-  | Diagnostic.Error -> "error"
-  | Diagnostic.Warning -> "warning"
-  | Diagnostic.Note -> "note"
-
 let report_formats = [ "text"; "json"; "sarif" ]
 
 let check_cmd =
@@ -747,13 +742,13 @@ let check_cmd =
                    (fun (id, sev, title) ->
                      Json.Obj
                        [ ("id", Json.Str id);
-                         ("severity", Json.Str (severity_name sev));
+                         ("severity", Json.Str (Diagnostic.severity_label sev));
                          ("title", Json.Str title) ])
                    Check.rule_info)))
       | _ ->
         List.iter
           (fun (id, sev, title) ->
-            Printf.printf "%-8s %-8s %s\n" id (severity_name sev) title)
+            Printf.printf "%-8s %-8s %s\n" id (Diagnostic.severity_label sev) title)
           Check.rule_info
     end
     else begin

@@ -203,19 +203,22 @@ let paulin () =
 
 let table1 () = [ ex1 (); ex2 (); tseng1 (); tseng2 (); paulin () ]
 
-(* Greedy single-function module assignment used by the generated
-   benchmarks: first-fit each operation onto a unit of its kind that is
-   free in its control step, opening units as needed. *)
-let single_function_assignment dfg =
+(* Greedy module assignment used by the generated benchmarks: first-fit
+   each operation onto a unit of its kind that is free in its control
+   step, opening units as needed. An operation whose kind is in [alu]
+   tries ALU1 first, the one unit that performs those kinds. *)
+let first_fit_assignment ~alu dfg =
   let units = Hashtbl.create 8 in
   (* kind -> (mid * busy steps ref) list, newest last *)
   let bind = ref [] in
   let counter = Hashtbl.create 8 in
+  let alu_busy = ref [] in
   List.iter
     (fun (o : Op.t) ->
       let step = Dfg.cstep dfg o.id in
       let existing = match Hashtbl.find_opt units o.kind with Some l -> l | None -> [] in
-      let free = List.find_opt (fun (_, busy) -> not (List.mem step !busy)) existing in
+      let candidates = if List.mem o.kind alu then ("ALU1", alu_busy) :: existing else existing in
+      let free = List.find_opt (fun (_, busy) -> not (List.mem step !busy)) candidates in
       let mid, busy =
         match free with
         | Some (mid, busy) -> (mid, busy)
@@ -233,10 +236,13 @@ let single_function_assignment dfg =
   let unit_list =
     Hashtbl.fold
       (fun kind l acc -> List.map (fun (mid, _) -> { Massign.mid; kinds = [ kind ] }) l @ acc)
-      units []
+      units
+      (if !alu_busy = [] then [] else [ { Massign.mid = "ALU1"; kinds = alu } ])
     |> List.sort (fun a b -> compare a.Massign.mid b.Massign.mid)
   in
   Massign.make dfg ~units:unit_list ~bind:!bind
+
+let single_function_assignment = first_fit_assignment ~alu:[]
 
 let fir ~taps =
   if taps < 2 then invalid_arg "Benchmarks.fir: taps must be >= 2";
@@ -474,7 +480,7 @@ let dct4 () =
 
 let random rng ~ops:n ~inputs:k =
   if n < 1 || k < 2 then invalid_arg "Benchmarks.random: need ops >= 1, inputs >= 2";
-  let kinds = [| Op.Add; Op.Sub; Op.Mul; Op.And; Op.Or; Op.Xor |] in
+  let kinds = Array.of_list Op.all_kinds in
   let inputs = List.map (fun i -> Printf.sprintf "i%d" i) (Listx.range 0 k) in
   let avail = ref inputs in
   let ops = ref [] in
@@ -503,12 +509,12 @@ let random rng ~ops:n ~inputs:k =
   let resources = List.map (fun kind -> (kind, budget)) (Array.to_list kinds) in
   let schedule = Scheduler.list_schedule problem ~resources in
   let dfg = Scheduler.to_dfg problem schedule in
-  {
-    tag = "random";
-    dfg;
-    massign = single_function_assignment dfg;
-    policy = (if Prng.bool rng then Bistpath_dfg.Policy.default else Bistpath_dfg.Policy.dedicated_io);
-  }
+  let policy =
+    if Prng.bool rng then Bistpath_dfg.Policy.default else Bistpath_dfg.Policy.dedicated_io
+  in
+  (* a random subset of the kinds in use shares one ALU *)
+  let alu = List.filter (fun _ -> Prng.bool rng) (List.map fst (Dfg.kind_counts dfg)) in
+  { tag = "random"; dfg; massign = first_fit_assignment ~alu dfg; policy }
 
 let by_tag = function
   | "ex1" -> Some (ex1 ())

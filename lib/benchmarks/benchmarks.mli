@@ -68,9 +68,12 @@ val random :
   ops:int ->
   inputs:int ->
   instance
-(** Random well-formed scheduled DFG with a random valid module
-    assignment; every output satisfies [Dfg.make]'s and [Massign.make]'s
-    validation, which property tests rely on. *)
+(** Random well-formed scheduled DFG over every operation kind, with a
+    random valid module assignment: a random subset of the kinds in use
+    shares one ALU (unit ALU1) where its steps allow, every other
+    operation goes to a single-function unit. Every output satisfies
+    [Dfg.make]'s and [Massign.make]'s validation, which property tests
+    rely on. *)
 
 val by_tag : string -> instance option
 (** Look up any of the named instances above ("ex1", "ex2", "Tseng1",

@@ -195,32 +195,26 @@ let rules =
   [
     { id = "ABS001"; severity = error;
       title = "arithmetic provably wraps mod 2^width";
-      pass = Datapath_pass;
       run = abs001;
     };
     { id = "ABS002"; severity = error;
       title = "reachable division by zero";
-      pass = Datapath_pass;
       run = abs002;
     };
     { id = "ABS003"; severity = warning;
       title = "dead multiplexer leg (never-selected interconnect)";
-      pass = Rtl;
       run = abs003;
     };
     { id = "ABS004"; severity = error;
       title = "unreachable controller state";
-      pass = Rtl;
       run = abs004;
     };
     { id = "ABS005"; severity = warning;
       title = "provably constant net";
-      pass = Datapath_pass;
       run = abs005;
     };
     { id = "ABS006"; severity = error;
       title = "register read before first write";
-      pass = Rtl;
       run = abs006;
     };
   ]

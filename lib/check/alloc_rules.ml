@@ -391,51 +391,42 @@ let bist006 ctx =
 
 let rules =
   [
-    { id = "ALC001"; severity = error; title = "conflicting variables share a register"; pass = Alloc; run = alc001 };
+    { id = "ALC001"; severity = error; title = "conflicting variables share a register"; run = alc001 };
     { id = "ALC002"; severity = error;
       title = "register assignment does not partition the allocatable variables";
-      pass = Alloc;
       run = alc002;
     };
-    { id = "ALC003"; severity = error; title = "conflict graph is not chordal"; pass = Alloc; run = alc003 };
+    { id = "ALC003"; severity = error; title = "conflict graph is not chordal"; run = alc003 };
     { id = "ALC004"; severity = warning;
       title = "register count exceeds the recomputed minimum";
-      pass = Alloc;
       run = alc004;
     };
     { id = "ALC005"; severity = error;
       title = "coloring order is not a reverse perfect vertex elimination scheme";
-      pass = Alloc;
       run = alc005;
     };
     { id = "BIST001"; severity = error;
       title = "BIST embedding claims an I-path the data path does not have";
-      pass = Alloc;
       run = bist001;
     };
     { id = "BIST002"; severity = error;
       title = "register style does not match its accumulated test duties";
-      pass = Alloc;
       run = bist002;
     };
     { id = "BIST003"; severity = error;
       title = "CBILBO condition triggered but register not flagged";
-      pass = Alloc;
       run = bist003;
     };
     { id = "BIST004"; severity = error;
       title = "register flagged CBILBO without a generate-and-compact duty";
-      pass = Alloc;
       run = bist004;
     };
     { id = "BIST005"; severity = warning;
       title = "Lemma 1/2 prediction disagrees with the post-interconnect ground truth";
-      pass = Alloc;
       run = bist005;
     };
     { id = "BIST006"; severity = error;
       title = "test session schedules conflicting duties together";
-      pass = Alloc;
       run = bist006;
     };
   ]

@@ -71,13 +71,7 @@ let ctx_of_flow ?(vectors = 0) ?(transparency = false) ?(assumes = []) ~design ~
   let order =
     match r.Flow.style with
     | Flow.Traditional -> None
-    | Flow.Testable options -> (
-        try
-          Some
-            (List.map
-               (fun (s : Testable_alloc.trace_step) -> s.Testable_alloc.vertex)
-               (snd (Testable_alloc.allocate ~options dfg massign ~policy)))
-        with _ -> None)
+    | Flow.Testable options -> Some (Testable_alloc.order ~options dfg massign ~policy)
   in
   make_ctx ~bist:r.Flow.bist ~sessions:r.Flow.sessions ?order ~transparency ~vectors ~assumes
     ~design ~width dfg massign ~policy r.Flow.regalloc r.Flow.datapath
@@ -149,13 +143,8 @@ let count sev fs = List.length (List.filter (fun f -> f.severity = sev) fs)
 let errors r = count Diagnostic.Error r.findings
 let warnings r = count Diagnostic.Warning r.findings
 
-let severity_label = function
-  | Diagnostic.Error -> "error"
-  | Diagnostic.Warning -> "warning"
-  | Diagnostic.Note -> "note"
-
 let finding_line f =
-  Printf.sprintf "  [%s] %s %s: %s" f.rule (severity_label f.severity) f.subject f.detail
+  Printf.sprintf "  [%s] %s %s: %s" f.rule (Diagnostic.severity_label f.severity) f.subject f.detail
 
 let to_text r =
   let buf = Buffer.create 256 in
@@ -179,7 +168,7 @@ let to_text r =
 let finding_json suppressed f =
   Json.Obj
     [ ("rule", Json.Str f.rule);
-      ("severity", Json.Str (severity_label f.severity));
+      ("severity", Json.Str (Diagnostic.severity_label f.severity));
       ("subject", Json.Str f.subject);
       ("detail", Json.Str f.detail);
       ("suppressed", Json.Bool suppressed);
@@ -205,24 +194,19 @@ let to_json r =
    run, the full rule catalogue in the driver, one result per finding
    (suppressed findings are omitted; SARIF suppression objects are a
    per-result attribute most consumers ignore). *)
-let sarif_level = function
-  | Diagnostic.Error -> "error"
-  | Diagnostic.Warning -> "warning"
-  | Diagnostic.Note -> "note"
-
 let to_sarif r =
   let rule_json (id, severity, title) =
     Json.Obj
       [ ("id", Json.Str id);
         ("shortDescription", Json.Obj [ ("text", Json.Str title) ]);
         ( "defaultConfiguration",
-          Json.Obj [ ("level", Json.Str (sarif_level severity)) ] );
+          Json.Obj [ ("level", Json.Str (Diagnostic.severity_label severity)) ] );
       ]
   in
   let result_json f =
     Json.Obj
       [ ("ruleId", Json.Str f.rule);
-        ("level", Json.Str (sarif_level f.severity));
+        ("level", Json.Str (Diagnostic.severity_label f.severity));
         ( "message",
           Json.Obj [ ("text", Json.Str (Printf.sprintf "%s: %s" f.subject f.detail)) ] );
         ( "locations",

@@ -141,8 +141,8 @@ val ctx_of_flow :
   Bistpath_core.Flow.result ->
   ctx
 (** Bundle a {!Bistpath_core.Flow.run} result. For the testable style
-    the allocation trace is re-derived so ALC005 (reverse-PVES) can
-    run. *)
+    the colouring order is re-derived ({!Bistpath_core.Testable_alloc.order},
+    no colouring) so ALC005 (reverse-PVES) can run. *)
 
 type report = {
   design : string;

@@ -212,29 +212,24 @@ let rules =
   [
     { id = "DP001"; severity = error;
       title = "register must latch two values in one control step";
-      pass = Datapath_pass;
       run = dp001;
     };
-    { id = "DP002"; severity = error; title = "port width mismatch"; pass = Datapath_pass; run = dp002 };
+    { id = "DP002"; severity = error; title = "port width mismatch"; run = dp002 };
     { id = "DP003"; severity = error;
       title = "scheduled transfer has no physical path";
-      pass = Datapath_pass;
       run = dp003;
     };
-    { id = "DP004"; severity = warning; title = "dead register"; pass = Datapath_pass; run = dp004 };
+    { id = "DP004"; severity = warning; title = "dead register"; run = dp004 };
     { id = "DP005"; severity = error;
       title = "route disagrees with the register assignment";
-      pass = Datapath_pass;
       run = dp005;
     };
     { id = "DP006"; severity = error;
       title = "operands of a non-commutative operation are swapped";
-      pass = Datapath_pass;
       run = dp006;
     };
     { id = "EQ001"; severity = error;
       title = "data path diverges from the DFG semantics (random vectors)";
-      pass = Datapath_pass;
       run = eq001;
     };
   ]

@@ -54,13 +54,11 @@ let rules =
     {
       id = "RTL005"; severity = error;
       title = "emitted RTL parses back structurally equivalent";
-      pass = Rtl;
       run = rtl005;
     };
     {
       id = "EQ002"; severity = error;
       title = "parsed RTL diverges from the interpreter (random vectors)";
-      pass = Rtl;
       run = eq002;
     };
   ]

@@ -132,10 +132,10 @@ let ctl002 ctx =
 
 let rules =
   [
-    { id = "RTL001"; severity = error; title = "combinational loop"; pass = Rtl; run = rtl001 };
-    { id = "RTL002"; severity = error; title = "undriven net with readers"; pass = Rtl; run = rtl002 };
-    { id = "RTL003"; severity = warning; title = "floating net"; pass = Rtl; run = rtl003 };
-    { id = "RTL004"; severity = error; title = "multi-driven net"; pass = Rtl; run = rtl004 };
-    { id = "CTL001"; severity = error; title = "control FSM has missing or phantom states"; pass = Rtl; run = ctl001 };
-    { id = "CTL002"; severity = error; title = "control select or enable index out of range"; pass = Rtl; run = ctl002 };
+    { id = "RTL001"; severity = error; title = "combinational loop"; run = rtl001 };
+    { id = "RTL002"; severity = error; title = "undriven net with readers"; run = rtl002 };
+    { id = "RTL003"; severity = warning; title = "floating net"; run = rtl003 };
+    { id = "RTL004"; severity = error; title = "multi-driven net"; run = rtl004 };
+    { id = "CTL001"; severity = error; title = "control FSM has missing or phantom states"; run = ctl001 };
+    { id = "CTL002"; severity = error; title = "control select or enable index out of range"; run = ctl002 };
   ]

@@ -9,8 +9,6 @@ type severity = Bistpath_resilience.Diagnostic.severity
 
 type finding = { rule : string; severity : severity; subject : string; detail : string }
 
-type pass = Alloc | Datapath_pass | Rtl
-
 type ctx = {
   design : string;
   width : int;
@@ -33,7 +31,6 @@ type t = {
   id : string;
   title : string;
   severity : severity;
-  pass : pass;
   run : ctx -> finding list;
 }
 

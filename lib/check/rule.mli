@@ -15,8 +15,6 @@ type finding = {
   detail : string;
 }
 
-type pass = Alloc | Datapath_pass | Rtl
-
 (** The artifact bundle under analysis. Tests corrupt individual fields
     with record update (e.g. [{ ctx with rtl = lazy (Some tampered) }]);
     everything here is data, so the rules see exactly the corruption and
@@ -52,7 +50,6 @@ type t = {
   id : string;
   title : string;
   severity : severity;  (** worst severity the rule can report *)
-  pass : pass;
   run : ctx -> finding list;
 }
 

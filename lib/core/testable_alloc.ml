@@ -30,23 +30,37 @@ type reg = {
   mutable outs : int;
 }
 
-let allocate ?(options = default_options) ?sharing dfg massign ~policy =
+(* The conflict graph with each of its vertices' index in the design's
+   sharing view. *)
+let indexed sharing dfg massign ~policy =
   let g, idx = Lifetime.conflict_graph ~policy dfg in
   let ctx = match sharing with Some c -> c | None -> Sharing.make dfg massign in
-  let n = idx.Lifetime.count in
   let var =
-    Array.init n (fun i -> Option.get (Sharing.var_index ctx (idx.Lifetime.of_index i)))
+    Array.init idx.Lifetime.count (fun i ->
+        Option.get (Sharing.var_index ctx (idx.Lifetime.of_index i)))
   in
+  (g, idx, ctx, var)
+
+(* Vertices in coloring order: the reverse of a PVES selected by
+   sharing degree, then max-clique size, then name. *)
+let coloring_order options g idx ctx var =
+  List.rev
+    (if options.sd_ordering then begin
+       let mcs = Array.make idx.Lifetime.count 1 in
+       List.iter (fun (i, m) -> mcs.(i) <- m) (Chordal.max_clique_size_per_vertex g);
+       Chordal.peo_with_preference g ~key:(fun i ->
+           (ctx.Sharing.sd.(var.(i)), mcs.(i), idx.Lifetime.of_index i))
+     end
+     else Chordal.peo_with_preference g ~key:(fun _ -> ()))
+
+let order ?(options = default_options) dfg massign ~policy =
+  let g, idx, ctx, var = indexed None dfg massign ~policy in
+  List.map idx.Lifetime.of_index (coloring_order options g idx ctx var)
+
+let allocate ?(options = default_options) ?sharing dfg massign ~policy =
+  let g, idx, ctx, var = indexed sharing dfg massign ~policy in
+  let n = idx.Lifetime.count in
   let in_of i = ctx.Sharing.in_mask.(var.(i)) and out_of i = ctx.Sharing.out_mask.(var.(i)) in
-  let order =
-    List.rev
-      (if options.sd_ordering then
-         let mcs = Array.make n 1 in
-         List.iter (fun (i, m) -> mcs.(i) <- m) (Chordal.max_clique_size_per_vertex g);
-         Chordal.peo_with_preference g ~key:(fun i ->
-             (ctx.Sharing.sd.(var.(i)), mcs.(i), idx.Lifetime.of_index i))
-       else Chordal.peo_with_preference g ~key:(fun _ -> ()))
-  in
   let lemma = Cbilbo_rules.create ctx in
   (* Registers in creation order; [reg_of.(i)] is vertex i's register. *)
   let regs = ref [||] in
@@ -156,6 +170,6 @@ let allocate ?(options = default_options) ?sharing dfg massign ~policy =
     Cbilbo_rules.add lemma chosen var.(i);
     trace := { vertex = v; chosen = r.rid; fresh; reason } :: !trace
   in
-  List.iter choose order;
+  List.iter choose (coloring_order options g idx ctx var);
   ( Regalloc.make (Array.to_list (Array.map (fun r -> (r.rid, List.rev r.vars)) !regs)),
     List.rev !trace )

@@ -22,8 +22,18 @@ type trace_step = {
   vertex : string;
   chosen : string;  (** register id *)
   fresh : bool;  (** a new register was opened *)
-  reason : string;  (** "delta-sd", "case1", "case2", "conflict-all" *)
+  reason : string;  (** "delta-sd", "case-preference", "conflict-all" *)
 }
+
+val order :
+  ?options:options ->
+  Bistpath_dfg.Dfg.t ->
+  Bistpath_dfg.Massign.t ->
+  policy:Bistpath_dfg.Policy.t ->
+  string list
+(** The variables in the order {!allocate} colours them: the reverse of
+    the selected PVES. Equal to the [vertex] fields of {!allocate}'s
+    trace, without colouring anything. *)
 
 val allocate :
   ?options:options ->

@@ -227,23 +227,6 @@ let parse_diags ~name ?max_errors text =
     else Ok { Scheduler.name; ops; inputs; outputs }
   end
 
-(* Reconstruct the legacy single-error message (with its "line N: "
-   prefix when located) byte-identically. *)
-let render_first diags =
-  match
-    List.find_opt (fun (d : Diagnostic.t) -> d.severity = Diagnostic.Error) diags
-  with
-  | Some d ->
-    (match d.Diagnostic.line with
-    | Some l -> Printf.sprintf "line %d: %s" l d.Diagnostic.message
-    | None -> d.Diagnostic.message)
-  | None -> "invalid input" (* unreachable: Error lists always carry an error *)
-
-let parse ~name text =
-  match parse_diags ~name text with
-  | Ok problem -> Ok problem
-  | Error diags -> Error (render_first diags)
-
 let compile_diags ~name ?(resources = []) ?max_errors text =
   match parse_diags ~name ?max_errors text with
   | Error _ as e -> e
@@ -254,8 +237,3 @@ let compile_diags ~name ?(resources = []) ?max_errors text =
     in
     Dfg.make_diags ?max_errors ~name:problem.Scheduler.name ~ops:problem.Scheduler.ops
       ~inputs:problem.Scheduler.inputs ~outputs:problem.Scheduler.outputs ~schedule ()
-
-let compile ~name ?(resources = []) text =
-  match compile_diags ~name ~resources text with
-  | Ok dfg -> Ok dfg
-  | Error diags -> Error (render_first diags)

@@ -22,27 +22,15 @@
     directive). Common subexpressions are shared (hash-consing), and
     every intermediate node gets a fresh [tN] variable. *)
 
-val parse : name:string -> string -> (Scheduler.problem, string) result
-(** Compile to an unscheduled problem; the error carries a line number
-    (the first diagnostic of {!parse_diags}). *)
-
 val parse_diags :
   name:string ->
   ?max_errors:int ->
   string ->
   (Scheduler.problem, Bistpath_resilience.Diagnostic.t list) result
-(** Accumulating {!parse}: a bad statement is reported (with its line
-    number) and skipped rather than aborting, so one run surfaces every
-    problem in the text, capped at [max_errors]
+(** Compile to an unscheduled problem. A bad statement is reported
+    (with its line number) and skipped rather than aborting, so one run
+    surfaces every problem in the text, capped at [max_errors]
     ({!Bistpath_resilience.Diagnostic.default_max_errors} by default). *)
-
-val compile :
-  name:string ->
-  ?resources:(Op.kind * int) list ->
-  string ->
-  (Dfg.t, string) result
-(** {!parse} followed by resource-constrained list scheduling (default:
-    unconstrained — every operation as early as possible). *)
 
 val compile_diags :
   name:string ->
@@ -50,6 +38,7 @@ val compile_diags :
   ?max_errors:int ->
   string ->
   (Dfg.t, Bistpath_resilience.Diagnostic.t list) result
-(** Accumulating {!compile}: parse diagnostics, or — when parsing
-    succeeded — every DFG validation violation
-    ({!Dfg.make_diags}) instead of only the first. *)
+(** {!parse_diags} followed by resource-constrained list scheduling
+    (default: unconstrained — every operation as early as possible).
+    The error is the parse diagnostics, or — when parsing succeeded —
+    every DFG validation violation ({!Dfg.make_diags}). *)

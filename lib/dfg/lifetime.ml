@@ -30,9 +30,8 @@ let spans ?(policy = Policy.default) t =
 
 type indexing = { to_index : string -> int; of_index : int -> string; count : int }
 
-let indexing ?(policy = Policy.default) t =
-  let names = List.map fst (spans ~policy t) in
-  let arr = Array.of_list names in
+let indexing_of_spans spans =
+  let arr = Array.of_list (List.map fst spans) in
   let tbl = Hashtbl.create 16 in
   Array.iteri (fun i v -> Hashtbl.replace tbl v i) arr;
   {
@@ -45,10 +44,11 @@ let indexing ?(policy = Policy.default) t =
     count = Array.length arr;
   }
 
+let indexing ?(policy = Policy.default) t = indexing_of_spans (spans ~policy t)
+
 let conflict_graph ?(policy = Policy.default) t =
-  let idx = indexing ~policy t in
-  let labelled = List.map (fun (v, s) -> (idx.to_index v, s)) (spans ~policy t) in
-  (Interval.graph labelled, idx)
+  let sp = spans ~policy t in
+  (Interval.graph (List.mapi (fun i (_, s) -> (i, s)) sp), indexing_of_spans sp)
 
 let min_registers ?(policy = Policy.default) t =
   let g, _ = conflict_graph ~policy t in

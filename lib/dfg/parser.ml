@@ -76,28 +76,6 @@ let parse_string_diags ?max_errors text =
   let lines = { Dfg.op_lines = List.rev !op_lines; output_lines = List.rev !output_lines } in
   ({ !acc with lines }, Diagnostic.all coll)
 
-(* Reconstruct the legacy single-error message — with its "line N: "
-   prefix when the diagnostic has a location — byte-identically. *)
-let render_first diags =
-  match
-    List.find_opt (fun (d : Diagnostic.t) -> d.severity = Diagnostic.Error) diags
-  with
-  | None -> None
-  | Some d ->
-    Some
-      (match d.Diagnostic.line with
-      | Some l -> Printf.sprintf "line %d: %s" l d.Diagnostic.message
-      | None -> d.Diagnostic.message)
-
-let parse_string text =
-  let u, diags = parse_string_diags text in
-  match render_first diags with Some msg -> Error msg | None -> Ok u
-
-let parse_file path =
-  match In_channel.with_open_text path In_channel.input_all with
-  | text -> parse_string text
-  | exception Sys_error msg -> Error msg
-
 let parse_file_diags ?max_errors path =
   match In_channel.with_open_text path In_channel.input_all with
   | text ->
@@ -125,14 +103,6 @@ let to_dfg_diags ?max_errors u =
                "operation %s has no control step" op.Op.id))
       u.ops;
     Error (Diagnostic.all coll)
-
-let to_dfg u =
-  match to_dfg_diags u with
-  | Ok dfg -> Ok dfg
-  | Error diags -> (
-    match render_first diags with
-    | Some msg -> Error msg
-    | None -> Error "invalid DFG" (* unreachable: an Error always has an error *))
 
 let to_string (t : Dfg.t) =
   let buf = Buffer.create 256 in

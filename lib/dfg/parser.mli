@@ -22,12 +22,6 @@ type unscheduled = {
   lines : Dfg.lines;  (** where each op and output was declared *)
 }
 
-val parse_string : string -> (unscheduled, string) result
-(** Parse; the error is a human-readable message with a line number
-    (the first diagnostic of {!parse_string_diags}). *)
-
-val parse_file : string -> (unscheduled, string) result
-
 val parse_string_diags :
   ?max_errors:int -> string -> unscheduled * Bistpath_resilience.Diagnostic.t list
 (** Accumulating parse: a malformed line is reported (with its line
@@ -42,17 +36,14 @@ val parse_file_diags :
 (** {!parse_string_diags} on a file's contents, with the path attached
     to every diagnostic. An unreadable file yields one error. *)
 
-val to_dfg : unscheduled -> (Dfg.t, string) result
-(** Requires every operation scheduled; validates via {!Dfg.make}. *)
-
 val to_dfg_diags :
   ?max_errors:int ->
   unscheduled ->
   (Dfg.t, Bistpath_resilience.Diagnostic.t list) result
-(** Accumulating {!to_dfg}: reports {e every} unscheduled operation, or
-    every validation violation ({!Dfg.make_diags}), instead of only the
-    first. Each diagnostic carries the line of the op or output it
-    names. *)
+(** Requires every operation scheduled and validates via
+    {!Dfg.make_diags}: reports {e every} unscheduled operation, or every
+    validation violation. Each diagnostic carries the line of the op or
+    output it names. *)
 
 val to_string : Dfg.t -> string
 (** Render in the accepted format. *)

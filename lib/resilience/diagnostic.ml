@@ -68,14 +68,3 @@ let all c =
              c.dropped
              (if c.dropped = 1 then "" else "s"));
       ]
-
-let first_error c =
-  let rec last_error = function
-    | [] -> None
-    | d :: rest -> (
-      match last_error rest with
-      | Some _ as found -> found
-      | None -> if d.severity = Error then Some d else None)
-  in
-  (* diags is reversed, so the last Error in it is the first emitted *)
-  last_error c.diags

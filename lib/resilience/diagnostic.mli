@@ -3,10 +3,10 @@
     The DFG front ends report {e every} problem they can find — not just
     the first — as a list of typed diagnostics carrying a severity, an
     optional source location and a message, capped by a [max_errors]
-    budget so a garbage input cannot produce an unbounded report. The
-    legacy first-error APIs ([Dfg.validate], [Parser.parse_string],
-    [Frontend.compile]) are thin wrappers that surface the first
-    accumulated error with an unchanged message. *)
+    budget so a garbage input cannot produce an unbounded report. Every
+    design-input path ([Parser.parse_file_diags], [Parser.to_dfg_diags],
+    [Frontend.compile_diags], [Dfg.make_diags]) reports through this
+    module; only [Dfg.make] still raises on the first violation. *)
 
 type severity = Error | Warning | Note
 
@@ -21,6 +21,10 @@ val error : ?file:string -> ?line:int -> string -> t
 val warning : ?file:string -> ?line:int -> string -> t
 val note : ?file:string -> ?line:int -> string -> t
 val errorf : ?file:string -> ?line:int -> ('a, Format.formatter, unit, t) format4 -> 'a
+
+val severity_label : severity -> string
+(** ["error"], ["warning"] or ["note"] — the one spelling of a severity
+    in every report format. *)
 
 val to_string : t -> string
 (** ["file:3: error: ..."] / ["line 3: error: ..."] / ["error: ..."]. *)
@@ -52,6 +56,3 @@ val dropped : collector -> int
 val all : collector -> t list
 (** In emission order; if the cap dropped errors, a trailing [Note]
     saying how many. *)
-
-val first_error : collector -> t option
-(** The first error emitted, for legacy single-error interfaces. *)

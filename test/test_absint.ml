@@ -7,7 +7,7 @@
    through the real binary. *)
 
 module Op = Bistpath_dfg.Op
-module Parser = Bistpath_dfg.Parser
+module B = Bistpath_benchmarks.Benchmarks
 module Policy = Bistpath_dfg.Policy
 module Flow = Bistpath_core.Flow
 module Testable_alloc = Bistpath_core.Testable_alloc
@@ -158,12 +158,6 @@ let eval_corners () =
 
 (* --- solver behaviour on parsed kernels ----------------------------- *)
 
-let dfg_of_text text =
-  match Parser.parse_string text with
-  | Error e -> Alcotest.fail e
-  | Ok u -> (
-      match Parser.to_dfg u with Ok d -> d | Error e -> Alcotest.fail e)
-
 let minmax4_text =
   "dfg minmax4\n\
    input a b c d\n\
@@ -181,7 +175,7 @@ let range res name =
   | None -> Alcotest.failf "solve_dfg: no value for %s" name
 
 let solve_dfg_ranges () =
-  let dfg = dfg_of_text minmax4_text in
+  let dfg = Test_dfg.of_text minmax4_text in
   let res = Absint.solve_dfg ~width:8 ~policy:Policy.default dfg in
   let pair = Alcotest.(pair int int) in
   check pair "s1 is a comparison bit" (0, 1) (range res "s1");
@@ -193,7 +187,7 @@ let solve_dfg_ranges () =
   check Alcotest.bool "straight-line code needs no widening" false res.Absint.widened
 
 let solve_dfg_assumes () =
-  let dfg = dfg_of_text "dfg t\ninput a b\noutput s\nop +1 = a + b -> s @ 1\n" in
+  let dfg = Test_dfg.of_text "dfg t\ninput a b\noutput s\nop +1 = a + b -> s @ 1\n" in
   let res =
     Absint.solve_dfg ~assumes:[ ("a", (10, 20)); ("b", (1, 2)) ] ~width:8
       ~policy:Policy.default dfg
@@ -206,7 +200,7 @@ let solve_dfg_assumes () =
 let solve_dfg_widening () =
   (* acc feeds back into itself through the carried pair: the chain
      grows by one each pass until widening jumps it to the top. *)
-  let dfg = dfg_of_text "dfg loop\ninput acc a\noutput acc2\nop +1 = acc + a -> acc2 @ 1\n" in
+  let dfg = Test_dfg.of_text "dfg loop\ninput acc a\noutput acc2\nop +1 = acc + a -> acc2 @ 1\n" in
   let policy = Policy.with_carried [ ("acc2", "acc") ] in
   let res =
     Absint.solve_dfg ~assumes:[ ("acc", (0, 0)); ("a", (1, 1)) ] ~width:8 ~policy dfg
@@ -217,7 +211,7 @@ let solve_dfg_widening () =
   check Alcotest.bool "post-widening range is sound" true (lo <= 1 && hi = 255)
 
 let minmax4_flow () =
-  let dfg = dfg_of_text minmax4_text in
+  let dfg = Test_dfg.of_text minmax4_text in
   let massign = Module_assign.single_function dfg in
   let r =
     Flow.run ~style:(Flow.Testable Testable_alloc.default_options) dfg massign
@@ -263,7 +257,7 @@ let narrow_plan_minmax4 () =
 (* --- one corruption per ABS rule ------------------------------------ *)
 
 let ctx_of_text ?(assumes = []) name text =
-  let dfg = dfg_of_text text in
+  let dfg = Test_dfg.of_text text in
   let massign = Module_assign.single_function dfg in
   let r =
     Flow.run ~style:(Flow.Testable Testable_alloc.default_options) dfg massign
@@ -399,20 +393,10 @@ let abs006_uninit_read () =
     (List.mem "ABS006" (errors_of rep))
 
 let clean_shipped_kernels () =
-  let dir =
-    let up = Filename.concat Filename.parent_dir_name "data" in
-    if Sys.file_exists up then up else "data"
-  in
   List.iter
     (fun f ->
-      let path = Filename.concat dir f in
-      let dfg =
-        match Parser.parse_file path with
-        | Ok u -> (
-            match Parser.to_dfg u with Ok d -> d | Error e -> Alcotest.fail e)
-        | Error e -> Alcotest.fail e
-      in
-      let massign = Module_assign.single_function dfg in
+      let inst = Test_regalloc_trace.load ("data/" ^ f) in
+      let dfg = inst.B.dfg and massign = inst.B.massign in
       let r =
         Flow.run ~style:(Flow.Testable Testable_alloc.default_options) dfg massign
           ~policy:Policy.default

@@ -100,20 +100,11 @@ let data_files_roundtrip () =
   (* the shipped .dfg files equal the built-in instances *)
   List.iter
     (fun tag ->
-      let path = Filename.concat "../../../data" (tag ^ ".dfg") in
-      let path = if Sys.file_exists path then path else Filename.concat "data" (tag ^ ".dfg") in
-      if Sys.file_exists path then begin
-        match Bistpath_dfg.Parser.parse_file path with
-        | Error msg -> Alcotest.failf "%s: %s" tag msg
-        | Ok u -> (
-          match Bistpath_dfg.Parser.to_dfg u with
-          | Error msg -> Alcotest.failf "%s: %s" tag msg
-          | Ok dfg ->
-            let inst = Option.get (B.by_tag tag) in
-            check Alcotest.string (tag ^ " text equal")
-              (Bistpath_dfg.Parser.to_string inst.B.dfg)
-              (Bistpath_dfg.Parser.to_string dfg))
-      end)
+      let dfg = (Test_regalloc_trace.load ("data/" ^ tag ^ ".dfg")).B.dfg in
+      let inst = Option.get (B.by_tag tag) in
+      check Alcotest.string (tag ^ " text equal")
+        (Bistpath_dfg.Parser.to_string inst.B.dfg)
+        (Bistpath_dfg.Parser.to_string dfg))
     [ "ex1"; "Paulin"; "dct4" ]
 
 let by_tag_unknown () =

@@ -10,7 +10,6 @@ module Stage = Bistpath_core.Stage
 module Flow = Bistpath_core.Flow
 module Testable_alloc = Bistpath_core.Testable_alloc
 module Module_assign = Bistpath_core.Module_assign
-module Parser = Bistpath_dfg.Parser
 module Policy = Bistpath_dfg.Policy
 module B = Bistpath_benchmarks.Benchmarks
 module Telemetry = Bistpath_telemetry.Telemetry
@@ -237,14 +236,8 @@ let store_io_fault_degrades () =
 (* --- incremental re-synthesis through the flow DAG ------------------ *)
 
 let instance_of_spec text =
-  let u =
-    match Parser.parse_string text with
-    | Ok u -> u
-    | Error e -> Alcotest.failf "parse: %s" e
-  in
-  match Parser.to_dfg u with
-  | Ok dfg -> (dfg, Module_assign.single_function dfg)
-  | Error e -> Alcotest.failf "to_dfg: %s" e
+  let dfg = Test_dfg.of_text text in
+  (dfg, Module_assign.single_function dfg)
 
 (* Two specs identical except for one op's kind: the edit preserves
    every variable lifetime, so left-edge register allocation (keyed on

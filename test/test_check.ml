@@ -24,6 +24,8 @@ module Json = Bistpath_util.Json
 module Check = Bistpath_check.Check
 module Equiv_rules = Bistpath_check.Equiv_rules
 module Equiv = Bistpath_rtl.Equiv
+module Lifetime = Bistpath_dfg.Lifetime
+module Ugraph = Bistpath_graphs.Ugraph
 
 let check = Alcotest.check
 let case name f = Alcotest.test_case name `Quick f
@@ -413,6 +415,62 @@ let rule_table_sane () =
   let ids = List.map fst Check.rule_table in
   check Alcotest.int "ids unique" (List.length ids) (List.length (List.sort_uniq compare ids))
 
+(* --- ALC005's colouring order --------------------------------------- *)
+
+(* The order ctx_of_flow records is the one the allocator coloured in,
+   derived without colouring: for every design, and for [order] under
+   every option combination. *)
+let ctx_order_is_allocation_order () =
+  List.iter
+    (fun spec ->
+      let inst = Test_regalloc_trace.load spec in
+      let dfg = inst.B.dfg and massign = inst.B.massign and policy = inst.B.policy in
+      let traced options =
+        List.map
+          (fun (s : Testable_alloc.trace_step) -> s.Testable_alloc.vertex)
+          (snd (Testable_alloc.allocate ~options dfg massign ~policy))
+      in
+      List.iter
+        (fun options ->
+          check rules_list (spec ^ " order") (traced options)
+            (Testable_alloc.order ~options dfg massign ~policy))
+        Test_regalloc_trace.all_options;
+      let style = Flow.Testable Testable_alloc.default_options in
+      let ctx =
+        Check.ctx_of_flow ~design:spec ~width:8 dfg massign ~policy
+          (Flow.run ~style dfg massign ~policy)
+      in
+      check Alcotest.(option (list string)) (spec ^ " ctx order")
+        (Some (traced Testable_alloc.default_options)) ctx.Check.order)
+    Test_regalloc_trace.(tags @ data)
+
+(* Colouring a non-simplicial vertex last puts it first in the reversed
+   order, where its neighbours do not form a clique. *)
+let catches_non_peo_order () =
+  let _, _, ctx = flow_ctx ~style:(Flow.Testable Testable_alloc.default_options) "Paulin" in
+  let g, idx = Lifetime.conflict_graph ~policy:ctx.Check.policy ctx.Check.dfg in
+  let last =
+    match List.find_opt (fun i -> not (Ugraph.is_simplicial g i)) (Ugraph.vertices g) with
+    | Some i -> idx.Lifetime.of_index i
+    | None -> Alcotest.fail "Paulin's conflict graph has no non-simplicial vertex"
+  in
+  let order = List.filter (( <> ) last) (Option.get ctx.Check.order) @ [ last ] in
+  let rep = Check.run { ctx with order = Some order } in
+  check rules_list "ALC005 alone" [ "ALC005" ] (error_rules rep)
+
+(* check and analyze count the allocator's work once, as run does. *)
+let stats_count_one_allocation () =
+  let regalloc_rows cmd =
+    Test_equiv.synth_stderr (cmd @ [ "../data/fir32.dfg"; "--flow"; "testable"; "--stats" ])
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> String.starts_with ~prefix:"| regalloc." l)
+  in
+  let run = regalloc_rows [ "run"; "--no-cache" ] in
+  check Alcotest.bool "run reports regalloc counters" true
+    (List.mem "| regalloc.steps            |   127 |" run);
+  check rules_list "check" run (regalloc_rows [ "check" ]);
+  check rules_list "analyze" run (regalloc_rows [ "analyze" ])
+
 let suite =
   [ case "clean benchmarks check clean (both flows)" clean_benchmarks;
     case "broken coloring caught by ALC001 alone" catches_broken_coloring;
@@ -433,4 +491,7 @@ let suite =
     case "tripped budget skips rules, marks degraded" budget_skips_rules;
     case "text and json reporters" reporters;
     case "rule table is consistent" rule_table_sane;
+    case "ctx order is the allocator's colouring order" ctx_order_is_allocation_order;
+    case "non-PEO colouring order caught by ALC005 alone" catches_non_peo_order;
+    case "check and analyze --stats count one allocation" stats_count_one_allocation;
   ]

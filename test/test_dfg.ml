@@ -8,9 +8,18 @@ module Parser = Bistpath_dfg.Parser
 module Scheduler = Bistpath_dfg.Scheduler
 module B = Bistpath_benchmarks.Benchmarks
 module Prng = Bistpath_util.Prng
+module Diagnostic = Bistpath_resilience.Diagnostic
 
 let check = Alcotest.check
 let case name f = Alcotest.test_case name `Quick f
+
+(* Text to a scheduled DFG through the accumulating front end. Any
+   diagnostic fails the test, with every message. *)
+let of_text text =
+  let fail ds = Alcotest.fail (String.concat "\n" (List.map Diagnostic.to_string ds)) in
+  let u, diags = Parser.parse_string_diags text in
+  if diags <> [] then fail diags;
+  match Parser.to_dfg_diags u with Ok d -> d | Error ds -> fail ds
 
 let op id kind l r out = { Op.id; kind; left = l; right = r; out }
 
@@ -164,33 +173,29 @@ let massign_describe () =
 
 let parser_roundtrip () =
   let d = tiny () in
-  match Parser.parse_string (Parser.to_string d) with
-  | Error msg -> Alcotest.fail msg
-  | Ok u -> (
-    match Parser.to_dfg u with
-    | Error msg -> Alcotest.fail msg
-    | Ok d2 ->
-      check Alcotest.string "name" d.Dfg.name d2.Dfg.name;
-      check Alcotest.int "ops" (List.length d.Dfg.ops) (List.length d2.Dfg.ops);
-      check (Alcotest.list Alcotest.string) "vars" (Dfg.variables d) (Dfg.variables d2);
-      check Alcotest.int "schedule preserved" (Dfg.cstep d "*1") (Dfg.cstep d2 "*1"))
+  let d2 = of_text (Parser.to_string d) in
+  check Alcotest.string "name" d.Dfg.name d2.Dfg.name;
+  check Alcotest.int "ops" (List.length d.Dfg.ops) (List.length d2.Dfg.ops);
+  check (Alcotest.list Alcotest.string) "vars" (Dfg.variables d) (Dfg.variables d2);
+  check Alcotest.int "schedule preserved" (Dfg.cstep d "*1") (Dfg.cstep d2 "*1")
 
 let parser_errors () =
-  (match Parser.parse_string "op broken" with
-  | Error msg -> check Alcotest.bool "mentions line" true (String.length msg > 0)
-  | Ok _ -> Alcotest.fail "accepted malformed op");
-  (match Parser.parse_string "op x = a % b -> c @ 1" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "accepted unknown operator");
-  (match Parser.parse_string "frobnicate" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "accepted unknown directive");
-  match Parser.parse_string "dfg t\ninput a b\nop x = a + b -> c" with
-  | Ok u -> (
-    match Parser.to_dfg u with
-    | Error _ -> ()
-    | Ok _ -> Alcotest.fail "accepted unscheduled op")
-  | Error msg -> Alcotest.fail msg
+  let located ds = List.map (fun (d : Diagnostic.t) -> (d.line, d.message)) ds in
+  let diag_list = Alcotest.(list (pair (option int) string)) in
+  let parse_errors text = located (snd (Parser.parse_string_diags text)) in
+  check diag_list "malformed op" [ (Some 1, "malformed op line") ] (parse_errors "op broken");
+  check diag_list "unknown operator"
+    [ (Some 1, "unknown operator \"%\"") ]
+    (parse_errors "op x = a % b -> c @ 1");
+  check diag_list "unknown directive"
+    [ (Some 1, "unknown directive \"frobnicate\"") ]
+    (parse_errors "frobnicate");
+  let u, diags = Parser.parse_string_diags "dfg t\ninput a b\nop x = a + b -> c" in
+  check diag_list "unscheduled op parses" [] (located diags);
+  match Parser.to_dfg_diags u with
+  | Error ds ->
+    check diag_list "unscheduled op" [ (Some 3, "operation x has no control step") ] (located ds)
+  | Ok _ -> Alcotest.fail "accepted unscheduled op"
 
 (* A DFG broken on one line is reported at that line, as the parser's
    syntax errors are: the loader's lines are what [synth run] prints. *)
@@ -214,15 +219,11 @@ let validation_errors_carry_lines () =
     ":5: error: Dfg u: duplicate operation id +1"
 
 let parser_comments_and_whitespace () =
-  let text = "# header\ndfg t\n  input a b  # trailing\n\nop x = a + b -> c @ 1\noutput c\n" in
-  match Parser.parse_string text with
-  | Error msg -> Alcotest.fail msg
-  | Ok u -> (
-    match Parser.to_dfg u with
-    | Error msg -> Alcotest.fail msg
-    | Ok d ->
-      check (Alcotest.list Alcotest.string) "inputs" [ "a"; "b" ] d.Dfg.inputs;
-      check (Alcotest.list Alcotest.string) "outputs" [ "c" ] d.Dfg.outputs)
+  let d =
+    of_text "# header\ndfg t\n  input a b  # trailing\n\nop x = a + b -> c @ 1\noutput c\n"
+  in
+  check (Alcotest.list Alcotest.string) "inputs" [ "a"; "b" ] d.Dfg.inputs;
+  check (Alcotest.list Alcotest.string) "outputs" [ "c" ] d.Dfg.outputs
 
 let prop_parser_roundtrip_random =
   QCheck.Test.make ~name:"parser round-trips random DFGs" ~count:50
@@ -230,12 +231,7 @@ let prop_parser_roundtrip_random =
     (fun seed ->
       let rng = Prng.create seed in
       let inst = B.random rng ~ops:8 ~inputs:4 in
-      match Parser.parse_string (Parser.to_string inst.B.dfg) with
-      | Error _ -> false
-      | Ok u -> (
-        match Parser.to_dfg u with
-        | Error _ -> false
-        | Ok d2 -> Dfg.variables d2 = Dfg.variables inst.B.dfg))
+      Dfg.variables (of_text (Parser.to_string inst.B.dfg)) = Dfg.variables inst.B.dfg)
 
 let scheduler_asap () =
   let problem =

@@ -5,8 +5,7 @@ module Flow = Bistpath_core.Flow
 module Verilog = Bistpath_rtl.Verilog
 module Equiv = Bistpath_rtl.Equiv
 module Parser = Bistpath_rtl.Parser
-module Dfg_parser = Bistpath_dfg.Parser
-module Module_assign = Bistpath_core.Module_assign
+module Runner = Bistpath_service.Runner
 module Policy = Bistpath_dfg.Policy
 module Datapath = Bistpath_datapath.Datapath
 module Control = Bistpath_datapath.Control
@@ -77,6 +76,12 @@ let data_dfgs () =
   |> List.sort compare
   |> List.map (Filename.concat dir)
 
+(* A design file through the CLI's loader (single-function units). *)
+let load path =
+  match Runner.load_instance path with
+  | Ok inst -> inst
+  | Error lines -> Alcotest.fail (String.concat "\n" lines)
+
 let read_file path =
   let ic = open_in_bin path in
   let n = in_channel_length ic in
@@ -87,16 +92,8 @@ let read_file path =
 let round_trip_data_dfgs () =
   List.iter
     (fun path ->
-      let text = read_file path in
-      let dfg =
-        match Dfg_parser.parse_string text with
-        | Ok u -> (
-          match Dfg_parser.to_dfg u with
-          | Ok dfg -> dfg
-          | Error e -> Alcotest.failf "%s: to_dfg: %s" path e)
-        | Error e -> Alcotest.failf "%s: parse: %s" path e
-      in
-      let massign = Module_assign.single_function dfg in
+      let inst = load path in
+      let dfg = inst.B.dfg and massign = inst.B.massign in
       List.iter
         (fun (sname, style) ->
           let r = Flow.run ~style dfg massign ~policy:Policy.default in
@@ -757,14 +754,6 @@ let cli_verify_spans () =
 
 let fixture name = Filename.concat "fixtures" name
 
-let load_dfg path =
-  match Dfg_parser.parse_file path with
-  | Error e -> Alcotest.failf "%s: parse: %s" path e
-  | Ok u -> (
-    match Dfg_parser.to_dfg u with
-    | Ok dfg -> dfg
-    | Error e -> Alcotest.failf "%s: to_dfg: %s" path e)
-
 (* Output e is also a primary input, first read at step 2: it is loaded
    at the end of step 1 (Control.latch_step), and every reader samples
    its register then. A reader sampling at step 0 sees the register
@@ -772,9 +761,9 @@ let load_dfg path =
 let passthrough_output () =
   let path = fixture "passthrough.dfg" in
   check Alcotest.int "verify exits 0 on both flows" 0 (run_synth [ "verify"; path ]);
-  let dfg = load_dfg path in
+  let inst = load path in
+  let dfg = inst.B.dfg and massign = inst.B.massign in
   check Alcotest.int "e latches at the end of step 1" 1 (Control.latch_step dfg "e");
-  let massign = Module_assign.single_function dfg in
   let rng = Bistpath_util.Prng.create 7 in
   let vectors =
     List.init 16 (fun _ ->
@@ -838,7 +827,7 @@ let unread_input_output () =
 let engines_agree_on_alus () =
   List.iter
     (fun file ->
-      let dfg = load_dfg (Filename.concat ".." (Filename.concat "data" file)) in
+      let dfg = (load (Filename.concat ".." (Filename.concat "data" file))).B.dfg in
       let kinds = List.sort_uniq compare (List.map (fun (o : Op.t) -> o.Op.kind) dfg.Dfg.ops) in
       let alu k = Printf.sprintf "ALU%d" (k + 1) in
       let steps = List.init (Dfg.num_csteps dfg) (fun s -> Dfg.ops_in_step dfg (s + 1)) in

@@ -7,17 +7,19 @@ module Frontend = Bistpath_dfg.Frontend
 module Scheduler = Bistpath_dfg.Scheduler
 module Policy = Bistpath_dfg.Policy
 module Flow = Bistpath_core.Flow
+module Diagnostic = Bistpath_resilience.Diagnostic
 
 let check = Alcotest.check
 let case name f = Alcotest.test_case name `Quick f
 
 let compile_ok ?resources text =
-  match Frontend.compile ~name:"t" ?resources text with
+  match Frontend.compile_diags ~name:"t" ?resources text with
   | Ok dfg -> dfg
-  | Error msg -> Alcotest.failf "unexpected error: %s" msg
+  | Error ds ->
+    Alcotest.failf "unexpected error: %s" (String.concat "\n" (List.map Diagnostic.to_string ds))
 
 let expect_error text =
-  match Frontend.compile ~name:"t" text with
+  match Frontend.compile_diags ~name:"t" text with
   | Error _ -> ()
   | Ok _ -> Alcotest.failf "accepted %S" text
 
@@ -103,10 +105,11 @@ let error_cases () =
   expect_error "output z\ny = a + b" (* undefined declared output *)
 
 let error_has_line_number () =
-  match Frontend.compile ~name:"t" "a1 = x + y\nb1 = x +" with
-  | Error msg ->
-    check Alcotest.bool "mentions line 2" true
-      (String.length msg >= 6 && String.sub msg 0 6 = "line 2")
+  match Frontend.compile_diags ~name:"t" "a1 = x + y\nb1 = x +" with
+  | Error ds ->
+    check Alcotest.(list (pair (option int) string)) "one error, on line 2"
+      [ (Some 2, "expected identifier, number or '('") ]
+      (List.map (fun (d : Diagnostic.t) -> (d.line, d.message)) ds)
   | Ok _ -> Alcotest.fail "accepted"
 
 let resources_respected () =
