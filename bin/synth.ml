@@ -21,6 +21,7 @@ module Fleet = Bistpath_service.Fleet
 module Runner = Bistpath_service.Runner
 module Job = Bistpath_service.Job
 module Check = Bistpath_check.Check
+module Rule = Bistpath_check.Rule
 module Equiv = Bistpath_rtl.Equiv
 module Absint = Bistpath_absint.Absint
 module Interval = Bistpath_absint.Interval
@@ -731,8 +732,8 @@ let check_cmd =
   in
   let run c spec width flow transparency vectors format suppress list_rules =
     with_common c @@ fun budget ->
-    valid_format report_formats format;
     if list_rules then begin
+      valid_format report_formats format;
       match format with
       | "json" | "sarif" ->
         print_endline
@@ -758,6 +759,7 @@ let check_cmd =
       | None -> or_die (Error "missing DFG argument (or pass --list-rules)")
     in
     let inst = or_die_input (Runner.load_instance ?max_errors:c.max_errors spec) in
+    valid_format report_formats format;
     valid_vectors vectors;
     let suppress =
       List.filter_map
@@ -768,7 +770,7 @@ let check_cmd =
           else
             invalid_flag "--suppress" s
               ("a known rule id, one of: "
-              ^ String.concat ", " (List.map fst Check.rule_table)))
+              ^ String.concat ", " (List.map (fun (id, _, _) -> id) Check.rule_info)))
         (String.split_on_char ',' suppress)
     in
     let total_errors = ref 0 in
@@ -852,32 +854,18 @@ let analyze_cmd =
       (fun job ->
         let design = inst.B.tag ^ "/" ^ job.Job.flow in
         let r = Runner.flow ~budget inst job in
-        let analysis =
-          try
-            let dres =
-              Absint.solve_dfg ~assumes ~width ~policy:inst.B.policy inst.B.dfg
-            in
-            let control = try Some (Control.build r.Flow.datapath) with _ -> None in
-            let plan =
-              Option.map
-                (fun ctl -> Absint.narrow_plan ~width r.Flow.datapath ctl)
-                control
-            in
-            Some (dres, plan)
-          with Inject.Injected site ->
-            Printf.eprintf "synth: analyze %s degraded: injected fault at site %s\n"
-              design site;
-            degraded := true;
-            None
+        let rep, facts =
+          Check.run_with_facts ~budget ~rules:Check.absint_family
+            (Check.ctx_of_flow ~assumes ~design ~width inst.B.dfg inst.B.massign
+               ~policy:inst.B.policy r)
         in
-        match analysis with
-        | None -> ()
-        | Some (dres, plan) ->
-          let ctx =
-            Check.ctx_of_flow ~assumes ~design ~width inst.B.dfg inst.B.massign
-              ~policy:inst.B.policy r
-          in
-          let rep = Check.run ~budget ~rules:Check.absint_family ctx in
+        match (Lazy.force facts.Rule.ranges, Lazy.force facts.Rule.control_ranges) with
+        | exception Inject.Injected site ->
+          Printf.eprintf "synth: analyze %s degraded: injected fault at site %s\n"
+            design site;
+          degraded := true
+        | dres, control ->
+          let plan = Option.map (Absint.plan_of_control ~width r.Flow.datapath) control in
           (match format with
           | "json" ->
             let value_json (v, (iv : Interval.t)) =

@@ -113,6 +113,9 @@ type plan = {
   total_bits : int;  (** same metric for the uniform-width design *)
 }
 
+val plan_of_control : width:int -> Bistpath_datapath.Datapath.t -> control_result -> plan
+(** {!narrow_plan} from an existing {!solve_control} result. *)
+
 val narrow_plan :
   ?assumes:(string * (int * int)) list ->
   width:int ->

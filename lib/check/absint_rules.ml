@@ -21,26 +21,12 @@ module Datapath = Bistpath_datapath.Datapath
 module Interval = Bistpath_absint.Interval
 module Absint = Bistpath_absint.Absint
 
-let error = Bistpath_resilience.Diagnostic.Error
-let warning = Bistpath_resilience.Diagnostic.Warning
-
-let solve ctx =
-  Absint.solve_dfg ~assumes:ctx.assumes ~width:ctx.width ~policy:ctx.policy ctx.dfg
-
-let solve_ctl ctx =
-  match ctx.control with
-  | None -> None
-  | Some control ->
-      Some
-        (Absint.solve_control ~assumes:ctx.assumes ~width:ctx.width ctx.datapath
-           control)
-
 let assumed ctx v = List.mem_assoc v ctx.assumes
 
 (* ABS001: an arithmetic operation the value analysis proves (Must) or,
    under asserted input ranges, still admits (May) a mod-2^width
    wrap-around. *)
-let abs001 ctx =
+let abs001 ctx facts =
   List.concat_map
     (fun (f : Absint.op_facts) ->
       let witness () =
@@ -62,12 +48,12 @@ let abs001 ctx =
               "the asserted ranges still admit a wrap mod 2^%d: %s" ctx.width
               (witness ()) ]
       | Interval.May | Interval.No -> [])
-    (solve ctx).Absint.op_facts
+    (Lazy.force facts.ranges).Absint.op_facts
 
 (* ABS002: a division whose divisor range proves (or, under asserted
    ranges, still admits) zero — the emitted guard then forces the
    all-ones word. *)
-let abs002 ctx =
+let abs002 ctx facts =
   List.concat_map
     (fun (f : Absint.op_facts) ->
       let witness () =
@@ -84,21 +70,18 @@ let abs002 ctx =
           [ v "ABS002" warning f.Absint.op.Op.id
               "the asserted range still admits a zero divisor: %s" (witness ()) ]
       | Interval.May | Interval.No -> [])
-    (solve ctx).Absint.op_facts
+    (Lazy.force facts.ranges).Absint.op_facts
 
 (* ABS003: a multiplexer leg (register writer mux or unit port mux) no
    reachable control step ever selects — pure interconnect area. *)
-let abs003 ctx =
-  match solve_ctl ctx with
+let abs003 ctx facts =
+  match Lazy.force facts.control_ranges with
   | None -> []
   | Some cr ->
       let writer_leg rid i =
-        match List.assoc_opt rid ctx.datapath.Datapath.reg_writers with
-        | Some ws -> (
-            match List.nth_opt ws i with
-            | Some (Datapath.From_unit m) -> Printf.sprintf "unit %s" m
-            | Some (Datapath.From_port p) -> Printf.sprintf "pin %s" p
-            | None -> "out of range")
+        match List.nth_opt (writers ctx rid) i with
+        | Some (Datapath.From_unit m) -> Printf.sprintf "unit %s" m
+        | Some (Datapath.From_port p) -> Printf.sprintf "pin %s" p
         | None -> "out of range"
       in
       List.concat_map
@@ -124,8 +107,8 @@ let abs003 ctx =
 (* ABS004: a control-table entry at a counter state the abstract step
    counter (reset 0, increment, saturate at T+1) can never reach —
    the reachability superset of CTL001's syntactic index check. *)
-let abs004 ctx =
-  match solve_ctl ctx with
+let abs004 ctx facts =
+  match Lazy.force facts.control_ranges with
   | None -> []
   | Some cr ->
       List.map
@@ -140,7 +123,7 @@ let abs004 ctx =
 (* ABS005: a net the analysis proves constant. A constant-zero net
    consumed as a divisor is reported once, by ABS002, at the division
    where it does damage. *)
-let abs005 ctx =
+let abs005 ctx facts =
   List.concat_map
     (fun (f : Absint.op_facts) ->
       match Interval.is_const f.Absint.out_v with
@@ -164,13 +147,13 @@ let abs005 ctx =
                 (Interval.to_string f.Absint.left_v)
                 f.Absint.op.Op.right
                 (Interval.to_string f.Absint.right_v) ])
-    (solve ctx).Absint.op_facts
+    (Lazy.force facts.ranges).Absint.op_facts
 
 (* ABS006: a unit reads a register at a step before the register's
    first write — the value consumed is the reset word, not a computed
    or loaded one. *)
-let abs006 ctx =
-  match solve_ctl ctx with
+let abs006 _ facts =
+  match Lazy.force facts.control_ranges with
   | None -> []
   | Some cr ->
       List.map

@@ -12,40 +12,29 @@ module Sharing = Bistpath_core.Sharing
 module Cbilbo_rules = Bistpath_core.Cbilbo_rules
 open Rule
 
-let error = Bistpath_resilience.Diagnostic.Error
-let warning = Bistpath_resilience.Diagnostic.Warning
-
-let spans ctx = Lifetime.spans ~policy:ctx.policy ctx.dfg
-
 (* ALC001: two variables with overlapping lifetimes in one register. *)
-let alc001 ctx =
-  let sp = spans ctx in
+let alc001 ctx facts =
+  let sp = Lazy.force facts.spans in
   let span_of v = List.assoc_opt v sp in
   List.concat_map
     (fun (rid, vars) ->
-      let rec pairs = function
-        | [] -> []
-        | a :: rest ->
-            List.filter_map
-              (fun b ->
-                match (span_of a, span_of b) with
-                | Some sa, Some sb when Interval.overlap sa sb ->
-                    Some
-                      (v "ALC001" error rid
-                         "variables %s and %s have overlapping lifetimes (%d,%d] and (%d,%d] \
-                          but share this register"
-                         a b sa.Interval.birth sa.Interval.death sb.Interval.birth
-                         sb.Interval.death)
-                | _ -> None)
-              rest
-            @ pairs rest
-      in
-      pairs vars)
+      pairs
+        (fun a b ->
+          match (span_of a, span_of b) with
+          | Some sa, Some sb when Interval.overlap sa sb ->
+              Some
+                (v "ALC001" error rid
+                   "variables %s and %s have overlapping lifetimes (%d,%d] and (%d,%d] \
+                    but share this register"
+                   a b sa.Interval.birth sa.Interval.death sb.Interval.birth
+                   sb.Interval.death)
+          | _ -> None)
+        vars)
     ctx.regalloc.Regalloc.classes
 
 (* ALC002: the assignment is not a partition of the allocatable variables. *)
-let alc002 ctx =
-  let allocatable = List.map fst (spans ctx) in
+let alc002 ctx facts =
+  let allocatable = List.map fst (Lazy.force facts.spans) in
   let assigned = Regalloc.variables ctx.regalloc in
   let missing = List.filter (fun v -> not (List.mem v assigned)) allocatable in
   let extra = List.filter (fun v -> not (List.mem v allocatable)) assigned in
@@ -65,16 +54,16 @@ let alc002 ctx =
 
 (* ALC003: the recomputed conflict graph must be chordal (interval graphs
    always are — this rule guards the lifetime machinery itself). *)
-let alc003 ctx =
-  let g, _ = Lifetime.conflict_graph ~policy:ctx.policy ctx.dfg in
+let alc003 ctx facts =
+  let g, _ = Lazy.force facts.conflicts in
   if Chordal.is_chordal g then []
   else [ v "ALC003" error ctx.design "recomputed variable conflict graph is not chordal" ]
 
 (* ALC004: more registers than the chromatic number — legal but not the
    paper's minimum, so worth a warning. *)
-let alc004 ctx =
+let alc004 ctx facts =
   let used = Regalloc.num_registers ctx.regalloc in
-  let minimum = Lifetime.min_registers ~policy:ctx.policy ctx.dfg in
+  let minimum = Chordal.clique_number (fst (Lazy.force facts.conflicts)) in
   if used > minimum then
     [ v "ALC004" warning ctx.design
         "register file uses %d registers where %d suffice (clique number of the conflict graph)"
@@ -83,12 +72,12 @@ let alc004 ctx =
 
 (* ALC005: the recorded coloring order must be the reverse of a perfect
    vertex elimination scheme of the conflict graph. *)
-let alc005 ctx =
+let alc005 ctx facts =
   match ctx.order with
   | None -> []
   | Some order ->
-      let g, idx = Lifetime.conflict_graph ~policy:ctx.policy ctx.dfg in
-      let sp = spans ctx in
+      let g, idx = Lazy.force facts.conflicts in
+      let sp = Lazy.force facts.spans in
       let unknown = List.filter (fun v -> not (List.mem_assoc v sp)) order in
       if unknown <> [] then
         List.map
@@ -116,11 +105,11 @@ let declared_style (sol : Allocator.solution) rid =
 (* BIST001: every chosen embedding must denote I-paths that exist on this
    datapath, and (for simple paths) the claimed sharing must be backed by
    an actual variable-set intersection. *)
-let bist001 ctx =
+let bist001 ctx facts =
   match ctx.bist with
   | None -> []
   | Some sol ->
-      let sctx = Sharing.make ctx.dfg ctx.massign in
+      let sctx = Lazy.force facts.sharing in
       let known_unit mid = List.mem mid (Sharing.units sctx) in
       let check_tpg (e : Ipath.embedding) side =
         let reg, via, label =
@@ -201,7 +190,7 @@ let bist001 ctx =
 
 (* BIST002: each register's declared style must equal the cheapest style
    covering the duties the embeddings actually place on it. *)
-let bist002 ctx =
+let bist002 ctx _ =
   match ctx.bist with
   | None -> []
   | Some sol ->
@@ -251,7 +240,7 @@ let bist002 ctx =
    flagged — either the chosen embedding itself places the double duty,
    or every embedding of the unit does (ground truth) yet the chosen one
    claims otherwise. *)
-let bist003 ctx =
+let bist003 ctx _ =
   match ctx.bist with
   | None -> []
   | Some sol ->
@@ -286,7 +275,7 @@ let bist003 ctx =
         sol.Allocator.embeddings
 
 (* BIST004: a register flagged CBILBO that no chosen embedding justifies. *)
-let bist004 ctx =
+let bist004 ctx _ =
   match ctx.bist with
   | None -> []
   | Some sol ->
@@ -308,8 +297,8 @@ let bist004 ctx =
 (* BIST005: Lemma 1/2 prediction vs. post-interconnect ground truth. The
    lemma is documented as perfect-precision / ~90%-recall, so a
    disagreement is a warning, not an error. *)
-let bist005 ctx =
-  let sctx = Sharing.make ctx.dfg ctx.massign in
+let bist005 ctx facts =
+  let sctx = Lazy.force facts.sharing in
   let classes =
     List.map (fun (r : Datapath.reg) -> (r.Datapath.rid, r.Datapath.vars)) ctx.datapath.Datapath.regs
   in
@@ -345,7 +334,7 @@ let bist005 ctx =
 
 (* BIST006: two units in the same test session with conflicting duties —
    shared SA, or generate-for-one/compact-for-another on a non-CBILBO. *)
-let bist006 ctx =
+let bist006 ctx _ =
   match (ctx.bist, ctx.sessions) with
   | Some sol, Some sched ->
       let emb mid =
@@ -367,25 +356,13 @@ let bist006 ctx =
         else None
       in
       List.concat_map
-        (fun session ->
-          let rec pairs = function
-            | [] -> []
-            | ma :: rest ->
-                List.filter_map
-                  (fun mb ->
-                    match (emb ma, emb mb) with
-                    | Some ea, Some eb -> (
-                        match conflict ea eb with
-                        | Some why ->
-                            Some
-                              (v "BIST006" error (ma ^ "+" ^ mb)
-                                 "units scheduled in one session conflict: %s" why)
-                        | None -> None)
-                    | _ -> None)
-                  rest
-                @ pairs rest
-          in
-          pairs session)
+        (pairs (fun ma mb ->
+             match (emb ma, emb mb) with
+             | Some ea, Some eb ->
+                 Option.map
+                   (v "BIST006" error (ma ^ "+" ^ mb) "units scheduled in one session conflict: %s")
+                   (conflict ea eb)
+             | _ -> None))
         sched.Bistpath_bist.Session.sessions
   | _ -> []
 

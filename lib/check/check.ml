@@ -45,15 +45,11 @@ let all_rules =
 
 let absint_family = Absint_rules.rules
 
-let rule_table =
-  List.map (fun (r : Rule.t) -> (r.Rule.id, r.Rule.title)) all_rules
-  @ [ ("CHK000", "rule crashed while evaluating") ]
-
-let known_rule id = List.mem_assoc id rule_table
-
 let rule_info =
   List.map (fun (r : Rule.t) -> (r.Rule.id, r.Rule.severity, r.Rule.title)) all_rules
   @ [ ("CHK000", Diagnostic.Error, "rule crashed while evaluating") ]
+
+let known_rule id = List.exists (fun (known, _, _) -> known = id) rule_info
 
 let make_ctx ?bist ?sessions ?order ?(transparency = false) ?(vectors = 0) ?(assumes = [])
     ~design ~width dfg massign ~policy regalloc datapath =
@@ -87,9 +83,9 @@ type report = {
   degraded : bool;
 }
 
-type outcome = Evaluated of finding list | Crashed of string
-
-let run ?(suppress = []) ?(budget = Budget.unlimited) ?(rules = all_rules) ctx =
+let run_with_facts ?(suppress = []) ?(budget = Budget.unlimited) ?(rules = all_rules) ctx =
+  let facts = Rule.derive ctx in
+  (* A rule's findings, and whether it crashed. *)
   let eval (r : Rule.t) =
     (* Per-rule latency distribution (crashed rules included: the time
        until the raise is still time the checker spent in the rule). *)
@@ -97,47 +93,43 @@ let run ?(suppress = []) ?(budget = Budget.unlimited) ?(rules = all_rules) ctx =
     let result =
       match
         Inject.fire "check.rule";
-        r.Rule.run ctx
+        r.Rule.run ctx facts
       with
-      | fs -> Evaluated fs
-      | exception e -> Crashed (Printexc.to_string e)
+      | fs -> (fs, false)
+      | exception e ->
+          ( [ Rule.v "CHK000" Diagnostic.Error r.Rule.id "rule crashed: %s"
+                (Printexc.to_string e) ],
+            true )
     in
     if Telemetry.enabled () then
       Telemetry.observe "check.rule_ns" (Int64.to_int (Int64.sub (Telemetry.now ()) t0));
     result
   in
   let results =
-    List.map (fun r -> if Budget.should_stop budget then None else Some (eval r)) rules
+    List.filter_map (fun r -> if Budget.should_stop budget then None else Some (eval r)) rules
   in
-  let findings, run_count, crashed, skipped =
-    List.fold_left2
-      (fun (fs, run_count, crashed, skipped) (r : Rule.t) result ->
-        match result with
-        | None -> (fs, run_count, crashed, skipped + 1)
-        | Some (Evaluated found) -> (fs @ found, run_count + 1, crashed, skipped)
-        | Some (Crashed msg) ->
-            ( fs
-              @ [ Rule.v "CHK000" Diagnostic.Error r.Rule.id "rule crashed: %s" msg ],
-              run_count + 1,
-              crashed + 1,
-              skipped ))
-      ([], 0, 0, 0) rules results
-  in
+  let findings = List.concat_map fst results in
+  let run_count = List.length results in
+  let crashed = List.length (List.filter snd results) in
+  let skipped = List.length rules - run_count in
   let active, suppressed = List.partition (fun f -> not (List.mem f.rule suppress)) findings in
   Telemetry.incr ~by:run_count "check.rules_run";
   Telemetry.incr ~by:crashed "check.rules_crashed";
   Telemetry.incr ~by:skipped "check.rules_skipped";
   Telemetry.incr ~by:(List.length active) "check.findings";
   Telemetry.incr ~by:(List.length suppressed) "check.suppressed";
-  { design = ctx.design;
-    total_rules = List.length rules;
-    rules_run = run_count;
-    rules_crashed = crashed;
-    rules_skipped = skipped;
-    findings = active;
-    suppressed;
-    degraded = skipped > 0;
-  }
+  ( { design = ctx.design;
+      total_rules = List.length rules;
+      rules_run = run_count;
+      rules_crashed = crashed;
+      rules_skipped = skipped;
+      findings = active;
+      suppressed;
+      degraded = skipped > 0;
+    },
+    facts )
+
+let run ?suppress ?budget ?rules ctx = fst (run_with_facts ?suppress ?budget ?rules ctx)
 
 let count sev fs = List.length (List.filter (fun f -> f.severity = sev) fs)
 let errors r = count Diagnostic.Error r.findings

@@ -90,17 +90,13 @@ type ctx = Rule.ctx = {
   rtl : Bistpath_rtl.Equiv.parsed option Lazy.t;
 }
 
-val rule_table : (string * string) list
-(** Every rule id with its one-line title, registration order (the
-    order findings are reported in), CHK000 included. *)
+val rule_info : (string * severity * string) list
+(** Every rule as (id, worst severity, title), registration order (the
+    order findings are reported in), CHK000 included — the catalogue
+    behind [--list-rules] and the SARIF driver block. *)
 
 val known_rule : string -> bool
 (** Is this a valid id for [~suppress]? *)
-
-val rule_info : (string * severity * string) list
-(** Every rule as (id, worst severity, title), registration order,
-    CHK000 included — the catalogue behind [--list-rules] and the SARIF
-    driver block. *)
 
 val absint_family : Rule.t list
 (** Just the ABS001..ABS006 rules — the subset [synth analyze] runs. *)
@@ -165,8 +161,20 @@ val run :
     which is polled before each rule (a tripped budget skips the
     remaining rules and marks the report degraded). A rule that raises
     — including an injected [check.rule] fault — degrades to a CHK000
-    finding naming the rule; the other rules still run. Telemetry: [check.rules_run], [check.rules_crashed],
+    finding naming the rule; the other rules still run. The rules share
+    one {!Rule.facts} set derived from [ctx] for this run; a fact's cost
+    lands in [check.rule_ns] of the first rule that reads it.
+    Telemetry: [check.rules_run], [check.rules_crashed],
     [check.rules_skipped], [check.findings], [check.suppressed]. *)
+
+val run_with_facts :
+  ?suppress:string list ->
+  ?budget:Bistpath_resilience.Budget.t ->
+  ?rules:Rule.t list ->
+  ctx ->
+  report * Rule.facts
+(** {!run}, also returning its facts: [synth analyze] prints their value
+    ranges and narrowing plan beside the findings. *)
 
 val errors : report -> int
 (** Active findings with severity [Error]. *)

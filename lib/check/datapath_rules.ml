@@ -7,14 +7,11 @@ module Equiv = Bistpath_rtl.Equiv
 module Prng = Bistpath_util.Prng
 open Rule
 
-let error = Bistpath_resilience.Diagnostic.Error
-let warning = Bistpath_resilience.Diagnostic.Warning
-
 (* DP001: a register would have to latch two values in one control step.
    Re-derived from the schedule and routes, independently of
    [Control.build] (which refuses to build such a table at all); a
    stored primary input latches at its [Control.latch_step]. *)
-let dp001 ctx =
+let dp001 ctx _ =
   let writes =
     List.filter_map
       (fun x ->
@@ -49,33 +46,30 @@ let dp001 ctx =
 
 (* DP002: every connection of a net in the parsed-back netlist drives or
    reads it at the net's declared width. *)
-let dp002 ctx =
-  match parsed_rtl ctx with
-  | None -> []
-  | Some e ->
-      List.concat_map
-        (fun (n : Equiv.net) ->
-          let width =
-            match (n.Equiv.declared, n.Equiv.drivers) with
-            | Some w, _ -> Some w
-            | None, d :: _ -> d.Equiv.width
-            | None, [] -> None
-          in
-          let mismatch fmt (ep : Equiv.endpoint) =
-            match (width, ep.Equiv.width) with
-            | Some w, Some w' when w' <> w -> Some (fmt w ep.Equiv.cell w')
-            | _ -> None
-          in
-          let finding = v "DP002" error n.Equiv.net in
-          List.filter_map (mismatch (finding "declared %d bits wide but %s drives it with %d bits"))
-            n.Equiv.drivers
-          @ List.filter_map (mismatch (finding "driven %d bits wide but %s reads it as %d bits"))
-              n.Equiv.readers)
-        (Equiv.nets e)
+let dp002 _ facts =
+  List.concat_map
+    (fun (n : Equiv.net) ->
+      let width =
+        match (n.Equiv.declared, n.Equiv.drivers) with
+        | Some w, _ -> Some w
+        | None, d :: _ -> d.Equiv.width
+        | None, [] -> None
+      in
+      let mismatch fmt (ep : Equiv.endpoint) =
+        match (width, ep.Equiv.width) with
+        | Some w, Some w' when w' <> w -> Some (fmt w ep.Equiv.cell w')
+        | _ -> None
+      in
+      let finding = v "DP002" error n.Equiv.net in
+      List.filter_map (mismatch (finding "declared %d bits wide but %s drives it with %d bits"))
+        n.Equiv.drivers
+      @ List.filter_map (mismatch (finding "driven %d bits wide but %s reads it as %d bits"))
+          n.Equiv.readers)
+    (Lazy.force facts.nets)
 
 (* DP003: interconnect completeness — every scheduled transfer has a
    physical path. *)
-let dp003 ctx =
+let dp003 ctx _ =
   let per_op =
     List.concat_map
       (fun (op : Op.t) ->
@@ -126,7 +120,7 @@ let dp003 ctx =
   per_op @ per_input @ per_output
 
 (* DP004: a register nothing ever reads. *)
-let dp004 ctx =
+let dp004 ctx _ =
   let read rid =
     List.exists
       (fun (r : Datapath.route) -> r.Datapath.l_reg = rid || r.Datapath.r_reg = rid)
@@ -143,7 +137,7 @@ let dp004 ctx =
     ctx.datapath.Datapath.regs
 
 (* DP005: a route's registers disagree with the register assignment. *)
-let dp005 ctx =
+let dp005 ctx _ =
   List.concat_map
     (fun (op : Op.t) ->
       match op_routes ctx op with
@@ -167,7 +161,7 @@ let dp005 ctx =
     ctx.dfg.Dfg.ops
 
 (* DP006: swapped operands on a non-commutative operation. *)
-let dp006 ctx =
+let dp006 ctx _ =
   List.concat_map
     (fun (op : Op.t) ->
       List.filter_map
@@ -183,7 +177,7 @@ let dp006 ctx =
 (* EQ001: dynamic spot-check — the interpreted data path must agree with
    the behavioural DFG on random vectors. Disabled when [vectors = 0]
    (hand-corrupted fixtures exercise the static rules in isolation). *)
-let eq001 ctx =
+let eq001 ctx _ =
   if ctx.vectors <= 0 then []
   else
     let failed e =

@@ -10,8 +10,6 @@ module Verilog = Bistpath_rtl.Verilog
 module Equiv = Bistpath_rtl.Equiv
 open Rule
 
-let error = Bistpath_resilience.Diagnostic.Error
-
 (* A corrupted data path (severed interconnect, broken control table)
    may not be emittable at all; those defects belong to the dedicated
    structural rules (DP003, CTL001, ...), so the parse-back rules only
@@ -25,7 +23,7 @@ let emitted ~width ?bist ?sessions datapath =
 let finding ctx (f : Equiv.finding) = v f.Equiv.rule error ctx.design "%s" f.Equiv.message
 
 (* RTL005: structural equivalence of the parsed-back netlist. *)
-let rtl005 ctx =
+let rtl005 ctx _ =
   List.map (finding ctx)
     (match Lazy.force ctx.rtl with
     | None -> []
@@ -40,7 +38,7 @@ let rtl005 ctx =
 (* EQ002: random-vector simulation of the parsed netlist against the
    interpreter. Gated on [vectors] like EQ001; structural problems are
    RTL005's to report, so this rule stays quiet on them. *)
-let eq002 ctx =
+let eq002 ctx _ =
   match parsed_rtl ctx with
   | Some e when ctx.vectors > 0 ->
     List.map (finding ctx)

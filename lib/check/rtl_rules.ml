@@ -3,19 +3,12 @@ module Control = Bistpath_datapath.Control
 module Equiv = Bistpath_rtl.Equiv
 open Rule
 
-let error = Bistpath_resilience.Diagnostic.Error
-let warning = Bistpath_resilience.Diagnostic.Warning
-
-(* RTL001..RTL004 and DP002 audit the emitted text itself: the
-   parsed-back netlist's nets, each with its drivers and readers. *)
-let nets ctx = match parsed_rtl ctx with Some e -> Equiv.nets e | None -> []
-
 let cells eps =
   List.map (fun (ep : Equiv.endpoint) -> ep.Equiv.cell) eps
   |> List.sort_uniq compare |> String.concat ", "
 
 (* RTL001: combinational loop — a cycle of nets no register breaks. *)
-let rtl001 ctx =
+let rtl001 ctx _ =
   match parsed_rtl ctx with
   | None -> []
   | Some e ->
@@ -26,26 +19,26 @@ let rtl001 ctx =
         (Equiv.comb_cycles e)
 
 (* RTL002: a net something reads but nothing drives. *)
-let rtl002 ctx =
+let rtl002 _ facts =
   List.filter_map
     (fun (n : Equiv.net) ->
       if n.Equiv.drivers = [] && n.Equiv.readers <> [] then
         Some (v "RTL002" error n.Equiv.net "undriven net read by %s" (cells n.Equiv.readers))
       else None)
-    (nets ctx)
+    (Lazy.force facts.nets)
 
 (* RTL003: an internal net something drives but nothing reads (an unused
    port is interface, not a floating net). *)
-let rtl003 ctx =
+let rtl003 _ facts =
   List.filter_map
     (fun (n : Equiv.net) ->
       if (not n.Equiv.port) && n.Equiv.drivers <> [] && n.Equiv.readers = [] then
         Some (v "RTL003" warning n.Equiv.net "floating net driven by %s" (cells n.Equiv.drivers))
       else None)
-    (nets ctx)
+    (Lazy.force facts.nets)
 
 (* RTL004: a net with more than one driver. *)
-let rtl004 ctx =
+let rtl004 _ facts =
   List.filter_map
     (fun (n : Equiv.net) ->
       match n.Equiv.drivers with
@@ -54,12 +47,12 @@ let rtl004 ctx =
             (v "RTL004" error n.Equiv.net "net driven by %d cells: %s" (List.length ds)
                (cells ds))
       | _ -> None)
-    (nets ctx)
+    (Lazy.force facts.nets)
 
 (* CTL001: the control FSM must have exactly the states 0..T, each
    reachable from its predecessor (the FSM is a linear counter, so
    contiguity is reachability). *)
-let ctl001 ctx =
+let ctl001 ctx _ =
   match ctx.control with
   | None -> []
   | Some c ->
@@ -84,7 +77,7 @@ let ctl001 ctx =
       @ List.map (fun i -> v "CTL001" error (string_of_int i) "control step appears twice") dup
 
 (* CTL002: every select and enable index must address an existing source. *)
-let ctl002 ctx =
+let ctl002 ctx _ =
   match ctx.control with
   | None -> []
   | Some c ->

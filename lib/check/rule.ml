@@ -4,8 +4,13 @@ module Policy = Bistpath_dfg.Policy
 module Massign = Bistpath_dfg.Massign
 module Regalloc = Bistpath_datapath.Regalloc
 module Datapath = Bistpath_datapath.Datapath
+module Lifetime = Bistpath_dfg.Lifetime
+module Absint = Bistpath_absint.Absint
 
 type severity = Bistpath_resilience.Diagnostic.severity
+
+let error = Bistpath_resilience.Diagnostic.Error
+let warning = Bistpath_resilience.Diagnostic.Warning
 
 type finding = { rule : string; severity : severity; subject : string; detail : string }
 
@@ -27,15 +32,26 @@ type ctx = {
   rtl : Bistpath_rtl.Equiv.parsed option Lazy.t;
 }
 
+type facts = {
+  spans : (string * Bistpath_graphs.Interval.span) list Lazy.t;
+  conflicts : (Bistpath_graphs.Ugraph.t * Lifetime.indexing) Lazy.t;
+  sharing : Bistpath_core.Sharing.ctx Lazy.t;
+  nets : Bistpath_rtl.Equiv.net list Lazy.t;
+  ranges : Absint.dfg_result Lazy.t;
+  control_ranges : Absint.control_result option Lazy.t;
+}
+
 type t = {
   id : string;
   title : string;
   severity : severity;
-  run : ctx -> finding list;
+  run : ctx -> facts -> finding list;
 }
 
 let v rule severity subject fmt =
   Printf.ksprintf (fun detail -> { rule; severity; subject; detail }) fmt
+
+let rec pairs f = function [] -> [] | a :: rest -> List.filter_map (f a) rest @ pairs f rest
 
 let mid_of_op ctx opid = Dfg.Smap.find_opt opid ctx.massign.Massign.of_op
 
@@ -80,3 +96,14 @@ let parsed_rtl ctx =
   match Lazy.force ctx.rtl with Some (Ok e) -> Some e | Some (Error _) | None -> None
 
 let consumed_inputs ctx = List.sort_uniq compare (Dfg.used_inputs ctx.dfg)
+
+let derive ctx =
+  { spans = lazy (Lifetime.spans ~policy:ctx.policy ctx.dfg);
+    conflicts = lazy (Lifetime.conflict_graph ~policy:ctx.policy ctx.dfg);
+    sharing = lazy (Bistpath_core.Sharing.make ctx.dfg ctx.massign);
+    nets = lazy (match parsed_rtl ctx with Some e -> Bistpath_rtl.Equiv.nets e | None -> []);
+    ranges =
+      lazy (Absint.solve_dfg ~assumes:ctx.assumes ~width:ctx.width ~policy:ctx.policy ctx.dfg);
+    control_ranges =
+      lazy (Option.map (Absint.solve_control ~width:ctx.width ctx.datapath) ctx.control);
+  }

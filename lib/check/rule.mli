@@ -1,12 +1,17 @@
 (** Rule framework shared by the three analysis passes.
 
     A rule is a pure function from a {!ctx} — the complete artifact
-    bundle of one synthesized design — to a list of {!finding}s. Rules
-    never raise for corrupted artifacts (they report them); an actual
-    crash is caught by the runner ({!Check.run}) and degraded to a
-    [CHK000] finding for that rule alone. *)
+    bundle of one synthesized design — and the {!facts} derived from it
+    to a list of {!finding}s. The facts are derived per run
+    ({!Check.run}) from the ctx that run is given, so a ctx corrupted by
+    record update is what every fact sees. Rules never raise for
+    corrupted artifacts (they report them); an actual crash is caught by
+    the runner and degraded to a [CHK000] finding for that rule alone. *)
 
 type severity = Bistpath_resilience.Diagnostic.severity
+
+val error : severity
+val warning : severity
 
 type finding = {
   rule : string;  (** rule id, e.g. "ALC001" *)
@@ -46,17 +51,40 @@ type ctx = {
           audits it; [None] when the data path cannot be emitted *)
 }
 
+(** The structures several rules audit through, each computed by the
+    first rule that reads it and shared by the rest of the run. A
+    derivation that raises raises again for each rule that reads it. *)
+type facts = {
+  spans : (string * Bistpath_graphs.Interval.span) list Lazy.t;
+      (** allocatable variables with their lifetimes, sorted *)
+  conflicts : (Bistpath_graphs.Ugraph.t * Bistpath_dfg.Lifetime.indexing) Lazy.t;
+  sharing : Bistpath_core.Sharing.ctx Lazy.t;
+  nets : Bistpath_rtl.Equiv.net list Lazy.t;  (** [[]] without a parsed netlist *)
+  ranges : Bistpath_absint.Absint.dfg_result Lazy.t;  (** under [ctx.assumes] *)
+  control_ranges : Bistpath_absint.Absint.control_result option Lazy.t;
+      (** over full-range inputs, as a narrowing plan needs (the
+          controller rules read only its value-free verdicts); [None]
+          without a control table *)
+}
+
+val derive : ctx -> facts
+(** The facts of one ctx, none computed yet. *)
+
 type t = {
   id : string;
   title : string;
   severity : severity;  (** worst severity the rule can report *)
-  run : ctx -> finding list;
+  run : ctx -> facts -> finding list;
 }
 
 val v : string -> severity -> string -> ('a, unit, string, finding) format4 -> 'a
 (** [v rule severity subject fmt ...] builds a finding. *)
 
 (** {1 Walker helpers} *)
+
+val pairs : ('a -> 'a -> 'b option) -> 'a list -> 'b list
+(** The [Some] results of [f a b] over every pair of the list, [a]
+    listed before [b]. *)
 
 val mid_of_op : ctx -> string -> string option
 (** Unit an operation id is bound to ([None] instead of raising). *)

@@ -17,6 +17,7 @@ module Control = Bistpath_datapath.Control
 module Diagnostic = Bistpath_resilience.Diagnostic
 module Json = Bistpath_util.Json
 module Check = Bistpath_check.Check
+module Rule = Bistpath_check.Rule
 module Interval = Bistpath_absint.Interval
 module Absint = Bistpath_absint.Absint
 
@@ -392,6 +393,48 @@ let abs006_uninit_read () =
   check Alcotest.bool "read-before-write reported" true
     (List.mem "ABS006" (errors_of rep))
 
+(* The ABS rules read the control table of the ctx they are run on:
+   run after run, a repaired table clears ABS006 and a missing one
+   silences the controller rules, so no verdict outlives the record
+   update that changed it. *)
+let abs_follow_updated_control () =
+  let ctx = ctx_of_text "minmax4" minmax4_text in
+  let control = Option.get ctx.Check.control in
+  let unloaded =
+    { ctx with
+      Check.control =
+        Some
+          { Control.steps =
+              List.filter (fun s -> s.Control.index <> 0) control.Control.steps } }
+  in
+  check Alcotest.bool "unloaded table reads before writing" true
+    (List.mem "ABS006" (errors_of (run_abs unloaded)));
+  check Alcotest.(list string) "repaired table is clean" []
+    (rules_of (run_abs { unloaded with Check.control = Some control }));
+  let rep, facts =
+    Check.run_with_facts ~rules:Check.absint_family { unloaded with Check.control = None }
+  in
+  check Alcotest.(list string) "no table, no controller verdicts" [] (rules_of rep);
+  check Alcotest.bool "no table, no controller analysis" true
+    (Lazy.force facts.Rule.control_ranges = None)
+
+(* Assumptions sharpen the DFG ranges, never the controller analysis the
+   narrowing plan is built from: the plan must hold for the full-range
+   vectors verify drives. *)
+let control_facts_ignore_assumes () =
+  let facts ctx = snd (Check.run_with_facts ~rules:Check.absint_family ctx) in
+  let plain = facts (ctx_of_text "minmax4" minmax4_text) in
+  let assumed =
+    facts
+      (ctx_of_text
+         ~assumes:(List.map (fun v -> (v, (0, 3))) [ "a"; "b"; "c"; "d" ])
+         "minmax4" minmax4_text)
+  in
+  check Alcotest.bool "assumptions narrow the DFG ranges" true
+    (Lazy.force plain.Rule.ranges <> Lazy.force assumed.Rule.ranges);
+  check Alcotest.bool "the controller analysis is the full-range one" true
+    (Lazy.force plain.Rule.control_ranges = Lazy.force assumed.Rule.control_ranges)
+
 let clean_shipped_kernels () =
   List.iter
     (fun f ->
@@ -527,7 +570,25 @@ let cli_injected_degrade () =
       ~env:[ "BISTPATH_INJECT=absint.fixpoint" ]
       [ "analyze"; data_file "minmax4.dfg" ]
   in
-  check Alcotest.int "injected solver fault degrades to exit 3" 3 rc
+  check Alcotest.int "injected solver fault degrades to exit 3" 3 rc;
+  (* a fact that raises raises for every rule that reads it *)
+  let rc, out =
+    run_synth_out
+      ~env:[ "BISTPATH_INJECT=absint.fixpoint" ]
+      [ "check"; "ex1"; "--flow"; "testable" ]
+  in
+  check Alcotest.int "injected solver fault fails the check" 2 rc;
+  let crashed =
+    List.filter_map
+      (fun l ->
+        match String.split_on_char ' ' (String.trim l) with
+        | "[CHK000]" :: _ :: subject :: _ -> Some subject
+        | _ -> None)
+      (String.split_on_char '\n' out)
+  in
+  check Alcotest.(list string) "one CHK000 per ABS rule"
+    [ "ABS001:"; "ABS002:"; "ABS003:"; "ABS004:"; "ABS005:"; "ABS006:" ]
+    crashed
 
 let suite =
   [
@@ -553,4 +614,6 @@ let suite =
     case "cli: check --list-rules" cli_list_rules;
     case "cli: check rejects unknown --suppress" cli_suppress_unknown;
     case "cli: injected solver fault degrades analyze" cli_injected_degrade;
+    case "ABS verdicts follow a record-updated control" abs_follow_updated_control;
+    case "controller analysis ignores assumptions" control_facts_ignore_assumes;
   ]

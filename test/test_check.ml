@@ -17,15 +17,18 @@ module Control = Bistpath_datapath.Control
 module Allocator = Bistpath_bist.Allocator
 module Resource = Bistpath_bist.Resource
 module Ipath = Bistpath_ipath.Ipath
+module Session = Bistpath_bist.Session
 module Budget = Bistpath_resilience.Budget
 module Diagnostic = Bistpath_resilience.Diagnostic
 module Inject = Bistpath_resilience.Inject
 module Json = Bistpath_util.Json
 module Check = Bistpath_check.Check
+module Rule = Bistpath_check.Rule
 module Equiv_rules = Bistpath_check.Equiv_rules
 module Equiv = Bistpath_rtl.Equiv
 module Lifetime = Bistpath_dfg.Lifetime
 module Ugraph = Bistpath_graphs.Ugraph
+module Telemetry = Bistpath_telemetry.Telemetry
 
 let check = Alcotest.check
 let case name f = Alcotest.test_case name `Quick f
@@ -351,6 +354,20 @@ let catches_unflagged_cbilbo () =
   let rep = Check.run { ctx with Check.bist = Some { sol with Allocator.embeddings } } in
   check Alcotest.bool "BIST003 fires" true (List.mem "BIST003" (error_rules rep))
 
+(* ex1's two units share a register the allocator split into two
+   sessions; one session puts its duties back in conflict. *)
+let catches_merged_sessions () =
+  let _, _, ctx = flow_ctx ~style:(Flow.Testable Testable_alloc.default_options) "ex1" in
+  let sched = Option.get ctx.Check.sessions in
+  let merged = { Session.sessions = [ List.concat sched.Session.sessions ] } in
+  let rep = Check.run { ctx with Check.sessions = Some merged } in
+  check rules_list "BIST006 names the merged pair" [ "M1+M2" ] (subjects "BIST006" rep);
+  check Alcotest.bool "and says why" true
+    (List.exists
+       (fun (f : Check.finding) ->
+         f.Check.rule = "BIST006" && contains f.Check.detail "session conflict: ")
+       rep.Check.findings)
+
 (* --- satellite 2: check.rule fault injection degrades per rule ------ *)
 
 let injection_degrades_per_rule () =
@@ -412,7 +429,7 @@ let rule_table_sane () =
   check Alcotest.bool "ALC001 known" true (Check.known_rule "ALC001");
   check Alcotest.bool "CHK000 known" true (Check.known_rule "CHK000");
   check Alcotest.bool "garbage unknown" false (Check.known_rule "NOPE42");
-  let ids = List.map fst Check.rule_table in
+  let ids = List.map (fun (id, _, _) -> id) Check.rule_info in
   check Alcotest.int "ids unique" (List.length ids) (List.length (List.sort_uniq compare ids))
 
 (* --- ALC005's colouring order --------------------------------------- *)
@@ -471,6 +488,35 @@ let stats_count_one_allocation () =
   check rules_list "check" run (regalloc_rows [ "check" ]);
   check rules_list "analyze" run (regalloc_rows [ "analyze" ])
 
+(* One run derives each fact once: the ABS rules share one solve of each
+   kind, and analyze's entry point reads the same two. *)
+let facts_derived_once () =
+  let inst = Test_regalloc_trace.load "data/fir32.dfg" in
+  let dfg = inst.B.dfg and massign = inst.B.massign and policy = inst.B.policy in
+  let solves f = Telemetry.counter (snd (Telemetry.collect f)) "absint.solves" in
+  List.iter
+    (fun style ->
+      let ctx =
+        Check.ctx_of_flow ~design:"fir32" ~width:8 dfg massign ~policy
+          (Flow.run ~style dfg massign ~policy)
+      in
+      check Alcotest.int "check" 2 (solves (fun () -> ignore (Check.run ctx)));
+      check Alcotest.int "analyze" 2
+        (solves (fun () ->
+             let _, facts = Check.run_with_facts ~rules:Check.absint_family ctx in
+             ignore (Lazy.force facts.Rule.ranges);
+             ignore (Lazy.force facts.Rule.control_ranges))))
+    [ Flow.Testable Testable_alloc.default_options; Flow.Traditional ]
+
+(* A report command reports an unloadable spec (exit 4) before a bad
+   flag (exit 1). *)
+let spec_errors_precede_flag_errors () =
+  List.iter
+    (fun cmd ->
+      check Alcotest.int cmd 4
+        (Test_equiv.run_synth [ cmd; "nosuch"; "--format"; "bogus" ]))
+    [ "check"; "analyze"; "verify" ]
+
 let suite =
   [ case "clean benchmarks check clean (both flows)" clean_benchmarks;
     case "broken coloring caught by ALC001 alone" catches_broken_coloring;
@@ -494,4 +540,7 @@ let suite =
     case "ctx order is the allocator's colouring order" ctx_order_is_allocation_order;
     case "non-PEO colouring order caught by ALC005 alone" catches_non_peo_order;
     case "check and analyze --stats count one allocation" stats_count_one_allocation;
+    case "one run derives each fact once" facts_derived_once;
+    case "spec errors precede flag errors" spec_errors_precede_flag_errors;
+    case "merged test sessions caught by BIST006" catches_merged_sessions;
   ]
