@@ -21,7 +21,6 @@ module Fleet = Bistpath_service.Fleet
 module Runner = Bistpath_service.Runner
 module Job = Bistpath_service.Job
 module Check = Bistpath_check.Check
-module Rule = Bistpath_check.Rule
 module Equiv = Bistpath_rtl.Equiv
 module Absint = Bistpath_absint.Absint
 module Interval = Bistpath_absint.Interval
@@ -854,17 +853,16 @@ let analyze_cmd =
       (fun job ->
         let design = inst.B.tag ^ "/" ^ job.Job.flow in
         let r = Runner.flow ~budget inst job in
-        let rep, facts =
-          Check.run_with_facts ~budget ~rules:Check.absint_family
+        match
+          Check.analyze ~budget
             (Check.ctx_of_flow ~assumes ~design ~width inst.B.dfg inst.B.massign
                ~policy:inst.B.policy r)
-        in
-        match (Lazy.force facts.Rule.ranges, Lazy.force facts.Rule.control_ranges) with
+        with
         | exception Inject.Injected site ->
           Printf.eprintf "synth: analyze %s degraded: injected fault at site %s\n"
             design site;
           degraded := true
-        | dres, control ->
+        | rep, dres, control ->
           let plan = Option.map (Absint.plan_of_control ~width r.Flow.datapath) control in
           (match format with
           | "json" ->

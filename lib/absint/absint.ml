@@ -160,7 +160,7 @@ type control_result = {
   uninit_reads : (int * string * string) list;
 }
 
-let solve_control ?(assumes = []) ~width (dp : Datapath.t) (control : Control.t) =
+let solve_control ~width (dp : Datapath.t) (control : Control.t) =
   Inject.fire "absint.fixpoint";
   timed @@ fun () ->
   let horizon = Dfg.num_csteps dp.Datapath.dfg in
@@ -245,27 +245,37 @@ let solve_control ?(assumes = []) ~width (dp : Datapath.t) (control : Control.t)
             | Some ws -> ws
             | None -> []
           in
-          let latch v =
-            Hashtbl.replace q w.Control.rid v;
-            Hashtbl.replace latched w.Control.rid
-              (match Hashtbl.find_opt latched w.Control.rid with
-              | Some prev -> Interval.join ~width prev v
-              | None -> v);
-            Hashtbl.replace write_steps w.Control.rid
-              (s.Control.index
-              :: (match Hashtbl.find_opt write_steps w.Control.rid with
-                 | Some l -> l
-                 | None -> []))
-          in
           match List.nth_opt sources w.Control.source_index with
           | Some (Datapath.From_unit mid) ->
-              latch
-                (match Hashtbl.find_opt outs mid with
+              let v =
+                match Hashtbl.find_opt outs mid with
                 | Some v -> v
                 (* an idle unit's output is whatever its default-selected
                    operands produce: unconstrained *)
-                | None -> Interval.full ~width)
-          | Some (Datapath.From_port p) -> latch (input_value ~width assumes p)
+                | None -> Interval.full ~width
+              in
+              Hashtbl.replace q w.Control.rid v;
+              Hashtbl.replace latched w.Control.rid
+                (match Hashtbl.find_opt latched w.Control.rid with
+                | Some prev -> Interval.join ~width prev v
+                | None -> v);
+              Hashtbl.replace write_steps w.Control.rid
+                (s.Control.index
+                :: (match Hashtbl.find_opt write_steps w.Control.rid with
+                   | Some l -> l
+                   | None -> []))
+          | Some (Datapath.From_port _) ->
+              let v = Interval.full ~width in
+              Hashtbl.replace q w.Control.rid v;
+              Hashtbl.replace latched w.Control.rid
+                (match Hashtbl.find_opt latched w.Control.rid with
+                | Some prev -> Interval.join ~width prev v
+                | None -> v);
+              Hashtbl.replace write_steps w.Control.rid
+                (s.Control.index
+                :: (match Hashtbl.find_opt write_steps w.Control.rid with
+                   | Some l -> l
+                   | None -> []))
           | None -> ())
         s.Control.writes;
       (* reads at later steps see this step's writes as initialized *)
@@ -440,8 +450,7 @@ let plan_of_control ~width (dp : Datapath.t) cr =
     total_bits;
   }
 
-let narrow_plan ?assumes ~width dp control =
-  plan_of_control ~width dp (solve_control ?assumes ~width dp control)
+let narrow_plan ~width dp control = plan_of_control ~width dp (solve_control ~width dp control)
 
 let plan_is_empty p = p.regw = [] && p.unitw = []
 

@@ -87,11 +87,9 @@ type control_result = {
 }
 
 val solve_control :
-  ?assumes:(string * (int * int)) list ->
-  width:int ->
-  Bistpath_datapath.Datapath.t ->
-  Bistpath_datapath.Control.t ->
-  control_result
+  width:int -> Bistpath_datapath.Datapath.t -> Bistpath_datapath.Control.t -> control_result
+(** Over full-range inputs: a register a pin loads holds any word, so
+    the result is sound for every vector, as {!narrow_plan} needs. *)
 
 (** {1 Width narrowing} *)
 
@@ -117,7 +115,6 @@ val plan_of_control : width:int -> Bistpath_datapath.Datapath.t -> control_resul
 (** {!narrow_plan} from an existing {!solve_control} result. *)
 
 val narrow_plan :
-  ?assumes:(string * (int * int)) list ->
   width:int ->
   Bistpath_datapath.Datapath.t ->
   Bistpath_datapath.Control.t ->
@@ -130,9 +127,7 @@ val narrow_plan :
     divisions whose divisor may be zero, pin their unit to full width
     because the mod-[2^w] reduction and the all-ones div-by-zero word
     are width-dependent). [Less] units never narrow below 2 bits (the
-    1-bit primitive would need a zero-width pad). [assumes] must only
-    be used for analysis reporting — a plan built from assumptions is
-    not sound for the full-range vectors `synth verify` drives. *)
+    1-bit primitive would need a zero-width pad). *)
 
 val plan_is_empty : plan -> bool
 

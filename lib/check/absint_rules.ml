@@ -21,6 +21,9 @@ module Datapath = Bistpath_datapath.Datapath
 module Interval = Bistpath_absint.Interval
 module Absint = Bistpath_absint.Absint
 
+let error = Bistpath_resilience.Diagnostic.Error
+let warning = Bistpath_resilience.Diagnostic.Warning
+
 let assumed ctx v = List.mem_assoc v ctx.assumes
 
 (* ABS001: an arithmetic operation the value analysis proves (Must) or,
@@ -79,9 +82,12 @@ let abs003 ctx facts =
   | None -> []
   | Some cr ->
       let writer_leg rid i =
-        match List.nth_opt (writers ctx rid) i with
-        | Some (Datapath.From_unit m) -> Printf.sprintf "unit %s" m
-        | Some (Datapath.From_port p) -> Printf.sprintf "pin %s" p
+        match List.assoc_opt rid ctx.datapath.Datapath.reg_writers with
+        | Some ws -> (
+            match List.nth_opt ws i with
+            | Some (Datapath.From_unit m) -> Printf.sprintf "unit %s" m
+            | Some (Datapath.From_port p) -> Printf.sprintf "pin %s" p
+            | None -> "out of range")
         | None -> "out of range"
       in
       List.concat_map

@@ -12,24 +12,33 @@ module Sharing = Bistpath_core.Sharing
 module Cbilbo_rules = Bistpath_core.Cbilbo_rules
 open Rule
 
+let error = Bistpath_resilience.Diagnostic.Error
+let warning = Bistpath_resilience.Diagnostic.Warning
+
 (* ALC001: two variables with overlapping lifetimes in one register. *)
 let alc001 ctx facts =
   let sp = Lazy.force facts.spans in
   let span_of v = List.assoc_opt v sp in
   List.concat_map
     (fun (rid, vars) ->
-      pairs
-        (fun a b ->
-          match (span_of a, span_of b) with
-          | Some sa, Some sb when Interval.overlap sa sb ->
-              Some
-                (v "ALC001" error rid
-                   "variables %s and %s have overlapping lifetimes (%d,%d] and (%d,%d] \
-                    but share this register"
-                   a b sa.Interval.birth sa.Interval.death sb.Interval.birth
-                   sb.Interval.death)
-          | _ -> None)
-        vars)
+      let rec pairs = function
+        | [] -> []
+        | a :: rest ->
+            List.filter_map
+              (fun b ->
+                match (span_of a, span_of b) with
+                | Some sa, Some sb when Interval.overlap sa sb ->
+                    Some
+                      (v "ALC001" error rid
+                         "variables %s and %s have overlapping lifetimes (%d,%d] and (%d,%d] \
+                          but share this register"
+                         a b sa.Interval.birth sa.Interval.death sb.Interval.birth
+                         sb.Interval.death)
+                | _ -> None)
+              rest
+            @ pairs rest
+      in
+      pairs vars)
     ctx.regalloc.Regalloc.classes
 
 (* ALC002: the assignment is not a partition of the allocatable variables. *)
@@ -356,13 +365,25 @@ let bist006 ctx _ =
         else None
       in
       List.concat_map
-        (pairs (fun ma mb ->
-             match (emb ma, emb mb) with
-             | Some ea, Some eb ->
-                 Option.map
-                   (v "BIST006" error (ma ^ "+" ^ mb) "units scheduled in one session conflict: %s")
-                   (conflict ea eb)
-             | _ -> None))
+        (fun session ->
+          let rec pairs = function
+            | [] -> []
+            | ma :: rest ->
+                List.filter_map
+                  (fun mb ->
+                    match (emb ma, emb mb) with
+                    | Some ea, Some eb -> (
+                        match conflict ea eb with
+                        | Some why ->
+                            Some
+                              (v "BIST006" error (ma ^ "+" ^ mb)
+                                 "units scheduled in one session conflict: %s" why)
+                        | None -> None)
+                    | _ -> None)
+                  rest
+                @ pairs rest
+          in
+          pairs session)
         sched.Bistpath_bist.Session.sessions
   | _ -> []
 

@@ -83,9 +83,10 @@ type report = {
   degraded : bool;
 }
 
-let run_with_facts ?(suppress = []) ?(budget = Budget.unlimited) ?(rules = all_rules) ctx =
-  let facts = Rule.derive ctx in
-  (* A rule's findings, and whether it crashed. *)
+type outcome = Evaluated of finding list | Crashed of string
+
+(* The rules over [ctx], reading [facts] (derived from [ctx]). *)
+let run_facts ~suppress ~budget ~rules ctx facts =
   let eval (r : Rule.t) =
     (* Per-rule latency distribution (crashed rules included: the time
        until the raise is still time the checker spent in the rule). *)
@@ -95,41 +96,54 @@ let run_with_facts ?(suppress = []) ?(budget = Budget.unlimited) ?(rules = all_r
         Inject.fire "check.rule";
         r.Rule.run ctx facts
       with
-      | fs -> (fs, false)
-      | exception e ->
-          ( [ Rule.v "CHK000" Diagnostic.Error r.Rule.id "rule crashed: %s"
-                (Printexc.to_string e) ],
-            true )
+      | fs -> Evaluated fs
+      | exception e -> Crashed (Printexc.to_string e)
     in
     if Telemetry.enabled () then
       Telemetry.observe "check.rule_ns" (Int64.to_int (Int64.sub (Telemetry.now ()) t0));
     result
   in
   let results =
-    List.filter_map (fun r -> if Budget.should_stop budget then None else Some (eval r)) rules
+    List.map (fun r -> if Budget.should_stop budget then None else Some (eval r)) rules
   in
-  let findings = List.concat_map fst results in
-  let run_count = List.length results in
-  let crashed = List.length (List.filter snd results) in
-  let skipped = List.length rules - run_count in
+  let findings, run_count, crashed, skipped =
+    List.fold_left2
+      (fun (fs, run_count, crashed, skipped) (r : Rule.t) result ->
+        match result with
+        | None -> (fs, run_count, crashed, skipped + 1)
+        | Some (Evaluated found) -> (fs @ found, run_count + 1, crashed, skipped)
+        | Some (Crashed msg) ->
+            ( fs
+              @ [ Rule.v "CHK000" Diagnostic.Error r.Rule.id "rule crashed: %s" msg ],
+              run_count + 1,
+              crashed + 1,
+              skipped ))
+      ([], 0, 0, 0) rules results
+  in
   let active, suppressed = List.partition (fun f -> not (List.mem f.rule suppress)) findings in
   Telemetry.incr ~by:run_count "check.rules_run";
   Telemetry.incr ~by:crashed "check.rules_crashed";
   Telemetry.incr ~by:skipped "check.rules_skipped";
   Telemetry.incr ~by:(List.length active) "check.findings";
   Telemetry.incr ~by:(List.length suppressed) "check.suppressed";
-  ( { design = ctx.design;
-      total_rules = List.length rules;
-      rules_run = run_count;
-      rules_crashed = crashed;
-      rules_skipped = skipped;
-      findings = active;
-      suppressed;
-      degraded = skipped > 0;
-    },
-    facts )
+  { design = ctx.design;
+    total_rules = List.length rules;
+    rules_run = run_count;
+    rules_crashed = crashed;
+    rules_skipped = skipped;
+    findings = active;
+    suppressed;
+    degraded = skipped > 0;
+  }
 
-let run ?suppress ?budget ?rules ctx = fst (run_with_facts ?suppress ?budget ?rules ctx)
+let run ?(suppress = []) ?(budget = Budget.unlimited) ?(rules = all_rules) ctx =
+  run_facts ~suppress ~budget ~rules ctx (Rule.derive ctx)
+
+let analyze ?(budget = Budget.unlimited) ctx =
+  let facts = Rule.derive ctx in
+  let ranges = Lazy.force facts.Rule.ranges in
+  let control_ranges = Lazy.force facts.Rule.control_ranges in
+  (run_facts ~suppress:[] ~budget ~rules:absint_family ctx facts, ranges, control_ranges)
 
 let count sev fs = List.length (List.filter (fun f -> f.severity = sev) fs)
 let errors r = count Diagnostic.Error r.findings

@@ -167,14 +167,14 @@ val run :
     Telemetry: [check.rules_run], [check.rules_crashed],
     [check.rules_skipped], [check.findings], [check.suppressed]. *)
 
-val run_with_facts :
-  ?suppress:string list ->
+val analyze :
   ?budget:Bistpath_resilience.Budget.t ->
-  ?rules:Rule.t list ->
   ctx ->
-  report * Rule.facts
-(** {!run}, also returning its facts: [synth analyze] prints their value
-    ranges and narrowing plan beside the findings. *)
+  report * Bistpath_absint.Absint.dfg_result * Bistpath_absint.Absint.control_result option
+(** {!run} over {!absint_family}, with the [ranges] and [control_ranges]
+    facts its rules read (see {!Rule.facts}). Both are solved before
+    any rule runs: a solve that raises (an injected [absint.fixpoint]
+    fault) raises here, and no rule runs. *)
 
 val errors : report -> int
 (** Active findings with severity [Error]. *)

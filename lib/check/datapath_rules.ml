@@ -7,6 +7,9 @@ module Equiv = Bistpath_rtl.Equiv
 module Prng = Bistpath_util.Prng
 open Rule
 
+let error = Bistpath_resilience.Diagnostic.Error
+let warning = Bistpath_resilience.Diagnostic.Warning
+
 (* DP001: a register would have to latch two values in one control step.
    Re-derived from the schedule and routes, independently of
    [Control.build] (which refuses to build such a table at all); a

@@ -10,6 +10,8 @@ module Verilog = Bistpath_rtl.Verilog
 module Equiv = Bistpath_rtl.Equiv
 open Rule
 
+let error = Bistpath_resilience.Diagnostic.Error
+
 (* A corrupted data path (severed interconnect, broken control table)
    may not be emittable at all; those defects belong to the dedicated
    structural rules (DP003, CTL001, ...), so the parse-back rules only

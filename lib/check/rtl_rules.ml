@@ -3,6 +3,9 @@ module Control = Bistpath_datapath.Control
 module Equiv = Bistpath_rtl.Equiv
 open Rule
 
+let error = Bistpath_resilience.Diagnostic.Error
+let warning = Bistpath_resilience.Diagnostic.Warning
+
 let cells eps =
   List.map (fun (ep : Equiv.endpoint) -> ep.Equiv.cell) eps
   |> List.sort_uniq compare |> String.concat ", "

@@ -9,9 +9,6 @@ module Absint = Bistpath_absint.Absint
 
 type severity = Bistpath_resilience.Diagnostic.severity
 
-let error = Bistpath_resilience.Diagnostic.Error
-let warning = Bistpath_resilience.Diagnostic.Warning
-
 type finding = { rule : string; severity : severity; subject : string; detail : string }
 
 type ctx = {
@@ -50,8 +47,6 @@ type t = {
 
 let v rule severity subject fmt =
   Printf.ksprintf (fun detail -> { rule; severity; subject; detail }) fmt
-
-let rec pairs f = function [] -> [] | a :: rest -> List.filter_map (f a) rest @ pairs f rest
 
 let mid_of_op ctx opid = Dfg.Smap.find_opt opid ctx.massign.Massign.of_op
 
@@ -98,8 +93,9 @@ let parsed_rtl ctx =
 let consumed_inputs ctx = List.sort_uniq compare (Dfg.used_inputs ctx.dfg)
 
 let derive ctx =
-  { spans = lazy (Lifetime.spans ~policy:ctx.policy ctx.dfg);
-    conflicts = lazy (Lifetime.conflict_graph ~policy:ctx.policy ctx.dfg);
+  let spans = lazy (Lifetime.spans ~policy:ctx.policy ctx.dfg) in
+  { spans;
+    conflicts = lazy (Lifetime.conflict_graph_of_spans (Lazy.force spans));
     sharing = lazy (Bistpath_core.Sharing.make ctx.dfg ctx.massign);
     nets = lazy (match parsed_rtl ctx with Some e -> Bistpath_rtl.Equiv.nets e | None -> []);
     ranges =

@@ -10,9 +10,6 @@
 
 type severity = Bistpath_resilience.Diagnostic.severity
 
-val error : severity
-val warning : severity
-
 type finding = {
   rule : string;  (** rule id, e.g. "ALC001" *)
   severity : severity;
@@ -62,9 +59,8 @@ type facts = {
   nets : Bistpath_rtl.Equiv.net list Lazy.t;  (** [[]] without a parsed netlist *)
   ranges : Bistpath_absint.Absint.dfg_result Lazy.t;  (** under [ctx.assumes] *)
   control_ranges : Bistpath_absint.Absint.control_result option Lazy.t;
-      (** over full-range inputs, as a narrowing plan needs (the
-          controller rules read only its value-free verdicts); [None]
-          without a control table *)
+      (** over full-range inputs (see {!Bistpath_absint.Absint.solve_control});
+          [None] without a control table *)
 }
 
 val derive : ctx -> facts
@@ -81,10 +77,6 @@ val v : string -> severity -> string -> ('a, unit, string, finding) format4 -> '
 (** [v rule severity subject fmt ...] builds a finding. *)
 
 (** {1 Walker helpers} *)
-
-val pairs : ('a -> 'a -> 'b option) -> 'a list -> 'b list
-(** The [Some] results of [f a b] over every pair of the list, [a]
-    listed before [b]. *)
 
 val mid_of_op : ctx -> string -> string option
 (** Unit an operation id is bound to ([None] instead of raising). *)

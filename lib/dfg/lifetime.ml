@@ -46,9 +46,10 @@ let indexing_of_spans spans =
 
 let indexing ?(policy = Policy.default) t = indexing_of_spans (spans ~policy t)
 
-let conflict_graph ?(policy = Policy.default) t =
-  let sp = spans ~policy t in
+let conflict_graph_of_spans sp =
   (Interval.graph (List.mapi (fun i (_, s) -> (i, s)) sp), indexing_of_spans sp)
+
+let conflict_graph ?(policy = Policy.default) t = conflict_graph_of_spans (spans ~policy t)
 
 let min_registers ?(policy = Policy.default) t =
   let g, _ = conflict_graph ~policy t in

@@ -32,6 +32,10 @@ val conflict_graph :
     (dense indices), an edge iff lifetimes overlap. Always an interval
     graph. *)
 
+val conflict_graph_of_spans :
+  (string * Bistpath_graphs.Interval.span) list -> Bistpath_graphs.Ugraph.t * indexing
+(** {!conflict_graph} over already computed {!spans}. *)
+
 val min_registers : ?policy:Policy.t -> Dfg.t -> int
 (** Chromatic number of the conflict graph = the minimum register count
     (exact: clique number, since interval graphs are perfect). *)

@@ -17,7 +17,6 @@ module Control = Bistpath_datapath.Control
 module Diagnostic = Bistpath_resilience.Diagnostic
 module Json = Bistpath_util.Json
 module Check = Bistpath_check.Check
-module Rule = Bistpath_check.Rule
 module Interval = Bistpath_absint.Interval
 module Absint = Bistpath_absint.Absint
 
@@ -411,29 +410,9 @@ let abs_follow_updated_control () =
     (List.mem "ABS006" (errors_of (run_abs unloaded)));
   check Alcotest.(list string) "repaired table is clean" []
     (rules_of (run_abs { unloaded with Check.control = Some control }));
-  let rep, facts =
-    Check.run_with_facts ~rules:Check.absint_family { unloaded with Check.control = None }
-  in
+  let rep, _, control_ranges = Check.analyze { unloaded with Check.control = None } in
   check Alcotest.(list string) "no table, no controller verdicts" [] (rules_of rep);
-  check Alcotest.bool "no table, no controller analysis" true
-    (Lazy.force facts.Rule.control_ranges = None)
-
-(* Assumptions sharpen the DFG ranges, never the controller analysis the
-   narrowing plan is built from: the plan must hold for the full-range
-   vectors verify drives. *)
-let control_facts_ignore_assumes () =
-  let facts ctx = snd (Check.run_with_facts ~rules:Check.absint_family ctx) in
-  let plain = facts (ctx_of_text "minmax4" minmax4_text) in
-  let assumed =
-    facts
-      (ctx_of_text
-         ~assumes:(List.map (fun v -> (v, (0, 3))) [ "a"; "b"; "c"; "d" ])
-         "minmax4" minmax4_text)
-  in
-  check Alcotest.bool "assumptions narrow the DFG ranges" true
-    (Lazy.force plain.Rule.ranges <> Lazy.force assumed.Rule.ranges);
-  check Alcotest.bool "the controller analysis is the full-range one" true
-    (Lazy.force plain.Rule.control_ranges = Lazy.force assumed.Rule.control_ranges)
+  check Alcotest.bool "no table, no controller analysis" true (control_ranges = None)
 
 let clean_shipped_kernels () =
   List.iter
@@ -615,5 +594,4 @@ let suite =
     case "cli: check rejects unknown --suppress" cli_suppress_unknown;
     case "cli: injected solver fault degrades analyze" cli_injected_degrade;
     case "ABS verdicts follow a record-updated control" abs_follow_updated_control;
-    case "controller analysis ignores assumptions" control_facts_ignore_assumes;
   ]

@@ -17,13 +17,11 @@ module Control = Bistpath_datapath.Control
 module Allocator = Bistpath_bist.Allocator
 module Resource = Bistpath_bist.Resource
 module Ipath = Bistpath_ipath.Ipath
-module Session = Bistpath_bist.Session
 module Budget = Bistpath_resilience.Budget
 module Diagnostic = Bistpath_resilience.Diagnostic
 module Inject = Bistpath_resilience.Inject
 module Json = Bistpath_util.Json
 module Check = Bistpath_check.Check
-module Rule = Bistpath_check.Rule
 module Equiv_rules = Bistpath_check.Equiv_rules
 module Equiv = Bistpath_rtl.Equiv
 module Lifetime = Bistpath_dfg.Lifetime
@@ -354,20 +352,6 @@ let catches_unflagged_cbilbo () =
   let rep = Check.run { ctx with Check.bist = Some { sol with Allocator.embeddings } } in
   check Alcotest.bool "BIST003 fires" true (List.mem "BIST003" (error_rules rep))
 
-(* ex1's two units share a register the allocator split into two
-   sessions; one session puts its duties back in conflict. *)
-let catches_merged_sessions () =
-  let _, _, ctx = flow_ctx ~style:(Flow.Testable Testable_alloc.default_options) "ex1" in
-  let sched = Option.get ctx.Check.sessions in
-  let merged = { Session.sessions = [ List.concat sched.Session.sessions ] } in
-  let rep = Check.run { ctx with Check.sessions = Some merged } in
-  check rules_list "BIST006 names the merged pair" [ "M1+M2" ] (subjects "BIST006" rep);
-  check Alcotest.bool "and says why" true
-    (List.exists
-       (fun (f : Check.finding) ->
-         f.Check.rule = "BIST006" && contains f.Check.detail "session conflict: ")
-       rep.Check.findings)
-
 (* --- satellite 2: check.rule fault injection degrades per rule ------ *)
 
 let injection_degrades_per_rule () =
@@ -502,11 +486,25 @@ let facts_derived_once () =
       in
       check Alcotest.int "check" 2 (solves (fun () -> ignore (Check.run ctx)));
       check Alcotest.int "analyze" 2
-        (solves (fun () ->
-             let _, facts = Check.run_with_facts ~rules:Check.absint_family ctx in
-             ignore (Lazy.force facts.Rule.ranges);
-             ignore (Lazy.force facts.Rule.control_ranges))))
+        (solves (fun () -> ignore (Check.analyze ctx))))
     [ Flow.Testable Testable_alloc.default_options; Flow.Traditional ]
+
+(* analyze solves before it runs a rule: a solve that raises leaves
+   every rule unrun. *)
+let analyze_solves_first () =
+  let _, _, ctx = flow_ctx ~style:Flow.Traditional "ex1" in
+  let raised, stats =
+    Fun.protect
+      ~finally:(fun () -> Inject.configure [])
+      (fun () ->
+        Inject.configure ~seed:1 [ ("absint.fixpoint", 1.0) ];
+        Telemetry.collect (fun () ->
+            match Check.analyze ctx with
+            | _ -> false
+            | exception Inject.Injected _ -> true))
+  in
+  check Alcotest.bool "the solve fault escapes" true raised;
+  check Alcotest.int "no rule ran" 0 (Telemetry.counter stats "check.rules_run")
 
 (* A report command reports an unloadable spec (exit 4) before a bad
    flag (exit 1). *)
@@ -541,6 +539,6 @@ let suite =
     case "non-PEO colouring order caught by ALC005 alone" catches_non_peo_order;
     case "check and analyze --stats count one allocation" stats_count_one_allocation;
     case "one run derives each fact once" facts_derived_once;
+    case "analyze solves before any rule runs" analyze_solves_first;
     case "spec errors precede flag errors" spec_errors_precede_flag_errors;
-    case "merged test sessions caught by BIST006" catches_merged_sessions;
   ]
