@@ -17,8 +17,7 @@ let warning = Bistpath_resilience.Diagnostic.Warning
 
 (* ALC001: two variables with overlapping lifetimes in one register. *)
 let alc001 ctx facts =
-  let sp = Lazy.force facts.spans in
-  let span_of v = List.assoc_opt v sp in
+  let span_of = Hashtbl.find_opt (Lazy.force facts.span_table) in
   List.concat_map
     (fun (rid, vars) ->
       let rec pairs = function
@@ -44,17 +43,24 @@ let alc001 ctx facts =
 (* ALC002: the assignment is not a partition of the allocatable variables. *)
 let alc002 ctx facts =
   let allocatable = List.map fst (Lazy.force facts.spans) in
+  let is_allocatable = Hashtbl.mem (Lazy.force facts.span_table) in
   let assigned = Regalloc.variables ctx.regalloc in
-  let missing = List.filter (fun v -> not (List.mem v assigned)) allocatable in
-  let extra = List.filter (fun v -> not (List.mem v allocatable)) assigned in
-  let dup =
-    List.filter
-      (fun var ->
-        List.length
-          (List.filter (fun (_, vars) -> List.mem var vars) ctx.regalloc.Regalloc.classes)
-        >= 2)
-      (List.sort_uniq compare assigned)
-  in
+  (* per variable, the number of registers holding it and the last one *)
+  let holders = Hashtbl.create 64 in
+  List.iteri
+    (fun k (_, vars) ->
+      List.iter
+        (fun var ->
+          match Hashtbl.find_opt holders var with
+          | Some (_, last) when last = k -> ()
+          | Some (n, _) -> Hashtbl.replace holders var (n + 1, k)
+          | None -> Hashtbl.replace holders var (1, k))
+        vars)
+    ctx.regalloc.Regalloc.classes;
+  let held_by var = match Hashtbl.find_opt holders var with Some (n, _) -> n | None -> 0 in
+  let missing = List.filter (fun v -> held_by v = 0) allocatable in
+  let extra = List.filter (fun v -> not (is_allocatable v)) assigned in
+  let dup = List.filter (fun var -> held_by var >= 2) (List.sort_uniq compare assigned) in
   List.map (fun x -> v "ALC002" error x "allocatable variable is assigned to no register") missing
   @ List.map
       (fun x -> v "ALC002" error x "variable is in the register file but is not allocatable")
@@ -87,7 +93,8 @@ let alc005 ctx facts =
   | Some order ->
       let g, idx = Lazy.force facts.conflicts in
       let sp = Lazy.force facts.spans in
-      let unknown = List.filter (fun v -> not (List.mem_assoc v sp)) order in
+      let allocatable = Hashtbl.mem (Lazy.force facts.span_table) in
+      let unknown = List.filter (fun v -> not (allocatable v)) order in
       if unknown <> [] then
         List.map
           (fun x -> v "ALC005" error x "coloring order mentions an unknown or unallocatable variable")
@@ -249,7 +256,7 @@ let bist002 ctx _ =
    flagged — either the chosen embedding itself places the double duty,
    or every embedding of the unit does (ground truth) yet the chosen one
    claims otherwise. *)
-let bist003 ctx _ =
+let bist003 ctx facts =
   match ctx.bist with
   | None -> []
   | Some sol ->
@@ -272,8 +279,7 @@ let bist003 ctx _ =
           let unavoidable =
             if
               (not (Ipath.requires_cbilbo e))
-              && Ipath.cbilbo_unavoidable ~transparency:ctx.transparency ctx.datapath
-                   e.Ipath.mid
+              && (facts.unit_embeddings e.Ipath.mid).cbilbo_unavoidable
             then
               [ v "BIST003" error e.Ipath.mid
                   "every embedding of this unit needs a CBILBO, yet the chosen one is \
@@ -314,12 +320,11 @@ let bist005 ctx facts =
   List.concat_map
     (fun (verdict : Cbilbo_rules.verdict) ->
       let mid = verdict.Cbilbo_rules.mid in
-      if Ipath.embeddings ~transparency:ctx.transparency ctx.datapath mid = [] then []
+      let embeddings = facts.unit_embeddings mid in
+      if not embeddings.embeddable then []
       else
         let predicted = Cbilbo_rules.forced verdict in
-        let ground =
-          Ipath.cbilbo_unavoidable ~transparency:ctx.transparency ctx.datapath mid
-        in
+        let ground = embeddings.cbilbo_unavoidable in
         let all_commutative =
           match List.find_opt (fun (u : Massign.hw) -> u.Massign.mid = mid) ctx.massign.Massign.units with
           | Some u -> List.for_all Bistpath_dfg.Op.commutative u.Massign.kinds

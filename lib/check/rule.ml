@@ -29,13 +29,17 @@ type ctx = {
   rtl : Bistpath_rtl.Equiv.parsed option Lazy.t;
 }
 
+type unit_embeddings = { embeddable : bool; cbilbo_unavoidable : bool }
+
 type facts = {
   spans : (string * Bistpath_graphs.Interval.span) list Lazy.t;
+  span_table : (string, Bistpath_graphs.Interval.span) Hashtbl.t Lazy.t;
   conflicts : (Bistpath_graphs.Ugraph.t * Lifetime.indexing) Lazy.t;
   sharing : Bistpath_core.Sharing.ctx Lazy.t;
   nets : Bistpath_rtl.Equiv.net list Lazy.t;
   ranges : Absint.dfg_result Lazy.t;
   control_ranges : Absint.control_result option Lazy.t;
+  unit_embeddings : string -> unit_embeddings;
 }
 
 type t = {
@@ -95,6 +99,11 @@ let consumed_inputs ctx = List.sort_uniq compare (Dfg.used_inputs ctx.dfg)
 let derive ctx =
   let spans = lazy (Lifetime.spans ~policy:ctx.policy ctx.dfg) in
   { spans;
+    span_table =
+      lazy
+        (let table = Hashtbl.create 64 in
+         List.iter (fun (v, s) -> Hashtbl.replace table v s) (Lazy.force spans);
+         table);
     conflicts = lazy (Lifetime.conflict_graph_of_spans (Lazy.force spans));
     sharing = lazy (Bistpath_core.Sharing.make ctx.dfg ctx.massign);
     nets = lazy (match parsed_rtl ctx with Some e -> Bistpath_rtl.Equiv.nets e | None -> []);
@@ -102,4 +111,19 @@ let derive ctx =
       lazy (Absint.solve_dfg ~assumes:ctx.assumes ~width:ctx.width ~policy:ctx.policy ctx.dfg);
     control_ranges =
       lazy (Option.map (Absint.solve_control ~width:ctx.width ctx.datapath) ctx.control);
+    unit_embeddings =
+      (let memo = Hashtbl.create 8 in
+       fun mid ->
+         match Hashtbl.find_opt memo mid with
+         | Some u -> u
+         | None ->
+           let es =
+             Bistpath_ipath.Ipath.embeddings ~transparency:ctx.transparency ctx.datapath mid
+           in
+           let cbilbo_unavoidable =
+             es <> [] && List.for_all Bistpath_ipath.Ipath.requires_cbilbo es
+           in
+           let u = { embeddable = es <> []; cbilbo_unavoidable } in
+           Hashtbl.replace memo mid u;
+           u);
   }

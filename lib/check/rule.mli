@@ -48,12 +48,19 @@ type ctx = {
           audits it; [None] when the data path cannot be emitted *)
 }
 
+(** A unit's BIST embeddings on the data path, summarized:
+    [embeddable] when {!Bistpath_ipath.Ipath.embeddings} finds any, and
+    [cbilbo_unavoidable] as {!Bistpath_ipath.Ipath.cbilbo_unavoidable}. *)
+type unit_embeddings = { embeddable : bool; cbilbo_unavoidable : bool }
+
 (** The structures several rules audit through, each computed by the
     first rule that reads it and shared by the rest of the run. A
     derivation that raises raises again for each rule that reads it. *)
 type facts = {
   spans : (string * Bistpath_graphs.Interval.span) list Lazy.t;
       (** allocatable variables with their lifetimes, sorted *)
+  span_table : (string, Bistpath_graphs.Interval.span) Hashtbl.t Lazy.t;
+      (** [spans] by variable, for lookups *)
   conflicts : (Bistpath_graphs.Ugraph.t * Bistpath_dfg.Lifetime.indexing) Lazy.t;
   sharing : Bistpath_core.Sharing.ctx Lazy.t;
   nets : Bistpath_rtl.Equiv.net list Lazy.t;  (** [[]] without a parsed netlist *)
@@ -61,6 +68,9 @@ type facts = {
   control_ranges : Bistpath_absint.Absint.control_result option Lazy.t;
       (** over full-range inputs (see {!Bistpath_absint.Absint.solve_control});
           [None] without a control table *)
+  unit_embeddings : string -> unit_embeddings;
+      (** per unit id, under [ctx.transparency]; one enumeration of a
+          unit's embeddings per run *)
 }
 
 val derive : ctx -> facts

@@ -24,9 +24,10 @@ type t = {
   mutable regs : register array;
   mutable offers : string list array option;
       (* per unit, the registers its verdict offers to the cover *)
+  mutable count : int option;  (* the cover of [offers] *)
 }
 
-let create ctx = { ctx; regs = [||]; offers = None }
+let create ctx = { ctx; regs = [||]; offers = None; count = None }
 
 let open_register t rid =
   let nu = Array.length t.ctx.Sharing.unit_ids in
@@ -35,7 +36,8 @@ let open_register t rid =
       met = Array.make (Array.length t.ctx.Sharing.instance_unit) false }
   in
   t.regs <- Array.append t.regs [| r |];
-  t.offers <- None
+  t.offers <- None;
+  t.count <- None
 
 let add t i v =
   let ctx = t.ctx and r = t.regs.(i) in
@@ -49,7 +51,8 @@ let add t i v =
         r.met.(k) <- true
       end)
     ctx.Sharing.operand_of.(v);
-  t.offers <- None
+  t.offers <- None;
+  t.count <- None
 
 (* Lemma 2 for unit [u], reading register [i]'s counters through
    [counts i] = (out-variables held, instances covered). *)
@@ -100,7 +103,13 @@ let offers t =
     t.offers <- Some o;
     o
 
-let min_count t = cover 0 (List.filter (( <> ) []) (Array.to_list (offers t)))
+let min_count t =
+  match t.count with
+  | Some c -> c
+  | None ->
+    let c = cover 0 (List.filter (( <> ) []) (Array.to_list (offers t))) in
+    t.count <- Some c;
+    c
 
 let min_count_with t i v =
   let ctx = t.ctx and r = t.regs.(i) in
@@ -117,12 +126,28 @@ let min_count_with t i v =
       ( (r.out.(u) + if om land (1 lsl u) <> 0 then 1 else 0),
         r.covered.(u) + newly_covered u )
   in
-  offers t
-  |> Array.mapi (fun u o ->
-         if touched land (1 lsl u) = 0 then o else offer (verdict_with t u (counts u)))
-  |> Array.to_list
-  |> List.filter (( <> ) [])
-  |> cover 0
+  (* A register enters a unit's verdict only if it covers every instance
+     and holds an out-variable: when register i does so for no touched
+     unit, before or after, every verdict and so the count stay as they
+     are. *)
+  let enters u ~out ~covered = covered = Array.length ctx.Sharing.instances.(u) && out > 0 in
+  let rec moves u =
+    u < Array.length ctx.Sharing.unit_ids
+    && (touched land (1 lsl u) <> 0
+        && (enters u ~out:r.out.(u) ~covered:r.covered.(u)
+           || enters u
+                ~out:(r.out.(u) + if om land (1 lsl u) <> 0 then 1 else 0)
+                ~covered:(r.covered.(u) + newly_covered u))
+       || moves (u + 1))
+  in
+  if not (moves 0) then min_count t
+  else
+    offers t
+    |> Array.mapi (fun u o ->
+           if touched land (1 lsl u) = 0 then o else offer (verdict_with t u (counts u)))
+    |> Array.to_list
+    |> List.filter (( <> ) [])
+    |> cover 0
 
 let of_classes ctx classes =
   let t = create ctx in

@@ -10,15 +10,24 @@ let single_function dfg =
   Telemetry.with_span "massign" @@ fun () ->
   let ops = Array.of_list dfg.Dfg.ops in
   let n = Array.length ops in
-  let compatible i j =
-    ops.(i).Op.kind = ops.(j).Op.kind
-    && Dfg.cstep dfg ops.(i).Op.id <> Dfg.cstep dfg ops.(j).Op.id
-  in
+  let step = Array.map (fun (o : Op.t) -> Dfg.cstep dfg o.id) ops in
+  let compatible i j = ops.(i).Op.kind = ops.(j).Op.kind && step.(i) <> step.(j) in
   let edges = Listx.pairs (Listx.range 0 n) |> List.filter (fun (i, j) -> compatible i j) in
   let g = Ugraph.of_edges ~vertices:(Listx.range 0 n) edges in
+  (* each operation's left, right and out variables, as ints *)
+  let ids = Hashtbl.create 64 in
+  let intern v =
+    match Hashtbl.find_opt ids v with
+    | Some k -> k
+    | None ->
+      let k = Hashtbl.length ids in
+      Hashtbl.add ids v k;
+      k
+  in
+  let vars = Array.map (fun (o : Op.t) -> [| intern o.left; intern o.right; intern o.out |]) ops in
   let shared_vars i j =
-    let vs (o : Op.t) = [ o.left; o.right; o.out ] in
-    List.length (List.filter (fun v -> List.mem v (vs ops.(j))) (vs ops.(i)))
+    let w = vars.(j) in
+    Array.fold_left (fun k v -> if v = w.(0) || v = w.(1) || v = w.(2) then k + 1 else k) 0 vars.(i)
   in
   let cliques = Clique_partition.greedy ~weight:shared_vars g in
   let counter = Hashtbl.create 8 in

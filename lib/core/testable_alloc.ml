@@ -72,9 +72,8 @@ let allocate ?(options = default_options) ?sharing dfg massign ~policy =
     let v = idx.Lifetime.of_index i in
     let vi = in_of i and vo = out_of i in
     let conflicting = Array.make (Array.length !regs) false in
-    Ugraph.Iset.iter
-      (fun j -> if reg_of.(j) >= 0 then conflicting.(reg_of.(j)) <- true)
-      (Ugraph.neighbors g i);
+    Ugraph.iter_neighbors g i (fun j ->
+        if reg_of.(j) >= 0 then conflicting.(reg_of.(j)) <- true);
     let nonconf =
       List.filter (fun k -> not conflicting.(k)) (List.init (Array.length !regs) Fun.id)
     in

@@ -1,32 +1,48 @@
 module Interval = Bistpath_graphs.Interval
 module Chordal = Bistpath_graphs.Chordal
 
-let span t v =
-  let uses = Dfg.consumers t v in
+(* A variable's span from its producer's step, if an operation produces
+   it, and its readers' steps. *)
+let span_of v ~made ~reads =
   let birth =
-    match Dfg.producer t v with
-    | Some op -> Dfg.cstep t op.Op.id
+    match made with
+    | Some step -> step
     | None -> (
-      match uses with
+      match reads with
       | [] ->
         invalid_arg
           (Printf.sprintf "Lifetime.span: primary input %s is never used" v)
-      | _ ->
-        let first = List.fold_left (fun acc op -> min acc (Dfg.cstep t op.Op.id)) max_int uses in
-        first - 1)
+      | _ -> List.fold_left min max_int reads - 1)
   in
-  let death =
-    match uses with
-    | [] -> birth + 1
-    | _ -> List.fold_left (fun acc op -> max acc (Dfg.cstep t op.Op.id)) 0 uses
-  in
+  let death = match reads with [] -> birth + 1 | _ -> List.fold_left max 0 reads in
   { Interval.birth; death }
 
+let span t v =
+  let step (op : Op.t) = Dfg.cstep t op.id in
+  span_of v ~made:(Option.map step (Dfg.producer t v)) ~reads:(List.map step (Dfg.consumers t v))
+
+(* Producers and readers of every variable from one pass over the
+   operations. *)
 let spans ?(policy = Policy.default) t =
   Policy.validate t policy;
+  let made = Hashtbl.create 64 and reads = Hashtbl.create 64 in
+  List.iter
+    (fun (op : Op.t) ->
+      let step = Dfg.cstep t op.id in
+      if not (Hashtbl.mem made op.out) then Hashtbl.add made op.out step;
+      let read v =
+        Hashtbl.replace reads v (step :: Option.value ~default:[] (Hashtbl.find_opt reads v))
+      in
+      read op.left;
+      if op.right <> op.left then read op.right)
+    t.ops;
   Dfg.variables t
   |> List.filter_map (fun v ->
-         if Policy.allocatable t policy v then Some (v, span t v) else None)
+         let made = Hashtbl.find_opt made v
+         and reads = Option.value ~default:[] (Hashtbl.find_opt reads v) in
+         if Policy.allocatable policy ~produced:(made <> None) ~read:(reads <> []) v then
+           Some (v, span_of v ~made ~reads)
+         else None)
 
 type indexing = { to_index : string -> int; of_index : int -> string; count : int }
 

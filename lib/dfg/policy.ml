@@ -44,7 +44,5 @@ let validate dfg t =
 
 let carried_into t w = List.assoc_opt w t.carried
 
-let allocatable dfg t v =
-  match Dfg.producer dfg v with
-  | None -> t.allocate_inputs && Dfg.consumers dfg v <> []
-  | Some _ -> carried_into t v = None
+let allocatable t ~produced ~read v =
+  if produced then carried_into t v = None else t.allocate_inputs && read

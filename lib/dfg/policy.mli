@@ -36,5 +36,6 @@ val validate : Dfg.t -> t -> unit
 val carried_into : t -> string -> string option
 (** [carried_into p w] is the input register target of result [w]. *)
 
-val allocatable : Dfg.t -> t -> string -> bool
-(** Does this variable compete for an allocated register? *)
+val allocatable : t -> produced:bool -> read:bool -> string -> bool
+(** Does this variable compete for an allocated register, given whether
+    an operation produces it and whether one reads it? *)

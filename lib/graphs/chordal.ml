@@ -1,138 +1,250 @@
 module Iset = Ugraph.Iset
 
-let is_peo g order =
-  let all = Iset.of_list (Ugraph.vertices g) in
-  let listed = Iset.of_list order in
-  Iset.equal all listed
-  && List.length order = Iset.cardinal all
-  &&
-  let rec go g = function
-    | [] -> true
-    | v :: rest -> Ugraph.is_simplicial g v && go (Ugraph.remove_vertex g v) rest
-  in
-  go g order
+(* Every kernel below works on vertex indices of the graph's int-indexed
+   view, never on labels, and never removes a vertex. *)
+
+(* A binary min-heap of vertex indices ordered by [key], an array the
+   caller owns: a vertex's key may be lowered while it waits, and [rise]
+   then restores the order. Keys are distinct, so the pops are fully
+   determined. *)
+module Heap = struct
+  type t = { key : int array; heap : int array; at : int array; mutable size : int }
+
+  let create key =
+    let n = Array.length key in
+    { key; heap = Array.make n 0; at = Array.make n (-1); size = 0 }
+
+  let is_empty h = h.size = 0
+
+  let place h i v =
+    h.heap.(i) <- v;
+    h.at.(v) <- i
+
+  let rise h v =
+    let k = h.key.(v) in
+    let i = ref h.at.(v) in
+    while !i > 0 && h.key.(h.heap.((!i - 1) / 2)) > k do
+      let parent = (!i - 1) / 2 in
+      place h !i h.heap.(parent);
+      i := parent
+    done;
+    place h !i v
+
+  let push h v =
+    place h h.size v;
+    h.size <- h.size + 1;
+    rise h v
+
+  let pop h =
+    let top = h.heap.(0) in
+    h.size <- h.size - 1;
+    h.at.(top) <- -1;
+    if h.size > 0 then begin
+      let v = h.heap.(h.size) in
+      let k = h.key.(v) in
+      let i = ref 0 and sinking = ref true in
+      while !sinking do
+        let l = (2 * !i) + 1 in
+        let c =
+          if l + 1 < h.size && h.key.(h.heap.(l + 1)) < h.key.(h.heap.(l)) then l + 1 else l
+        in
+        if c < h.size && h.key.(h.heap.(c)) < k then begin
+          place h !i h.heap.(c);
+          i := c
+        end
+        else sinking := false
+      done;
+      place h !i v
+    end;
+    top
+end
 
 (* Maximum cardinality search: repeatedly visit the unvisited vertex with
-   the most visited neighbors. Reversing the visit order yields a PEO iff
-   the graph is chordal (Tarjan & Yannakakis 1984). *)
-let mcs_order g =
-  let vs = Ugraph.vertices g in
-  let weight = Hashtbl.create 16 in
-  List.iter (fun v -> Hashtbl.replace weight v 0) vs;
-  let visited = Hashtbl.create 16 in
-  let rec go acc remaining =
-    if remaining = 0 then List.rev acc
-    else begin
-      let best = ref None in
-      List.iter
-        (fun v ->
-          if not (Hashtbl.mem visited v) then
-            let w = Hashtbl.find weight v in
-            match !best with
-            | Some (_, bw) when bw >= w -> ()
-            | _ -> best := Some (v, w))
-        vs;
-      match !best with
-      | None -> List.rev acc
-      | Some (v, _) ->
-        Hashtbl.replace visited v ();
-        Iset.iter
-          (fun u ->
-            if not (Hashtbl.mem visited u) then
-              Hashtbl.replace weight u (Hashtbl.find weight u + 1))
-          (Ugraph.neighbors g v);
-        go (v :: acc) (remaining - 1)
-    end
-  in
-  go [] (List.length vs)
+   the most visited neighbours, the first such vertex in vertex order.
+   Reversing the visit order yields a PEO iff the graph is chordal
+   (Tarjan & Yannakakis 1984). A vertex's key is i - weight * n, so the
+   heap's minimum is the first vertex of maximal weight, and a visit
+   lowers each unvisited neighbour's key by n: O((n + m) log n). *)
+let mcs (g : Ugraph.t) =
+  let n = Array.length g.labels in
+  let key = Array.init n Fun.id in
+  let heap = Heap.create key in
+  for i = 0 to n - 1 do Heap.push heap i done;
+  Array.init n (fun _ ->
+      let v = Heap.pop heap in
+      Array.iter
+        (fun u ->
+          if heap.at.(u) >= 0 then begin
+            key.(u) <- key.(u) - n;
+            Heap.rise heap u
+          end)
+        g.adj.(v);
+      v)
 
-let is_chordal g = is_peo g (List.rev (mcs_order g))
+let rev a =
+  let n = Array.length a in
+  Array.init n (fun k -> a.(n - 1 - k))
+
+(* An elimination order of indices with each vertex's position, its
+   number of later neighbours and its parent: the earliest later
+   neighbour, or -1 if it has none. *)
+type elim = { order : int array; pos : int array; later : int array; parent : int array }
+
+let elim (g : Ugraph.t) order =
+  let n = Array.length order in
+  let pos = Array.make n 0 in
+  Array.iteri (fun k v -> pos.(v) <- k) order;
+  let later = Array.make n 0 and parent = Array.make n (-1) in
+  for v = 0 to n - 1 do
+    Array.iter
+      (fun u ->
+        if pos.(u) > pos.(v) then begin
+          later.(v) <- later.(v) + 1;
+          if parent.(v) < 0 || pos.(u) < pos.(parent.(v)) then parent.(v) <- u
+        end)
+      g.adj.(v)
+  done;
+  { order; pos; later; parent }
+
+(* The order is a PEO iff every vertex's later neighbours other than its
+   parent are neighbours of the parent; each parent checks all the
+   vertices it was handed against one marking of its neighbours: O(n + m). *)
+let perfect (g : Ugraph.t) e =
+  let n = Array.length e.order in
+  let handed = Array.make n [] in
+  for v = 0 to n - 1 do
+    let p = e.parent.(v) in
+    if p >= 0 then
+      Array.iter
+        (fun u -> if u <> p && e.pos.(u) > e.pos.(v) then handed.(p) <- u :: handed.(p))
+        g.adj.(v)
+  done;
+  let mark = Array.make n (-1) in
+  let rec check p =
+    p = n
+    || (handed.(p) = []
+       || begin
+         Array.iter (fun u -> mark.(u) <- p) g.adj.(p);
+         List.for_all (fun u -> mark.(u) = p) handed.(p)
+       end)
+       && check (p + 1)
+  in
+  check 0
+
+let is_peo (g : Ugraph.t) order =
+  let n = Array.length g.labels in
+  List.length order = n
+  &&
+  let seen = Array.make n false in
+  let idx =
+    List.map
+      (fun v ->
+        let i = Ugraph.index g v in
+        if i < 0 || seen.(i) then -1
+        else begin
+          seen.(i) <- true;
+          i
+        end)
+      order
+  in
+  (not (List.mem (-1) idx)) && perfect g (elim g (Array.of_list idx))
+
+let mcs_order (g : Ugraph.t) = Array.to_list (Array.map (fun i -> g.labels.(i)) (mcs g))
+
+let is_chordal g = perfect g (elim g (rev (mcs g)))
+
+(* The reverse MCS order of a chordal graph, checked. *)
+let chordal_elim g =
+  let e = elim g (rev (mcs g)) in
+  if not (perfect g e) then failwith "Chordal.maximal_cliques: graph is not chordal";
+  e
 
 (* Ranks every vertex once by (key, vertex), then eliminates the
    lowest-ranked simplicial vertex. Removing a vertex only shrinks its
-   neighbours' neighbourhoods, so a simplicial vertex stays simplicial and
-   only the neighbours of the removed vertex need a recheck. *)
-let peo_with_preference g ~key =
-  let vs = Array.of_list (Ugraph.vertices g) in
-  let n = Array.length vs in
-  let pos = Hashtbl.create n in
-  Array.iteri (fun p v -> Hashtbl.replace pos v p) vs;
+   neighbours' neighbourhoods, so a simplicial vertex stays simplicial.
+   Each vertex counts the non-adjacent pairs among its live neighbours
+   and is simplicial when the count is 0. Removing p takes from each
+   live neighbour q the pairs {p, r} with r a live neighbour of q outside
+   N(p), counted on bitset rows from which every removed vertex is
+   cleared. The ready vertices wait in a heap of ranks. O(m n / 32 +
+   n log n) after the sort by key. *)
+let peo_with_preference (g : Ugraph.t) ~key =
+  let n = Array.length g.labels in
+  let keys = Array.map key g.labels in
   let by_rank = Array.init n Fun.id in
-  let keys = Array.map key vs in
-  Array.stable_sort (fun p q -> compare (keys.(p), vs.(p)) (keys.(q), vs.(q))) by_rank;
+  Array.stable_sort
+    (fun p q ->
+      let c = compare keys.(p) keys.(q) in
+      if c <> 0 then c else Int.compare p q)
+    by_rank;
   let rank = Array.make n 0 in
   Array.iteri (fun r p -> rank.(p) <- r) by_rank;
-  let nbrs =
-    Array.map
-      (fun v ->
-        Array.of_list (List.map (Hashtbl.find pos) (Iset.elements (Ugraph.neighbors g v))))
-      vs
+  let rows = Bitrows.of_adjacency g.adj in
+  let degree = Array.map Array.length g.adj in
+  let missing =
+    Array.init n (fun q ->
+        let d = degree.(q) in
+        let inner = Array.fold_left (fun k r -> k + Bitrows.common rows q r) 0 g.adj.(q) / 2 in
+        (d * (d - 1) / 2) - inner)
   in
-  let adj = Array.init n (fun _ -> Bytes.make n '\000') in
-  Array.iteri (fun p ns -> Array.iter (fun q -> Bytes.set adj.(p) q '\001') ns) nbrs;
-  let alive = Array.make n true and simplicial = Array.make n false in
-  let is_simplicial p =
-    let live = List.filter (fun q -> alive.(q)) (Array.to_list nbrs.(p)) in
-    let rec clique = function
-      | [] -> true
-      | q :: rest -> List.for_all (fun q' -> Bytes.get adj.(q) q' <> '\000') rest && clique rest
-    in
-    clique live
-  in
-  let ready = ref Iset.empty in
-  let recheck p =
-    if (not simplicial.(p)) && is_simplicial p then begin
-      simplicial.(p) <- true;
-      ready := Iset.add rank.(p) !ready
+  let alive = Array.make n true in
+  let ready = Heap.create rank in
+  Array.iteri (fun q m -> if m = 0 then Heap.push ready q) missing;
+  let rec go acc k =
+    if k = n then List.rev acc
+    else if Heap.is_empty ready then failwith "Chordal.peo_with_preference: graph is not chordal"
+    else begin
+      let p = Heap.pop ready in
+      alive.(p) <- false;
+      Array.iter
+        (fun q ->
+          if alive.(q) then begin
+            Bitrows.remove rows q p;
+            if missing.(q) > 0 then begin
+              missing.(q) <- missing.(q) - (degree.(q) - 1 - Bitrows.common rows q p);
+              if missing.(q) = 0 then Heap.push ready q
+            end;
+            degree.(q) <- degree.(q) - 1
+          end)
+        g.adj.(p);
+      go (g.labels.(p) :: acc) (k + 1)
     end
   in
-  for p = 0 to n - 1 do recheck p done;
-  let rec go acc =
-    match Iset.min_elt_opt !ready with
-    | None when List.length acc = n -> List.rev acc
-    | None -> failwith "Chordal.peo_with_preference: graph is not chordal"
-    | Some r ->
-      let p = by_rank.(r) in
-      ready := Iset.remove r !ready;
-      alive.(p) <- false;
-      Array.iter (fun q -> if alive.(q) then recheck q) nbrs.(p);
-      go (vs.(p) :: acc)
+  go [] 0
+
+(* Along a PEO the candidate cliques are C(v) = {v} + later neighbours
+   of v. C(v) is not maximal iff some w has parent v and one more later
+   neighbour than v (then C(w) = {w} + C(v)). *)
+let maximal_cliques (g : Ugraph.t) =
+  let e = chordal_elim g in
+  let n = Array.length e.order in
+  let maximal = Array.make n true in
+  Array.iteri
+    (fun w p -> if p >= 0 && e.later.(w) = e.later.(p) + 1 then maximal.(p) <- false)
+    e.parent;
+  let clique v =
+    Array.fold_left
+      (fun s u -> if e.pos.(u) > e.pos.(v) then Iset.add g.labels.(u) s else s)
+      (Iset.singleton g.labels.(v)) g.adj.(v)
   in
-  go []
+  List.filter_map
+    (fun v -> if maximal.(v) then Some (clique v) else None)
+    (List.init n Fun.id)
+  |> List.map (fun c -> (Iset.elements c, c))
+  |> List.sort (fun (a, _) (b, _) -> List.compare Int.compare a b)
+  |> List.map snd
 
-(* Along a PEO, the candidate maximal cliques are {v} + later neighbors of
-   v. A candidate is maximal unless it is contained in the candidate of an
-   earlier vertex (standard chordal clique enumeration). *)
-let maximal_cliques g =
-  let peo = List.rev (mcs_order g) in
-  if not (is_peo g peo) then failwith "Chordal.maximal_cliques: graph is not chordal";
-  let position = Hashtbl.create 16 in
-  List.iteri (fun i v -> Hashtbl.replace position v i) peo;
-  let later_clique v =
-    let pv = Hashtbl.find position v in
-    let later =
-      Iset.filter (fun u -> Hashtbl.find position u > pv) (Ugraph.neighbors g v)
-    in
-    Iset.add v later
-  in
-  let candidates = List.map later_clique peo in
-  List.filter
-    (fun c ->
-      not (List.exists (fun c' -> (not (Iset.equal c c')) && Iset.subset c c') candidates))
-    candidates
-  |> List.sort_uniq (fun a b -> compare (Iset.elements a) (Iset.elements b))
+(* Every clique lies in some C(v), so a vertex's largest clique is the
+   largest C(v) containing it. *)
+let max_clique_size_per_vertex (g : Ugraph.t) =
+  let e = chordal_elim g in
+  let best = Array.make (Array.length e.order) 1 in
+  Array.iteri
+    (fun v row ->
+      let size = e.later.(v) + 1 in
+      best.(v) <- max best.(v) size;
+      Array.iter (fun u -> if e.pos.(u) > e.pos.(v) then best.(u) <- max best.(u) size) row)
+    g.adj;
+  List.init (Array.length best) (fun i -> (g.labels.(i), best.(i)))
 
-let max_clique_size_per_vertex g =
-  let cliques = maximal_cliques g in
-  List.map
-    (fun v ->
-      let best =
-        List.fold_left
-          (fun acc c -> if Iset.mem v c then max acc (Iset.cardinal c) else acc)
-          1 cliques
-      in
-      (v, if Ugraph.mem_vertex g v then best else 0))
-    (Ugraph.vertices g)
-
-let clique_number g =
-  List.fold_left (fun acc c -> max acc (Iset.cardinal c)) 0 (maximal_cliques g)
+let clique_number g = Array.fold_left (fun acc l -> max acc (l + 1)) 0 (chordal_elim g).later

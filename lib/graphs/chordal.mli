@@ -4,7 +4,15 @@
 
     Variable conflict graphs of scheduled DFGs without loops or mutual
     exclusion are interval graphs, hence chordal, so every algorithm here
-    is exact and polynomial on them. *)
+    is exact and polynomial on them.
+
+    Every function runs over the graph's int-indexed view
+    ({!Ugraph.t}) and never removes a vertex: [mcs_order] is one
+    maximum cardinality search with a heap, O((n + m) log n), and
+    [is_peo], [is_chordal], [maximal_cliques], [clique_number] and
+    [max_clique_size_per_vertex] then read one elimination order and
+    each vertex's later neighbours, O(n + m) more (Tarjan & Yannakakis
+    1984). *)
 
 val is_peo : Ugraph.t -> int list -> bool
 (** [is_peo g order] checks that [order] is a perfect elimination ordering:
@@ -12,8 +20,9 @@ val is_peo : Ugraph.t -> int list -> bool
     vertices after it, and [order] enumerates all vertices exactly once. *)
 
 val mcs_order : Ugraph.t -> int list
-(** Maximum cardinality search. The returned order, reversed, is a PEO iff
-    the graph is chordal. *)
+(** Maximum cardinality search: each step visits the unvisited vertex with
+    the most visited neighbours, the smallest such vertex on ties. The
+    returned order, reversed, is a PEO iff the graph is chordal. *)
 
 val is_chordal : Ugraph.t -> bool
 
@@ -21,18 +30,23 @@ val peo_with_preference : Ugraph.t -> key:(int -> 'k) -> int list
 (** A PEO built by repeatedly eliminating, among the currently simplicial
     vertices, the one with the smallest [key] (by [compare]; ties broken
     by vertex id). This is the paper's structured PVES selection (Section
-    III.A.1). Each key is computed once and only the neighbours of an
-    eliminated vertex are rechecked, so a graph with n vertices and
-    maximum degree d takes O(n d^3) time. Raises [Failure] if the graph
-    is not chordal (no simplicial vertex at some step). *)
+    III.A.1). Each key is computed once; each vertex keeps the number of
+    non-adjacent pairs among its remaining neighbours, and eliminating a
+    vertex updates only its neighbours' counts, one bitset AND per
+    neighbour. A graph with n vertices and m edges takes O(n log n)
+    comparisons of keys plus O(m n / 32) time. Raises [Failure] if the
+    graph is not chordal (no simplicial vertex at some step). *)
 
 val maximal_cliques : Ugraph.t -> Ugraph.Iset.t list
-(** All maximal cliques of a chordal graph, each exactly once, via a PEO.
-    Raises [Failure] if the graph is not chordal. *)
+(** All maximal cliques of a chordal graph, each exactly once, via a PEO,
+    sorted by their element lists. Raises [Failure] if the graph is not
+    chordal. *)
 
 val max_clique_size_per_vertex : Ugraph.t -> (int * int) list
 (** [MCS(v)] of the paper: for each vertex, the size of the largest clique
-    containing it. Sorted by vertex. Chordal graphs only. *)
+    containing it. Sorted by vertex. Raises [Failure] if the graph is not
+    chordal. *)
 
 val clique_number : Ugraph.t -> int
-(** Size of a largest clique (chordal graphs only); 0 for the empty graph. *)
+(** Size of a largest clique; 0 for the empty graph. Raises [Failure] if
+    the graph is not chordal. *)

@@ -7,132 +7,123 @@ module Telemetry = Bistpath_telemetry.Telemetry
    classical Tseng-Siewiorek heuristic, then by the summed weight of the
    cross pairs.
 
-   Clusters live in slots, initially their vertex's position; merging
-   the pair (a, b) keeps a's slot. Three matrices over slots are kept
-   up to date on each merge instead of being rescanned: mergeability,
-   the directed cross weight (W(a+b, c) = W(a, c) + W(b, c)), and the
-   common-neighbour count of every pair. *)
-let greedy ?(weight = fun _ _ -> 0) g =
-  let vs = Array.of_list (Ugraph.vertices g) in
+   Clusters live in slots, initially their vertex's index; merging the
+   pair (a, b) keeps a's slot. Three flat n x n matrices over slots are
+   kept up to date on each merge instead of being rescanned:
+   mergeability, the directed cross weight (W(a+b, c) = W(a, c) + W(b, c))
+   and the common-neighbour count. Mergeability only ever turns false, so
+   a weight or count is kept only for a mergeable pair: the only pairs
+   ever scored. *)
+let greedy ?(weight = fun _ _ -> 0) (g : Ugraph.t) =
+  let vs = g.labels in
   let n = Array.length vs in
-  let members = Array.map Iset.singleton vs in
-  let can = Array.init n (fun a -> Array.init n (fun b -> Ugraph.mem_edge g vs.(a) vs.(b))) in
-  let w =
-    Array.init n (fun a -> Array.init n (fun b -> if a = b then 0 else weight vs.(a) vs.(b)))
+  let can = Bytes.make (n * n) '\000' in
+  let mergeable a b = Bytes.unsafe_get can ((a * n) + b) <> '\000' in
+  let set_mergeable a b m =
+    let c = if m then '\001' else '\000' in
+    Bytes.unsafe_set can ((a * n) + b) c;
+    Bytes.unsafe_set can ((b * n) + a) c
   in
-  let common = Array.make_matrix n n 0 in
-  (* clusters of [order] other than a and b that both can merge with *)
-  let shared order a b =
-    List.fold_left
-      (fun k c -> if c <> a && c <> b && can.(a).(c) && can.(b).(c) then k + 1 else k)
-      0 order
+  let w = Array.make (n * n) 0 and common = Array.make (n * n) 0 in
+  let set_common a b k =
+    common.((a * n) + b) <- k;
+    common.((b * n) + a) <- k
   in
-  let all = List.init n Fun.id in
-  List.iter
-    (fun a ->
-      List.iter
+  Array.iteri
+    (fun a row ->
+      Array.iter
         (fun b ->
-          let k = shared all a b in
-          common.(a).(b) <- k;
-          common.(b).(a) <- k)
-        (List.filter (fun b -> b > a) all))
-    all;
-  let rec go order =
+          set_mergeable a b true;
+          w.((a * n) + b) <- weight vs.(a) vs.(b))
+        row)
+    g.adj;
+  let rows = Bitrows.of_adjacency g.adj in
+  Array.iteri
+    (fun a row -> Array.iter (fun b -> if a < b then set_common a b (Bitrows.common rows a b)) row)
+    g.adj;
+  let members = Array.map Iset.singleton vs in
+  (* the clusters in their current order *)
+  let order = Array.init n Fun.id and live = ref n in
+  (* per merge: the other clusters, those of them next to a or b, and
+     whether each of those is next to a and to b *)
+  let rest = Array.make n 0 and near = Array.make n 0 in
+  let near_a = Array.make n false and near_b = Array.make n false in
+  let rec go () =
     Telemetry.incr "clique.iterations";
     (* the first maximum of (common, weight) in [Listx.pairs] order *)
-    let best = ref None in
-    let rec scan = function
-      | [] -> ()
-      | a :: rest ->
-        List.iter
-          (fun b ->
-            if can.(a).(b) then
-              let score = (common.(a).(b), w.(a).(b)) in
-              match !best with
-              | Some (_, _, s) when compare score s <= 0 -> ()
-              | _ -> best := Some (a, b, score))
-          rest;
-        scan rest
-    in
-    scan order;
-    match !best with
-    | None -> List.map (fun s -> members.(s)) order
-    | Some (a, b, _) ->
-      Telemetry.incr "clique.merges";
-      let others = List.filter (fun c -> c <> a && c <> b) order in
-      let can_ab c = can.(a).(c) && can.(b).(c) in
-      (* a pair's common count loses a and b as third clusters and gains
-         their union *)
-      List.iter
-        (fun x ->
-          List.iter
-            (fun y ->
-              if x < y then begin
-                let k =
-                  common.(x).(y)
-                  - Bool.to_int (can.(x).(a) && can.(y).(a))
-                  - Bool.to_int (can.(x).(b) && can.(y).(b))
-                  + Bool.to_int (can_ab x && can_ab y)
-                in
-                common.(x).(y) <- k;
-                common.(y).(x) <- k
-              end)
-            others)
-        others;
-      List.iter
-        (fun c ->
-          let m = can_ab c in
-          can.(a).(c) <- m;
-          can.(c).(a) <- m;
-          w.(a).(c) <- w.(a).(c) + w.(b).(c);
-          w.(c).(a) <- w.(c).(a) + w.(c).(b))
-        others;
-      members.(a) <- Iset.union members.(a) members.(b);
-      List.iter
-        (fun c ->
-          let k = shared others a c in
-          common.(a).(c) <- k;
-          common.(c).(a) <- k)
-        others;
-      go (a :: others)
-  in
-  go all
-
-let exact_min g =
-  (* A minimum clique partition of g is a minimum coloring of its
-     complement; reuse the exact coloring counter via search over k. *)
-  let co = Ugraph.complement g in
-  let k = Coloring.chromatic_number_exact co in
-  (* Recover one witness partition of that size by backtracking. *)
-  let vs = Array.of_list (Ugraph.vertices g) in
-  let n = Array.length vs in
-  let blocks = Array.make (max k 1) Iset.empty in
-  let ok v block = Iset.for_all (fun u -> Ugraph.mem_edge g u v) block in
-  let exception Found of Iset.t list in
-  let rec go i opened =
-    if i = n then raise (Found (Array.to_list (Array.sub blocks 0 opened)))
+    let best_a = ref (-1) and best_b = ref (-1) and best_c = ref (-1) and best_w = ref 0 in
+    for i = 0 to !live - 2 do
+      let row = order.(i) * n in
+      for j = i + 1 to !live - 1 do
+        let ab = row + order.(j) in
+        if Bytes.unsafe_get can ab <> '\000' then begin
+          let c = common.(ab) and wt = w.(ab) in
+          if c > !best_c || (c = !best_c && wt > !best_w) then begin
+            best_a := order.(i);
+            best_b := order.(j);
+            best_c := c;
+            best_w := wt
+          end
+        end
+      done
+    done;
+    if !best_a < 0 then List.init !live (fun i -> members.(order.(i)))
     else begin
-      let v = vs.(i) in
-      for b = 0 to opened - 1 do
-        if ok v blocks.(b) then begin
-          blocks.(b) <- Iset.add v blocks.(b);
-          go (i + 1) opened;
-          blocks.(b) <- Iset.remove v blocks.(b)
+      Telemetry.incr "clique.merges";
+      let a = !best_a and b = !best_b in
+      (* a first, then the others in their order *)
+      let k = ref 0 and t = ref 0 in
+      for i = 0 to !live - 1 do
+        let c = order.(i) in
+        if c <> a && c <> b then begin
+          rest.(!k) <- c;
+          incr k;
+          let ma = mergeable a c and mb = mergeable b c in
+          if ma || mb then begin
+            near.(!t) <- c;
+            near_a.(!t) <- ma;
+            near_b.(!t) <- mb;
+            incr t
+          end
         end
       done;
-      if opened < k then begin
-        blocks.(opened) <- Iset.singleton v;
-        go (i + 1) (opened + 1);
-        blocks.(opened) <- Iset.empty
-      end
+      order.(0) <- a;
+      Array.blit rest 0 order 1 !k;
+      decr live;
+      (* a pair's common count loses a and b as third clusters and gains
+         their union: one less if both could merge with a or both with b *)
+      for i = 0 to !t - 1 do
+        let x = near.(i) in
+        for j = i + 1 to !t - 1 do
+          let y = near.(j) in
+          if ((near_a.(i) && near_a.(j)) || (near_b.(i) && near_b.(j)))
+             && Bytes.unsafe_get can ((x * n) + y) <> '\000'
+          then set_common x y (common.((x * n) + y) - 1)
+        done
+      done;
+      (* the union can merge with what both could merge with *)
+      let both = ref 0 in
+      for i = 0 to !t - 1 do
+        let c = near.(i) in
+        let m = near_a.(i) && near_b.(i) in
+        set_mergeable a c m;
+        if m then begin
+          w.((a * n) + c) <- w.((a * n) + c) + w.((b * n) + c);
+          w.((c * n) + a) <- w.((c * n) + a) + w.((c * n) + b);
+          near.(!both) <- c;
+          incr both
+        end
+      done;
+      for i = 0 to !both - 1 do
+        let c = near.(i) in
+        let k = ref 0 in
+        for j = 0 to !both - 1 do
+          if Bytes.unsafe_get can ((c * n) + near.(j)) <> '\000' then incr k
+        done;
+        set_common a c !k
+      done;
+      members.(a) <- Iset.union members.(a) members.(b);
+      go ()
     end
   in
-  if n = 0 then []
-  else try go 0 0; assert false with Found p -> p
-
-let is_partition g parts =
-  let all = List.fold_left Iset.union Iset.empty parts in
-  let total = Bistpath_util.Listx.sum_by Iset.cardinal parts in
-  Iset.equal all (Iset.of_list (Ugraph.vertices g))
-  && total = Ugraph.num_vertices g
-  && List.for_all (Ugraph.is_clique g) parts
+  go ()

@@ -15,13 +15,8 @@ val greedy :
     [Listx.pairs] order over the current cluster list. The merged cluster
     is put first; the others keep their order. Every vertex appears in
     exactly one returned clique. Mergeability, cross weights and common
-    neighbour counts are updated per merge, so n vertices take O(n^3)
-    time and n^2 calls to [weight]. *)
-
-val exact_min : Ugraph.t -> Ugraph.Iset.t list
-(** Minimum-cardinality clique partition by exhaustive search (equivalent
-    to coloring the complement graph exactly). Exponential; small graphs
-    only. *)
-
-val is_partition : Ugraph.t -> Ugraph.Iset.t list -> bool
-(** Are the given sets disjoint cliques of [g] covering every vertex? *)
+    neighbour counts live in flat int-indexed matrices, updated per merge
+    over the clusters next to the merged pair, and a scan compares ints
+    only: n vertices take O(n^3) time in the worst case, O(n^2) memory,
+    and one call to [weight] per ordered pair of adjacent vertices
+    ([weight] is only ever summed over edges). *)

@@ -12,8 +12,10 @@ val overlap : span -> span -> bool
 (** Do two spans conflict? *)
 
 val graph : (int * span) list -> Ugraph.t
-(** Conflict graph of the given labelled spans. Raises [Invalid_argument]
-    on a malformed span or duplicate label. *)
+(** Conflict graph of the given labelled spans, built by one sweep over
+    the spans sorted by birth: O(n log n + m) for n spans and m
+    conflicts. Raises [Invalid_argument] on a malformed span (the first
+    in list order) or a duplicate label. *)
 
 val random : Bistpath_util.Prng.t -> n:int -> horizon:int -> (int * span) list
 (** [n] random spans with endpoints within [0, horizon]; used by property

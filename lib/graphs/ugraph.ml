@@ -1,54 +1,151 @@
 module Iset = Set.Make (Int)
-module Imap = Map.Make (Int)
 
-type t = { adj : Iset.t Imap.t }
+type t = { labels : int array; adj : int array array }
 
-let empty = { adj = Imap.empty }
+let empty = { labels = [||]; adj = [||] }
 
-let add_vertex t v =
-  if Imap.mem v t.adj then t else { adj = Imap.add v Iset.empty t.adj }
+let index t v =
+  let l = t.labels in
+  let n = Array.length l in
+  if v >= 0 && v < n && l.(v) = v then v
+  else
+    let rec search lo hi =
+      if lo >= hi then -1
+      else
+        let mid = (lo + hi) / 2 in
+        let x = l.(mid) in
+        if x = v then mid else if x < v then search (mid + 1) hi else search lo mid
+    in
+    search 0 n
 
-let add_edge t u v =
-  if u = v then invalid_arg "Ugraph.add_edge: self-loop";
-  let t = add_vertex (add_vertex t u) v in
-  let link a b adj = Imap.add a (Iset.add b (Imap.find a adj)) adj in
-  { adj = link u v (link v u t.adj) }
+(* Drops repeated entries from a sorted array. *)
+let unique a =
+  let k = ref 0 in
+  Array.iteri
+    (fun i x ->
+      if i = 0 || x <> a.(!k - 1) then begin
+        a.(!k) <- x;
+        incr k
+      end)
+    a;
+  if !k = Array.length a then a else Array.sub a 0 !k
+
+let sorted_unique l =
+  let a = Array.of_list l in
+  Array.stable_sort Int.compare a;
+  unique a
+
+(* The transpose of symmetric rows: i goes into row j for each j in row
+   i, for i ascending, so every row comes out sorted. *)
+let transpose rows =
+  let adj = Array.map (fun r -> Array.make (Array.length r) 0) rows in
+  let next = Array.make (Array.length rows) 0 in
+  Array.iteri
+    (fun i r ->
+      Array.iter
+        (fun j ->
+          adj.(j).(next.(j)) <- i;
+          next.(j) <- next.(j) + 1)
+        r)
+    rows;
+  adj
 
 let of_edges ?(vertices = []) edges =
-  let t = List.fold_left add_vertex empty vertices in
-  List.fold_left (fun t (u, v) -> add_edge t u v) t edges
+  List.iter (fun (u, v) -> if u = v then invalid_arg "Ugraph.add_edge: self-loop") edges;
+  let t = { labels = sorted_unique vertices; adj = [||] } in
+  let t =
+    if List.for_all (fun (u, v) -> index t u >= 0 && index t v >= 0) edges then t
+    else
+      let ends = List.concat_map (fun (u, v) -> [ u; v ]) edges in
+      { t with labels = sorted_unique (ends @ vertices) }
+  in
+  let deg = Array.make (Array.length t.labels) 0 in
+  let count x = deg.(index t x) <- deg.(index t x) + 1 in
+  List.iter (fun (u, v) -> count u; count v) edges;
+  let rows = Array.map (fun d -> Array.make d 0) deg in
+  let link x y =
+    let i = index t x in
+    deg.(i) <- deg.(i) - 1;
+    rows.(i).(deg.(i)) <- index t y
+  in
+  List.iter (fun (u, v) -> link u v; link v u) edges;
+  { t with adj = Array.map unique (transpose rows) }
 
-let vertices t = List.map fst (Imap.bindings t.adj)
+let vertices t = Array.to_list t.labels
 
-let num_vertices t = Imap.cardinal t.adj
-
-let neighbors t v =
-  match Imap.find_opt v t.adj with Some s -> s | None -> Iset.empty
-
-let degree t v = Iset.cardinal (neighbors t v)
+let num_vertices t = Array.length t.labels
 
 let edges t =
-  Imap.fold
-    (fun u ns acc -> Iset.fold (fun v acc -> if u < v then (u, v) :: acc else acc) ns acc)
-    t.adj []
-  |> List.sort compare
+  let acc = ref [] in
+  for i = Array.length t.adj - 1 downto 0 do
+    let row = t.adj.(i) in
+    for k = Array.length row - 1 downto 0 do
+      if row.(k) > i then acc := (t.labels.(i), t.labels.(row.(k))) :: !acc
+    done
+  done;
+  !acc
 
-let num_edges t = List.length (edges t)
+let num_edges t = Array.fold_left (fun acc row -> acc + Array.length row) 0 t.adj / 2
 
-let mem_vertex t v = Imap.mem v t.adj
+let add_vertex t v = if index t v >= 0 then t else of_edges ~vertices:(v :: vertices t) (edges t)
 
-let mem_edge t u v = Iset.mem v (neighbors t u)
+let add_edge t u v = of_edges ~vertices:(vertices t) ((u, v) :: edges t)
 
-let remove_vertex t v =
-  let adj = Imap.remove v t.adj in
-  { adj = Imap.map (fun ns -> Iset.remove v ns) adj }
+let mem_vertex t v = index t v >= 0
+
+let mem_edge t u v =
+  let i = index t u and j = index t v in
+  i >= 0 && j >= 0
+  &&
+  let row = t.adj.(i) in
+  let rec search lo hi =
+    lo < hi
+    &&
+    let mid = (lo + hi) / 2 in
+    let x = row.(mid) in
+    x = j || if x < j then search (mid + 1) hi else search lo mid
+  in
+  search 0 (Array.length row)
+
+let neighbors t v =
+  let i = index t v in
+  if i < 0 then Iset.empty
+  else Array.fold_left (fun s j -> Iset.add t.labels.(j) s) Iset.empty t.adj.(i)
+
+let iter_neighbors t v f =
+  let i = index t v in
+  if i >= 0 then Array.iter (fun j -> f t.labels.(j)) t.adj.(i)
+
+let degree t v =
+  let i = index t v in
+  if i < 0 then 0 else Array.length t.adj.(i)
 
 let induced t keep =
-  let adj =
-    Imap.filter (fun v _ -> Iset.mem v keep) t.adj
-    |> Imap.map (fun ns -> Iset.inter ns keep)
-  in
-  { adj }
+  let n = Array.length t.labels in
+  let renumber = Array.make n (-1) in
+  let kept = ref 0 in
+  Array.iteri
+    (fun i v ->
+      if Iset.mem v keep then begin
+        renumber.(i) <- !kept;
+        incr kept
+      end)
+    t.labels;
+  let labels = Array.make !kept 0 and adj = Array.make !kept [||] in
+  Array.iteri
+    (fun i k ->
+      if k >= 0 then begin
+        labels.(k) <- t.labels.(i);
+        adj.(k) <-
+          Array.of_list
+            (List.filter_map
+               (fun j -> if renumber.(j) >= 0 then Some renumber.(j) else None)
+               (Array.to_list t.adj.(i)))
+      end)
+    renumber;
+  { labels; adj }
+
+let remove_vertex t v = induced t (Iset.remove v (Iset.of_list (vertices t)))
 
 let is_clique t set =
   Iset.for_all
@@ -58,16 +155,19 @@ let is_clique t set =
 let is_simplicial t v = is_clique t (neighbors t v)
 
 let complement t =
-  let vs = vertices t in
-  let all = Iset.of_list vs in
+  let n = Array.length t.labels in
   let adj =
-    List.fold_left
-      (fun adj v ->
-        let non = Iset.diff (Iset.remove v all) (neighbors t v) in
-        Imap.add v non adj)
-      Imap.empty vs
+    Array.init n (fun i ->
+        let row = t.adj.(i) in
+        let k = ref 0 in
+        let non = ref [] in
+        for j = 0 to n - 1 do
+          if !k < Array.length row && row.(!k) = j then incr k
+          else if j <> i then non := j :: !non
+        done;
+        Array.of_list (List.rev !non))
   in
-  { adj }
+  { labels = t.labels; adj }
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>vertices: %a@,edges:"

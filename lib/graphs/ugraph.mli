@@ -1,14 +1,31 @@
 (** Simple undirected graphs over integer vertices.
 
     Immutable; all operations are persistent. Vertices are arbitrary ints
-    (not necessarily dense). Self-loops are rejected. *)
+    (not necessarily dense). Self-loops are rejected.
+
+    A graph is stored int-indexed, built once: vertex [i] is the [i]-th
+    smallest label, and [adj.(i)] holds the indices of its neighbours in
+    ascending order. The graph kernels ({!Chordal}, {!Clique_partition})
+    run over this view directly. Finding a label's index is O(1) when the
+    labels are exactly [0 .. n-1] and a binary search otherwise, so
+    [mem_edge] is O(log n + log d). The operations that return a new
+    graph ([add_vertex], [add_edge], [remove_vertex], [induced],
+    [complement]) rebuild it, in O(n log n + m) like [of_edges] (O(n^2)
+    for [complement]); build a graph from its edge list with
+    [of_edges]. *)
 
 module Iset : Set.S with type elt = int
-module Imap : Map.S with type key = int
 
-type t
+type t = private {
+  labels : int array;  (** The vertex labels, ascending. *)
+  adj : int array array;  (** Per index, the neighbours' indices, ascending. *)
+}
+(** Read-only: the arrays are shared and must not be mutated. *)
 
 val empty : t
+
+val index : t -> int -> int
+(** The index of a vertex label, or [-1] if the vertex is absent. *)
 
 val add_vertex : t -> int -> t
 (** Idempotent. *)
@@ -18,7 +35,8 @@ val add_edge : t -> int -> int -> t
     self-loop. Idempotent. *)
 
 val of_edges : ?vertices:int list -> (int * int) list -> t
-(** Graph with the given extra isolated vertices and edges. *)
+(** Graph with the given extra isolated vertices and edges (repeats
+    allowed). Raises [Invalid_argument] on a self-loop. *)
 
 val vertices : t -> int list
 (** Sorted. *)
@@ -37,6 +55,10 @@ val mem_edge : t -> int -> int -> bool
 
 val neighbors : t -> int -> Iset.t
 (** Empty set if the vertex is absent. *)
+
+val iter_neighbors : t -> int -> (int -> unit) -> unit
+(** Applies the function to each neighbour's label, ascending, without
+    building a set; nothing if the vertex is absent. *)
 
 val degree : t -> int -> int
 

@@ -1,8 +1,9 @@
 (* List-scan reference implementations of the algorithms the library
    runs incrementally over the indexed [Sharing] view: the Lemma-2
    verdict and its greedy CBILBO cover, sharing degrees, the preferred
-   perfect elimination ordering and the Tseng-Siewiorek clique
-   partition. Each one recomputes everything from plain sets at every
+   perfect elimination ordering, the Tseng-Siewiorek clique partition
+   and the chordal-graph kernels the library runs over its int-indexed
+   graphs. Each one recomputes everything from plain sets at every
    step, straight from the definitions; the properties in
    test_incremental.ml compare the library against them. *)
 
@@ -139,6 +140,144 @@ let clique_greedy ?(weight = fun _ _ -> 0) g =
         :: List.filter (fun c -> not (Iset.equal c a || Iset.equal c b)) clusters)
   in
   go (List.map Iset.singleton (Ugraph.vertices g))
+
+(* --- chordal graphs, interval graphs, exact clique partitions ----------
+
+   The persistent-set versions of the graph kernels: each PEO step
+   removes a vertex from the graph, clique candidates are filtered by
+   subset tests, MCS rescans every vertex per step and an interval graph
+   tests every pair of spans. *)
+
+module Interval = Bistpath_graphs.Interval
+module Coloring = Bistpath_graphs.Coloring
+
+let is_peo g order =
+  let all = Iset.of_list (Ugraph.vertices g) in
+  let listed = Iset.of_list order in
+  Iset.equal all listed
+  && List.length order = Iset.cardinal all
+  &&
+  let rec go g = function
+    | [] -> true
+    | v :: rest -> Ugraph.is_simplicial g v && go (Ugraph.remove_vertex g v) rest
+  in
+  go g order
+
+let mcs_order g =
+  let vs = Ugraph.vertices g in
+  let weight = Hashtbl.create 16 in
+  List.iter (fun v -> Hashtbl.replace weight v 0) vs;
+  let visited = Hashtbl.create 16 in
+  let rec go acc remaining =
+    if remaining = 0 then List.rev acc
+    else begin
+      let best = ref None in
+      List.iter
+        (fun v ->
+          if not (Hashtbl.mem visited v) then
+            let w = Hashtbl.find weight v in
+            match !best with
+            | Some (_, bw) when bw >= w -> ()
+            | _ -> best := Some (v, w))
+        vs;
+      match !best with
+      | None -> List.rev acc
+      | Some (v, _) ->
+        Hashtbl.replace visited v ();
+        Iset.iter
+          (fun u ->
+            if not (Hashtbl.mem visited u) then
+              Hashtbl.replace weight u (Hashtbl.find weight u + 1))
+          (Ugraph.neighbors g v);
+        go (v :: acc) (remaining - 1)
+    end
+  in
+  go [] (List.length vs)
+
+let is_chordal g = is_peo g (List.rev (mcs_order g))
+
+(* Keep each candidate {v} + later neighbours that no other candidate
+   strictly contains. *)
+let maximal_cliques g =
+  let peo = List.rev (mcs_order g) in
+  if not (is_peo g peo) then failwith "Chordal.maximal_cliques: graph is not chordal";
+  let position = Hashtbl.create 16 in
+  List.iteri (fun i v -> Hashtbl.replace position v i) peo;
+  let later_clique v =
+    let pv = Hashtbl.find position v in
+    Iset.add v (Iset.filter (fun u -> Hashtbl.find position u > pv) (Ugraph.neighbors g v))
+  in
+  let candidates = List.map later_clique peo in
+  List.filter
+    (fun c ->
+      not (List.exists (fun c' -> (not (Iset.equal c c')) && Iset.subset c c') candidates))
+    candidates
+  |> List.sort_uniq (fun a b -> compare (Iset.elements a) (Iset.elements b))
+
+let max_clique_size_per_vertex g =
+  let cliques = maximal_cliques g in
+  List.map
+    (fun v ->
+      ( v,
+        List.fold_left
+          (fun acc c -> if Iset.mem v c then max acc (Iset.cardinal c) else acc)
+          1 cliques ))
+    (Ugraph.vertices g)
+
+let clique_number g =
+  List.fold_left (fun acc c -> max acc (Iset.cardinal c)) 0 (maximal_cliques g)
+
+let interval_graph spans =
+  List.iter
+    (fun (v, (s : Interval.span)) ->
+      if s.death <= s.birth then
+        invalid_arg (Printf.sprintf "Interval.graph: empty span for vertex %d" v))
+    spans;
+  let labels = List.map fst spans in
+  if List.length (List.sort_uniq compare labels) <> List.length labels then
+    invalid_arg "Interval.graph: duplicate vertex label";
+  Listx.pairs spans
+  |> List.filter_map (fun ((u, su), (v, sv)) ->
+         if Interval.overlap su sv then Some (u, v) else None)
+  |> Ugraph.of_edges ~vertices:labels
+
+(* A minimum clique partition of g is a minimum coloring of its
+   complement: count with the exact colouring search, then recover one
+   witness partition of that size by backtracking. Exponential. *)
+let exact_clique_partition g =
+  let k = Coloring.chromatic_number_exact (Ugraph.complement g) in
+  let vs = Array.of_list (Ugraph.vertices g) in
+  let n = Array.length vs in
+  let blocks = Array.make (max k 1) Iset.empty in
+  let ok v block = Iset.for_all (fun u -> Ugraph.mem_edge g u v) block in
+  let exception Found of Iset.t list in
+  let rec go i opened =
+    if i = n then raise (Found (Array.to_list (Array.sub blocks 0 opened)))
+    else begin
+      let v = vs.(i) in
+      for b = 0 to opened - 1 do
+        if ok v blocks.(b) then begin
+          blocks.(b) <- Iset.add v blocks.(b);
+          go (i + 1) opened;
+          blocks.(b) <- Iset.remove v blocks.(b)
+        end
+      done;
+      if opened < k then begin
+        blocks.(opened) <- Iset.singleton v;
+        go (i + 1) (opened + 1);
+        blocks.(opened) <- Iset.empty
+      end
+    end
+  in
+  if n = 0 then []
+  else try go 0 0; assert false with Found p -> p
+
+(* Are the sets disjoint cliques of g covering every vertex? *)
+let is_clique_partition g parts =
+  let all = List.fold_left Iset.union Iset.empty parts in
+  Iset.equal all (Iset.of_list (Ugraph.vertices g))
+  && Listx.sum_by Iset.cardinal parts = Ugraph.num_vertices g
+  && List.for_all (Ugraph.is_clique g) parts
 
 (* --- gate level --------------------------------------------------------
 
@@ -699,7 +838,6 @@ let pareto_front candidates =
    the minimum plus the in-bound leaves, in reverse enumeration order,
    go through the front. *)
 
-module Coloring = Bistpath_graphs.Coloring
 module Session = Bistpath_bist.Session
 module Pareto = Bistpath_bist.Pareto
 

@@ -22,6 +22,7 @@ module Diagnostic = Bistpath_resilience.Diagnostic
 module Inject = Bistpath_resilience.Inject
 module Json = Bistpath_util.Json
 module Check = Bistpath_check.Check
+module Rule = Bistpath_check.Rule
 module Equiv_rules = Bistpath_check.Equiv_rules
 module Equiv = Bistpath_rtl.Equiv
 module Lifetime = Bistpath_dfg.Lifetime
@@ -515,6 +516,34 @@ let spec_errors_precede_flag_errors () =
         (Test_equiv.run_synth [ cmd; "nosuch"; "--format"; "bogus" ]))
     [ "check"; "analyze"; "verify" ]
 
+(* BIST003 and BIST005 read a unit's embeddings through one memoized
+   fact, which must say what Ipath says, with and without transparency. *)
+let unit_embeddings_fact () =
+  List.iter
+    (fun style ->
+      List.iter
+        (fun tag ->
+          let _, _, ctx = flow_ctx ~style tag in
+          List.iter
+            (fun transparency ->
+              let ctx = { ctx with Check.transparency } in
+              let facts = Rule.derive ctx in
+              List.iter
+                (fun (u : Massign.hw) ->
+                  let mid = u.Massign.mid in
+                  let fact = facts.Rule.unit_embeddings mid in
+                  check Alcotest.bool (tag ^ " " ^ mid ^ " embeddable")
+                    (Ipath.embeddings ~transparency ctx.Check.datapath mid <> [])
+                    fact.Rule.embeddable;
+                  check Alcotest.bool (tag ^ " " ^ mid ^ " CBILBO unavoidable")
+                    (Ipath.cbilbo_unavoidable ~transparency ctx.Check.datapath mid)
+                    fact.Rule.cbilbo_unavoidable;
+                  check Alcotest.bool "memoized" true (facts.Rule.unit_embeddings mid == fact))
+                ctx.Check.massign.Massign.units)
+            [ false; true ])
+        [ "ex1"; "Tseng2"; "Paulin"; "dct4" ])
+    [ Flow.Testable Testable_alloc.default_options; Flow.Traditional ]
+
 let suite =
   [ case "clean benchmarks check clean (both flows)" clean_benchmarks;
     case "broken coloring caught by ALC001 alone" catches_broken_coloring;
@@ -541,4 +570,5 @@ let suite =
     case "one run derives each fact once" facts_derived_once;
     case "analyze solves before any rule runs" analyze_solves_first;
     case "spec errors precede flag errors" spec_errors_precede_flag_errors;
+    case "unit embedding fact matches Ipath" unit_embeddings_fact;
   ]

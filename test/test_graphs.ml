@@ -1,6 +1,8 @@
 (* Tests for Bistpath_graphs: undirected graphs, chordal machinery,
    coloring, clique partitioning. Property tests use random interval
-   graphs (always chordal, perfect) as the generator. *)
+   graphs (always chordal, perfect) as the generator; the last ones
+   compare each int-indexed kernel with its set-based reference in
+   oracles.ml on interval, chordal and arbitrary graphs. *)
 
 module Ugraph = Bistpath_graphs.Ugraph
 module Chordal = Bistpath_graphs.Chordal
@@ -203,16 +205,137 @@ let prop_greedy_partition_valid =
     QCheck.(pair (int_bound 1000) (int_range 1 18))
     (fun (seed, n) ->
       let g = random_interval_graph seed n in
-      Clique_partition.is_partition g (Clique_partition.greedy g))
+      Oracles.is_clique_partition g (Clique_partition.greedy g))
 
 let prop_exact_min_not_worse =
   QCheck.Test.make ~name:"exact clique partition <= greedy" ~count:40
     QCheck.(pair (int_bound 1000) (int_range 1 10))
     (fun (seed, n) ->
       let g = random_interval_graph seed n in
-      let exact = Clique_partition.exact_min g in
-      Clique_partition.is_partition g exact
+      let exact = Oracles.exact_clique_partition g in
+      Oracles.is_clique_partition g exact
       && List.length exact <= List.length (Clique_partition.greedy g))
+
+(* --- The int-indexed kernels against their set-based oracles --------- *)
+
+(* A random graph on sparse, possibly negative labels listed out of
+   order, with isolated vertices and sometimes no vertex at all: an
+   interval graph, a random chordal graph (each vertex joins a random
+   subset of a clique made so far, so it is simplicial when added) or an
+   arbitrary one, which is usually not chordal. *)
+let random_graph seed =
+  let rng = Prng.create seed in
+  let n = Prng.int rng 22 in
+  let base = Prng.int rng 41 - 20 and stride = 1 + Prng.int rng 4 in
+  let label i = base + (stride * i) in
+  let edges =
+    match Prng.int rng 3 with
+    | 0 ->
+      Interval.random rng ~n ~horizon:(1 + Prng.int rng (max 1 n))
+      |> Interval.graph |> Ugraph.edges
+      |> List.map (fun (u, v) -> (label u, label v))
+    | 1 ->
+      let cliques = ref [ [] ] and edges = ref [] in
+      for v = 0 to n - 1 do
+        let joined = List.filter (fun _ -> Prng.bool rng) (Prng.pick rng !cliques) in
+        edges := List.map (fun u -> (label u, label v)) joined @ !edges;
+        cliques := (v :: joined) :: !cliques
+      done;
+      !edges
+    | _ ->
+      let density = Prng.int rng 100 in
+      List.concat_map
+        (fun u ->
+          List.filter_map
+            (fun v -> if u < v && Prng.int rng 100 < density then Some (label u, label v) else None)
+            (List.init n Fun.id))
+        (List.init n Fun.id)
+  in
+  let vertices = Array.init n label in
+  Prng.shuffle rng vertices;
+  (rng, Ugraph.of_edges ~vertices:(Array.to_list vertices) edges)
+
+let outcome f = match f () with v -> Ok v | exception Failure m -> Error m
+
+let seeds = QCheck.int_bound 1_000_000
+
+let prop_chordal_kernels_match_oracle =
+  QCheck.Test.make ~name:"chordal kernels match the set-based oracles" ~count:400 seeds
+    (fun seed ->
+      let rng, g = random_graph seed in
+      let elements l = List.map Ugraph.Iset.elements l in
+      let shuffled = Array.of_list (Ugraph.vertices g) in
+      Prng.shuffle rng shuffled;
+      let orders =
+        let vs = Ugraph.vertices g in
+        [ List.rev (Chordal.mcs_order g);
+          Array.to_list shuffled;
+          List.tl (vs @ [ 0 ]);
+          vs @ [ 1000 ];
+          List.map (fun v -> if v = 0 then 1000 else v) vs;
+          (match vs with v :: _ :: rest -> v :: v :: rest | l -> l) ]
+      in
+      Chordal.mcs_order g = Oracles.mcs_order g
+      && Chordal.is_chordal g = Oracles.is_chordal g
+      && List.for_all (fun o -> Chordal.is_peo g o = Oracles.is_peo g o) orders
+      && outcome (fun () -> elements (Chordal.maximal_cliques g))
+         = outcome (fun () -> elements (Oracles.maximal_cliques g))
+      && outcome (fun () -> Chordal.clique_number g) = outcome (fun () -> Oracles.clique_number g)
+      && outcome (fun () -> Chordal.max_clique_size_per_vertex g)
+         = outcome (fun () -> Oracles.max_clique_size_per_vertex g))
+
+(* Keys from a small range tie often; a non-chordal graph must fail the
+   same way. *)
+let prop_preferred_peo_matches_oracle =
+  QCheck.Test.make ~name:"preferred PEO matches the oracle, failure included" ~count:400 seeds
+    (fun seed ->
+      let rng, g = random_graph seed in
+      let keys = Hashtbl.create 16 in
+      List.iter (fun v -> Hashtbl.replace keys v (Prng.int rng 4)) (Ugraph.vertices g);
+      let key v = Hashtbl.find keys v in
+      outcome (fun () -> Chordal.peo_with_preference g ~key)
+      = outcome (fun () ->
+            Oracles.peo_with_preference g ~prefer:(fun u v -> compare (key u) (key v))))
+
+let prop_weighted_greedy_matches_oracle =
+  QCheck.Test.make ~name:"weighted greedy clique partition matches the oracle" ~count:300 seeds
+    (fun seed ->
+      let rng, g = random_graph seed in
+      let w = Hashtbl.create 64 in
+      let weight u v =
+        match Hashtbl.find_opt w (u, v) with
+        | Some x -> x
+        | None ->
+          let x = 1 + Prng.int rng 5 in
+          Hashtbl.replace w (u, v) x;
+          x
+      in
+      let sets l = List.map Ugraph.Iset.elements l in
+      sets (Clique_partition.greedy ~weight g) = sets (Oracles.clique_greedy ~weight g))
+
+(* Spans on sparse labels, some empty or repeated, in random order. *)
+let prop_interval_graph_matches_oracle =
+  QCheck.Test.make ~name:"sweep interval graph matches the pairwise build" ~count:400 seeds
+    (fun seed ->
+      let rng = Prng.create seed in
+      let n = Prng.int rng 25 in
+      let spans =
+        List.map
+          (fun (v, (s : Interval.span)) ->
+            let v = if Prng.int rng 40 = 0 then 0 else (3 * v) - 7 in
+            let death = if Prng.int rng 40 = 0 then s.birth else s.death in
+            (v, { s with death }))
+          (Interval.random rng ~n ~horizon:(1 + Prng.int rng 12))
+      in
+      let shuffled = Array.of_list spans in
+      Prng.shuffle rng shuffled;
+      let spans = Array.to_list shuffled in
+      let build f =
+        match f spans with
+        | g -> Ok (Ugraph.vertices g, Ugraph.edges g)
+        | exception Invalid_argument m -> Error m
+      in
+      build Interval.graph = build Oracles.interval_graph)
 
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -247,4 +370,8 @@ let suite =
         prop_reverse_peo_coloring_minimum;
         prop_greedy_partition_valid;
         prop_exact_min_not_worse;
+        prop_chordal_kernels_match_oracle;
+        prop_preferred_peo_matches_oracle;
+        prop_weighted_greedy_matches_oracle;
+        prop_interval_graph_matches_oracle;
       ]

@@ -132,6 +132,27 @@ let prop_spans_overlap_iff_edge =
           e = Interval.overlap su sv)
         (Bistpath_util.Listx.pairs spans))
 
+(* The one-pass spans against a scan of the operations per variable. *)
+let prop_spans_match_per_variable_scan =
+  QCheck.Test.make ~name:"one-pass spans match a per-variable scan" ~count:100
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let rng = Prng.create seed in
+      let inst = B.random rng ~ops:(3 + Prng.int rng 12) ~inputs:(2 + Prng.int rng 3) in
+      let dfg = inst.B.dfg in
+      List.for_all
+        (fun policy ->
+          let scanned =
+            List.filter_map
+              (fun v ->
+                let produced = Dfg.producer dfg v <> None and read = Dfg.consumers dfg v <> [] in
+                if Policy.allocatable policy ~produced ~read v then Some (v, Lifetime.span dfg v)
+                else None)
+              (Dfg.variables dfg)
+          in
+          Lifetime.spans ~policy dfg = scanned)
+        [ inst.B.policy; Policy.default; Policy.dedicated_io ])
+
 let indexing_bijection () =
   let inst = B.ex2 () in
   let idx = Lifetime.indexing inst.B.dfg in
@@ -156,4 +177,7 @@ let suite =
     case "ex1 conflict edges" ex1_conflict_edges;
     case "indexing bijection" indexing_bijection;
   ]
-  @ qcheck [ prop_conflict_graphs_chordal; prop_spans_overlap_iff_edge ]
+  @ qcheck
+      [ prop_conflict_graphs_chordal;
+        prop_spans_overlap_iff_edge;
+        prop_spans_match_per_variable_scan ]
