@@ -78,187 +78,409 @@ type t = { modules : module_ list; diagnostics : Diagnostic.t list }
 (* Lexer                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* [Id] carries whether the identifier was escaped ([\name ]): escaped
-   identifiers never match keywords, which is the whole point of the
-   escape syntax. *)
-type token =
-  | Tid of string * bool  (* name, escaped *)
-  | Tnum of int option * int
-  | Tstr of string
-  | Tpunct of string
+(* The lexer turns the source into three flat int arrays, one slot per
+   token: its kind, its line and an operand. An identifier's or a
+   string literal's operand is its name id, a number's its index in the
+   literal table; punctuation and [Teof] have none. Names are interned,
+   so the AST holds one string per distinct name. Unescaped keywords
+   lex to their own kinds: an escaped identifier that spells one
+   ([\module ]) stays a name, which is the point of the escape syntax. *)
+type kind =
   | Teof
+  | Tid  (** plain identifier *)
+  | Tesc  (** escaped identifier *)
+  | Tnum
+  | Tstr
+  (* keywords: the contiguous kinds [Kmodule] .. [Kendfunction] *)
+  | Kmodule | Kendmodule | Kinput | Koutput | Kinout | Kwire | Kreg
+  | Kinteger | Kassign | Kalways | Kinitial | Kbegin | Kend | Kif | Kelse
+  | Kcase | Kcasez | Kendcase | Kdefault | Kposedge | Knegedge | Kparameter
+  | Klocalparam | Ksigned | Kgenerate | Kendgenerate | Kfunction
+  | Kendfunction
+  (* punctuation *)
+  | Lparen | Rparen | Lbrace | Rbrace | Lbrack | Rbrack | Semi | Colon
+  | Comma | Dot | Quest | Equal | Plus | Minus | Asterisk | Slash | Percent
+  | Amp | Bar | Caret | Tilde | Bang | Less | Greater | Hash | At
+  | EqEq | BangEq | LessEq | GreaterEq | AmpAmp | BarBar | LessLess | GreaterGreater
 
-type ltoken = { tok : token; line : int }
+let is_keyword (k : kind) = k >= Kmodule && k <= Kendfunction
 
+(* The spelling of a keyword or punctuation kind. *)
+let spelling = function
+  | Kmodule -> "module" | Kendmodule -> "endmodule" | Kinput -> "input"
+  | Koutput -> "output" | Kinout -> "inout" | Kwire -> "wire" | Kreg -> "reg"
+  | Kinteger -> "integer" | Kassign -> "assign" | Kalways -> "always"
+  | Kinitial -> "initial" | Kbegin -> "begin" | Kend -> "end" | Kif -> "if"
+  | Kelse -> "else" | Kcase -> "case" | Kcasez -> "casez"
+  | Kendcase -> "endcase" | Kdefault -> "default" | Kposedge -> "posedge"
+  | Knegedge -> "negedge" | Kparameter -> "parameter"
+  | Klocalparam -> "localparam" | Ksigned -> "signed"
+  | Kgenerate -> "generate" | Kendgenerate -> "endgenerate"
+  | Kfunction -> "function" | Kendfunction -> "endfunction"
+  | Lparen -> "(" | Rparen -> ")" | Lbrace -> "{" | Rbrace -> "}"
+  | Lbrack -> "[" | Rbrack -> "]" | Semi -> ";" | Colon -> ":" | Comma -> ","
+  | Dot -> "." | Quest -> "?" | Equal -> "=" | Plus -> "+" | Minus -> "-"
+  | Asterisk -> "*" | Slash -> "/" | Percent -> "%" | Amp -> "&" | Bar -> "|"
+  | Caret -> "^" | Tilde -> "~" | Bang -> "!" | Less -> "<" | Greater -> ">"
+  | Hash -> "#" | At -> "@" | EqEq -> "==" | BangEq -> "!=" | LessEq -> "<="
+  | GreaterEq -> ">=" | AmpAmp -> "&&" | BarBar -> "||" | LessLess -> "<<"
+  | GreaterGreater -> ">>"
+  | Teof | Tid | Tesc | Tnum | Tstr -> ""
+
+(* Keyword [keywords.(k)] has name id [k] in every parse. *)
 let keywords =
-  [ "module"; "endmodule"; "input"; "output"; "inout"; "wire"; "reg";
-    "integer"; "assign"; "always"; "initial"; "begin"; "end"; "if"; "else";
-    "case"; "casez"; "endcase"; "default"; "posedge"; "negedge"; "parameter";
-    "localparam"; "signed"; "generate"; "endgenerate"; "function";
-    "endfunction" ]
+  [| Kmodule; Kendmodule; Kinput; Koutput; Kinout; Kwire; Kreg; Kinteger;
+     Kassign; Kalways; Kinitial; Kbegin; Kend; Kif; Kelse; Kcase; Kcasez;
+     Kendcase; Kdefault; Kposedge; Knegedge; Kparameter; Klocalparam;
+     Ksigned; Kgenerate; Kendgenerate; Kfunction; Kendfunction |]
 
-let is_keyword s = List.mem s keywords
+let grow a fill =
+  let b = Array.make (2 * Array.length a) fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+(* --- name interning: open addressing over (source, offset, length),
+   so a name already seen allocates nothing --------------------------- *)
+
+type names = {
+  mutable slots : int array;  (* name id + 1; 0 is a free slot *)
+  mutable strs : string array;  (* by name id *)
+  mutable hashes : int array;  (* by name id *)
+  mutable count : int;
+}
+
+let hash_sub s pos len =
+  let h = ref 0 in
+  for k = pos to pos + len - 1 do
+    h := (!h * 31) + Char.code s.[k]
+  done;
+  !h land max_int
+
+let rec same_from name s pos k =
+  k = String.length name || (name.[k] = s.[pos + k] && same_from name s pos (k + 1))
+
+let same_sub name s pos len = String.length name = len && same_from name s pos 0
+
+let rec place slots h id =
+  let mask = Array.length slots - 1 in
+  let rec go k = if slots.(k) = 0 then slots.(k) <- id + 1 else go ((k + 1) land mask) in
+  go (h land mask)
+
+and rehash names =
+  let slots = Array.make (2 * Array.length names.slots) 0 in
+  for id = 0 to names.count - 1 do
+    place slots names.hashes.(id) id
+  done;
+  names.slots <- slots
+
+let rec probe names s pos len h k =
+  match names.slots.(k) with
+  | 0 ->
+    let id = names.count in
+    if id = Array.length names.strs then begin
+      names.strs <- grow names.strs "";
+      names.hashes <- grow names.hashes 0
+    end;
+    names.strs.(id) <- String.sub s pos len;
+    names.hashes.(id) <- h;
+    names.slots.(k) <- id + 1;
+    names.count <- id + 1;
+    if 2 * names.count > Array.length names.slots then rehash names;
+    id
+  | slot ->
+    let id = slot - 1 in
+    if names.hashes.(id) = h && same_sub names.strs.(id) s pos len then id
+    else probe names s pos len h ((k + 1) land (Array.length names.slots - 1))
+
+(* The id of the name [s.\[pos, pos + len)], interned on first sight. *)
+let intern names s pos len =
+  let h = hash_sub s pos len in
+  probe names s pos len h (h land (Array.length names.slots - 1))
+
+(* --- the token arrays ----------------------------------------------- *)
+
+type lexer = {
+  src : string;
+  diag : int -> string -> unit;
+  mutable line : int;
+  mutable ntoks : int;
+  mutable kinds : kind array;
+  mutable lines : int array;
+  mutable args : int array;
+  names : names;
+  mutable nnums : int;
+  mutable widths : int array;  (* -1 for an unsized literal *)
+  mutable values : int array;
+}
+
+let push lx kind arg =
+  let k = lx.ntoks in
+  if k = Array.length lx.kinds then begin
+    lx.kinds <- grow lx.kinds Teof;
+    lx.lines <- grow lx.lines 0;
+    lx.args <- grow lx.args 0
+  end;
+  lx.kinds.(k) <- kind;
+  lx.lines.(k) <- lx.line;
+  lx.args.(k) <- arg;
+  lx.ntoks <- k + 1
+
+let push_num lx width value =
+  let k = lx.nnums in
+  if k = Array.length lx.widths then begin
+    lx.widths <- grow lx.widths 0;
+    lx.values <- grow lx.values 0
+  end;
+  lx.widths.(k) <- width;
+  lx.values.(k) <- value;
+  lx.nnums <- k + 1;
+  push lx Tnum k
+
+let is_digit = function '0' .. '9' -> true | _ -> false
+let is_id_start = function 'a' .. 'z' | 'A' .. 'Z' | '_' -> true | _ -> false
+let is_id = function 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '$' -> true | _ -> false
+let is_decimal = function '0' .. '9' | '_' -> true | _ -> false
+let is_based = function '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' | '_' -> true | _ -> false
+let is_space = function ' ' | '\t' | '\n' | '\r' -> true | _ -> false
+
+let digit_value c =
+  if is_digit c then Char.code c - Char.code '0'
+  else if c >= 'a' && c <= 'f' then Char.code c - Char.code 'a' + 10
+  else if c >= 'A' && c <= 'F' then Char.code c - Char.code 'A' + 10
+  else max_int
+
+(* The end of the run of [ok] characters from [i]. *)
+let rec scan src i ok = if i < String.length src && ok src.[i] then scan src (i + 1) ok else i
+
+let rec id_end src i = if i < String.length src && is_id src.[i] then id_end src (i + 1) else i
+
+(* The digits from [i] to [j], underscores dropped. *)
+let digits src i j =
+  let b = Buffer.create (j - i) in
+  for k = i to j - 1 do
+    if src.[k] <> '_' then Buffer.add_char b src.[k]
+  done;
+  Buffer.contents b
+
+(* The value of the digits from [i] to [j] in [radix], underscores
+   skipped; -1 when a digit is out of range or the value exceeds
+   [max_int]. *)
+let rec accumulate src i j radix acc =
+  if i = j then acc
+  else if src.[i] = '_' then accumulate src (i + 1) j radix acc
+  else
+    let d = digit_value src.[i] in
+    if d >= radix || acc > (max_int - d) / radix then -1
+    else accumulate src (i + 1) j radix ((acc * radix) + d)
+
+(* A based literal's digits that [accumulate] rejects, read as
+   [int_of_string] reads them: a based value up to 2{^63}-1 wraps into
+   the negative ints, and a decimal one may carry an OCaml radix
+   prefix. *)
+let based_value lx line ds radix =
+  let prefix = match radix with 2 -> 'b' | 8 -> 'o' | 16 -> 'x' | _ -> 'u' in
+  match int_of_string_opt (Printf.sprintf "0%c%s" prefix ds) with
+  | Some v -> v
+  | None -> (
+    match int_of_string_opt ds with
+    | Some v when radix = 10 -> v
+    | _ ->
+      lx.diag line (Printf.sprintf "bad number literal %S" ds);
+      0)
+
+(* number: [width] ' base digits | plain decimal *)
+let number lx i =
+  let src = lx.src and line = lx.line in
+  let n = String.length src in
+  let wend = if is_digit src.[i] then scan src i is_decimal else i in
+  (* -1 without a width, -2 when it overflows *)
+  let width =
+    if wend = i then -1
+    else
+      match accumulate src i wend 10 0 with
+      | -1 ->
+        lx.diag line (Printf.sprintf "bad number literal %S" (digits src i wend));
+        -2
+      | w -> w
+  in
+  if wend < n && src.[wend] = '\'' then begin
+    let base = if wend + 1 < n then Char.lowercase_ascii src.[wend + 1] else '?' in
+    let radix =
+      match base with
+      | 'd' -> 10 | 'b' -> 2 | 'h' -> 16 | 'o' -> 8
+      | _ ->
+        lx.diag line (Printf.sprintf "unknown number base '%c'" base);
+        10
+    in
+    let dstart = wend + 2 in
+    let dend = scan src dstart is_based in
+    let value =
+      if dend <= dstart || scan src dstart (fun c -> c = '_') = dend then begin
+        lx.diag line "number literal has no digits";
+        0
+      end
+      else
+        match accumulate src dstart dend radix 0 with
+        | -1 -> based_value lx line (digits src dstart dend) radix
+        | v -> v
+    in
+    if width = 0 then lx.diag line "zero-width sized literal";
+    push_num lx (max width (-1)) value;
+    dend
+  end
+  else begin
+    push_num lx (-1) (max width 0);
+    wend
+  end
+
+let block_comment lx i =
+  let src = lx.src in
+  let n = String.length src in
+  let rec go j =
+    if j >= n then begin
+      lx.diag lx.line "unterminated block comment";
+      j
+    end
+    else if src.[j] = '*' && j + 1 < n && src.[j + 1] = '/' then j + 2
+    else begin
+      if src.[j] = '\n' then lx.line <- lx.line + 1;
+      go (j + 1)
+    end
+  in
+  go (i + 2)
+
+(* A backslash escape keeps both characters and does not count a
+   newline it escapes. *)
+let string_literal lx i =
+  let src = lx.src in
+  let n = String.length src in
+  let rec go j =
+    if j >= n then begin
+      lx.diag lx.line "unterminated string literal";
+      j
+    end
+    else
+      match src.[j] with
+      | '"' -> j
+      | '\\' when j + 1 < n -> go (j + 2)
+      | c ->
+        if c = '\n' then lx.line <- lx.line + 1;
+        go (j + 1)
+  in
+  let stop = go (i + 1) in
+  push lx Tstr (intern lx.names src (i + 1) (stop - i - 1));
+  if stop < n then stop + 1 else stop
+
+(* escaped identifier: backslash to next whitespace *)
+let escaped lx i =
+  let src = lx.src in
+  let stop = scan src (i + 1) (fun c -> not (is_space c)) in
+  if stop = i + 1 then lx.diag lx.line "empty escaped identifier"
+  else push lx Tesc (intern lx.names src (i + 1) (stop - i - 1));
+  stop
+
+let identifier lx i =
+  let stop = id_end lx.src (i + 1) in
+  let id = intern lx.names lx.src i (stop - i) in
+  push lx (if id < Array.length keywords then keywords.(id) else Tid) id;
+  stop
+
+(* The kind of a one-character token; [Teof] for none. *)
+let single = function
+  | '(' -> Lparen | ')' -> Rparen | '{' -> Lbrace | '}' -> Rbrace | '[' -> Lbrack
+  | ']' -> Rbrack | ';' -> Semi | ':' -> Colon | ',' -> Comma | '.' -> Dot
+  | '?' -> Quest | '=' -> Equal | '+' -> Plus | '-' -> Minus | '*' -> Asterisk
+  | '/' -> Slash | '%' -> Percent | '&' -> Amp | '|' -> Bar | '^' -> Caret
+  | '~' -> Tilde | '!' -> Bang | '<' -> Less | '>' -> Greater | '#' -> Hash
+  | '@' -> At
+  | _ -> Teof
+
+(* The kind of a two-character operator; [Teof] for none. *)
+let double c c1 =
+  match (c, c1) with
+  | '=', '=' -> EqEq | '!', '=' -> BangEq | '<', '=' -> LessEq
+  | '>', '=' -> GreaterEq | '&', '&' -> AmpAmp | '|', '|' -> BarBar
+  | '<', '<' -> LessLess | '>', '>' -> GreaterGreater
+  | _ -> Teof
+
+(* punctuation, longest match first; case (in)equality folds onto plain
+   (in)equality: no x/z values in this subset *)
+let punct lx i =
+  let src = lx.src in
+  let n = String.length src in
+  let c = src.[i] in
+  let c1 = if i + 1 < n then src.[i + 1] else '\000' in
+  if (c = '=' || c = '!') && c1 = '=' && i + 2 < n && src.[i + 2] = '=' then begin
+    push lx (if c = '=' then EqEq else BangEq) 0;
+    i + 3
+  end
+  else
+    match double c c1 with
+    | Teof -> (
+      match single c with
+      | Teof ->
+        lx.diag lx.line (Printf.sprintf "unexpected character %C" c);
+        i + 1
+      | k ->
+        push lx k 0;
+        i + 1)
+    | k ->
+      push lx k 0;
+      i + 2
 
 let lex ~diag src =
   let n = String.length src in
-  let toks = ref [] in
-  let line = ref 1 in
+  (* emitted RTL averages under four bytes a token, a literal per 20 *)
+  let cap = (n / 3) + 16 and ncap = (n / 16) + 16 in
+  let names =
+    { slots = Array.make 1024 0; strs = Array.make 256 ""; hashes = Array.make 256 0;
+      count = 0 }
+  in
+  Array.iter
+    (fun k ->
+      let s = spelling k in
+      ignore (intern names s 0 (String.length s)))
+    keywords;
+  let lx =
+    { src; diag; line = 1; ntoks = 0; kinds = Array.make cap Teof;
+      lines = Array.make cap 0; args = Array.make cap 0; names; nnums = 0;
+      widths = Array.make ncap 0; values = Array.make ncap 0 }
+  in
+  let next_line i = scan src i (fun c -> c <> '\n') in
   let i = ref 0 in
-  let peek k = if !i + k < n then src.[!i + k] else '\000' in
-  let push tok = toks := { tok; line = !line } :: !toks in
-  let is_id_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_' in
-  let is_id c = is_id_start c || (c >= '0' && c <= '9') || c = '$' in
-  let is_digit c = c >= '0' && c <= '9' in
   while !i < n do
     let c = src.[!i] in
-    if c = '\n' then begin incr line; incr i end
-    else if c = ' ' || c = '\t' || c = '\r' then incr i
-    else if c = '/' && peek 1 = '/' then begin
-      while !i < n && src.[!i] <> '\n' do incr i done
-    end
-    else if c = '/' && peek 1 = '*' then begin
-      i := !i + 2;
-      let fin = ref false in
-      while !i < n && not !fin do
-        if src.[!i] = '\n' then incr line;
-        if src.[!i] = '*' && peek 1 = '/' then begin fin := true; i := !i + 2 end
-        else incr i
-      done;
-      if not !fin then diag !line "unterminated block comment"
-    end
-    else if c = '`' then begin
-      (* compiler directive (`timescale ...): skip to end of line *)
-      while !i < n && src.[!i] <> '\n' do incr i done
-    end
-    else if c = '"' then begin
-      let b = Buffer.create 16 in
-      incr i;
-      let fin = ref false in
-      while !i < n && not !fin do
-        let d = src.[!i] in
-        if d = '"' then begin fin := true; incr i end
-        else if d = '\\' && !i + 1 < n then begin
-          Buffer.add_char b d; Buffer.add_char b (peek 1); i := !i + 2
-        end
-        else begin
-          if d = '\n' then incr line;
-          Buffer.add_char b d; incr i
-        end
-      done;
-      if not !fin then diag !line "unterminated string literal";
-      push (Tstr (Buffer.contents b))
-    end
-    else if c = '\\' then begin
-      (* escaped identifier: backslash to next whitespace *)
-      let b = Buffer.create 8 in
-      incr i;
-      while !i < n && not (List.mem src.[!i] [ ' '; '\t'; '\n'; '\r' ]) do
-        Buffer.add_char b src.[!i]; incr i
-      done;
-      if Buffer.length b = 0 then diag !line "empty escaped identifier"
-      else push (Tid (Buffer.contents b, true))
-    end
-    else if is_id_start c || c = '$' then begin
-      let b = Buffer.create 8 in
-      while !i < n && is_id src.[!i] do Buffer.add_char b src.[!i]; incr i done;
-      push (Tid (Buffer.contents b, false))
-    end
-    else if is_digit c || (c = '\'' && is_id_start (peek 1)) then begin
-      (* number: [width] ' base digits | plain decimal *)
-      let start_line = !line in
-      let width =
-        if is_digit c then begin
-          let b = Buffer.create 4 in
-          while !i < n && (is_digit src.[!i] || src.[!i] = '_') do
-            if src.[!i] <> '_' then Buffer.add_char b src.[!i];
-            incr i
-          done;
-          int_of_string (Buffer.contents b)
-        end
-        else (-1)
-      in
-      if !i < n && src.[!i] = '\'' then begin
-        incr i;
-        let base = if !i < n then Char.lowercase_ascii src.[!i] else '?' in
-        incr i;
-        let radix =
-          match base with
-          | 'd' -> 10 | 'b' -> 2 | 'h' -> 16 | 'o' -> 8
-          | _ ->
-            diag start_line (Printf.sprintf "unknown number base '%c'" base);
-            10
-        in
-        let b = Buffer.create 8 in
-        let is_based_digit ch =
-          is_digit ch || (ch >= 'a' && ch <= 'f') || (ch >= 'A' && ch <= 'F')
-          || ch = '_'
-        in
-        while !i < n && is_based_digit src.[!i] do
-          if src.[!i] <> '_' then Buffer.add_char b src.[!i];
-          incr i
-        done;
-        let digits = Buffer.contents b in
-        let value =
-          if digits = "" then begin
-            diag start_line "number literal has no digits";
-            0
-          end
-          else
-            match int_of_string_opt (Printf.sprintf "0%c%s"
-                     (match radix with 2 -> 'b' | 8 -> 'o' | 16 -> 'x' | _ -> 'u')
-                     digits)
-            with
-            | Some v -> v
-            | None -> (
-              match int_of_string_opt digits with
-              | Some v when radix = 10 -> v
-              | _ ->
-                diag start_line (Printf.sprintf "bad number literal %S" digits);
-                0)
-        in
-        let w =
-          if width < 0 then None
-          else if width = 0 then begin
-            diag start_line "zero-width sized literal";
-            Some 0
-          end
-          else Some width
-        in
-        push (Tnum (w, value))
+    let peek = if !i + 1 < n then src.[!i + 1] else '\000' in
+    i :=
+      if c = '\n' then begin
+        lx.line <- lx.line + 1;
+        !i + 1
       end
-      else if width >= 0 then push (Tnum (None, width))
-      else diag start_line "stray tick"
-    end
-    else begin
-      (* punctuation, longest match first *)
-      let three = if !i + 2 < n then String.init 3 (fun k -> src.[!i + k]) else "" in
-      let two = if !i + 1 < n then String.init 2 (fun k -> src.[!i + k]) else "" in
-      match (three, two) with
-      (* case (in)equality folds onto plain (in)equality: no x/z values
-         in this subset *)
-      | "===", _ -> push (Tpunct "=="); i := !i + 3
-      | "!==", _ -> push (Tpunct "!="); i := !i + 3
-      | _, ("==" | "!=" | "<=" | ">=" | "&&" | "||" | "<<" | ">>") ->
-        push (Tpunct two); i := !i + 2
-      | _ ->
-        (match c with
-        | '(' | ')' | '{' | '}' | '[' | ']' | ';' | ':' | ',' | '.' | '?'
-        | '=' | '+' | '-' | '*' | '/' | '%' | '&' | '|' | '^' | '~' | '!'
-        | '<' | '>' | '#' | '@' ->
-          push (Tpunct (String.make 1 c))
-        | _ -> diag !line (Printf.sprintf "unexpected character %C" c));
-        incr i
-    end
+      else if c = ' ' || c = '\t' || c = '\r' then !i + 1
+      else if c = '/' && peek = '/' then next_line !i
+      else if c = '/' && peek = '*' then block_comment lx !i
+      else if c = '`' then next_line !i (* compiler directive (`timescale ...) *)
+      else if c = '"' then string_literal lx !i
+      else if c = '\\' then escaped lx !i
+      else if is_id_start c || c = '$' then identifier lx !i
+      else if is_digit c || (c = '\'' && is_id_start peek) then number lx !i
+      else punct lx !i
   done;
-  toks := { tok = Teof; line = !line } :: !toks;
-  Array.of_list (List.rev !toks)
+  push lx Teof 0;
+  lx
 
 (* ------------------------------------------------------------------ *)
 (* Parser                                                             *)
 (* ------------------------------------------------------------------ *)
 
 type state = {
-  toks : ltoken array;
+  kinds : kind array;
+  lines : int array;
+  args : int array;
+  last : int;  (* the [Teof] token *)
+  names : string array;
+  widths : int array;
+  values : int array;
   mutable pos : int;
   collector : Diagnostic.collector;
   file : string option;
@@ -269,8 +491,10 @@ exception Recover
    diagnostic, caught at the item/module level to resynchronize. It
    never escapes [parse]. *)
 
-let cur st = st.toks.(st.pos)
-let advance st = if st.pos < Array.length st.toks - 1 then st.pos <- st.pos + 1
+let kind st = st.kinds.(st.pos)
+let line st = st.lines.(st.pos)
+let name st = st.names.(st.args.(st.pos))
+let advance st = if st.pos < st.last then st.pos <- st.pos + 1
 
 let err st line fmt =
   Printf.ksprintf
@@ -279,275 +503,236 @@ let err st line fmt =
     fmt
 
 let fail st fmt =
-  let line = (cur st).line in
+  let line = line st in
   Printf.ksprintf
     (fun msg ->
       err st line "%s" msg;
       raise Recover)
     fmt
 
-let describe = function
-  | Tid (s, false) -> Printf.sprintf "%S" s
-  | Tid (s, true) -> Printf.sprintf "\\%s" s
-  | Tnum (_, v) -> Printf.sprintf "number %d" v
-  | Tstr _ -> "string literal"
-  | Tpunct p -> Printf.sprintf "%S" p
+let describe st =
+  match kind st with
   | Teof -> "end of input"
+  | Tid -> Printf.sprintf "%S" (name st)
+  | Tesc -> Printf.sprintf "\\%s" (name st)
+  | Tnum -> Printf.sprintf "number %d" st.values.(st.args.(st.pos))
+  | Tstr -> "string literal"
+  | k -> Printf.sprintf "%S" (spelling k)
 
-let at_punct st p = match (cur st).tok with Tpunct q -> q = p | _ -> false
+let at st k = kind st = k
 
-let at_kw st kw =
-  match (cur st).tok with Tid (s, false) -> s = kw | _ -> false
-
-let eat_punct st p =
-  if at_punct st p then advance st
-  else fail st "expected %S, found %s" p (describe (cur st).tok)
-
-let eat_kw st kw =
-  if at_kw st kw then advance st
-  else fail st "expected %S, found %s" kw (describe (cur st).tok)
+let eat st k =
+  if at st k then advance st
+  else fail st "expected %S, found %s" (spelling k) (describe st)
 
 let eat_ident st =
-  match (cur st).tok with
-  | Tid (s, true) -> advance st; s
-  | Tid (s, false) when not (is_keyword s) -> advance st; s
-  | t -> fail st "expected an identifier, found %s" (describe t)
+  match kind st with
+  | Tid | Tesc ->
+    let s = name st in
+    advance st;
+    s
+  | _ -> fail st "expected an identifier, found %s" (describe st)
 
 (* Resynchronize after a syntax error: skip to just past the next ';',
    or stop before 'endmodule'/'module'/EOF. *)
-let sync st =
-  let rec go () =
-    match (cur st).tok with
-    | Teof -> ()
-    | Tpunct ";" -> advance st
-    | Tid (("endmodule" | "module"), false) -> ()
-    | _ -> advance st; go ()
-  in
-  go ()
+let rec sync st =
+  match kind st with
+  | Teof | Kendmodule | Kmodule -> ()
+  | Semi -> advance st
+  | _ ->
+    advance st;
+    sync st
 
 (* --- expressions --------------------------------------------------- *)
 
-let rec parse_expr st = parse_cond st
+(* Binding power of a binary operator, loosest first; 0 for a token
+   that is none. Every level is left-associative. *)
+let precedence = function
+  | BarBar -> 1
+  | AmpAmp -> 2
+  | Bar -> 3
+  | Caret -> 4
+  | Amp -> 5
+  | EqEq | BangEq -> 6
+  | Less | LessEq | Greater | GreaterEq -> 7
+  | LessLess | GreaterGreater -> 8
+  | Plus | Minus -> 9
+  | Asterisk | Slash | Percent -> 10
+  | _ -> 0
 
-and parse_cond st =
-  let c = parse_lor st in
-  if at_punct st "?" then begin
+let binop = function
+  | BarBar -> Lor | AmpAmp -> Land | Bar -> Bor | Caret -> Bxor | Amp -> Band
+  | EqEq -> Eq | BangEq -> Neq | Less -> Lt | LessEq -> Le | Greater -> Gt | GreaterEq -> Ge
+  | LessLess -> Shl | GreaterGreater -> Shr | Plus -> Add | Minus -> Sub | Asterisk -> Mul
+  | Slash -> Div | _ -> Mod
+
+let rec parse_expr st =
+  let c = parse_binary st 1 in
+  if at st Quest then begin
     advance st;
-    let t = parse_cond st in
-    eat_punct st ":";
-    let f = parse_cond st in
+    let t = parse_expr st in
+    eat st Colon;
+    let f = parse_expr st in
     Cond (c, t, f)
   end
   else c
 
-and parse_lor st =
-  let rec go acc =
-    if at_punct st "||" then begin advance st; go (Binop (Lor, acc, parse_land st)) end
-    else acc
-  in
-  go (parse_land st)
+(* Precedence climbing: the operands of an operator at level [p] bind
+   tighter than [p]. *)
+and parse_binary st min_prec = binary_rest st min_prec (parse_unary st)
 
-and parse_land st =
-  let rec go acc =
-    if at_punct st "&&" then begin advance st; go (Binop (Land, acc, parse_bor st)) end
-    else acc
-  in
-  go (parse_bor st)
-
-and parse_bor st =
-  let rec go acc =
-    if at_punct st "|" then begin advance st; go (Binop (Bor, acc, parse_bxor st)) end
-    else acc
-  in
-  go (parse_bxor st)
-
-and parse_bxor st =
-  let rec go acc =
-    if at_punct st "^" then begin advance st; go (Binop (Bxor, acc, parse_band st)) end
-    else acc
-  in
-  go (parse_band st)
-
-and parse_band st =
-  let rec go acc =
-    if at_punct st "&" then begin advance st; go (Binop (Band, acc, parse_eq st)) end
-    else acc
-  in
-  go (parse_eq st)
-
-and parse_eq st =
-  let rec go acc =
-    if at_punct st "==" then begin advance st; go (Binop (Eq, acc, parse_rel st)) end
-    else if at_punct st "!=" then begin advance st; go (Binop (Neq, acc, parse_rel st)) end
-    else acc
-  in
-  go (parse_rel st)
-
-and parse_rel st =
-  let rec go acc =
-    if at_punct st "<" then begin advance st; go (Binop (Lt, acc, parse_shift st)) end
-    else if at_punct st "<=" then begin advance st; go (Binop (Le, acc, parse_shift st)) end
-    else if at_punct st ">" then begin advance st; go (Binop (Gt, acc, parse_shift st)) end
-    else if at_punct st ">=" then begin advance st; go (Binop (Ge, acc, parse_shift st)) end
-    else acc
-  in
-  go (parse_shift st)
-
-and parse_shift st =
-  let rec go acc =
-    if at_punct st "<<" then begin advance st; go (Binop (Shl, acc, parse_add st)) end
-    else if at_punct st ">>" then begin advance st; go (Binop (Shr, acc, parse_add st)) end
-    else acc
-  in
-  go (parse_add st)
-
-and parse_add st =
-  let rec go acc =
-    if at_punct st "+" then begin advance st; go (Binop (Add, acc, parse_mul st)) end
-    else if at_punct st "-" then begin advance st; go (Binop (Sub, acc, parse_mul st)) end
-    else acc
-  in
-  go (parse_mul st)
-
-and parse_mul st =
-  let rec go acc =
-    if at_punct st "*" then begin advance st; go (Binop (Mul, acc, parse_unary st)) end
-    else if at_punct st "/" then begin advance st; go (Binop (Div, acc, parse_unary st)) end
-    else if at_punct st "%" then begin advance st; go (Binop (Mod, acc, parse_unary st)) end
-    else acc
-  in
-  go (parse_unary st)
+and binary_rest st min_prec lhs =
+  let k = kind st in
+  let p = precedence k in
+  if p >= min_prec then begin
+    advance st;
+    binary_rest st min_prec (Binop (binop k, lhs, parse_binary st (p + 1)))
+  end
+  else lhs
 
 and parse_unary st =
-  if at_punct st "~" then begin advance st; Unop (Bnot, parse_unary st) end
-  else if at_punct st "!" then begin advance st; Unop (Lnot, parse_unary st) end
-  else if at_punct st "^" then begin advance st; Unop (Rxor, parse_unary st) end
-  else if at_punct st "-" then begin advance st; Unop (Neg, parse_unary st) end
-  else parse_postfix st
+  match kind st with
+  | Tilde -> unary st Bnot
+  | Bang -> unary st Lnot
+  | Caret -> unary st Rxor
+  | Minus -> unary st Neg
+  | _ -> postfix st (parse_primary st)
 
-and parse_postfix st =
-  let e = parse_primary st in
-  let rec go acc =
-    if at_punct st "[" then begin
+and unary st op =
+  advance st;
+  Unop (op, parse_unary st)
+
+and postfix st acc =
+  if at st Lbrack then begin
+    advance st;
+    let a = parse_expr st in
+    if at st Colon then begin
       advance st;
-      let a = parse_expr st in
-      if at_punct st ":" then begin
-        advance st;
-        let b = parse_expr st in
-        eat_punct st "]";
-        go (Range (acc, a, b))
-      end
-      else begin
-        eat_punct st "]";
-        go (Index (acc, a))
-      end
+      let b = parse_expr st in
+      eat st Rbrack;
+      postfix st (Range (acc, a, b))
     end
-    else acc
-  in
-  go e
+    else begin
+      eat st Rbrack;
+      postfix st (Index (acc, a))
+    end
+  end
+  else acc
 
 and parse_primary st =
-  match (cur st).tok with
-  | Tnum (w, v) -> advance st; Num (w, v)
-  | Tstr s -> advance st; Str s
-  | Tid (s, true) -> advance st; Ident s
-  | Tid (s, false) when not (is_keyword s) -> advance st; Ident s
-  | Tpunct "(" ->
+  match kind st with
+  | Tnum ->
+    let k = st.args.(st.pos) in
+    advance st;
+    let w = st.widths.(k) in
+    Num ((if w < 0 then None else Some w), st.values.(k))
+  | Tstr ->
+    let s = name st in
+    advance st;
+    Str s
+  | Tid | Tesc -> Ident (eat_ident st)
+  | Lparen ->
     advance st;
     let e = parse_expr st in
-    eat_punct st ")";
+    eat st Rparen;
     e
-  | Tpunct "{" ->
+  | Lbrace ->
     advance st;
     let first = parse_expr st in
-    if at_punct st "{" then begin
+    if at st Lbrace then begin
       (* replication: {count{inner[, inner]*}} *)
       advance st;
-      let rec items acc =
-        let e = parse_expr st in
-        if at_punct st "," then begin advance st; items (e :: acc) end
-        else List.rev (e :: acc)
-      in
-      let inner = items [] in
-      eat_punct st "}";
-      eat_punct st "}";
+      let inner = parse_list st [] in
+      eat st Rbrace;
+      eat st Rbrace;
       Repl (first, match inner with [ e ] -> e | es -> Concat es)
     end
     else begin
-      let rec items acc =
-        if at_punct st "," then begin
+      let es =
+        if at st Comma then begin
           advance st;
-          items (parse_expr st :: acc)
+          parse_list st [ first ]
         end
-        else List.rev acc
+        else [ first ]
       in
-      let es = items [ first ] in
-      eat_punct st "}";
+      eat st Rbrace;
       match es with [ e ] -> e | _ -> Concat es
     end
-  | t -> fail st "expected an expression, found %s" (describe t)
+  | _ -> fail st "expected an expression, found %s" (describe st)
+
+(* comma-separated expressions, appended to [acc] (reversed) *)
+and parse_list st acc =
+  let e = parse_expr st in
+  if at st Comma then begin
+    advance st;
+    parse_list st (e :: acc)
+  end
+  else List.rev (e :: acc)
 
 (* --- statements ---------------------------------------------------- *)
 
 let rec parse_stmt st =
-  match (cur st).tok with
-  | Tid ("begin", false) ->
+  match kind st with
+  | Kbegin ->
     advance st;
     let rec go acc =
-      if at_kw st "end" then begin advance st; Block (List.rev acc) end
-      else if (cur st).tok = Teof then fail st "unterminated begin/end block"
+      if at st Kend then begin
+        advance st;
+        Block (List.rev acc)
+      end
+      else if at st Teof then fail st "unterminated begin/end block"
       else go (parse_stmt st :: acc)
     in
     go []
-  | Tid ("if", false) ->
+  | Kif ->
     advance st;
-    eat_punct st "(";
+    eat st Lparen;
     let c = parse_expr st in
-    eat_punct st ")";
+    eat st Rparen;
     let t = parse_stmt st in
-    if at_kw st "else" then begin
+    if at st Kelse then begin
       advance st;
       let f = parse_stmt st in
       If (c, t, Some f)
     end
     else If (c, t, None)
-  | Tid (("case" | "casez"), false) ->
+  | Kcase | Kcasez ->
     advance st;
-    eat_punct st "(";
+    eat st Lparen;
     let scrut = parse_expr st in
-    eat_punct st ")";
+    eat st Rparen;
     let rec arms acc dflt =
-      if at_kw st "endcase" then begin advance st; Case (scrut, List.rev acc, dflt) end
-      else if (cur st).tok = Teof then fail st "unterminated case"
-      else if at_kw st "default" then begin
+      match kind st with
+      | Kendcase ->
         advance st;
-        eat_punct st ":";
+        Case (scrut, List.rev acc, dflt)
+      | Teof -> fail st "unterminated case"
+      | Kdefault ->
+        advance st;
+        eat st Colon;
         let s = parse_stmt st in
         arms acc (Some s)
-      end
-      else begin
-        let rec labels ls =
-          let e = parse_expr st in
-          if at_punct st "," then begin advance st; labels (e :: ls) end
-          else List.rev (e :: ls)
-        in
-        let ls = labels [] in
-        eat_punct st ":";
+      | _ ->
+        let ls = parse_list st [] in
+        eat st Colon;
         let s = parse_stmt st in
         arms ((ls, s) :: acc) dflt
-      end
     in
     arms [] None
-  | Tid (s, false) when s.[0] = '$' ->
+  | Tid when (name st).[0] = '$' ->
+    let s = name st in
     advance st;
     let args =
-      if at_punct st "(" then begin
+      if at st Lparen then begin
         advance st;
         let rec go acc =
-          if at_punct st ")" then begin advance st; List.rev acc end
+          if at st Rparen then begin
+            advance st;
+            List.rev acc
+          end
           else begin
             let e = parse_expr st in
-            if at_punct st "," then advance st;
+            if at st Comma then advance st;
             go (e :: acc)
           end
         in
@@ -555,74 +740,109 @@ let rec parse_stmt st =
       end
       else []
     in
-    eat_punct st ";";
+    eat st Semi;
     Sys (s, args)
-  | Tpunct "@" ->
+  | At ->
     advance st;
-    eat_punct st "(";
+    eat st Lparen;
     let rec skip depth =
-      match (cur st).tok with
-      | Tpunct "(" -> advance st; skip (depth + 1)
-      | Tpunct ")" -> advance st; if depth > 1 then skip (depth - 1)
+      match kind st with
+      | Lparen ->
+        advance st;
+        skip (depth + 1)
+      | Rparen ->
+        advance st;
+        if depth > 1 then skip (depth - 1)
       | Teof -> fail st "unterminated event control"
-      | _ -> advance st; skip depth
+      | _ ->
+        advance st;
+        skip depth
     in
     skip 1;
-    if at_punct st ";" then begin advance st; Timing None end
-    else Timing (Some (parse_stmt st))
-  | Tpunct "#" ->
+    timed st
+  | Hash ->
     advance st;
-    (match (cur st).tok with
-    | Tnum _ -> advance st
-    | _ -> fail st "expected a delay value after '#'");
-    if at_punct st ";" then begin advance st; Timing None end
-    else Timing (Some (parse_stmt st))
-  | Tpunct ";" -> advance st; Nop
-  | Tid _ ->
+    if at st Tnum then advance st else fail st "expected a delay value after '#'";
+    timed st
+  | Semi ->
+    advance st;
+    Nop
+  | k when k = Tid || k = Tesc || is_keyword k ->
     let lhs = eat_ident st in
-    if at_punct st "<=" then begin
+    if at st LessEq then begin
       advance st;
       let rhs = parse_expr st in
-      eat_punct st ";";
+      eat st Semi;
       Nonblocking (lhs, rhs)
     end
-    else if at_punct st "=" then begin
+    else if at st Equal then begin
       advance st;
       let rhs = parse_expr st in
-      eat_punct st ";";
+      eat st Semi;
       Blocking (lhs, rhs)
     end
     else fail st "expected '=' or '<=' in statement"
-  | t -> fail st "expected a statement, found %s" (describe t)
+  | _ -> fail st "expected a statement, found %s" (describe st)
+
+(* the statement after an [@(...)]/[#n] prefix *)
+and timed st =
+  if at st Semi then begin
+    advance st;
+    Timing None
+  end
+  else Timing (Some (parse_stmt st))
 
 (* --- module items -------------------------------------------------- *)
 
 let parse_range_opt st =
-  if at_punct st "[" then begin
+  if at st Lbrack then begin
     advance st;
     let msb = parse_expr st in
-    eat_punct st ":";
+    eat st Colon;
     let lsb = parse_expr st in
-    eat_punct st "]";
+    eat st Rbrack;
     Some (msb, lsb)
   end
   else None
 
+(* [(.name(expr), ...)]: instance parameters and connections *)
+let parse_named st =
+  eat st Lparen;
+  let rec go acc =
+    if at st Rparen then begin
+      advance st;
+      List.rev acc
+    end
+    else begin
+      eat st Dot;
+      let p = eat_ident st in
+      eat st Lparen;
+      let v = parse_expr st in
+      eat st Rparen;
+      if at st Comma then advance st;
+      go ((p, v) :: acc)
+    end
+  in
+  go []
+
 (* header parameter list: #(parameter [range] NAME = expr, ...) *)
 let parse_header_params st =
-  if not (at_punct st "#") then []
+  if not (at st Hash) then []
   else begin
     advance st;
-    eat_punct st "(";
+    eat st Lparen;
     let rec go acc =
-      if at_punct st ")" then begin advance st; List.rev acc end
+      if at st Rparen then begin
+        advance st;
+        List.rev acc
+      end
       else begin
-        eat_kw st "parameter";
+        eat st Kparameter;
         ignore (parse_range_opt st);
         let name = eat_ident st in
-        eat_punct st "=";
+        eat st Equal;
         let v = parse_expr st in
-        if at_punct st "," then advance st;
+        if at st Comma then advance st;
         go ((name, v) :: acc)
       end
     in
@@ -630,159 +850,157 @@ let parse_header_params st =
   end
 
 let parse_ports st =
-  eat_punct st "(";
+  eat st Lparen;
   let rec go acc dir preg prange =
-    match (cur st).tok with
-    | Tpunct ")" -> advance st; List.rev acc
-    | Teof -> fail st "unterminated port list"
-    | Tid (("input" | "output" | "inout") as d, false) ->
-      let line = (cur st).line in
+    match kind st with
+    | Rparen ->
       advance st;
-      let dir = if d = "input" then Input else Output in
-      if d = "inout" then err st line "inout ports are not supported";
+      List.rev acc
+    | Teof -> fail st "unterminated port list"
+    | (Kinput | Koutput | Kinout) as d ->
+      let line = line st in
+      advance st;
+      if d = Kinout then err st line "inout ports are not supported";
       let preg =
-        if at_kw st "reg" then begin advance st; true end
+        if at st Kreg then begin
+          advance st;
+          true
+        end
         else begin
-          if at_kw st "wire" then advance st;
+          if at st Kwire then advance st;
           false
         end
       in
       let prange = parse_range_opt st in
-      go acc (Some dir) preg prange
-    | _ ->
-      let line = (cur st).line in
+      go acc (Some (if d = Kinput then Input else Output)) preg prange
+    | _ -> (
+      let line = line st in
       let name = eat_ident st in
-      (match dir with
+      match dir with
       | None -> fail st "port %S has no direction (non-ANSI headers are not supported)" name
       | Some d ->
         let p = { dir = d; preg; prange; pname = name; pline = line } in
-        if at_punct st "," then advance st;
+        if at st Comma then advance st;
         go (p :: acc) dir preg prange)
   in
   go [] None false None
 
 let parse_instance st module_name iline =
   let params =
-    if at_punct st "#" then begin
+    if at st Hash then begin
       advance st;
-      eat_punct st "(";
-      let rec go acc =
-        if at_punct st ")" then begin advance st; List.rev acc end
-        else begin
-          eat_punct st ".";
-          let p = eat_ident st in
-          eat_punct st "(";
-          let v = parse_expr st in
-          eat_punct st ")";
-          if at_punct st "," then advance st;
-          go ((p, v) :: acc)
-        end
-      in
-      go []
+      parse_named st
     end
     else []
   in
   let instance_name = eat_ident st in
-  eat_punct st "(";
-  let rec conns acc =
-    if at_punct st ")" then begin advance st; List.rev acc end
-    else begin
-      eat_punct st ".";
-      let p = eat_ident st in
-      eat_punct st "(";
-      let v = parse_expr st in
-      eat_punct st ")";
-      if at_punct st "," then advance st;
-      conns ((p, v) :: acc)
-    end
-  in
-  let conns = conns [] in
-  eat_punct st ";";
+  let conns = parse_named st in
+  eat st Semi;
   Instance { module_name; params; instance_name; conns; iline }
 
 let parse_item st =
-  let line = (cur st).line in
-  match (cur st).tok with
-  | Tid (("wire" | "reg" | "integer") as kw, false) ->
+  let line = line st in
+  match kind st with
+  | (Kwire | Kreg | Kinteger) as kw ->
     advance st;
     let drange = parse_range_opt st in
     let rec names acc =
       let n = eat_ident st in
       let init =
-        if at_punct st "=" then begin advance st; Some (parse_expr st) end
+        if at st Equal then begin
+          advance st;
+          Some (parse_expr st)
+        end
         else None
       in
-      if at_punct st "," then begin advance st; names ((n, init) :: acc) end
+      if at st Comma then begin
+        advance st;
+        names ((n, init) :: acc)
+      end
       else List.rev ((n, init) :: acc)
     in
     let names = names [] in
-    eat_punct st ";";
-    [ Decl { dreg = kw <> "wire"; drange; names; dline = line } ]
-  | Tid ("assign", false) ->
+    eat st Semi;
+    [ Decl { dreg = kw <> Kwire; drange; names; dline = line } ]
+  | Kassign ->
     advance st;
     let lhs = eat_ident st in
-    eat_punct st "=";
+    eat st Equal;
     let rhs = parse_expr st in
-    eat_punct st ";";
+    eat st Semi;
     [ Assign { lhs; rhs; aline = line } ]
-  | Tid ("localparam", false) ->
+  | Klocalparam ->
     advance st;
     let rec go acc =
       let name = eat_ident st in
-      eat_punct st "=";
+      eat st Equal;
       let value = parse_expr st in
       let acc = Localparam { name; value; lline = line } :: acc in
-      if at_punct st "," then begin advance st; go acc end
+      if at st Comma then begin
+        advance st;
+        go acc
+      end
       else begin
-        eat_punct st ";";
+        eat st Semi;
         List.rev acc
       end
     in
     go []
-  | Tid ("always", false) ->
+  | Kalways ->
     advance st;
     let trigger =
-      if at_punct st "@" then begin
+      if at st At then begin
         advance st;
-        eat_punct st "(";
-        if at_punct st "*" then begin advance st; eat_punct st ")"; Star end
+        eat st Lparen;
+        if at st Asterisk then begin
+          advance st;
+          eat st Rparen;
+          Star
+        end
         else begin
-          eat_kw st "posedge";
+          eat st Kposedge;
           let clk = eat_ident st in
-          eat_punct st ")";
+          eat st Rparen;
           Posedge clk
         end
       end
-      else if at_punct st "#" then begin
+      else if at st Hash then begin
         advance st;
-        match (cur st).tok with
-        | Tnum (_, v) -> advance st; Delay v
-        | _ -> fail st "expected a delay after 'always #'"
+        if at st Tnum then begin
+          let v = st.values.(st.args.(st.pos)) in
+          advance st;
+          Delay v
+        end
+        else fail st "expected a delay after 'always #'"
       end
       else fail st "expected '@(posedge ...)' or '#N' after 'always'"
     in
     let body = parse_stmt st in
     [ Always { trigger; body; bline = line } ]
-  | Tid ("initial", false) ->
+  | Kinitial ->
     advance st;
     [ Initial (parse_stmt st) ]
-  | Tid (name, esc) when esc || not (is_keyword name) ->
-    advance st;
+  | Tid | Tesc ->
+    let name = eat_ident st in
     [ parse_instance st name line ]
-  | t -> fail st "expected a module item, found %s" (describe t)
+  | _ -> fail st "expected a module item, found %s" (describe st)
 
 let parse_module st =
-  let mline = (cur st).line in
-  eat_kw st "module";
+  let mline = line st in
+  eat st Kmodule;
   let name = eat_ident st in
   let mparams = parse_header_params st in
-  let ports = if at_punct st "(" then parse_ports st else [] in
-  eat_punct st ";";
+  let ports = if at st Lparen then parse_ports st else [] in
+  eat st Semi;
   let items = ref [] in
   let rec go () =
-    match (cur st).tok with
-    | Tid ("endmodule", false) -> advance st
+    match kind st with
+    | Kendmodule -> advance st
     | Teof -> fail st "missing 'endmodule' for module %S" name
+    | Kmodule ->
+      (* no item starts with 'module' and [sync] stops before it: end
+         this module here so the next one parses *)
+      err st (line st) "missing 'endmodule' for module %S before the next module" name
     | _ ->
       (match parse_item st with
       | its -> items := List.rev_append its !items
@@ -800,23 +1018,27 @@ let parse ?max_errors ?file src =
   let diag line msg =
     Diagnostic.emit collector (Diagnostic.error ?file ~line msg)
   in
-  let toks = lex ~diag src in
-  let st = { toks; pos = 0; collector; file } in
+  let lx = lex ~diag src in
+  let st =
+    { kinds = lx.kinds; lines = lx.lines; args = lx.args; last = lx.ntoks - 1;
+      names = lx.names.strs; widths = lx.widths; values = lx.values; pos = 0;
+      collector; file }
+  in
   let modules = ref [] in
   let rec go () =
-    match (cur st).tok with
+    match kind st with
     | Teof -> ()
-    | Tid ("module", false) ->
+    | Kmodule ->
       (match parse_module st with
       | m -> modules := m :: !modules
       | exception Recover ->
         sync st;
         (* a failed module header leaves us before the next sync point;
            make progress unconditionally so the loop terminates *)
-        if at_kw st "module" then advance st);
+        if at st Kmodule then advance st);
       go ()
-    | t ->
-      err st (cur st).line "expected \"module\", found %s" (describe t);
+    | _ ->
+      err st (line st) "expected \"module\", found %s" (describe st);
       advance st;
       sync st;
       go ()

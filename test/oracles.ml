@@ -1335,3 +1335,776 @@ module Equiv_trees = struct
 end
 
 let equiv_structural = Equiv_trees.compare_netlists
+
+(* --- RTL parser --------------------------------------------------------
+   The string-token lexer and recursive-descent parser that
+   [Bistpath_rtl.Parser] replaced with int-coded token arrays, kept
+   verbatim over the library's AST types. The [rtl] properties in
+   test_rtl.ml compare the library's parse (AST and diagnostics) against
+   [Rtl_parser.parse]. It raises [Failure] on an overflowing decimal
+   literal or width, where the library reports an error diagnostic. *)
+module Rtl_parser = struct
+  open Bistpath_rtl.Parser
+  module Diagnostic = Bistpath_resilience.Diagnostic
+  module Inject = Bistpath_resilience.Inject
+  module Telemetry = Bistpath_telemetry.Telemetry
+
+  (* ------------------------------------------------------------------ *)
+  (* Lexer                                                              *)
+  (* ------------------------------------------------------------------ *)
+
+  (* [Id] carries whether the identifier was escaped ([\name ]): escaped
+     identifiers never match keywords, which is the whole point of the
+     escape syntax. *)
+  type token =
+    | Tid of string * bool  (* name, escaped *)
+    | Tnum of int option * int
+    | Tstr of string
+    | Tpunct of string
+    | Teof
+
+  type ltoken = { tok : token; line : int }
+
+  let keywords =
+    [ "module"; "endmodule"; "input"; "output"; "inout"; "wire"; "reg";
+      "integer"; "assign"; "always"; "initial"; "begin"; "end"; "if"; "else";
+      "case"; "casez"; "endcase"; "default"; "posedge"; "negedge"; "parameter";
+      "localparam"; "signed"; "generate"; "endgenerate"; "function";
+      "endfunction" ]
+
+  let is_keyword s = List.mem s keywords
+
+  let lex ~diag src =
+    let n = String.length src in
+    let toks = ref [] in
+    let line = ref 1 in
+    let i = ref 0 in
+    let peek k = if !i + k < n then src.[!i + k] else '\000' in
+    let push tok = toks := { tok; line = !line } :: !toks in
+    let is_id_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_' in
+    let is_id c = is_id_start c || (c >= '0' && c <= '9') || c = '$' in
+    let is_digit c = c >= '0' && c <= '9' in
+    while !i < n do
+      let c = src.[!i] in
+      if c = '\n' then begin incr line; incr i end
+      else if c = ' ' || c = '\t' || c = '\r' then incr i
+      else if c = '/' && peek 1 = '/' then begin
+        while !i < n && src.[!i] <> '\n' do incr i done
+      end
+      else if c = '/' && peek 1 = '*' then begin
+        i := !i + 2;
+        let fin = ref false in
+        while !i < n && not !fin do
+          if src.[!i] = '\n' then incr line;
+          if src.[!i] = '*' && peek 1 = '/' then begin fin := true; i := !i + 2 end
+          else incr i
+        done;
+        if not !fin then diag !line "unterminated block comment"
+      end
+      else if c = '`' then begin
+        (* compiler directive (`timescale ...): skip to end of line *)
+        while !i < n && src.[!i] <> '\n' do incr i done
+      end
+      else if c = '"' then begin
+        let b = Buffer.create 16 in
+        incr i;
+        let fin = ref false in
+        while !i < n && not !fin do
+          let d = src.[!i] in
+          if d = '"' then begin fin := true; incr i end
+          else if d = '\\' && !i + 1 < n then begin
+            Buffer.add_char b d; Buffer.add_char b (peek 1); i := !i + 2
+          end
+          else begin
+            if d = '\n' then incr line;
+            Buffer.add_char b d; incr i
+          end
+        done;
+        if not !fin then diag !line "unterminated string literal";
+        push (Tstr (Buffer.contents b))
+      end
+      else if c = '\\' then begin
+        (* escaped identifier: backslash to next whitespace *)
+        let b = Buffer.create 8 in
+        incr i;
+        while !i < n && not (List.mem src.[!i] [ ' '; '\t'; '\n'; '\r' ]) do
+          Buffer.add_char b src.[!i]; incr i
+        done;
+        if Buffer.length b = 0 then diag !line "empty escaped identifier"
+        else push (Tid (Buffer.contents b, true))
+      end
+      else if is_id_start c || c = '$' then begin
+        let b = Buffer.create 8 in
+        while !i < n && is_id src.[!i] do Buffer.add_char b src.[!i]; incr i done;
+        push (Tid (Buffer.contents b, false))
+      end
+      else if is_digit c || (c = '\'' && is_id_start (peek 1)) then begin
+        (* number: [width] ' base digits | plain decimal *)
+        let start_line = !line in
+        let width =
+          if is_digit c then begin
+            let b = Buffer.create 4 in
+            while !i < n && (is_digit src.[!i] || src.[!i] = '_') do
+              if src.[!i] <> '_' then Buffer.add_char b src.[!i];
+              incr i
+            done;
+            int_of_string (Buffer.contents b)
+          end
+          else (-1)
+        in
+        if !i < n && src.[!i] = '\'' then begin
+          incr i;
+          let base = if !i < n then Char.lowercase_ascii src.[!i] else '?' in
+          incr i;
+          let radix =
+            match base with
+            | 'd' -> 10 | 'b' -> 2 | 'h' -> 16 | 'o' -> 8
+            | _ ->
+              diag start_line (Printf.sprintf "unknown number base '%c'" base);
+              10
+          in
+          let b = Buffer.create 8 in
+          let is_based_digit ch =
+            is_digit ch || (ch >= 'a' && ch <= 'f') || (ch >= 'A' && ch <= 'F')
+            || ch = '_'
+          in
+          while !i < n && is_based_digit src.[!i] do
+            if src.[!i] <> '_' then Buffer.add_char b src.[!i];
+            incr i
+          done;
+          let digits = Buffer.contents b in
+          let value =
+            if digits = "" then begin
+              diag start_line "number literal has no digits";
+              0
+            end
+            else
+              match int_of_string_opt (Printf.sprintf "0%c%s"
+                       (match radix with 2 -> 'b' | 8 -> 'o' | 16 -> 'x' | _ -> 'u')
+                       digits)
+              with
+              | Some v -> v
+              | None -> (
+                match int_of_string_opt digits with
+                | Some v when radix = 10 -> v
+                | _ ->
+                  diag start_line (Printf.sprintf "bad number literal %S" digits);
+                  0)
+          in
+          let w =
+            if width < 0 then None
+            else if width = 0 then begin
+              diag start_line "zero-width sized literal";
+              Some 0
+            end
+            else Some width
+          in
+          push (Tnum (w, value))
+        end
+        else if width >= 0 then push (Tnum (None, width))
+        else diag start_line "stray tick"
+      end
+      else begin
+        (* punctuation, longest match first *)
+        let three = if !i + 2 < n then String.init 3 (fun k -> src.[!i + k]) else "" in
+        let two = if !i + 1 < n then String.init 2 (fun k -> src.[!i + k]) else "" in
+        match (three, two) with
+        (* case (in)equality folds onto plain (in)equality: no x/z values
+           in this subset *)
+        | "===", _ -> push (Tpunct "=="); i := !i + 3
+        | "!==", _ -> push (Tpunct "!="); i := !i + 3
+        | _, ("==" | "!=" | "<=" | ">=" | "&&" | "||" | "<<" | ">>") ->
+          push (Tpunct two); i := !i + 2
+        | _ ->
+          (match c with
+          | '(' | ')' | '{' | '}' | '[' | ']' | ';' | ':' | ',' | '.' | '?'
+          | '=' | '+' | '-' | '*' | '/' | '%' | '&' | '|' | '^' | '~' | '!'
+          | '<' | '>' | '#' | '@' ->
+            push (Tpunct (String.make 1 c))
+          | _ -> diag !line (Printf.sprintf "unexpected character %C" c));
+          incr i
+      end
+    done;
+    toks := { tok = Teof; line = !line } :: !toks;
+    Array.of_list (List.rev !toks)
+
+  (* ------------------------------------------------------------------ *)
+  (* Parser                                                             *)
+  (* ------------------------------------------------------------------ *)
+
+  type state = {
+    toks : ltoken array;
+    mutable pos : int;
+    collector : Diagnostic.collector;
+    file : string option;
+  }
+
+  exception Recover
+  (* Internal-only: raised on a syntax error after recording the
+     diagnostic, caught at the item/module level to resynchronize. It
+     never escapes [parse]. *)
+
+  let cur st = st.toks.(st.pos)
+  let advance st = if st.pos < Array.length st.toks - 1 then st.pos <- st.pos + 1
+
+  let err st line fmt =
+    Printf.ksprintf
+      (fun msg ->
+        Diagnostic.emit st.collector (Diagnostic.error ?file:st.file ~line msg))
+      fmt
+
+  let fail st fmt =
+    let line = (cur st).line in
+    Printf.ksprintf
+      (fun msg ->
+        err st line "%s" msg;
+        raise Recover)
+      fmt
+
+  let describe = function
+    | Tid (s, false) -> Printf.sprintf "%S" s
+    | Tid (s, true) -> Printf.sprintf "\\%s" s
+    | Tnum (_, v) -> Printf.sprintf "number %d" v
+    | Tstr _ -> "string literal"
+    | Tpunct p -> Printf.sprintf "%S" p
+    | Teof -> "end of input"
+
+  let at_punct st p = match (cur st).tok with Tpunct q -> q = p | _ -> false
+
+  let at_kw st kw =
+    match (cur st).tok with Tid (s, false) -> s = kw | _ -> false
+
+  let eat_punct st p =
+    if at_punct st p then advance st
+    else fail st "expected %S, found %s" p (describe (cur st).tok)
+
+  let eat_kw st kw =
+    if at_kw st kw then advance st
+    else fail st "expected %S, found %s" kw (describe (cur st).tok)
+
+  let eat_ident st =
+    match (cur st).tok with
+    | Tid (s, true) -> advance st; s
+    | Tid (s, false) when not (is_keyword s) -> advance st; s
+    | t -> fail st "expected an identifier, found %s" (describe t)
+
+  (* Resynchronize after a syntax error: skip to just past the next ';',
+     or stop before 'endmodule'/'module'/EOF. *)
+  let sync st =
+    let rec go () =
+      match (cur st).tok with
+      | Teof -> ()
+      | Tpunct ";" -> advance st
+      | Tid (("endmodule" | "module"), false) -> ()
+      | _ -> advance st; go ()
+    in
+    go ()
+
+  (* --- expressions --------------------------------------------------- *)
+
+  let rec parse_expr st = parse_cond st
+
+  and parse_cond st =
+    let c = parse_lor st in
+    if at_punct st "?" then begin
+      advance st;
+      let t = parse_cond st in
+      eat_punct st ":";
+      let f = parse_cond st in
+      Cond (c, t, f)
+    end
+    else c
+
+  and parse_lor st =
+    let rec go acc =
+      if at_punct st "||" then begin advance st; go (Binop (Lor, acc, parse_land st)) end
+      else acc
+    in
+    go (parse_land st)
+
+  and parse_land st =
+    let rec go acc =
+      if at_punct st "&&" then begin advance st; go (Binop (Land, acc, parse_bor st)) end
+      else acc
+    in
+    go (parse_bor st)
+
+  and parse_bor st =
+    let rec go acc =
+      if at_punct st "|" then begin advance st; go (Binop (Bor, acc, parse_bxor st)) end
+      else acc
+    in
+    go (parse_bxor st)
+
+  and parse_bxor st =
+    let rec go acc =
+      if at_punct st "^" then begin advance st; go (Binop (Bxor, acc, parse_band st)) end
+      else acc
+    in
+    go (parse_band st)
+
+  and parse_band st =
+    let rec go acc =
+      if at_punct st "&" then begin advance st; go (Binop (Band, acc, parse_eq st)) end
+      else acc
+    in
+    go (parse_eq st)
+
+  and parse_eq st =
+    let rec go acc =
+      if at_punct st "==" then begin advance st; go (Binop (Eq, acc, parse_rel st)) end
+      else if at_punct st "!=" then begin advance st; go (Binop (Neq, acc, parse_rel st)) end
+      else acc
+    in
+    go (parse_rel st)
+
+  and parse_rel st =
+    let rec go acc =
+      if at_punct st "<" then begin advance st; go (Binop (Lt, acc, parse_shift st)) end
+      else if at_punct st "<=" then begin advance st; go (Binop (Le, acc, parse_shift st)) end
+      else if at_punct st ">" then begin advance st; go (Binop (Gt, acc, parse_shift st)) end
+      else if at_punct st ">=" then begin advance st; go (Binop (Ge, acc, parse_shift st)) end
+      else acc
+    in
+    go (parse_shift st)
+
+  and parse_shift st =
+    let rec go acc =
+      if at_punct st "<<" then begin advance st; go (Binop (Shl, acc, parse_add st)) end
+      else if at_punct st ">>" then begin advance st; go (Binop (Shr, acc, parse_add st)) end
+      else acc
+    in
+    go (parse_add st)
+
+  and parse_add st =
+    let rec go acc =
+      if at_punct st "+" then begin advance st; go (Binop (Add, acc, parse_mul st)) end
+      else if at_punct st "-" then begin advance st; go (Binop (Sub, acc, parse_mul st)) end
+      else acc
+    in
+    go (parse_mul st)
+
+  and parse_mul st =
+    let rec go acc =
+      if at_punct st "*" then begin advance st; go (Binop (Mul, acc, parse_unary st)) end
+      else if at_punct st "/" then begin advance st; go (Binop (Div, acc, parse_unary st)) end
+      else if at_punct st "%" then begin advance st; go (Binop (Mod, acc, parse_unary st)) end
+      else acc
+    in
+    go (parse_unary st)
+
+  and parse_unary st =
+    if at_punct st "~" then begin advance st; Unop (Bnot, parse_unary st) end
+    else if at_punct st "!" then begin advance st; Unop (Lnot, parse_unary st) end
+    else if at_punct st "^" then begin advance st; Unop (Rxor, parse_unary st) end
+    else if at_punct st "-" then begin advance st; Unop (Neg, parse_unary st) end
+    else parse_postfix st
+
+  and parse_postfix st =
+    let e = parse_primary st in
+    let rec go acc =
+      if at_punct st "[" then begin
+        advance st;
+        let a = parse_expr st in
+        if at_punct st ":" then begin
+          advance st;
+          let b = parse_expr st in
+          eat_punct st "]";
+          go (Range (acc, a, b))
+        end
+        else begin
+          eat_punct st "]";
+          go (Index (acc, a))
+        end
+      end
+      else acc
+    in
+    go e
+
+  and parse_primary st =
+    match (cur st).tok with
+    | Tnum (w, v) -> advance st; Num (w, v)
+    | Tstr s -> advance st; Str s
+    | Tid (s, true) -> advance st; Ident s
+    | Tid (s, false) when not (is_keyword s) -> advance st; Ident s
+    | Tpunct "(" ->
+      advance st;
+      let e = parse_expr st in
+      eat_punct st ")";
+      e
+    | Tpunct "{" ->
+      advance st;
+      let first = parse_expr st in
+      if at_punct st "{" then begin
+        (* replication: {count{inner[, inner]*}} *)
+        advance st;
+        let rec items acc =
+          let e = parse_expr st in
+          if at_punct st "," then begin advance st; items (e :: acc) end
+          else List.rev (e :: acc)
+        in
+        let inner = items [] in
+        eat_punct st "}";
+        eat_punct st "}";
+        Repl (first, match inner with [ e ] -> e | es -> Concat es)
+      end
+      else begin
+        let rec items acc =
+          if at_punct st "," then begin
+            advance st;
+            items (parse_expr st :: acc)
+          end
+          else List.rev acc
+        in
+        let es = items [ first ] in
+        eat_punct st "}";
+        match es with [ e ] -> e | _ -> Concat es
+      end
+    | t -> fail st "expected an expression, found %s" (describe t)
+
+  (* --- statements ---------------------------------------------------- *)
+
+  let rec parse_stmt st =
+    match (cur st).tok with
+    | Tid ("begin", false) ->
+      advance st;
+      let rec go acc =
+        if at_kw st "end" then begin advance st; Block (List.rev acc) end
+        else if (cur st).tok = Teof then fail st "unterminated begin/end block"
+        else go (parse_stmt st :: acc)
+      in
+      go []
+    | Tid ("if", false) ->
+      advance st;
+      eat_punct st "(";
+      let c = parse_expr st in
+      eat_punct st ")";
+      let t = parse_stmt st in
+      if at_kw st "else" then begin
+        advance st;
+        let f = parse_stmt st in
+        If (c, t, Some f)
+      end
+      else If (c, t, None)
+    | Tid (("case" | "casez"), false) ->
+      advance st;
+      eat_punct st "(";
+      let scrut = parse_expr st in
+      eat_punct st ")";
+      let rec arms acc dflt =
+        if at_kw st "endcase" then begin advance st; Case (scrut, List.rev acc, dflt) end
+        else if (cur st).tok = Teof then fail st "unterminated case"
+        else if at_kw st "default" then begin
+          advance st;
+          eat_punct st ":";
+          let s = parse_stmt st in
+          arms acc (Some s)
+        end
+        else begin
+          let rec labels ls =
+            let e = parse_expr st in
+            if at_punct st "," then begin advance st; labels (e :: ls) end
+            else List.rev (e :: ls)
+          in
+          let ls = labels [] in
+          eat_punct st ":";
+          let s = parse_stmt st in
+          arms ((ls, s) :: acc) dflt
+        end
+      in
+      arms [] None
+    | Tid (s, false) when s.[0] = '$' ->
+      advance st;
+      let args =
+        if at_punct st "(" then begin
+          advance st;
+          let rec go acc =
+            if at_punct st ")" then begin advance st; List.rev acc end
+            else begin
+              let e = parse_expr st in
+              if at_punct st "," then advance st;
+              go (e :: acc)
+            end
+          in
+          go []
+        end
+        else []
+      in
+      eat_punct st ";";
+      Sys (s, args)
+    | Tpunct "@" ->
+      advance st;
+      eat_punct st "(";
+      let rec skip depth =
+        match (cur st).tok with
+        | Tpunct "(" -> advance st; skip (depth + 1)
+        | Tpunct ")" -> advance st; if depth > 1 then skip (depth - 1)
+        | Teof -> fail st "unterminated event control"
+        | _ -> advance st; skip depth
+      in
+      skip 1;
+      if at_punct st ";" then begin advance st; Timing None end
+      else Timing (Some (parse_stmt st))
+    | Tpunct "#" ->
+      advance st;
+      (match (cur st).tok with
+      | Tnum _ -> advance st
+      | _ -> fail st "expected a delay value after '#'");
+      if at_punct st ";" then begin advance st; Timing None end
+      else Timing (Some (parse_stmt st))
+    | Tpunct ";" -> advance st; Nop
+    | Tid _ ->
+      let lhs = eat_ident st in
+      if at_punct st "<=" then begin
+        advance st;
+        let rhs = parse_expr st in
+        eat_punct st ";";
+        Nonblocking (lhs, rhs)
+      end
+      else if at_punct st "=" then begin
+        advance st;
+        let rhs = parse_expr st in
+        eat_punct st ";";
+        Blocking (lhs, rhs)
+      end
+      else fail st "expected '=' or '<=' in statement"
+    | t -> fail st "expected a statement, found %s" (describe t)
+
+  (* --- module items -------------------------------------------------- *)
+
+  let parse_range_opt st =
+    if at_punct st "[" then begin
+      advance st;
+      let msb = parse_expr st in
+      eat_punct st ":";
+      let lsb = parse_expr st in
+      eat_punct st "]";
+      Some (msb, lsb)
+    end
+    else None
+
+  (* header parameter list: #(parameter [range] NAME = expr, ...) *)
+  let parse_header_params st =
+    if not (at_punct st "#") then []
+    else begin
+      advance st;
+      eat_punct st "(";
+      let rec go acc =
+        if at_punct st ")" then begin advance st; List.rev acc end
+        else begin
+          eat_kw st "parameter";
+          ignore (parse_range_opt st);
+          let name = eat_ident st in
+          eat_punct st "=";
+          let v = parse_expr st in
+          if at_punct st "," then advance st;
+          go ((name, v) :: acc)
+        end
+      in
+      go []
+    end
+
+  let parse_ports st =
+    eat_punct st "(";
+    let rec go acc dir preg prange =
+      match (cur st).tok with
+      | Tpunct ")" -> advance st; List.rev acc
+      | Teof -> fail st "unterminated port list"
+      | Tid (("input" | "output" | "inout") as d, false) ->
+        let line = (cur st).line in
+        advance st;
+        let dir = if d = "input" then Input else Output in
+        if d = "inout" then err st line "inout ports are not supported";
+        let preg =
+          if at_kw st "reg" then begin advance st; true end
+          else begin
+            if at_kw st "wire" then advance st;
+            false
+          end
+        in
+        let prange = parse_range_opt st in
+        go acc (Some dir) preg prange
+      | _ ->
+        let line = (cur st).line in
+        let name = eat_ident st in
+        (match dir with
+        | None -> fail st "port %S has no direction (non-ANSI headers are not supported)" name
+        | Some d ->
+          let p = { dir = d; preg; prange; pname = name; pline = line } in
+          if at_punct st "," then advance st;
+          go (p :: acc) dir preg prange)
+    in
+    go [] None false None
+
+  let parse_instance st module_name iline =
+    let params =
+      if at_punct st "#" then begin
+        advance st;
+        eat_punct st "(";
+        let rec go acc =
+          if at_punct st ")" then begin advance st; List.rev acc end
+          else begin
+            eat_punct st ".";
+            let p = eat_ident st in
+            eat_punct st "(";
+            let v = parse_expr st in
+            eat_punct st ")";
+            if at_punct st "," then advance st;
+            go ((p, v) :: acc)
+          end
+        in
+        go []
+      end
+      else []
+    in
+    let instance_name = eat_ident st in
+    eat_punct st "(";
+    let rec conns acc =
+      if at_punct st ")" then begin advance st; List.rev acc end
+      else begin
+        eat_punct st ".";
+        let p = eat_ident st in
+        eat_punct st "(";
+        let v = parse_expr st in
+        eat_punct st ")";
+        if at_punct st "," then advance st;
+        conns ((p, v) :: acc)
+      end
+    in
+    let conns = conns [] in
+    eat_punct st ";";
+    Instance { module_name; params; instance_name; conns; iline }
+
+  let parse_item st =
+    let line = (cur st).line in
+    match (cur st).tok with
+    | Tid (("wire" | "reg" | "integer") as kw, false) ->
+      advance st;
+      let drange = parse_range_opt st in
+      let rec names acc =
+        let n = eat_ident st in
+        let init =
+          if at_punct st "=" then begin advance st; Some (parse_expr st) end
+          else None
+        in
+        if at_punct st "," then begin advance st; names ((n, init) :: acc) end
+        else List.rev ((n, init) :: acc)
+      in
+      let names = names [] in
+      eat_punct st ";";
+      [ Decl { dreg = kw <> "wire"; drange; names; dline = line } ]
+    | Tid ("assign", false) ->
+      advance st;
+      let lhs = eat_ident st in
+      eat_punct st "=";
+      let rhs = parse_expr st in
+      eat_punct st ";";
+      [ Assign { lhs; rhs; aline = line } ]
+    | Tid ("localparam", false) ->
+      advance st;
+      let rec go acc =
+        let name = eat_ident st in
+        eat_punct st "=";
+        let value = parse_expr st in
+        let acc = Localparam { name; value; lline = line } :: acc in
+        if at_punct st "," then begin advance st; go acc end
+        else begin
+          eat_punct st ";";
+          List.rev acc
+        end
+      in
+      go []
+    | Tid ("always", false) ->
+      advance st;
+      let trigger =
+        if at_punct st "@" then begin
+          advance st;
+          eat_punct st "(";
+          if at_punct st "*" then begin advance st; eat_punct st ")"; Star end
+          else begin
+            eat_kw st "posedge";
+            let clk = eat_ident st in
+            eat_punct st ")";
+            Posedge clk
+          end
+        end
+        else if at_punct st "#" then begin
+          advance st;
+          match (cur st).tok with
+          | Tnum (_, v) -> advance st; Delay v
+          | _ -> fail st "expected a delay after 'always #'"
+        end
+        else fail st "expected '@(posedge ...)' or '#N' after 'always'"
+      in
+      let body = parse_stmt st in
+      [ Always { trigger; body; bline = line } ]
+    | Tid ("initial", false) ->
+      advance st;
+      [ Initial (parse_stmt st) ]
+    | Tid (name, esc) when esc || not (is_keyword name) ->
+      advance st;
+      [ parse_instance st name line ]
+    | t -> fail st "expected a module item, found %s" (describe t)
+
+  let parse_module st =
+    let mline = (cur st).line in
+    eat_kw st "module";
+    let name = eat_ident st in
+    let mparams = parse_header_params st in
+    let ports = if at_punct st "(" then parse_ports st else [] in
+    eat_punct st ";";
+    let items = ref [] in
+    let rec go () =
+      match (cur st).tok with
+      | Tid ("endmodule", false) -> advance st
+      | Teof -> fail st "missing 'endmodule' for module %S" name
+      | _ ->
+        (match parse_item st with
+        | its -> items := List.rev_append its !items
+        | exception Recover -> sync st);
+        go ()
+    in
+    go ();
+    { name; mparams; ports; items = List.rev !items; mline }
+
+  let parse ?max_errors ?file src =
+    let collector = Diagnostic.collector ?max_errors () in
+    if Inject.should_fire "rtl.parse" then
+      Diagnostic.emit collector
+        (Diagnostic.error ?file "injected fault at site rtl.parse");
+    let diag line msg =
+      Diagnostic.emit collector (Diagnostic.error ?file ~line msg)
+    in
+    let toks = lex ~diag src in
+    let st = { toks; pos = 0; collector; file } in
+    let modules = ref [] in
+    let rec go () =
+      match (cur st).tok with
+      | Teof -> ()
+      | Tid ("module", false) ->
+        (match parse_module st with
+        | m -> modules := m :: !modules
+        | exception Recover ->
+          sync st;
+          (* a failed module header leaves us before the next sync point;
+             make progress unconditionally so the loop terminates *)
+          if at_kw st "module" then advance st);
+        go ()
+      | t ->
+        err st (cur st).line "expected \"module\", found %s" (describe t);
+        advance st;
+        sync st;
+        go ()
+    in
+    go ();
+    let diagnostics = Diagnostic.all collector in
+    let nerrors =
+      List.length
+        (List.filter (fun (d : Diagnostic.t) -> d.severity = Diagnostic.Error) diagnostics)
+    in
+    if nerrors > 0 then Telemetry.incr ~by:nerrors "rtl.parse_errors";
+    { modules = List.rev !modules; diagnostics }
+
+  let errors t =
+    List.filter (fun (d : Diagnostic.t) -> d.severity = Diagnostic.Error) t.diagnostics
+end

@@ -6,6 +6,8 @@ module Verilog = Bistpath_rtl.Verilog
 module Dot = Bistpath_rtl.Dot
 module Datapath = Bistpath_datapath.Datapath
 module Resource = Bistpath_bist.Resource
+module Parser = Bistpath_rtl.Parser
+module Diagnostic = Bistpath_resilience.Diagnostic
 
 let check = Alcotest.check
 let case name f = Alcotest.test_case name `Quick f
@@ -183,6 +185,190 @@ let wrapper_deterministic () =
   let mk () = Bistpath_rtl.Bist_wrapper.emit r.Flow.datapath r.Flow.bist r.Flow.sessions in
   check Alcotest.string "stable" (mk ()) (mk ())
 
+(* --- lexer diagnostics ------------------------------------------------ *)
+
+let parse_diags src = List.map Diagnostic.to_string (Parser.parse src).Parser.diagnostics
+
+let expect_diags name src expected =
+  check Alcotest.(list string) name expected (parse_diags src)
+
+let items src =
+  match (Parser.parse src).Parser.modules with
+  | [ m ] -> m.Parser.items
+  | ms -> Alcotest.failf "expected one module, got %d" (List.length ms)
+
+let unterminated_comment () =
+  expect_diags "comment" "module m;\n/* never\nclosed\n"
+    [ "line 4: error: unterminated block comment";
+      "line 4: error: missing 'endmodule' for module \"m\"" ]
+
+let unterminated_string () =
+  expect_diags "string" "module m;\ninitial $display(\"abc\n"
+    [ "line 3: error: unterminated string literal";
+      "line 3: error: expected an expression, found end of input";
+      "line 3: error: missing 'endmodule' for module \"m\"" ]
+
+let empty_escaped_identifier () =
+  expect_diags "escape" "module m;\nwire \\ x;\nendmodule\n"
+    [ "line 2: error: empty escaped identifier" ]
+
+let number_diagnostics () =
+  let lp lit = Printf.sprintf "module m;\nlocalparam A = %s;\nendmodule\n" lit in
+  expect_diags "unknown base" (lp "4'q1") [ "line 2: error: unknown number base 'q'" ];
+  expect_diags "no digits" (lp "4'h") [ "line 2: error: number literal has no digits" ];
+  expect_diags "zero width" (lp "0'd1") [ "line 2: error: zero-width sized literal" ];
+  expect_diags "base at end of input" "module m;\n4'"
+    [ "line 2: error: unknown number base '?'";
+      "line 2: error: number literal has no digits";
+      "line 2: error: expected a module item, found number 0";
+      "line 2: error: missing 'endmodule' for module \"m\"" ];
+  expect_diags "too many bits" (lp "8'hFFFFFFFFFFFFFFFFFFFF")
+    [ "line 2: error: bad number literal \"FFFFFFFFFFFFFFFFFFFF\"" ];
+  expect_diags "a digit beyond the base" (lp "2'b12")
+    [ "line 2: error: bad number literal \"12\"" ]
+
+(* A tick that starts no based literal is an unexpected character. *)
+let stray_tick () =
+  expect_diags "tick" "module m;\nlocalparam A = ' 1;\nendmodule\n"
+    [ "line 2: error: unexpected character '\\''" ];
+  expect_diags "tick at end" "module m;\n'"
+    [ "line 2: error: unexpected character '\\''";
+      "line 2: error: missing 'endmodule' for module \"m\"" ]
+
+let unexpected_character () =
+  expect_diags "control byte" "module m;\nwire a;\nassign a = 1 \001;\nendmodule\n"
+    [ "line 3: error: unexpected character '\\001'" ]
+
+(* Case (in)equality folds onto plain (in)equality. *)
+let case_equality_folds () =
+  let a = Parser.Ident "a" and b = Parser.Ident "b" in
+  match items "module m;\nassign y = a === b;\nassign z = a !== b;\nassign w = a ==\nb;\nendmodule" with
+  | [ Parser.Assign { rhs = r1; _ }; Parser.Assign { rhs = r2; _ }; Parser.Assign { rhs = r3; _ } ] ->
+    check Alcotest.bool "===" true (r1 = Parser.Binop (Parser.Eq, a, b));
+    check Alcotest.bool "!==" true (r2 = Parser.Binop (Parser.Neq, a, b));
+    check Alcotest.bool "== across a newline" true (r3 = Parser.Binop (Parser.Eq, a, b))
+  | _ -> Alcotest.fail "expected three assigns"
+
+(* An escaped identifier never matches a keyword. *)
+let escaped_keyword () =
+  let src = "module m;\nwire \\module ;\nassign \\module = \\endmodule ;\nendmodule\n" in
+  check Alcotest.(list string) "clean" [] (parse_diags src);
+  match items src with
+  | [ Parser.Decl { names = [ ("module", None) ]; _ }; Parser.Assign { lhs = "module"; rhs; _ } ] ->
+    check Alcotest.bool "rhs" true (rhs = Parser.Ident "endmodule")
+  | _ -> Alcotest.fail "escaped keywords not read as names"
+
+let underscores_in_numbers () =
+  let src = "module m;\nlocalparam A = 8'b1010_0101, B = 1_000, C = 1_6'd3, D = 'h_f_;\nendmodule\n" in
+  check Alcotest.(list string) "clean" [] (parse_diags src);
+  let values =
+    List.filter_map
+      (function Parser.Localparam { name; value; _ } -> Some (name, value) | _ -> None)
+      (items src)
+  in
+  check Alcotest.bool "values" true
+    (values
+     = [ ("A", Parser.Num (Some 8, 165)); ("B", Parser.Num (None, 1000));
+         ("C", Parser.Num (Some 16, 3)); ("D", Parser.Num (None, 15)) ])
+
+(* Newlines inside block comments and strings still count. *)
+let lines_across_comments_and_strings () =
+  expect_diags "lines"
+    "/* a\nb\n*/ module m;\n  initial $display(\"x\ny\");\n  wire ;\nendmodule\n"
+    [ "line 6: error: expected an identifier, found \";\"" ];
+  match items "module m;\n/* x\n*/ wire a;\n// y\nassign a = 1;\nendmodule" with
+  | [ Parser.Decl { dline; _ }; Parser.Assign { aline; _ } ] ->
+    check Alcotest.(pair int int) "item lines" (3, 5) (dline, aline)
+  | _ -> Alcotest.fail "expected a wire and an assign"
+
+(* An overflowing decimal literal or width is an error diagnostic with
+   its line, like an overflowing based literal; parsing never raises. *)
+let overflowing_literals () =
+  expect_diags "decimal"
+    "module m;\nlocalparam NUM_STEPS = 99999999999999999999999;\nendmodule\n"
+    [ "line 2: error: bad number literal \"99999999999999999999999\"" ];
+  expect_diags "width"
+    "module m;\n\nlocalparam A = 99999999999999999999999999'd1;\nendmodule\n"
+    [ "line 3: error: bad number literal \"99999999999999999999999999\"" ];
+  expect_diags "largest decimal" "module m;\nlocalparam A = 4611686018427387903;\nendmodule\n" []
+
+(* A 'module' keyword inside a module body ends that module with an
+   error; the next module still parses. *)
+let nested_module_keyword () =
+  let p = Parser.parse "module a;\nwire x;\nmodule b;\nwire y;\nendmodule\n" in
+  check Alcotest.(list string) "diagnostics"
+    [ "line 3: error: missing 'endmodule' for module \"a\" before the next module" ]
+    (List.map Diagnostic.to_string p.Parser.diagnostics);
+  check Alcotest.(list string) "both modules" [ "a"; "b" ]
+    (List.map (fun (m : Parser.module_) -> m.Parser.name) p.Parser.modules)
+
+(* --- the parser against the string-token oracle --------------------- *)
+
+module Prng = Bistpath_util.Prng
+
+(* Byte edits aimed at the lexer: deletions, and insertions of the
+   characters that open a literal, comment, escape or operator. *)
+let inserts =
+  [| "'"; "\\"; "/*"; "*/"; "\""; "`"; "//"; "\n"; " "; "("; ")"; ";"; "["; "]";
+     "{"; "}"; "="; "=="; "==="; "!=="; "<"; "<="; ">>"; "#"; "@"; ","; ".";
+     ":"; "?"; "&&"; "|"; "^"; "~"; "-"; "$"; "'h"; "8'd"; "0'b"; "_"; "\001";
+     "99999999999999999999999"; "9223372036854775807"; "module"; "end" |]
+
+let mutate rng text =
+  let n = String.length text in
+  let at = Prng.int rng (n + 1) in
+  if Prng.int rng 3 = 0 then
+    let len = min (1 + Prng.int rng 8) (n - at) in
+    String.sub text 0 at ^ String.sub text (at + len) (n - at - len)
+  else
+    String.sub text 0 at ^ inserts.(Prng.int rng (Array.length inserts))
+    ^ String.sub text at (n - at)
+
+let nested_module = "before the next module"
+
+let mentions needle (d : Diagnostic.t) =
+  let m = d.Diagnostic.message in
+  let nl = String.length needle in
+  let rec go i = i + nl <= String.length m && (String.sub m i nl = needle || go (i + 1)) in
+  go 0
+
+(* Equal ASTs and diagnostics, with no error cap. Where the oracle
+   raises (an overflowing decimal literal) or would never return (a
+   'module' inside a module body), an error diagnostic instead. *)
+let agrees_with_oracle text =
+  let p = Parser.parse ~max_errors:max_int text in
+  if List.exists (mentions nested_module) p.Parser.diagnostics then Parser.errors p <> []
+  else
+    match Oracles.Rtl_parser.parse ~max_errors:max_int text with
+    | o -> o.Parser.modules = p.Parser.modules && o.Parser.diagnostics = p.Parser.diagnostics
+    | exception Failure _ -> Parser.errors p <> []
+
+let prop_matches_oracle =
+  QCheck.Test.make ~name:"parse matches the string-token oracle" ~count:50
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let rng = Prng.create seed in
+      let inst = B.random rng ~ops:(4 + Prng.int rng 8) ~inputs:(2 + Prng.int rng 3) in
+      let r = run inst in
+      let dp = r.Flow.datapath and bist = r.Flow.bist and sessions = r.Flow.sessions in
+      let width = [| 1; 4; 8; 16 |].(Prng.int rng 4) in
+      let vectors = Bistpath_rtl.Testbench.random_vectors rng dp ~width ~count:2 in
+      let texts =
+        [ Verilog.source ~width dp; Verilog.source ~width ~bist ~sessions dp;
+          Bistpath_rtl.Bist_wrapper.emit ~width dp bist sessions;
+          Bistpath_rtl.Testbench.generate ~width dp ~vectors ]
+      in
+      List.for_all
+        (fun text ->
+          agrees_with_oracle text
+          && List.for_all
+               (fun edits ->
+                 let t = ref text in
+                 for _ = 1 to edits do t := mutate rng !t done;
+                 agrees_with_oracle !t)
+               [ 1; 1; 2; 4; 8 ])
+        texts)
+
 let suite =
   [
     case "signature taps exposed" signature_taps_exposed;
@@ -200,4 +386,17 @@ let suite =
     case "dot datapath" dot_datapath;
     case "dot dfg" dot_dfg;
     case "identifier sanitization" sanitization;
+    case "lexer: unterminated block comment" unterminated_comment;
+    case "lexer: unterminated string" unterminated_string;
+    case "lexer: empty escaped identifier" empty_escaped_identifier;
+    case "lexer: number literal diagnostics" number_diagnostics;
+    case "lexer: stray tick" stray_tick;
+    case "lexer: unexpected character" unexpected_character;
+    case "lexer: === and !== fold" case_equality_folds;
+    case "lexer: escaped keyword is a name" escaped_keyword;
+    case "lexer: underscores in numbers" underscores_in_numbers;
+    case "lexer: lines across comments" lines_across_comments_and_strings;
+    case "lexer: overflowing literal" overflowing_literals;
+    case "parser: module inside a module" nested_module_keyword;
+    QCheck_alcotest.to_alcotest prop_matches_oracle;
   ]
