@@ -99,6 +99,14 @@ let telemetry_ops =
         match Equiv.parse_back (Verilog.source ~width:8 ~bist ~sessions dp) with
         | Ok e -> fun () -> ignore (Equiv.structural ~bist ~sessions e dp)
         | Error _ -> failwith "data/fir32.dfg: emitted RTL is unparsable" );
+    (* the parse-back as [rtl --verify] runs it: primitives included *)
+    ( "data/fir32.dfg",
+      "rtl.parse",
+      fun r ->
+        let rtl =
+          Verilog.source ~width:8 ~bist:r.Flow.bist ~sessions:r.Flow.sessions r.Flow.datapath
+        in
+        fun () -> ignore (Equiv.parse_back rtl) );
   ]
 
 let telemetry_section () =

@@ -311,7 +311,9 @@ let bist004 ctx _ =
 
 (* BIST005: Lemma 1/2 prediction vs. post-interconnect ground truth. The
    lemma is documented as perfect-precision / ~90%-recall, so a
-   disagreement is a warning, not an error. *)
+   disagreement is a warning, not an error. It predicts from plain
+   I-paths, so the ground truth is the plain embeddings even under
+   transparency (BIST003 audits the transparent ones). *)
 let bist005 ctx facts =
   let sctx = Lazy.force facts.sharing in
   let classes =
@@ -320,7 +322,7 @@ let bist005 ctx facts =
   List.concat_map
     (fun (verdict : Cbilbo_rules.verdict) ->
       let mid = verdict.Cbilbo_rules.mid in
-      let embeddings = facts.unit_embeddings mid in
+      let embeddings = facts.plain_embeddings mid in
       if not embeddings.embeddable then []
       else
         let predicted = Cbilbo_rules.forced verdict in

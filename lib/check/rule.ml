@@ -40,6 +40,7 @@ type facts = {
   ranges : Absint.dfg_result Lazy.t;
   control_ranges : Absint.control_result option Lazy.t;
   unit_embeddings : string -> unit_embeddings;
+  plain_embeddings : string -> unit_embeddings;
 }
 
 type t = {
@@ -96,7 +97,23 @@ let parsed_rtl ctx =
 
 let consumed_inputs ctx = List.sort_uniq compare (Dfg.used_inputs ctx.dfg)
 
+(* A unit's embeddings summarized, enumerated once per unit id. *)
+let embeddings_fact ctx ~transparency =
+  let memo = Hashtbl.create 8 in
+  fun mid ->
+    match Hashtbl.find_opt memo mid with
+    | Some u -> u
+    | None ->
+      let es = Bistpath_ipath.Ipath.embeddings ~transparency ctx.datapath mid in
+      let cbilbo_unavoidable =
+        es <> [] && List.for_all Bistpath_ipath.Ipath.requires_cbilbo es
+      in
+      let u = { embeddable = es <> []; cbilbo_unavoidable } in
+      Hashtbl.replace memo mid u;
+      u
+
 let derive ctx =
+  let unit_embeddings = embeddings_fact ctx ~transparency:ctx.transparency in
   let spans = lazy (Lifetime.spans ~policy:ctx.policy ctx.dfg) in
   { spans;
     span_table =
@@ -111,19 +128,7 @@ let derive ctx =
       lazy (Absint.solve_dfg ~assumes:ctx.assumes ~width:ctx.width ~policy:ctx.policy ctx.dfg);
     control_ranges =
       lazy (Option.map (Absint.solve_control ~width:ctx.width ctx.datapath) ctx.control);
-    unit_embeddings =
-      (let memo = Hashtbl.create 8 in
-       fun mid ->
-         match Hashtbl.find_opt memo mid with
-         | Some u -> u
-         | None ->
-           let es =
-             Bistpath_ipath.Ipath.embeddings ~transparency:ctx.transparency ctx.datapath mid
-           in
-           let cbilbo_unavoidable =
-             es <> [] && List.for_all Bistpath_ipath.Ipath.requires_cbilbo es
-           in
-           let u = { embeddable = es <> []; cbilbo_unavoidable } in
-           Hashtbl.replace memo mid u;
-           u);
+    unit_embeddings;
+    plain_embeddings =
+      (if ctx.transparency then embeddings_fact ctx ~transparency:false else unit_embeddings);
   }

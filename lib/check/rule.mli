@@ -71,6 +71,10 @@ type facts = {
   unit_embeddings : string -> unit_embeddings;
       (** per unit id, under [ctx.transparency]; one enumeration of a
           unit's embeddings per run *)
+  plain_embeddings : string -> unit_embeddings;
+      (** per unit id, over plain I-paths (no transparency): what
+          Lemma 1/2 predicts from. The same function as
+          [unit_embeddings] when [ctx.transparency] is off. *)
 }
 
 val derive : ctx -> facts

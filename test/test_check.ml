@@ -516,8 +516,34 @@ let spec_errors_precede_flag_errors () =
         (Test_equiv.run_synth [ cmd; "nosuch"; "--format"; "bogus" ]))
     [ "check"; "analyze"; "verify" ]
 
-(* BIST003 and BIST005 read a unit's embeddings through one memoized
-   fact, which must say what Ipath says, with and without transparency. *)
+(* Lemma 1/2 predicts from plain I-paths, so BIST005 compares it with
+   the plain embeddings under transparency too: every design that checks
+   clean without transparency has no BIST005 finding with it. *)
+let bist005_ignores_transparency () =
+  List.iter
+    (fun style ->
+      List.iter
+        (fun tag ->
+          let inst = instance tag in
+          let r =
+            Flow.run ~transparency:true ~style inst.B.dfg inst.B.massign ~policy:inst.B.policy
+          in
+          let ctx =
+            Check.ctx_of_flow ~transparency:true ~design:tag ~width:8 inst.B.dfg inst.B.massign
+              ~policy:inst.B.policy r
+          in
+          let bist005 =
+            List.filter (fun (f : Check.finding) -> f.Check.rule = "BIST005")
+              (Check.run ctx).Check.findings
+          in
+          check Alcotest.(list string) (tag ^ " BIST005 under transparency") []
+            (List.map (fun (f : Check.finding) -> f.Check.subject) bist005))
+        B.all_tags)
+    [ Flow.Testable Testable_alloc.default_options; Flow.Traditional ]
+
+(* BIST003 and BIST005 read a unit's embeddings through memoized facts,
+   which must say what Ipath says, with and without transparency;
+   BIST005's plain fact is the same one when transparency is off. *)
 let unit_embeddings_fact () =
   List.iter
     (fun style ->
@@ -538,7 +564,16 @@ let unit_embeddings_fact () =
                   check Alcotest.bool (tag ^ " " ^ mid ^ " CBILBO unavoidable")
                     (Ipath.cbilbo_unavoidable ~transparency ctx.Check.datapath mid)
                     fact.Rule.cbilbo_unavoidable;
-                  check Alcotest.bool "memoized" true (facts.Rule.unit_embeddings mid == fact))
+                  check Alcotest.bool "memoized" true (facts.Rule.unit_embeddings mid == fact);
+                  let plain = facts.Rule.plain_embeddings mid in
+                  check Alcotest.bool (tag ^ " " ^ mid ^ " plain embeddable")
+                    (Ipath.embeddings ~transparency:false ctx.Check.datapath mid <> [])
+                    plain.Rule.embeddable;
+                  check Alcotest.bool (tag ^ " " ^ mid ^ " plain CBILBO unavoidable")
+                    (Ipath.cbilbo_unavoidable ~transparency:false ctx.Check.datapath mid)
+                    plain.Rule.cbilbo_unavoidable;
+                  if not transparency then
+                    check Alcotest.bool "one enumeration without transparency" true (plain == fact))
                 ctx.Check.massign.Massign.units)
             [ false; true ])
         [ "ex1"; "Tseng2"; "Paulin"; "dct4" ])
@@ -571,4 +606,5 @@ let suite =
     case "analyze solves before any rule runs" analyze_solves_first;
     case "spec errors precede flag errors" spec_errors_precede_flag_errors;
     case "unit embedding fact matches Ipath" unit_embeddings_fact;
+    case "BIST005 compares plain I-paths under transparency" bist005_ignores_transparency;
   ]
