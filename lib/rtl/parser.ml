@@ -87,8 +87,8 @@ type t = { modules : module_ list; diagnostics : Diagnostic.t list }
    ([\module ]) stays a name, which is the point of the escape syntax. *)
 type kind =
   | Teof
-  | Tid  (** plain identifier *)
-  | Tesc  (** escaped identifier *)
+  | Tid  (* plain identifier *)
+  | Tesc  (* escaped identifier *)
   | Tnum
   | Tstr
   (* keywords: the contiguous kinds [Kmodule] .. [Kendfunction] *)
@@ -161,12 +161,12 @@ let rec same_from name s pos k =
 
 let same_sub name s pos len = String.length name = len && same_from name s pos 0
 
-let rec place slots h id =
+let place slots h id =
   let mask = Array.length slots - 1 in
   let rec go k = if slots.(k) = 0 then slots.(k) <- id + 1 else go ((k + 1) land mask) in
   go (h land mask)
 
-and rehash names =
+let rehash names =
   let slots = Array.make (2 * Array.length names.slots) 0 in
   for id = 0 to names.count - 1 do
     place slots names.hashes.(id) id
@@ -564,7 +564,7 @@ let binop = function
   | BarBar -> Lor | AmpAmp -> Land | Bar -> Bor | Caret -> Bxor | Amp -> Band
   | EqEq -> Eq | BangEq -> Neq | Less -> Lt | LessEq -> Le | Greater -> Gt | GreaterEq -> Ge
   | LessLess -> Shl | GreaterGreater -> Shr | Plus -> Add | Minus -> Sub | Asterisk -> Mul
-  | Slash -> Div | _ -> Mod
+  | Slash -> Div | _ (* Percent: [precedence] admits no other kind *) -> Mod
 
 let rec parse_expr st =
   let c = parse_binary st 1 in

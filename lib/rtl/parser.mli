@@ -5,10 +5,27 @@
     AST so the emitted RTL can be re-analyzed — structural equivalence
     ({!Equiv}), golden-drift detection, chaos semantic checks.
 
-    Resilience contract: parsing {e never raises}. Malformed input
-    produces a best-effort AST plus accumulated typed diagnostics with
-    line numbers, capped by [max_errors]; recovery skips to the next
-    [;] or [endmodule]. The [rtl.parse] injection site degrades to a
+    Representation: the lexer makes one pass over the text into three
+    flat int arrays, one slot per token: its kind (a constant
+    constructor: punctuation, each keyword, identifier, escaped
+    identifier, number, string), its line, and an operand (a name id
+    or a literal-table index). Names are interned per parse, so the
+    AST shares one string per distinct name: compare ASTs with [=].
+    An escaped identifier never lexes as a keyword. Sized and unsized
+    literals are decoded by digit accumulation; a based value above
+    [max_int] but below 2{^63} wraps negative, as [int_of_string]
+    reads it. The parser matches token kinds and climbs operator
+    precedence; the AST and every diagnostic (text and line) are those
+    of the string-token parser it replaced, which the tests keep as an
+    oracle.
+
+    Resilience contract: parsing {e never raises} and always returns.
+    Malformed input produces a best-effort AST plus accumulated typed
+    diagnostics with line numbers, capped by [max_errors]; recovery
+    skips to the next [;] or [endmodule]. A decimal literal or width
+    beyond [max_int] is a ["bad number literal"] error, and a [module]
+    keyword inside a module body ends that module with a ["missing
+    'endmodule'"] error. The [rtl.parse] injection site degrades to a
     counted error diagnostic, and every error diagnostic bumps the
     [rtl.parse_errors] telemetry counter. *)
 

@@ -276,10 +276,65 @@ let lines_across_comments_and_strings () =
   expect_diags "lines"
     "/* a\nb\n*/ module m;\n  initial $display(\"x\ny\");\n  wire ;\nendmodule\n"
     [ "line 6: error: expected an identifier, found \";\"" ];
-  match items "module m;\n/* x\n*/ wire a;\n// y\nassign a = 1;\nendmodule" with
+  (match items "module m;\n/* x\n*/ wire a;\n// y\nassign a = 1;\nendmodule" with
   | [ Parser.Decl { dline; _ }; Parser.Assign { aline; _ } ] ->
     check Alcotest.(pair int int) "item lines" (3, 5) (dline, aline)
-  | _ -> Alcotest.fail "expected a wire and an assign"
+  | _ -> Alcotest.fail "expected a wire and an assign");
+  (* a newline a backslash escapes inside a string is not counted *)
+  expect_diags "escaped newline"
+    "module m;\ninitial $display(\"x\\\ny\");\nwire ;\nendmodule\n"
+    [ "line 3: error: expected an identifier, found \";\"" ]
+
+(* Binary operators bind by level, loosest first: ||, &&, |, ^, &,
+   == and !=, the comparisons, the shifts, + and -, then the
+   multiplicative ones; each level is left-associative, and ^ and -
+   are also prefix operators. *)
+let operator_precedence () =
+  let id x = Parser.Ident x in
+  let bin op a b = Parser.Binop (op, a, b) in
+  let rhs src =
+    match items (Printf.sprintf "module m;\nassign y = %s;\nendmodule\n" src) with
+    | [ Parser.Assign { rhs; _ } ] -> rhs
+    | _ -> Alcotest.fail ("expected one assign: " ^ src)
+  in
+  check Alcotest.bool "one of each level" true
+    (rhs "a || b && c | d ^ e & f == g < h << i + j * k"
+     = bin Parser.Lor (id "a")
+         (bin Parser.Land (id "b")
+            (bin Parser.Bor (id "c")
+               (bin Parser.Bxor (id "d")
+                  (bin Parser.Band (id "e")
+                     (bin Parser.Eq (id "f")
+                        (bin Parser.Lt (id "g")
+                           (bin Parser.Shl (id "h")
+                              (bin Parser.Add (id "i") (bin Parser.Mul (id "j") (id "k")))))))))));
+  check Alcotest.bool "reversed" true
+    (rhs "a * b + c >> d >= e != f & g ^ h | i && j || k"
+     = bin Parser.Lor
+         (bin Parser.Land
+            (bin Parser.Bor
+               (bin Parser.Bxor
+                  (bin Parser.Band
+                     (bin Parser.Neq
+                        (bin Parser.Ge
+                           (bin Parser.Shr (bin Parser.Add (bin Parser.Mul (id "a") (id "b")) (id "c")) (id "d"))
+                           (id "e"))
+                        (id "f"))
+                     (id "g"))
+                  (id "h"))
+               (id "i"))
+            (id "j"))
+         (id "k"));
+  check Alcotest.bool "left-associative" true
+    (rhs "a - b - c % d / e" = bin Parser.Sub (bin Parser.Sub (id "a") (id "b"))
+                                  (bin Parser.Div (bin Parser.Mod (id "c") (id "d")) (id "e")));
+  check Alcotest.bool "prefix operators and the conditional" true
+    (rhs "^a ^ -b[1] ? c : d ? e : f"
+     = Parser.Cond
+         ( bin Parser.Bxor (Parser.Unop (Parser.Rxor, id "a"))
+             (Parser.Unop (Parser.Neg, Parser.Index (id "b", Parser.Num (None, 1)))),
+           id "c",
+           Parser.Cond (id "d", id "e", id "f") ))
 
 (* An overflowing decimal literal or width is an error diagnostic with
    its line, like an overflowing based literal; parsing never raises. *)
@@ -396,6 +451,7 @@ let suite =
     case "lexer: escaped keyword is a name" escaped_keyword;
     case "lexer: underscores in numbers" underscores_in_numbers;
     case "lexer: lines across comments" lines_across_comments_and_strings;
+    case "parser: operator precedence" operator_precedence;
     case "lexer: overflowing literal" overflowing_literals;
     case "parser: module inside a module" nested_module_keyword;
     QCheck_alcotest.to_alcotest prop_matches_oracle;
