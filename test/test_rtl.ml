@@ -379,24 +379,39 @@ let mutate rng text =
     String.sub text 0 at ^ inserts.(Prng.int rng (Array.length inserts))
     ^ String.sub text at (n - at)
 
-let nested_module = "before the next module"
-
-let mentions needle (d : Diagnostic.t) =
-  let m = d.Diagnostic.message in
-  let nl = String.length needle in
-  let rec go i = i + nl <= String.length m && (String.sub m i nl = needle || go (i + 1)) in
-  go 0
 
 (* Equal ASTs and diagnostics, with no error cap. Where the oracle
    raises (an overflowing decimal literal) or would never return (a
    'module' inside a module body), an error diagnostic instead. *)
 let agrees_with_oracle text =
   let p = Parser.parse ~max_errors:max_int text in
-  if List.exists (mentions nested_module) p.Parser.diagnostics then Parser.errors p <> []
+  if
+    List.exists
+      (fun (d : Diagnostic.t) -> contains d.Diagnostic.message "before the next module")
+      p.Parser.diagnostics
+  then Parser.errors p <> []
   else
     match Oracles.Rtl_parser.parse ~max_errors:max_int text with
     | o -> o.Parser.modules = p.Parser.modules && o.Parser.diagnostics = p.Parser.diagnostics
     | exception Failure _ -> Parser.errors p <> []
+
+(* Past the lexer's initial sizes: more distinct names than the intern
+   table's first 512, more tokens than a third of the bytes, and more
+   literals than a sixteenth. *)
+let dense_source_grows_tables () =
+  let names = List.init 3000 (Printf.sprintf "n%d") in
+  let src =
+    Printf.sprintf "module m;\nwire %s;\nassign y = {%s};\nendmodule\n"
+      (String.concat "," names)
+      (String.concat "," (List.init 3000 (fun i -> string_of_int (i mod 10))))
+  in
+  check Alcotest.(list string) "clean" [] (parse_diags src);
+  check Alcotest.bool "agrees with the oracle" true (agrees_with_oracle src);
+  match items src with
+  | [ Parser.Decl { names = ds; _ }; Parser.Assign { rhs = Parser.Concat es; _ } ] ->
+    check Alcotest.(list string) "names" names (List.map fst ds);
+    check Alcotest.int "literals" 3000 (List.length es)
+  | _ -> Alcotest.fail "expected a wire and an assign"
 
 let prop_matches_oracle =
   QCheck.Test.make ~name:"parse matches the string-token oracle" ~count:50
@@ -454,5 +469,6 @@ let suite =
     case "parser: operator precedence" operator_precedence;
     case "lexer: overflowing literal" overflowing_literals;
     case "parser: module inside a module" nested_module_keyword;
+    case "lexer: tables grow past their first sizes" dense_source_grows_tables;
     QCheck_alcotest.to_alcotest prop_matches_oracle;
   ]
