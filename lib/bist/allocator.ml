@@ -299,6 +299,120 @@ let walk ~model ~width ~transparency dp ~descend f =
 (* Ample to prove every paper design optimal; bounds large generated ones. *)
 let node_cap = 200_000
 
+(* A unit's options in search order: by cost against the empty state,
+   then by the embedding's fields in record order as ranks in
+   [String.compare] order ([None] first), which within one unit is
+   [compare] on (cost, embedding). The register ranks pack 20 bits each
+   into one int, the unit ranks 30 bits each into another. *)
+let options eng idx ~reg_rank ~via_rank es =
+  List.map
+    (fun e ->
+      let x = indexed idx e in
+      ( fst (delta_of eng x),
+        (reg_rank.(x.l) lsl 40) lor (reg_rank.(x.r) lsl 20) lor reg_rank.(x.sa),
+        ((via_rank e.l_via + 1) lsl 30) lor (via_rank e.r_via + 1),
+        x ))
+    es
+  |> List.stable_sort (fun (c, p, q, _) (c', p', q', _) ->
+         if c <> c' then Int.compare c c'
+         else if p <> p' then Int.compare p p'
+         else Int.compare q q')
+  |> List.map (fun (_, _, _, x) -> x)
+  |> Array.of_list
+
+(* Rank of each register number by name. *)
+let name_ranks (idx : index) =
+  let rank = Array.make (Hashtbl.length idx.regs) 0 in
+  Hashtbl.fold (fun rid i acc -> (rid, i) :: acc) idx.regs []
+  |> List.stable_sort (fun (a, _) (b, _) -> String.compare a b)
+  |> List.iteri (fun k (_, i) -> rank.(i) <- k);
+  rank
+
+(* The bound memo. A register's style code is its three [> 0] tests
+   (generates, compacts, both for one unit), and [restyle] reads nothing
+   else, so two entries to level [i] whose codes agree on every register
+   an option of units [i..n-1] touches face the same cost increments and
+   the same infeasible completions. A level whose registers fit 3 bits
+   each in an int ([memo_regs] of them) packs those codes into its key;
+   level 0 is entered once and is not keyed. *)
+let memo_regs = 20
+
+(* Below this many leaves in the whole product the search is cheaper
+   than setting the memo up. *)
+let memo_min_leaves = 1024
+
+(* Open addressing from a level's packed key to the bound recorded for
+   it; keys are never negative, so -1 marks a free slot. Tables start
+   empty and double at half full. *)
+type bounds = { mutable keys : int array; mutable lbs : int array; mutable size : int }
+
+let bounds () = { keys = [||]; lbs = [||]; size = 0 }
+
+(* The slot holding [key], or the free slot it would take. *)
+let slot t key =
+  let mask = Array.length t.keys - 1 in
+  let rec probe h =
+    let k = t.keys.(h) in
+    if k = key || k = -1 then h else probe ((h + 1) land mask)
+  in
+  probe (((key * 0x2545F4914F6CDD1D) lsr 24) land mask)
+
+(* The bound recorded for [key], [min_int] if none. *)
+let bound t key =
+  if t.size = 0 then min_int
+  else
+    let h = slot t key in
+    if t.keys.(h) = key then t.lbs.(h) else min_int
+
+(* Keeps the larger of two bounds for one key: both hold. *)
+let rec record t key lb =
+  if 2 * (t.size + 1) > Array.length t.keys then begin
+    let keys = t.keys and lbs = t.lbs in
+    let size = max 16 (2 * Array.length keys) in
+    t.keys <- Array.make size (-1);
+    t.lbs <- Array.make size 0;
+    t.size <- 0;
+    Array.iteri (fun h k -> if k <> -1 then record t k lbs.(h)) keys
+  end;
+  let h = slot t key in
+  if t.keys.(h) = key then (if lb > t.lbs.(h) then t.lbs.(h) <- lb)
+  else begin
+    t.keys.(h) <- key;
+    t.lbs.(h) <- lb;
+    t.size <- t.size + 1
+  end
+
+(* Per level, the registers an option of its unit or a later one
+   touches, in key order; level 0, levels past [memo_regs] registers and
+   every level of a product under [memo_min_leaves] get none. *)
+let key_registers (idx : index) (units : indexed array array) =
+  let n = Array.length units in
+  let key_regs = Array.make n [||] in
+  let leaves =
+    Array.fold_left (fun p es -> min memo_min_leaves (p * Array.length es)) 1 units
+  in
+  if leaves >= memo_min_leaves then begin
+    let seen = Array.make (Hashtbl.length idx.regs) false in
+    let touched = ref [] in
+    let touch r =
+      if not seen.(r) then begin
+        seen.(r) <- true;
+        touched := r :: !touched
+      end
+    in
+    for i = n - 1 downto 1 do
+      Array.iter
+        (fun (x : indexed) ->
+          touch x.l;
+          touch x.r;
+          touch x.sa)
+        units.(i);
+      if List.compare_length_with !touched memo_regs <= 0 then
+        key_regs.(i) <- Array.of_list !touched
+    done
+  end;
+  key_regs
+
 let solve ?(model = Area.default) ?(width = 8) ?(forbidden = [])
     ?(io_penalty_percent = 100) ?(transparency = false) ?(budget = Budget.unlimited) dp =
   let idx = index ~model ~width ~forbidden ~io_penalty_percent dp in
@@ -310,21 +424,29 @@ let solve ?(model = Area.default) ?(width = 8) ?(forbidden = [])
   Telemetry.incr "bist.embedding_candidates"
     ~by:(Listx.sum_by (fun (_, es) -> List.length es) with_embeddings);
   let eng = engine idx in
+  let reg_rank = name_ranks idx in
+  (* Only transparency puts units on a pattern path. *)
+  let vias =
+    if not transparency then [||]
+    else
+      List.concat_map
+        (fun (_, es) ->
+          List.concat_map
+            (fun (e : Ipath.embedding) -> Option.to_list e.l_via @ Option.to_list e.r_via)
+            es)
+        with_embeddings
+      |> List.sort_uniq String.compare |> Array.of_list
+  in
+  let via_rank = function
+    | None -> -1
+    | Some mid -> Option.get (Array.find_index (String.equal mid) vias)
+  in
   (* Order: units with fewest embeddings first; within a unit, embeddings
      sorted by their cost against the empty state (cheap first). *)
   let arr =
     List.filter (fun (_, es) -> es <> []) with_embeddings
-    |> List.map (fun (m, es) ->
-           let keyed =
-             List.map
-               (fun e ->
-                 let x = indexed idx e in
-                 ((fst (delta_of eng x), e), x))
-               es
-           in
-           let sorted = List.sort (fun (a, _) (b, _) -> compare a b) keyed in
-           (m, Array.of_list (List.map snd sorted)))
-    |> List.sort (fun (_, a) (_, b) -> compare (Array.length a) (Array.length b))
+    |> List.map (fun (m, es) -> (m, options eng idx ~reg_rank ~via_rank es))
+    |> List.stable_sort (fun (_, a) (_, b) -> Int.compare (Array.length a) (Array.length b))
     |> Array.of_list
   in
   let n = Array.length arr in
@@ -338,6 +460,19 @@ let solve ?(model = Area.default) ?(width = 8) ?(forbidden = [])
        else Some (Array.to_list greedy |> List.filter_map (Option.map (fun x -> x.e))))
   in
   let eng = engine idx in
+  let key_regs = key_registers idx (Array.map snd arr) in
+  let memo = Array.init n (fun _ -> bounds ()) in
+  let key i =
+    let rs = key_regs.(i) in
+    if Array.length rs = 0 then -1
+    else begin
+      let k = ref 0 in
+      for j = 0 to Array.length rs - 1 do
+        k := (!k lsl 3) lor eng.code.(rs.(j))
+      done;
+      !k
+    end
+  in
   let chosen = Array.make n 0 in
   let nodes = ref 0 in
   let exhausted = ref false in
@@ -351,21 +486,33 @@ let solve ?(model = Area.default) ?(width = 8) ?(forbidden = [])
       end
     end
     else begin
-      (* The partial's cost is the same before every sibling and the
-         bound only falls, so the first failed test ends the loop. *)
-      let es = snd arr.(i) in
-      let k = ref 0 in
-      while !k < Array.length es && (not !exhausted) && eng.cost < !best_cost do
-        incr nodes;
-        Budget.node budget;
-        apply eng es.(!k);
-        chosen.(i) <- !k;
-        (* A later embedding can never remove a duty, so a partial
-           already using a forbidden style cannot recover: prune. *)
-        if eng.infeasible = 0 then branch (i + 1);
-        unapply eng es.(!k);
-        incr k
-      done
+      let partial = eng.cost in
+      (* A partial at the bound has no child; otherwise, an equal-keyed
+         subtree searched to the end found every leaf [lb] or more above
+         its entry cost, or cut it off at a bound that high: if this one
+         is no further below the best, it holds no leaf strictly cheaper. *)
+      let key = if partial < !best_cost then key i else -1 in
+      let skip = key >= 0 && bound memo.(i) key >= !best_cost - partial in
+      if not skip then begin
+        (* The partial's cost is the same before every sibling and the
+           bound only falls, so the first failed test ends the loop. *)
+        let es = snd arr.(i) in
+        let k = ref 0 in
+        while !k < Array.length es && (not !exhausted) && eng.cost < !best_cost do
+          incr nodes;
+          Budget.node budget;
+          apply eng es.(!k);
+          chosen.(i) <- !k;
+          (* A later embedding can never remove a duty, so a partial
+             already using a forbidden style cannot recover: prune. *)
+          if eng.infeasible = 0 then branch (i + 1);
+          unapply eng es.(!k);
+          incr k
+        done;
+        (* With no feasible leaf known, none lies below. *)
+        if key >= 0 && not !exhausted then
+          record memo.(i) key (if !best_cost = max_int then max_int else !best_cost - partial)
+      end
     end
   in
   (* Counted once, and also when a leaf's fault injection unwinds. *)
@@ -397,8 +544,8 @@ let solve ?(model = Area.default) ?(width = 8) ?(forbidden = [])
   let sol = costed idx dp chosen_embeddings in
   (* CBILBO-requiring embeddings that were on the table but not picked. *)
   let cbilbos l = List.length (List.filter Ipath.requires_cbilbo l) in
-  Telemetry.incr "bist.cbilbos_avoided"
-    ~by:(max 0 (cbilbos (List.concat_map snd with_embeddings) - cbilbos sol.embeddings));
+  let offered = Listx.sum_by (fun (_, es) -> cbilbos es) with_embeddings in
+  Telemetry.incr "bist.cbilbos_avoided" ~by:(max 0 (offered - cbilbos sol.embeddings));
   { sol with untestable = List.sort compare (untestable @ extra_untestable); exact = not !exhausted }
 
 let style_counts sol =

@@ -22,29 +22,74 @@ let operand_regs regalloc policy (op : Op.t) =
   in
   (reg_of op.left, reg_of op.right)
 
-(* Score one unit's orientation assignment directly from the instance
-   list: smaller tuples are better. [swaps] has one bit per instance
-   (non-commutative instances are pinned to false). *)
-let score_unit objective instances swaps =
-  Telemetry.incr "interconnect.orientations";
-  let l_sources = Hashtbl.create 8 and r_sources = Hashtbl.create 8 in
-  List.iteri
-    (fun i ((l, r), _commutative) ->
-      let l, r = if swaps.(i) then (r, l) else (l, r) in
-      Hashtbl.replace l_sources l ();
-      Hashtbl.replace r_sources r ())
-    instances;
-  let connections = Hashtbl.length l_sources + Hashtbl.length r_sources in
-  let lr_weight =
-    Hashtbl.fold
-      (fun reg () acc -> if Hashtbl.mem r_sources reg then acc + objective.weight reg else acc)
-      l_sources 0
+(* One unit's instances with its operand registers numbered once, in
+   first-use order, and each register's weight read once. *)
+type numbered = {
+  lnum : int array;  (* per instance, unswapped *)
+  rnum : int array;
+  weights : int array;  (* per register number *)
+  lcount : int array;  (* work arrays: instances feeding each port *)
+  rcount : int array;
+}
+
+let number objective instances =
+  let ids = Hashtbl.create 8 in
+  let names = ref [] in
+  let id reg =
+    match Hashtbl.find_opt ids reg with
+    | Some i -> i
+    | None ->
+      let i = Hashtbl.length ids in
+      Hashtbl.add ids reg i;
+      names := reg :: !names;
+      i
   in
-  (* among equal-cost orientations, balanced port source counts offer the
-     BIST search more distinct TPG pairs *)
-  let balance = min (Hashtbl.length l_sources) (Hashtbl.length r_sources) in
-  let swap_count = Array.fold_left (fun acc s -> acc + if s then 1 else 0) 0 swaps in
-  (connections, -lr_weight, (-balance, swap_count))
+  let lr = Array.of_list (List.map (fun ((l, r), _) -> (id l, id r)) instances) in
+  let weights = Array.of_list (List.rev_map objective.weight !names) in
+  let k = Array.length weights in
+  { lnum = Array.map fst lr; rnum = Array.map snd lr; weights; lcount = Array.make k 0;
+    rcount = Array.make k 0 }
+
+(* An orientation's score, compared field by field, smaller first:
+   connections, minus the summed weight of registers on both ports,
+   minus the smaller port's source count (among equal-cost orientations,
+   balanced port source counts offer the BIST search more distinct TPG
+   pairs), then the number of swaps. *)
+type score = { connections : int; lr_weight : int; balance : int; swap_count : int }
+
+let better a b =
+  if a.connections <> b.connections then a.connections < b.connections
+  else if a.lr_weight <> b.lr_weight then a.lr_weight < b.lr_weight
+  else if a.balance <> b.balance then a.balance < b.balance
+  else a.swap_count < b.swap_count
+
+(* Score one unit's orientation assignment from per-register port
+   counts. [swaps] has one bit per instance (non-commutative instances
+   are pinned to false). *)
+let score_unit u swaps =
+  let lc = u.lcount and rc = u.rcount in
+  Array.fill lc 0 (Array.length lc) 0;
+  Array.fill rc 0 (Array.length rc) 0;
+  let swap_count = ref 0 in
+  for i = 0 to Array.length swaps - 1 do
+    if swaps.(i) then begin
+      incr swap_count;
+      lc.(u.rnum.(i)) <- lc.(u.rnum.(i)) + 1;
+      rc.(u.lnum.(i)) <- rc.(u.lnum.(i)) + 1
+    end
+    else begin
+      lc.(u.lnum.(i)) <- lc.(u.lnum.(i)) + 1;
+      rc.(u.rnum.(i)) <- rc.(u.rnum.(i)) + 1
+    end
+  done;
+  let nl = ref 0 and nr = ref 0 and w = ref 0 in
+  for reg = 0 to Array.length lc - 1 do
+    if lc.(reg) > 0 then incr nl;
+    if rc.(reg) > 0 then incr nr;
+    if lc.(reg) > 0 && rc.(reg) > 0 then w := !w + u.weights.(reg)
+  done;
+  { connections = !nl + !nr; lr_weight = - !w; balance = - min !nl !nr;
+    swap_count = !swap_count }
 
 let optimize dfg massign regalloc ~policy ~objective =
   (* Orientations of different units are independent; optimize each unit
@@ -65,14 +110,20 @@ let optimize dfg massign regalloc ~policy ~objective =
     let apply_mask mask =
       List.iteri (fun bit i -> swaps.(i) <- mask land (1 lsl bit) <> 0) free_idx
     in
-    let best = ref (score_unit objective instances swaps) in
+    let numbered = number objective instances in
+    let scored = ref 0 in
+    let score () =
+      incr scored;
+      score_unit numbered swaps
+    in
+    let best = ref (score ()) in
     let best_mask = ref 0 in
     if free <= 12 then
       (* exhaustive *)
       for mask = 0 to (1 lsl free) - 1 do
         apply_mask mask;
-        let s = score_unit objective instances swaps in
-        if s < !best then begin
+        let s = score () in
+        if better s !best then begin
           best := s;
           best_mask := mask
         end
@@ -80,7 +131,7 @@ let optimize dfg massign regalloc ~policy ~objective =
     else begin
       (* greedy hill climbing from the identity orientation *)
       apply_mask 0;
-      best := score_unit objective instances swaps;
+      best := score ();
       let improved = ref true in
       let mask = ref 0 in
       while !improved do
@@ -89,8 +140,8 @@ let optimize dfg massign regalloc ~policy ~objective =
           (fun bit _ ->
             let candidate = !mask lxor (1 lsl bit) in
             apply_mask candidate;
-            let s = score_unit objective instances swaps in
-            if s < !best then begin
+            let s = score () in
+            if better s !best then begin
               best := s;
               mask := candidate;
               improved := true
@@ -99,6 +150,7 @@ let optimize dfg massign regalloc ~policy ~objective =
       done;
       best_mask := !mask
     end;
+    Telemetry.incr "interconnect.orientations" ~by:!scored;
     apply_mask !best_mask;
     let tbl = Hashtbl.create 8 in
     List.iteri (fun i (op : Op.t) -> Hashtbl.replace tbl op.id swaps.(i)) ops;

@@ -24,14 +24,17 @@ let num_registers t = List.length t.classes
 let variables t = List.sort compare (List.concat_map snd t.classes)
 
 let is_valid_for t dfg ~policy =
-  let expected = List.map fst (Lifetime.spans ~policy dfg) in
-  List.sort compare expected = variables t
-  && List.for_all
-       (fun (_, vars) ->
-         Bistpath_util.Listx.pairs vars
-         |> List.for_all (fun (u, v) ->
-                not (Interval.overlap (Lifetime.span dfg u) (Lifetime.span dfg v))))
-       t.classes
+  let spans = Lifetime.spans ~policy dfg in
+  List.sort compare (List.map fst spans) = variables t
+  &&
+  let span = Hashtbl.create 64 in
+  List.iter (fun (v, s) -> Hashtbl.replace span v s) spans;
+  List.for_all
+    (fun (_, vars) ->
+      Bistpath_util.Listx.pairs vars
+      |> List.for_all (fun (u, v) ->
+             not (Interval.overlap (Hashtbl.find span u) (Hashtbl.find span v))))
+    t.classes
 
 let pp ppf t =
   Format.pp_print_list ~pp_sep:Format.pp_print_space

@@ -305,6 +305,8 @@ let number lx i =
   in
   if wend < n && src.[wend] = '\'' then begin
     let base = if wend + 1 < n then Char.lowercase_ascii src.[wend + 1] else '?' in
+    (* the base character is read whatever it is, a newline too *)
+    if base = '\n' then lx.line <- lx.line + 1;
     let radix =
       match base with
       | 'd' -> 10 | 'b' -> 2 | 'h' -> 16 | 'o' -> 8
@@ -349,8 +351,8 @@ let block_comment lx i =
   in
   go (i + 2)
 
-(* A backslash escape keeps both characters and does not count a
-   newline it escapes. *)
+(* A backslash escape keeps both characters; a newline it escapes still
+   ends a line. *)
 let string_literal lx i =
   let src = lx.src in
   let n = String.length src in
@@ -362,7 +364,9 @@ let string_literal lx i =
     else
       match src.[j] with
       | '"' -> j
-      | '\\' when j + 1 < n -> go (j + 2)
+      | '\\' when j + 1 < n ->
+        if src.[j + 1] = '\n' then lx.line <- lx.line + 1;
+        go (j + 2)
       | c ->
         if c = '\n' then lx.line <- lx.line + 1;
         go (j + 1)

@@ -548,11 +548,13 @@ let podem ~max_backtracks (c : Circuit.t) (fault : Fault.t) =
 (* --- BIST allocation ---------------------------------------------------
 
    The string-keyed branch-and-bound [Allocator.solve] ran before its
-   engine was indexed: per-register role counts in a hashtable keyed by
-   register name, forbidden styles looked up in a list, one telemetry
-   increment per node. It is kept verbatim, except that it also returns
-   the number of search nodes it explored; the properties in
-   test_incremental.ml compare the indexed engine against it. *)
+   engine was indexed and before it memoized bounds: per-register role
+   counts in a hashtable keyed by register name, forbidden styles looked
+   up in a list, one telemetry increment per node. It is kept as it was,
+   except that it also returns the number of search nodes it explored
+   and shares its setup, warm start and finish with [bist_exhaustive],
+   the unpruned reference. The properties in test_incremental.ml compare
+   the indexed engine against both. *)
 
 module Area = Bistpath_datapath.Area
 module Datapath = Bistpath_datapath.Datapath
@@ -634,8 +636,13 @@ let unapply eng (e : Ipath.embedding) =
 (* Ample to prove every paper design optimal; bounds large generated ones. *)
 let node_cap = 200_000
 
-let bist_solve ?(model = Area.default) ?(width = 8) ?(forbidden = [])
-    ?(io_penalty_percent = 100) ?(transparency = false) ?(budget = Budget.unlimited) dp =
+(* The string-keyed engine's setup, warm start and finish around a
+   [search] of the ordered units. [search] gets the units (id, options
+   in order) and the empty engine, the greedy warm start and its cost
+   ([max_int] if it failed), and returns the best embeddings found (by
+   unit order), whether the search was exact and its node count. *)
+let bist_with ~search ?(model = Area.default) ?(width = 8) ?(forbidden = [])
+    ?(io_penalty_percent = 100) ?(transparency = false) dp =
   let penalized = Hashtbl.create 8 in
   if io_penalty_percent <> 100 then
     List.iter
@@ -710,42 +717,14 @@ let bist_solve ?(model = Area.default) ?(width = 8) ?(forbidden = [])
   let greedy_cost = if Array.exists Option.is_none greedy then max_int else eng.cost in
   (* Reset engine. *)
   Array.iter (function Some e -> unapply eng e | None -> ()) greedy;
-  let best_cost = ref greedy_cost in
-  let best = ref (if greedy_cost = max_int then None else Some (Array.to_list greedy |> List.filter_map Fun.id)) in
-  let chosen = Array.make n None in
-  let nodes = ref 0 in
-  let exhausted = ref false in
-  let rec branch i =
-    if !nodes > node_cap || Budget.should_stop budget then exhausted := true
-    else if i = n then begin
-      Inject.fire "allocator.leaf";
-      if eng.feasible = 0 && eng.cost < !best_cost then begin
-        best_cost := eng.cost;
-        best := Some (Array.to_list chosen |> List.filter_map Fun.id)
-      end
-    end
-    else
-      List.iter
-        (fun e ->
-          if (not !exhausted) && eng.cost < !best_cost then begin
-            incr nodes;
-            Budget.node budget;
-            Telemetry.incr "bist.embeddings_explored";
-            apply eng e;
-            chosen.(i) <- Some e;
-            (* A later embedding can never remove a duty, so a partial
-               already using a forbidden style cannot recover: prune. *)
-            if eng.feasible = 0 then branch (i + 1);
-            chosen.(i) <- None;
-            unapply eng e
-          end)
-        (snd arr.(i))
+  let greedy =
+    if greedy_cost = max_int then None else Some (Array.to_list greedy |> List.filter_map Fun.id)
   in
-  branch 0;
+  let best, exact, nodes = search arr eng ~greedy ~greedy_cost in
   (* If nothing feasible was found under the constraints, drop units one
      by one (most-embeddings last) until a feasible core remains. *)
   let chosen_embeddings, extra_untestable =
-    match !best with
+    match best with
     | Some es -> (es, [])
     | None ->
       let rec shrink dropped lst =
@@ -810,9 +789,191 @@ let bist_solve ?(model = Area.default) ?(width = 8) ?(forbidden = [])
       styles;
       untestable = List.sort compare (untestable @ extra_untestable);
       delta_gates = eng3.cost;
-      exact = not !exhausted;
+      exact;
     },
-    !nodes )
+    nodes )
+
+(* The branch-and-bound the indexed engine replaced, without a bound
+   memo: it visits every node whose partial cost is below the best. *)
+let bist_solve ?model ?width ?forbidden ?io_penalty_percent ?transparency
+    ?(budget = Budget.unlimited) dp =
+  let search arr eng ~greedy ~greedy_cost =
+    let n = Array.length arr in
+    let best_cost = ref greedy_cost in
+    let best = ref greedy in
+    let chosen = Array.make n None in
+    let nodes = ref 0 in
+    let exhausted = ref false in
+    let rec branch i =
+      if !nodes > node_cap || Budget.should_stop budget then exhausted := true
+      else if i = n then begin
+        Inject.fire "allocator.leaf";
+        if eng.feasible = 0 && eng.cost < !best_cost then begin
+          best_cost := eng.cost;
+          best := Some (Array.to_list chosen |> List.filter_map Fun.id)
+        end
+      end
+      else
+        List.iter
+          (fun e ->
+            if (not !exhausted) && eng.cost < !best_cost then begin
+              incr nodes;
+              Budget.node budget;
+              Telemetry.incr "bist.embeddings_explored";
+              apply eng e;
+              chosen.(i) <- Some e;
+              (* A later embedding can never remove a duty, so a partial
+                 already using a forbidden style cannot recover: prune. *)
+              if eng.feasible = 0 then branch (i + 1);
+              chosen.(i) <- None;
+              unapply eng e
+            end)
+          (snd arr.(i))
+    in
+    branch 0;
+    (!best, not !exhausted, !nodes)
+  in
+  bist_with ~search ?model ?width ?forbidden ?io_penalty_percent ?transparency dp
+
+(* The search's specification with no pruning at all: every leaf of the
+   ordered product is costed, and the answer is the greedy warm start if
+   no leaf is strictly cheaper, else the first cheapest feasible leaf in
+   depth-first order. The node count is the number of leaves. *)
+let bist_exhaustive ?model ?width ?forbidden ?io_penalty_percent ?transparency dp =
+  let search arr eng ~greedy ~greedy_cost =
+    let n = Array.length arr in
+    let best_cost = ref greedy_cost in
+    let best = ref greedy in
+    let chosen = Array.make n None in
+    let leaves = ref 0 in
+    let rec enumerate i =
+      if i = n then begin
+        incr leaves;
+        if eng.feasible = 0 && eng.cost < !best_cost then begin
+          best_cost := eng.cost;
+          best := Some (Array.to_list chosen |> List.filter_map Fun.id)
+        end
+      end
+      else
+        List.iter
+          (fun e ->
+            apply eng e;
+            chosen.(i) <- Some e;
+            enumerate (i + 1);
+            chosen.(i) <- None;
+            unapply eng e)
+          (snd arr.(i))
+    in
+    enumerate 0;
+    (!best, true, !leaves)
+  in
+  bist_with ~search ?model ?width ?forbidden ?io_penalty_percent ?transparency dp
+
+(* --- interconnect orientation ------------------------------------------
+
+   The orientation scorer Interconnect.optimize had before it numbered
+   each unit's registers: two [Hashtbl]s of port sources and a weight
+   lookup per register on both ports, for every orientation scored. *)
+
+module Op = Bistpath_dfg.Op
+module Policy = Bistpath_dfg.Policy
+module Regalloc = Bistpath_datapath.Regalloc
+module Interconnect = Bistpath_datapath.Interconnect
+
+let operand_regs regalloc policy (op : Op.t) =
+  let reg_of v =
+    match Regalloc.register_of regalloc v with
+    | Some rid -> rid
+    | None -> (
+      match Policy.carried_into policy v with
+      | Some target -> "IN_" ^ target
+      | None -> "IN_" ^ v)
+  in
+  (reg_of op.left, reg_of op.right)
+
+let score_unit (objective : Interconnect.objective) instances swaps =
+  Telemetry.incr "interconnect.orientations";
+  let l_sources = Hashtbl.create 8 and r_sources = Hashtbl.create 8 in
+  List.iteri
+    (fun i ((l, r), _commutative) ->
+      let l, r = if swaps.(i) then (r, l) else (l, r) in
+      Hashtbl.replace l_sources l ();
+      Hashtbl.replace r_sources r ())
+    instances;
+  let connections = Hashtbl.length l_sources + Hashtbl.length r_sources in
+  let lr_weight =
+    Hashtbl.fold
+      (fun reg () acc -> if Hashtbl.mem r_sources reg then acc + objective.weight reg else acc)
+      l_sources 0
+  in
+  let balance = min (Hashtbl.length l_sources) (Hashtbl.length r_sources) in
+  let swap_count = Array.fold_left (fun acc s -> acc + if s then 1 else 0) 0 swaps in
+  (connections, -lr_weight, (-balance, swap_count))
+
+let interconnect_optimize dfg massign regalloc ~policy ~objective =
+  let best_swaps_for (u : Massign.hw) =
+    let ops = Massign.instances massign dfg u.mid in
+    let instances =
+      List.map
+        (fun (op : Op.t) -> (operand_regs regalloc policy op, Op.commutative op.kind))
+        ops
+    in
+    let free_idx =
+      List.concat (List.mapi (fun i (_, c) -> if c then [ i ] else []) instances)
+    in
+    let free = List.length free_idx in
+    let n = List.length instances in
+    let swaps = Array.make n false in
+    let apply_mask mask =
+      List.iteri (fun bit i -> swaps.(i) <- mask land (1 lsl bit) <> 0) free_idx
+    in
+    let best = ref (score_unit objective instances swaps) in
+    let best_mask = ref 0 in
+    if free <= 12 then
+      for mask = 0 to (1 lsl free) - 1 do
+        apply_mask mask;
+        let s = score_unit objective instances swaps in
+        if s < !best then begin
+          best := s;
+          best_mask := mask
+        end
+      done
+    else begin
+      apply_mask 0;
+      best := score_unit objective instances swaps;
+      let improved = ref true in
+      let mask = ref 0 in
+      while !improved do
+        improved := false;
+        List.iteri
+          (fun bit _ ->
+            let candidate = !mask lxor (1 lsl bit) in
+            apply_mask candidate;
+            let s = score_unit objective instances swaps in
+            if s < !best then begin
+              best := s;
+              mask := candidate;
+              improved := true
+            end)
+          free_idx
+      done;
+      best_mask := !mask
+    end;
+    apply_mask !best_mask;
+    let tbl = Hashtbl.create 8 in
+    List.iteri (fun i (op : Op.t) -> Hashtbl.replace tbl op.id swaps.(i)) ops;
+    tbl
+  in
+  let per_unit =
+    List.map (fun (u : Massign.hw) -> (u.mid, best_swaps_for u)) massign.Massign.units
+  in
+  let swap opid =
+    let mid = (Massign.unit_of_op massign opid).Massign.mid in
+    match List.assoc_opt mid per_unit with
+    | Some tbl -> ( match Hashtbl.find_opt tbl opid with Some s -> s | None -> false)
+    | None -> false
+  in
+  Datapath.build dfg massign regalloc ~policy ~swap
 
 (* --- Pareto front --------------------------------------------------
 
@@ -1413,6 +1574,7 @@ module Rtl_parser = struct
           let d = src.[!i] in
           if d = '"' then begin fin := true; incr i end
           else if d = '\\' && !i + 1 < n then begin
+            if peek 1 = '\n' then incr line;
             Buffer.add_char b d; Buffer.add_char b (peek 1); i := !i + 2
           end
           else begin
@@ -1455,6 +1617,7 @@ module Rtl_parser = struct
         if !i < n && src.[!i] = '\'' then begin
           incr i;
           let base = if !i < n then Char.lowercase_ascii src.[!i] else '?' in
+          if base = '\n' then incr line;
           incr i;
           let radix =
             match base with

@@ -195,11 +195,11 @@ let sessions_conflict_rules () =
   in
   check Alcotest.int "disjoint: 1 session" 1 (Session.num_sessions s4)
 
-(* fir10 is past the allocator's fixed node cap: the search stops
+(* fir16 is past the allocator's fixed node cap: the search stops
    inexact but never worse than the greedy warm start, which is what a
    budget cancelled before the first node returns. *)
 let node_cap_degrades_gracefully () =
-  let r = run_flow (B.fir ~taps:10) in
+  let r = run_flow (B.fir ~taps:16) in
   let sol = Allocator.solve r.Flow.datapath in
   check Alcotest.bool "not exact" false sol.Allocator.exact;
   check (Alcotest.list Alcotest.string) "every unit testable" [] sol.Allocator.untestable;

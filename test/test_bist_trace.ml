@@ -18,11 +18,12 @@ let designs = Test_regalloc_trace.(tags @ data)
 let flows = Test_gatelevel_trace.flows
 let row = Test_regalloc_trace.row
 
+(* Name, forbidden styles, I/O penalty and transparency. *)
 let variants =
-  [ ("default", fun dp -> Allocator.solve dp);
-    ("syntest", fun dp -> Allocator.solve ~forbidden:[ Resource.Bilbo; Resource.Cbilbo ] dp);
-    ("io150", fun dp -> Allocator.solve ~io_penalty_percent:150 dp);
-    ("transparent", fun dp -> Allocator.solve ~transparency:true dp) ]
+  [ ("default", [], 100, false);
+    ("syntest", [ Resource.Bilbo; Resource.Cbilbo ], 100, false);
+    ("io150", [], 150, false);
+    ("transparent", [], 100, true) ]
 
 let embedding (e : Ipath.embedding) =
   let via = function None -> "" | Some u -> "~" ^ u in
@@ -33,8 +34,11 @@ let solution_rows spec =
     (fun (flow, style) ->
       let r = Test_gatelevel_trace.flow_result ~width:8 spec style in
       List.map
-        (fun (variant, solve) ->
-          let sol, t = Telemetry.collect (fun () -> solve r.Flow.datapath) in
+        (fun (variant, forbidden, io_penalty_percent, transparency) ->
+          let sol, t =
+            Telemetry.collect (fun () ->
+                Allocator.solve ~forbidden ~io_penalty_percent ~transparency r.Flow.datapath)
+          in
           row
             [ "bist"; spec; flow; variant;
               String.concat "," (List.map embedding sol.Allocator.embeddings);
@@ -62,4 +66,33 @@ let reproduces_fixture () =
   in
   Test_regalloc_trace.first_diff 1 (expected, String.split_on_char '\n' (render ()))
 
-let suite = [ Alcotest.test_case "fixture reproduces" `Quick reproduces_fixture ]
+(* The same searches against the one without the bound memo
+   (Oracles.bist_solve): the same solution wherever that one finishes
+   under the node cap, and never more nodes. *)
+let matches_unmemoized_oracle () =
+  List.iter
+    (fun spec ->
+      List.iter
+        (fun (flow, style) ->
+          let dp = (Test_gatelevel_trace.flow_result ~width:8 spec style).Flow.datapath in
+          List.iter
+            (fun (variant, forbidden, io_penalty_percent, transparency) ->
+              let name = String.concat " " [ spec; flow; variant ] in
+              let sol, t =
+                Telemetry.collect (fun () ->
+                    Allocator.solve ~forbidden ~io_penalty_percent ~transparency dp)
+              in
+              let osol, onodes =
+                Oracles.bist_solve ~forbidden ~io_penalty_percent ~transparency dp
+              in
+              if osol.Allocator.exact then Alcotest.(check bool) name true (sol = osol);
+              Alcotest.(check bool)
+                (name ^ " nodes") true
+                (Telemetry.counter t "bist.embeddings_explored" <= onodes))
+            variants)
+        flows)
+    designs
+
+let suite =
+  [ Alcotest.test_case "fixture reproduces" `Quick reproduces_fixture;
+    Alcotest.test_case "solutions match the unmemoized oracle" `Quick matches_unmemoized_oracle ]

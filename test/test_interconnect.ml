@@ -11,6 +11,8 @@ module Datapath = Bistpath_datapath.Datapath
 module Interconnect = Bistpath_datapath.Interconnect
 module Prng = Bistpath_util.Prng
 module Listx = Bistpath_util.Listx
+module Telemetry = Bistpath_telemetry.Telemetry
+module Flow = Bistpath_core.Flow
 
 let check = Alcotest.check
 let case name f = Alcotest.test_case name `Quick f
@@ -168,6 +170,51 @@ let prop_optimize_matches_brute_force_small =
       total_connections dp
       = brute_force_min inst.B.dfg inst.B.massign ra inst.B.policy)
 
+(* The int-coded scorer picks the swaps the Hashtbl scorer it replaced
+   picks (Oracles.interconnect_optimize), scoring as many orientations,
+   with no weight and with one that separates registers by name. *)
+let matches_oracle dfg massign ra ~policy =
+  List.for_all
+    (fun objective ->
+      let dp, t =
+        Telemetry.collect (fun () -> Interconnect.optimize dfg massign ra ~policy ~objective)
+      in
+      let odp, ot =
+        Telemetry.collect (fun () ->
+            Oracles.interconnect_optimize dfg massign ra ~policy ~objective)
+      in
+      dp.Datapath.routes = odp.Datapath.routes
+      && Telemetry.counter t "interconnect.orientations"
+         = Telemetry.counter ot "interconnect.orientations")
+    [ no_weight; { Interconnect.weight = (fun rid -> Hashtbl.hash rid mod 5) } ]
+
+(* Both flows' register assignments; ewf's adders take the hill-climbing
+   path. *)
+let scorer_matches_oracle_on_benchmarks () =
+  List.iter
+    (fun tag ->
+      match B.by_tag tag with
+      | None -> Alcotest.fail tag
+      | Some inst ->
+        List.iter
+          (fun style ->
+            let ra =
+              (Flow.run ~style inst.B.dfg inst.B.massign ~policy:inst.B.policy).Flow.regalloc
+            in
+            check Alcotest.bool tag true
+              (matches_oracle inst.B.dfg inst.B.massign ra ~policy:inst.B.policy))
+          [ Flow.Testable Bistpath_core.Testable_alloc.default_options; Flow.Traditional ])
+    B.all_tags
+
+let prop_scorer_matches_oracle =
+  QCheck.Test.make ~name:"int scorer picks the Hashtbl scorer's swaps" ~count:40
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let rng = Prng.create seed in
+      let inst = B.random rng ~ops:(5 + Prng.int rng 30) ~inputs:(2 + Prng.int rng 4) in
+      let ra = Bistpath_core.Traditional_alloc.allocate inst.B.dfg ~policy:inst.B.policy in
+      matches_oracle inst.B.dfg inst.B.massign ra ~policy:inst.B.policy)
+
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
 let suite =
@@ -176,6 +223,8 @@ let suite =
     case "LR registers reported" lr_registers_reported;
     case "weights do not break minimality" weight_steers_lr;
     case "hill climbing reasonable on ewf" hill_climb_reasonable_on_large;
+    case "int scorer matches the oracle on the benchmarks" scorer_matches_oracle_on_benchmarks;
   ]
   @ qcheck
-      [ prop_optimize_no_worse_than_identity; prop_optimize_matches_brute_force_small ]
+      [ prop_optimize_no_worse_than_identity; prop_optimize_matches_brute_force_small;
+        prop_scorer_matches_oracle ]

@@ -280,10 +280,15 @@ let lines_across_comments_and_strings () =
   | [ Parser.Decl { dline; _ }; Parser.Assign { aline; _ } ] ->
     check Alcotest.(pair int int) "item lines" (3, 5) (dline, aline)
   | _ -> Alcotest.fail "expected a wire and an assign");
-  (* a newline a backslash escapes inside a string is not counted *)
+  (* a newline a backslash escapes inside a string still ends a line *)
   expect_diags "escaped newline"
     "module m;\ninitial $display(\"x\\\ny\");\nwire ;\nendmodule\n"
-    [ "line 3: error: expected an identifier, found \";\"" ]
+    [ "line 4: error: expected an identifier, found \";\"" ];
+  (* so does a newline read as a number's base *)
+  let src = "module m;\nlocalparam A = 1'\n;\nwire ;\nendmodule\n" in
+  expect_diags "newline as a number base" src
+    [ "line 2: error: unknown number base '\n'"; "line 2: error: number literal has no digits";
+      "line 4: error: expected an identifier, found \";\"" ]
 
 (* Binary operators bind by level, loosest first: ||, &&, |, ^, &,
    == and !=, the comparisons, the shifts, + and -, then the
@@ -395,6 +400,14 @@ let agrees_with_oracle text =
     | o -> o.Parser.modules = p.Parser.modules && o.Parser.diagnostics = p.Parser.diagnostics
     | exception Failure _ -> Parser.errors p <> []
 
+(* The two newlines the lexer reads inside another token, in both
+   parsers. *)
+let inner_newlines_match_oracle () =
+  List.iter
+    (fun src -> check Alcotest.bool (String.escaped src) true (agrees_with_oracle src))
+    [ "module m;\ninitial $display(\"x\\\ny\");\nwire ;\nendmodule\n";
+      "module m;\nlocalparam A = 1'\n;\nwire ;\nendmodule\n" ]
+
 (* Past the lexer's initial sizes: more distinct names than the intern
    table's first 512, more tokens than a third of the bytes, and more
    literals than a sixteenth. *)
@@ -466,6 +479,7 @@ let suite =
     case "lexer: escaped keyword is a name" escaped_keyword;
     case "lexer: underscores in numbers" underscores_in_numbers;
     case "lexer: lines across comments" lines_across_comments_and_strings;
+    case "lexer: inner newlines match the oracle" inner_newlines_match_oracle;
     case "parser: operator precedence" operator_precedence;
     case "lexer: overflowing literal" overflowing_literals;
     case "parser: module inside a module" nested_module_keyword;
