@@ -2,6 +2,11 @@
    the traditional and BIST-aware flows, reproduce the paper's tables and
    figures, emit RTL/DOT, and run gate-level self-test simulation. *)
 
+(* CPU time this process spent before synth's own code ran: exec, the
+   runtime's start-up and every linked library's initialisation. Read
+   first, before anything below runs; [with_common] reports it. *)
+let start_cpu_s = Sys.time ()
+
 module B = Bistpath_benchmarks.Benchmarks
 module Flow = Bistpath_core.Flow
 module Store = Bistpath_cache.Store
@@ -306,6 +311,7 @@ let with_common c f =
          stderr instead of dropping the buffered tail. *)
       at_exit (fun () -> flush ~exit_on_error:false);
       Telemetry.install r;
+      Telemetry.set "process.start_us" (Float.to_int (start_cpu_s *. 1e6));
       let x = body () in
       Telemetry.uninstall ();
       flush ~exit_on_error:true;

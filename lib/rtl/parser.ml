@@ -311,7 +311,7 @@ let number lx i =
       match base with
       | 'd' -> 10 | 'b' -> 2 | 'h' -> 16 | 'o' -> 8
       | _ ->
-        lx.diag line (Printf.sprintf "unknown number base '%c'" base);
+        lx.diag line (Printf.sprintf "unknown number base %C" base);
         10
     in
     let dstart = wend + 2 in

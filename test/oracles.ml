@@ -1623,7 +1623,7 @@ module Rtl_parser = struct
             match base with
             | 'd' -> 10 | 'b' -> 2 | 'h' -> 16 | 'o' -> 8
             | _ ->
-              diag start_line (Printf.sprintf "unknown number base '%c'" base);
+              diag start_line (Printf.sprintf "unknown number base %C" base);
               10
           in
           let b = Buffer.create 8 in

@@ -284,10 +284,11 @@ let lines_across_comments_and_strings () =
   expect_diags "escaped newline"
     "module m;\ninitial $display(\"x\\\ny\");\nwire ;\nendmodule\n"
     [ "line 4: error: expected an identifier, found \";\"" ];
-  (* so does a newline read as a number's base *)
+  (* so does a newline read as a number's base, which the diagnostic
+     escapes, keeping it on one line *)
   let src = "module m;\nlocalparam A = 1'\n;\nwire ;\nendmodule\n" in
   expect_diags "newline as a number base" src
-    [ "line 2: error: unknown number base '\n'"; "line 2: error: number literal has no digits";
+    [ "line 2: error: unknown number base '\\n'"; "line 2: error: number literal has no digits";
       "line 4: error: expected an identifier, found \";\"" ]
 
 (* Binary operators bind by level, loosest first: ||, &&, |, ^, &,

@@ -545,6 +545,46 @@ let concurrent_domains () =
     (Telemetry.counter r "test.concurrent_incr");
   check Alcotest.int "every track event kept" 15 (List.length (Telemetry.track_events r))
 
+(* The real binary reports the CPU time it spent before its own code
+   ran as the process.start_us gauge: a --stats counter row and a trace
+   counter event. Both go to stderr and the trace file; stdout and the
+   trace's span nesting are what they are without it. *)
+let cli_process_start () =
+  let d = Test_equiv.tmpdir () in
+  let trace = Filename.concat d "t.json" in
+  let args = [ "../data/ex1.dfg" ] in
+  let code, plain, _ = Test_equiv.synth_capture args in
+  let code', out, err = Test_equiv.synth_capture (args @ [ "--stats"; "--trace"; trace ]) in
+  check Alcotest.(pair int int) "exit codes" (0, 0) (code, code');
+  check Alcotest.string "stdout unchanged by --stats/--trace" plain out;
+  let row =
+    List.find_map
+      (fun line ->
+        match List.map String.trim (String.split_on_char '|' line) with
+        | [ ""; "process.start_us"; v; "" ] -> int_of_string_opt v
+        | _ -> None)
+      (String.split_on_char '\n' err)
+  in
+  (match row with
+  | Some us -> check Alcotest.bool "process.start_us row is positive" true (us > 0)
+  | None -> Alcotest.fail "--stats has no process.start_us row");
+  let json = parse_json (In_channel.with_open_bin trace In_channel.input_all) in
+  Test_equiv.rm_rf d;
+  match field "traceEvents" json with
+  | Some (Jarr events) ->
+    check_b_e_balanced events;
+    check Alcotest.bool "at least 4 spans" true
+      (List.length (List.filter (fun e -> field "ph" e = Some (Jstr "B")) events) >= 4);
+    check Alcotest.bool "process.start_us event is positive" true
+      (List.exists
+         (fun e ->
+           field "name" e = Some (Jstr "process.start_us")
+           && match Option.bind (field "args" e) (field "value") with
+              | Some (Jnum v) -> v > 0.
+              | _ -> false)
+         events)
+  | _ -> Alcotest.fail "no traceEvents array"
+
 let suite =
   [
     case "span nesting and ordering" span_nesting;
@@ -566,4 +606,5 @@ let suite =
     case "clique partition counters" greedy_clique_counters;
     case "flow emits each stage span once" flow_stage_spans;
     case "counters survive concurrent domains" concurrent_domains;
+    case "binary: --stats and --trace report process.start_us" cli_process_start;
   ]
