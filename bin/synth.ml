@@ -1012,58 +1012,61 @@ let verify_cmd =
     valid_format formats format;
     valid_vectors vectors;
     let jobs = cli_jobs c ~width Job.Verify spec flow in
+    (* Each mode reads its own flags; a flag the chosen mode would
+       ignore is a usage error, never a silent no-op. *)
+    let needs flag other = or_die (Error (Printf.sprintf "%s needs %s" flag other)) in
+    if update_golden && golden = None then needs "--update-golden" "--golden DIR";
+    if rtl_file <> None && golden <> None then
+      or_die (Error "--rtl and --golden are exclusive: --golden compares re-emitted RTL");
+    if rtl_file = None then begin
+      if bist_f then needs "--bist" "--rtl FILE";
+      if sessions_f then needs "--sessions" "--rtl FILE"
+    end;
     let mismatches = ref 0 and unparsable = ref 0 in
     let json = format = "json" in
-    let report_text label lines ok_note =
-      if lines = [] then Printf.printf "verify %s: ok%s\n" label ok_note
+    let print_json fields = print_endline (Json.to_string (Json.Obj fields)) in
+    (* One artifact's verdict: an NDJSON object, or a text line with the
+       findings indented under it. *)
+    let report label ?(extra = []) lines ok_note =
+      if lines <> [] then incr mismatches;
+      if json then
+        print_json
+          ([
+             ("artifact", Json.Str label);
+             ("ok", Json.Bool (lines = []));
+             ("findings", Json.Arr (List.map (fun l -> Json.Str l) lines));
+           ]
+          @ extra)
+      else if lines = [] then Printf.printf "verify %s: ok%s\n" label ok_note
       else begin
         Printf.printf "verify %s: MISMATCH\n" label;
         List.iter (fun l -> Printf.printf "  %s\n" l) lines
       end
     in
+    let report_unparsable label diags =
+      incr unparsable;
+      if json then
+        print_json
+          [
+            ("artifact", Json.Str label);
+            ("ok", Json.Bool false);
+            ("unparsable", Json.Bool true);
+            ( "diagnostics",
+              Json.Arr (List.map (fun d -> Json.Str (Diagnostic.to_string d)) diags) );
+          ]
+      else begin
+        Printf.printf "verify %s: UNPARSABLE\n" label;
+        List.iter (fun d -> Printf.printf "  %s\n" (Diagnostic.to_string d)) diags
+      end
+    in
     let emit_report label result =
       match result with
-      | Error diags ->
-        incr unparsable;
-        if json then
-          print_endline
-            (Bistpath_util.Json.to_string
-               (Bistpath_util.Json.Obj
-                  [
-                    ("artifact", Bistpath_util.Json.Str label);
-                    ("ok", Bistpath_util.Json.Bool false);
-                    ("unparsable", Bistpath_util.Json.Bool true);
-                    ( "diagnostics",
-                      Bistpath_util.Json.Arr
-                        (List.map
-                           (fun d -> Bistpath_util.Json.Str (Diagnostic.to_string d))
-                           diags) );
-                  ]))
-        else begin
-          Printf.printf "verify %s: UNPARSABLE\n" label;
-          List.iter
-            (fun d -> Printf.printf "  %s\n" (Diagnostic.to_string d))
-            diags
-        end
+      | Error diags -> report_unparsable label diags
       | Ok (rep : Equiv.report) ->
-        let lines = List.map Equiv.line (Equiv.verdict result) in
-        if lines <> [] then incr mismatches;
-        if json then
-          print_endline
-            (Bistpath_util.Json.to_string
-               (Bistpath_util.Json.Obj
-                  [
-                    ("artifact", Bistpath_util.Json.Str label);
-                    ("ok", Bistpath_util.Json.Bool (lines = []));
-                    ( "findings",
-                      Bistpath_util.Json.Arr
-                        (List.map (fun l -> Bistpath_util.Json.Str l) lines) );
-                    ( "vectors",
-                      Bistpath_util.Json.Num (float_of_int rep.Equiv.vectors_run) );
-                  ]))
-        else
-          report_text label lines
-            (Printf.sprintf " (%d vectors)" rep.Equiv.vectors_run)
+        report label
+          ~extra:[ ("vectors", Json.Num (float_of_int rep.Equiv.vectors_run)) ]
+          (List.map Equiv.line (Equiv.verdict result))
+          (Printf.sprintf " (%d vectors)" rep.Equiv.vectors_run)
     in
     (match (rtl_file, golden) with
     | Some file, _ ->
@@ -1104,29 +1107,29 @@ let verify_cmd =
             Bistpath_util.Atomic_io.mkdir_p dir;
             Out_channel.with_open_bin path (fun oc ->
                 Out_channel.output_string oc current);
-            if not json then Printf.printf "verify %s: updated %s\n" glabel path
+            if json then
+              print_json
+                [
+                  ("artifact", Json.Str glabel);
+                  ("ok", Json.Bool true);
+                  ("updated", Json.Str path);
+                ]
+            else Printf.printf "verify %s: updated %s\n" glabel path
           end
-          else if not (Sys.file_exists path) then begin
-            incr mismatches;
-            report_text glabel
+          else if not (Sys.file_exists path) then
+            report glabel
               [ Printf.sprintf "missing golden file %s (run --update-golden)" path ]
               ""
-          end
           else begin
             let g = In_channel.with_open_bin path In_channel.input_all in
-            if String.equal g current then report_text glabel [] " (byte-identical)"
+            let identical b = [ ("byte_identical", Json.Bool b) ] in
+            if String.equal g current then
+              report glabel ~extra:(identical true) [] " (byte-identical)"
             else
               match Equiv.drift ~golden:g ~current with
-              | Ok [] -> report_text glabel [] " (formatting drift only)"
-              | Ok diffs ->
-                incr mismatches;
-                report_text glabel (List.map (fun d -> "DRIFT " ^ d) diffs) ""
-              | Error diags ->
-                incr unparsable;
-                Printf.printf "verify %s: UNPARSABLE\n" glabel;
-                List.iter
-                  (fun d -> Printf.printf "  %s\n" (Diagnostic.to_string d))
-                  diags
+              | Ok [] -> report glabel ~extra:(identical false) [] " (formatting drift only)"
+              | Ok diffs -> report glabel (List.map (fun d -> "DRIFT " ^ d) diffs) ""
+              | Error diags -> report_unparsable glabel diags
           end)
         jobs
     | None, None ->

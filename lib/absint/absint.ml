@@ -452,8 +452,6 @@ let plan_of_control ~width (dp : Datapath.t) cr =
 
 let narrow_plan ~width dp control = plan_of_control ~width dp (solve_control ~width dp control)
 
-let plan_is_empty p = p.regw = [] && p.unitw = []
-
 let saved_percent p =
   if p.total_bits = 0 then 0.0
   else 100.0 *. float_of_int p.saved_bits /. float_of_int p.total_bits

@@ -129,7 +129,5 @@ val narrow_plan :
     are width-dependent). [Less] units never narrow below 2 bits (the
     1-bit primitive would need a zero-width pad). *)
 
-val plan_is_empty : plan -> bool
-
 val saved_percent : plan -> float
 (** [100 * saved_bits / total_bits] (0 when [total_bits] is 0). *)

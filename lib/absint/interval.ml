@@ -53,9 +53,7 @@ let widen ~width ~old next =
     (old.zeros land next.zeros) (old.ones land next.ones)
 
 let equal a b = a.lo = b.lo && a.hi = b.hi && a.zeros = b.zeros && a.ones = b.ones
-let mem n t = n >= t.lo && n <= t.hi && n land t.zeros = 0 && n land t.ones = t.ones
 let is_const t = if t.lo = t.hi then Some t.lo else None
-let size t = t.hi - t.lo + 1
 let bits t = bits_of t.hi
 
 let to_string t =

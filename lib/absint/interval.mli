@@ -50,10 +50,7 @@ val widen : width:int -> old:t -> t -> t
     dropped — so any ascending chain stabilizes in one step per bound. *)
 
 val equal : t -> t -> bool
-val mem : int -> t -> bool
 val is_const : t -> int option
-val size : t -> int
-(** Number of concrete values admitted by the interval half. *)
 
 val bits : t -> int
 (** Bits needed to represent every admitted value (at least 1). *)

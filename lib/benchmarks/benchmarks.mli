@@ -18,10 +18,6 @@ type instance = {
 val ex1 : unit -> instance
 (** Fig. 2 of the paper: 2 additions on M1, 2 multiplications on M2. *)
 
-val ex2 : unit -> instance
-(** Reconstruction of the DFG taken from Papachristou et al. (DAC '91):
-    module assignment 1/, 2*, 2+, 1&; 5 registers minimum. *)
-
 val tseng1 : unit -> instance
 (** Tseng benchmark, single-function units: 2+, 1*, 1-, 1&, 1|, 1/. *)
 
@@ -37,32 +33,6 @@ val paulin : unit -> instance
 val table1 : unit -> instance list
 (** The five Table I rows in paper order. *)
 
-(** {2 Extension benchmarks} (not in the paper; used by ablations,
-    property tests and timing benches). *)
-
-val fir : taps:int -> instance
-(** Transposed-form FIR filter, [taps] >= 2 multiply-accumulate stages,
-    scheduled by the list scheduler with 2 multipliers and 1 adder. *)
-
-val iir_biquad : unit -> instance
-(** Direct-form-II biquad section: 5 multiplications, 2 additions and 2
-    subtractions. *)
-
-val ewf : unit -> instance
-(** Fifth-order elliptic wave filter (34 operations: 26 additions, 8
-    multiplications), the classic large HLS benchmark, list-scheduled
-    with 2 adders and 1 multiplier. *)
-
-val ar_lattice : unit -> instance
-(** Four-section auto-regressive lattice filter: 8 multiplications and 8
-    additions with the characteristic cross-coupled dependencies,
-    list-scheduled with 2 multipliers and 2 adders. *)
-
-val dct4 : unit -> instance
-(** Four-point DCT butterfly: 6 constant multiplications plus 8
-    additions/subtractions, list-scheduled with 2 multipliers and 2
-    add/sub units. *)
-
 val random :
   Bistpath_util.Prng.t ->
   ops:int ->
@@ -76,9 +46,26 @@ val random :
     rely on. *)
 
 val by_tag : string -> instance option
-(** Look up any of the named instances above ("ex1", "ex2", "Tseng1",
-    "Tseng2", "Paulin", "fir8", "iir", "ewf"), or a parametric
-    ["fir<N>"] tag (N >= 2, e.g. "fir32") for larger stress
-    instances. *)
+(** Look up an instance by tag: the Table I rows above ("ex1", "ex2",
+    "Tseng1", "Tseng2", "Paulin") or an extension benchmark:
+    - ["fir<N>"]: transposed-form FIR filter with N >= 2
+      multiply-accumulate stages, list-scheduled with 2 multipliers and
+      1 adder ("fir8" is the canonical tag, e.g. "fir32" a larger
+      stress instance);
+    - ["iir"]: direct-form-II biquad section, 5 multiplications, 2
+      additions and 2 subtractions;
+    - ["ewf"]: fifth-order elliptic wave filter (34 operations: 26
+      additions, 8 multiplications), the classic large HLS benchmark,
+      list-scheduled with 2 adders and 1 multiplier;
+    - ["ar"]: four-section auto-regressive lattice filter, 8
+      multiplications and 8 additions with the characteristic
+      cross-coupled dependencies, list-scheduled with 2 multipliers and
+      2 adders;
+    - ["dct4"]: four-point DCT butterfly, 6 constant multiplications
+      plus 8 additions/subtractions, list-scheduled with 2 multipliers
+      and 2 add/sub units.
+
+    "ex2" reconstructs the DFG taken from Papachristou et al. (DAC '91):
+    module assignment 1/, 2*, 2+, 1&; 5 registers minimum. *)
 
 val all_tags : string list

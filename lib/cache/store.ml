@@ -16,8 +16,6 @@ let open_ ?max_mb ~dir () =
   mkdir_p (objects_dir t);
   t
 
-let dir t = t.dir
-
 (* Keys are MD5 hex digests produced in-process; anything else (a
    corrupted journal replay, a hand-edited spec) must not be able to
    name a path outside the objects tree. *)

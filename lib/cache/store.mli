@@ -43,8 +43,6 @@ val open_ : ?max_mb:int -> dir:string -> unit -> t
     omitted = unbounded. Raises [Sys_error] when the directory cannot
     be created — callers degrade to running uncached. *)
 
-val dir : t -> string
-
 val find : t -> stage:string -> key:string -> string option
 (** Payload stored under [key], or [None] on a missing, corrupt
     (deleted on sight) or unreadable entry. Touches the entry's mtime

@@ -179,8 +179,6 @@ val analyze :
 val errors : report -> int
 (** Active findings with severity [Error]. *)
 
-val warnings : report -> int
-
 val to_text : report -> string
 (** Human-readable report: a summary line, one indented line per
     finding, suppressed findings listed separately. *)

@@ -159,15 +159,6 @@ let of_classes ctx classes =
     classes;
   t
 
-let check_module ctx ~mid ~classes =
-  match Sharing.unit_index ctx mid with
-  | Some u -> verdict (of_classes ctx classes) u
-  | None -> { mid; case_i = []; case_ii = [] }
-
 let verdicts ctx ~classes =
   let t = of_classes ctx classes in
   List.init (Array.length ctx.Sharing.unit_ids) (verdict t)
-
-let any_forced ctx ~classes = List.exists forced (verdicts ctx ~classes)
-
-let min_cbilbo_count ctx ~classes = min_count (of_classes ctx classes)

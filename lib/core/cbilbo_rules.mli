@@ -12,7 +12,10 @@
     commutative, minimum interconnect). In this repository it serves as
     the allocator's {e predictive} check — it runs during coloring, when
     no data path exists yet — while the exact post-interconnect ground
-    truth is {!Bistpath_ipath.Ipath.cbilbo_unavoidable}. Measured
+    truth is whether every embedding of the unit
+    ({!Bistpath_ipath.Ipath.embeddings}) requires a CBILBO
+    ({!Bistpath_ipath.Ipath.requires_cbilbo}), the fact the BIST check
+    rules read. Measured
     against that ground truth on randomly generated designs (see
     test_cbilbo), the prediction has perfect precision and ~90% recall
     on all-commutative units; rare escapes occur when minimum-connection
@@ -28,29 +31,14 @@ type verdict = {
   case_ii : (string * string) list;  (** (Rx, Ry) pairs triggering case (ii) *)
 }
 
-val check_module :
-  Sharing.ctx -> mid:string -> classes:(string * string list) list -> verdict
-(** Evaluate Lemma 2 for one module against a (possibly partial) register
-    assignment given as register-id/variable-list classes. The classes
-    must be disjoint; names outside the design are ignored. *)
-
 val verdicts : Sharing.ctx -> classes:(string * string list) list -> verdict list
-(** {!check_module} for every unit, in {!Sharing.units} order, counting
-    the classes once. *)
+(** Evaluate Lemma 2 for every unit, in {!Sharing.units} order, against
+    a (possibly partial) register assignment given as
+    register-id/variable-list classes. The classes must be disjoint;
+    names outside the design are ignored. *)
 
 val forced : verdict -> bool
 (** Does the verdict force a CBILBO for this module? *)
-
-val any_forced : Sharing.ctx -> classes:(string * string list) list -> bool
-(** Does any module end up with a forced CBILBO under this assignment? *)
-
-val min_cbilbo_count : Sharing.ctx -> classes:(string * string list) list -> int
-(** Lower bound on CBILBOs implied by the lemma: number of modules with a
-    forced verdict, collapsed by shared registers (one CBILBO register
-    can cover several modules' forced situations when the same register
-    triggers each of them). The cover commits, at each step, the register
-    offered by the most remaining modules, the first in string order
-    ("R10" < "R2") on a tie. *)
 
 (** {1 Live counters}
 
@@ -73,8 +61,14 @@ val add : t -> int -> int -> unit
     register [i]. The variable must not already be in a register. *)
 
 val min_count : t -> int
-(** {!min_cbilbo_count} of the current assignment. The per-module
-    verdicts are kept until the next {!open_register} or {!add}. *)
+(** Lower bound on CBILBOs implied by the lemma for the current
+    assignment: number of modules with a forced verdict, collapsed by
+    shared registers (one CBILBO register can cover several modules'
+    forced situations when the same register triggers each of them).
+    The cover commits, at each step, the register offered by the most
+    remaining modules, the first in string order ("R10" < "R2") on a
+    tie. The per-module verdicts are kept until the next
+    {!open_register} or {!add}. *)
 
 val min_count_with : t -> int -> int -> int
 (** [min_count_with t i v] is {!min_count} as if [add t i v] had been

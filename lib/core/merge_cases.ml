@@ -29,10 +29,3 @@ let classify ctx u v =
   else if cs then Common_source
   else if common su dv || common sv du then Source_is_dest
   else Disjoint
-
-let mux_delta_estimate = function
-  | Disjoint -> 1
-  | Source_is_dest -> 1
-  | Common_dest -> 0
-  | Common_source -> 0
-  | Common_both -> -1

@@ -18,11 +18,3 @@ val classify : Sharing.ctx -> string -> string -> case
 (** Classify the merge of two variables by their producing/consuming
     units. Primary inputs have no source unit; primary outputs no
     destination unit — absence never counts as "common". *)
-
-val mux_delta_estimate : case -> int
-(** Expected change in 2:1-multiplexer inputs when the merge happens
-    (negative = saving) on a minimal pure scenario: cases 1 and 2 cost
-    one mux input, case 5 saves one, cases 3 and 4 are neutral — case 2
-    additionally creates a register->unit->register self-loop (the
-    CBILBO hazard). The Fig. 6 bench checks these values empirically on
-    constructed data paths. *)

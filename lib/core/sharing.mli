@@ -8,7 +8,7 @@
     and numbers both sides densely: units (modules with at least one
     instance) by their sorted id, variables by {!Bistpath_dfg.Dfg.variables}
     order. A set of units is an [int] bit mask (bit [u] = unit [u]), so a
-    design may use at most {!max_units} units. *)
+    design may use at most 63 units. *)
 
 type ctx = private {
   unit_ids : string array;  (** unit index -> module id, sorted *)
@@ -32,20 +32,14 @@ type ctx = private {
   outs : Bistpath_dfg.Dfg.Sset.t array;  (** per unit: O_M *)
 }
 
-val max_units : int
-(** Units a mask can hold: [Sys.int_size]. *)
-
 val make : Bistpath_dfg.Dfg.t -> Bistpath_dfg.Massign.t -> ctx
-(** Raises [Invalid_argument] when more than {!max_units} units have
-    instances. *)
+(** Raises [Invalid_argument] when more than 63 units have instances. *)
 
 val popcount : int -> int
 (** Number of units in a mask. *)
 
 val units : ctx -> string list
 (** Module ids with at least one instance, sorted. *)
-
-val unit_index : ctx -> string -> int option
 
 val var_index : ctx -> string -> int option
 

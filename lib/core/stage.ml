@@ -2,8 +2,6 @@ module Json = Bistpath_util.Json
 
 type t = Schedule | Alloc | Interconnect | Bist | Rtl | Report
 
-let all = [ Schedule; Alloc; Interconnect; Bist; Rtl; Report ]
-
 let name = function
   | Schedule -> "schedule"
   | Alloc -> "alloc"
@@ -23,14 +21,6 @@ let schema_version = function
   | Bist -> 1
   | Rtl -> 1
   | Report -> 1
-
-let deps = function
-  | Schedule -> []
-  | Alloc -> [ Schedule ]
-  | Interconnect -> [ Schedule; Alloc ]
-  | Bist -> [ Interconnect ]
-  | Rtl -> [ Bist ]
-  | Report -> [ Bist ]
 
 let key stage ~inputs =
   Digest.to_hex

@@ -44,21 +44,10 @@
 
 type t = Schedule | Alloc | Interconnect | Bist | Rtl | Report
 
-val all : t list
-(** Topological order. *)
-
 val name : t -> string
 (** ["schedule"], ["alloc"], ["interconnect"], ["bist"], ["rtl"],
     ["report"] — the names used in cache entry headers and in the
     per-stage [cache.hit.<stage>] / [cache.miss.<stage>] counters. *)
-
-val schema_version : t -> int
-(** Hashed into every key; bump on any payload-encoding or semantic
-    change so stale entries miss instead of decoding wrongly. *)
-
-val deps : t -> t list
-(** Direct dependencies ([Rtl]/[Report] list [Bist], transitively the
-    whole flow). *)
 
 val key : t -> inputs:Bistpath_util.Json.t -> string
 (** MD5 hex digest of the canonical encoding of

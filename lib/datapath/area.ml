@@ -54,9 +54,6 @@ let unit_gates m ~width (u : Massign.hw) =
   | kinds ->
     (m.alu_base_per_bit + (m.alu_per_kind_per_bit * List.length kinds)) * width
 
-let mux_gates m ~width ~inputs =
-  if inputs <= 1 then 0 else m.mux2_per_bit * width * (inputs - 1)
-
 let functional_gates m ~width (dp : Datapath.t) =
   let regs = List.length dp.regs * register_gates m ~width in
   let units =

@@ -31,9 +31,6 @@ val register_gates : model -> width:int -> int
 
 val unit_gates : model -> width:int -> Bistpath_dfg.Massign.hw -> int
 
-val mux_gates : model -> width:int -> inputs:int -> int
-(** A k:1 multiplexer as (k-1) 2:1 slices; 0 for k <= 1. *)
-
 val functional_gates : model -> width:int -> Datapath.t -> int
 (** Registers (including dedicated ones) + units + multiplexers, before
     any BIST modification: the overhead denominator. *)

@@ -127,22 +127,3 @@ let activity t mid =
     (fun s ->
       List.filter_map (fun o -> if String.equal o.mid mid then Some (s.index, o) else None) s.ops)
     t.steps
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>";
-  List.iter
-    (fun s ->
-      if s.ops <> [] || s.writes <> [] then begin
-        Format.fprintf ppf "step %d:@," s.index;
-        List.iter
-          (fun o ->
-            Format.fprintf ppf "  %s runs %s (L=%d R=%d F=%d)@," o.mid o.opid o.l_select
-              o.r_select o.f_select)
-          s.ops;
-        List.iter
-          (fun w ->
-            Format.fprintf ppf "  %s <= source %d (%s)@," w.rid w.source_index w.variable)
-          s.writes
-      end)
-    t.steps;
-  Format.fprintf ppf "@]"

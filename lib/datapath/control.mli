@@ -50,5 +50,3 @@ val write_schedule : t -> string -> (int * int) list
 
 val activity : t -> string -> (int * unit_op) list
 (** [(step, operation)] of every step a unit runs in, by step. *)
-
-val pp : Format.formatter -> t -> unit

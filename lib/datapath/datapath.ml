@@ -94,11 +94,6 @@ let build dfg massign regalloc ~policy ~swap =
   in
   { dfg; massign; regs; routes; reg_writers = List.map writers_of regs; outputs }
 
-let reg_by_id t rid =
-  match List.find_opt (fun r -> String.equal r.rid rid) t.regs with
-  | Some r -> r
-  | None -> raise Not_found
-
 let routes_of_unit t mid =
   List.filter
     (fun r ->

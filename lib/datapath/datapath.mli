@@ -48,9 +48,6 @@ val build :
     [Invalid_argument] if the register assignment does not cover the DFG
     ({!Regalloc.is_valid_for}). *)
 
-val reg_by_id : t -> string -> reg
-(** Raises [Not_found]. *)
-
 val unit_port_sources : t -> string -> string list * string list
 (** Distinct registers feeding the (left, right) ports of a unit, each
     list sorted. *)

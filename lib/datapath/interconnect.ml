@@ -5,10 +5,6 @@ module Telemetry = Bistpath_telemetry.Telemetry
 
 type objective = { weight : string -> int }
 
-let lr_registers dp mid =
-  let l, r = Datapath.unit_port_sources dp mid in
-  List.filter (fun x -> List.mem x r) l
-
 (* Register feeding each operand of an instance, without building the
    data path: mirrors Datapath.build's reg_of_var. *)
 let operand_regs regalloc policy (op : Op.t) =

@@ -27,6 +27,3 @@ val optimize :
     2^instances each, instances are small). Primary objective: fewest
     total connections; tie-break: largest summed [weight] over registers
     in IR^LR; final tie-break: no swaps preferred. *)
-
-val lr_registers : Datapath.t -> string -> string list
-(** IR^LR of a unit: registers feeding both its ports. *)

@@ -45,8 +45,6 @@ let clock_levels ~width (dp : Datapath.t) =
 
 let schedule_latency (dp : Datapath.t) = Dfg.num_csteps dp.Datapath.dfg + 1
 
-let execution_levels ~width dp = clock_levels ~width dp * schedule_latency dp
-
 type test_time = {
   sessions : int;
   patterns_per_session : int;

@@ -20,9 +20,6 @@ val clock_levels : width:int -> Datapath.t -> int
 val schedule_latency : Datapath.t -> int
 (** Control steps per execution, including the input-load step. *)
 
-val execution_levels : width:int -> Datapath.t -> int
-(** latency x clock: total gate levels per DFG execution. *)
-
 type test_time = {
   sessions : int;
   patterns_per_session : int;

@@ -26,8 +26,8 @@ val make :
     missing or non-positive schedule entry, an operation scheduled no
     later than one of its producers, an output variable that does not
     exist, or an output that is a primary input no operation reads (no
-    register would hold it). (The message is the first diagnostic of
-    {!diagnostics}.) *)
+    register would hold it). (The message is the first diagnostic
+    {!make_diags} reports.) *)
 
 type lines = {
   op_lines : int list;  (** source line of each operation, in [ops] order *)
@@ -48,15 +48,10 @@ val make_diags :
   (t, Bistpath_resilience.Diagnostic.t list) result
 (** Like {!make} but accumulating: [Error] carries every violation found
     (capped at [max_errors],
-    {!Bistpath_resilience.Diagnostic.default_max_errors} by default)
+    20 by default)
     instead of raising on the first. With [lines], each diagnostic
     carries the line of the operation or output declaration it names;
     a duplicate id or result, that of the operation repeating it. *)
-
-val diagnostics :
-  ?max_errors:int -> ?lines:lines -> t -> Bistpath_resilience.Diagnostic.t list
-(** All validation violations of an already-built value, in the order
-    {!make} checks them; empty iff the DFG is valid. *)
 
 val num_csteps : t -> int
 (** Largest control step used. *)

@@ -37,7 +37,3 @@ let run dfg ~width ~inputs =
   dfg.Dfg.outputs
   |> List.map (fun v -> (v, Hashtbl.find env v))
   |> List.sort compare
-
-let run_all dfg ~width ~inputs =
-  let env = eval_all dfg ~width ~inputs in
-  Hashtbl.fold (fun v x acc -> (v, x) :: acc) env [] |> List.sort compare

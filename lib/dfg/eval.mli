@@ -7,7 +7,3 @@ val run :
     words; returns the value of every primary output (sorted by name).
     Raises [Invalid_argument] if an input binding is missing or an
     unknown input is supplied. *)
-
-val run_all :
-  Dfg.t -> width:int -> inputs:(string * int) list -> (string * int) list
-(** Like {!run} but returns the value of every variable. *)

@@ -22,23 +22,17 @@
     directive). Common subexpressions are shared (hash-consing), and
     every intermediate node gets a fresh [tN] variable. *)
 
-val parse_diags :
-  name:string ->
-  ?max_errors:int ->
-  string ->
-  (Scheduler.problem, Bistpath_resilience.Diagnostic.t list) result
-(** Compile to an unscheduled problem. A bad statement is reported
-    (with its line number) and skipped rather than aborting, so one run
-    surfaces every problem in the text, capped at [max_errors]
-    ({!Bistpath_resilience.Diagnostic.default_max_errors} by default). *)
-
 val compile_diags :
   name:string ->
   ?resources:(Op.kind * int) list ->
   ?max_errors:int ->
   string ->
   (Dfg.t, Bistpath_resilience.Diagnostic.t list) result
-(** {!parse_diags} followed by resource-constrained list scheduling
-    (default: unconstrained — every operation as early as possible).
+(** Compile to an unscheduled problem, then schedule it by
+    resource-constrained list scheduling (default: unconstrained —
+    every operation as early as possible). A bad statement is reported
+    (with its line number) and skipped rather than aborting, so one run
+    surfaces every problem in the text, capped at [max_errors] (20 by
+    default).
     The error is the parse diagnostics, or — when parsing succeeded —
     every DFG validation violation ({!Dfg.make_diags}). *)

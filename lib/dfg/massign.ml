@@ -64,21 +64,6 @@ let instances t dfg mid =
 
 let temporal_multiplicity t dfg mid = List.length (instances t dfg mid)
 
-let input_variable_set t dfg mid =
-  List.fold_left
-    (fun set (op : Op.t) -> Dfg.Sset.add op.left (Dfg.Sset.add op.right set))
-    Dfg.Sset.empty (instances t dfg mid)
-
-let output_variable_set t dfg mid =
-  List.fold_left
-    (fun set (op : Op.t) -> Dfg.Sset.add op.out set)
-    Dfg.Sset.empty (instances t dfg mid)
-
-let instance_operands t dfg mid =
-  List.map
-    (fun (op : Op.t) -> Dfg.Sset.of_list [ op.left; op.right ])
-    (instances t dfg mid)
-
 let describe t dfg =
   let capability u =
     match u.kinds with
@@ -90,20 +75,3 @@ let describe t dfg =
   Bistpath_util.Listx.group_by (fun c -> c) caps
   |> List.map (fun (c, l) -> Printf.sprintf "%d%s" (List.length l) c)
   |> String.concat ", "
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>";
-  List.iter
-    (fun u ->
-      let ops =
-        Dfg.Smap.fold
-          (fun op mid acc -> if String.equal mid u.mid then op :: acc else acc)
-          t.of_op []
-        |> List.sort compare
-      in
-      Format.fprintf ppf "%s (%s): {%s}@,"
-        u.mid
-        (String.concat "," (List.map Op.symbol u.kinds))
-        (String.concat ", " ops))
-    t.units;
-  Format.fprintf ppf "@]"

@@ -28,18 +28,6 @@ val instances : t -> Dfg.t -> string -> Op.t list
 val temporal_multiplicity : t -> Dfg.t -> string -> int
 (** Definition 2: TM(M) = number of operations mapped onto M. *)
 
-val input_variable_set : t -> Dfg.t -> string -> Dfg.Sset.t
-(** Definition 3: I_M, all operand variables over all instances of M. *)
-
-val output_variable_set : t -> Dfg.t -> string -> Dfg.Sset.t
-(** Definition 3: O_M, all result variables over all instances of M. *)
-
-val instance_operands : t -> Dfg.t -> string -> Dfg.Sset.t list
-(** Per-instance operand sets I_M^j in schedule order (used by Lemma 2,
-    which quantifies over instances). *)
-
 val describe : t -> Dfg.t -> string
 (** Short summary like "1+, 2*, 1-" (Table I's "Module Assignment"
     column): counts of units by capability. *)
-
-val pp : Format.formatter -> t -> unit

@@ -22,8 +22,6 @@ val eval : kind -> width:int -> int -> int -> int
     restoring divider's natural output). Shared by the behavioural DFG
     evaluator, the data-path interpreter and the gate-level library. *)
 
-val pp_kind : Format.formatter -> kind -> unit
-
 type t = {
   id : string;  (** unique operation name, e.g. "+1" *)
   kind : kind;

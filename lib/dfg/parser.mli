@@ -27,7 +27,7 @@ val parse_string_diags :
 (** Accumulating parse: a malformed line is reported (with its line
     number) and skipped rather than aborting, so one run surfaces every
     problem in the file, capped at [max_errors]
-    ({!Bistpath_resilience.Diagnostic.default_max_errors} by default).
+    (20 by default, the CLI's [--max-errors] default).
     The returned pieces cover every line that did parse; they are only
     meaningful when the diagnostic list carries no error. *)
 

@@ -73,7 +73,4 @@ val grade :
     every output on the live lanes. The gates evaluated in faulty
     passes are counted in [bist_sim.gate_evals]. *)
 
-val overall_coverage : report -> float
-(** Fault-weighted mean coverage across units. *)
-
 val pp : Format.formatter -> report -> unit

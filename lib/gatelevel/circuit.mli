@@ -26,10 +26,8 @@ module Builder : sig
 
   val create : string -> b
 
-  val input : b -> int
-  (** Fresh primary-input net. *)
-
   val inputs : b -> int -> int list
+  (** [k] fresh primary-input nets. *)
 
   val gate : b -> kind -> int list -> int
   (** Emit a gate over existing nets; returns its output net. *)

@@ -71,5 +71,3 @@ let collapsed c =
     (all c)
 
 let stuck f = (f.net, match f.polarity with Stuck_at_0 -> 0L | Stuck_at_1 -> -1L)
-
-let inject c f input_words = Sim.eval_nets ~stuck:(stuck f) c input_words

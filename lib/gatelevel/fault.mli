@@ -6,9 +6,6 @@ type t = { net : int; polarity : polarity }
 
 val pp : Format.formatter -> t -> unit
 
-val all : Circuit.t -> t list
-(** Both polarities on every net. *)
-
 val collapsed : Circuit.t -> t list
 (** Structural equivalence collapsing: along inverter and buffer chains,
     the input faults dominate the output faults (s-a-v on a BUF input is
@@ -21,9 +18,5 @@ val collapsed : Circuit.t -> t list
     list's) and typically 40-60%% of [all]. *)
 
 val stuck : t -> int * int64
-(** The fault as {!Sim.eval_chunk}'s [~stuck] argument: its net and the
+(** The fault as {!Sim.eval_nets}'s [~stuck] argument: its net and the
     word it is forced to. *)
-
-val inject : Circuit.t -> t -> int64 array -> int64 array
-(** Net values under the fault, given fault-free input words:
-    {!Sim.eval_nets} with the faulty net forced. *)

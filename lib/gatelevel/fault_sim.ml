@@ -70,8 +70,3 @@ let run_operand_patterns ?budget c ~width ~faults ~patterns =
   let bits_of v = List.init width (fun i -> (v lsr i) land 1) in
   let vectors = List.map (fun (a, b) -> bits_of a @ bits_of b) patterns in
   run ?budget c ~faults ~patterns:vectors
-
-let random_operand_patterns rng ~width ~count =
-  let bound = 1 lsl width in
-  List.init count (fun _ ->
-      (Bistpath_util.Prng.int rng bound, Bistpath_util.Prng.int rng bound))

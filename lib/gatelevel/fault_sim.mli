@@ -38,7 +38,3 @@ val run_operand_patterns :
     of [width]-bit operand values. Raises [Invalid_argument] if the
     circuit has other than 2*width inputs (drive ALU select lines
     yourself via {!run}). *)
-
-val random_operand_patterns :
-  Bistpath_util.Prng.t -> width:int -> count:int -> (int * int) list
-(** Uniform random operand pairs, for baseline comparisons. *)

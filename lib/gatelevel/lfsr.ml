@@ -44,17 +44,11 @@ let create ~width ~seed =
   if s = 0 then invalid_arg "Lfsr.create: seed must be non-zero";
   { w = width; taps; s }
 
-let width t = t.w
-
-let state t = t.s
-
 let step t =
   let fb =
     List.fold_left (fun acc tap -> acc lxor ((t.s lsr (tap - 1)) land 1)) 0 t.taps
   in
   t.s <- ((t.s lsl 1) lor fb) land ((1 lsl t.w) - 1);
   t.s
-
-let patterns t n = List.init n (fun _ -> step t)
 
 let period ~width = (1 lsl width) - 1

@@ -13,16 +13,8 @@ val primitive_taps : int -> int list
 val create : width:int -> seed:int -> t
 (** Non-zero seed required (an all-zero LFSR is stuck). *)
 
-val width : t -> int
-
-val state : t -> int
-(** Current register contents, low [width] bits. *)
-
 val step : t -> int
 (** Advance one clock; returns the new state. *)
-
-val patterns : t -> int -> int list
-(** The next [n] states (advancing the generator). *)
 
 val period : width:int -> int
 (** 2^width - 1. *)

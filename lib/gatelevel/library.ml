@@ -239,5 +239,3 @@ let alu kinds ~width =
   in
   List.iter (B.output b) combined;
   B.finish b
-
-let behavioural = Op.eval

@@ -6,26 +6,8 @@
     [Bistpath_datapath.Area] abstracts, and the fault-simulation targets
     of the BIST coverage experiments. *)
 
-val ripple_adder : width:int -> Circuit.t
-(** a + b; outputs width sum bits then carry-out. *)
-
-val subtractor : width:int -> Circuit.t
-(** a - b (two's complement); outputs width bits then borrow-out. *)
-
 val array_multiplier : width:int -> Circuit.t
 (** a * b mod 2^width (the datapath truncates to register width). *)
-
-val logic_unit : Circuit.kind -> width:int -> Circuit.t
-(** Bitwise And/Or/Xor of the two operands. Raises [Invalid_argument]
-    for non-bitwise kinds. *)
-
-val comparator_less : width:int -> Circuit.t
-(** Unsigned a < b; single output bit. *)
-
-val array_divider : width:int -> Circuit.t
-(** Unsigned restoring array divider: a / b; outputs width quotient bits.
-    Division by zero yields all-ones (the restoring array's natural
-    result with the defined cell behaviour). *)
 
 val alu : Bistpath_dfg.Op.kind list -> width:int -> Circuit.t
 (** Multifunction unit: all listed operations computed in parallel, a
@@ -33,8 +15,9 @@ val alu : Bistpath_dfg.Op.kind list -> width:int -> Circuit.t
     kind in list order) muxes the result. *)
 
 val of_kind : Bistpath_dfg.Op.kind -> width:int -> Circuit.t
-(** The single-function circuit for an operation kind. *)
-
-val behavioural : Bistpath_dfg.Op.kind -> width:int -> int -> int -> int
-(** Reference semantics ((a op b) mod 2^width, Less gives 0/1, division
-    by zero gives 2^width - 1) used by tests to validate the circuits. *)
+(** The single-function circuit for an operation kind: a ripple-carry
+    adder (width sum bits, then carry-out), a two's-complement
+    subtractor (width bits, then borrow-out), {!array_multiplier}, an
+    unsigned restoring array divider (width quotient bits; division by
+    zero yields all ones, the array's natural result), a bitwise
+    And/Or/Xor, or an unsigned [a < b] comparator (one output bit). *)

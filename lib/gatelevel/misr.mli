@@ -4,27 +4,12 @@
 
     The register is linear over GF(2): from the zero state, the
     signature of the XOR of two equally long response sequences is the
-    XOR of their signatures ([run (a xor b) = run a xor run b]). So a
-    faulty signature equals the fault-free one exactly when the error
-    sequence (faulty XOR fault-free responses) has signature 0, which
-    is how {!Bist_sim.grade} decides aliasing. *)
-
-type t
-
-val create : width:int -> t
-(** Starts at the all-zero signature. *)
-
-val absorb : t -> int -> unit
-(** Clock once with the given response word. *)
+    XOR of their signatures. So a faulty signature equals the fault-free
+    one exactly when the error sequence (faulty XOR fault-free
+    responses) has signature 0, which is how {!Bist_sim} decides
+    aliasing. *)
 
 val clock : width:int -> int -> int -> int
 (** [clock ~width s word] is the state one clock after state [s] with
-    response [word]: {!absorb} as a function of the state. *)
-
-val signature : t -> int
-
-val run : width:int -> int list -> int
-(** Signature of a whole response sequence. *)
-
-val aliasing_probability : width:int -> float
-(** The classical 2^-width steady-state aliasing estimate. *)
+    response [word]; folding it over a response sequence from state 0
+    gives the sequence's signature. *)

@@ -278,19 +278,6 @@ let search ~max_backtracks ~budget st =
     Bistpath_telemetry.Telemetry.incr "podem.aborts";
     Aborted
 
-let generate ?(max_backtracks = 10_000) ?(budget = Budget.unlimited) c fault =
-  search ~max_backtracks ~budget (prepare c fault)
-
-let verify c fault vector =
-  if List.length vector <> List.length c.Circuit.inputs then
-    invalid_arg "Podem.verify: vector arity mismatch";
-  let words = Array.of_list (List.map (fun b -> if b <> 0 then -1L else 0L) vector) in
-  let good = Sim.eval c words in
-  let faulty = Fault.inject c fault words in
-  List.exists2
-    (fun o g -> not (Int64.equal faulty.(o) g))
-    c.Circuit.outputs (Array.to_list good)
-
 let classify_all ?(max_backtracks = 10_000) ?(budget = Budget.unlimited) c =
   let state = prepare c in
   let faults = Fault.collapsed c in

@@ -8,26 +8,6 @@
     detects it), which the tests cross-check against exhaustive fault
     simulation on small circuits. *)
 
-type result =
-  | Test of int list
-      (** one bit per primary input in port order; don't-cares are 0 *)
-  | Untestable  (** proven redundant *)
-  | Aborted  (** backtrack budget exhausted *)
-
-val generate :
-  ?max_backtracks:int ->
-  ?budget:Bistpath_resilience.Budget.t ->
-  Circuit.t -> Fault.t -> result
-(** Default budget 10_000 backtracks. A [budget]
-    ({!Bistpath_resilience.Budget}) whose token trips mid-search aborts
-    exactly like the backtrack quota — the fault is reported [Aborted],
-    never misclassified as [Untestable]; each backtrack also counts one
-    budget node. *)
-
-val verify : Circuit.t -> Fault.t -> int list -> bool
-(** Does the vector actually detect the fault (differing primary
-    outputs)? Used to validate {!generate}'s answers. *)
-
 type classification = {
   tested : (Fault.t * int list) list;  (** fault with a verified vector *)
   untestable : Fault.t list;
@@ -43,6 +23,11 @@ val classify_all :
   Circuit.t -> classification
 (** Run PODEM on every collapsed fault of the circuit, in fault order.
     SCOAP and the net-to-driver table are built once for the circuit
-    and shared by every fault. Under a [budget], the generation in
-    flight when the token trips aborts ([aborted]) and the faults after
-    it are abandoned ([skipped]). *)
+    and shared by every fault. A fault's search stops after
+    [max_backtracks] backtracks (default 10_000) and the fault is
+    reported [aborted], never [untestable]; each backtrack also counts
+    one [budget] node. Under a [budget]
+    ({!Bistpath_resilience.Budget}), the generation in flight when the
+    token trips aborts the same way and the faults after it are
+    abandoned ([skipped]). Vectors hold one bit per primary input in
+    port order; don't-cares are 0. *)

@@ -293,32 +293,3 @@ let eval_nets ?stuck c input_words =
   let buf = nets k in
   eval_chunk k buf ?stuck input_words;
   Array.init k.num_nets (A1.get buf)
-
-let eval c input_words =
-  let nets = eval_nets c input_words in
-  Array.of_list (List.map (fun n -> nets.(n)) c.Circuit.outputs)
-
-let eval_ints c bits =
-  let words =
-    Array.of_list (List.map (fun bit -> if bit <> 0 then -1L else 0L) bits)
-  in
-  let outs = eval c words in
-  Array.to_list (Array.map (fun w -> if Int64.logand w 1L = 1L then 1 else 0) outs)
-
-let eval_words c ~width operands =
-  let bits_of v = List.init width (fun i -> (v lsr i) land 1) in
-  let in_bits = List.concat_map bits_of operands in
-  if List.length in_bits <> List.length c.Circuit.inputs then
-    invalid_arg "Sim.eval_words: operand count does not match circuit inputs";
-  let out_bits = eval_ints c in_bits in
-  let rec drop n l = if n = 0 then l else match l with [] -> [] | _ :: t -> drop (n - 1) t in
-  let rec group = function
-    | [] -> []
-    | bits ->
-      let chunk = Bistpath_util.Listx.take width bits in
-      let value =
-        snd (List.fold_left (fun (i, acc) b -> (i + 1, acc lor (b lsl i))) (0, 0) chunk)
-      in
-      value :: group (drop (List.length chunk) bits)
-  in
-  group out_bits

@@ -149,8 +149,6 @@ let is_peo (g : Ugraph.t) order =
   in
   (not (List.mem (-1) idx)) && perfect g (elim g (Array.of_list idx))
 
-let mcs_order (g : Ugraph.t) = Array.to_list (Array.map (fun i -> g.labels.(i)) (mcs g))
-
 let is_chordal g = perfect g (elim g (rev (mcs g)))
 
 (* The reverse MCS order of a chordal graph, checked. *)
@@ -213,29 +211,8 @@ let peo_with_preference (g : Ugraph.t) ~key =
   go [] 0
 
 (* Along a PEO the candidate cliques are C(v) = {v} + later neighbours
-   of v. C(v) is not maximal iff some w has parent v and one more later
-   neighbour than v (then C(w) = {w} + C(v)). *)
-let maximal_cliques (g : Ugraph.t) =
-  let e = chordal_elim g in
-  let n = Array.length e.order in
-  let maximal = Array.make n true in
-  Array.iteri
-    (fun w p -> if p >= 0 && e.later.(w) = e.later.(p) + 1 then maximal.(p) <- false)
-    e.parent;
-  let clique v =
-    Array.fold_left
-      (fun s u -> if e.pos.(u) > e.pos.(v) then Iset.add g.labels.(u) s else s)
-      (Iset.singleton g.labels.(v)) g.adj.(v)
-  in
-  List.filter_map
-    (fun v -> if maximal.(v) then Some (clique v) else None)
-    (List.init n Fun.id)
-  |> List.map (fun c -> (Iset.elements c, c))
-  |> List.sort (fun (a, _) (b, _) -> List.compare Int.compare a b)
-  |> List.map snd
-
-(* Every clique lies in some C(v), so a vertex's largest clique is the
-   largest C(v) containing it. *)
+   of v. Every clique lies in some C(v), so a vertex's largest clique is
+   the largest C(v) containing it. *)
 let max_clique_size_per_vertex (g : Ugraph.t) =
   let e = chordal_elim g in
   let best = Array.make (Array.length e.order) 1 in

@@ -1,16 +1,16 @@
 (** Chordal-graph machinery: perfect elimination orderings (the paper's
-    "perfect vertex elimination schemes", PVES), chordality testing,
-    maximal cliques, and per-vertex maximum clique sizes.
+    "perfect vertex elimination schemes", PVES), chordality testing and
+    per-vertex maximum clique sizes.
 
     Variable conflict graphs of scheduled DFGs without loops or mutual
     exclusion are interval graphs, hence chordal, so every algorithm here
     is exact and polynomial on them.
 
     Every function runs over the graph's int-indexed view
-    ({!Ugraph.t}) and never removes a vertex: [mcs_order] is one
-    maximum cardinality search with a heap, O((n + m) log n), and
-    [is_peo], [is_chordal], [maximal_cliques], [clique_number] and
-    [max_clique_size_per_vertex] then read one elimination order and
+    ({!Ugraph.t}) and never removes a vertex: a maximum cardinality
+    search with a heap takes O((n + m) log n), and [is_peo],
+    [is_chordal], [clique_number] and [max_clique_size_per_vertex] then
+    read one elimination order and
     each vertex's later neighbours, O(n + m) more (Tarjan & Yannakakis
     1984). *)
 
@@ -18,11 +18,6 @@ val is_peo : Ugraph.t -> int list -> bool
 (** [is_peo g order] checks that [order] is a perfect elimination ordering:
     each vertex is simplicial in the subgraph induced by itself and the
     vertices after it, and [order] enumerates all vertices exactly once. *)
-
-val mcs_order : Ugraph.t -> int list
-(** Maximum cardinality search: each step visits the unvisited vertex with
-    the most visited neighbours, the smallest such vertex on ties. The
-    returned order, reversed, is a PEO iff the graph is chordal. *)
 
 val is_chordal : Ugraph.t -> bool
 
@@ -36,11 +31,6 @@ val peo_with_preference : Ugraph.t -> key:(int -> 'k) -> int list
     neighbour. A graph with n vertices and m edges takes O(n log n)
     comparisons of keys plus O(m n / 32) time. Raises [Failure] if the
     graph is not chordal (no simplicial vertex at some step). *)
-
-val maximal_cliques : Ugraph.t -> Ugraph.Iset.t list
-(** All maximal cliques of a chordal graph, each exactly once, via a PEO,
-    sorted by their element lists. Raises [Failure] if the graph is not
-    chordal. *)
 
 val max_clique_size_per_vertex : Ugraph.t -> (int * int) list
 (** [MCS(v)] of the paper: for each vertex, the size of the largest clique

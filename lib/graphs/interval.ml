@@ -23,11 +23,3 @@ let graph spans =
       ([], []) by_birth
   in
   Ugraph.of_edges ~vertices:labels edges
-
-let random rng ~n ~horizon =
-  List.map
-    (fun i ->
-      let birth = Bistpath_util.Prng.int rng horizon in
-      let len = 1 + Bistpath_util.Prng.int rng (max 1 (horizon - birth)) in
-      (i, { birth; death = birth + len }))
-    (Bistpath_util.Listx.range 0 n)

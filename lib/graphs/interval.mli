@@ -16,8 +16,3 @@ val graph : (int * span) list -> Ugraph.t
     the spans sorted by birth: O(n log n + m) for n spans and m
     conflicts. Raises [Invalid_argument] on a malformed span (the first
     in list order) or a duplicate label. *)
-
-val random : Bistpath_util.Prng.t -> n:int -> horizon:int -> (int * span) list
-(** [n] random spans with endpoints within [0, horizon]; used by property
-    tests (interval graphs are closed under this construction, so PEO and
-    minimum-coloring invariants must hold on every output). *)

@@ -2,8 +2,6 @@ module Iset = Set.Make (Int)
 
 type t = { labels : int array; adj : int array array }
 
-let empty = { labels = [||]; adj = [||] }
-
 let index t v =
   let l = t.labels in
   let n = Array.length l in
@@ -51,7 +49,7 @@ let transpose rows =
   adj
 
 let of_edges ?(vertices = []) edges =
-  List.iter (fun (u, v) -> if u = v then invalid_arg "Ugraph.add_edge: self-loop") edges;
+  List.iter (fun (u, v) -> if u = v then invalid_arg "Ugraph.of_edges: self-loop") edges;
   let t = { labels = sorted_unique vertices; adj = [||] } in
   let t =
     if List.for_all (fun (u, v) -> index t u >= 0 && index t v >= 0) edges then t
@@ -71,42 +69,6 @@ let of_edges ?(vertices = []) edges =
   List.iter (fun (u, v) -> link u v; link v u) edges;
   { t with adj = Array.map unique (transpose rows) }
 
-let vertices t = Array.to_list t.labels
-
-let num_vertices t = Array.length t.labels
-
-let edges t =
-  let acc = ref [] in
-  for i = Array.length t.adj - 1 downto 0 do
-    let row = t.adj.(i) in
-    for k = Array.length row - 1 downto 0 do
-      if row.(k) > i then acc := (t.labels.(i), t.labels.(row.(k))) :: !acc
-    done
-  done;
-  !acc
-
-let num_edges t = Array.fold_left (fun acc row -> acc + Array.length row) 0 t.adj / 2
-
-let add_vertex t v = if index t v >= 0 then t else of_edges ~vertices:(v :: vertices t) (edges t)
-
-let add_edge t u v = of_edges ~vertices:(vertices t) ((u, v) :: edges t)
-
-let mem_vertex t v = index t v >= 0
-
-let mem_edge t u v =
-  let i = index t u and j = index t v in
-  i >= 0 && j >= 0
-  &&
-  let row = t.adj.(i) in
-  let rec search lo hi =
-    lo < hi
-    &&
-    let mid = (lo + hi) / 2 in
-    let x = row.(mid) in
-    x = j || if x < j then search (mid + 1) hi else search lo mid
-  in
-  search 0 (Array.length row)
-
 let neighbors t v =
   let i = index t v in
   if i < 0 then Iset.empty
@@ -115,44 +77,6 @@ let neighbors t v =
 let iter_neighbors t v f =
   let i = index t v in
   if i >= 0 then Array.iter (fun j -> f t.labels.(j)) t.adj.(i)
-
-let degree t v =
-  let i = index t v in
-  if i < 0 then 0 else Array.length t.adj.(i)
-
-let induced t keep =
-  let n = Array.length t.labels in
-  let renumber = Array.make n (-1) in
-  let kept = ref 0 in
-  Array.iteri
-    (fun i v ->
-      if Iset.mem v keep then begin
-        renumber.(i) <- !kept;
-        incr kept
-      end)
-    t.labels;
-  let labels = Array.make !kept 0 and adj = Array.make !kept [||] in
-  Array.iteri
-    (fun i k ->
-      if k >= 0 then begin
-        labels.(k) <- t.labels.(i);
-        adj.(k) <-
-          Array.of_list
-            (List.filter_map
-               (fun j -> if renumber.(j) >= 0 then Some renumber.(j) else None)
-               (Array.to_list t.adj.(i)))
-      end)
-    renumber;
-  { labels; adj }
-
-let remove_vertex t v = induced t (Iset.remove v (Iset.of_list (vertices t)))
-
-let is_clique t set =
-  Iset.for_all
-    (fun u -> Iset.for_all (fun v -> u = v || mem_edge t u v) set)
-    set
-
-let is_simplicial t v = is_clique t (neighbors t v)
 
 let complement t =
   let n = Array.length t.labels in
@@ -168,10 +92,3 @@ let complement t =
         Array.of_list (List.rev !non))
   in
   { labels = t.labels; adj }
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>vertices: %a@,edges:"
-    (Format.pp_print_list ~pp_sep:Format.pp_print_space Format.pp_print_int)
-    (vertices t);
-  List.iter (fun (u, v) -> Format.fprintf ppf "@ %d-%d" u v) (edges t);
-  Format.fprintf ppf "@]"

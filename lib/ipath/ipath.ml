@@ -74,11 +74,6 @@ let embeddings ?(transparency = false) dp mid =
         rs)
     ls
 
-let cbilbo_unavoidable ?(transparency = false) dp mid =
-  match embeddings ~transparency dp mid with
-  | [] -> false
-  | es -> List.for_all requires_cbilbo es
-
 let simple_ipaths dp =
   let unit_paths =
     List.concat_map

@@ -50,13 +50,6 @@ val embeddings :
     one-hop transparent paths. Empty iff the unit cannot be tested with
     register-based BIST on this data path. *)
 
-val cbilbo_unavoidable :
-  ?transparency:bool -> Bistpath_datapath.Datapath.t -> string -> bool
-(** Every embedding of the unit makes some register TPG-and-SA at once —
-    the situation the paper's Lemma 2 characterizes at the register-
-    assignment level. False when some embedding needs no CBILBO, or when
-    there are no embeddings at all. *)
-
 val simple_ipaths : Bistpath_datapath.Datapath.t -> string list
 (** Human-readable list of every simple I-path in the data path, e.g.
     "R1 -> M2.L" and "M1 -> R2"; regenerates the paper's Fig. 1/3 views. *)

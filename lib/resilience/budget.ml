@@ -43,8 +43,6 @@ let create ?deadline_s ?leaf_budget ?cancel () =
     leaves = 0;
   }
 
-let is_unlimited t = not t.limited
-let token t = t.token
 let nodes t = t.nodes
 let leaves t = t.leaves
 

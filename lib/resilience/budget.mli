@@ -45,12 +45,6 @@ val create :
     ([Invalid_argument] otherwise). [cancel] shares an external token,
     e.g. to link several budgets to one kill switch. *)
 
-val is_unlimited : t -> bool
-
-val token : t -> Cancel.t
-(** The token quota trips are published on ({!Cancel.never} for
-    {!unlimited}). *)
-
 val node : t -> unit
 (** Count one search node; every 64th reads the deadline clock. *)
 

@@ -26,8 +26,6 @@ let to_string d =
   in
   Printf.sprintf "%s%s: %s" loc (severity_label d.severity) d.message
 
-let pp ppf d = Format.pp_print_string ppf (to_string d)
-
 (* --- accumulation ---------------------------------------------------- *)
 
 let default_max_errors = 20
@@ -54,8 +52,6 @@ let emit c d =
   | Warning | Note -> c.diags <- d :: c.diags
 
 let errors c = c.n_errors
-let truncated c = c.dropped > 0
-let dropped c = c.dropped
 
 let all c =
   let l = List.rev c.diags in

@@ -29,11 +29,6 @@ val severity_label : severity -> string
 val to_string : t -> string
 (** ["file:3: error: ..."] / ["line 3: error: ..."] / ["error: ..."]. *)
 
-val pp : Format.formatter -> t -> unit
-
-val default_max_errors : int
-(** 20 — the default error cap everywhere (the CLI's [--max-errors]). *)
-
 (** {1 Accumulation} *)
 
 type collector
@@ -47,11 +42,6 @@ val emit : collector -> t -> unit
 
 val errors : collector -> int
 (** Errors stored (capped). *)
-
-val truncated : collector -> bool
-(** At least one error was dropped by the cap. *)
-
-val dropped : collector -> int
 
 val all : collector -> t list
 (** In emission order; if the cap dropped errors, a trailing [Note]

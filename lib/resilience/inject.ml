@@ -3,13 +3,6 @@ module Telemetry = Bistpath_telemetry.Telemetry
 
 exception Injected of string
 
-let sites =
-  [
-    "telemetry.write"; "allocator.leaf"; "pareto.leaf"; "service.journal";
-    "service.result_io"; "service.worker"; "check.rule"; "cache.io";
-    "fleet.heartbeat"; "fleet.claim"; "rtl.parse";
-  ]
-
 type site_state = { prob : float; prng : Prng.t }
 
 let default_seed = 0xB157
@@ -84,10 +77,6 @@ let configure ?(seed = default_seed) config =
   initialized := true;
   apply config ~seed;
   Mutex.unlock mutex
-
-let enabled () =
-  ensure ();
-  Atomic.get armed
 
 let should_fire site =
   if not (Atomic.get armed) && !initialized then false

@@ -22,7 +22,9 @@
     serialized by a mutex, so a site stays safe to probe from the fleet
     heartbeat domain.
 
-    {b Registered sites} (see {!sites}):
+    {b Registered sites} (CI fails if a site string passed to {!fire},
+    {!fire_sys_error} or {!should_fire} in [lib/] or [bin/] is missing
+    here):
     - [telemetry.write] — the trace-file sink fails with [Sys_error]
       (probed by the CLI and bench harness before
       [Telemetry.write_file]).
@@ -35,10 +37,10 @@
       retries the append and degrades to in-memory state rather than
       crashing.
     - [service.result_io] — a per-job result-file write fails with
-      [Sys_error] ([Bistpath_service.Service]); the job is retried
+      [Sys_error] ([Bistpath_service.Lifecycle]); the job is retried
       with backoff like any other failure.
     - [service.worker] — job execution raises before running the
-      pipeline ([Bistpath_service.Service]), modelling a crashed
+      pipeline ([Bistpath_service.Lifecycle]), modelling a crashed
       worker; the job becomes a typed failure record and is retried.
     - [check.rule] — a static-analysis rule raises as it starts
       ([Bistpath_check.Check.run]); the crash degrades to a per-rule
@@ -48,13 +50,18 @@
       failed write to a skipped store, both counted in
       [cache.io_errors] — the pipeline recomputes, never crashes.
     - [fleet.heartbeat] — a fleet worker's heartbeat write fails with
-      [Sys_error] ([Bistpath_service.Lease.heartbeat]); the worker
+      [Sys_error] ([Bistpath_service.Lease.beat]); the worker
       keeps running (a stale heartbeat at worst provokes a lease steal,
       which re-runs the job byte-identically).
     - [fleet.claim] — a job-claim rename fails with [Sys_error]
       ([Bistpath_service.Lease.claim]); the worker treats it as claim
       contention and retries on the next poll — the pending lease is
       never lost.
+    - [absint.fixpoint] — an abstract-interpretation solve raises as it
+      starts ([Bistpath_absint.Absint.solve_dfg] and [solve_control]);
+      [synth analyze] reports the flow degraded (exit 3), and in
+      [synth check] each ABS rule that needed the solve degrades to a
+      CHK000 finding.
     - [rtl.parse] — the Verilog parse-back front end
       ([Bistpath_rtl.Parser.parse]) degrades to an error diagnostic
       counted in [rtl.parse_errors]; callers see unparsable input
@@ -64,12 +71,6 @@
 
 exception Injected of string
 (** Raised by {!fire}; the payload is the site name. *)
-
-val sites : string list
-(** All site names probed by the pipeline. *)
-
-val enabled : unit -> bool
-(** At least one site is armed. *)
 
 val configure : ?seed:int -> (string * float) list -> unit
 (** Arm the given sites programmatically (tests), replacing any previous

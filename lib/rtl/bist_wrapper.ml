@@ -46,11 +46,6 @@ let golden_signatures ?(width = 8) ?patterns ?faulty_unit dp (sol : Allocator.so
            (session_sa_registers sol units))
        sessions.Session.sessions)
 
-let detects_fault ?(width = 8) ?patterns dp sol sessions ~mid ~fault =
-  let clean = golden_signatures ~width ?patterns dp sol sessions in
-  let faulty = golden_signatures ~width ?patterns ~faulty_unit:(mid, fault) dp sol sessions in
-  clean <> faulty
-
 let emit ?(width = 8) ?patterns ?(golden = []) dp (sol : Allocator.solution)
     (sessions : Session.t) =
   let patterns = match patterns with Some p -> p | None -> (1 lsl width) - 1 in

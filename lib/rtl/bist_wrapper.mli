@@ -28,18 +28,6 @@ val golden_signatures :
     [Invalid_argument] if a tested unit's embedding uses a transparent
     via (the emitted overrides cover simple I-paths only). *)
 
-val detects_fault :
-  ?width:int ->
-  ?patterns:int ->
-  Bistpath_datapath.Datapath.t ->
-  Bistpath_bist.Allocator.solution ->
-  Bistpath_bist.Session.t ->
-  mid:string ->
-  fault:(width:int -> int -> int -> int) ->
-  bool
-(** Do the golden signatures differ when [mid] computes [fault] instead
-    of its real function? *)
-
 val emit :
   ?width:int ->
   ?patterns:int ->

@@ -106,8 +106,7 @@ type t = {
 
 val parse : ?max_errors:int -> ?file:string -> string -> t
 (** Parse Verilog source text. Never raises; accumulates diagnostics
-    (errors capped at [max_errors], default
-    {!Bistpath_resilience.Diagnostic.default_max_errors}). [file] is
+    (errors capped at [max_errors], default 20). [file] is
     stamped into diagnostics for reporting. *)
 
 val errors : t -> Bistpath_resilience.Diagnostic.t list

@@ -2,14 +2,6 @@
     GTKWave & co: one wire per datapath register, one timestep per
     control step. *)
 
-val of_trace :
-  Bistpath_datapath.Datapath.t ->
-  width:int ->
-  Bistpath_datapath.Interp.trace_entry list ->
-  string
-(** Render a trace (from [Interp.run ~trace:true]). Registers appear
-    under scope "datapath" in declaration order. *)
-
 val dump_run :
   Bistpath_datapath.Datapath.t ->
   width:int ->

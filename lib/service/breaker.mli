@@ -51,13 +51,8 @@ val failure : t -> string -> bool
 (** [true] when this failure tripped the class open (from closed or
     half-open) — the caller's cue to count a breaker trip. *)
 
-val open_count : t -> int
-(** Classes currently open or half-open. *)
-
-val state_name : t -> string -> string
-(** ["closed"], ["open"] or ["half_open"] — for logs and stats. *)
-
 val states : t -> (string * string) list
-(** Every class the breaker has ever seen with its current state name,
-    sorted by class — the [--metrics] snapshot exports these as
+(** Every class the breaker has ever seen with its current state name
+    (["closed"], ["open"] or ["half_open"]), sorted by class — the
+    [--metrics] snapshot exports these as
     [service.breaker.<class>] gauges. *)

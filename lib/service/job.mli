@@ -36,7 +36,6 @@ type t = {
 }
 
 val pipeline_name : pipeline -> string
-val pipeline_of_name : string -> pipeline option
 
 val of_json : default_id:string -> Bistpath_util.Json.t -> (t, string) result
 (** Validates field types, the id alphabet, the pipeline name and the

@@ -217,7 +217,7 @@ let shards path =
    file), but the per-job state {!fold_state} derives is order-free
    between shards: a job's accept lives in the supervisor journal, and
    its start/done/fail counts commute. A torn tail in one shard is
-   repaired/ignored locally by {!replay} and cannot poison jobs
+   repaired/ignored locally by [replay] and cannot poison jobs
    journaled in the other shards. *)
 let replay_merged path =
   List.concat_map replay (path :: shards path)

@@ -15,7 +15,7 @@
     Each append is one [write] + [fsync] on an [O_APPEND] descriptor,
     so a record is durable before the action it authorizes proceeds
     (result files are written {e before} their [done] record, making
-    [done] the commit point of exactly-once semantics). {!replay}
+    [done] the commit point of exactly-once semantics). {!replay_merged}
     tolerates a truncated final line — the signature of a crash
     mid-append — by ignoring it, and {!open_} repairs such a torn tail
     before the journal is appended to again, so a second crash cannot
@@ -64,12 +64,6 @@ val append : t -> event -> unit
 
 val close : t -> unit
 
-val replay : string -> event list
-(** Parse the journal back, in order. A missing file is an empty
-    journal; an unparsable {e final} line is ignored (crash
-    mid-append); an unparsable line elsewhere raises [Sys_error] —
-    that is corruption, not a crash artifact. *)
-
 (** {1 Fleet journal shards}
 
     In fleet mode every worker process appends to its own shard —
@@ -84,8 +78,11 @@ val shards : string -> string list
 (** Existing shard files beside [journal], sorted by slot. *)
 
 val replay_merged : string -> event list
-(** [replay journal] followed by each shard's replay in slot order.
-    Per-job resume state ({!fold_state}) does not depend on event
+(** Parse the journal back, in order, followed by each shard's events
+    in slot order. A missing file is an empty journal; an unparsable
+    {e final} line of a file is ignored (crash mid-append); an
+    unparsable line elsewhere raises [Sys_error] — that is corruption,
+    not a crash artifact. Per-job resume state ({!fold_state}) does not depend on event
     order {e between} files: accepts live in the supervisor journal and
     the per-job attempt/terminal counts commute, so concatenation is a
     faithful merge. A torn tail in one shard (worker SIGKILLed
@@ -107,6 +104,3 @@ val fold_state : event list -> job_state list
     what [--resume] re-queues ([terminal = false] entries). Duplicate
     accepts of one id collapse onto the first. Each job's state is a
     fold of {!Transition.step} over its records. *)
-
-val event_to_json : event -> Bistpath_util.Json.t
-val event_of_json : Bistpath_util.Json.t -> (event, string) result

@@ -23,8 +23,6 @@ let create ~root ~slots =
   done;
   t
 
-let root t = t.root
-
 let list_dir dir =
   match Sys.readdir dir with
   | exception Sys_error _ -> []

@@ -48,8 +48,6 @@ val create : root:string -> slots:int -> t
 (** Create (or reuse) the layout under [root] with claim directories
     for slots [0 .. slots-1]. Raises [Sys_error] on unusable paths. *)
 
-val root : t -> string
-
 val reset : t -> unit
 (** Remove every lease, heartbeat and the eof marker — a fresh start
     (new run, or a resume about to rebuild [pending/] from the merged

@@ -31,8 +31,6 @@ module Histogram = struct
       Stdlib.min (bucket_count - 1) (bits v 0)
     end
 
-  let bucket_lower = function 0 -> 0 | k -> 1 lsl (k - 1)
-
   let bucket_upper k =
     if k <= 0 then 0 else if k >= bucket_count - 1 then max_int else (1 lsl k) - 1
 
@@ -49,7 +47,6 @@ module Histogram = struct
   let sum t = t.sum
   let min_value t = if t.count = 0 then 0 else t.min_v
   let max_value t = t.max_v
-  let mean t = if t.count = 0 then 0.0 else float_of_int t.sum /. float_of_int t.count
 
   (* Upper bound of the bucket holding the rank-ceil(q*count) smallest
      sample, clamped to the observed [min, max] — so a single-sample
@@ -81,13 +78,6 @@ module Histogram = struct
     end
 
   let copy t = { t with buckets = Array.copy t.buckets }
-
-  let nonzero_buckets t =
-    let acc = ref [] in
-    for i = bucket_count - 1 downto 0 do
-      if t.buckets.(i) > 0 then acc := (bucket_lower i, t.buckets.(i)) :: !acc
-    done;
-    !acc
 end
 
 type span = {
@@ -326,9 +316,6 @@ let histograms r =
       Hashtbl.fold (fun k h acc -> (k, Histogram.copy h) :: acc) r.hists [])
   |> List.sort compare
 
-let histogram r name =
-  locked (fun () -> Option.map Histogram.copy (Hashtbl.find_opt r.hists name))
-
 let is_gauge r name = locked (fun () -> Hashtbl.mem r.gauge_names name)
 
 let gauge_samples r = locked (fun () -> List.rev r.gauge_samples)
@@ -367,9 +354,6 @@ let merge_into ~into src =
           | Some dst -> Histogram.merge_into ~into:dst h
           | None -> Hashtbl.replace into.hists k h)
         hs)
-
-let span_count r name =
-  List.length (List.filter (fun s -> String.equal s.name name) (spans r))
 
 let total_ns r name =
   List.fold_left

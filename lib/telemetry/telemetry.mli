@@ -141,8 +141,8 @@
     {1 Histogram registry}
 
     Latency distributions recorded via {!observe} (log-bucket
-    {!Histogram}s; read back with {!histograms} / {!histogram}, export
-    via {!prometheus_text} quantiles):
+    {!Histogram}s; read back through {!summary_table} and the
+    {!prometheus_text} quantiles):
 
     - [check.rule_ns] — per-rule static-analysis evaluation time.
     - [absint.solve_ns] — per-solve abstract-interpretation fixpoint
@@ -229,29 +229,18 @@ module Histogram : sig
   val max_value : t -> int
   (** Largest observation; 0 when empty. *)
 
-  val mean : t -> float
-  (** Arithmetic mean; 0.0 when empty. *)
-
   val quantile : t -> float -> int
   (** [quantile t q] for [q] in [[0, 1]] (clamped). 0 when empty. *)
 
   val merge_into : into:t -> t -> unit
   (** Add [src]'s counts/sum/extrema into [into]; [src] unchanged. *)
 
-  val copy : t -> t
-
   val bucket_of : int -> int
   (** Index of the bucket a value lands in. *)
-
-  val bucket_lower : int -> int
-  (** Inclusive lower bound of bucket [k]. *)
 
   val bucket_upper : int -> int
   (** Inclusive upper bound of bucket [k] ([max_int] for the last). *)
 
-  val nonzero_buckets : t -> (int * int) list
-  (** [(bucket lower bound, count)] for every non-empty bucket,
-      ascending. *)
 end
 
 type span = private {
@@ -353,27 +342,6 @@ val counters : t -> (string * int) list
 val counter : t -> string -> int
 (** Final value of one counter; 0 if never touched. *)
 
-val histograms : t -> (string * Histogram.t) list
-(** Snapshot copies of all histograms, sorted by name. *)
-
-val histogram : t -> string -> Histogram.t option
-(** Snapshot copy of one histogram, if it has ever been observed. *)
-
-val is_gauge : t -> string -> bool
-(** Whether the named counter was ever written with {!set} (the
-    Prometheus sink uses this to pick [gauge] vs [counter] types). *)
-
-val gauge_samples : t -> (string * int64 * int) list
-(** Timestamped gauge writes [(name, ts_ns, value)] in chronological
-    order (bounded stream; overflow counts into
-    [telemetry.dropped_samples]). *)
-
-val instants : t -> (string * attr list * int64) list
-(** Recorded instant marks in chronological order (bounded). *)
-
-val track_events : t -> track_event list
-(** Recorded explicit-track events in chronological order (bounded). *)
-
 val merge_into : into:t -> t -> unit
 (** Fold [src]'s scalar aggregates into [into]: counters add, gauges
     take [src]'s last value, histograms merge bucket-for-bucket.
@@ -381,9 +349,6 @@ val merge_into : into:t -> t -> unit
     folding many short-lived recordings (one per service job) into a
     long-lived one stays O(metric names), not O(jobs). Raises
     [Invalid_argument] on self-merge. *)
-
-val span_count : t -> string -> int
-(** Number of spans with the given name. *)
 
 val total_ns : t -> string -> int64
 (** Summed wall time of all closed spans with the given name. *)

@@ -19,8 +19,6 @@ let max_by f = function
     in
     Some best
 
-let min_by f l = max_by (fun x -> -f x) l
-
 let sum_by f l = List.fold_left (fun acc x -> acc + f x) 0 l
 
 let group_by key l =

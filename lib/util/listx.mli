@@ -6,9 +6,6 @@ val pairs : 'a list -> ('a * 'a) list
 val max_by : ('a -> int) -> 'a list -> 'a option
 (** Element maximizing [f]; first one on ties; [None] on the empty list. *)
 
-val min_by : ('a -> int) -> 'a list -> 'a option
-(** Element minimizing [f]; first one on ties; [None] on the empty list. *)
-
 val sum_by : ('a -> int) -> 'a list -> int
 (** Integer sum of [f] over the list. *)
 

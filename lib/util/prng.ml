@@ -2,8 +2,6 @@ type t = { mutable state : int64 }
 
 let create seed = { state = Int64.of_int seed }
 
-let copy t = { state = t.state }
-
 (* SplitMix64: Steele, Lea & Flood, "Fast splittable pseudorandom number
    generators", OOPSLA 2014. *)
 let next_int64 t =
@@ -37,15 +35,3 @@ let split t =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 33)) 0xC4CEB9FE1A85EC53L in
   let z = Int64.logxor z (Int64.shift_right_logical z 33) in
   { state = z }
-
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done
-
-let pick t = function
-  | [] -> invalid_arg "Prng.pick: empty list"
-  | l -> List.nth l (int t (List.length l))

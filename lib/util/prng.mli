@@ -10,9 +10,6 @@ type t
 val create : int -> t
 (** [create seed] makes a fresh generator from [seed]. *)
 
-val copy : t -> t
-(** Independent copy of the current state. *)
-
 val next_int64 : t -> int64
 (** Next raw 64-bit output. *)
 
@@ -45,9 +42,3 @@ val bool : t -> bool
 
 val float : t -> float -> float
 (** [float t bound] is uniform in \[0, bound). *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher-Yates shuffle. *)
-
-val pick : t -> 'a list -> 'a
-(** Uniform element of a non-empty list. Raises [Invalid_argument] on []. *)

@@ -1,11 +1,9 @@
 type align = Left | Right
 
-type row = Cells of string list | Rule
-
 type t = {
   headers : string list;
   aligns : align list;
-  mutable rows : row list; (* reversed *)
+  mutable rows : string list list; (* reversed *)
 }
 
 let create columns =
@@ -18,15 +16,11 @@ let add_row t cells =
     invalid_arg
       (Printf.sprintf "Table.add_row: expected %d cells, got %d" (width t)
          (List.length cells));
-  t.rows <- Cells cells :: t.rows
-
-let add_rule t = t.rows <- Rule :: t.rows
+  t.rows <- cells :: t.rows
 
 let to_string t =
   let rows = List.rev t.rows in
-  let all_cell_rows =
-    t.headers :: List.filter_map (function Cells c -> Some c | Rule -> None) rows
-  in
+  let all_cell_rows = t.headers :: rows in
   let widths =
     List.mapi
       (fun i _ ->
@@ -48,9 +42,4 @@ let to_string t =
   let rule =
     "|" ^ String.concat "|" (List.map (fun w -> String.make (w + 2) '-') widths) ^ "|"
   in
-  let body =
-    List.map (function Cells c -> render_cells c | Rule -> rule) rows
-  in
-  String.concat "\n" (render_cells t.headers :: rule :: body)
-
-let print t = print_endline (to_string t)
+  String.concat "\n" (render_cells t.headers :: rule :: List.map render_cells rows)

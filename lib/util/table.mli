@@ -14,11 +14,5 @@ val add_row : t -> string list -> unit
 (** Append a data row. Raises [Invalid_argument] if the width differs from
     the header. *)
 
-val add_rule : t -> unit
-(** Append a horizontal rule. *)
-
 val to_string : t -> string
 (** Render with box-drawing-free ASCII, columns padded to content. *)
-
-val print : t -> unit
-(** [to_string] to stdout followed by a newline. *)

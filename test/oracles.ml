@@ -8,9 +8,31 @@
    test_incremental.ml compare the library against them. *)
 
 module Dfg = Bistpath_dfg.Dfg
-module Massign = Bistpath_dfg.Massign
+
+(* Definition 3's variable sets of a unit M: I_M (all operand
+   variables), O_M (all result variables) and the per-instance operand
+   sets I_M^j in schedule order. *)
+module Massign = struct
+  include Bistpath_dfg.Massign
+
+  let input_variable_set t dfg mid =
+    List.fold_left
+      (fun set (op : Bistpath_dfg.Op.t) -> Dfg.Sset.add op.left (Dfg.Sset.add op.right set))
+      Dfg.Sset.empty (instances t dfg mid)
+
+  let output_variable_set t dfg mid =
+    List.fold_left
+      (fun set (op : Bistpath_dfg.Op.t) -> Dfg.Sset.add op.out set)
+      Dfg.Sset.empty (instances t dfg mid)
+
+  let instance_operands t dfg mid =
+    List.map
+      (fun (op : Bistpath_dfg.Op.t) -> Dfg.Sset.of_list [ op.left; op.right ])
+      (instances t dfg mid)
+end
+
 module Sset = Bistpath_dfg.Dfg.Sset
-module Ugraph = Bistpath_graphs.Ugraph
+module Ugraph = Graph_ops.Ugraph
 module Iset = Ugraph.Iset
 module Listx = Bistpath_util.Listx
 
@@ -148,8 +170,8 @@ let clique_greedy ?(weight = fun _ _ -> 0) g =
    subset tests, MCS rescans every vertex per step and an interval graph
    tests every pair of spans. *)
 
-module Interval = Bistpath_graphs.Interval
-module Coloring = Bistpath_graphs.Coloring
+module Interval = Graph_ops.Interval
+module Coloring = Graph_ops.Coloring
 
 let is_peo g order =
   let all = Iset.of_list (Ugraph.vertices g) in
@@ -285,12 +307,33 @@ let is_clique_partition g parts =
    is evaluated through [Circuit.eval_kind] over a fresh list of input
    words, every faulty evaluation allocates a fresh net array, and BIST
    responses are decoded lane by lane into bit lists. The properties in
-   test_gatelevel.ml compare the compiled kernel ([Sim.eval_chunk]),
+   test_gatelevel.ml compare the compiled kernel ([Sim.eval_nets]),
    [Fault_sim], [Bist_sim.grade] and [Podem] against them. *)
 
 module Circuit = Bistpath_gatelevel.Circuit
 module Fault = Bistpath_gatelevel.Fault
-module Misr = Bistpath_gatelevel.Misr
+
+(* The MISR as a register clocked word by word, from the same primitive
+   taps as the library's [Misr.clock]: the reference grader compacts
+   every response through it. *)
+module Misr = struct
+  type t = { mask : int; taps : int list; mutable s : int }
+
+  let create ~width =
+    { mask = (1 lsl width) - 1; taps = Bistpath_gatelevel.Lfsr.primitive_taps width; s = 0 }
+
+  let absorb t word =
+    let fb = List.fold_left (fun acc tap -> acc lxor ((t.s lsr (tap - 1)) land 1)) 0 t.taps in
+    t.s <- (((t.s lsl 1) lor fb) lxor word) land t.mask
+
+  let signature t = t.s
+
+  let run ~width words =
+    let t = create ~width in
+    List.iter (absorb t) words;
+    signature t
+end
+
 module Scoap = Bistpath_gatelevel.Scoap
 
 let eval_kind kind ws =
@@ -564,6 +607,14 @@ module Allocator = Bistpath_bist.Allocator
 module Telemetry = Bistpath_telemetry.Telemetry
 module Budget = Bistpath_resilience.Budget
 module Inject = Bistpath_resilience.Inject
+
+(* Every embedding of the unit makes some register TPG-and-SA at once
+   (false without embeddings): the post-interconnect situation Lemma 2
+   predicts, straight from the embedding list. *)
+let cbilbo_unavoidable ?(transparency = false) dp mid =
+  match Ipath.embeddings ~transparency dp mid with
+  | [] -> false
+  | es -> List.for_all Ipath.requires_cbilbo es
 
 (* Incremental role state: per register, counts of generate/compact
    duties and of units for which the register does both. The style (and

@@ -46,7 +46,7 @@ let wraps kind ~width x y =
 let members (lo, hi) = List.init (hi - lo + 1) (fun i -> lo + i)
 
 let check_value ~ctx (v : Interval.t) r =
-  if not (Interval.mem r v) then
+  if r < v.Interval.lo || r > v.Interval.hi then
     Alcotest.failf "%s: concrete result %d escapes abstract %s" ctx r
       (Interval.to_string v);
   if r land v.Interval.zeros <> 0 then
@@ -237,7 +237,8 @@ let narrow_plan_minmax4 () =
   let control = Control.build r.Flow.datapath in
   let plan = Absint.narrow_plan ~width:8 r.Flow.datapath control in
   check Alcotest.bool "plan saves bits on minmax4" true (plan.Absint.saved_bits > 0);
-  check Alcotest.bool "plan is not empty" false (Absint.plan_is_empty plan);
+  check Alcotest.bool "plan is not empty" true
+    (plan.Absint.regw <> [] || plan.Absint.unitw <> []);
   check Alcotest.bool "savings stay below the total" true
     (plan.Absint.saved_bits < plan.Absint.total_bits);
   List.iter

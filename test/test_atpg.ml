@@ -16,7 +16,7 @@ let case name f = Alcotest.test_case name `Quick f
 (* --- SCOAP --------------------------------------------------------- *)
 
 let scoap_inputs_are_easy () =
-  let c = Library.ripple_adder ~width:4 in
+  let c = Library.of_kind Op.Add ~width:4 in
   let t = Scoap.analyze c in
   List.iter
     (fun i ->
@@ -25,7 +25,7 @@ let scoap_inputs_are_easy () =
     c.Circuit.inputs
 
 let scoap_outputs_observable () =
-  let c = Library.ripple_adder ~width:4 in
+  let c = Library.of_kind Op.Add ~width:4 in
   let t = Scoap.analyze c in
   List.iter (fun o -> check Alcotest.int "CO(output)=0" 0 (Scoap.co t o)) c.Circuit.outputs
 
@@ -33,8 +33,7 @@ let scoap_hand_computed_and_gate () =
   (* single AND gate: CC1(out) = 1+1+1 = 3, CC0(out) = min(1,1)+1 = 2;
      CO(input) = CO(out) + CC1(other) + 1 = 0+1+1 = 2 *)
   let b = Circuit.Builder.create "and1" in
-  let x = Circuit.Builder.input b in
-  let y = Circuit.Builder.input b in
+  let x, y = match Circuit.Builder.inputs b 2 with [ x; y ] -> (x, y) | _ -> assert false in
   let o = Circuit.Builder.gate b Circuit.And [ x; y ] in
   Circuit.Builder.output b o;
   let c = Circuit.Builder.finish b in
@@ -47,8 +46,7 @@ let scoap_hand_computed_and_gate () =
 let scoap_xor_rules () =
   (* XOR: CC1 = min(CC0a+CC1b, CC1a+CC0b)+1 = 3; CC0 = min(0+0,1+1 pairs)+1 = 3 *)
   let b = Circuit.Builder.create "xor1" in
-  let x = Circuit.Builder.input b in
-  let y = Circuit.Builder.input b in
+  let x, y = match Circuit.Builder.inputs b 2 with [ x; y ] -> (x, y) | _ -> assert false in
   let o = Circuit.Builder.gate b Circuit.Xor [ x; y ] in
   Circuit.Builder.output b o;
   let c = Circuit.Builder.finish b in
@@ -79,7 +77,7 @@ let scoap_difficulty_orders_faults () =
     hard
 
 let scoap_summary_mentions_name () =
-  let c = Library.ripple_adder ~width:4 in
+  let c = Library.of_kind Op.Add ~width:4 in
   let t = Scoap.analyze c in
   let s = Scoap.summary t c in
   check Alcotest.bool "names circuit" true
@@ -99,7 +97,7 @@ let podem_agrees_with_simulation kind width () =
   (* every generated vector really detects its fault *)
   List.iter
     (fun (f, v) ->
-      if not (Podem.verify c f v) then
+      if not (Gate_ops.detects c f v) then
         Alcotest.failf "bogus test for %s" (Format.asprintf "%a" Fault.pp f))
     cls.Podem.tested;
   (* redundancy agrees with exhaustive fault simulation *)
@@ -115,7 +113,7 @@ let podem_agrees_with_simulation kind width () =
 let divider_redundancy_proven () =
   (* the restoring-divider array contains genuinely redundant logic;
      PODEM must prove it rather than abort *)
-  let c = Library.array_divider ~width:2 in
+  let c = Library.of_kind Op.Div ~width:2 in
   let cls = Podem.classify_all c in
   check Alcotest.bool "has untestable faults" true (List.length cls.Podem.untestable > 0);
   check Alcotest.int "no aborts" 0 (List.length cls.Podem.aborted)
@@ -126,47 +124,46 @@ let podem_on_alu () =
   check Alcotest.int "no aborts" 0 (List.length cls.Podem.aborted);
   List.iter
     (fun (f, v) ->
-      check Alcotest.bool "verified" true (Podem.verify c f v))
+      check Alcotest.bool "verified" true (Gate_ops.detects c f v))
     cls.Podem.tested
 
 let podem_single_fault () =
-  let c = Library.logic_unit Circuit.And ~width:1 in
+  let c = Library.of_kind Op.And ~width:1 in
   (* output s-a-0 needs the (1,1) vector *)
-  match Podem.generate c { Fault.net = 2; polarity = Fault.Stuck_at_0 } with
-  | Podem.Test v -> check (Alcotest.list Alcotest.int) "vector 1,1" [ 1; 1 ] v
-  | Podem.Untestable | Podem.Aborted -> Alcotest.fail "should find the test"
+  let cls = Podem.classify_all c in
+  match List.assoc_opt { Fault.net = 2; polarity = Fault.Stuck_at_0 } cls.Podem.tested with
+  | Some v -> check (Alcotest.list Alcotest.int) "vector 1,1" [ 1; 1 ] v
+  | None -> Alcotest.fail "should find the test"
 
 let podem_budget_respected () =
   let c = Library.array_multiplier ~width:4 in
-  (* a tiny budget must abort rather than loop *)
-  let f = { Fault.net = c.Circuit.num_nets - 1; polarity = Fault.Stuck_at_0 } in
-  match Podem.generate ~max_backtracks:0 c f with
-  | Podem.Aborted | Podem.Test _ -> () (* may find it with zero backtracks *)
-  | Podem.Untestable -> Alcotest.fail "cannot prove redundancy without search"
+  (* a zero backtrack quota must abort rather than loop, and can never
+     prove a fault redundant: that takes search *)
+  let cls = Podem.classify_all ~max_backtracks:0 c in
+  check Alcotest.int "nothing proven untestable" 0 (List.length cls.Podem.untestable)
 
-let verify_arity_checked () =
-  let c = Library.ripple_adder ~width:2 in
-  match Podem.verify c { Fault.net = 0; polarity = Fault.Stuck_at_1 } [ 1 ] with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "bad vector length accepted"
+let subtractor4 =
+  lazy
+    (let c = Library.of_kind Op.Sub ~width:4 in
+     (c, Podem.classify_all c))
 
 let prop_podem_tests_verified =
   QCheck.Test.make ~name:"PODEM vectors verified on random fault of the subtractor"
     ~count:30
     QCheck.(int_bound 1_000)
     (fun seed ->
-      let c = Library.subtractor ~width:4 in
+      let c, cls = Lazy.force subtractor4 in
       let faults = Array.of_list (Fault.collapsed c) in
       let f = faults.(seed mod Array.length faults) in
-      match Podem.generate c f with
-      | Podem.Test v -> Podem.verify c f v
-      | Podem.Untestable -> false (* the subtractor is fully testable *)
-      | Podem.Aborted -> false)
+      (* the subtractor is fully testable: every fault gets a vector *)
+      match List.assoc_opt f cls.Podem.tested with
+      | Some v -> Gate_ops.detects c f v
+      | None -> false)
 
 (* --- Weighted patterns ---------------------------------------------- *)
 
 let weights_in_range () =
-  let c = Library.comparator_less ~width:4 in
+  let c = Library.of_kind Op.Less ~width:4 in
   let w = G.Weighted.input_weights c in
   check Alcotest.int "one weight per input" (List.length c.Circuit.inputs)
     (Array.length w);
@@ -186,7 +183,7 @@ let weighted_patterns_shape () =
     ps
 
 let weighted_beats_uniform_on_comparator () =
-  let c = Library.comparator_less ~width:6 in
+  let c = Library.of_kind Op.Less ~width:6 in
   let r = G.Weighted.compare_coverage c ~count:24 in
   check Alcotest.bool "weighted at least as good" true
     (r.G.Weighted.weighted_detected >= r.G.Weighted.uniform_detected);
@@ -214,7 +211,6 @@ let suite =
     case "podem on ALU" podem_on_alu;
     case "podem single fault vector" podem_single_fault;
     case "podem budget respected" podem_budget_respected;
-    case "verify arity checked" verify_arity_checked;
     case "weighted: weights in range" weights_in_range;
     case "weighted: pattern shape" weighted_patterns_shape;
     case "weighted beats uniform (comparator)" weighted_beats_uniform_on_comparator;

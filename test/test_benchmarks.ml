@@ -35,7 +35,7 @@ let ex1_matches_fig2 () =
   check (Alcotest.list Alcotest.string) "inputs" [ "a"; "b"; "e"; "g" ] inst.B.dfg.Dfg.inputs
 
 let ex2_module_mix () =
-  let inst = B.ex2 () in
+  let inst = Option.get (B.by_tag "ex2") in
   check Alcotest.string "1/, 2*, 2+, 1& (sorted rendering)" "1&, 2*, 2+, 1/"
     (Massign.describe inst.B.massign inst.B.dfg);
   check Alcotest.int "9 ops" 9 (List.length inst.B.dfg.Dfg.ops)
@@ -60,7 +60,7 @@ let paulin_structure () =
   check Alcotest.int "2 adds" 2 (List.assoc Op.Add (Dfg.kind_counts inst.B.dfg))
 
 let ewf_operation_mix () =
-  let inst = B.ewf () in
+  let inst = Option.get (B.by_tag "ewf") in
   check Alcotest.int "26 additions" 26 (List.assoc Op.Add (Dfg.kind_counts inst.B.dfg));
   check Alcotest.int "8 multiplications" 8 (List.assoc Op.Mul (Dfg.kind_counts inst.B.dfg));
   check Alcotest.int "34 ops total" 34 (List.length inst.B.dfg.Dfg.ops)
@@ -68,30 +68,28 @@ let ewf_operation_mix () =
 let fir_scales () =
   List.iter
     (fun taps ->
-      let inst = B.fir ~taps in
+      let inst = Option.get (B.by_tag (Printf.sprintf "fir%d" taps)) in
       check Alcotest.int
         (Printf.sprintf "fir%d op count" taps)
         ((2 * taps) - 1)
         (List.length inst.B.dfg.Dfg.ops))
     [ 2; 4; 8; 12 ];
-  match B.fir ~taps:1 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "taps=1 accepted"
+  check Alcotest.bool "fir1 rejected" true (B.by_tag "fir1" = None)
 
 let iir_structure () =
-  let inst = B.iir_biquad () in
+  let inst = Option.get (B.by_tag "iir") in
   check Alcotest.int "5 muls" 5 (List.assoc Op.Mul (Dfg.kind_counts inst.B.dfg));
   check Alcotest.int "2 adds" 2 (List.assoc Op.Add (Dfg.kind_counts inst.B.dfg));
   check Alcotest.int "2 subs" 2 (List.assoc Op.Sub (Dfg.kind_counts inst.B.dfg))
 
 let ar_structure () =
-  let inst = B.ar_lattice () in
+  let inst = Option.get (B.by_tag "ar") in
   check Alcotest.int "8 muls" 8 (List.assoc Op.Mul (Dfg.kind_counts inst.B.dfg));
   check Alcotest.int "8 adds" 8 (List.assoc Op.Add (Dfg.kind_counts inst.B.dfg));
   check Alcotest.int "16 ops" 16 (List.length inst.B.dfg.Dfg.ops)
 
 let dct4_structure () =
-  let inst = B.dct4 () in
+  let inst = Option.get (B.by_tag "dct4") in
   check Alcotest.int "6 muls" 6 (List.assoc Op.Mul (Dfg.kind_counts inst.B.dfg));
   check Alcotest.int "14 ops" 14 (List.length inst.B.dfg.Dfg.ops);
   check Alcotest.int "4 outputs" 4 (List.length inst.B.dfg.Dfg.outputs)

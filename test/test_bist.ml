@@ -46,9 +46,9 @@ let ex1_embeddings () =
   (* M1: L={R}, R={R'}, SA candidates 2 -> 2 embeddings, all CBILBO *)
   let e1 = Ipath.embeddings dp "M1" in
   check Alcotest.int "M1 embeddings" 2 (List.length e1);
-  check Alcotest.bool "M1 unavoidable" true (Ipath.cbilbo_unavoidable dp "M1");
+  check Alcotest.bool "M1 unavoidable" true (Oracles.cbilbo_unavoidable dp "M1");
   (* M2 has a CBILBO-free embedding *)
-  check Alcotest.bool "M2 avoidable" false (Ipath.cbilbo_unavoidable dp "M2");
+  check Alcotest.bool "M2 avoidable" false (Oracles.cbilbo_unavoidable dp "M2");
   (* distinct TPGs enforced *)
   List.iter
     (fun (e : Ipath.embedding) ->
@@ -199,7 +199,7 @@ let sessions_conflict_rules () =
    inexact but never worse than the greedy warm start, which is what a
    budget cancelled before the first node returns. *)
 let node_cap_degrades_gracefully () =
-  let r = run_flow (B.fir ~taps:16) in
+  let r = run_flow (Option.get (B.by_tag "fir16")) in
   let sol = Allocator.solve r.Flow.datapath in
   check Alcotest.bool "not exact" false sol.Allocator.exact;
   check (Alcotest.list Alcotest.string) "every unit testable" [] sol.Allocator.untestable;

@@ -56,9 +56,9 @@ let contains ~sub s =
 
 (* The sharded entry layout documented in Store's interface; tests that
    corrupt or re-date entries reach through it on purpose. *)
-let entry_path store key =
+let entry_path dir key =
   Filename.concat
-    (Filename.concat (Filename.concat (Store.dir store) "objects")
+    (Filename.concat (Filename.concat dir "objects")
        (String.sub key 0 2))
     (String.sub key 2 (String.length key - 2))
 
@@ -85,9 +85,10 @@ let canonical_sorts_keys () =
 
 let stage_keys_distinct () =
   let inputs = Json.Obj [ ("x", Json.Num 1.0) ] in
-  let keys = List.map (fun s -> Stage.key s ~inputs) Stage.all in
+  let stages = Stage.[ Schedule; Alloc; Interconnect; Bist; Rtl; Report ] in
+  let keys = List.map (fun s -> Stage.key s ~inputs) stages in
   let sorted = List.sort_uniq compare keys in
-  check Alcotest.int "stage name is hashed into the key" (List.length Stage.all)
+  check Alcotest.int "stage name is hashed into the key" (List.length stages)
     (List.length sorted);
   List.iter
     (fun k -> check Alcotest.int "md5 hex key" 32 (String.length k))
@@ -119,7 +120,7 @@ let store_corrupt_entry () =
   let s = Store.open_ ~dir:(Filename.concat d "cache") () in
   let key = some_key "corrupt" in
   Store.put s ~stage:"bist" ~key "good payload";
-  let path = entry_path s key in
+  let path = entry_path (Filename.concat d "cache") key in
   Out_channel.with_open_bin path (fun oc ->
       Out_channel.output_string oc "bistpath-cache 1 bist damaged");
   let found, r = Telemetry.collect (fun () -> Store.find s ~stage:"bist" ~key) in
@@ -140,7 +141,7 @@ let store_concurrent_gc_race () =
   let key = some_key "gc-race" in
   let payload = "racy payload" in
   Store.put s ~stage:"alloc" ~key payload;
-  let path = entry_path s key in
+  let path = entry_path (Filename.concat d "cache") key in
   let rounds = 2000 in
   (* the gc impersonator, in a second process: unlink and atomically
      recreate (rename within the directory) a byte-exact copy of the
@@ -191,7 +192,7 @@ let store_gc_evicts_oldest () =
   List.iteri
     (fun i k ->
       let t = now -. (300.0 -. (100.0 *. float_of_int i)) in
-      Unix.utimes (entry_path s k) t t)
+      Unix.utimes (entry_path (Filename.concat d "cache") k) t t)
     keys;
   (* [max_bytes] budgets whole entry files (header + payload); the three
      entries are the same size, so 1.5x one entry keeps exactly one *)
@@ -312,7 +313,7 @@ let flow_corrupt_entries_degrade_to_miss () =
   let cold = go () in
   (* trash every stored object: each lookup must degrade to a clean
      recompute, never an exception or a wrong answer *)
-  let objects = Filename.concat (Store.dir cache) "objects" in
+  let objects = Filename.concat (Filename.concat d "cache") "objects" in
   Array.iter
     (fun shard ->
       let sd = Filename.concat objects shard in
@@ -492,17 +493,15 @@ let serve_splits_cached_latency () =
 let journal_tolerates_pre_cache_lines () =
   (* journals written before the cache existed have no "cache" field;
      they must replay as [cache = None], not as parse errors *)
-  let json =
-    match Json.parse {|{"ev":"done","id":"j1","attempt":1,"status":"ok"}|} with
-    | Ok v -> v
-    | Error e -> Alcotest.failf "parse: %s" e
-  in
-  match Journal.event_of_json json with
-  | Ok (Journal.Done { id; cache; _ }) ->
+  let d = tmpdir () in
+  let path = Filename.concat d "journal.ndjson" in
+  write_lines path [ {|{"ev":"done","id":"j1","attempt":1,"status":"ok"}|} ];
+  (match Journal.replay_merged path with
+  | [ Journal.Done { id; cache; _ } ] ->
     check Alcotest.string "id" "j1" id;
     check Alcotest.(option string) "absent cache field replays as None" None cache
-  | Ok _ -> Alcotest.fail "expected a done event"
-  | Error e -> Alcotest.failf "event_of_json: %s" e
+  | _ -> Alcotest.fail "expected one done event");
+  rm_rf d
 
 (* --- one pipeline behind the CLI and serve ---------------------------- *)
 
@@ -565,12 +564,7 @@ let cli_matches_serve_artifacts () =
   rm_rf d
 
 let done_cache d =
-  let events =
-    String.split_on_char '\n' (read_file (Filename.concat d "journal.ndjson"))
-    |> List.filter (fun l -> l <> "")
-    |> List.filter_map (fun l -> Result.to_option (Json.parse l))
-    |> List.filter_map (fun j -> Result.to_option (Journal.event_of_json j))
-  in
+  let events = Journal.replay_merged (Filename.concat d "journal.ndjson") in
   fun id ->
     List.find_map
       (function

@@ -16,6 +16,22 @@ module Prng = Bistpath_util.Prng
 let check = Alcotest.check
 let case name f = Alcotest.test_case name `Quick f
 
+(* Lemma 2 through the library's two entry points: one unit's entry in
+   the per-unit verdicts, and the live counters grown over a whole
+   assignment. *)
+let check_module ctx ~mid ~classes =
+  List.find (fun v -> String.equal v.Cbilbo_rules.mid mid) (Cbilbo_rules.verdicts ctx ~classes)
+
+let min_cbilbo_count ctx ~classes =
+  let t = Cbilbo_rules.create ctx in
+  List.iteri
+    (fun i (rid, vars) ->
+      Cbilbo_rules.open_register t rid;
+      List.sort_uniq compare vars
+      |> List.iter (fun v -> Option.iter (Cbilbo_rules.add t i) (Sharing.var_index ctx v)))
+    classes;
+  Cbilbo_rules.min_count t
+
 let ex1_ctx () =
   let inst = B.ex1 () in
   (inst, Sharing.make inst.B.dfg inst.B.massign)
@@ -26,16 +42,16 @@ let ex1_ctx () =
 let ex1_final_forces_cbilbo () =
   let _, ctx = ex1_ctx () in
   let classes = [ ("RA", [ "c"; "f"; "a" ]); ("RB", [ "d"; "g"; "b"; "h" ]); ("RC", [ "e" ]) ] in
-  let v1 = Cbilbo_rules.check_module ctx ~mid:"M1" ~classes in
+  let v1 = check_module ctx ~mid:"M1" ~classes in
   check Alcotest.bool "M1 forced" true (Cbilbo_rules.forced v1);
   check Alcotest.int "via case ii" 1 (List.length v1.Cbilbo_rules.case_ii);
   check Alcotest.int "not case i" 0 (List.length v1.Cbilbo_rules.case_i);
-  let v2 = Cbilbo_rules.check_module ctx ~mid:"M2" ~classes in
+  let v2 = check_module ctx ~mid:"M2" ~classes in
   (* O_M2 = {c,h} splits across RA and RB, but RA misses instance *2
      ({e,g}) entirely, so case (ii) does not fire: M2 is not forced. *)
   check Alcotest.bool "M2 not forced" false (Cbilbo_rules.forced v2);
   check Alcotest.int "min CBILBO count collapses shared registers" 1
-    (Cbilbo_rules.min_cbilbo_count ctx ~classes)
+    (min_cbilbo_count ctx ~classes)
 
 let case_i_constructed () =
   (* Single unit, two instances; all outputs in R1 which also holds an
@@ -59,16 +75,16 @@ let case_i_constructed () =
   (* R1 = {a, u, v}: contains O = {u,v} entirely; a covers instance 1,
      u covers instance 2. *)
   let classes = [ ("R1", [ "a"; "u"; "v" ]); ("R2", [ "b"; "c" ]) ] in
-  let v = Cbilbo_rules.check_module ctx ~mid:"ADD" ~classes in
+  let v = check_module ctx ~mid:"ADD" ~classes in
   check (Alcotest.list Alcotest.string) "case i names R1" [ "R1" ] v.Cbilbo_rules.case_i;
   (* moving v out of R1 breaks case i but enables case ii only if R2
      covers all instances: R2 = {b,c,v} covers (b in I^1, c in I^2) *)
   let classes2 = [ ("R1", [ "a"; "u" ]); ("R2", [ "b"; "c"; "v" ]) ] in
-  let v2 = Cbilbo_rules.check_module ctx ~mid:"ADD" ~classes:classes2 in
+  let v2 = check_module ctx ~mid:"ADD" ~classes:classes2 in
   check Alcotest.int "case ii pair" 1 (List.length v2.Cbilbo_rules.case_ii);
   (* spreading outputs over a register that misses an instance avoids it *)
   let classes3 = [ ("R1", [ "a"; "u" ]); ("R2", [ "b"; "v" ]); ("R3", [ "c" ]) ] in
-  let v3 = Cbilbo_rules.check_module ctx ~mid:"ADD" ~classes:classes3 in
+  let v3 = check_module ctx ~mid:"ADD" ~classes:classes3 in
   check Alcotest.bool "not forced" false (Cbilbo_rules.forced v3)
 
 let partial_assignment_not_forced () =
@@ -76,7 +92,7 @@ let partial_assignment_not_forced () =
   (* before outputs are fully assigned, nothing is forced *)
   let classes = [ ("R1", [ "d" ]); ("R2", [ "c" ]) ] in
   check Alcotest.bool "partial not forced" false
-    (Cbilbo_rules.any_forced ctx ~classes)
+    (List.exists Cbilbo_rules.forced (Cbilbo_rules.verdicts ctx ~classes))
 
 (* Embedding-level agreement: if Lemma 2 fires for a module on the final
    register assignment, then the data path built with minimum
@@ -104,9 +120,9 @@ let lemma_matches_embeddings_on tag =
       (fun mid ->
         let lemma =
           Cbilbo_rules.forced
-            (Cbilbo_rules.check_module ctx ~mid ~classes)
+            (check_module ctx ~mid ~classes)
         in
-        let embedding_forced = Ipath.cbilbo_unavoidable r.Flow.datapath mid in
+        let embedding_forced = Oracles.cbilbo_unavoidable r.Flow.datapath mid in
         if all_commutative inst mid && lemma && not embedding_forced then
           Alcotest.failf "%s/%s: lemma fires but an embedding avoids the CBILBO" tag mid)
       (Sharing.units ctx)
@@ -136,9 +152,9 @@ let lemma_prediction_quality () =
           then begin
             let lemma =
               Cbilbo_rules.forced
-                (Cbilbo_rules.check_module ctx ~mid ~classes)
+                (check_module ctx ~mid ~classes)
             in
-            match (lemma, Ipath.cbilbo_unavoidable r.Flow.datapath mid) with
+            match (lemma, Oracles.cbilbo_unavoidable r.Flow.datapath mid) with
             | true, true -> incr tp
             | true, false -> incr fp
             | false, true -> incr fn
@@ -165,7 +181,7 @@ let prop_lemma1 =
       let r = run_flow inst in
       List.for_all
         (fun (u : Massign.hw) ->
-          (not (Ipath.cbilbo_unavoidable r.Flow.datapath u.mid))
+          (not (Oracles.cbilbo_unavoidable r.Flow.datapath u.mid))
           || List.length
                (Bistpath_datapath.Datapath.output_registers r.Flow.datapath u.mid)
              <= 2)

@@ -84,7 +84,7 @@ let carried_write_back () =
   check Alcotest.bool "IN_x loaded from pin" true
     (List.mem (Datapath.From_port "x") writers);
   (* the dedicated register holds both x and x1 *)
-  let reg = Datapath.reg_by_id dp "IN_x" in
+  let reg = List.find (fun r -> r.Datapath.rid = "IN_x") dp.Datapath.regs in
   check (Alcotest.list Alcotest.string) "vars" [ "x"; "x1" ] (List.sort compare reg.Datapath.vars);
   check Alcotest.bool "dedicated" true reg.Datapath.dedicated;
   (* primary output x1 is served from IN_x *)
@@ -148,10 +148,7 @@ let area_model_sanity () =
     (Area.register_gates m ~width:16);
   let add = Area.unit_gates m ~width:8 { Bistpath_dfg.Massign.mid = "A"; kinds = [ Op.Add ] } in
   let mul = Area.unit_gates m ~width:8 { Bistpath_dfg.Massign.mid = "M"; kinds = [ Op.Mul ] } in
-  check Alcotest.bool "multiplier much larger than adder" true (mul > 4 * add);
-  check Alcotest.int "mux 1 input free" 0 (Area.mux_gates m ~width:8 ~inputs:1);
-  check Alcotest.bool "mux grows" true
-    (Area.mux_gates m ~width:8 ~inputs:3 > Area.mux_gates m ~width:8 ~inputs:2)
+  check Alcotest.bool "multiplier much larger than adder" true (mul > 4 * add)
 
 let functional_gates_positive () =
   let r = ex1_testable () in

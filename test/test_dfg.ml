@@ -3,7 +3,7 @@
 
 module Op = Bistpath_dfg.Op
 module Dfg = Bistpath_dfg.Dfg
-module Massign = Bistpath_dfg.Massign
+module Massign = Oracles.Massign
 module Parser = Bistpath_dfg.Parser
 module Scheduler = Bistpath_dfg.Scheduler
 module B = Bistpath_benchmarks.Benchmarks

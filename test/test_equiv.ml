@@ -696,6 +696,66 @@ let synth_stderr args =
   let _, _, stderr = synth_capture args in
   stderr
 
+(* Every stdout line of [synth ARGS] as a JSON object, with the exit
+   code; a line that does not parse fails the test. *)
+let synth_ndjson args =
+  let code, stdout, _ = synth_capture args in
+  let lines = List.filter (( <> ) "") (String.split_on_char '\n' stdout) in
+  ( code,
+    List.map
+      (fun l ->
+        match Bistpath_util.Json.parse l with
+        | Ok v -> v
+        | Error e -> Alcotest.failf "stdout line is not JSON (%s): %s" e l)
+      lines )
+
+let cli_golden_json () =
+  let module Json = Bistpath_util.Json in
+  let d = tmpdir () in
+  let g = Filename.concat d "golden" in
+  let field name v = Json.member name v in
+  let objects what code expected_code objs =
+    check Alcotest.int (what ^ " exit code") expected_code code;
+    check Alcotest.bool (what ^ " prints one object per flow") true (List.length objs = 2)
+  in
+  let code, updated =
+    synth_ndjson [ "verify"; "ex1"; "--golden"; g; "--update-golden"; "--format"; "json" ]
+  in
+  objects "--update-golden" code 0 updated;
+  List.iter
+    (fun o ->
+      check Alcotest.bool "names the updated file" true
+        (match field "updated" o with Some (Json.Str p) -> Sys.file_exists p | _ -> false))
+    updated;
+  let code, compared = synth_ndjson [ "verify"; "ex1"; "--golden"; g; "--format"; "json" ] in
+  objects "comparison" code 0 compared;
+  List.iter
+    (fun o ->
+      check Alcotest.bool "ok and byte-identical" true
+        (field "ok" o = Some (Json.Bool true)
+        && field "byte_identical" o = Some (Json.Bool true)))
+    compared;
+  let code, missing =
+    synth_ndjson [ "verify"; "ex1"; "--golden"; Filename.concat d "none"; "--format"; "json" ]
+  in
+  objects "missing golden" code 2 missing;
+  List.iter
+    (fun o ->
+      check Alcotest.bool "missing golden is a finding" true
+        (field "ok" o = Some (Json.Bool false)
+        && match field "findings" o with Some (Json.Arr [ _ ]) -> true | _ -> false))
+    missing;
+  rm_rf d
+
+(* A flag the chosen verify mode would ignore exits 1 and names itself. *)
+let rejects_flags args flags () =
+  let code, stdout, stderr = synth_capture ("verify" :: args) in
+  check Alcotest.int "exit 1" 1 code;
+  check Alcotest.string "nothing verified" "" stdout;
+  List.iter
+    (fun f -> check Alcotest.bool ("stderr names " ^ f) true (contains stderr f))
+    flags
+
 (* The --stats span table's (name, depth, wall in ns, rounding bound in
    ns) rows, as printed by Telemetry.summary_table. *)
 let span_rows table =
@@ -869,6 +929,19 @@ let suite =
     case "width-1 Less round-trips" width1_less_round_trips;
     case "binary: verify --rtl exit codes (0/2/4)" cli_verify_exit_codes;
     case "binary: golden lifecycle (update, churn, drift)" cli_golden_lifecycle;
+    case "binary: verify --golden --format json prints NDJSON" cli_golden_json;
+    case "binary: verify rejects --update-golden without --golden"
+      (rejects_flags [ "ex1"; "--update-golden" ] [ "--update-golden"; "--golden" ]);
+    case "binary: verify rejects --rtl with --golden"
+      (let golden = Filename.concat Filename.parent_dir_name "golden" in
+       rejects_flags
+         [ "Paulin"; "--flow"; "testable"; "--bist"; "--sessions";
+           "--rtl"; Filename.concat golden "Paulin__testable.v"; "--golden"; golden ]
+         [ "--rtl"; "--golden" ]);
+    case "binary: verify rejects --bist without --rtl"
+      (rejects_flags [ "ex1"; "--bist" ] [ "--bist"; "--rtl" ]);
+    case "binary: verify rejects --sessions without --rtl"
+      (rejects_flags [ "ex1"; "--sessions" ] [ "--sessions"; "--rtl" ]);
     case "binary: rtl --verify --stats spans its layers" cli_verify_spans;
     case "pass-through output samples after its load" passthrough_output;
     case "binary: unread-input output exits 4" unread_input_output;

@@ -204,7 +204,7 @@ let shard_torn_tail_stays_local () =
   (* and re-opening the torn shard repairs the tail for good *)
   Journal.close (Journal.open_ (Journal.shard_path path 0));
   check Alcotest.int "repaired shard replays cleanly" 1
-    (List.length (Journal.replay (Journal.shard_path path 0)));
+    (List.length (Journal.replay_merged (Journal.shard_path path 0)));
   rm_rf d
 
 (* --- the real binary under fire ------------------------------------- *)

@@ -5,15 +5,15 @@ module Op = Bistpath_dfg.Op
 module G = Bistpath_gatelevel
 module Circuit = G.Circuit
 module Library = G.Library
-module Sim = G.Sim
+module Sim = Gate_ops.Sim
 module Fault = G.Fault
 module Fault_sim = G.Fault_sim
 module Lfsr = G.Lfsr
-module Misr = G.Misr
+module Misr = Oracles.Misr
 module Bist_sim = G.Bist_sim
 module B = Bistpath_benchmarks.Benchmarks
 module Flow = Bistpath_core.Flow
-module Prng = Bistpath_util.Prng
+module Prng = Prng_ext
 module Budget = Bistpath_resilience.Budget
 
 let check = Alcotest.check
@@ -28,7 +28,7 @@ let circuits_exhaustive_w3 () =
       let c = Library.of_kind kind ~width:3 in
       for a = 0 to 7 do
         for b = 0 to 7 do
-          let expect = Library.behavioural kind ~width:3 a b in
+          let expect = Op.eval kind ~width:3 a b in
           let got = first (Sim.eval_words c ~width:3 [ a; b ]) in
           if got <> expect then
             Alcotest.failf "%s: %d op %d = %d, circuit says %d" (Op.symbol kind) a b
@@ -38,7 +38,7 @@ let circuits_exhaustive_w3 () =
     Op.all_kinds
 
 let adder_carry_out () =
-  let c = Library.ripple_adder ~width:4 in
+  let c = Library.of_kind Op.Add ~width:4 in
   (* 15 + 1 = 16: sum bits 0, carry 1 *)
   match Sim.eval_words c ~width:4 [ 15; 1 ] with
   | [ sum; carry ] ->
@@ -47,7 +47,7 @@ let adder_carry_out () =
   | _ -> Alcotest.fail "expected two output groups"
 
 let subtractor_borrow () =
-  let c = Library.subtractor ~width:4 in
+  let c = Library.of_kind Op.Sub ~width:4 in
   match Sim.eval_words c ~width:4 [ 3; 5 ] with
   | [ diff; borrow ] ->
     check Alcotest.int "diff (two's complement)" 14 diff;
@@ -55,7 +55,7 @@ let subtractor_borrow () =
   | _ -> Alcotest.fail "expected two output groups"
 
 let divider_by_zero () =
-  let c = Library.array_divider ~width:4 in
+  let c = Library.of_kind Op.Div ~width:4 in
   for a = 0 to 15 do
     check Alcotest.int "x/0 = all ones" 15 (first (Sim.eval_words c ~width:4 [ a; 0 ]))
   done
@@ -66,7 +66,7 @@ let prop_circuits_random_w8 =
     (fun (a, b, ki) ->
       let kind = List.nth Op.all_kinds ki in
       let c = Library.of_kind kind ~width:8 in
-      first (Sim.eval_words c ~width:8 [ a; b ]) = Library.behavioural kind ~width:8 a b)
+      first (Sim.eval_words c ~width:8 [ a; b ]) = Op.eval kind ~width:8 a b)
 
 let alu_matches_each_kind () =
   let kinds = [ Op.Add; Op.Sub; Op.Mul; Op.Less ] in
@@ -82,14 +82,14 @@ let alu_matches_each_kind () =
         let got =
           snd (List.fold_left (fun (j, acc) bit -> (j + 1, acc lor (bit lsl j))) (0, 0) out)
         in
-        if got <> Library.behavioural kind ~width:4 a b then
+        if got <> Op.eval kind ~width:4 a b then
           Alcotest.failf "ALU %s(%d,%d): got %d" (Op.symbol kind) a b got)
       kinds
   done
 
 let builder_validation () =
   let b = Circuit.Builder.create "t" in
-  let x = Circuit.Builder.input b in
+  let x = List.hd (Circuit.Builder.inputs b 1) in
   (match Circuit.Builder.gate b Circuit.Not [ x; x ] with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "Not arity accepted");
@@ -152,8 +152,8 @@ let eval_kind_semantics () =
   check Alcotest.int64 "3-input and" f (eval_gate Circuit.And [ t; t; f ])
 
 let fault_lists () =
-  let c = Library.ripple_adder ~width:3 in
-  let all = Fault.all c in
+  let c = Library.of_kind Op.Add ~width:3 in
+  let all = Gate_ops.all_faults c in
   let collapsed = Fault.collapsed c in
   check Alcotest.int "two faults per net" (2 * c.Circuit.num_nets) (List.length all);
   check Alcotest.bool "collapsed is smaller" true (List.length collapsed < List.length all);
@@ -164,7 +164,7 @@ let fault_lists () =
    detect exactly the same *coverage* = 100% for both lists minus the
    structurally untestable ones. *)
 let collapse_soundness_w2 () =
-  let c = Library.ripple_adder ~width:2 in
+  let c = Library.of_kind Op.Add ~width:2 in
   let patterns = List.concat_map (fun a -> List.init 4 (fun b -> (a, b))) (List.init 4 Fun.id) in
   let run faults = Fault_sim.run_operand_patterns c ~width:2 ~faults ~patterns in
   let r_collapsed = run (Fault.collapsed c) in
@@ -172,7 +172,7 @@ let collapse_soundness_w2 () =
     (List.length r_collapsed.Fault_sim.undetected)
 
 let fault_detection_basics () =
-  let c = Library.logic_unit Circuit.And ~width:1 in
+  let c = Library.of_kind Op.And ~width:1 in
   (* nets: 0=a, 1=b, 2=out. Fault out s-a-0 detected only by (1,1). *)
   let f = { Fault.net = 2; polarity = Fault.Stuck_at_0 } in
   let r1 = Fault_sim.run_operand_patterns c ~width:1 ~faults:[ f ] ~patterns:[ (0, 1) ] in
@@ -182,9 +182,9 @@ let fault_detection_basics () =
 
 let fault_sim_chunking () =
   (* more than 64 patterns exercises multi-chunk packing *)
-  let c = Library.ripple_adder ~width:3 in
+  let c = Library.of_kind Op.Add ~width:3 in
   let rng = Prng.create 3 in
-  let patterns = Fault_sim.random_operand_patterns rng ~width:3 ~count:100 in
+  let patterns = Gate_ops.random_operand_patterns rng ~width:3 ~count:100 in
   let r = Fault_sim.run_operand_patterns c ~width:3 ~faults:(Fault.collapsed c) ~patterns in
   check Alcotest.bool "high coverage with 100 random patterns" true
     (Fault_sim.coverage r > 0.95)
@@ -193,7 +193,7 @@ let fault_sim_chunking () =
    not grade: a fault only the all-zero vector detects stays undetected
    by fewer than 64 non-zero patterns. *)
 let fault_sim_grades_live_lanes_only () =
-  let c = Library.logic_unit Circuit.Or ~width:1 in
+  let c = Library.of_kind Op.Or ~width:1 in
   (* a | b stuck at 1 shows only when a = b = 0 *)
   let f = { Fault.net = List.hd c.Circuit.outputs; polarity = Fault.Stuck_at_1 } in
   let detected patterns = (Fault_sim.run c ~faults:[ f ] ~patterns).Fault_sim.detected in
@@ -247,9 +247,7 @@ let misr_properties () =
   check Alcotest.bool "order sensitive" true
     (Misr.run ~width:8 words <> Misr.run ~width:8 (List.rev words));
   check Alcotest.bool "input sensitive" true
-    (Misr.run ~width:8 words <> Misr.run ~width:8 [ 1; 2; 3; 4; 6 ]);
-  check (Alcotest.float 1e-12) "aliasing estimate" (1.0 /. 256.0)
-    (Misr.aliasing_probability ~width:8)
+    (Misr.run ~width:8 words <> Misr.run ~width:8 [ 1; 2; 3; 4; 6 ])
 
 let bist_sim_ex1_full_coverage () =
   let inst = B.ex1 () in
@@ -260,7 +258,7 @@ let bist_sim_ex1_full_coverage () =
   let rep = Bist_sim.run ~width:8 ~pattern_count:255 r.Flow.datapath r.Flow.bist in
   check Alcotest.int "two units simulated" 2 (List.length rep.Bist_sim.units);
   check Alcotest.bool "full stuck-at coverage" true
-    (Bist_sim.overall_coverage rep >= 0.999);
+    (Gate_ops.overall_coverage rep >= 0.999);
   List.iter
     (fun u ->
       check Alcotest.bool "aliased subset of detected" true
@@ -291,7 +289,7 @@ let more_patterns_never_hurt () =
       inst.B.dfg inst.B.massign ~policy:inst.B.policy
   in
   let cov n =
-    Bist_sim.overall_coverage (Bist_sim.run ~width:6 ~pattern_count:n r.Flow.datapath r.Flow.bist)
+    Gate_ops.overall_coverage (Bist_sim.run ~width:6 ~pattern_count:n r.Flow.datapath r.Flow.bist)
   in
   let c15 = cov 15 and c63 = cov 63 in
   check Alcotest.bool "coverage monotone in patterns" true (c63 >= c15)
@@ -315,7 +313,7 @@ let prop_alu_random_kind_sets =
             let got =
               snd (List.fold_left (fun (j, acc) bit -> (j + 1, acc lor (bit lsl j))) (0, 0) out)
             in
-            got = Library.behavioural (List.nth kinds i) ~width:3 a b)
+            got = Op.eval (List.nth kinds i) ~width:3 a b)
           (List.init (List.length kinds) Fun.id))
 
 (* --- the compiled kernel against the list-based oracles ------------ *)
@@ -336,7 +334,7 @@ let random_unit seed =
       Prng.shuffle rng kinds;
       Library.alu (Array.to_list (Array.sub kinds 0 (2 + Prng.int rng 3))) ~width
   in
-  let faults = List.filter (fun _ -> Prng.int rng 4 = 0) (Fault.all circuit) in
+  let faults = List.filter (fun _ -> Prng.int rng 4 = 0) (Gate_ops.all_faults circuit) in
   let operands =
     List.init (1 + Prng.int rng (if Prng.bool rng then 8 else 200)) (fun _ ->
         (Prng.int rng (1 lsl width), Prng.int rng (1 lsl width)))
@@ -353,7 +351,7 @@ let prop_kernel_matches_oracle =
       in
       Sim.eval_nets c words = Oracles.inject c words
       && List.for_all
-           (fun f -> Fault.inject c f words = Oracles.inject ~fault:f c words)
+           (fun f -> Gate_ops.inject c f words = Oracles.inject ~fault:f c words)
            faults)
 
 let prop_fault_sim_matches_oracle =
@@ -424,7 +422,7 @@ let edge_unit seed =
     List.init (65 + (2 * Prng.int rng 63)) (fun _ ->
         (Prng.int rng (1 lsl width), Prng.int rng (1 lsl width)))
   in
-  (rng, width, c, List.filter edge (Fault.all c), operands)
+  (rng, width, c, List.filter edge (Gate_ops.all_faults c), operands)
 
 let prop_edge_faults_match_oracles =
   QCheck.Test.make
@@ -452,7 +450,7 @@ let prop_edge_faults_match_oracles =
 let budget_trips_mid_list () =
   let width = 8 in
   let c = Library.alu [ Op.Add; Op.Sub; Op.Mul ] ~width in
-  let faults = Fault.all c in
+  let faults = Gate_ops.all_faults c in
   let rng = Prng.create 11 in
   let operands = Array.init 255 (fun _ -> (Prng.int rng 256, Prng.int rng 256)) in
   let patterns =
@@ -505,7 +503,7 @@ let prop_misr_linear =
       let a = List.map fst pairs and b = List.map snd pairs in
       Misr.run ~width (List.map2 ( lxor ) a b)
       = Misr.run ~width a lxor Misr.run ~width b
-      && Misr.run ~width a = List.fold_left (Misr.clock ~width) 0 a)
+      && Misr.run ~width a = List.fold_left (G.Misr.clock ~width) 0 a)
 
 let bist_sim_unit_spans () =
   let inst = B.paulin () in

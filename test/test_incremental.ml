@@ -8,13 +8,13 @@
 
 module B = Bistpath_benchmarks.Benchmarks
 module Dfg = Bistpath_dfg.Dfg
-module Ugraph = Bistpath_graphs.Ugraph
-module Interval = Bistpath_graphs.Interval
+module Ugraph = Graph_ops.Ugraph
+module Interval = Graph_ops.Interval
 module Chordal = Bistpath_graphs.Chordal
 module Clique_partition = Bistpath_graphs.Clique_partition
 module Sharing = Bistpath_core.Sharing
 module Cbilbo_rules = Bistpath_core.Cbilbo_rules
-module Prng = Bistpath_util.Prng
+module Prng = Prng_ext
 module Flow = Bistpath_core.Flow
 module Testable_alloc = Bistpath_core.Testable_alloc
 module Resource = Bistpath_bist.Resource
@@ -52,11 +52,11 @@ let prop_lemma2_matches_oracle =
       let ctx = Sharing.make dfg massign in
       List.for_all
         (fun mid ->
-          let v = Cbilbo_rules.check_module ctx ~mid ~classes in
+          let v = Test_cbilbo.check_module ctx ~mid ~classes in
           (v.Cbilbo_rules.case_i, v.Cbilbo_rules.case_ii)
           = Oracles.check_module dfg massign ~mid ~classes)
         (Sharing.units ctx)
-      && Cbilbo_rules.min_cbilbo_count ctx ~classes
+      && Test_cbilbo.min_cbilbo_count ctx ~classes
          = Oracles.min_cbilbo_count dfg massign ~classes)
 
 (* Grow the same assignment one variable at a time through the live
@@ -245,7 +245,7 @@ let prop_bist_matches_exhaustive =
 (* fir16 is past the node cap: both searches stop at it, the library
    with a solution no worse than the oracle's. *)
 let bist_truncated_matches_oracle () =
-  let inst = B.fir ~taps:16 in
+  let inst = Option.get (B.by_tag "fir16") in
   let dp =
     (Flow.run ~style:(List.hd bist_flows) inst.B.dfg inst.B.massign ~policy:inst.B.policy)
       .Flow.datapath

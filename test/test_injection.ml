@@ -82,7 +82,7 @@ let conflicting_allocation_rejected () =
 
 (* Gate-level: a wrong gate in the adder must fail the reference check. *)
 let wrong_gate_detected () =
-  let c = G.Library.ripple_adder ~width:3 in
+  let c = G.Library.of_kind Op.Add ~width:3 in
   let corrupt =
     {
       c with
@@ -110,8 +110,8 @@ let wrong_gate_detected () =
   let mismatches = ref 0 in
   for a = 0 to 7 do
     for b = 0 to 7 do
-      match G.Sim.eval_words corrupt ~width:3 [ a; b ] with
-      | got :: _ -> if got <> G.Library.behavioural Op.Add ~width:3 a b then incr mismatches
+      match Gate_ops.Sim.eval_words corrupt ~width:3 [ a; b ] with
+      | got :: _ -> if got <> Op.eval Op.Add ~width:3 a b then incr mismatches
       | [] -> incr mismatches
     done
   done;
@@ -121,7 +121,7 @@ let wrong_gate_detected () =
    undetectable by masking logic is reported undetected, not silently
    dropped. *)
 let fault_sim_reports_misses () =
-  let c = G.Library.logic_unit G.Circuit.And ~width:1 in
+  let c = G.Library.of_kind Op.And ~width:1 in
   let f = { G.Fault.net = 2; polarity = G.Fault.Stuck_at_0 } in
   let r =
     G.Fault_sim.run_operand_patterns c ~width:1 ~faults:[ f ]
@@ -133,7 +133,7 @@ let fault_sim_reports_misses () =
 (* Scale/robustness: a 32-tap FIR and the transparent ewf search both
    complete and validate. *)
 let large_designs_complete () =
-  let inst = B.fir ~taps:32 in
+  let inst = Option.get (B.by_tag "fir32") in
   let r = run_flow inst in
   check Alcotest.bool "fir32 synthesizes" true (r.Flow.registers > 0);
   let rng = Prng.create 5 in
@@ -142,7 +142,7 @@ let large_designs_complete () =
   in
   check Alcotest.bool "fir32 equivalent" true
     (Interp.equivalent_to_dfg r.Flow.datapath ~width:8 ~inputs);
-  let ewf = B.ewf () in
+  let ewf = Option.get (B.by_tag "ewf") in
   let re =
     Flow.run ~transparency:true ~style:testable ewf.B.dfg ewf.B.massign
       ~policy:ewf.B.policy

@@ -25,12 +25,7 @@ let eval_known_values () =
   in
   check (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int)) "outputs"
     [ ("f", 23); ("h", 77) ]
-    outs;
-  let all =
-    Eval.run_all inst.B.dfg ~width:8 ~inputs:[ ("a", 3); ("b", 5); ("e", 7); ("g", 11) ]
-  in
-  check (Alcotest.option Alcotest.int) "d" (Some 8) (List.assoc_opt "d" all);
-  check (Alcotest.option Alcotest.int) "c" (Some 15) (List.assoc_opt "c" all)
+    outs
 
 let eval_wraps_at_width () =
   let inst = B.ex1 () in

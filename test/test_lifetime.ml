@@ -5,9 +5,9 @@ module Op = Bistpath_dfg.Op
 module Dfg = Bistpath_dfg.Dfg
 module Policy = Bistpath_dfg.Policy
 module Lifetime = Bistpath_dfg.Lifetime
-module Interval = Bistpath_graphs.Interval
+module Interval = Graph_ops.Interval
 module Chordal = Bistpath_graphs.Chordal
-module Coloring = Bistpath_graphs.Coloring
+module Coloring = Graph_ops.Coloring
 module B = Bistpath_benchmarks.Benchmarks
 module Prng = Bistpath_util.Prng
 
@@ -95,16 +95,16 @@ let ex1_conflict_edges () =
   let inst = B.ex1 () in
   let g, idx = Lifetime.conflict_graph inst.B.dfg in
   let edge u v =
-    Bistpath_graphs.Ugraph.mem_edge g (idx.Lifetime.to_index u) (idx.Lifetime.to_index v)
+    Graph_ops.Ugraph.mem_edge g (idx.Lifetime.to_index u) (idx.Lifetime.to_index v)
   in
   check Alcotest.bool "a-b" true (edge "a" "b");
   check Alcotest.bool "c-d" true (edge "c" "d");
   check Alcotest.bool "e-f" true (edge "e" "f");
   check Alcotest.bool "e-g" true (edge "e" "g");
   check Alcotest.bool "f-g" true (edge "f" "g");
-  check Alcotest.int "exactly 5 edges" 5 (Bistpath_graphs.Ugraph.num_edges g);
+  check Alcotest.int "exactly 5 edges" 5 (Graph_ops.Ugraph.num_edges g);
   check Alcotest.bool "h isolated" true
-    (Bistpath_graphs.Ugraph.degree g (idx.Lifetime.to_index "h") = 0)
+    (Graph_ops.Ugraph.degree g (idx.Lifetime.to_index "h") = 0)
 
 let prop_conflict_graphs_chordal =
   QCheck.Test.make ~name:"random DFG conflict graphs are interval (chordal)" ~count:60
@@ -126,7 +126,7 @@ let prop_spans_overlap_iff_edge =
       List.for_all
         (fun ((u, su), (v, sv)) ->
           let e =
-            Bistpath_graphs.Ugraph.mem_edge g (idx.Lifetime.to_index u)
+            Graph_ops.Ugraph.mem_edge g (idx.Lifetime.to_index u)
               (idx.Lifetime.to_index v)
           in
           e = Interval.overlap su sv)
@@ -154,7 +154,7 @@ let prop_spans_match_per_variable_scan =
         [ inst.B.policy; Policy.default; Policy.dedicated_io ])
 
 let indexing_bijection () =
-  let inst = B.ex2 () in
+  let inst = Option.get (B.by_tag "ex2") in
   let idx = Lifetime.indexing inst.B.dfg in
   for i = 0 to idx.Lifetime.count - 1 do
     check Alcotest.int "roundtrip" i (idx.Lifetime.to_index (idx.Lifetime.of_index i))

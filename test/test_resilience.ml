@@ -26,7 +26,6 @@ let case name f = Alcotest.test_case name `Quick f
 
 let budget_unlimited () =
   let b = Budget.unlimited in
-  check Alcotest.bool "unlimited" true (Budget.is_unlimited b);
   for _ = 1 to 1000 do
     Budget.node b;
     Budget.leaf b
@@ -243,8 +242,6 @@ let diagnostic_collector_cap () =
     Diagnostic.emit coll (Diagnostic.errorf ~line:i "problem %d" i)
   done;
   check Alcotest.int "kept up to cap" 2 (Diagnostic.errors coll);
-  check Alcotest.bool "truncated" true (Diagnostic.truncated coll);
-  check Alcotest.int "dropped" 3 (Diagnostic.dropped coll);
   let all = Diagnostic.all coll in
   (* 2 kept errors + 1 trailing truncation note *)
   check Alcotest.int "kept + note" 3 (List.length all);
@@ -311,12 +308,10 @@ let with_injection config ~seed f =
 
 let inject_disarmed_by_default () =
   Inject.configure [];
-  check Alcotest.bool "disarmed" false (Inject.enabled ());
   check Alcotest.bool "no fire" false (Inject.should_fire "pareto.leaf")
 
 let inject_certain_hit () =
   with_injection [ ("allocator.leaf", 1.0) ] ~seed:1 (fun () ->
-      check Alcotest.bool "armed" true (Inject.enabled ());
       Alcotest.check_raises "fires" (Inject.Injected "allocator.leaf") (fun () ->
           Inject.fire "allocator.leaf");
       (* other sites stay quiet *)

@@ -181,7 +181,7 @@ let wrapper_structure () =
   check Alcotest.bool "pins tied" true (contains w "pin_x = {8{1'b0}}")
 
 let wrapper_deterministic () =
-  let r = run (B.ex2 ()) in
+  let r = run (Option.get (B.by_tag "ex2")) in
   let mk () = Bistpath_rtl.Bist_wrapper.emit r.Flow.datapath r.Flow.bist r.Flow.sessions in
   check Alcotest.string "stable" (mk ()) (mk ())
 

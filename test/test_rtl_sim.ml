@@ -48,19 +48,26 @@ let goldens_differ_across_sessions () =
   check Alcotest.bool "sessions produce different signatures" true
     (List.length (List.sort_uniq compare values) > 1)
 
+(* Do the golden signatures differ when [mid] computes [fault] instead
+   of its real function? *)
+let detects_fault ?(width = 8) ?patterns dp sol sessions ~mid ~fault =
+  let clean = Bist_wrapper.golden_signatures ~width ?patterns dp sol sessions in
+  clean
+  <> Bist_wrapper.golden_signatures ~width ?patterns ~faulty_unit:(mid, fault) dp sol sessions
+
 let wrong_function_detected () =
   List.iter
     (fun (tag, mid) ->
       let r = run_flow tag in
       check Alcotest.bool (tag ^ " wrong op caught") true
-        (Bist_wrapper.detects_fault r.Flow.datapath r.Flow.bist r.Flow.sessions ~mid
+        (detects_fault r.Flow.datapath r.Flow.bist r.Flow.sessions ~mid
            ~fault:(fun ~width x y -> Op.eval Op.Sub ~width x y)))
     [ ("ex1", "M1"); ("Paulin", "ADD"); ("Paulin", "MUL1") ]
 
 let stuck_output_bit_detected () =
   let r = run_flow "ex1" in
   check Alcotest.bool "stuck bit caught" true
-    (Bist_wrapper.detects_fault r.Flow.datapath r.Flow.bist r.Flow.sessions ~mid:"M1"
+    (detects_fault r.Flow.datapath r.Flow.bist r.Flow.sessions ~mid:"M1"
        ~fault:(fun ~width x y -> Op.eval Op.Add ~width x y land 0xFE))
 
 let full_period_constant_aliasing () =
@@ -70,10 +77,10 @@ let full_period_constant_aliasing () =
   let r = run_flow "ex1" in
   let fault ~width x y = Op.eval Op.Add ~width x y lxor 1 in
   check Alcotest.bool "caught one cycle short of the period" true
-    (Bist_wrapper.detects_fault ~patterns:254 r.Flow.datapath r.Flow.bist r.Flow.sessions
+    (detects_fault ~patterns:254 r.Flow.datapath r.Flow.bist r.Flow.sessions
        ~mid:"M1" ~fault);
   check Alcotest.bool "aliases at exactly the full period" false
-    (Bist_wrapper.detects_fault ~patterns:255 r.Flow.datapath r.Flow.bist r.Flow.sessions
+    (detects_fault ~patterns:255 r.Flow.datapath r.Flow.bist r.Flow.sessions
        ~mid:"M1" ~fault)
 
 let wrapper_bakes_goldens () =

@@ -130,9 +130,10 @@ let unit_limit () =
          ~units:(List.map (fun i -> { Massign.mid = "U" ^ i; kinds = [ Op.Add ] }) ids)
          ~bind:(List.map (fun i -> ("+" ^ i, "U" ^ i)) ids))
   in
-  check Alcotest.int "SD(a) at the limit" Sharing.max_units
-    (Sharing.sd_var (parallel Sharing.max_units) "a");
-  match parallel (Sharing.max_units + 1) with
+  (* one unit per bit of an OCaml int mask *)
+  let max_units = 63 in
+  check Alcotest.int "SD(a) at the limit" max_units (Sharing.sd_var (parallel max_units) "a");
+  match parallel (max_units + 1) with
   | _ -> Alcotest.fail "accepted more units than a mask holds"
   | exception Invalid_argument _ -> ()
 

@@ -173,14 +173,14 @@ let channel_session_conflict () =
 let transparency_solution_still_simulates () =
   (* The gate-level BIST simulation only depends on the chosen TPG/SA
      registers; a transparent solution must still produce a valid report. *)
-  let inst = B.iir_biquad () in
+  let inst = Option.get (B.by_tag "iir") in
   let r =
     Flow.run ~transparency:true ~style:testable inst.B.dfg inst.B.massign
       ~policy:inst.B.policy
   in
   let rep = Bistpath_gatelevel.Bist_sim.run ~width:6 ~pattern_count:63 r.Flow.datapath r.Flow.bist in
   check Alcotest.bool "coverage sane" true
-    (Bistpath_gatelevel.Bist_sim.overall_coverage rep > 0.5)
+    (Gate_ops.overall_coverage rep > 0.5)
 
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
