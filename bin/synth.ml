@@ -188,10 +188,11 @@ let common_term =
 
 let cache_flag_arg =
   let doc =
-    "Enable the content-addressed result cache: stage results and \
-     terminal artifacts are stored under the cache directory, and a \
-     warm re-run serves byte-identical output from it, re-running only \
-     the stages whose inputs changed."
+    "Enable the content-addressed result cache: the rendered artifacts \
+     of $(b,run), $(b,rtl) and $(b,pareto) are stored under the cache \
+     directory, and a warm re-run serves the same bytes from it without \
+     running the flow. Gated runs ($(b,--check), $(b,--verify), \
+     $(b,--narrow)) always run the flow."
   in
   Arg.(value & flag & info [ "cache" ] ~doc)
 
@@ -411,7 +412,7 @@ let run_term =
     else begin
       (* the gate needs the live flow result, so no terminal artifact *)
       let inst = or_die_input (Runner.load_instance ?max_errors:c.max_errors spec) in
-      let r = Runner.flow ?cache ~budget inst job in
+      let r = Runner.flow ~budget inst job in
       print_string (Runner.render_run inst r);
       check_gate ~budget inst job r
     end
@@ -512,7 +513,7 @@ let rtl_cmd =
     else begin
       (* the gates and the narrowing plan need the live flow result, so
          no terminal artifact *)
-      let r = Runner.flow ?cache ~budget inst job in
+      let r = Runner.flow ~budget inst job in
       let plan =
         if not narrow then None
         else
@@ -1001,15 +1002,17 @@ let verify_cmd =
   let vectors_arg =
     let doc =
       "Random vectors for the simulation cross-check EQ002 (0 disables it; \
-       the structural comparison RTL005 always runs)."
+       the structural comparison RTL005 always runs). Rejected with \
+       $(b,--golden), which never simulates."
     in
-    Arg.(value & opt int 16 & info [ "vectors" ] ~docv:"N" ~doc)
+    Arg.(value & opt (some int) None & info [ "vectors" ] ~docv:"N" ~absent:"16" ~doc)
   in
-  let run c spec width flow vectors format rtl_file bist_f sessions_f golden
+  let run c spec width flow vectors_o format rtl_file bist_f sessions_f golden
       update_golden =
     with_common c @@ fun budget ->
     let inst = or_die_input (Runner.load_instance ?max_errors:c.max_errors spec) in
     valid_format formats format;
+    let vectors = Option.value vectors_o ~default:16 in
     valid_vectors vectors;
     let jobs = cli_jobs c ~width Job.Verify spec flow in
     (* Each mode reads its own flags; a flag the chosen mode would
@@ -1022,6 +1025,8 @@ let verify_cmd =
       if bist_f then needs "--bist" "--rtl FILE";
       if sessions_f then needs "--sessions" "--rtl FILE"
     end;
+    if golden <> None && vectors_o <> None then
+      or_die (Error "--vectors and --golden are exclusive: --golden never simulates");
     let mismatches = ref 0 and unparsable = ref 0 in
     let json = format = "json" in
     let print_json fields = print_endline (Json.to_string (Json.Obj fields)) in

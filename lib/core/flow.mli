@@ -1,6 +1,11 @@
 (** End-to-end synthesis flows: register assignment, interconnect
     assignment, data path construction and minimal-area BIST allocation,
-    packaged with the metrics Table I reports. *)
+    packaged with the metrics Table I reports.
+
+    A flow is one straight-line pass: it takes milliseconds at paper
+    scale, so nothing inside it is cached. The result cache stores only
+    the rendered artifacts a caller waits for, keyed by {!artifact_key}
+    (see [Bistpath_service.Runner]). *)
 
 type style =
   | Traditional  (** left-edge registers, unweighted minimum interconnect *)
@@ -29,7 +34,6 @@ val run :
   ?io_penalty_percent:int ->
   ?transparency:bool ->
   ?budget:Bistpath_resilience.Budget.t ->
-  ?cache:Bistpath_cache.Store.t ->
   style:style ->
   Bistpath_dfg.Dfg.t ->
   Bistpath_dfg.Massign.t ->
@@ -43,22 +47,13 @@ val run :
     a tripped budget yields a valid flow built from the best allocation
     found so far, and {!Bistpath_resilience.Budget.stop_reason} says
     why. [result.bist.exact] is also [false] when the allocator reached
-    its fixed node cap (200,000 nodes), which does not trip the budget.
-
-    [cache] attaches a content-addressed result store: the flow becomes
-    a walk over the keyed stage DAG ({!Stage}), where each stage first
-    looks up its deterministic input key and only recomputes on a miss.
-    Hits and misses are counted per stage ([cache.hit.<stage>] /
-    [cache.miss.<stage>]) and in aggregate; a corrupt or undecodable
-    entry counts as [cache.corrupt] and recomputes. Budget-truncated
-    BIST solutions are returned but never stored. Without [cache]
-    (the default) the historical straight-line behaviour — spans,
-    telemetry, outputs — is byte-identical. *)
+    its fixed node cap (200,000 nodes), which does not trip the budget. *)
 
 (** {1 Cache keys}
 
-    Helpers shared with the CLI and service layers so every consumer
-    derives identical keys. *)
+    The terminal-artifact keys of the service runner's result cache,
+    exported so every consumer (the runner, benchmarks, tracers) derives
+    identical keys. The flow itself never touches the cache. *)
 
 val spec_hash :
   Bistpath_dfg.Dfg.t ->
@@ -86,27 +81,6 @@ val artifact_key : stage:Stage.t -> spec_hash:string -> params:Bistpath_util.Jso
     chains the schedule root hash with the full parameter set, under
     which the whole pipeline is deterministic — so a warm artifact can
     be served byte-identical without re-running the flow. *)
-
-val artifact_find :
-  cache:Bistpath_cache.Store.t option ->
-  stage:Stage.t ->
-  key:string option ->
-  string option
-(** Look a terminal artifact up by its {!artifact_key}, counting
-    [cache.hit.<stage>] / [cache.miss.<stage>] (and the aggregates).
-    [None] for [cache] or [key] is a silent pass-through — no counters,
-    no I/O — so uncached paths stay byte-identical. *)
-
-val artifact_store :
-  cache:Bistpath_cache.Store.t option ->
-  stage:Stage.t ->
-  key:string option ->
-  string ->
-  unit
-(** Commit a freshly rendered terminal artifact (best-effort; see
-    {!Bistpath_cache.Store.put}). Callers must skip this when the run
-    was budget-truncated — the bytes would not be deterministic in the
-    key. *)
 
 val reduction_percent : traditional:result -> testable:result -> float
 (** Table I's "% Reduction in BIST area":

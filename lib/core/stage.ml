@@ -1,26 +1,14 @@
 module Json = Bistpath_util.Json
 
-type t = Schedule | Alloc | Interconnect | Bist | Rtl | Report
+type t = Schedule | Rtl | Report
 
-let name = function
-  | Schedule -> "schedule"
-  | Alloc -> "alloc"
-  | Interconnect -> "interconnect"
-  | Bist -> "bist"
-  | Rtl -> "rtl"
-  | Report -> "report"
+let name = function Schedule -> "schedule" | Rtl -> "rtl" | Report -> "report"
 
 (* Bump a stage's version whenever its payload encoding *or* the
    semantics of the computation it memoizes change: the version is
    hashed into every key, so old entries become unreachable (and
-   eventually GC'd) instead of being decoded under wrong assumptions. *)
-let schema_version = function
-  | Schedule -> 1
-  | Alloc -> 1
-  | Interconnect -> 1
-  | Bist -> 1
-  | Rtl -> 1
-  | Report -> 1
+   eventually GC'd) instead of being served under wrong assumptions. *)
+let schema_version = function Schedule -> 1 | Rtl -> 1 | Report -> 1
 
 let key stage ~inputs =
   Digest.to_hex
@@ -32,5 +20,3 @@ let key stage ~inputs =
                ("schema", Json.Num (float_of_int (schema_version stage)));
                ("inputs", inputs);
              ])))
-
-let out_hash ~key ~payload = Digest.to_hex (Digest.string (key ^ "\n" ^ payload))

@@ -151,10 +151,11 @@ let is_peo (g : Ugraph.t) order =
 
 let is_chordal g = perfect g (elim g (rev (mcs g)))
 
-(* The reverse MCS order of a chordal graph, checked. *)
-let chordal_elim g =
+(* The reverse MCS order of a chordal graph, checked; [entry] names the
+   exported function in the failure. *)
+let chordal_elim ~entry g =
   let e = elim g (rev (mcs g)) in
-  if not (perfect g e) then failwith "Chordal.maximal_cliques: graph is not chordal";
+  if not (perfect g e) then failwith (entry ^ ": graph is not chordal");
   e
 
 (* Ranks every vertex once by (key, vertex), then eliminates the
@@ -214,7 +215,7 @@ let peo_with_preference (g : Ugraph.t) ~key =
    of v. Every clique lies in some C(v), so a vertex's largest clique is
    the largest C(v) containing it. *)
 let max_clique_size_per_vertex (g : Ugraph.t) =
-  let e = chordal_elim g in
+  let e = chordal_elim ~entry:"Chordal.max_clique_size_per_vertex" g in
   let best = Array.make (Array.length e.order) 1 in
   Array.iteri
     (fun v row ->
@@ -224,4 +225,6 @@ let max_clique_size_per_vertex (g : Ugraph.t) =
     g.adj;
   List.init (Array.length best) (fun i -> (g.labels.(i), best.(i)))
 
-let clique_number g = Array.fold_left (fun acc l -> max acc (l + 1)) 0 (chordal_elim g).later
+let clique_number g =
+  Array.fold_left (fun acc l -> max acc (l + 1)) 0
+    (chordal_elim ~entry:"Chordal.clique_number" g).later

@@ -13,6 +13,8 @@ module Session = Bistpath_bist.Session
 module Pareto = Bistpath_bist.Pareto
 module Check = Bistpath_check.Check
 module Json = Bistpath_util.Json
+module Store = Bistpath_cache.Store
+module Telemetry = Bistpath_telemetry.Telemetry
 
 type error = Invalid_input of string list | Check_findings of string list
 
@@ -57,8 +59,8 @@ let style_of_job (job : Job.t) =
   | Ok style -> style
   | Error msg -> invalid_arg ("Runner: " ^ msg)
 
-let flow ?cache ~budget (inst : B.instance) (job : Job.t) =
-  Flow.run ~budget ~width:job.Job.width ~transparency:job.Job.transparency ?cache
+let flow ~budget (inst : B.instance) (job : Job.t) =
+  Flow.run ~budget ~width:job.Job.width ~transparency:job.Job.transparency
     ~style:(style_of_job job) inst.B.dfg inst.B.massign ~policy:inst.B.policy
 
 let render_run (inst : B.instance) r =
@@ -89,45 +91,54 @@ let check_report ?suppress ?(vectors = 10) ~budget (inst : B.instance) (job : Jo
 
 (* Terminal artifact stage: the whole rendered output, keyed from the
    spec's schedule root hash plus the job parameters, so a warm job is
-   served byte-identical without running the flow at all. *)
+   served byte-identical without running the flow at all. This is where
+   the CLI and serve alike look results up and commit them; without a
+   store nothing is counted and no I/O happens. *)
 let cached ?cache ~budget ~stage ~extra (inst : B.instance) (job : Job.t) render =
-  let key =
-    Option.map
-      (fun _ ->
-        Flow.artifact_key ~stage
-          ~spec_hash:(Flow.spec_hash inst.B.dfg inst.B.massign ~policy:inst.B.policy)
-          ~params:
-            (Json.Obj
-               (( "flow",
-                  Flow.flow_params_json ~width:job.Job.width
-                    ~transparency:job.Job.transparency
-                    ~style:(style_of_job job) () )
-               :: extra)))
-      cache
-  in
-  match Flow.artifact_find ~cache ~stage ~key with
-  | Some payload -> (payload, Some `Hit)
-  | None ->
-    let payload = render () in
-    if not (Bistpath_resilience.Budget.should_stop budget) then
-      Flow.artifact_store ~cache ~stage ~key payload;
-    (payload, if key = None then None else Some `Miss)
+  match cache with
+  | None -> (render (), None)
+  | Some store -> (
+    let key =
+      Flow.artifact_key ~stage
+        ~spec_hash:(Flow.spec_hash inst.B.dfg inst.B.massign ~policy:inst.B.policy)
+        ~params:
+          (Json.Obj
+             (( "flow",
+                Flow.flow_params_json ~width:job.Job.width
+                  ~transparency:job.Job.transparency ~style:(style_of_job job) () )
+             :: extra))
+    in
+    let sname = Stage.name stage in
+    match Store.find store ~stage:sname ~key with
+    | Some payload ->
+      Telemetry.incr "cache.hit";
+      Telemetry.incr ("cache.hit." ^ sname);
+      (payload, Some `Hit)
+    | None ->
+      Telemetry.incr "cache.miss";
+      Telemetry.incr ("cache.miss." ^ sname);
+      let payload = render () in
+      (* a budget-truncated artifact is valid but not deterministic in
+         the key *)
+      if not (Bistpath_resilience.Budget.should_stop budget) then
+        Store.put store ~stage:sname ~key payload;
+      (payload, Some `Miss))
 
 let rtl ?cache ~budget ~bist ~wrapper inst (job : Job.t) =
   cached ?cache ~budget ~stage:Stage.Rtl
     ~extra:
       [ ("artifact", Json.Str "rtl"); ("bist", Json.Bool bist); ("wrapper", Json.Bool wrapper) ]
     inst job
-    (fun () -> render_rtl ~width:job.Job.width ~bist ~wrapper (flow ?cache ~budget inst job))
+    (fun () -> render_rtl ~width:job.Job.width ~bist ~wrapper (flow ~budget inst job))
 
 (* Parse-back equivalence of the emitted RTL. Never cached: the point
    is to re-exercise the emitter/parser loop, and a stored verdict would
    vouch for bytes it never saw. Failures are deterministic for a fixed
    job, so they use the same give-up classification as [check] (the
    breaker is not fed). *)
-let verify ?cache ~budget inst (job : Job.t) =
+let verify ~budget inst (job : Job.t) =
   let width = job.Job.width in
-  let r = flow ?cache ~budget inst job in
+  let r = flow ~budget inst job in
   let rtl = render_rtl ~width ~bist:true ~wrapper:false r in
   let result = Equiv.verify ~width ~bist:r.Flow.bist ~rtl r.Flow.datapath in
   match (result, Equiv.verdict result) with
@@ -154,15 +165,15 @@ let execute ?max_errors ?cache ~budget (job : Job.t) =
         (cached ?cache ~budget ~stage:Stage.Report
            ~extra:[ ("artifact", Json.Str artifact) ]
            inst job
-           (fun () -> render (flow ?cache ~budget inst job)))
+           (fun () -> render (flow ~budget inst job)))
     in
     match job.Job.pipeline with
     | Job.Check ->
-      let rep = check_report ~budget inst job (flow ?cache ~budget inst job) in
+      let rep = check_report ~budget inst job (flow ~budget inst job) in
       if Check.errors rep > 0 then
         Error (Check_findings (List.map Diagnostic.to_string (Check.diagnostics rep)))
       else Ok (Json.to_string (Check.to_json rep) ^ "\n", None)
-    | Job.Verify -> verify ?cache ~budget inst job
+    | Job.Verify -> verify ~budget inst job
     | Job.Run -> report ~artifact:"run" (render_run inst)
     | Job.Pareto ->
       let transparency = job.Job.transparency in
@@ -175,9 +186,7 @@ let execute ?max_errors ?cache ~budget (job : Job.t) =
                r.Flow.datapath))
     | Job.Rtl -> Ok (rtl ?cache ~budget ~bist:true ~wrapper:false inst job)
     | Job.Coverage ->
-      (* gate-level simulation is not a DAG stage; the flow underneath
-         it still reuses cached stages *)
-      let r = flow ?cache ~budget inst job in
+      let r = flow ~budget inst job in
       let rep =
         Bist_sim.run ~budget ~width ~pattern_count:job.Job.patterns r.Flow.datapath
           r.Flow.bist

@@ -39,7 +39,6 @@ val load_instance :
     rendered one per line; an unknown tag lists the known ones. *)
 
 val flow :
-  ?cache:Bistpath_cache.Store.t ->
   budget:Bistpath_resilience.Budget.t ->
   Bistpath_benchmarks.Benchmarks.instance ->
   Job.t ->
@@ -102,12 +101,12 @@ val execute :
     [cache] attaches the content-addressed result store. [run], [rtl]
     and [pareto] jobs become terminal artifact stages: a warm job is
     served byte-identical from the store ([Some `Hit]) without running
-    the flow; a cold one runs (reusing any cached inner stages),
-    renders, and commits the artifact unless its budget tripped
-    ([Some `Miss]). [check], [verify], [coverage] and [export] never
-    cache their artifact ([None] — though the flow underneath
-    [check]/[verify]/[coverage]
-    still reuses cached stages). Without [cache] the second component
-    is always [None] and behaviour is byte-identical to the uncached
-    runner. The CLI's [run], [rtl --bist] and [pareto] are these jobs,
-    so the two front ends share one cache. *)
+    the flow, counting [cache.hit] and [cache.hit.<stage>]; a cold one
+    runs the flow, renders, and commits the artifact unless its budget
+    tripped ([Some `Miss], counting [cache.miss] and
+    [cache.miss.<stage>]). [check], [verify], [coverage] and [export]
+    neither read nor write the store ([None]): they run the flow.
+    Without [cache] the second component is always [None] and
+    behaviour is byte-identical to the uncached runner. The CLI's
+    [run], [rtl --bist] and [pareto] are these jobs, so the two front
+    ends share one cache. *)

@@ -219,10 +219,11 @@ let mcs_order g =
 let is_chordal g = is_peo g (List.rev (mcs_order g))
 
 (* Keep each candidate {v} + later neighbours that no other candidate
-   strictly contains. *)
-let maximal_cliques g =
+   strictly contains. [entry] names the library function whose failure
+   text a non-chordal graph must reproduce. *)
+let maximal_cliques ?(entry = "Oracles.maximal_cliques") g =
   let peo = List.rev (mcs_order g) in
-  if not (is_peo g peo) then failwith "Chordal.maximal_cliques: graph is not chordal";
+  if not (is_peo g peo) then failwith (entry ^ ": graph is not chordal");
   let position = Hashtbl.create 16 in
   List.iteri (fun i v -> Hashtbl.replace position v i) peo;
   let later_clique v =
@@ -237,7 +238,7 @@ let maximal_cliques g =
   |> List.sort_uniq (fun a b -> compare (Iset.elements a) (Iset.elements b))
 
 let max_clique_size_per_vertex g =
-  let cliques = maximal_cliques g in
+  let cliques = maximal_cliques ~entry:"Chordal.max_clique_size_per_vertex" g in
   List.map
     (fun v ->
       ( v,
@@ -247,7 +248,8 @@ let max_clique_size_per_vertex g =
     (Ugraph.vertices g)
 
 let clique_number g =
-  List.fold_left (fun acc c -> max acc (Iset.cardinal c)) 0 (maximal_cliques g)
+  List.fold_left (fun acc c -> max acc (Iset.cardinal c)) 0
+    (maximal_cliques ~entry:"Chordal.clique_number" g)
 
 let interval_graph spans =
   List.iter

@@ -1,20 +1,20 @@
 (* The content-addressed result cache: canonical JSON keys, the on-disk
-   store (round-trip, corruption, GC, fault injection), incremental
-   re-synthesis through Flow's keyed stage DAG, warm-cache byte-identity
-   for every data/*.dfg through the CLI, and the cache-served latency
-   split in service mode. *)
+   store (round-trip, corruption, GC, fault injection), the terminal
+   artifacts Runner.execute caches (pinned keys, corruption and I/O
+   faults, the pipelines it never caches), warm-cache byte-identity for
+   every data/*.dfg through the CLI, and the cache-served latency split
+   in service mode. *)
 
 module Json = Bistpath_util.Json
 module Store = Bistpath_cache.Store
 module Stage = Bistpath_core.Stage
-module Flow = Bistpath_core.Flow
-module Testable_alloc = Bistpath_core.Testable_alloc
-module Module_assign = Bistpath_core.Module_assign
-module Policy = Bistpath_dfg.Policy
 module B = Bistpath_benchmarks.Benchmarks
 module Telemetry = Bistpath_telemetry.Telemetry
 module Inject = Bistpath_resilience.Inject
+module Budget = Bistpath_resilience.Budget
 module Journal = Bistpath_service.Journal
+module Job = Bistpath_service.Job
+module Runner = Bistpath_service.Runner
 module Service = Bistpath_service.Service
 
 let check = Alcotest.check
@@ -85,7 +85,7 @@ let canonical_sorts_keys () =
 
 let stage_keys_distinct () =
   let inputs = Json.Obj [ ("x", Json.Num 1.0) ] in
-  let stages = Stage.[ Schedule; Alloc; Interconnect; Bist; Rtl; Report ] in
+  let stages = Stage.[ Schedule; Rtl; Report ] in
   let keys = List.map (fun s -> Stage.key s ~inputs) stages in
   let sorted = List.sort_uniq compare keys in
   check Alcotest.int "stage name is hashed into the key" (List.length stages)
@@ -234,86 +234,85 @@ let store_io_fault_degrades () =
     (Store.find s ~stage:"alloc" ~key:(some_key "other"));
   rm_rf d
 
-(* --- incremental re-synthesis through the flow DAG ------------------ *)
+(* --- terminal artifacts through Runner.execute ----------------------- *)
 
-let instance_of_spec text =
-  let dfg = Test_dfg.of_text text in
-  (dfg, Module_assign.single_function dfg)
+let job ?(flow = "testable") spec pipeline =
+  match
+    Job.parse_line ~default_id:"t"
+      (Printf.sprintf {|{"spec":"%s","pipeline":"%s","flow":"%s"}|} spec pipeline flow)
+  with
+  | Ok j -> j
+  | Error e -> Alcotest.fail e
 
-(* Two specs identical except for one op's kind: the edit preserves
-   every variable lifetime, so left-edge register allocation (keyed on
-   the spans alone) must hit while everything downstream of the
-   schedule identity re-runs. *)
-let tiny_spec sym =
-  Printf.sprintf
-    "dfg tiny\ninput a b\noutput f\nop o1 = a + b -> c @ 1\nop o2 = c %s a -> f @ 2\n"
-    sym
+let execute ?cache j =
+  match Runner.execute ?cache ~budget:Budget.unlimited j with
+  | Ok result -> result
+  | Error _ -> Alcotest.failf "%s %s failed" (Job.pipeline_name j.Job.pipeline) j.Job.spec
 
-let flow_warm_run_is_full_hit () =
+let how = function Some `Hit -> "hit" | Some `Miss -> "miss" | None -> "none"
+
+(* ex1's run and rtl artifacts under the keys earlier builds
+   stored them at: a store those builds wrote is still served warm, and
+   a cold job stores its artifact at exactly that key. *)
+let pinned_terminal_keys =
+  [
+    ("run", "traditional", "report", "7e4f221c7f7baebd6813bff5c047aa3b");
+    ("run", "testable", "report", "9a234784e36be3860fa918a7a35ac0bb");
+    ("rtl", "traditional", "rtl", "9f1ebef0f2080f56dfd3d62f17c79c2b");
+    ("rtl", "testable", "rtl", "0ee7ee79c6e2b43f70069412daeb6aa1");
+  ]
+
+let terminal_keys_pinned () =
   let d = tmpdir () in
   let cache = Store.open_ ~dir:(Filename.concat d "cache") () in
-  let inst = Option.get (B.by_tag "ex1") in
-  let style = Flow.Testable Testable_alloc.default_options in
-  let go () =
-    Flow.run ~cache ~style inst.B.dfg inst.B.massign ~policy:inst.B.policy
-  in
-  let cold, rc = Telemetry.collect go in
-  check Alcotest.int "cold run misses every stage" 3
-    (Telemetry.counter rc "cache.miss");
-  check Alcotest.int "cold run stores every stage" 3
-    (Telemetry.counter rc "cache.store");
-  let warm, rw = Telemetry.collect go in
-  check Alcotest.int "warm run is a full hit" 3 (Telemetry.counter rw "cache.hit");
-  check Alcotest.int "warm run misses nothing" 0 (Telemetry.counter rw "cache.miss");
   List.iter
-    (fun stage ->
-      check Alcotest.int ("warm hit counted for " ^ stage) 1
-        (Telemetry.counter rw ("cache.hit." ^ stage)))
-    [ "alloc"; "interconnect"; "bist" ];
-  check Alcotest.int "same registers" cold.Flow.registers warm.Flow.registers;
-  check Alcotest.int "same muxes" cold.Flow.muxes warm.Flow.muxes;
-  check (Alcotest.float 1e-9) "same overhead" cold.Flow.overhead_percent
-    warm.Flow.overhead_percent;
+    (fun (pipeline, flow, stage, key) ->
+      let j = job ~flow "ex1" pipeline in
+      let label = Printf.sprintf "ex1 %s %s" pipeline flow in
+      Store.put cache ~stage ~key "served from the pinned key\n";
+      let out, h = execute ~cache j in
+      check Alcotest.string (label ^ ": warm from the pinned key")
+        "hit served from the pinned key\n" (how h ^ " " ^ out);
+      ignore (Store.clear cache);
+      let out, h = execute ~cache j in
+      check Alcotest.string (label ^ ": cold miss") "miss" (how h);
+      check Alcotest.(option string) (label ^ ": stored at the pinned key") (Some out)
+        (Store.find cache ~stage ~key);
+      check Alcotest.int (label ^ ": one entry per artifact") 1
+        (Store.stats cache).Store.entries;
+      ignore (Store.clear cache))
+    pinned_terminal_keys;
   rm_rf d
 
-let one_op_edit_reruns_only_downstream () =
+(* check, verify and coverage run the flow: a cold cached job neither
+   stores nor counts anything and prints the uncached bytes. *)
+let uncached_pipelines_store_nothing () =
   let d = tmpdir () in
   let cache = Store.open_ ~dir:(Filename.concat d "cache") () in
-  let run text =
-    let dfg, massign = instance_of_spec text in
-    Telemetry.collect (fun () ->
-        Flow.run ~cache ~style:Flow.Traditional dfg massign
-          ~policy:Policy.default)
-  in
-  let _, rc = run (tiny_spec "*") in
-  check Alcotest.int "cold: all three stages miss" 3
-    (Telemetry.counter rc "cache.miss");
-  let _, re = run (tiny_spec "+") in
-  check Alcotest.int "edit: lifetimes unchanged, alloc hits" 1
-    (Telemetry.counter re "cache.hit.alloc");
-  check Alcotest.int "edit: interconnect re-runs" 1
-    (Telemetry.counter re "cache.miss.interconnect");
-  check Alcotest.int "edit: bist re-runs" 1
-    (Telemetry.counter re "cache.miss.bist");
-  check Alcotest.int "edit: exactly one hit overall" 1
-    (Telemetry.counter re "cache.hit");
-  (* and the edited spec's own entries are now warm *)
-  let _, rw = run (tiny_spec "+") in
-  check Alcotest.int "edited spec warm" 3 (Telemetry.counter rw "cache.hit");
+  List.iter
+    (fun pipeline ->
+      let j = job "ex1" pipeline in
+      let plain, _ = execute j in
+      let (out, h), r = Telemetry.collect (fun () -> execute ~cache j) in
+      check Alcotest.string (pipeline ^ ": uncached bytes") plain out;
+      check Alcotest.string (pipeline ^ ": not a cached artifact") "none" (how h);
+      check Alcotest.int (pipeline ^ ": no lookup") 0
+        (Telemetry.counter r "cache.miss" + Telemetry.counter r "cache.hit"))
+    [ "check"; "verify"; "coverage" ];
+  check Alcotest.int "no entry stored" 0 (Store.stats cache).Store.entries;
   rm_rf d
+
+let cached_jobs spec = List.map (job spec) [ "run"; "rtl"; "pareto" ]
 
 let flow_corrupt_entries_degrade_to_miss () =
   let d = tmpdir () in
-  let cache = Store.open_ ~dir:(Filename.concat d "cache") () in
-  let inst = Option.get (B.by_tag "Tseng1") in
-  let style = Flow.Testable Testable_alloc.default_options in
-  let go () =
-    Flow.run ~cache ~style inst.B.dfg inst.B.massign ~policy:inst.B.policy
-  in
-  let cold = go () in
+  let dir = Filename.concat d "cache" in
+  let cache = Store.open_ ~dir () in
+  let jobs = cached_jobs "Tseng1" in
+  let cold = List.map (fun j -> fst (execute ~cache j)) jobs in
   (* trash every stored object: each lookup must degrade to a clean
-     recompute, never an exception or a wrong answer *)
-  let objects = Filename.concat (Filename.concat d "cache") "objects" in
+     re-render, never an exception or a wrong answer *)
+  let objects = Filename.concat dir "objects" in
   Array.iter
     (fun shard ->
       let sd = Filename.concat objects shard in
@@ -323,42 +322,37 @@ let flow_corrupt_entries_degrade_to_miss () =
               Out_channel.output_string oc "not a cache entry"))
         (Sys.readdir sd))
     (Sys.readdir objects);
-  let warm, r = Telemetry.collect go in
-  check Alcotest.bool "corruption counted" true
-    (Telemetry.counter r "cache.corrupt" >= 3);
-  check Alcotest.int "every stage recomputed" 3 (Telemetry.counter r "cache.miss");
-  check Alcotest.int "same registers" cold.Flow.registers warm.Flow.registers;
-  check Alcotest.int "same bist gates" cold.Flow.bist.delta_gates
-    warm.Flow.bist.delta_gates;
+  let warm, r = Telemetry.collect (fun () -> List.map (execute ~cache) jobs) in
+  check Alcotest.int "corruption counted" 3 (Telemetry.counter r "cache.corrupt");
+  check Alcotest.int "every artifact re-rendered" 3 (Telemetry.counter r "cache.miss");
+  List.iter2
+    (fun c (w, h) ->
+      check Alcotest.string "same bytes as the cold job" c w;
+      check Alcotest.string "a miss" "miss" (how h))
+    cold warm;
+  let again = List.map (fun j -> how (snd (execute ~cache j))) jobs in
+  check Alcotest.(list string) "re-stored: all hits" [ "hit"; "hit"; "hit" ] again;
   rm_rf d
 
 let flow_io_faults_degrade_to_miss () =
   let d = tmpdir () in
   let cache = Store.open_ ~dir:(Filename.concat d "cache") () in
-  let inst = Option.get (B.by_tag "ex1") in
-  let style = Flow.Testable Testable_alloc.default_options in
-  let go () =
-    Flow.run ~cache ~style inst.B.dfg inst.B.massign ~policy:inst.B.policy
-  in
-  let uncached =
-    Flow.run ~style inst.B.dfg inst.B.massign ~policy:inst.B.policy
-  in
-  let cold = go () in
+  let jobs = cached_jobs "ex1" in
+  let uncached = List.map (fun j -> fst (execute j)) jobs in
+  let cold = List.map (fun j -> fst (execute ~cache j)) jobs in
+  check Alcotest.(list string) "cold jobs agree with uncached" uncached cold;
   Fun.protect
     ~finally:(fun () -> Inject.configure [])
     (fun () ->
       Inject.configure ~seed:11 [ ("cache.io", 1.0) ];
-      let faulted, r = Telemetry.collect go in
+      let faulted, r =
+        Telemetry.collect (fun () -> List.map (fun j -> fst (execute ~cache j)) jobs)
+      in
       check Alcotest.bool "I/O faults counted" true
         (Telemetry.counter r "cache.io_errors" > 0);
       check Alcotest.int "no hits under total I/O failure" 0
         (Telemetry.counter r "cache.hit");
-      check Alcotest.int "same registers as uncached" uncached.Flow.registers
-        faulted.Flow.registers;
-      check (Alcotest.float 1e-9) "same overhead as uncached"
-        uncached.Flow.overhead_percent faulted.Flow.overhead_percent);
-  check Alcotest.int "cold run agreed too" cold.Flow.registers
-    uncached.Flow.registers;
+      check Alcotest.(list string) "same bytes as uncached" uncached faulted);
   rm_rf d
 
 (* --- CLI: warm runs are full hits and byte-identical ---------------- *)
@@ -627,6 +621,16 @@ let cli_negative_vectors_rejected () =
         "synth: error: --vectors: expected a non-negative integer, got \"-3\"\n" err)
     [ "check"; "verify" ]
 
+(* Golden mode compares structure and never simulates, so --vectors is
+   a flag it would ignore: rejected like --bist without --rtl. *)
+let cli_golden_rejects_vectors () =
+  let golden = Filename.concat Filename.parent_dir_name "golden" in
+  let code, out, err = run_synth [ "verify"; "ex1"; "--golden"; golden; "--vectors"; "0" ] in
+  check Alcotest.int "exit 1" 1 code;
+  check Alcotest.string "no report" "" out;
+  check Alcotest.string "message"
+    "synth: --vectors and --golden are exclusive: --golden never simulates\n" err
+
 let suite =
   [
     case "canonical JSON sorts object keys at every depth" canonical_sorts_keys;
@@ -637,9 +641,9 @@ let suite =
       store_concurrent_gc_race;
     case "store: gc evicts oldest-mtime entries first" store_gc_evicts_oldest;
     case "store: injected cache.io faults degrade to misses" store_io_fault_degrades;
-    case "flow: warm run is a full per-stage hit" flow_warm_run_is_full_hit;
-    case "flow: one-op edit re-runs only downstream stages"
-      one_op_edit_reruns_only_downstream;
+    case "runner: ex1's run and rtl keys are pinned" terminal_keys_pinned;
+    case "runner: cold cached check, verify and coverage store nothing"
+      uncached_pipelines_store_nothing;
     case "flow: corrupt entries degrade to clean recomputes"
       flow_corrupt_entries_degrade_to_miss;
     case "flow: cache.io faults leave results byte-equal to uncached"
@@ -656,4 +660,5 @@ let suite =
     case "cli: CLI and serve warm one shared cache" cli_and_serve_share_one_cache;
     case "cli: check and verify reject a negative --vectors alike"
       cli_negative_vectors_rejected;
+    case "cli: verify --golden rejects --vectors" cli_golden_rejects_vectors;
   ]
