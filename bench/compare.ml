@@ -11,6 +11,9 @@
    its peers fails. --absolute opts out (useful when baseline and run
    come from the same machine, e.g. the perturbation self-test in CI).
 
+   A current record with no baseline key is not compared, and is listed
+   as a note so that a gap in the baseline is never silent.
+
    Exit codes: 0 within tolerance, 1 regression, 2 usage or I/O error. *)
 
 module Json = Bistpath_util.Json
@@ -222,6 +225,12 @@ let () =
     List.iter
       (fun (k, _) -> Printf.printf "  note: %s missing from the current run\n" k)
       missing;
+    List.iter
+      (fun k -> Printf.printf "  note: %s has no baseline; not compared\n" k)
+      (List.sort compare
+         (List.filter_map
+            (fun (k, _) -> if Hashtbl.mem base_tbl k then None else Some k)
+            current));
     List.iter
       (fun (k, b, c) ->
         Printf.printf "  REGRESSION %-45s baseline %12.0f ns -> %12.0f ns (%.2fx%s)\n"

@@ -36,12 +36,25 @@ type ctx = Rule.ctx = {
   sessions : Bistpath_bist.Session.t option;
   order : string list option;
   control : Control.t option;
+  datapath_control : Control.t option;
   rtl : Bistpath_rtl.Equiv.parsed option Lazy.t;
 }
 
-let all_rules =
-  Alloc_rules.rules @ Datapath_rules.rules @ Rtl_rules.rules @ Equiv_rules.rules
-  @ Absint_rules.rules
+(* The rule families, in registration order, each timed as one span. *)
+let families =
+  [ ("check.alloc", Alloc_rules.rules);
+    ("check.datapath", Datapath_rules.rules);
+    ("check.rtl", Rtl_rules.rules);
+    ("check.equiv", Equiv_rules.rules);
+    ("check.absint", Absint_rules.rules) ]
+
+let all_rules = List.concat_map snd families
+
+let family_of (r : Rule.t) =
+  List.find_map
+    (fun (name, rules) ->
+      if List.exists (fun (x : Rule.t) -> x.Rule.id = r.Rule.id) rules then Some name else None)
+    families
 
 let absint_family = Absint_rules.rules
 
@@ -57,10 +70,10 @@ let make_ctx ?bist ?sessions ?order ?(transparency = false) ?(vectors = 0) ?(ass
   let rtl =
     lazy
       (Option.map Bistpath_rtl.Equiv.parse_back
-         (Equiv_rules.emitted ~width ?bist ?sessions datapath))
+         (Equiv_rules.emitted ~width ?bist ?sessions ?control datapath))
   in
   { design; width; transparency; vectors; assumes; dfg; massign; policy; regalloc; datapath;
-    bist; sessions; order; control; rtl }
+    bist; sessions; order; control; datapath_control = control; rtl }
 
 let ctx_of_flow ?(vectors = 0) ?(transparency = false) ?(assumes = []) ~design ~width dfg
     massign ~policy (r : Flow.result) =
@@ -103,9 +116,25 @@ let run_facts ~suppress ~budget ~rules ctx facts =
       Telemetry.observe "check.rule_ns" (Int64.to_int (Int64.sub (Telemetry.now ()) t0));
     result
   in
-  let results =
-    List.map (fun r -> if Budget.should_stop budget then None else Some (eval r)) rules
+  let eval_unless_stopped r = if Budget.should_stop budget then None else Some (eval r) in
+  (* each run of consecutive rules of one family under that family's span *)
+  let rec results = function
+    | [] -> []
+    | r :: _ as rules ->
+      let family = family_of r in
+      let rec split acc = function
+        | r :: rest when family_of r = family -> split (r :: acc) rest
+        | rest -> (List.rev acc, rest)
+      in
+      let group, rest = split [] rules in
+      let evaluated =
+        match family with
+        | Some name -> Telemetry.with_span name (fun () -> List.map eval_unless_stopped group)
+        | None -> List.map eval_unless_stopped group
+      in
+      evaluated @ results rest
   in
+  let results = results rules in
   let findings, run_count, crashed, skipped =
     List.fold_left2
       (fun (fs, run_count, crashed, skipped) (r : Rule.t) result ->

@@ -87,6 +87,7 @@ type ctx = Rule.ctx = {
   sessions : Bistpath_bist.Session.t option;
   order : string list option;
   control : Bistpath_datapath.Control.t option;
+  datapath_control : Bistpath_datapath.Control.t option;
   rtl : Bistpath_rtl.Equiv.parsed option Lazy.t;
 }
 
@@ -117,9 +118,10 @@ val make_ctx :
   Bistpath_datapath.Regalloc.t ->
   Bistpath_datapath.Datapath.t ->
   ctx
-(** Bundle artifacts for checking. The control table is derived here (a
-    datapath [Control.build] rejects yields [control = None]), and the
-    RTL is emitted ([bist]/[sessions] included) and parsed back lazily,
+(** Bundle artifacts for checking. The control table is derived here,
+    once, into both [control] and [datapath_control] (a datapath
+    [Control.build] rejects yields [None]), and the RTL is emitted from
+    it ([bist]/[sessions] included) and parsed back lazily,
     on the first rule that audits it; tests corrupt individual fields
     afterwards with record update. [vectors] defaults
     to 0 (EQ001 off); [transparency] must match the flow that produced
@@ -164,8 +166,11 @@ val run :
     finding naming the rule; the other rules still run. The rules share
     one {!Rule.facts} set derived from [ctx] for this run; a fact's cost
     lands in [check.rule_ns] of the first rule that reads it.
-    Telemetry: [check.rules_run], [check.rules_crashed],
-    [check.rules_skipped], [check.findings], [check.suppressed]. *)
+    Telemetry: each run of consecutive rules of one family in one span
+    named after it ([check.alloc], [check.datapath], [check.rtl],
+    [check.equiv], [check.absint]); the counters [check.rules_run],
+    [check.rules_crashed], [check.rules_skipped], [check.findings],
+    [check.suppressed]. *)
 
 val analyze :
   ?budget:Bistpath_resilience.Budget.t ->

@@ -84,11 +84,14 @@ let ctl002 ctx _ =
   match ctx.control with
   | None -> []
   | Some c ->
-      let sources mid =
-        match List.find_opt (fun (u, _) -> u.Bistpath_dfg.Massign.mid = mid) (unit_routes ctx) with
-        | Some (u, rs) -> Some (u, port_sources rs `L, port_sources rs `R)
-        | None -> None
-      in
+      (* each unit's source lists, built once; the first unit of an id wins *)
+      let table = Hashtbl.create 8 in
+      List.iter
+        (fun ((u : Bistpath_dfg.Massign.hw), rs) ->
+          if not (Hashtbl.mem table u.mid) then
+            Hashtbl.add table u.mid (u, port_sources rs `L, port_sources rs `R))
+        (unit_routes ctx);
+      let sources mid = Hashtbl.find_opt table mid in
       List.concat_map
         (fun (s : Control.step) ->
           let ops =

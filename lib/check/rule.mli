@@ -43,6 +43,14 @@ type ctx = {
   control : Bistpath_datapath.Control.t option;
       (** [None] when [Control.build] rejected the datapath — every
           cause of that is covered by a DP rule *)
+  datapath_control : Bistpath_datapath.Control.t option;
+      (** [Control.build datapath], made once with the ctx: the table
+          the emitted RTL, the reference netlist (RTL005) and the
+          interpreter (EQ001, EQ002) run on, so no rule builds it
+          again. [control] starts as the same table; only the
+          controller rules read [control], so a record update of it is
+          what they alone see. A record update of [datapath] replaces
+          this too. *)
   rtl : Bistpath_rtl.Equiv.parsed option Lazy.t;
       (** the emitted RTL parsed back, forced by the first rule that
           audits it; [None] when the data path cannot be emitted *)

@@ -33,73 +33,111 @@ let index_of_exn what x l =
 
 let latch_step dfg v = (Lifetime.span dfg v).Bistpath_graphs.Interval.birth
 
+(* One pass over the routes, indexing operations, units and port
+   sources, then each event dropped into its step's bucket. Failures
+   raise what the scan it replaced raised, in the same order: per route,
+   the operation, its unit, any route with no unit (the port-source scan
+   read them all), the step, the function, the writer; then the input
+   loads; then, step by step, the first register latched twice. *)
 let build (dp : Datapath.t) =
   let dfg = dp.Datapath.dfg in
+  let massign = dp.Datapath.massign in
   let num_steps = Dfg.num_csteps dfg in
+  let op_of = Hashtbl.create 64 in
+  List.iter
+    (fun (op : Op.t) -> if not (Hashtbl.mem op_of op.Op.id) then Hashtbl.add op_of op.Op.id op)
+    dfg.Dfg.ops;
+  let routes = Array.of_list dp.Datapath.routes in
+  let unit_of =
+    Array.map
+      (fun (rt : Datapath.route) ->
+        match Massign.unit_of_op massign rt.opid with
+        | u -> Some u
+        | exception Not_found -> None)
+      routes
+  in
+  let all_bound = Array.for_all Option.is_some unit_of in
+  (* per unit: each port's distinct sources, sorted, by register *)
+  let port_sources = Hashtbl.create 16 in
+  if all_bound then begin
+    let srcs = Hashtbl.create 16 in
+    Array.iteri
+      (fun i (rt : Datapath.route) ->
+        let mid = (Option.get unit_of.(i)).Massign.mid in
+        let l, r = Option.value (Hashtbl.find_opt srcs mid) ~default:([], []) in
+        Hashtbl.replace srcs mid (rt.l_reg :: l, rt.r_reg :: r))
+      routes;
+    let index regs =
+      let tbl = Hashtbl.create 8 in
+      List.iteri (fun i rid -> Hashtbl.replace tbl rid i) (List.sort_uniq compare regs);
+      tbl
+    in
+    Hashtbl.iter (fun mid (l, r) -> Hashtbl.replace port_sources mid (index l, index r)) srcs
+  end;
+  let select what rid tbl =
+    match Hashtbl.find_opt tbl rid with
+    | Some i -> i
+    | None -> invalid_arg (Printf.sprintf "Control.build: %s not found" what)
+  in
   let writer_index rid src =
     let writers = List.assoc rid dp.Datapath.reg_writers in
     index_of_exn (Printf.sprintf "writer of %s" rid) src writers
   in
+  let ops_at = Array.make (num_steps + 1) [] in
+  let writes_at = Array.make (num_steps + 1) [] in
+  let loads_at = Array.make (num_steps + 1) [] in
+  let at bucket c x = if c >= 0 && c <= num_steps then bucket.(c) <- x :: bucket.(c) in
   (* computation and result latching per scheduled operation *)
-  let op_events =
-    List.map
-      (fun (rt : Datapath.route) ->
-        let op =
-          match Dfg.op_by_id dfg rt.opid with
-          | Some op -> op
-          | None -> assert false
-        in
-        let u = Massign.unit_of_op dp.Datapath.massign rt.opid in
-        let l_sources, r_sources = Datapath.unit_port_sources dp u.Massign.mid in
-        let cstep = Dfg.cstep dfg rt.opid in
-        let uop =
-          {
-            mid = u.Massign.mid;
-            opid = rt.opid;
-            l_select = index_of_exn "left source" rt.l_reg l_sources;
-            r_select = index_of_exn "right source" rt.r_reg r_sources;
-            f_select = index_of_exn "function" op.Op.kind u.Massign.kinds;
-          }
-        in
-        let write =
-          {
-            rid = rt.out_reg;
-            source_index = writer_index rt.out_reg (Datapath.From_unit u.Massign.mid);
-            variable = op.Op.out;
-          }
-        in
-        (cstep, uop, write))
-      dp.Datapath.routes
-  in
+  Array.iteri
+    (fun i (rt : Datapath.route) ->
+      let op =
+        match Hashtbl.find_opt op_of rt.opid with
+        | Some op -> op
+        | None -> assert false
+      in
+      let u = match unit_of.(i) with Some u -> u | None -> raise Not_found in
+      if not all_bound then raise Not_found;
+      let l_sources, r_sources = Hashtbl.find port_sources u.Massign.mid in
+      let cstep = Dfg.cstep dfg rt.opid in
+      let uop =
+        {
+          mid = u.Massign.mid;
+          opid = rt.opid;
+          l_select = select "left source" rt.l_reg l_sources;
+          r_select = select "right source" rt.r_reg r_sources;
+          f_select = index_of_exn "function" op.Op.kind u.Massign.kinds;
+        }
+      in
+      let write =
+        {
+          rid = rt.out_reg;
+          source_index = writer_index rt.out_reg (Datapath.From_unit u.Massign.mid);
+          variable = op.Op.out;
+        }
+      in
+      at ops_at cstep uop;
+      at writes_at cstep write)
+    routes;
   (* input loads: latch each stored primary input at its latch step *)
-  let used_inputs = Dfg.used_inputs dfg in
-  let load_events =
-    List.concat_map
-      (fun (r : Datapath.reg) ->
-        List.filter_map
-          (fun v ->
-            if List.mem v used_inputs then
-              Some
-                ( latch_step dfg v,
-                  {
-                    rid = r.Datapath.rid;
-                    source_index = writer_index r.Datapath.rid (Datapath.From_port v);
-                    variable = v;
-                  } )
-            else None)
-          r.Datapath.vars)
-      dp.Datapath.regs
-  in
+  let used_inputs = Hashtbl.create 16 in
+  List.iter (fun v -> Hashtbl.replace used_inputs v ()) (Dfg.used_inputs dfg);
+  List.iter
+    (fun (r : Datapath.reg) ->
+      List.iter
+        (fun v ->
+          if Hashtbl.mem used_inputs v then
+            at loads_at (latch_step dfg v)
+              {
+                rid = r.Datapath.rid;
+                source_index = writer_index r.Datapath.rid (Datapath.From_port v);
+                variable = v;
+              })
+        r.Datapath.vars)
+    dp.Datapath.regs;
   let steps =
     List.map
       (fun index ->
-        let ops =
-          List.filter_map (fun (c, uop, _) -> if c = index then Some uop else None) op_events
-        in
-        let writes =
-          List.filter_map (fun (c, _, w) -> if c = index then Some w else None) op_events
-          @ List.filter_map (fun (c, w) -> if c = index then Some w else None) load_events
-        in
+        let writes = List.rev_append writes_at.(index) (List.rev loads_at.(index)) in
         (* a register latches at most once per step *)
         let rids = List.map (fun w -> w.rid) writes in
         (match
@@ -109,7 +147,7 @@ let build (dp : Datapath.t) =
           invalid_arg
             (Printf.sprintf "Control.build: register %s written twice in step %d" rid index)
         | None -> ());
-        { index; ops; writes })
+        { index; ops = List.rev ops_at.(index); writes })
       (Listx.range 0 (num_steps + 1))
   in
   { steps }

@@ -21,10 +21,10 @@ type step_program = {
   captures : (int * int) list;  (* output position, register slot *)
 }
 
-let run ?(trace = false) (dp : Datapath.t) ~width =
+let run ?(trace = false) ?control (dp : Datapath.t) ~width =
   let dfg = dp.Datapath.dfg in
   let used_inputs = Dfg.used_inputs dfg in
-  let control = Control.build dp in
+  let control = match control with Some c -> c | None -> Control.build dp in
   let slots () =
     let tbl = Hashtbl.create 16 in
     ( tbl,
@@ -41,9 +41,12 @@ let run ?(trace = false) (dp : Datapath.t) ~width =
   let traced = Hashtbl.length regs in
   let pins, pin_slot = slots () in
   let units, unit_slot = slots () in
-  let route_of opid =
-    List.find (fun (rt : Datapath.route) -> String.equal rt.opid opid) dp.Datapath.routes
-  in
+  let routes = Hashtbl.create 64 in
+  List.iter
+    (fun (rt : Datapath.route) ->
+      if not (Hashtbl.mem routes rt.opid) then Hashtbl.add routes rt.opid rt)
+    dp.Datapath.routes;
+  let route_of opid = Hashtbl.find routes opid in
   let outputs = Array.of_list dp.Datapath.outputs in
   let latches =
     List.mapi (fun k (v, rid) -> (Control.latch_step dfg v, (k, reg_slot rid))) dp.Datapath.outputs
@@ -140,8 +143,8 @@ let run ?(trace = false) (dp : Datapath.t) ~width =
     in
     (outputs, List.rev !traces)
 
-let equivalent_to_dfg dp ~width =
-  let run = run dp ~width in
+let equivalent_to_dfg ?control dp ~width =
+  let run = run ?control dp ~width in
   fun ~inputs ->
     let got, _ = run ~inputs in
     got = Bistpath_dfg.Eval.run dp.Datapath.dfg ~width ~inputs

@@ -36,7 +36,7 @@ let num_csteps t = Smap.fold (fun _ c acc -> max acc c) t.schedule 0
 
 let ops_in_step t step = List.filter (fun (op : Op.t) -> cstep t op.id = step) t.ops
 
-type lines = { op_lines : int list; output_lines : int list }
+type lines = { op_lines : int list; input_lines : int list; output_lines : int list }
 
 let diagnostics ?max_errors ?lines t =
   let coll = Diagnostic.collector ?max_errors () in
@@ -45,6 +45,7 @@ let diagnostics ?max_errors ?lines t =
   in
   let line_of get i = Option.bind lines (fun l -> List.nth_opt (get l) i) in
   let op_line = line_of (fun l -> l.op_lines) in
+  let input_line = line_of (fun l -> l.input_lines) in
   let output_line = line_of (fun l -> l.output_lines) in
   (* Report each duplicated element once, at its first occurrence,
      scanning positions in order — so the first diagnostic is exactly
@@ -64,6 +65,13 @@ let diagnostics ?max_errors ?lines t =
         end)
       l
   in
+  (* a pin or port declared twice: the evaluator would keep an input's
+     last binding and the interpreter its first, and the emitted module
+     would declare the port twice *)
+  dup_once t.inputs (fun i v ->
+      err ?line:(input_line i) "Dfg %s: primary input %s is declared twice" t.name v);
+  dup_once t.outputs (fun i v ->
+      err ?line:(output_line i) "Dfg %s: primary output %s is declared twice" t.name v);
   let ids = List.map (fun (op : Op.t) -> op.id) t.ops in
   dup_once ids (fun i id ->
       err ?line:(op_line i) "Dfg %s: duplicate operation id %s" t.name id);

@@ -21,7 +21,8 @@ val make :
   schedule:(string * int) list ->
   t
 (** Build and validate. Raises [Invalid_argument] describing the first
-    violation found: duplicate op ids, a variable produced twice, an
+    violation found: a primary input or output declared twice,
+    duplicate op ids, a variable produced twice, an
     operand that is neither a primary input nor produced, a cycle, a
     missing or non-positive schedule entry, an operation scheduled no
     later than one of its producers, an output variable that does not
@@ -31,6 +32,7 @@ val make :
 
 type lines = {
   op_lines : int list;  (** source line of each operation, in [ops] order *)
+  input_lines : int list;  (** source line of each primary input, in [inputs] order *)
   output_lines : int list;  (** source line of each primary output, in [outputs] order *)
 }
 (** Where a textual DFG declared its pieces ({!Parser}), so a
@@ -50,8 +52,8 @@ val make_diags :
     (capped at [max_errors],
     20 by default)
     instead of raising on the first. With [lines], each diagnostic
-    carries the line of the operation or output declaration it names;
-    a duplicate id or result, that of the operation repeating it. *)
+    carries the line of the operation, input or output declaration it
+    names; a duplicate, that of the declaration repeating it. *)
 
 val num_csteps : t -> int
 (** Largest control step used. *)

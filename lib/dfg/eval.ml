@@ -20,13 +20,22 @@ let eval_all dfg ~width ~inputs =
     | Some x -> x
     | None -> invalid_arg (Printf.sprintf "Eval.run: %s read before definition" v)
   in
-  for step = 1 to Dfg.num_csteps dfg do
+  (* the operations by step, bucketed once, each step in declaration
+     order (validation put every step in 1..num_steps) *)
+  let num_steps = Dfg.num_csteps dfg in
+  let by_step = Array.make (num_steps + 1) [] in
+  List.iter
+    (fun (op : Op.t) ->
+      let c = Dfg.cstep dfg op.id in
+      by_step.(c) <- op :: by_step.(c))
+    (List.rev dfg.Dfg.ops);
+  for step = 1 to num_steps do
     (* all reads of a step happen before its writes land *)
     let results =
       List.map
         (fun (op : Op.t) ->
           (op.out, Op.eval op.kind ~width (value op.left) (value op.right)))
-        (Dfg.ops_in_step dfg step)
+        by_step.(step)
     in
     List.iter (fun (v, x) -> Hashtbl.replace env v x) results
   done;

@@ -16,7 +16,7 @@ let empty =
     inputs = [];
     outputs = [];
     partial_schedule = [];
-    lines = { Dfg.op_lines = []; output_lines = [] };
+    lines = { Dfg.op_lines = []; input_lines = []; output_lines = [] };
   }
 
 let split_words s =
@@ -42,7 +42,7 @@ let parse_op_line words =
 let parse_string_diags ?max_errors text =
   let coll = Diagnostic.collector ?max_errors () in
   let acc = ref empty in
-  let op_lines = ref [] and output_lines = ref [] in
+  let op_lines = ref [] and input_lines = ref [] and output_lines = ref [] in
   List.iteri
     (fun i line ->
       let lineno = i + 1 in
@@ -56,7 +56,9 @@ let parse_string_diags ?max_errors text =
       match split_words line with
       | [] -> ()
       | "dfg" :: [ name ] -> acc := { !acc with name }
-      | "input" :: vars -> acc := { !acc with inputs = !acc.inputs @ vars }
+      | "input" :: vars ->
+        acc := { !acc with inputs = !acc.inputs @ vars };
+        input_lines := List.rev_append (List.map (fun _ -> lineno) vars) !input_lines
       | "output" :: vars ->
         acc := { !acc with outputs = !acc.outputs @ vars };
         output_lines := List.rev_append (List.map (fun _ -> lineno) vars) !output_lines
@@ -73,7 +75,13 @@ let parse_string_diags ?max_errors text =
       | w :: _ ->
         Diagnostic.emit coll (Diagnostic.errorf ~line:lineno "unknown directive %S" w))
     (String.split_on_char '\n' text);
-  let lines = { Dfg.op_lines = List.rev !op_lines; output_lines = List.rev !output_lines } in
+  let lines =
+    {
+      Dfg.op_lines = List.rev !op_lines;
+      input_lines = List.rev !input_lines;
+      output_lines = List.rev !output_lines;
+    }
+  in
   ({ !acc with lines }, Diagnostic.all coll)
 
 let parse_file_diags ?max_errors path =

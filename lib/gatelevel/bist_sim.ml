@@ -191,12 +191,25 @@ let run ?(width = 8) ?(pattern_count = 255) ?(seed = 1) ?(budget = Budget.unlimi
       (fun (u : Massign.hw) -> String.equal u.mid mid)
       dp.Datapath.massign.Massign.units
   in
+  (* A unit's grade depends only on its kinds (the circuit) and its two
+     TPG registers (the operand streams), so units that agree on those
+     get the same report: each distinct one is graded once. *)
+  let graded = Hashtbl.create 8 in
   let units =
     List.map
       (fun (e : Ipath.embedding) ->
         Bistpath_telemetry.Telemetry.with_span "bist_sim" ~attrs:[ ("unit", e.mid) ]
           (fun () ->
-            simulate_unit ~budget ~width ~pattern_count ~seed e (unit_by_id e.mid)))
+            let u = unit_by_id e.mid in
+            let key = (u.kinds, e.l_tpg, e.r_tpg) in
+            match Hashtbl.find_opt graded key with
+            | Some (report : unit_report) ->
+              Bistpath_telemetry.Telemetry.incr "bist_sim.units_shared";
+              { report with mid = e.mid }
+            | None ->
+              let report = simulate_unit ~budget ~width ~pattern_count ~seed e u in
+              Hashtbl.add graded key report;
+              report))
       sol.Allocator.embeddings
   in
   { width; pattern_count; units }

@@ -40,9 +40,13 @@ val run :
     seed 1. Uses collapsed fault lists. Units reported untestable by the
     allocation are skipped. Multifunction ALUs are simulated per
     supported kind with the select line held; their coverage aggregates
-    over kinds. Each unit is graded by {!grade}. The whole call runs in
-    a [gatelevel.coverage] telemetry span, each unit in a [bist_sim]
-    span under it (attribute [unit]). Under a [budget]
+    over kinds. Each unit is graded by {!grade}, once per distinct
+    (kinds, left TPG, right TPG): units that agree on all three get the
+    same circuit and operand streams, so a later one reuses the first
+    one's report under its own id (counted in [bist_sim.units_shared];
+    [bist_sim.faults] and [bist_sim.patterns] count graded units only).
+    The whole call runs in a [gatelevel.coverage] telemetry span, each
+    unit in a [bist_sim] span under it (attribute [unit]). Under a [budget]
     ({!Bistpath_resilience.Budget}), faults not graded before the token
     tripped are counted per unit in [skipped]. *)
 

@@ -179,9 +179,9 @@ type reference = {
   work : nets;  (* the same words; a fault's cone is overwritten, then restored *)
   diff : nets;  (* per output port: faulty xor fault-free word *)
   live : int array;  (* the chunks the current fault can change *)
-  reached : int array;  (* per net: the stamp of the last fault whose cone reached it *)
+  reached : int array;  (* per net: the stamp of the last fault that changed its words *)
   mutable stamp : int;
-  cone : int array;  (* the current fault's cone, [cone_len] gate indices *)
+  cone : int array;  (* the gates whose outputs the current fault changed, [cone_len] *)
   mutable cone_len : int;
   mutable gate_evals : int;
 }
@@ -224,37 +224,19 @@ let detects (diff : nets) live =
   in
   from 0
 
-(* The gates a stuck [net] can change: every gate reading a reached net
-   reaches its output. [compile] checked that a gate reads only nets
-   driven before it, so one pass in gate order finds the whole cone, in
-   the order it must be evaluated. *)
-let build_cone r net =
-  let k = r.k in
-  r.stamp <- r.stamp + 1;
-  let stamp = r.stamp in
-  r.reached.(net) <- stamp;
-  r.cone_len <- 0;
-  for g = k.first_reader.(net) to Array.length k.output - 1 do
-    let j = ref k.first.(g) and hi = k.first.(g + 1) in
-    while !j < hi && r.reached.(k.fanin.(!j)) <> stamp do
-      incr j
-    done;
-    if !j < hi then begin
-      r.reached.(k.output.(g)) <- stamp;
-      r.cone.(r.cone_len) <- g;
-      r.cone_len <- r.cone_len + 1
-    end
-  done
-
-(* Every net outside the cone keeps its fault-free word, so only the
-   cone is evaluated, over the fault-free words in [work], gate by gate
-   across every chunk the fault can change; afterwards the cone's words
-   are copied back from [good]. A chunk whose net already carries the
-   stuck word is fault-free throughout. *)
+(* Event-driven over the fanout cone: in gate order from the net's first
+   reader, a gate is evaluated, across every chunk the fault can change,
+   only when one of its inputs differs from its fault-free word in one of
+   those chunks; its output differs (is reached) only if the new words
+   do. [compile] checked that a gate reads only nets driven before it, so
+   one pass in gate order sees every change before its readers. Every
+   net outside [cone] keeps its fault-free word in [work], so afterwards
+   only the forced net and [cone]'s outputs are copied back from [good].
+   A chunk whose net already carries the stuck word is fault-free
+   throughout. *)
 let faulty_chunks r (net, word) f =
   let k = r.k and stride = r.chunks and live = r.live in
   if net < 0 || net >= k.num_nets then invalid_arg "Sim.faulty_chunks: net out of range";
-  build_cone r net;
   let count = ref 0 in
   for c = 0 to stride - 1 do
     let at = (net * stride) + c in
@@ -265,10 +247,36 @@ let faulty_chunks r (net, word) f =
     end
   done;
   let count = !count in
-  for i = 0 to r.cone_len - 1 do
-    eval_gate k r.work ~stride live count r.cone.(i)
-  done;
-  r.gate_evals <- r.gate_evals + (r.cone_len * count);
+  r.stamp <- r.stamp + 1;
+  let stamp = r.stamp in
+  r.reached.(net) <- stamp;
+  r.cone_len <- 0;
+  if count > 0 then
+    for g = k.first_reader.(net) to Array.length k.output - 1 do
+      let j = ref k.first.(g) and hi = k.first.(g + 1) in
+      while !j < hi && r.reached.(k.fanin.(!j)) <> stamp do
+        incr j
+      done;
+      if !j < hi then begin
+        eval_gate k r.work ~stride live count g;
+        r.gate_evals <- r.gate_evals + count;
+        let out = k.output.(g) * stride in
+        let i = ref 0 in
+        while
+          !i < count
+          &&
+          let at = out + Array.unsafe_get live !i in
+          Int64.equal (A1.unsafe_get r.work at) (A1.unsafe_get r.good at)
+        do
+          incr i
+        done;
+        if !i < count then begin
+          r.reached.(k.output.(g)) <- stamp;
+          r.cone.(r.cone_len) <- g;
+          r.cone_len <- r.cone_len + 1
+        end
+      end
+    done;
   let stop = ref false and i = ref 0 in
   while (not !stop) && !i < count do
     let c = live.(!i) in

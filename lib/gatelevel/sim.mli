@@ -7,8 +7,8 @@
     one chunk, optionally with one stuck-at net forced. Fault
     grading ({!Fault_sim}, {!Bist_sim}) goes through {!faulty_chunks}:
     the fault-free net words of every chunk are computed once
-    ({!reference}), and each fault re-evaluates only its net's fanout
-    cone. *)
+    ({!reference}), and each fault re-evaluates only the gates of its
+    net's fanout cone whose inputs it changed. *)
 
 type compiled
 (** A circuit as flat arrays: per gate its function, inversion, input
@@ -42,15 +42,16 @@ val good_word : reference -> int -> int -> int64
 
 val faulty_chunks : reference -> int * int64 -> (int -> nets -> bool) -> bool
 (** [faulty_chunks r (net, word) f] grades one stuck-at fault, given as
-    {!eval_nets}'s [~stuck]. The fault's static fanout cone (the gates
-    that read [net] or a net such a gate drives, in gate order) is built
-    once; per chunk, only the cone is re-evaluated over the fault-free
-    words, which equals a whole-circuit {!eval_nets} with [~stuck].
+    {!eval_nets}'s [~stuck]. Only the fault's fanout cone is
+    re-evaluated over the fault-free words, event-driven: in gate order,
+    a gate is evaluated (over every chunk not skipped) only when one of
+    its inputs differs from its fault-free word in such a chunk. That
+    equals a whole-circuit {!eval_nets} with [~stuck].
     Then [f c diff] is called, where [diff.{o}] is primary output
     port [o]'s faulty word XOR its fault-free word. A chunk whose
     fault-free [net] word already equals [word] cannot differ and is
-    skipped without a call. The cone is evaluated gate by gate over
-    every chunk not skipped before the first call. Calls run in chunk
+    skipped without a call. The cone is evaluated before the first
+    call. Calls run in chunk
     order and stop at the first that returns [true]; the result is
     whether one did. [diff] is overwritten by the next call. Raises
     [Invalid_argument] if [net] is out of range. *)
@@ -60,8 +61,8 @@ val detects : nets -> int64 -> bool
     passes it) is nonzero in a lane of [live]. *)
 
 val gate_evals : reference -> int
-(** Gates evaluated by {!faulty_chunks} on [r] so far: the cone size
-    summed over the chunks evaluated. *)
+(** Gates evaluated by {!faulty_chunks} on [r] so far: per fault, the
+    gates evaluated times the chunks not skipped. *)
 
 val live_lanes : int -> int64
 (** The lane mask of a chunk's first [size] patterns ([0 < size <= 64]):

@@ -77,6 +77,7 @@ type elab = {
   has_tm : bool;
   sess_bits : int option;
   problems : string list;  (* elaboration errors; [] = well-formed *)
+  components : (string list * bool) list Lazy.t;  (* of [drivers]; see [components] *)
 }
 
 let binop_name : Parser.binop -> string = function
@@ -309,6 +310,77 @@ let pick_datapath (p : Parser.t) =
             (String.concat ", " (List.map (fun (m : Parser.module_) -> m.Parser.name) ms));
         ])
 
+(* Identifiers an expression reads, each with the width it is read at:
+   [w] in data position (the whole value or a conditional's leg), [None]
+   under operators, conditions and selects. *)
+let rec reads w acc (x : Parser.expr) =
+  match x with
+  | Parser.Ident n -> (n, w) :: acc
+  | Parser.Cond (c, t, f) -> reads w (reads w (reads None acc c) t) f
+  | Parser.Num _ | Parser.Str _ -> acc
+  | Parser.Unop (_, a) -> reads None acc a
+  | Parser.Binop (_, a, b) | Parser.Repl (a, b) | Parser.Index (a, b) ->
+    reads None (reads None acc a) b
+  | Parser.Range (a, m, l) -> reads None (reads None (reads None acc a) m) l
+  | Parser.Concat xs -> List.fold_left (reads None) acc xs
+
+(* Strongly connected components (Tarjan) of the combinational
+   dependency graph, each net pointing at the nets its driver reads,
+   with each component's cyclicity; dependencies come first, which is
+   the order the simulator settles nets in. Computed once per
+   elaboration ([elab.components]). *)
+let components drivers (units : unit_inst array) =
+  let deps = Hashtbl.create 64 in
+  (* a net depends on what its driver reads; register outputs on nothing *)
+  Hashtbl.iter
+    (fun n d ->
+      let srcs =
+        match d with
+        | Dassign (x, _) -> reads None [] x
+        | Dunit j -> reads None (reads None [] units.(j).ua) units.(j).ub
+        | Dq _ | Dsig _ -> []
+      in
+      Hashtbl.replace deps n (List.map fst srcs @ try Hashtbl.find deps n with Not_found -> []))
+    drivers;
+  let succ n = try List.sort_uniq compare (Hashtbl.find deps n) with Not_found -> [] in
+  let nodes =
+    List.sort_uniq compare (Hashtbl.fold (fun n ds acc -> (n :: ds) @ acc) deps [])
+  in
+  let index = Hashtbl.create 64 and low = Hashtbl.create 64 in
+  let on_stack = Hashtbl.create 64 in
+  let stack = ref [] and counter = ref 0 and out = ref [] in
+  let rec strong v =
+    Hashtbl.replace index v !counter;
+    Hashtbl.replace low v !counter;
+    incr counter;
+    stack := v :: !stack;
+    Hashtbl.replace on_stack v ();
+    List.iter
+      (fun w ->
+        if not (Hashtbl.mem index w) then begin
+          strong w;
+          Hashtbl.replace low v (min (Hashtbl.find low v) (Hashtbl.find low w))
+        end
+        else if Hashtbl.mem on_stack w then
+          Hashtbl.replace low v (min (Hashtbl.find low v) (Hashtbl.find index w)))
+      (succ v);
+    if Hashtbl.find low v = Hashtbl.find index v then begin
+      let rec pop acc =
+        match !stack with
+        | [] -> acc
+        | w :: rest ->
+          stack := rest;
+          Hashtbl.remove on_stack w;
+          if w = v then w :: acc else pop (w :: acc)
+      in
+      let comp = pop [] in
+      let cyclic = match comp with [ x ] -> List.mem x (succ x) | _ -> true in
+      out := (comp, cyclic) :: !out
+    end
+  in
+  List.iter (fun v -> if not (Hashtbl.mem index v) then strong v) nodes;
+  List.rev !out
+
 (* Total: a malformed module still yields its netlist (the rules audit
    it), with every problem recorded in [problems]. *)
 let elaborate (m : Parser.module_) : elab =
@@ -487,6 +559,7 @@ let elaborate (m : Parser.module_) : elab =
     done
   end;
   let ein = List.sort (fun (a, _) (b, _) -> compare a b) !ports_in in
+  let units = Array.of_list (List.rev !units) in
   {
     ename = m.Parser.name;
     ein;
@@ -497,11 +570,12 @@ let elaborate (m : Parser.module_) : elab =
     localparams = !localparams;
     widths = !widths;
     drivers;
-    units = Array.of_list (List.rev !units);
+    units;
     ecells = Array.of_list (List.rev !cells);
     has_tm = List.mem_assoc "test_mode" ein;
     sess_bits = List.assoc_opt "test_session" ein;
     problems = List.rev !errs;
+    components = lazy (components drivers units);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -517,20 +591,6 @@ type net = {
   drivers : endpoint list;
   readers : endpoint list;
 }
-
-(* Identifiers an expression reads, each with the width it is read at:
-   [w] in data position (the whole value or a conditional's leg), [None]
-   under operators, conditions and selects. *)
-let rec reads w acc (x : Parser.expr) =
-  match x with
-  | Parser.Ident n -> (n, w) :: acc
-  | Parser.Cond (c, t, f) -> reads w (reads w (reads None acc c) t) f
-  | Parser.Num _ | Parser.Str _ -> acc
-  | Parser.Unop (_, a) -> reads None acc a
-  | Parser.Binop (_, a, b) | Parser.Repl (a, b) | Parser.Index (a, b) ->
-    reads None (reads None acc a) b
-  | Parser.Range (a, m, l) -> reads None (reads None (reads None acc a) m) l
-  | Parser.Concat xs -> List.fold_left (reads None) acc xs
 
 let cell_width (c : ecell) =
   match List.assoc_opt "WIDTH" c.eparams with Some w -> w | None -> 8
@@ -587,66 +647,10 @@ let nets (e : elab) =
     tbl []
   |> List.sort compare
 
-(* Strongly connected components (Tarjan) of the combinational
-   dependency graph, each net pointing at the nets its driver reads,
-   with each component's cyclicity; dependencies come first, which is
-   the order the simulator settles nets in. *)
-let components (e : elab) =
-  let deps = Hashtbl.create 64 in
-  (* a net depends on what its driver reads; register outputs on nothing *)
-  Hashtbl.iter
-    (fun n d ->
-      let srcs =
-        match d with
-        | Dassign (x, _) -> reads None [] x
-        | Dunit j -> reads None (reads None [] e.units.(j).ua) e.units.(j).ub
-        | Dq _ | Dsig _ -> []
-      in
-      Hashtbl.replace deps n (List.map fst srcs @ try Hashtbl.find deps n with Not_found -> []))
-    e.drivers;
-  let succ n = try List.sort_uniq compare (Hashtbl.find deps n) with Not_found -> [] in
-  let nodes =
-    List.sort_uniq compare (Hashtbl.fold (fun n ds acc -> (n :: ds) @ acc) deps [])
-  in
-  let index = Hashtbl.create 64 and low = Hashtbl.create 64 in
-  let on_stack = Hashtbl.create 64 in
-  let stack = ref [] and counter = ref 0 and out = ref [] in
-  let rec strong v =
-    Hashtbl.replace index v !counter;
-    Hashtbl.replace low v !counter;
-    incr counter;
-    stack := v :: !stack;
-    Hashtbl.replace on_stack v ();
-    List.iter
-      (fun w ->
-        if not (Hashtbl.mem index w) then begin
-          strong w;
-          Hashtbl.replace low v (min (Hashtbl.find low v) (Hashtbl.find low w))
-        end
-        else if Hashtbl.mem on_stack w then
-          Hashtbl.replace low v (min (Hashtbl.find low v) (Hashtbl.find index w)))
-      (succ v);
-    if Hashtbl.find low v = Hashtbl.find index v then begin
-      let rec pop acc =
-        match !stack with
-        | [] -> acc
-        | w :: rest ->
-          stack := rest;
-          Hashtbl.remove on_stack w;
-          if w = v then w :: acc else pop (w :: acc)
-      in
-      let comp = pop [] in
-      let cyclic = match comp with [ x ] -> List.mem x (succ x) | _ -> true in
-      out := (comp, cyclic) :: !out
-    end
-  in
-  List.iter (fun v -> if not (Hashtbl.mem index v) then strong v) nodes;
-  List.rev !out
-
 let comb_cycles e =
   List.filter_map
     (fun (comp, cyclic) -> if cyclic then Some (List.sort compare comp) else None)
-    (components e)
+    (Lazy.force e.components)
   |> List.sort compare
 
 (* --- symbolic evaluation of an elaborated module ------------------- *)
@@ -704,7 +708,7 @@ let netlist st (e : elab) =
                 | Dq _ | Dsig _ -> false)
             (Hashtbl.find_opt wire_of n))
         comp)
-    (components e);
+    (Lazy.force e.components);
   let n = Netlist.slot_count g in
   (* a looped net: its value per slot, [Busy] while being evaluated *)
   let per_slot = Array.map (fun l -> if l then Array.make n `Unset else [||]) looped in
@@ -960,7 +964,7 @@ let machine ?faulty (e : elab) ~tm ~sess =
       in
       fun v -> f (a v) (b v)
   in
-  let components = components e in
+  let components = Lazy.force e.components in
   let evals =
     List.concat_map (fun (comp, _) -> List.filter (Hashtbl.mem e.drivers) comp) components
     |> List.map (fun n ->
@@ -1099,10 +1103,10 @@ let sampler (e : elab) (dp : Datapath.t) ~width =
 
 let simulate_vectors e dp ~width vectors = List.map (sampler e dp ~width) vectors
 
-let cross_check (e : elab) (dp : Datapath.t) ~width ~vectors ~seed =
+let cross_check ?control (e : elab) (dp : Datapath.t) ~width ~vectors ~seed =
   let rng = Prng.create seed in
   let dfg = dp.Datapath.dfg in
-  let sample = sampler e dp ~width and interp = Interp.run dp ~width in
+  let sample = sampler e dp ~width and interp = Interp.run ?control dp ~width in
   let rec go i =
     if i >= vectors then (None, i)
     else begin
@@ -1141,29 +1145,29 @@ let parse_back rtl : parsed =
       in
       Ok { (elaborate empty) with problems })
 
-let structural ?(width = 8) ?bist ?sessions ?(regw = []) e dp =
+let structural ?(width = 8) ?bist ?sessions ?(regw = []) ?control e dp =
   Telemetry.with_span "rtl.structural" @@ fun () ->
   match e.problems with
   | _ :: _ -> e.problems
   | [] ->
     let st = Netlist.create () in
-    let model = Netlist.of_datapath st ~width ?bist ?sessions ~regw dp in
+    let model = Netlist.of_datapath st ~width ?bist ?sessions ~regw ?control dp in
     Netlist.differences st ~a_label:"model" ~b_label:"rtl" model (netlist st e)
 
-let functional ?(vectors = 16) ?(seed = 7) ?(width = 8) e dp =
+let functional ?(vectors = 16) ?(seed = 7) ?(width = 8) ?control e dp =
   Telemetry.with_span "rtl.functional" @@ fun () ->
   if e.problems <> [] || vectors <= 0 then (None, 0)
-  else cross_check e dp ~width ~vectors ~seed
+  else cross_check ?control e dp ~width ~vectors ~seed
 
-let verify ?vectors ?seed ?width ?bist ?sessions ?regw ~rtl dp =
+let verify ?vectors ?seed ?width ?bist ?sessions ?regw ?control ~rtl dp =
   let t0 = Telemetry.now () in
   let result =
     Telemetry.with_span "rtl.equiv" @@ fun () ->
     match parse_back rtl with
     | Error errs -> Error errs
     | Ok e ->
-      let structural = structural ?width ?bist ?sessions ?regw e dp in
-      let functional, vectors_run = functional ?vectors ?seed ?width e dp in
+      let structural = structural ?width ?bist ?sessions ?regw ?control e dp in
+      let functional, vectors_run = functional ?vectors ?seed ?width ?control e dp in
       Ok { structural; functional; vectors_run }
   in
   Telemetry.observe "rtl.verify_ns" (Int64.to_int (Int64.sub (Telemetry.now ()) t0));

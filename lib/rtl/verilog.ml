@@ -106,7 +106,7 @@ let session_of session_list mid =
   in
   go 0 session_list
 
-let emit ?(width = 8) ?bist ?sessions ?(regw = []) ?(unitw = []) dp =
+let emit ?(width = 8) ?bist ?sessions ?(regw = []) ?(unitw = []) ?control dp =
   let buf = Buffer.create 4096 in
   let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   (* Per-component narrowed widths (synth rtl --narrow). Ports stay at
@@ -149,7 +149,7 @@ let emit ?(width = 8) ?bist ?sessions ?(regw = []) ?(unitw = []) dp =
      enables are derived from the synthesized control table so the
      module is self-contained (step 0 loads inputs, steps 1..T run the
      schedule, then the counter saturates). *)
-  let control = Control.build dp in
+  let control = match control with Some c -> c | None -> Control.build dp in
   let steps = Dfg.num_csteps dp.Datapath.dfg in
   let step_bits =
     max 1 (int_of_float (ceil (log (float_of_int (steps + 2)) /. log 2.0)))
@@ -443,5 +443,5 @@ let primitives ~width =
       "";
     ]
 
-let source ~width ?bist ?sessions ?regw ?unitw dp =
-  primitives ~width ^ "\n" ^ emit ~width ?bist ?sessions ?regw ?unitw dp ^ "\n"
+let source ~width ?bist ?sessions ?regw ?unitw ?control dp =
+  primitives ~width ^ "\n" ^ emit ~width ?bist ?sessions ?regw ?unitw ?control dp ^ "\n"

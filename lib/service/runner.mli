@@ -55,6 +55,7 @@ val render_rtl :
   width:int ->
   ?regw:(string * int) list ->
   ?unitw:(string * int) list ->
+  ?control:Bistpath_datapath.Control.t ->
   bist:bool ->
   wrapper:bool ->
   Bistpath_core.Flow.result ->
@@ -62,7 +63,8 @@ val render_rtl :
 (** The [rtl] artifact ({!Bistpath_rtl.Verilog.source}): BIST register
     variants with [bist], plus session steering and the self-test
     wrapper with [wrapper] (which needs [bist]). [regw]/[unitw] narrow
-    components as in {!Bistpath_rtl.Verilog.emit}. *)
+    components and [control] is passed on, as in
+    {!Bistpath_rtl.Verilog.emit}. *)
 
 val rtl :
   ?cache:Bistpath_cache.Store.t ->

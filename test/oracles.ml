@@ -2324,3 +2324,124 @@ module Rtl_parser = struct
   let errors t =
     List.filter (fun (d : Diagnostic.t) -> d.severity = Diagnostic.Error) t.diagnostics
 end
+
+(* --- control table and behavioural evaluation ---------------------------
+   [Control.build] as it was before it indexed its input in one pass: every
+   route rescans every route for its unit's port sources, and each step
+   filters every event. [eval_run] is [Eval.run] before it bucketed the
+   operations by step: each step filters all of them. The [tables]
+   properties compare the library against both. *)
+
+module Control = Bistpath_datapath.Control
+
+let control_build (dp : Datapath.t) =
+  let open Control in
+  let dfg = dp.Datapath.dfg in
+  let num_steps = Dfg.num_csteps dfg in
+  let index_of_exn what x l =
+    match Listx.index_of (fun y -> y = x) l with
+    | Some i -> i
+    | None -> invalid_arg (Printf.sprintf "Control.build: %s not found" what)
+  in
+  let writer_index rid src =
+    let writers = List.assoc rid dp.Datapath.reg_writers in
+    index_of_exn (Printf.sprintf "writer of %s" rid) src writers
+  in
+  let op_events =
+    List.map
+      (fun (rt : Datapath.route) ->
+        let op =
+          match Dfg.op_by_id dfg rt.opid with
+          | Some op -> op
+          | None -> assert false
+        in
+        let u = Massign.unit_of_op dp.Datapath.massign rt.opid in
+        let l_sources, r_sources = Datapath.unit_port_sources dp u.Massign.mid in
+        let cstep = Dfg.cstep dfg rt.opid in
+        let uop =
+          {
+            mid = u.Massign.mid;
+            opid = rt.opid;
+            l_select = index_of_exn "left source" rt.l_reg l_sources;
+            r_select = index_of_exn "right source" rt.r_reg r_sources;
+            f_select = index_of_exn "function" op.Op.kind u.Massign.kinds;
+          }
+        in
+        let write =
+          {
+            rid = rt.out_reg;
+            source_index = writer_index rt.out_reg (Datapath.From_unit u.Massign.mid);
+            variable = op.Op.out;
+          }
+        in
+        (cstep, uop, write))
+      dp.Datapath.routes
+  in
+  let used_inputs = Dfg.used_inputs dfg in
+  let load_events =
+    List.concat_map
+      (fun (r : Datapath.reg) ->
+        List.filter_map
+          (fun v ->
+            if List.mem v used_inputs then
+              Some
+                ( latch_step dfg v,
+                  {
+                    rid = r.Datapath.rid;
+                    source_index = writer_index r.Datapath.rid (Datapath.From_port v);
+                    variable = v;
+                  } )
+            else None)
+          r.Datapath.vars)
+      dp.Datapath.regs
+  in
+  let steps =
+    List.map
+      (fun index ->
+        let ops =
+          List.filter_map (fun (c, uop, _) -> if c = index then Some uop else None) op_events
+        in
+        let writes =
+          List.filter_map (fun (c, _, w) -> if c = index then Some w else None) op_events
+          @ List.filter_map (fun (c, w) -> if c = index then Some w else None) load_events
+        in
+        let rids = List.map (fun w -> w.rid) writes in
+        (match
+           List.find_opt (fun r -> List.length (List.filter (String.equal r) rids) > 1) rids
+         with
+        | Some rid ->
+          invalid_arg
+            (Printf.sprintf "Control.build: register %s written twice in step %d" rid index)
+        | None -> ());
+        { index; ops; writes })
+      (Listx.range 0 (num_steps + 1))
+  in
+  { steps }
+
+let eval_run dfg ~width ~inputs =
+  List.iter
+    (fun v ->
+      if not (List.mem_assoc v inputs) then
+        invalid_arg (Printf.sprintf "Eval.run: missing value for input %s" v))
+    (Dfg.used_inputs dfg);
+  List.iter
+    (fun (v, _) ->
+      if not (List.mem v dfg.Dfg.inputs) then
+        invalid_arg (Printf.sprintf "Eval.run: %s is not a primary input" v))
+    inputs;
+  let env = Hashtbl.create 16 in
+  List.iter (fun (v, x) -> Hashtbl.replace env v x) inputs;
+  let value v =
+    match Hashtbl.find_opt env v with
+    | Some x -> x
+    | None -> invalid_arg (Printf.sprintf "Eval.run: %s read before definition" v)
+  in
+  for step = 1 to Dfg.num_csteps dfg do
+    let results =
+      List.map
+        (fun (op : Op.t) -> (op.out, Op.eval op.kind ~width (value op.left) (value op.right)))
+        (Dfg.ops_in_step dfg step)
+    in
+    List.iter (fun (v, x) -> Hashtbl.replace env v x) results
+  done;
+  dfg.Dfg.outputs |> List.map (fun v -> (v, Hashtbl.find env v)) |> List.sort compare

@@ -30,8 +30,8 @@ let tmpdir =
 
 let write path text = Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc text)
 
-let run_compare args =
-  let out = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+let run_compare_to path args =
+  let out = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
   let pid =
     Unix.create_process compare_exe
       (Array.of_list (compare_exe :: args))
@@ -39,6 +39,8 @@ let run_compare args =
   in
   Unix.close out;
   match snd (Unix.waitpid [] pid) with Unix.WEXITED c -> c | _ -> -1
+
+let run_compare args = run_compare_to "/dev/null" args
 
 (* Synthetic BENCH files shaped like bench/main.exe output. [scale]
    multiplies every timing, so scale=2.0 models a uniformly slower
@@ -112,10 +114,31 @@ let usage_and_io_errors_exit_2 () =
     (run_compare [ "--dir"; d; "--baseline"; Filename.concat d "garbage.json" ]);
   rm_rf d
 
+(* A record the baseline has no key for is skipped, by name: a stale
+   baseline can never hide a benchmark silently. *)
+let unbaselined_records_are_listed () =
+  let d = tmpdir () in
+  let base = Filename.concat d "base.json" in
+  write_bench_files d ~scale:1.0 ();
+  write base
+    {|{"entries":{"telemetry/ex1/alloc":60000,"telemetry/Paulin/rtl":90000,"service/clean":100000}}|};
+  let out = Filename.concat d "out.txt" in
+  check Alcotest.int "still passes" 0 (run_compare_to out [ "--dir"; d; "--baseline"; base ]);
+  let lines =
+    In_channel.with_open_text out In_channel.input_all |> String.split_on_char '\n'
+    |> List.filter (fun l -> String.length l > 8 && String.sub l 0 8 = "  note: ")
+  in
+  check (Alcotest.list Alcotest.string) "each unbaselined record noted"
+    [ "  note: cache/ex1/cold has no baseline; not compared";
+      "  note: cache/ex1/warm has no baseline; not compared" ]
+    lines;
+  rm_rf d
+
 let suite =
   [
     case "gate: identical passes, perturbed entry fails" gate_identical_and_perturbed;
     case "gate: median calibration absorbs a uniform machine factor"
       calibration_absorbs_machine_factor;
     case "gate: usage and I/O errors exit 2" usage_and_io_errors_exit_2;
+    case "gate: a record with no baseline key is listed" unbaselined_records_are_listed;
   ]

@@ -216,7 +216,11 @@ let validation_errors_carry_lines () =
   expect "dfg u\ninput a b e\noutput e h\nop +1 = a + b -> h @ 1\n"
     ":3: error: Dfg u: primary output e is an input no operation reads";
   expect "dfg u\ninput a b\noutput h\nop +1 = a + b -> h @ 1\nop +1 = b + b -> k @ 2\n"
-    ":5: error: Dfg u: duplicate operation id +1"
+    ":5: error: Dfg u: duplicate operation id +1";
+  expect "dfg u\ninput a\ninput b a\noutput h\nop +1 = a + b -> h @ 1\n"
+    ":3: error: Dfg u: primary input a is declared twice";
+  expect "dfg u\ninput a b\noutput h\noutput h\nop +1 = a + b -> h @ 1\n"
+    ":4: error: Dfg u: primary output h is declared twice"
 
 let parser_comments_and_whitespace () =
   let d =

@@ -879,6 +879,25 @@ let unread_input_output () =
         (contains err "error: Dfg unread_output: primary output e is an input no operation reads"))
     [ "run"; "check"; "verify" ]
 
+(* A primary input or output declared twice is rejected at validation
+   (exit 4), at the line that repeats it: the evaluator kept an input's
+   last binding and the interpreter its first, so [check] reported a
+   false EQ001, and a repeated output gave the module two ports. *)
+let duplicate_declarations () =
+  List.iter
+    (fun (file, line, what) ->
+      List.iter
+        (fun cmd ->
+          let path = fixture file in
+          let rc, _, err = synth_capture (cmd @ [ path ]) in
+          let name = String.concat " " cmd ^ " " ^ file in
+          check Alcotest.int (name ^ " exits 4") 4 rc;
+          check Alcotest.bool (name ^ " names the declaration") true
+            (contains err (Printf.sprintf "%s:%d: error: Dfg %s: %s is declared twice" path line
+               (Filename.chop_suffix file ".dfg") what)))
+        [ [ "run" ]; [ "check"; "--flow"; "both" ]; [ "rtl"; "--verify" ]; [ "verify" ] ])
+    [ ("dup_input.dfg", 4, "primary input a"); ("dup_output.dfg", 5, "primary output y") ]
+
 (* Random designs have no Less and no multifunction unit, so they never
    emit the inline [l < r] (padded by a concat above width 1) that
    normalization folds into [less]: the comparison designs bound to
@@ -945,6 +964,7 @@ let suite =
     case "binary: rtl --verify --stats spans its layers" cli_verify_spans;
     case "pass-through output samples after its load" passthrough_output;
     case "binary: unread-input output exits 4" unread_input_output;
+    case "binary: a twice-declared input or output exits 4" duplicate_declarations;
     case "primitive vocabulary matches the emitter" primitive_vocabulary;
     case "a loop is cut where its step mux enters it" loop_cut_follows_entry;
     case "single edits apply and are caught" single_edits_apply;

@@ -41,4 +41,5 @@ let () =
       ("gate-trace", Test_gatelevel_trace.suite);
       ("bist-trace", Test_bist_trace.suite);
       ("func-trace", Test_functional_trace.suite);
+      ("tables", Test_tables.suite);
     ]
