@@ -15,7 +15,7 @@ type solution = {
   exact : bool;
 }
 
-(* The indexed engine. Registers are numbered once, in [dp.regs] order,
+(* The indexed engine. Registers are numbered once ({!Ipath.registers})
    and each embedding becomes an (l, r, sa) triple of register numbers.
    Per register it keeps counts of generate and compact duties and of
    units for which the register does both; a register's style, and so
@@ -30,13 +30,10 @@ type index = {
   bad : bool array;  (* per code: the style is forbidden *)
 }
 
-let index ~model ~width ~forbidden ~io_penalty_percent dp =
-  let regs = Hashtbl.create 32 in
-  List.iter
-    (fun (r : Datapath.reg) ->
-      if not (Hashtbl.mem regs r.rid) then Hashtbl.add regs r.rid (Hashtbl.length regs))
-    dp.Datapath.regs;
-  let n = Hashtbl.length regs in
+let index ~model ~width ~forbidden ~io_penalty_percent dp names =
+  let regs = Hashtbl.create (Array.length names) in
+  Array.iteri (fun i rid -> Hashtbl.replace regs rid i) names;
+  let n = Array.length names in
   let penalized = Array.make n false in
   if io_penalty_percent <> 100 then
     List.iter
@@ -50,11 +47,36 @@ let index ~model ~width ~forbidden ~io_penalty_percent dp =
   in
   { regs; gates; bad = Array.map (fun s -> List.mem s forbidden) styles }
 
-type indexed = { l : int; r : int; sa : int; e : Ipath.embedding }
+(* An option is an embedding of one unit as its positions in the unit's
+   row, packed 20 bits each into one int: left, right, SA. *)
+let pack li ri si = (li lsl 40) lor (ri lsl 20) lor si
+let mask = (1 lsl 20) - 1
+let l_of (row : Ipath.row) x = row.left.(x lsr 40)
+let r_of (row : Ipath.row) x = row.right.((x lsr 20) land mask)
+let sa_of (row : Ipath.row) x = row.sas.(x land mask)
+let embedding_of table row x =
+  Ipath.embedding table row (x lsr 40) ((x lsr 20) land mask) (x land mask)
 
-let indexed idx (e : Ipath.embedding) =
-  let reg = Hashtbl.find idx.regs in
-  { l = reg e.l_tpg; r = reg e.r_tpg; sa = reg e.sa; e }
+(* A row's options, its left sources taken in the order of the
+   positions [ls], for each the right sources in the order [rs]
+   (skipping the left one), for each the SA registers in the order
+   [sas]. *)
+let product (row : Ipath.row) ls rs sas =
+  let xs = Array.make (Ipath.embedding_count row) 0 in
+  let k = ref 0 in
+  for a = 0 to Array.length ls - 1 do
+    for b = 0 to Array.length rs - 1 do
+      if row.left.(ls.(a)) <> row.right.(rs.(b)) then
+        for c = 0 to Array.length sas - 1 do
+          xs.(!k) <- pack ls.(a) rs.(b) sas.(c);
+          incr k
+        done
+    done
+  done;
+  xs
+
+(* Positions in array order: with [product], I-path order. *)
+let positions a = Array.init (Array.length a) Fun.id
 
 type engine = {
   gates : int array;
@@ -96,38 +118,38 @@ let compact eng i d =
   eng.comp.(i) <- eng.comp.(i) + d;
   restyle eng i
 
-let apply eng x =
-  generate eng x.l ~sa:x.sa 1;
-  generate eng x.r ~sa:x.sa 1;
-  compact eng x.sa 1
+let apply eng l r sa =
+  generate eng l ~sa 1;
+  generate eng r ~sa 1;
+  compact eng sa 1
 
-let unapply eng x =
-  compact eng x.sa (-1);
-  generate eng x.r ~sa:x.sa (-1);
-  generate eng x.l ~sa:x.sa (-1)
+let unapply eng l r sa =
+  compact eng sa (-1);
+  generate eng r ~sa (-1);
+  generate eng l ~sa (-1)
 
-(* Cost and feasibility of [x] on top of the current state. *)
-let delta_of eng x =
-  apply eng x;
-  let c = eng.cost and ok = eng.infeasible = 0 in
-  unapply eng x;
-  (c, ok)
+let apply_option eng row x = apply eng (l_of row x) (r_of row x) (sa_of row x)
+let unapply_option eng row x = unapply eng (l_of row x) (r_of row x) (sa_of row x)
 
-(* Greedy step: apply and return the embedding with the smallest
-   feasible cost increase (the first on ties), if any. *)
-let greedy_pick eng es =
-  let best = ref None in
-  Array.iter
-    (fun x ->
-      let c, ok = delta_of eng x in
-      if ok then
-        match !best with Some (bc, _) when bc <= c -> () | _ -> best := Some (c, x))
-    es;
-  Option.map
-    (fun (_, x) ->
-      apply eng x;
-      x)
-    !best
+(* Greedy step: apply the option with the smallest feasible cost
+   increase (the first on ties) and return its position, if any. *)
+let greedy_pick eng row xs =
+  let best = ref (-1) and best_cost = ref 0 in
+  for k = 0 to Array.length xs - 1 do
+    let l = l_of row xs.(k) and r = r_of row xs.(k) and sa = sa_of row xs.(k) in
+    apply eng l r sa;
+    let c = eng.cost and ok = eng.infeasible = 0 in
+    unapply eng l r sa;
+    if ok && (!best < 0 || c < !best_cost) then begin
+      best := k;
+      best_cost := c
+    end
+  done;
+  if !best < 0 then None
+  else begin
+    apply_option eng row xs.(!best);
+    Some !best
+  end
 
 (* The one costing path: embeddings sorted by unit, every register's
    style and the total cost. *)
@@ -136,7 +158,10 @@ let costed idx dp embeddings =
   let embeddings =
     List.sort (fun (a : Ipath.embedding) b -> compare a.mid b.mid) embeddings
   in
-  List.iter (fun e -> apply eng (indexed idx e)) embeddings;
+  let reg = Hashtbl.find idx.regs in
+  List.iter
+    (fun (e : Ipath.embedding) -> apply eng (reg e.l_tpg) (reg e.r_tpg) (reg e.sa))
+    embeddings;
   {
     embeddings;
     styles =
@@ -149,7 +174,7 @@ let costed idx dp embeddings =
   }
 
 let solution_of ~model ~width dp =
-  let idx = index ~model ~width ~forbidden:[] ~io_penalty_percent:100 dp in
+  let idx = index ~model ~width ~forbidden:[] ~io_penalty_percent:100 dp (Ipath.registers dp) in
   costed idx dp
 
 (* Session conflicts, by number. A unit under test is its embedding's
@@ -221,111 +246,119 @@ let sessions (sol : solution) =
   ignore (first_fit code ts session);
   session
 
-(* Units with operations bound to them, each with its embeddings. *)
-let unit_embeddings ~transparency dp =
-  dp.Datapath.massign.Massign.units
-  |> List.filter (fun (u : Massign.hw) ->
-         Massign.temporal_multiplicity dp.Datapath.massign dp.Datapath.dfg u.mid > 0)
-  |> List.map (fun (u : Massign.hw) -> (u.mid, Ipath.embeddings ~transparency dp u.mid))
+(* The rows of units with operations bound to them, in module-assignment
+   order. *)
+let active_rows dp (table : Ipath.table) =
+  Array.to_list table.rows
+  |> List.filter (fun (row : Ipath.row) ->
+         Massign.temporal_multiplicity dp.Datapath.massign dp.Datapath.dfg row.unit > 0)
+
+(* The walk's product: every unit with an embedding, each with its
+   options in I-path order. *)
+type product = { table : Ipath.table; rows : Ipath.row array; options : int array array }
 
 type leaf = {
+  product : product;
   eng : engine;
-  ts : tested array;  (* the chosen embeddings, in session (unit id) order *)
+  ts : tested array;  (* the chosen embeddings, in session order *)
   session : int array;  (* first-fit work array *)
-  mutable chosen : Ipath.embedding list;  (* last unit first *)
+  picks : int array;  (* per unit, the chosen option's place *)
 }
 
 let leaf_gates leaf = leaf.eng.cost
 let leaf_sessions leaf = first_fit leaf.eng.code leaf.ts leaf.session
-let leaf_embeddings leaf = leaf.chosen
 
-let walk ~model ~width ~transparency dp ~descend f =
-  let idx = index ~model ~width ~forbidden:[] ~io_penalty_percent:100 dp in
-  let units =
-    unit_embeddings ~transparency dp
-    |> List.filter (fun (_, es) -> es <> [])
-    |> Array.of_list
-  in
-  let n = Array.length units in
+type kept = { from : product; choice : int array }
+
+let keep leaf = { from = leaf.product; choice = Array.copy leaf.picks }
+let keep_into k leaf = Array.blit leaf.picks 0 k.choice 0 (Array.length k.choice)
+
+let kept_embeddings { from = p; choice } =
+  List.init (Array.length choice) (fun i ->
+      embedding_of p.table p.rows.(i) p.options.(i).(choice.(i)))
+
+let walk ~model ~width ~transparency dp ~bound ~descend ~beyond f =
+  let table = Ipath.table ~transparency dp in
+  let idx = index ~model ~width ~forbidden:[] ~io_penalty_percent:100 dp table.regs in
+  let rows = active_rows dp table |> List.filter Ipath.embeddable |> Array.of_list in
+  let n = Array.length rows in
   (* A unit's rank is its place in session order, which is [solution_of]'s
      embedding order: by unit id. *)
   let by_id = Array.init n Fun.id in
-  Array.stable_sort (fun i j -> compare (fst units.(i)) (fst units.(j))) by_id;
+  Array.stable_sort (fun i j -> compare rows.(i).unit rows.(j).unit) by_id;
   let rank = Array.make n 0 in
   Array.iteri (fun k i -> rank.(i) <- k) by_id;
-  let rank_of = function
-    | None -> -1
-    | Some mid -> (
-      match Array.find_index (fun (m, _) -> m = mid) units with
-      | Some i -> rank.(i)
-      | None -> -1)
+  (* A channel's rank, by its table row; -1 if it is not under test. *)
+  let via_rank =
+    Array.map
+      (fun (u : Ipath.row) ->
+        match Array.find_index (fun (row : Ipath.row) -> String.equal row.unit u.unit) rows with
+        | Some i -> rank.(i)
+        | None -> -1)
+      table.rows
   in
+  let of_via v = if v < 0 then -1 else via_rank.(v) in
   let options =
+    Array.map
+      (fun (row : Ipath.row) ->
+        product row (positions row.left) (positions row.right) (positions row.sas))
+      rows
+  in
+  let tested =
     Array.mapi
-      (fun i (_, es) ->
-        Array.of_list
-          (List.map
-             (fun (e : Ipath.embedding) ->
-               let x = indexed idx e in
-               ( x,
-                 { l = x.l; r = x.r; sa = x.sa; rank = rank.(i); l_via = rank_of e.l_via;
-                   r_via = rank_of e.r_via } ))
-             es))
-      units
+      (fun i (row : Ipath.row) ->
+        Array.map
+          (fun x ->
+            { l = l_of row x; r = r_of row x; sa = sa_of row x; rank = rank.(i);
+              l_via = of_via row.left_via.(x lsr 40);
+              r_via = of_via row.right_via.((x lsr 20) land mask) })
+          options.(i))
+      rows
   in
   let leaf =
-    { eng = engine idx;
+    { product = { table; rows; options };
+      eng = engine idx;
       ts = Array.make n { l = 0; r = 0; sa = 0; rank = 0; l_via = -1; r_via = -1 };
-      session = Array.make n 0; chosen = [] }
+      session = Array.make n 0; picks = Array.make n 0 }
   in
-  (* Depth first, first unit outermost, each unit's embeddings in order;
+  (* Below a partial past the bound every leaf is past it too, since a
+     later embedding never lowers a style: the subtree is only counted,
+     asking [descend] as the full walk would. *)
+  let rec count_only i =
+    if i = n then beyond ()
+    else if descend () then
+      for _ = 1 to Array.length options.(i) do
+        count_only (i + 1)
+      done
+  in
+  (* Depth first, first unit outermost, each unit's options in order;
      [descend] is asked before every internal node's children. *)
   let rec go i =
     if i = n then f leaf
     else if descend () then
-      Array.iter
-        (fun (x, t) ->
-          apply leaf.eng x;
-          leaf.ts.(rank.(i)) <- t;
-          let parent = leaf.chosen in
-          leaf.chosen <- x.e :: parent;
-          go (i + 1);
-          leaf.chosen <- parent;
-          unapply leaf.eng x)
-        options.(i)
+      Array.iteri
+        (fun k t ->
+          apply leaf.eng t.l t.r t.sa;
+          if leaf.eng.cost > bound then count_only (i + 1)
+          else begin
+            leaf.ts.(rank.(i)) <- t;
+            leaf.picks.(i) <- k;
+            go (i + 1)
+          end;
+          unapply leaf.eng t.l t.r t.sa)
+        tested.(i)
   in
   go 0
 
 (* Ample to prove every paper design optimal; bounds large generated ones. *)
 let node_cap = 200_000
 
-(* A unit's options in search order: by cost against the empty state,
-   then by the embedding's fields in record order as ranks in
-   [String.compare] order ([None] first), which within one unit is
-   [compare] on (cost, embedding). The register ranks pack 20 bits each
-   into one int, the unit ranks 30 bits each into another. *)
-let options eng idx ~reg_rank ~via_rank es =
-  List.map
-    (fun e ->
-      let x = indexed idx e in
-      ( fst (delta_of eng x),
-        (reg_rank.(x.l) lsl 40) lor (reg_rank.(x.r) lsl 20) lor reg_rank.(x.sa),
-        ((via_rank e.l_via + 1) lsl 30) lor (via_rank e.r_via + 1),
-        x ))
-    es
-  |> List.stable_sort (fun (c, p, q, _) (c', p', q', _) ->
-         if c <> c' then Int.compare c c'
-         else if p <> p' then Int.compare p p'
-         else Int.compare q q')
-  |> List.map (fun (_, _, _, x) -> x)
-  |> Array.of_list
-
 (* Rank of each register number by name. *)
-let name_ranks (idx : index) =
-  let rank = Array.make (Hashtbl.length idx.regs) 0 in
-  Hashtbl.fold (fun rid i acc -> (rid, i) :: acc) idx.regs []
-  |> List.stable_sort (fun (a, _) (b, _) -> String.compare a b)
-  |> List.iteri (fun k (_, i) -> rank.(i) <- k);
+let name_ranks (names : string array) =
+  let order = Array.init (Array.length names) Fun.id in
+  Array.sort (fun i j -> String.compare names.(i) names.(j)) order;
+  let rank = Array.make (Array.length names) 0 in
+  Array.iteri (fun k i -> rank.(i) <- k) order;
   rank
 
 (* The bound memo. A register's style code is its three [> 0] tests
@@ -385,11 +418,11 @@ let rec record t key lb =
 (* Per level, the registers an option of its unit or a later one
    touches, in key order; level 0, levels past [memo_regs] registers and
    every level of a product under [memo_min_leaves] get none. *)
-let key_registers (idx : index) (units : indexed array array) =
+let key_registers (idx : index) (units : (Ipath.row * int array) array) =
   let n = Array.length units in
   let key_regs = Array.make n [||] in
   let leaves =
-    Array.fold_left (fun p es -> min memo_min_leaves (p * Array.length es)) 1 units
+    Array.fold_left (fun p (_, xs) -> min memo_min_leaves (p * Array.length xs)) 1 units
   in
   if leaves >= memo_min_leaves then begin
     let seen = Array.make (Hashtbl.length idx.regs) false in
@@ -401,66 +434,113 @@ let key_registers (idx : index) (units : indexed array array) =
       end
     in
     for i = n - 1 downto 1 do
+      let row, xs = units.(i) in
       Array.iter
-        (fun (x : indexed) ->
-          touch x.l;
-          touch x.r;
-          touch x.sa)
-        units.(i);
+        (fun x ->
+          touch (l_of row x);
+          touch (r_of row x);
+          touch (sa_of row x))
+        xs;
       if List.compare_length_with !touched memo_regs <= 0 then
         key_regs.(i) <- Array.of_list !touched
     done
   end;
   key_regs
 
+(* The units [solve] searches and their options, both in search order:
+   units with fewest embeddings first, in module-assignment order on
+   ties; a unit's embeddings by their cost against the empty state,
+   then by their registers' ranks in [String.compare] order. No two
+   embeddings of one unit share all three registers, so this is
+   [compare] on (cost, embedding), whose via fields never decide. The
+   product is enumerated in rank order and then sorted stably by cost
+   in one counting pass, over the narrow range of gate counts three
+   registers can add. *)
+let plan (idx : index) (table : Ipath.table) rows =
+  let reg_rank = name_ranks table.regs in
+  let by_rank regs =
+    let order = Array.init (Array.length regs) Fun.id in
+    Array.sort (fun a b -> Int.compare reg_rank.(regs.(a)) reg_rank.(regs.(b))) order;
+    order
+  in
+  let gates i code = idx.gates.((5 * i) + code) in
+  (* The engine's cost after applying [x] alone: the TPGs are TPGs
+     (1), the SA register an SA (2), or a CBILBO (4) if it is a TPG. *)
+  let cost row x =
+    let l = l_of row x and r = r_of row x and sa = sa_of row x in
+    if sa = l then gates l 4 + gates r 1
+    else if sa = r then gates l 1 + gates r 4
+    else gates l 1 + gates r 1 + gates sa 2
+  in
+  let options (row : Ipath.row) =
+    let xs = product row (by_rank row.left) (by_rank row.right) (by_rank row.sas) in
+    let m = Array.length xs in
+    let costs = Array.make m 0 and lo = ref max_int and hi = ref min_int in
+    for k = 0 to m - 1 do
+      let c = cost row xs.(k) in
+      costs.(k) <- c;
+      lo := Int.min !lo c;
+      hi := Int.max !hi c
+    done;
+    (* [start.(c - lo)]: where the next option of cost [c] goes *)
+    let start = Array.make (!hi - !lo + 2) 0 in
+    for k = 0 to m - 1 do
+      start.(costs.(k) - !lo + 1) <- start.(costs.(k) - !lo + 1) + 1
+    done;
+    for c = 1 to Array.length start - 1 do
+      start.(c) <- start.(c) + start.(c - 1)
+    done;
+    let sorted = Array.make m 0 in
+    for k = 0 to m - 1 do
+      let c = costs.(k) - !lo in
+      sorted.(start.(c)) <- xs.(k);
+      start.(c) <- start.(c) + 1
+    done;
+    sorted
+  in
+  List.filter Ipath.embeddable rows
+  |> List.map (fun row -> (row, options row))
+  |> List.stable_sort (fun (_, a) (_, b) -> Int.compare (Array.length a) (Array.length b))
+  |> Array.of_list
+
+let setup ~model ~width ~forbidden ~io_penalty_percent ~transparency dp =
+  let table = Ipath.table ~transparency dp in
+  (table, index ~model ~width ~forbidden ~io_penalty_percent dp table.regs, active_rows dp table)
+
+let search_order ?(model = Area.default) ?(width = 8) ?(io_penalty_percent = 100)
+    ?(transparency = false) dp =
+  let table, idx, rows =
+    setup ~model ~width ~forbidden:[] ~io_penalty_percent ~transparency dp
+  in
+  plan idx table rows
+  |> Array.to_list
+  |> List.map (fun ((row : Ipath.row), xs) ->
+         (row.unit, List.map (embedding_of table row) (Array.to_list xs)))
+
 let solve ?(model = Area.default) ?(width = 8) ?(forbidden = [])
     ?(io_penalty_percent = 100) ?(transparency = false) ?(budget = Budget.unlimited) dp =
-  let idx = index ~model ~width ~forbidden ~io_penalty_percent dp in
-  let with_embeddings = unit_embeddings ~transparency dp in
+  let table, idx, rows = setup ~model ~width ~forbidden ~io_penalty_percent ~transparency dp in
   let untestable =
-    List.filter_map (fun (m, es) -> if es = [] then Some m else None) with_embeddings
+    List.filter_map
+      (fun (row : Ipath.row) -> if Ipath.embeddable row then None else Some row.unit)
+      rows
   in
-  Telemetry.incr "bist.units" ~by:(List.length with_embeddings);
-  Telemetry.incr "bist.embedding_candidates"
-    ~by:(Listx.sum_by (fun (_, es) -> List.length es) with_embeddings);
-  let eng = engine idx in
-  let reg_rank = name_ranks idx in
-  (* Only transparency puts units on a pattern path. *)
-  let vias =
-    if not transparency then [||]
-    else
-      List.concat_map
-        (fun (_, es) ->
-          List.concat_map
-            (fun (e : Ipath.embedding) -> Option.to_list e.l_via @ Option.to_list e.r_via)
-            es)
-        with_embeddings
-      |> List.sort_uniq String.compare |> Array.of_list
-  in
-  let via_rank = function
-    | None -> -1
-    | Some mid -> Option.get (Array.find_index (String.equal mid) vias)
-  in
-  (* Order: units with fewest embeddings first; within a unit, embeddings
-     sorted by their cost against the empty state (cheap first). *)
-  let arr =
-    List.filter (fun (_, es) -> es <> []) with_embeddings
-    |> List.map (fun (m, es) -> (m, options eng idx ~reg_rank ~via_rank es))
-    |> List.stable_sort (fun (_, a) (_, b) -> Int.compare (Array.length a) (Array.length b))
-    |> Array.of_list
-  in
+  Telemetry.incr "bist.units" ~by:(List.length rows);
+  Telemetry.incr "bist.embedding_candidates" ~by:(Listx.sum_by Ipath.embedding_count rows);
+  let arr = plan idx table rows in
   let n = Array.length arr in
+  let embedding i k =
+    let row, xs = arr.(i) in
+    embedding_of table row xs.(k)
+  in
   (* Greedy warm start: take, per unit in order, the embedding with the
      smallest feasible cost increase. *)
-  let greedy = Array.map (fun (_, es) -> greedy_pick eng es) arr in
-  let best_cost = ref (if Array.exists Option.is_none greedy then max_int else eng.cost) in
-  let best =
-    ref
-      (if !best_cost = max_int then None
-       else Some (Array.to_list greedy |> List.filter_map (Option.map (fun x -> x.e))))
-  in
   let eng = engine idx in
-  let key_regs = key_registers idx (Array.map snd arr) in
+  let greedy = Array.map (fun (row, xs) -> greedy_pick eng row xs) arr in
+  let best_cost = ref (if Array.exists Option.is_none greedy then max_int else eng.cost) in
+  let best = ref (if !best_cost = max_int then None else Some (Array.map Option.get greedy)) in
+  let eng = engine idx in
+  let key_regs = key_registers idx arr in
   let memo = Array.init n (fun _ -> bounds ()) in
   let key i =
     let rs = key_regs.(i) in
@@ -482,7 +562,7 @@ let solve ?(model = Area.default) ?(width = 8) ?(forbidden = [])
       Inject.fire "allocator.leaf";
       if eng.infeasible = 0 && eng.cost < !best_cost then begin
         best_cost := eng.cost;
-        best := Some (List.init n (fun j -> (snd arr.(j)).(chosen.(j)).e))
+        best := Some (Array.copy chosen)
       end
     end
     else begin
@@ -496,17 +576,17 @@ let solve ?(model = Area.default) ?(width = 8) ?(forbidden = [])
       if not skip then begin
         (* The partial's cost is the same before every sibling and the
            bound only falls, so the first failed test ends the loop. *)
-        let es = snd arr.(i) in
+        let row, xs = arr.(i) in
         let k = ref 0 in
-        while !k < Array.length es && (not !exhausted) && eng.cost < !best_cost do
+        while !k < Array.length xs && (not !exhausted) && eng.cost < !best_cost do
           incr nodes;
           Budget.node budget;
-          apply eng es.(!k);
+          apply_option eng row xs.(!k);
           chosen.(i) <- !k;
           (* A later embedding can never remove a duty, so a partial
              already using a forbidden style cannot recover: prune. *)
           if eng.infeasible = 0 then branch (i + 1);
-          unapply eng es.(!k);
+          unapply_option eng row xs.(!k);
           incr k
         done;
         (* With no feasible leaf known, none lies below. *)
@@ -524,28 +604,29 @@ let solve ?(model = Area.default) ?(width = 8) ?(forbidden = [])
      by one (most-embeddings last) until a feasible core remains. *)
   let chosen_embeddings, extra_untestable =
     match !best with
-    | Some es -> (es, [])
+    | Some ks -> (List.init n (fun i -> embedding i ks.(i)), [])
     | None ->
-      let rec shrink dropped = function
-        | [] -> ([], dropped)
-        | (mid, _) :: rest ->
+      let rec shrink dropped i =
+        if i = n then ([], dropped)
+        else
+          let dropped = dropped @ [ (fst arr.(i)).unit ] in
           let eng = engine idx in
-          let rec pick acc = function
-            | [] -> Some (List.rev acc)
-            | (_, es) :: tl -> (
-              match greedy_pick eng es with Some x -> pick (x.e :: acc) tl | None -> None)
+          let rec pick acc j =
+            if j = n then Some (List.rev acc)
+            else
+              match greedy_pick eng (fst arr.(j)) (snd arr.(j)) with
+              | Some k -> pick (embedding j k :: acc) (j + 1)
+              | None -> None
           in
-          (match pick [] rest with
-           | Some es -> (es, dropped @ [ mid ])
-           | None -> shrink (dropped @ [ mid ]) rest)
+          match pick [] (i + 1) with Some es -> (es, dropped) | None -> shrink dropped (i + 1)
       in
-      shrink [] (Array.to_list arr)
+      shrink [] 0
   in
   let sol = costed idx dp chosen_embeddings in
   (* CBILBO-requiring embeddings that were on the table but not picked. *)
-  let cbilbos l = List.length (List.filter Ipath.requires_cbilbo l) in
-  let offered = Listx.sum_by (fun (_, es) -> cbilbos es) with_embeddings in
-  Telemetry.incr "bist.cbilbos_avoided" ~by:(max 0 (offered - cbilbos sol.embeddings));
+  let picked = List.length (List.filter Ipath.requires_cbilbo sol.embeddings) in
+  Telemetry.incr "bist.cbilbos_avoided"
+    ~by:(max 0 (Listx.sum_by Ipath.cbilbo_count rows - picked));
   { sol with untestable = List.sort compare (untestable @ extra_untestable); exact = not !exhausted }
 
 let style_counts sol =

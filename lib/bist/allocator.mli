@@ -34,20 +34,25 @@
     never worse than the unmemoized search's at the same cap, since it
     stops further along the same order.
 
-    The engine is indexed: each call numbers the data path's registers
-    once and turns every embedding into a triple of register numbers.
-    Per register it keeps generate, compact and same-unit counts and the
-    style they imply in int arrays, and a per-(register, style) gate
-    table, I/O penalty included, plus a per-style forbidden flag make
-    each search node a few array updates. Every phase runs on it:
-    keying, the greedy warm start, the search, the infeasible-core
-    shrink, the final restyle ({!solution_of}) and the Pareto sweep's
-    {!walk}. Each unit's embeddings are sorted on ints: their cost
-    against the empty state, then their registers' and transparent
-    units' ranks in [String.compare] order ([None] first), which is
-    [compare] on (cost, embedding). test/oracles.ml keeps the earlier
-    string-keyed engine, without the memo, and an exhaustive reference
-    as the specification. *)
+    The engine is indexed and reads one factored table
+    ({!Bistpath_ipath.Ipath.table}): each unit's left, right and SA
+    sources as register numbers in I-path order, which stand for their
+    product. Per register the engine keeps generate, compact and
+    same-unit counts and the style they imply in int arrays, and a
+    per-(register, style) gate table, I/O penalty included, plus a
+    per-style forbidden flag make each search node a few array
+    updates. Every phase runs on it: keying, the greedy warm start, the
+    search, the infeasible-core shrink, the final restyle
+    ({!solution_of}) and the Pareto sweep's {!walk}. Each unit's options
+    are ranked on ints ({!search_order}): their cost against the empty
+    state, read from the gate table, then their registers' ranks in
+    [String.compare] order, which is [compare] on (cost, embedding). An
+    {!Bistpath_ipath.Ipath.embedding} record is built only for the
+    chosen options, and the [bist.embedding_candidates] and
+    [bist.cbilbos_avoided] counters are counted from the three sets.
+    test/oracles.ml keeps the earlier string-keyed engine over
+    materialised embedding lists, without the memo, and an exhaustive
+    reference as the specification. *)
 
 type solution = {
   embeddings : Bistpath_ipath.Ipath.embedding list;  (** one per testable unit *)
@@ -94,6 +99,20 @@ val solve :
     counter gets the number of search nodes once, also when an injected
     fault unwinds the search. *)
 
+val search_order :
+  ?model:Bistpath_datapath.Area.model ->
+  ?width:int ->
+  ?io_penalty_percent:int ->
+  ?transparency:bool ->
+  Bistpath_datapath.Datapath.t ->
+  (string * Bistpath_ipath.Ipath.embedding list) list
+(** The units {!solve} searches (those with operations and at least one
+    embedding), in its order, each with its embeddings in the order the
+    search tries them: units with fewest embeddings first,
+    module-assignment order on ties; a unit's embeddings by their cost
+    against the empty state, then by their registers' ranks in
+    [String.compare] order. *)
+
 val solution_of :
   model:Bistpath_datapath.Area.model ->
   width:int ->
@@ -126,31 +145,56 @@ val walk :
   width:int ->
   transparency:bool ->
   Bistpath_datapath.Datapath.t ->
+  bound:int ->
   descend:(unit -> bool) ->
+  beyond:(unit -> unit) ->
   (leaf -> unit) ->
   unit
-(** [walk ~model ~width ~transparency dp ~descend f] visits the product
-    of the embeddings of every unit {!solve} searches that has any,
-    depth first: units in module-assignment order, the first outermost,
-    each unit's embeddings in {!Bistpath_ipath.Ipath.embeddings} order.
+(** [walk ~model ~width ~transparency dp ~bound ~descend ~beyond f]
+    visits the product of the embeddings of every unit {!solve}
+    searches that has any, depth first: units in module-assignment
+    order, the first outermost, each unit's embeddings in I-path order
+    ({!Bistpath_ipath.Ipath.row}), read straight from the table.
     [descend ()] is asked before the children of every internal node
     (the root included, unless there are no units); [false] skips them.
-    [f] gets every leaf reached. Each level applies one embedding to the
-    indexed engine and removes it on the way back, so a leaf's cost is
-    its parent's plus a few table lookups. Costs are {!solution_of}'s
-    (no forbidden style, no I/O penalty). *)
+    Each level applies one embedding to the indexed engine and removes
+    it on the way back, so a leaf's cost is its parent's plus a few
+    table lookups. Costs are {!solution_of}'s (no forbidden style, no
+    I/O penalty).
+
+    [f] gets every leaf reached whose cost is at most [bound];
+    [beyond ()] is called once for every other leaf reached. Once a
+    partial's cost exceeds [bound] its subtree is walked count-only: no
+    embedding is applied below it, but [descend] is still asked at each
+    of its internal nodes and [beyond] called at each of its leaves,
+    exactly as the full walk would reach them. This is sound because a
+    later embedding only adds duties, so a register's style only moves
+    up (none, TPG or SA, then TPG/SA, then CBILBO), and the model's
+    per-bit deltas grow along that order ({!Bistpath_datapath.Area.default}:
+    3, 4, 5, 7): every leaf below a partial costs at least as much as
+    it does. {!solve}'s sibling cut relies on the same monotonicity. *)
 
 val leaf_gates : leaf -> int
-(** The leaf's modification cost: [(solution_of ... (leaf_embeddings
-    leaf)).delta_gates]. *)
+(** The leaf's modification cost: [(solution_of ...).delta_gates] of
+    its embeddings. *)
 
 val leaf_sessions : leaf -> int
 (** The number of sessions {!Session.schedule} gives the leaf's
     solution, counted by the {!sessions} kernel over the units in unit
     id order, with no solution built. *)
 
-val leaf_embeddings : leaf -> Bistpath_ipath.Ipath.embedding list
-(** The chosen embeddings, last unit first. *)
+type kept
+(** A leaf's choice of embeddings, kept past its callback. *)
+
+val keep : leaf -> kept
+(** A copy of the leaf's choice. *)
+
+val keep_into : kept -> leaf -> unit
+(** [keep_into k leaf] overwrites [k] with the leaf's choice, allocating
+    nothing; [k] must come from a leaf of the same walk. *)
+
+val kept_embeddings : kept -> Bistpath_ipath.Ipath.embedding list
+(** The kept choice's embeddings, one per unit, in walk order. *)
 
 val style_counts : solution -> (Resource.style * int) list
 (** Histogram of non-[Normal] styles (Table II's resource mixes). *)

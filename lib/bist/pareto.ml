@@ -17,24 +17,25 @@ let leaf_cap = 20_000
 
 (* A pair is dominated exactly when some pair has fewer gates and at
    most its sessions, or equal gates and fewer sessions. In ascending
-   (gates, sessions) order the first pair of each gate count has that
-   count's fewest sessions, and it survives if no pair with fewer gates
-   has as few: one sweep carrying the fewest sessions seen so far. *)
+   (gates, sessions) order, stable so that equal pairs keep list order,
+   the first candidate of each gate count has that count's fewest
+   sessions, and it survives if no pair with fewer gates has as few:
+   one sweep carrying the fewest sessions seen so far. *)
 let front candidates =
-  let rec skip d = function (d', _) :: rest when d' = d -> skip d rest | l -> l in
+  let rec skip d = function (d', _, _) :: rest when d' = d -> skip d rest | l -> l in
   let rec sweep best = function
     | [] -> []
-    | (d, s) :: rest ->
-      if s < best then (d, s) :: sweep s (skip d rest) else sweep best (skip d rest)
+    | ((d, s, _) as c) :: rest ->
+      if s < best then c :: sweep s (skip d rest) else sweep best (skip d rest)
   in
-  let survivors = Hashtbl.create 16 in
-  let by_pair (d, s) (d', s') = if d <> d' then Int.compare d d' else Int.compare s s' in
-  List.sort_uniq by_pair (List.map (fun (d, s, _) -> (d, s)) candidates)
-  |> sweep max_int
-  |> List.iter (fun pair -> Hashtbl.replace survivors pair ());
-  candidates
-  |> List.filter (fun (d, s, _) -> Hashtbl.mem survivors (d, s))
-  |> List.sort_uniq (fun (d, s, _) (d', s', _) -> compare (d, s) (d', s'))
+  let by_pair (d, s, _) (d', s', _) = if d <> d' then Int.compare d d' else Int.compare s s' in
+  sweep max_int (List.stable_sort by_pair candidates)
+
+(* In-bound leaves are kept per (gates, sessions) pair, the pair packed
+   into one int: a leaf has at most one session per unit. *)
+let pair_bits = 20
+
+module Pairs = Hashtbl.Make (Int)
 
 let explore ?(model = Area.default) ?(width = 8) ?(transparency = false)
     ?(budget = Budget.unlimited) ?minimum dp =
@@ -46,38 +47,58 @@ let explore ?(model = Area.default) ?(width = 8) ?(transparency = false)
   in
   let bound = minimum.Allocator.delta_gates * (100 + slack_percent) / 100 in
   (* One walk over the embedding product: every leaf counts against both
-     [leaf_cap] and the shared budget, and a leaf reached before either
-     stops the walk is costed on the spot. Only the front's points are
-     built as solutions. *)
-  let count = ref 0 and in_bound = ref 0 and leaves = ref [] in
+     [leaf_cap] and the shared budget, and one reached before either
+     stops the walk probes the injection site. Leaves past the bound
+     are only counted; an in-bound one is scheduled on the spot, and
+     the last one walked of each pair is kept. Only the front's points
+     are built as solutions. *)
+  let count = ref 0 and in_bound = ref 0 in
   let uncut () = !count <= leaf_cap && not (Budget.should_stop budget) in
+  let reach () =
+    incr count;
+    Budget.leaf budget;
+    uncut ()
+    && begin
+         Inject.fire "pareto.leaf";
+         true
+       end
+  in
+  let kept = Pairs.create 16 in
   let solution_of = Allocator.solution_of ~model ~width dp in
-  Allocator.walk ~model ~width ~transparency dp ~descend:uncut (fun leaf ->
-      incr count;
-      Budget.leaf budget;
-      if uncut () then begin
-        Inject.fire "pareto.leaf";
-        let gates = Allocator.leaf_gates leaf in
-        if gates <= bound then begin
-          incr in_bound;
-          let chosen = Allocator.leaf_embeddings leaf in
-          leaves := (gates, Allocator.leaf_sessions leaf, lazy (solution_of chosen)) :: !leaves
-        end
+  Allocator.walk ~model ~width ~transparency dp ~bound ~descend:uncut
+    ~beyond:(fun () -> ignore (reach ()))
+    (fun leaf ->
+      if reach () then begin
+        incr in_bound;
+        let pair = (Allocator.leaf_gates leaf lsl pair_bits) lor Allocator.leaf_sessions leaf in
+        match Pairs.find_opt kept pair with
+        | Some k -> Allocator.keep_into k leaf
+        | None -> Pairs.add kept pair (Allocator.keep leaf)
       end);
   Telemetry.incr "pareto.leaves" ~by:!count;
   Telemetry.incr "pareto.in_bound" ~by:!in_bound;
   if !count > leaf_cap then Telemetry.incr "pareto.capped";
   (* A budget that tripped during the walk voids every leaf; the true
-     minimum is always included (the walk may be cut). *)
-  let leaves = if Budget.should_stop budget then [] else !leaves in
+     minimum is always included (the walk may be cut), first, so it
+     represents its own pair. *)
+  let leaves =
+    if Budget.should_stop budget then []
+    else
+      Pairs.fold
+        (fun pair k acc ->
+          (pair lsr pair_bits, pair land ((1 lsl pair_bits) - 1), fun () ->
+            solution_of (Allocator.kept_embeddings k))
+          :: acc)
+        kept []
+  in
   let min_point =
     ( minimum.Allocator.delta_gates,
       Session.num_sessions (Session.schedule ~budget minimum),
-      Lazy.from_val minimum )
+      Fun.const minimum )
   in
   front (min_point :: leaves)
   |> List.map (fun (delta_gates, sessions, solution) ->
-         { delta_gates; sessions; solution = Lazy.force solution })
+         { delta_gates; sessions; solution = solution () })
 
 let pp ppf points =
   Format.fprintf ppf "@[<v>";

@@ -38,19 +38,24 @@ val explore :
     One depth-first {!Allocator.walk} visits the product of every
     testable unit's embeddings: units in module-assignment order, the
     first outermost, each unit's embeddings in I-path order. Each leaf
-    (combination) counts against the cap and the budget; one reached
-    before either stops the walk is costed on the spot (its cost is
-    the engine's running total), and one within the slack bound also
-    gets its session count from the int first-fit kernel that
-    {!Session.schedule} uses, over its units in unit id order. The
-    walk stops descending once the cap is passed or the budget has
-    tripped; the leaves under a node already being expanded are still
-    counted. The candidates {!front} sees are the minimum first, then
-    the in-bound leaves in reverse walk order, and only the surviving
-    points are built with {!Allocator.solution_of}. The whole call runs
-    in a [pareto] telemetry span and adds [pareto.leaves] (leaves
-    walked), [pareto.in_bound] (leaves costed within the bound) and,
-    when the cap cut the walk, [pareto.capped] (1).
+    (combination) counts against the cap and the budget, and one reached
+    before either stops the walk probes the injection site. Below a
+    partial whose cost already exceeds the slack bound the walk is
+    count-only: its leaves are counted exactly as above but none is
+    costed or scheduled (a later embedding never lowers a cost). An
+    in-bound leaf gets its session count from the int first-fit kernel
+    that {!Session.schedule} uses, over its units in unit id order, and
+    is kept in a table holding, per (gates, sessions) pair, the last
+    leaf walked with it; no other per-leaf record is built. The walk
+    stops descending once the cap is passed or the budget has tripped;
+    the leaves under a node already being expanded are still counted.
+    The candidates {!front} sees are the minimum first, then one kept
+    leaf per pair, and only the surviving points are built with
+    {!Allocator.solution_of}. The whole call runs in a [pareto]
+    telemetry span and adds [pareto.leaves] (leaves walked),
+    [pareto.in_bound] (leaves reached within the bound before the cap
+    or the budget stopped the walk) and, when the cap cut the walk,
+    [pareto.capped] (1).
 
     [budget] (default {!Bistpath_resilience.Budget.unlimited}) makes the
     exploration anytime: the walk (one
@@ -64,17 +69,19 @@ val explore :
     {!Bistpath_resilience.Budget.stop_reason} says whether the budget
     cut it.
 
-    Fault injection: every costed leaf probes the [pareto.leaf] site
-    ({!Bistpath_resilience.Inject}). *)
+    Fault injection: every leaf reached before the cap or the budget
+    stops the walk probes the [pareto.leaf] site
+    ({!Bistpath_resilience.Inject}), counted-only ones included. *)
 
 val front : (int * int * 'a) list -> (int * int * 'a) list
 (** [front candidates] keeps the [(gates, sessions, _)] candidates that
     no other candidate dominates (no other has at most as many gates
     and sessions and fewer of one), one per distinct pair, sorted by
-    pair. Among candidates with the same pair it keeps the one
-    [List.sort_uniq] keeps, so the kept values are the candidates
-    themselves. One sort of the distinct pairs and one sweep find the
-    survivors: a pair survives when it has its gate count's fewest
-    sessions and fewer sessions than every pair with fewer gates. *)
+    pair. Among candidates with the same pair it keeps the first in
+    list order, so the kept values are the candidates themselves and
+    {!explore}'s minimum, listed first, represents its own pair. One
+    stable sort of the candidates and one sweep find the survivors: a
+    pair survives when it has its gate count's fewest sessions and
+    fewer sessions than every pair with fewer gates. *)
 
 val pp : Format.formatter -> point list -> unit

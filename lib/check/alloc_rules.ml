@@ -279,7 +279,7 @@ let bist003 ctx facts =
           let unavoidable =
             if
               (not (Ipath.requires_cbilbo e))
-              && (facts.unit_embeddings e.Ipath.mid).cbilbo_unavoidable
+              && Ipath.cbilbo_unavoidable (facts.unit_embeddings e.Ipath.mid)
             then
               [ v "BIST003" error e.Ipath.mid
                   "every embedding of this unit needs a CBILBO, yet the chosen one is \
@@ -323,10 +323,10 @@ let bist005 ctx facts =
     (fun (verdict : Cbilbo_rules.verdict) ->
       let mid = verdict.Cbilbo_rules.mid in
       let embeddings = facts.plain_embeddings mid in
-      if not embeddings.embeddable then []
+      if not (Ipath.embeddable embeddings) then []
       else
         let predicted = Cbilbo_rules.forced verdict in
-        let ground = embeddings.cbilbo_unavoidable in
+        let ground = Ipath.cbilbo_unavoidable embeddings in
         let all_commutative =
           match List.find_opt (fun (u : Massign.hw) -> u.Massign.mid = mid) ctx.massign.Massign.units with
           | Some u -> List.for_all Bistpath_dfg.Op.commutative u.Massign.kinds

@@ -30,8 +30,6 @@ type ctx = {
   rtl : Bistpath_rtl.Equiv.parsed option Lazy.t;
 }
 
-type unit_embeddings = { embeddable : bool; cbilbo_unavoidable : bool }
-
 type facts = {
   spans : (string * Bistpath_graphs.Interval.span) list Lazy.t;
   span_table : (string, Bistpath_graphs.Interval.span) Hashtbl.t Lazy.t;
@@ -40,8 +38,8 @@ type facts = {
   nets : Bistpath_rtl.Equiv.net list Lazy.t;
   ranges : Absint.dfg_result Lazy.t;
   control_ranges : Absint.control_result option Lazy.t;
-  unit_embeddings : string -> unit_embeddings;
-  plain_embeddings : string -> unit_embeddings;
+  unit_embeddings : string -> Bistpath_ipath.Ipath.row;
+  plain_embeddings : string -> Bistpath_ipath.Ipath.row;
 }
 
 type t = {
@@ -98,20 +96,10 @@ let parsed_rtl ctx =
 
 let consumed_inputs ctx = List.sort_uniq compare (Dfg.used_inputs ctx.dfg)
 
-(* A unit's embeddings summarized, enumerated once per unit id. *)
+(* A unit's embeddings as its row of the table, built once per ctx. *)
 let embeddings_fact ctx ~transparency =
-  let memo = Hashtbl.create 8 in
-  fun mid ->
-    match Hashtbl.find_opt memo mid with
-    | Some u -> u
-    | None ->
-      let es = Bistpath_ipath.Ipath.embeddings ~transparency ctx.datapath mid in
-      let cbilbo_unavoidable =
-        es <> [] && List.for_all Bistpath_ipath.Ipath.requires_cbilbo es
-      in
-      let u = { embeddable = es <> []; cbilbo_unavoidable } in
-      Hashtbl.replace memo mid u;
-      u
+  let table = lazy (Bistpath_ipath.Ipath.table ~transparency ctx.datapath) in
+  fun mid -> Bistpath_ipath.Ipath.row (Lazy.force table) mid
 
 let derive ctx =
   let unit_embeddings = embeddings_fact ctx ~transparency:ctx.transparency in

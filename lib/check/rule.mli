@@ -56,11 +56,6 @@ type ctx = {
           audits it; [None] when the data path cannot be emitted *)
 }
 
-(** A unit's BIST embeddings on the data path, summarized:
-    [embeddable] when {!Bistpath_ipath.Ipath.embeddings} finds any, and
-    [cbilbo_unavoidable] as {!Bistpath_ipath.Ipath.cbilbo_unavoidable}. *)
-type unit_embeddings = { embeddable : bool; cbilbo_unavoidable : bool }
-
 (** The structures several rules audit through, each computed by the
     first rule that reads it and shared by the rest of the run. A
     derivation that raises raises again for each rule that reads it. *)
@@ -76,10 +71,12 @@ type facts = {
   control_ranges : Bistpath_absint.Absint.control_result option Lazy.t;
       (** over full-range inputs (see {!Bistpath_absint.Absint.solve_control});
           [None] without a control table *)
-  unit_embeddings : string -> unit_embeddings;
-      (** per unit id, under [ctx.transparency]; one enumeration of a
-          unit's embeddings per run *)
-  plain_embeddings : string -> unit_embeddings;
+  unit_embeddings : string -> Bistpath_ipath.Ipath.row;
+      (** per unit id, its row of the embedding table under
+          [ctx.transparency], built once per run; rules ask
+          {!Bistpath_ipath.Ipath.embeddable} and
+          {!Bistpath_ipath.Ipath.cbilbo_unavoidable} of it *)
+  plain_embeddings : string -> Bistpath_ipath.Ipath.row;
       (** per unit id, over plain I-paths (no transparency): what
           Lemma 1/2 predicts from. The same function as
           [unit_embeddings] when [ctx.transparency] is off. *)

@@ -12,10 +12,9 @@
     commutative, minimum interconnect). In this repository it serves as
     the allocator's {e predictive} check — it runs during coloring, when
     no data path exists yet — while the exact post-interconnect ground
-    truth is whether every embedding of the unit
-    ({!Bistpath_ipath.Ipath.embeddings}) requires a CBILBO
-    ({!Bistpath_ipath.Ipath.requires_cbilbo}), the fact the BIST check
-    rules read. Measured
+    truth is whether every embedding of the unit requires a CBILBO
+    ({!Bistpath_ipath.Ipath.cbilbo_unavoidable} on the unit's row of
+    the embedding table), the fact the BIST check rules read. Measured
     against that ground truth on randomly generated designs (see
     test_cbilbo), the prediction has perfect precision and ~90% recall
     on all-commutative units; rare escapes occur when minimum-connection

@@ -43,12 +43,63 @@ val requires_cbilbo : embedding -> bool
 (** The SA register is also one of the TPGs: it must generate and compact
     concurrently for this module, i.e. be a CBILBO. *)
 
-val embeddings :
-  ?transparency:bool -> Bistpath_datapath.Datapath.t -> string -> embedding list
-(** All BIST embeddings of the unit, deterministic order; with
-    [~transparency:true] (default false) the TPG candidates include
-    one-hop transparent paths. Empty iff the unit cannot be tested with
-    register-based BIST on this data path. *)
+val registers : Bistpath_datapath.Datapath.t -> string array
+(** The data path's register ids, numbered in [regs] order (a repeated
+    id keeps its first number). Every register number in this module
+    and in the BIST allocator indexes this array. *)
+
+(** One unit's BIST embeddings, factored: an embedding is a left source,
+    a right source distinct from it, and an SA register, each chosen
+    independently, so the three sets stand for their whole product. In
+    I-path order the left source is outermost, then the right source,
+    then the SA register, each in its array's order. *)
+type row = {
+  unit : string;
+  left : int array;
+      (** registers reaching the left port, in I-path order: the simple
+          sources sorted by id, then (with transparency) the transparent
+          ones sorted by id; each register once *)
+  left_via : int array;
+      (** per left source, the row of the unit channelling it, or -1
+          for a simple I-path *)
+  right : int array;  (** as [left], for the right port *)
+  right_via : int array;
+  sas : int array;  (** registers the unit's output reaches, sorted by id *)
+}
+
+type table = {
+  regs : string array;  (** {!registers} *)
+  rows : row array;  (** one per unit, in module-assignment order *)
+}
+
+val table : ?transparency:bool -> Bistpath_datapath.Datapath.t -> table
+(** Every unit's row, built in one pass over the units; with
+    [~transparency:true] (default false) the ports also list their
+    one-hop transparent sources ({!tpg_candidates_transparent}). The
+    one source of embeddings for the allocator, the Pareto sweep and
+    the static checker. *)
+
+val row : table -> string -> row
+(** The unit's row; an empty one for a unit the table lacks. *)
+
+val embedding_count : row -> int
+(** The number of embeddings: [|sas| * (|left| * |right| - |left ∩ right|)]. *)
+
+val cbilbo_count : row -> int
+(** The number of embeddings that {!requires_cbilbo}, counted from the
+    three sets. *)
+
+val embeddable : row -> bool
+(** Some embedding exists: the unit can be tested with register-based
+    BIST on this data path. *)
+
+val cbilbo_unavoidable : row -> bool
+(** Embeddable, and every embedding {!requires_cbilbo}: the
+    post-interconnect situation Lemma 2 predicts. *)
+
+val embedding : table -> row -> int -> int -> int -> embedding
+(** [embedding t row li ri si]: the embedding at those positions, as a
+    record. *)
 
 val simple_ipaths : Bistpath_datapath.Datapath.t -> string list
 (** Human-readable list of every simple I-path in the data path, e.g.

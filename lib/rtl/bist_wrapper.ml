@@ -17,10 +17,11 @@ let session_sa_registers (sol : Allocator.solution) units =
 type golden = { session : int; rid : string; signature : int }
 
 (* Golden signatures come from the artifact itself: the data path is
-   emitted with its session overrides, parsed back, and each session is
-   clocked in test mode on the elaborated netlist. *)
-let golden_signatures ?(width = 8) ?patterns ?faulty_unit dp (sol : Allocator.solution)
-    (sessions : Session.t) =
+   emitted with its session overrides (or handed over as emitted),
+   parsed back, and each session is clocked in test mode on the
+   elaborated netlist. *)
+let golden_signatures ?(width = 8) ?patterns ?faulty_unit ?emitted dp
+    (sol : Allocator.solution) (sessions : Session.t) =
   let patterns = match patterns with Some p -> p | None -> (1 lsl width) - 1 in
   List.iter
     (fun (e : Ipath.embedding) ->
@@ -31,7 +32,10 @@ let golden_signatures ?(width = 8) ?patterns ?faulty_unit dp (sol : Allocator.so
             only, unit " ^ e.mid ^ " uses a transparent via"))
     sol.Allocator.embeddings;
   let elab =
-    match Equiv.parse_back (Verilog.emit ~width ~bist:sol ~sessions dp) with
+    let rtl =
+      match emitted with Some rtl -> rtl | None -> Verilog.emit ~width ~bist:sol ~sessions dp
+    in
+    match Equiv.parse_back rtl with
     | Ok elab -> elab
     | Error _ -> invalid_arg "Bist_wrapper.golden_signatures: emitted RTL does not parse"
   in

@@ -16,6 +16,7 @@ val golden_signatures :
   ?width:int ->
   ?patterns:int ->
   ?faulty_unit:string * (width:int -> int -> int -> int) ->
+  ?emitted:string ->
   Bistpath_datapath.Datapath.t ->
   Bistpath_bist.Allocator.solution ->
   Bistpath_bist.Session.t ->
@@ -24,7 +25,10 @@ val golden_signatures :
     data path is emitted with its session overrides, parsed back, and
     each session clocked for [patterns] (default 2^width - 1) cycles of
     test mode ({!Equiv.test_signatures}) — exactly what the [sig_*] taps
-    show. [faulty_unit] replaces the named unit's function. Raises
+    show. [emitted] is that data path module when the caller has
+    already emitted it ([Verilog.emit ~width ~bist:sol ~sessions dp]);
+    it is then parsed as given, not emitted again. [faulty_unit]
+    replaces the named unit's function. Raises
     [Invalid_argument] if a tested unit's embedding uses a transparent
     via (the emitted overrides cover simple I-paths only). *)
 

@@ -68,15 +68,18 @@ let render_run (inst : B.instance) r =
     Flow.pp_result r Session.pp r.Flow.sessions
 
 let render_rtl ~width ?regw ?unitw ?control ~bist ~wrapper r =
-  Verilog.source ~width
-    ?bist:(if bist then Some r.Flow.bist else None)
-    ?sessions:(if wrapper then Some r.Flow.sessions else None)
-    ?regw ?unitw ?control r.Flow.datapath
+  let bist_sol = if bist then Some r.Flow.bist else None in
+  let sessions = if wrapper then Some r.Flow.sessions else None in
+  let module_ =
+    Verilog.emit ~width ?bist:bist_sol ?sessions ?regw ?unitw ?control r.Flow.datapath
+  in
+  (* [Verilog.source]'s layout, around the one emitted module *)
+  Verilog.primitives ~width ^ "\n" ^ module_ ^ "\n"
   ^
   if wrapper then
     let golden =
-      Bistpath_rtl.Bist_wrapper.golden_signatures ~width r.Flow.datapath r.Flow.bist
-        r.Flow.sessions
+      Bistpath_rtl.Bist_wrapper.golden_signatures ~width ~emitted:module_ r.Flow.datapath
+        r.Flow.bist r.Flow.sessions
     in
     Bistpath_rtl.Bist_wrapper.emit ~width ~golden r.Flow.datapath r.Flow.bist
       r.Flow.sessions

@@ -62,9 +62,11 @@ val render_rtl :
   string
 (** The [rtl] artifact ({!Bistpath_rtl.Verilog.source}): BIST register
     variants with [bist], plus session steering and the self-test
-    wrapper with [wrapper] (which needs [bist]). [regw]/[unitw] narrow
-    components and [control] is passed on, as in
-    {!Bistpath_rtl.Verilog.emit}. *)
+    wrapper with [wrapper] (which needs [bist] and no narrowing: the
+    wrapper's golden signatures are simulated on the data path module
+    emitted here). [regw]/[unitw] narrow components and [control] is
+    passed on, as in {!Bistpath_rtl.Verilog.emit}. The data path module
+    is emitted once. *)
 
 val rtl :
   ?cache:Bistpath_cache.Store.t ->

@@ -610,11 +610,40 @@ module Telemetry = Bistpath_telemetry.Telemetry
 module Budget = Bistpath_resilience.Budget
 module Inject = Bistpath_resilience.Inject
 
+(* All BIST embeddings of the unit as records, in I-path order: left
+   source outermost (simple sources, then with [~transparency] the
+   transparent ones), then the right source, skipping the left one,
+   then the SA register. Empty iff the unit cannot be tested with
+   register-based BIST. The materialised list the factored
+   [Ipath.table] rows stand for. *)
+let embeddings ?(transparency = false) dp mid =
+  let side_options side =
+    let simple = List.map (fun r -> (r, None)) (Ipath.tpg_candidates dp mid side) in
+    if transparency then
+      simple
+      @ List.map (fun (r, via) -> (r, Some via)) (Ipath.tpg_candidates_transparent dp mid side)
+    else simple
+  in
+  let ls = side_options Ipath.L in
+  let rs = side_options Ipath.R in
+  let sas = Ipath.sa_candidates dp mid in
+  List.concat_map
+    (fun (l, l_via) ->
+      List.concat_map
+        (fun (r, r_via) ->
+          if String.equal l r then []
+          else
+            List.map
+              (fun sa -> { Ipath.mid; l_tpg = l; r_tpg = r; sa; l_via; r_via })
+              sas)
+        rs)
+    ls
+
 (* Every embedding of the unit makes some register TPG-and-SA at once
    (false without embeddings): the post-interconnect situation Lemma 2
    predicts, straight from the embedding list. *)
 let cbilbo_unavoidable ?(transparency = false) dp mid =
-  match Ipath.embeddings ~transparency dp mid with
+  match embeddings ~transparency dp mid with
   | [] -> false
   | es -> List.for_all Ipath.requires_cbilbo es
 
@@ -720,7 +749,7 @@ let bist_with ~search ?(model = Area.default) ?(width = 8) ?(forbidden = [])
            Massign.temporal_multiplicity dp.Datapath.massign dp.Datapath.dfg u.mid > 0)
   in
   let with_embeddings =
-    List.map (fun (u : Massign.hw) -> (u.mid, Ipath.embeddings ~transparency dp u.mid)) units
+    List.map (fun (u : Massign.hw) -> (u.mid, embeddings ~transparency dp u.mid)) units
   in
   let untestable =
     List.filter_map (fun (m, es) -> if es = [] then Some m else None) with_embeddings
@@ -888,6 +917,18 @@ let bist_solve ?model ?width ?forbidden ?io_penalty_percent ?transparency
   in
   bist_with ~search ?model ?width ?forbidden ?io_penalty_percent ?transparency dp
 
+(* The units and options in the order the string-keyed search tries
+   them: units with fewest embeddings first, each unit's embeddings
+   sorted by [compare] on (cost against the empty state, embedding). *)
+let bist_search_order ?model ?width ?io_penalty_percent ?transparency dp =
+  let order = ref [] in
+  let search arr _ ~greedy ~greedy_cost:_ =
+    order := Array.to_list arr;
+    (greedy, true, 0)
+  in
+  ignore (bist_with ~search ?model ?width ?io_penalty_percent ?transparency dp);
+  !order
+
 (* The search's specification with no pruning at all: every leaf of the
    ordered product is costed, and the answer is the greedy warm start if
    no leaf is strictly cheaper, else the first cheapest feasible leaf in
@@ -1031,16 +1072,21 @@ let interconnect_optimize dfg massign regalloc ~policy ~objective =
 (* --- Pareto front --------------------------------------------------
 
    Pareto.front's filter before the sweep: every candidate scans the
-   whole list for one that dominates it, then the survivors go through
-   the same [sort_uniq]. *)
+   whole list for one that dominates it, and of the survivors sharing
+   a pair the first in list order is kept. *)
 
 let pareto_front candidates =
   let dominated (d, s, _) =
     List.exists (fun (d', s', _) -> d' <= d && s' <= s && (d' < d || s' < s)) candidates
   in
-  candidates
-  |> List.filter (fun p -> not (dominated p))
-  |> List.sort_uniq (fun (d, s, _) (d', s', _) -> compare (d, s) (d', s'))
+  let indexed = List.mapi (fun i c -> (i, c)) candidates in
+  let first (i, (d, s, _)) =
+    not (List.exists (fun (j, (d', s', _)) -> j < i && d' = d && s' = s) indexed)
+  in
+  indexed
+  |> List.filter (fun ((_, p) as c) -> first c && not (dominated p))
+  |> List.map snd
+  |> List.sort (fun (d, s, _) (d', s', _) -> compare (d, s) (d', s'))
 
 (* --- Session scheduling and the Pareto sweep ------------------------
 
@@ -1095,7 +1141,7 @@ let pareto_explore ?(model = Area.default) ?(width = 8) ?(transparency = false)
     |> List.filter (fun (u : Massign.hw) ->
            Massign.temporal_multiplicity dp.Datapath.massign dp.Datapath.dfg u.mid > 0)
     |> List.filter_map (fun (u : Massign.hw) ->
-           match Ipath.embeddings ~transparency dp u.mid with [] -> None | es -> Some es)
+           match embeddings ~transparency dp u.mid with [] -> None | es -> Some es)
   in
   let chosen_leaves = ref [] in
   let count = ref 0 in

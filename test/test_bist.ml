@@ -44,7 +44,7 @@ let ex1_embeddings () =
   let r = run_flow (B.ex1 ()) in
   let dp = r.Flow.datapath in
   (* M1: L={R}, R={R'}, SA candidates 2 -> 2 embeddings, all CBILBO *)
-  let e1 = Ipath.embeddings dp "M1" in
+  let e1 = Oracles.embeddings dp "M1" in
   check Alcotest.int "M1 embeddings" 2 (List.length e1);
   check Alcotest.bool "M1 unavoidable" true (Oracles.cbilbo_unavoidable dp "M1");
   (* M2 has a CBILBO-free embedding *)
@@ -53,7 +53,7 @@ let ex1_embeddings () =
   List.iter
     (fun (e : Ipath.embedding) ->
       check Alcotest.bool "distinct TPGs" true (e.l_tpg <> e.r_tpg))
-    (e1 @ Ipath.embeddings dp "M2")
+    (e1 @ Oracles.embeddings dp "M2")
 
 let ex1_simple_ipaths () =
   let r = run_flow (B.ex1 ()) in
@@ -81,7 +81,7 @@ let ex1_minimal_solution_is_papers () =
 let ex1_allocator_optimal () =
   let r = run_flow (B.ex1 ()) in
   let dp = r.Flow.datapath in
-  let e1 = Ipath.embeddings dp "M1" and e2 = Ipath.embeddings dp "M2" in
+  let e1 = Oracles.embeddings dp "M1" and e2 = Oracles.embeddings dp "M2" in
   let m = Bistpath_datapath.Area.default in
   let cost pair =
     let roles = Hashtbl.create 8 in

@@ -148,7 +148,7 @@ let lemma_prediction_quality () =
       let classes = r.Flow.regalloc.Bistpath_datapath.Regalloc.classes in
       List.iter
         (fun mid ->
-          if all_commutative inst mid && Ipath.embeddings r.Flow.datapath mid <> []
+          if all_commutative inst mid && Oracles.embeddings r.Flow.datapath mid <> []
           then begin
             let lemma =
               Cbilbo_rules.forced

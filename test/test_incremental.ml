@@ -4,7 +4,8 @@
    sharing degrees from unit masks; the preferred PEO; the
    Tseng-Siewiorek clique partition, including its score rule; and the
    indexed BIST branch-and-bound against the string-keyed one, node
-   count included. *)
+   count included; and the factored embedding table against the
+   materialised embedding lists. *)
 
 module B = Bistpath_benchmarks.Benchmarks
 module Dfg = Bistpath_dfg.Dfg
@@ -23,6 +24,7 @@ module Datapath = Bistpath_datapath.Datapath
 module Massign = Bistpath_dfg.Massign
 module Ipath = Bistpath_ipath.Ipath
 module Telemetry = Bistpath_telemetry.Telemetry
+module Session = Bistpath_bist.Session
 
 let check = Alcotest.check
 let case name f = Alcotest.test_case name `Quick f
@@ -229,7 +231,7 @@ let prop_bist_matches_exhaustive =
       let leaves =
         List.fold_left
           (fun acc (u : Massign.hw) ->
-            match Ipath.embeddings ~transparency dp u.mid with
+            match Oracles.embeddings ~transparency dp u.mid with
             | [] -> acc
             | es -> acc * List.length es)
           1 dp.Datapath.massign.Massign.units
@@ -256,10 +258,144 @@ let bist_truncated_matches_oracle () =
   check Alcotest.int "nodes explored" onodes nodes;
   check Alcotest.bool "no worse" true (no_worse sol osol)
 
+(* The first [limit] combinations of the units' embedding lists, first
+   unit outermost, each listed first unit first. *)
+let product_prefix limit lists =
+  let out = ref [] and k = ref 0 in
+  let exception Full in
+  let rec go chosen = function
+    | [] ->
+      if !k >= limit then raise Full;
+      incr k;
+      out := List.rev chosen :: !out
+    | es :: rest -> List.iter (fun e -> go (e :: chosen) rest) es
+  in
+  (try go [] lists with Full -> ());
+  List.rev !out
+
+type visit = In of Allocator.solution * int * int | Beyond
+
+(* The factored table against the materialised lists on one data path:
+   each unit's counts and predicates (the check facts); [solve]'s
+   search order; and [walk]'s first leaves, in the oracle's I-path
+   product order, each costed and scheduled as the oracle's solution of
+   it when within the bound and passed over as [beyond] past it. *)
+let table_agrees ~width ~io_penalty_percent ~transparency dp =
+  let model = Bistpath_datapath.Area.default in
+  let table = Ipath.table ~transparency dp in
+  let units = dp.Datapath.massign.Massign.units in
+  let facts_agree =
+    List.for_all
+      (fun (u : Massign.hw) ->
+        let es = Oracles.embeddings ~transparency dp u.mid in
+        let row = Ipath.row table u.mid in
+        Ipath.embedding_count row = List.length es
+        && Ipath.cbilbo_count row = List.length (List.filter Ipath.requires_cbilbo es)
+        && Ipath.embeddable row = (es <> [])
+        && Ipath.cbilbo_unavoidable row = Oracles.cbilbo_unavoidable ~transparency dp u.mid)
+      units
+  in
+  let order_agrees =
+    Allocator.search_order ~width ~io_penalty_percent ~transparency dp
+    = Oracles.bist_search_order ~width ~io_penalty_percent ~transparency dp
+  in
+  let limit = 600 in
+  let lists =
+    List.filter_map
+      (fun (u : Massign.hw) ->
+        if Massign.temporal_multiplicity dp.Datapath.massign dp.Datapath.dfg u.mid = 0 then None
+        else match Oracles.embeddings ~transparency dp u.mid with [] -> None | es -> Some es)
+      units
+  in
+  let solution_of = Allocator.solution_of ~model ~width dp in
+  let oracle_leaves =
+    List.map
+      (fun chosen ->
+        let sol = solution_of chosen in
+        (sol, List.length (Oracles.session_schedule sol).Session.sessions))
+      (product_prefix limit lists)
+  in
+  let walked bound =
+    let visits = ref [] and seen = ref 0 in
+    let visit v =
+      if !seen < limit then visits := v :: !visits;
+      incr seen
+    in
+    Allocator.walk ~model ~width ~transparency dp ~bound
+      ~descend:(fun () -> !seen < limit)
+      ~beyond:(fun () -> visit Beyond)
+      (fun leaf ->
+        visit
+          (In
+             ( solution_of (Allocator.kept_embeddings (Allocator.keep leaf)),
+               Allocator.leaf_gates leaf,
+               Allocator.leaf_sessions leaf )));
+    List.rev !visits
+  in
+  let expected bound =
+    List.map
+      (fun ((sol : Allocator.solution), sessions) ->
+        if sol.delta_gates <= bound then In (sol, sol.delta_gates, sessions) else Beyond)
+      oracle_leaves
+  in
+  let cheapest =
+    List.fold_left (fun m ((sol : Allocator.solution), _) -> min m sol.delta_gates) max_int
+      oracle_leaves
+  in
+  facts_agree && order_agrees
+  && List.for_all
+       (fun bound -> walked bound = expected bound)
+       [ max_int; cheapest * 3 / 2 ]
+
+let table_cases = [ (8, 100); (4, 150) ]
+
+let prop_table_matches_lists =
+  QCheck.Test.make ~name:"embedding table matches the materialised lists" ~count:30
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let rng = Prng.create seed in
+      let inst = B.random rng ~ops:(5 + Prng.int rng 8) ~inputs:(2 + Prng.int rng 3) in
+      List.for_all
+        (fun style ->
+          let dp =
+            (Flow.run ~style inst.B.dfg inst.B.massign ~policy:inst.B.policy).Flow.datapath
+          in
+          List.for_all
+            (fun (width, io_penalty_percent) ->
+              List.for_all
+                (fun transparency -> table_agrees ~width ~io_penalty_percent ~transparency dp)
+                [ false; true ])
+            table_cases)
+        bist_flows)
+
+let table_matches_lists_shipped () =
+  List.iter
+    (fun spec ->
+      let inst = Result.get_ok (Bistpath_service.Runner.load_instance (Test_pareto.path spec)) in
+      List.iter
+        (fun style ->
+          let dp =
+            (Flow.run ~style inst.B.dfg inst.B.massign ~policy:inst.B.policy).Flow.datapath
+          in
+          List.iter
+            (fun (width, io_penalty_percent) ->
+              List.iter
+                (fun transparency ->
+                  check Alcotest.bool
+                    (Printf.sprintf "%s w%d io%d%s" spec width io_penalty_percent
+                       (if transparency then " transparency" else ""))
+                    true
+                    (table_agrees ~width ~io_penalty_percent ~transparency dp))
+                [ false; true ])
+            table_cases)
+        bist_flows)
+    Test_regalloc_trace.(tags @ data)
+
 let suite =
   case "weight never outranks common neighbours" weight_never_outranks_common_neighbours
   :: case "BIST search past the node cap matches the oracle" bist_truncated_matches_oracle
+  :: case "embedding table matches the lists on the shipped designs" table_matches_lists_shipped
   :: List.map QCheck_alcotest.to_alcotest
        [ prop_lemma2_matches_oracle; prop_live_counters_match_oracle; prop_sd_matches_oracle;
          prop_peo_matches_oracle; prop_clique_partition_matches_oracle;
-         prop_bist_matches_oracle; prop_bist_matches_exhaustive ]
+         prop_bist_matches_oracle; prop_bist_matches_exhaustive; prop_table_matches_lists ]

@@ -160,6 +160,42 @@ let fronts_reproduce_fixture () =
   Test_regalloc_trace.first_diff 1
     (String.split_on_char '\n' expected, String.split_on_char '\n' (render_fronts ()))
 
+(* test/fixtures/pareto_counts.tsv pins the sweep's counters for the
+   same jobs as the fronts fixture (every design, both flows, widths 8
+   and 4, and transparency at width 8): leaves walked, leaves within
+   the slack bound and whether the cap cut the walk. It was recorded
+   before the walk went count-only past the bound, which must not move
+   a count. *)
+let render_counts () =
+  List.concat_map
+    (fun spec ->
+      List.concat_map
+        (fun flow ->
+          List.map
+            (fun (width, transparency) ->
+              let (), t =
+                Telemetry.collect (fun () ->
+                    ignore (execute (job ~width ~transparency Job.Pareto (path spec) flow)))
+              in
+              String.concat "\t"
+                ([ spec; flow; Printf.sprintf "w%d%s" width (if transparency then "t" else "") ]
+                @ List.map
+                    (fun c -> string_of_int (Telemetry.counter t c))
+                    [ "pareto.leaves"; "pareto.in_bound"; "pareto.capped" ])
+              ^ "\n")
+            [ (8, false); (4, false); (8, true) ])
+        [ "traditional"; "testable" ])
+    Test_regalloc_trace.(tags @ data)
+  |> String.concat ""
+
+let counts_reproduce_fixture () =
+  let expected =
+    In_channel.with_open_text (Filename.concat "fixtures" "pareto_counts.tsv")
+      In_channel.input_all
+  in
+  Test_regalloc_trace.first_diff 1
+    (String.split_on_char '\n' expected, String.split_on_char '\n' (render_counts ()))
+
 (* The minimum is always on the front, so a transparency pareto job
    starts at the delta gates its run job reports. *)
 let transparency_front_starts_at_minimum () =
@@ -219,7 +255,11 @@ let random_datapath seed testable =
    partway through the enumeration, whichever order the units come in. *)
 let prop_explore_matches_oracle =
   QCheck.Test.make ~name:"one-walk sweep matches the collect-then-cost oracle" ~count:40
-    QCheck.(pair (triple (int_bound 100_000) bool bool) (triple bool bool (int_range 1 40)))
+    QCheck.(
+      pair (triple (int_bound 100_000) bool bool)
+        (* a leaf budget in 1..40 that also shrinks within it *)
+        (triple bool bool
+           (set_print string_of_int (map ~rev:(fun b -> b - 1) (fun k -> k + 1) (int_bound 39)))))
     (fun ((seed, testable, transparency), (narrow, reversed, leaf_budget)) ->
       let dp = random_datapath seed testable in
       (* Reversed, the units are walked out of unit id (session) order. *)
@@ -287,6 +327,7 @@ let suite =
   @ qcheck [ prop_front_valid_random; prop_front_matches_quadratic_filter ]
   @ [
       case "fronts reproduce the fixture" fronts_reproduce_fixture;
+      case "sweep counters reproduce the fixture" counts_reproduce_fixture;
       case "transparency fronts start at the run minimum"
         transparency_front_starts_at_minimum;
       case "sweep counters" sweep_counters;

@@ -104,8 +104,8 @@ let transparent_candidates_found () =
 
 let embedding_space_grows () =
   let dp = chain_dfg () in
-  let plain = Ipath.embeddings dp "MUL" in
-  let extended = Ipath.embeddings ~transparency:true dp "MUL" in
+  let plain = Oracles.embeddings dp "MUL" in
+  let extended = Oracles.embeddings ~transparency:true dp "MUL" in
   check Alcotest.bool "superset" true (List.length extended > List.length plain);
   (* all plain embeddings still present (same registers, no via) *)
   List.iter
