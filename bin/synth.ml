@@ -514,22 +514,16 @@ let rtl_cmd =
       (* the gates and the narrowing plan need the live flow result, so
          no terminal artifact *)
       let r = Runner.flow ~budget inst job in
-      (* one control table for the narrowing plan, the emitter and the
-         verifier; without --narrow a rejected table is left for the
-         emitter to report *)
-      let control =
-        match Control.build r.Flow.datapath with
-        | control -> Some control
-        | exception e when narrow ->
-          or_die
-            (Error
-               (Printf.sprintf "--narrow: cannot build the control table: %s"
-                  (Printexc.to_string e)))
-        | exception _ -> None
-      in
       let plan =
         if not narrow then None
-        else Option.map (Absint.narrow_plan ~width r.Flow.datapath) control
+        else
+          match Control.build r.Flow.datapath with
+          | control -> Some (Absint.narrow_plan ~width r.Flow.datapath control)
+          | exception e ->
+            or_die
+              (Error
+                 (Printf.sprintf "--narrow: cannot build the control table: %s"
+                    (Printexc.to_string e)))
       in
       let regw = match plan with Some p -> p.Absint.regw | None -> [] in
       let unitw = match plan with Some p -> p.Absint.unitw | None -> [] in
@@ -542,7 +536,7 @@ let rtl_cmd =
             (List.length p.Absint.regw)
             (List.length p.Absint.unitw))
         plan;
-      let payload = Runner.render_rtl ~width ~regw ~unitw ?control ~bist ~wrapper r in
+      let payload = Runner.render_rtl ~width ~regw ~unitw ~bist ~wrapper r in
       print_string payload;
       if verify then begin
         (* parse the just-printed text back and prove it equivalent *)
@@ -550,7 +544,7 @@ let rtl_cmd =
           Equiv.verify ~width
             ?bist:(if bist then Some r.Flow.bist else None)
             ?sessions:(if wrapper then Some r.Flow.sessions else None)
-            ~regw ?control ~rtl:payload r.Flow.datapath
+            ~regw ~rtl:payload r.Flow.datapath
         with
         | Error diags ->
           List.iter

@@ -173,8 +173,11 @@ let costed idx dp embeddings =
     exact = true;
   }
 
-let solution_of ~model ~width dp =
-  let idx = index ~model ~width ~forbidden:[] ~io_penalty_percent:100 dp (Ipath.registers dp) in
+let solution_of ~width dp =
+  let idx =
+    index ~model:Area.default ~width ~forbidden:[] ~io_penalty_percent:100 dp
+      (Ipath.registers dp)
+  in
   costed idx dp
 
 (* Session conflicts, by number. A unit under test is its embedding's
@@ -253,33 +256,20 @@ let active_rows dp (table : Ipath.table) =
   |> List.filter (fun (row : Ipath.row) ->
          Massign.temporal_multiplicity dp.Datapath.massign dp.Datapath.dfg row.unit > 0)
 
-(* The walk's product: every unit with an embedding, each with its
-   options in I-path order. *)
-type product = { table : Ipath.table; rows : Ipath.row array; options : int array array }
-
 type leaf = {
-  product : product;
   eng : engine;
   ts : tested array;  (* the chosen embeddings, in session order *)
   session : int array;  (* first-fit work array *)
-  picks : int array;  (* per unit, the chosen option's place *)
 }
 
 let leaf_gates leaf = leaf.eng.cost
 let leaf_sessions leaf = first_fit leaf.eng.code leaf.ts leaf.session
 
-type kept = { from : product; choice : int array }
-
-let keep leaf = { from = leaf.product; choice = Array.copy leaf.picks }
-let keep_into k leaf = Array.blit leaf.picks 0 k.choice 0 (Array.length k.choice)
-
-let kept_embeddings { from = p; choice } =
-  List.init (Array.length choice) (fun i ->
-      embedding_of p.table p.rows.(i) p.options.(i).(choice.(i)))
-
-let walk ~model ~width ~transparency dp ~bound ~descend ~beyond f =
+let walk ~width ~transparency dp ~bound ~descend ~beyond f =
   let table = Ipath.table ~transparency dp in
-  let idx = index ~model ~width ~forbidden:[] ~io_penalty_percent:100 dp table.regs in
+  let idx =
+    index ~model:Area.default ~width ~forbidden:[] ~io_penalty_percent:100 dp table.regs
+  in
   let rows = active_rows dp table |> List.filter Ipath.embeddable |> Array.of_list in
   let n = Array.length rows in
   (* A unit's rank is its place in session order, which is [solution_of]'s
@@ -298,12 +288,7 @@ let walk ~model ~width ~transparency dp ~bound ~descend ~beyond f =
       table.rows
   in
   let of_via v = if v < 0 then -1 else via_rank.(v) in
-  let options =
-    Array.map
-      (fun (row : Ipath.row) ->
-        product row (positions row.left) (positions row.right) (positions row.sas))
-      rows
-  in
+  (* Each unit's options in I-path order. *)
   let tested =
     Array.mapi
       (fun i (row : Ipath.row) ->
@@ -312,14 +297,13 @@ let walk ~model ~width ~transparency dp ~bound ~descend ~beyond f =
             { l = l_of row x; r = r_of row x; sa = sa_of row x; rank = rank.(i);
               l_via = of_via row.left_via.(x lsr 40);
               r_via = of_via row.right_via.((x lsr 20) land mask) })
-          options.(i))
+          (product row (positions row.left) (positions row.right) (positions row.sas)))
       rows
   in
   let leaf =
-    { product = { table; rows; options };
-      eng = engine idx;
+    { eng = engine idx;
       ts = Array.make n { l = 0; r = 0; sa = 0; rank = 0; l_via = -1; r_via = -1 };
-      session = Array.make n 0; picks = Array.make n 0 }
+      session = Array.make n 0 }
   in
   (* Below a partial past the bound every leaf is past it too, since a
      later embedding never lowers a style: the subtree is only counted,
@@ -327,7 +311,7 @@ let walk ~model ~width ~transparency dp ~bound ~descend ~beyond f =
   let rec count_only i =
     if i = n then beyond ()
     else if descend () then
-      for _ = 1 to Array.length options.(i) do
+      for _ = 1 to Array.length tested.(i) do
         count_only (i + 1)
       done
   in
@@ -336,13 +320,12 @@ let walk ~model ~width ~transparency dp ~bound ~descend ~beyond f =
   let rec go i =
     if i = n then f leaf
     else if descend () then
-      Array.iteri
-        (fun k t ->
+      Array.iter
+        (fun t ->
           apply leaf.eng t.l t.r t.sa;
           if leaf.eng.cost > bound then count_only (i + 1)
           else begin
             leaf.ts.(rank.(i)) <- t;
-            leaf.picks.(i) <- k;
             go (i + 1)
           end;
           unapply leaf.eng t.l t.r t.sa)
@@ -507,10 +490,9 @@ let setup ~model ~width ~forbidden ~io_penalty_percent ~transparency dp =
   let table = Ipath.table ~transparency dp in
   (table, index ~model ~width ~forbidden ~io_penalty_percent dp table.regs, active_rows dp table)
 
-let search_order ?(model = Area.default) ?(width = 8) ?(io_penalty_percent = 100)
-    ?(transparency = false) dp =
+let search_order ?(width = 8) ?(io_penalty_percent = 100) ?(transparency = false) dp =
   let table, idx, rows =
-    setup ~model ~width ~forbidden:[] ~io_penalty_percent ~transparency dp
+    setup ~model:Area.default ~width ~forbidden:[] ~io_penalty_percent ~transparency dp
   in
   plan idx table rows
   |> Array.to_list

@@ -71,7 +71,10 @@ val solve :
   ?budget:Bistpath_resilience.Budget.t ->
   Bistpath_datapath.Datapath.t ->
   solution
-(** Default model {!Bistpath_datapath.Area.default}, width 8. Units
+(** Default model {!Bistpath_datapath.Area.default}, the only one any
+    program costs with; [model] stays an option only because
+    perfbench's tracer, which replays {!Bistpath_core.Flow.run} call
+    for call, passes it. Width 8. Units
     with no operations bound to them are skipped (they exist only on
     paper). [forbidden] styles are rejected outright (used
     by the SYNTEST-like baseline, whose self-testable template never
@@ -100,7 +103,6 @@ val solve :
     fault unwinds the search. *)
 
 val search_order :
-  ?model:Bistpath_datapath.Area.model ->
   ?width:int ->
   ?io_penalty_percent:int ->
   ?transparency:bool ->
@@ -114,17 +116,18 @@ val search_order :
     [String.compare] order. *)
 
 val solution_of :
-  model:Bistpath_datapath.Area.model ->
   width:int ->
   Bistpath_datapath.Datapath.t ->
   Bistpath_ipath.Ipath.embedding list ->
   solution
 (** The solution a chosen embedding list (one per unit) amounts to:
     the embeddings sorted by unit, every register's style and the total
-    modification cost, with [untestable = []] and [exact = true]. The
-    same costing ends {!solve}, whose I/O penalty is the only
-    difference. Partially applied to a data path, it numbers the
-    registers once for any number of embedding lists. *)
+    modification cost under {!Bistpath_datapath.Area.default}, with
+    [untestable = []] and [exact = true]. The same costing ends
+    {!solve}, whose I/O penalty is the only difference. Partially
+    applied to a data path, it numbers the registers once for any
+    number of embedding lists. No program calls it: it is the costing
+    kernel the test oracles build their solutions with. *)
 
 val sessions : solution -> int array
 (** The session of each of the solution's embeddings, in list order:
@@ -141,7 +144,6 @@ type leaf
     inside the callback it is passed to. *)
 
 val walk :
-  model:Bistpath_datapath.Area.model ->
   width:int ->
   transparency:bool ->
   Bistpath_datapath.Datapath.t ->
@@ -150,7 +152,7 @@ val walk :
   beyond:(unit -> unit) ->
   (leaf -> unit) ->
   unit
-(** [walk ~model ~width ~transparency dp ~bound ~descend ~beyond f]
+(** [walk ~width ~transparency dp ~bound ~descend ~beyond f]
     visits the product of the embeddings of every unit {!solve}
     searches that has any, depth first: units in module-assignment
     order, the first outermost, each unit's embeddings in I-path order
@@ -159,8 +161,8 @@ val walk :
     (the root included, unless there are no units); [false] skips them.
     Each level applies one embedding to the indexed engine and removes
     it on the way back, so a leaf's cost is its parent's plus a few
-    table lookups. Costs are {!solution_of}'s (no forbidden style, no
-    I/O penalty).
+    table lookups. Costs are {!solution_of}'s (the default model, no
+    forbidden style, no I/O penalty).
 
     [f] gets every leaf reached whose cost is at most [bound];
     [beyond ()] is called once for every other leaf reached. Once a
@@ -169,10 +171,11 @@ val walk :
     of its internal nodes and [beyond] called at each of its leaves,
     exactly as the full walk would reach them. This is sound because a
     later embedding only adds duties, so a register's style only moves
-    up (none, TPG or SA, then TPG/SA, then CBILBO), and the model's
-    per-bit deltas grow along that order ({!Bistpath_datapath.Area.default}:
-    3, 4, 5, 7): every leaf below a partial costs at least as much as
-    it does. {!solve}'s sibling cut relies on the same monotonicity. *)
+    up (none, TPG or SA, then TPG/SA, then CBILBO), and the per-bit
+    deltas of {!Bistpath_datapath.Area.default}, the one model, grow
+    along that order (3, 4, 5, 7): every leaf below a partial costs at
+    least as much as it does. {!solve}'s sibling cut relies on the same
+    monotonicity. *)
 
 val leaf_gates : leaf -> int
 (** The leaf's modification cost: [(solution_of ...).delta_gates] of
@@ -183,19 +186,6 @@ val leaf_sessions : leaf -> int
     solution, counted by the {!sessions} kernel over the units in unit
     id order, with no solution built. *)
 
-type kept
-(** A leaf's choice of embeddings, kept past its callback. *)
-
-val keep : leaf -> kept
-(** A copy of the leaf's choice. *)
-
-val keep_into : kept -> leaf -> unit
-(** [keep_into k leaf] overwrites [k] with the leaf's choice, allocating
-    nothing; [k] must come from a leaf of the same walk. *)
-
-val kept_embeddings : kept -> Bistpath_ipath.Ipath.embedding list
-(** The kept choice's embeddings, one per unit, in walk order. *)
-
 val style_counts : solution -> (Resource.style * int) list
 (** Histogram of non-[Normal] styles (Table II's resource mixes). *)
 
@@ -205,6 +195,8 @@ val overhead_percent :
   Bistpath_datapath.Datapath.t ->
   solution ->
   float
-(** 100 * delta / functional gates of the unmodified data path. *)
+(** 100 * delta / functional gates of the unmodified data path, under
+    [model] (default {!Bistpath_datapath.Area.default}); like {!solve}'s,
+    [model] stays an option only because perfbench's tracer passes it. *)
 
 val pp_solution : Format.formatter -> solution -> unit

@@ -1,13 +1,8 @@
-module Area = Bistpath_datapath.Area
 module Budget = Bistpath_resilience.Budget
 module Inject = Bistpath_resilience.Inject
 module Telemetry = Bistpath_telemetry.Telemetry
 
-type point = {
-  delta_gates : int;
-  sessions : int;
-  solution : Allocator.solution;
-}
+type point = { delta_gates : int; sessions : int }
 
 (* Points costing over 1.5x the minimum area are not worth their test time. *)
 let slack_percent = 50
@@ -17,41 +12,37 @@ let leaf_cap = 20_000
 
 (* A pair is dominated exactly when some pair has fewer gates and at
    most its sessions, or equal gates and fewer sessions. In ascending
-   (gates, sessions) order, stable so that equal pairs keep list order,
-   the first candidate of each gate count has that count's fewest
-   sessions, and it survives if no pair with fewer gates has as few:
-   one sweep carrying the fewest sessions seen so far. *)
-let front candidates =
-  let rec skip d = function (d', _, _) :: rest when d' = d -> skip d rest | l -> l in
+   (gates, sessions) order the first pair of each gate count has that
+   count's fewest sessions, and it survives if no pair with fewer gates
+   has as few: one sweep carrying the fewest sessions seen so far. *)
+let front pairs =
+  let rec skip d = function (d', _) :: rest when d' = d -> skip d rest | l -> l in
   let rec sweep best = function
     | [] -> []
-    | ((d, s, _) as c) :: rest ->
-      if s < best then c :: sweep s (skip d rest) else sweep best (skip d rest)
+    | ((d, s) as p) :: rest ->
+      if s < best then p :: sweep s (skip d rest) else sweep best (skip d rest)
   in
-  let by_pair (d, s, _) (d', s', _) = if d <> d' then Int.compare d d' else Int.compare s s' in
-  sweep max_int (List.stable_sort by_pair candidates)
+  sweep max_int (List.sort compare pairs)
 
-(* In-bound leaves are kept per (gates, sessions) pair, the pair packed
-   into one int: a leaf has at most one session per unit. *)
+(* In-bound leaves are kept as (gates, sessions) pairs, each packed into
+   one int: a leaf has at most one session per unit. *)
 let pair_bits = 20
 
 module Pairs = Hashtbl.Make (Int)
 
-let explore ?(model = Area.default) ?(width = 8) ?(transparency = false)
-    ?(budget = Budget.unlimited) ?minimum dp =
+let explore ?(width = 8) ?(transparency = false) ?(budget = Budget.unlimited) ?minimum dp =
   Telemetry.with_span "pareto" @@ fun () ->
   let minimum =
     match minimum with
     | Some m -> m
-    | None -> Allocator.solve ~model ~width ~transparency ~budget dp
+    | None -> Allocator.solve ~width ~transparency ~budget dp
   in
   let bound = minimum.Allocator.delta_gates * (100 + slack_percent) / 100 in
   (* One walk over the embedding product: every leaf counts against both
      [leaf_cap] and the shared budget, and one reached before either
      stops the walk probes the injection site. Leaves past the bound
-     are only counted; an in-bound one is scheduled on the spot, and
-     the last one walked of each pair is kept. Only the front's points
-     are built as solutions. *)
+     are only counted; an in-bound one is scheduled on the spot and
+     its (gates, sessions) pair kept. *)
   let count = ref 0 and in_bound = ref 0 in
   let uncut () = !count <= leaf_cap && not (Budget.should_stop budget) in
   let reach () =
@@ -64,41 +55,31 @@ let explore ?(model = Area.default) ?(width = 8) ?(transparency = false)
        end
   in
   let kept = Pairs.create 16 in
-  let solution_of = Allocator.solution_of ~model ~width dp in
-  Allocator.walk ~model ~width ~transparency dp ~bound ~descend:uncut
+  Allocator.walk ~width ~transparency dp ~bound ~descend:uncut
     ~beyond:(fun () -> ignore (reach ()))
     (fun leaf ->
       if reach () then begin
         incr in_bound;
-        let pair = (Allocator.leaf_gates leaf lsl pair_bits) lor Allocator.leaf_sessions leaf in
-        match Pairs.find_opt kept pair with
-        | Some k -> Allocator.keep_into k leaf
-        | None -> Pairs.add kept pair (Allocator.keep leaf)
+        Pairs.replace kept
+          ((Allocator.leaf_gates leaf lsl pair_bits) lor Allocator.leaf_sessions leaf)
+          ()
       end);
   Telemetry.incr "pareto.leaves" ~by:!count;
   Telemetry.incr "pareto.in_bound" ~by:!in_bound;
   if !count > leaf_cap then Telemetry.incr "pareto.capped";
   (* A budget that tripped during the walk voids every leaf; the true
-     minimum is always included (the walk may be cut), first, so it
-     represents its own pair. *)
+     minimum is always included (the walk may be cut). *)
   let leaves =
     if Budget.should_stop budget then []
     else
       Pairs.fold
-        (fun pair k acc ->
-          (pair lsr pair_bits, pair land ((1 lsl pair_bits) - 1), fun () ->
-            solution_of (Allocator.kept_embeddings k))
-          :: acc)
+        (fun pair () acc -> (pair lsr pair_bits, pair land ((1 lsl pair_bits) - 1)) :: acc)
         kept []
   in
-  let min_point =
-    ( minimum.Allocator.delta_gates,
-      Session.num_sessions (Session.schedule ~budget minimum),
-      Fun.const minimum )
+  let min_pair =
+    (minimum.Allocator.delta_gates, Session.num_sessions (Session.schedule ~budget minimum))
   in
-  front (min_point :: leaves)
-  |> List.map (fun (delta_gates, sessions, solution) ->
-         { delta_gates; sessions; solution = solution () })
+  front (min_pair :: leaves) |> List.map (fun (delta_gates, sessions) -> { delta_gates; sessions })
 
 let pp ppf points =
   Format.fprintf ppf "@[<v>";

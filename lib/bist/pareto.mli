@@ -8,14 +8,9 @@
     of the minimum and reports the Pareto front over
     (modification gates, number of sessions). *)
 
-type point = {
-  delta_gates : int;
-  sessions : int;
-  solution : Allocator.solution;
-}
+type point = { delta_gates : int; sessions : int }
 
 val explore :
-  ?model:Bistpath_datapath.Area.model ->
   ?width:int ->
   ?transparency:bool ->
   ?budget:Bistpath_resilience.Budget.t ->
@@ -24,7 +19,7 @@ val explore :
   point list
 (** Points sorted by [delta_gates], mutually non-dominated (no point is
     at least as good on both axes as another). [minimum] is the
-    minimum-area solution of [dp] under the same [model], [width] and
+    minimum-area solution of [dp] under the same [width] and
     [transparency] with the default I/O penalty, as {!Allocator.solve}
     returns it: a caller that ran the flow passes the flow's own
     solution. Without it, [explore] solves it first, under [budget].
@@ -45,13 +40,13 @@ val explore :
     costed or scheduled (a later embedding never lowers a cost). An
     in-bound leaf gets its session count from the int first-fit kernel
     that {!Session.schedule} uses, over its units in unit id order, and
-    is kept in a table holding, per (gates, sessions) pair, the last
-    leaf walked with it; no other per-leaf record is built. The walk
-    stops descending once the cap is passed or the budget has tripped;
-    the leaves under a node already being expanded are still counted.
-    The candidates {!front} sees are the minimum first, then one kept
-    leaf per pair, and only the surviving points are built with
-    {!Allocator.solution_of}. The whole call runs in a [pareto]
+    only its (gates, sessions) pair is kept, in a set; no per-leaf
+    record is built. The walk stops descending once the cap is passed
+    or the budget has tripped; the leaves under a node already being
+    expanded are still counted. The pairs {!front} sees are the
+    minimum's and the set's. No point carries a solution: test/oracles.ml's
+    collect-then-cost sweep builds one per point and finds the same
+    pairs. The whole call runs in a [pareto]
     telemetry span and adds [pareto.leaves] (leaves walked),
     [pareto.in_bound] (leaves reached within the bound before the cap
     or the budget stopped the walk) and, when the cap cut the walk,
@@ -73,15 +68,11 @@ val explore :
     stops the walk probes the [pareto.leaf] site
     ({!Bistpath_resilience.Inject}), counted-only ones included. *)
 
-val front : (int * int * 'a) list -> (int * int * 'a) list
-(** [front candidates] keeps the [(gates, sessions, _)] candidates that
-    no other candidate dominates (no other has at most as many gates
-    and sessions and fewer of one), one per distinct pair, sorted by
-    pair. Among candidates with the same pair it keeps the first in
-    list order, so the kept values are the candidates themselves and
-    {!explore}'s minimum, listed first, represents its own pair. One
-    stable sort of the candidates and one sweep find the survivors: a
-    pair survives when it has its gate count's fewest sessions and
-    fewer sessions than every pair with fewer gates. *)
+val front : (int * int) list -> (int * int) list
+(** [front pairs] keeps the [(gates, sessions)] pairs that no other
+    pair dominates (no other has at most as many gates and sessions and
+    fewer of one), each once, sorted. One sort and one sweep find the
+    survivors: a pair survives when it has its gate count's fewest
+    sessions and fewer sessions than every pair with fewer gates. *)
 
 val pp : Format.formatter -> point list -> unit

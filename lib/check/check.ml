@@ -36,7 +36,6 @@ type ctx = Rule.ctx = {
   sessions : Bistpath_bist.Session.t option;
   order : string list option;
   control : Control.t option;
-  datapath_control : Control.t option;
   rtl : Bistpath_rtl.Equiv.parsed option Lazy.t;
 }
 
@@ -70,10 +69,10 @@ let make_ctx ?bist ?sessions ?order ?(transparency = false) ?(vectors = 0) ?(ass
   let rtl =
     lazy
       (Option.map Bistpath_rtl.Equiv.parse_back
-         (Equiv_rules.emitted ~width ?bist ?sessions ?control datapath))
+         (Equiv_rules.emitted ~width ?bist ?sessions datapath))
   in
   { design; width; transparency; vectors; assumes; dfg; massign; policy; regalloc; datapath;
-    bist; sessions; order; control; datapath_control = control; rtl }
+    bist; sessions; order; control; rtl }
 
 let ctx_of_flow ?(vectors = 0) ?(transparency = false) ?(assumes = []) ~design ~width dfg
     massign ~policy (r : Flow.result) =

@@ -87,7 +87,6 @@ type ctx = Rule.ctx = {
   sessions : Bistpath_bist.Session.t option;
   order : string list option;
   control : Bistpath_datapath.Control.t option;
-  datapath_control : Bistpath_datapath.Control.t option;
   rtl : Bistpath_rtl.Equiv.parsed option Lazy.t;
 }
 
@@ -118,11 +117,10 @@ val make_ctx :
   Bistpath_datapath.Regalloc.t ->
   Bistpath_datapath.Datapath.t ->
   ctx
-(** Bundle artifacts for checking. The control table is derived here,
-    once, into both [control] and [datapath_control] (a datapath
-    [Control.build] rejects yields [None]), and the RTL is emitted from
-    it ([bist]/[sessions] included) and parsed back lazily,
-    on the first rule that audits it; tests corrupt individual fields
+(** Bundle artifacts for checking. The control table is derived here
+    into [control] (a datapath [Control.build] rejects yields [None]),
+    and the RTL is emitted ([bist]/[sessions] included) and parsed back
+    lazily, on the first rule that audits it; tests corrupt individual fields
     afterwards with record update. [vectors] defaults
     to 0 (EQ001 off); [transparency] must match the flow that produced
     the BIST solution. *)

@@ -186,7 +186,7 @@ let eq001 ctx _ =
     let failed e =
       [ v "EQ001" error ctx.design "data-path interpretation failed: %s" (Printexc.to_string e) ]
     in
-    match Interp.equivalent_to_dfg ?control:ctx.datapath_control ctx.datapath ~width:ctx.width with
+    match Interp.equivalent_to_dfg ctx.datapath ~width:ctx.width with
     | exception e -> failed e
     | equivalent ->
       let rng = Prng.create 0x5EED in

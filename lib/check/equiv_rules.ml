@@ -17,8 +17,8 @@ let error = Bistpath_resilience.Diagnostic.Error
    structural rules (DP003, CTL001, ...), so the parse-back rules only
    apply when an RTL artifact exists to parse back. The datapath module
    is all the parse-back elaborates, so the primitives are left out. *)
-let emitted ~width ?bist ?sessions ?control datapath =
-  match Verilog.emit ~width ?bist ?sessions ?control datapath with
+let emitted ~width ?bist ?sessions datapath =
+  match Verilog.emit ~width ?bist ?sessions datapath with
   | rtl -> Some rtl
   | exception _ -> None
 
@@ -33,8 +33,8 @@ let rtl005 ctx _ =
     | Some (Ok e) ->
       Equiv.findings
         ~structural:
-          (Equiv.structural ~width:ctx.width ?bist:ctx.bist ?sessions:ctx.sessions
-             ?control:ctx.datapath_control e ctx.datapath)
+          (Equiv.structural ~width:ctx.width ?bist:ctx.bist ?sessions:ctx.sessions e
+             ctx.datapath)
         ())
 
 (* EQ002: random-vector simulation of the parsed netlist against the
@@ -47,8 +47,7 @@ let eq002 ctx _ =
       (Equiv.findings
          ?functional:
            (fst
-              (Equiv.functional ~vectors:ctx.vectors ~width:ctx.width
-                 ?control:ctx.datapath_control e ctx.datapath))
+              (Equiv.functional ~vectors:ctx.vectors ~width:ctx.width e ctx.datapath))
          ())
   | Some _ | None -> []
 

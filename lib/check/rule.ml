@@ -26,7 +26,6 @@ type ctx = {
   sessions : Bistpath_bist.Session.t option;
   order : string list option;
   control : Bistpath_datapath.Control.t option;
-  datapath_control : Bistpath_datapath.Control.t option;
   rtl : Bistpath_rtl.Equiv.parsed option Lazy.t;
 }
 

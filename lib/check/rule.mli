@@ -41,16 +41,13 @@ type ctx = {
       (** coloring order (allocation trace), when the producing flow
           recorded one; enables the reverse-PVES rule *)
   control : Bistpath_datapath.Control.t option;
-      (** [None] when [Control.build] rejected the datapath — every
-          cause of that is covered by a DP rule *)
-  datapath_control : Bistpath_datapath.Control.t option;
-      (** [Control.build datapath], made once with the ctx: the table
-          the emitted RTL, the reference netlist (RTL005) and the
-          interpreter (EQ001, EQ002) run on, so no rule builds it
-          again. [control] starts as the same table; only the
-          controller rules read [control], so a record update of it is
-          what they alone see. A record update of [datapath] replaces
-          this too. *)
+      (** [Control.build datapath], what the controller (CTL, ABS)
+          rules audit, so a record update of it is what they alone
+          see; [None] when [Control.build] rejected the datapath —
+          every cause of that is covered by a DP rule. The reference
+          netlist (RTL005) and the interpreter (EQ001, EQ002) build
+          their own table from [datapath], so they see a record update
+          of [datapath]. *)
   rtl : Bistpath_rtl.Equiv.parsed option Lazy.t;
       (** the emitted RTL parsed back, forced by the first rule that
           audits it; [None] when the data path cannot be emitted *)

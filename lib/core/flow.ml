@@ -132,12 +132,12 @@ let spec_hash dfg massign ~policy =
            ("policy", policy_json policy);
          ])
 
-let flow_params_json ?(model = Area.default) ?(width = 8)
-    ?(io_penalty_percent = 100) ?(transparency = false) ~style () =
+let flow_params_json ?(width = 8) ?(io_penalty_percent = 100) ?(transparency = false) ~style
+    () =
   Json.Obj
     [
       ("style", style_json style);
-      ("model", model_json model);
+      ("model", model_json Area.default);
       ("width", num width);
       ("io_penalty_percent", num io_penalty_percent);
       ("transparency", Json.Bool transparency);
@@ -147,8 +147,8 @@ let artifact_key ~stage ~spec_hash ~params =
   Stage.key stage
     ~inputs:(Json.Obj [ ("schedule", Json.Str spec_hash); ("params", params) ])
 
-let run ?(model = Area.default) ?(width = 8) ?(io_penalty_percent = 100)
-    ?(transparency = false) ?(budget = Budget.unlimited) ~style dfg massign ~policy =
+let run ?(width = 8) ?(io_penalty_percent = 100) ?(transparency = false)
+    ?(budget = Budget.unlimited) ~style dfg massign ~policy =
   Telemetry.with_span "flow"
     ~attrs:
       [
@@ -180,7 +180,7 @@ let run ?(model = Area.default) ?(width = 8) ?(io_penalty_percent = 100)
   in
   let bist =
     Telemetry.with_span "bist_alloc" @@ fun () ->
-    Allocator.solve ~model ~width ~io_penalty_percent ~transparency ~budget datapath
+    Allocator.solve ~width ~io_penalty_percent ~transparency ~budget datapath
   in
   let sessions =
     Telemetry.with_span "sessions" @@ fun () -> Session.schedule ~budget bist
@@ -197,7 +197,7 @@ let run ?(model = Area.default) ?(width = 8) ?(io_penalty_percent = 100)
     sessions;
     registers = Datapath.allocated_register_count datapath;
     muxes = Datapath.mux_count datapath;
-    overhead_percent = Allocator.overhead_percent ~model ~width datapath bist;
+    overhead_percent = Allocator.overhead_percent ~width datapath bist;
   }
 
 let reduction_percent ~traditional ~testable =

@@ -29,7 +29,6 @@ type result = {
 }
 
 val run :
-  ?model:Bistpath_datapath.Area.model ->
   ?width:int ->
   ?io_penalty_percent:int ->
   ?transparency:bool ->
@@ -65,7 +64,6 @@ val spec_hash :
     control steps), module assignment and policy. *)
 
 val flow_params_json :
-  ?model:Bistpath_datapath.Area.model ->
   ?width:int ->
   ?io_penalty_percent:int ->
   ?transparency:bool ->
@@ -74,7 +72,10 @@ val flow_params_json :
   Bistpath_util.Json.t
 (** Canonical encoding of the flow parameter set (style + options, area
     model, width, I/O penalty, transparency) with the same defaults as
-    {!run} — the [params] half of an {!artifact_key}. *)
+    {!run} — the [params] half of an {!artifact_key}. The area model is
+    always {!Bistpath_datapath.Area.default}, the one {!run} costs
+    with; it stays in the encoding so existing keys keep their
+    digests. *)
 
 val artifact_key : stage:Stage.t -> spec_hash:string -> params:Bistpath_util.Json.t -> string
 (** Key for a terminal artifact stage ({!Stage.Rtl} / {!Stage.Report}):

@@ -67,11 +67,11 @@ let mfvs (dp : Datapath.t) =
     if has_cycle vertices edges forced then search 1 else List.sort compare forced
   end
 
-let overhead_percent ?(model = Area.default) ?(width = 8) dp =
+let overhead_percent ?(width = 8) dp =
   let scan = mfvs dp in
   (* scan conversion: one mux slice per bit plus a shift path, about the
      cost of a 2:1 mux per bit *)
-  let per_register = model.Area.mux2_per_bit * width in
+  let per_register = Area.default.Area.mux2_per_bit * width in
   let delta = List.length scan * per_register in
-  let base = Area.functional_gates model ~width dp in
+  let base = Area.functional_gates Area.default ~width dp in
   if base = 0 then 0.0 else 100.0 *. float_of_int delta /. float_of_int base

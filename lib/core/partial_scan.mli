@@ -21,7 +21,6 @@ val mfvs : Bistpath_datapath.Datapath.t -> string list
     registers. Deterministic (lexicographically first minimum). *)
 
 val overhead_percent :
-  ?model:Bistpath_datapath.Area.model ->
   ?width:int ->
   Bistpath_datapath.Datapath.t ->
   float

@@ -60,7 +60,7 @@ let allocate dfg massign ~policy =
     ordered;
   Regalloc.make !classes
 
-let run ?(model = Area.default) ?(width = 8) dfg massign ~policy =
+let run ?(width = 8) dfg massign ~policy =
   let regalloc = allocate dfg massign ~policy in
   let datapath =
     Interconnect.optimize dfg massign regalloc ~policy
@@ -87,7 +87,7 @@ let run ?(model = Area.default) ?(width = 8) dfg massign ~policy =
   in
   let delta_gates =
     Bistpath_util.Listx.sum_by
-      (fun (_, s) -> Resource.delta_gates model ~width s)
+      (fun (_, s) -> Resource.delta_gates Area.default ~width s)
       styles
   in
   { regalloc; datapath; self_adjacent; styles; delta_gates }

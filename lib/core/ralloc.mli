@@ -23,7 +23,6 @@ val allocate :
     same constraint. *)
 
 val run :
-  ?model:Bistpath_datapath.Area.model ->
   ?width:int ->
   Bistpath_dfg.Dfg.t ->
   Bistpath_dfg.Massign.t ->

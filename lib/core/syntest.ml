@@ -1,4 +1,3 @@
-module Area = Bistpath_datapath.Area
 module Regalloc = Bistpath_datapath.Regalloc
 module Datapath = Bistpath_datapath.Datapath
 module Interconnect = Bistpath_datapath.Interconnect
@@ -13,7 +12,7 @@ type result = {
   delta_gates : int;
 }
 
-let run ?(model = Area.default) ?(width = 8) dfg ~policy =
+let run ?(width = 8) dfg ~policy =
   let massign = Module_assign.alu_pack dfg in
   (* The template constraint coincides with RALLOC's avoidance rule but
      is strict: a self-adjacency-creating merge is never taken. The
@@ -24,8 +23,7 @@ let run ?(model = Area.default) ?(width = 8) dfg ~policy =
       ~objective:{ Interconnect.weight = (fun _ -> 0) }
   in
   let bist =
-    Allocator.solve ~model ~width ~forbidden:[ Resource.Bilbo; Resource.Cbilbo ]
-      datapath
+    Allocator.solve ~width ~forbidden:[ Resource.Bilbo; Resource.Cbilbo ] datapath
   in
   { massign; regalloc; datapath; bist; delta_gates = bist.Allocator.delta_gates }
 

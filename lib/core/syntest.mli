@@ -13,7 +13,6 @@ type result = {
 }
 
 val run :
-  ?model:Bistpath_datapath.Area.model ->
   ?width:int ->
   Bistpath_dfg.Dfg.t ->
   policy:Bistpath_dfg.Policy.t ->

@@ -80,8 +80,9 @@ let build (dp : Datapath.t) =
     | None -> invalid_arg (Printf.sprintf "Control.build: %s not found" what)
   in
   let writer_index rid src =
-    let writers = List.assoc rid dp.Datapath.reg_writers in
-    index_of_exn (Printf.sprintf "writer of %s" rid) src writers
+    match Listx.index_of (fun y -> y = src) (List.assoc rid dp.Datapath.reg_writers) with
+    | Some i -> i
+    | None -> invalid_arg (Printf.sprintf "Control.build: writer of %s not found" rid)
   in
   let ops_at = Array.make (num_steps + 1) [] in
   let writes_at = Array.make (num_steps + 1) [] in
@@ -118,15 +119,39 @@ let build (dp : Datapath.t) =
       at ops_at cstep uop;
       at writes_at cstep write)
     routes;
-  (* input loads: latch each stored primary input at its latch step *)
-  let used_inputs = Hashtbl.create 16 in
-  List.iter (fun v -> Hashtbl.replace used_inputs v ()) (Dfg.used_inputs dfg);
+  (* input loads: latch each stored primary input at its latch step.
+     That is [latch_step], read off one pass over the operations: the
+     step of the first operation producing it, else one before its
+     first read. *)
+  let made = Hashtbl.create 64 and first_read = Hashtbl.create 64 in
+  List.iter
+    (fun (op : Op.t) ->
+      let c = Dfg.cstep dfg op.Op.id in
+      if not (Hashtbl.mem made op.Op.out) then Hashtbl.add made op.Op.out c;
+      let read v =
+        match Hashtbl.find_opt first_read v with
+        | Some c' when c' <= c -> ()
+        | _ -> Hashtbl.replace first_read v c
+      in
+      read op.Op.left;
+      read op.Op.right)
+    dfg.Dfg.ops;
+  let latch = Hashtbl.create 16 in
+  List.iter
+    (fun v ->
+      match (Hashtbl.find_opt made v, Hashtbl.find_opt first_read v) with
+      | _, None -> ()
+      | Some c, Some _ -> Hashtbl.replace latch v c
+      | None, Some c -> Hashtbl.replace latch v (c - 1))
+    dfg.Dfg.inputs;
   List.iter
     (fun (r : Datapath.reg) ->
       List.iter
         (fun v ->
-          if Hashtbl.mem used_inputs v then
-            at loads_at (latch_step dfg v)
+          match Hashtbl.find_opt latch v with
+          | None -> ()
+          | Some c ->
+            at loads_at c
               {
                 rid = r.Datapath.rid;
                 source_index = writer_index r.Datapath.rid (Datapath.From_port v);

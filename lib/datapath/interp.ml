@@ -21,10 +21,10 @@ type step_program = {
   captures : (int * int) list;  (* output position, register slot *)
 }
 
-let run ?(trace = false) ?control (dp : Datapath.t) ~width =
+let run ?(trace = false) (dp : Datapath.t) ~width =
   let dfg = dp.Datapath.dfg in
   let used_inputs = Dfg.used_inputs dfg in
-  let control = match control with Some c -> c | None -> Control.build dp in
+  let control = Control.build dp in
   let slots () =
     let tbl = Hashtbl.create 16 in
     ( tbl,
@@ -143,8 +143,8 @@ let run ?(trace = false) ?control (dp : Datapath.t) ~width =
     in
     (outputs, List.rev !traces)
 
-let equivalent_to_dfg ?control dp ~width =
-  let run = run ?control dp ~width in
+let equivalent_to_dfg dp ~width =
+  let run = run dp ~width in
   fun ~inputs ->
     let got, _ = run ~inputs in
     got = Bistpath_dfg.Eval.run dp.Datapath.dfg ~width ~inputs

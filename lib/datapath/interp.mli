@@ -18,7 +18,6 @@ type trace_entry = {
 
 val run :
   ?trace:bool ->
-  ?control:Control.t ->
   Datapath.t ->
   width:int ->
   inputs:(string * int) list ->
@@ -28,16 +27,14 @@ val run :
     missing inputs (via {!Bistpath_dfg.Eval}-compatible checking).
 
     Partial application stages the run: [run dp ~width] builds the
-    control table once (or takes [control], which must be
-    {!Control.build} of [dp]) and resolves every step's routes, operation
+    control table once and resolves every step's routes, operation
     kinds and register and unit indices to arrays; the returned
     [~inputs] function only executes them, so one staged closure serves
     any number of input sets (the RTL cross-check reuses one per
     check). Input validation and its [Invalid_argument] messages belong
     to the [~inputs] call; a malformed data path raises at staging. *)
 
-val equivalent_to_dfg :
-  ?control:Control.t -> Datapath.t -> width:int -> inputs:(string * int) list -> bool
+val equivalent_to_dfg : Datapath.t -> width:int -> inputs:(string * int) list -> bool
 (** Do the interpreted data path and the behavioural evaluation agree on
     every primary output? Staged like {!run}. *)
 

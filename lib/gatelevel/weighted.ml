@@ -22,16 +22,16 @@ type comparison = {
   weighted_detected : int;
 }
 
-let compare_coverage ?(seed = 1) c ~count =
+let compare_coverage c ~count =
   let faults = Fault.collapsed c in
   let cls = Podem.classify_all c in
   let testable = List.length cls.Podem.tested in
   let n = List.length c.Circuit.inputs in
-  let uniform_rng = Prng.create seed in
+  let uniform_rng = Prng.create 1 in
   let uniform =
     patterns uniform_rng ~weights:(Array.make n 0.5) ~count
   in
-  let weighted_rng = Prng.create seed in
+  let weighted_rng = Prng.create 1 in
   let weighted = patterns weighted_rng ~weights:(input_weights c) ~count in
   let detected ps = (Fault_sim.run c ~faults ~patterns:ps).Fault_sim.detected in
   {

@@ -22,7 +22,7 @@ type comparison = {
   weighted_detected : int;
 }
 
-val compare_coverage :
-  ?seed:int -> Circuit.t -> count:int -> comparison
+val compare_coverage : Circuit.t -> count:int -> comparison
 (** Detected counts for [count] uniform vs [count] weighted patterns
-    over the collapsed fault list, against the PODEM-testable total. *)
+    over the collapsed fault list, against the PODEM-testable total.
+    Both pattern sets are drawn from seed 1. *)

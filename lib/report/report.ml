@@ -445,7 +445,7 @@ let testability () =
     width
   ^ Table.to_string t
 
-let transparency ?(width = 8) () =
+let transparency () =
   let t =
     Table.create
       [
@@ -460,8 +460,8 @@ let transparency ?(width = 8) () =
       | None -> ()
       | Some inst ->
         let run tr style =
-          (Flow.run ~width ~transparency:tr ~style inst.B.dfg inst.B.massign
-             ~policy:inst.B.policy).Flow.overhead_percent
+          (Flow.run ~transparency:tr ~style inst.B.dfg inst.B.massign ~policy:inst.B.policy)
+            .Flow.overhead_percent
         in
         let style = Flow.Testable Testable_alloc.default_options in
         Table.add_row t
@@ -477,7 +477,7 @@ let transparency ?(width = 8) () =
    solution can only improve (T = traditional, O = testable flow)\n\n"
   ^ Table.to_string t
 
-let pareto ?(width = 8) () =
+let pareto () =
   let buf = Buffer.create 512 in
   Buffer.add_string buf
     "Area vs test time. Pareto-optimal BIST configurations within 50%\n\
@@ -488,12 +488,10 @@ let pareto ?(width = 8) () =
       | None -> ()
       | Some inst ->
         let r =
-          Flow.run ~width ~style:(Flow.Testable Testable_alloc.default_options)
-            inst.B.dfg inst.B.massign ~policy:inst.B.policy
+          Flow.run ~style:(Flow.Testable Testable_alloc.default_options) inst.B.dfg
+            inst.B.massign ~policy:inst.B.policy
         in
-        let points =
-          Bistpath_bist.Pareto.explore ~width ~minimum:r.Flow.bist r.Flow.datapath
-        in
+        let points = Bistpath_bist.Pareto.explore ~minimum:r.Flow.bist r.Flow.datapath in
         Buffer.add_string buf
           (Printf.sprintf "  %-7s %s\n" tag
              (String.concat "  |  "
@@ -505,7 +503,7 @@ let pareto ?(width = 8) () =
     [ "ex1"; "ex2"; "Tseng1"; "Tseng2"; "Paulin"; "iir"; "dct4" ];
   Buffer.contents buf
 
-let scan_vs_bist ?(width = 8) () =
+let scan_vs_bist () =
   let t =
     Table.create
       [
@@ -520,15 +518,15 @@ let scan_vs_bist ?(width = 8) () =
       | None -> ()
       | Some inst ->
         let r =
-          Flow.run ~width ~style:(Flow.Testable Testable_alloc.default_options)
-            inst.B.dfg inst.B.massign ~policy:inst.B.policy
+          Flow.run ~style:(Flow.Testable Testable_alloc.default_options) inst.B.dfg
+            inst.B.massign ~policy:inst.B.policy
         in
         let scan = Bistpath_core.Partial_scan.mfvs r.Flow.datapath in
         Table.add_row t
           [
             tag;
             String.concat "," scan;
-            pct (Bistpath_core.Partial_scan.overhead_percent ~width r.Flow.datapath);
+            pct (Bistpath_core.Partial_scan.overhead_percent r.Flow.datapath);
             pct r.Flow.overhead_percent;
             "yes (no external tester)";
           ])
@@ -538,7 +536,7 @@ let scan_vs_bist ?(width = 8) () =
    through the scan chain; BIST pays register conversions for autonomy\n\n"
   ^ Table.to_string t
 
-let io_sensitivity ?(width = 8) () =
+let io_sensitivity () =
   let penalties = [ 100; 150; 200; 300 ] in
   let t =
     Table.create
@@ -553,8 +551,7 @@ let io_sensitivity ?(width = 8) () =
       | Some inst ->
         let reduction p =
           let run style =
-            Flow.run ~width ~io_penalty_percent:p ~style inst.B.dfg inst.B.massign
-              ~policy:inst.B.policy
+            Flow.run ~io_penalty_percent:p ~style inst.B.dfg inst.B.massign ~policy:inst.B.policy
           in
           let trad = run Flow.Traditional in
           let test = run (Flow.Testable Testable_alloc.default_options) in

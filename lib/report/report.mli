@@ -57,26 +57,26 @@ val testability : unit -> string
     fault classification (tested / proven-redundant), and the number of
     deterministic PODEM vectors vs LFSR patterns for full coverage. *)
 
-val transparency : ?width:int -> unit -> string
+val transparency : unit -> string
 (** BIST overhead with the embedding space extended by one-hop
     transparent I-paths (a register generating patterns through an
     adder whose other port holds 0, etc.) — the generalization of
-    Abadir-Breuer I-paths the paper's reference [8] suggests. *)
+    Abadir-Breuer I-paths the paper's reference [8] suggests. At width 8. *)
 
-val pareto : ?width:int -> unit -> string
+val pareto : unit -> string
 (** Area vs test-time Pareto fronts: modification gates against the
     number of test sessions, per benchmark (sharing one SA register
-    saves gates but serializes sessions). *)
+    saves gates but serializes sessions). At width 8. *)
 
-val scan_vs_bist : ?width:int -> unit -> string
+val scan_vs_bist : unit -> string
 (** The classical DFT trade the paper's introduction frames: partial
     scan (minimum feedback vertex set, external test) against BIST
     (register conversion, self-test) — area overheads side by side,
-    with the scanned register sets. *)
+    with the scanned register sets. At width 8. *)
 
-val io_sensitivity : ?width:int -> unit -> string
+val io_sensitivity : unit -> string
 (** Sensitivity of the Table I reductions to the cost of converting
     dedicated I/O registers (pad-ring registers are more expensive to
     modify than datapath registers): sweep the penalty from 1x to 3x.
     Only benchmarks with dedicated registers (Paulin and the extension
-    set) move. *)
+    set) move. At width 8. *)

@@ -50,9 +50,8 @@ let golden_signatures ?(width = 8) ?patterns ?faulty_unit ?emitted dp
            (session_sa_registers sol units))
        sessions.Session.sessions)
 
-let emit ?(width = 8) ?patterns ?(golden = []) dp (sol : Allocator.solution)
-    (sessions : Session.t) =
-  let patterns = match patterns with Some p -> p | None -> (1 lsl width) - 1 in
+let emit ?(width = 8) ?(golden = []) dp (sol : Allocator.solution) (sessions : Session.t) =
+  let patterns = (1 lsl width) - 1 in
   let name = sanitize dp.Datapath.dfg.Dfg.name in
   let buf = Buffer.create 4096 in
   let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in

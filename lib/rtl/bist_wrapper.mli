@@ -34,15 +34,14 @@ val golden_signatures :
 
 val emit :
   ?width:int ->
-  ?patterns:int ->
   ?golden:golden list ->
   Bistpath_datapath.Datapath.t ->
   Bistpath_bist.Allocator.solution ->
   Bistpath_bist.Session.t ->
   string
 (** Verilog source of module [<name>_bist]; instantiate together with
-    {!Verilog.primitives} and [Verilog.emit ~bist ~sessions]. [patterns]
-    defaults to 2^width - 1. With [golden] (typically from
+    {!Verilog.primitives} and [Verilog.emit ~bist ~sessions]. Each
+    session runs 2^width - 1 patterns. With [golden] (typically from
     {!golden_signatures}) the real fault-free signatures are
     baked in as the parameter defaults, making the wrapper ready to
     detect faults out of the box. *)

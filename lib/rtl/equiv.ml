@@ -1103,10 +1103,12 @@ let sampler (e : elab) (dp : Datapath.t) ~width =
 
 let simulate_vectors e dp ~width vectors = List.map (sampler e dp ~width) vectors
 
-let cross_check ?control (e : elab) (dp : Datapath.t) ~width ~vectors ~seed =
-  let rng = Prng.create seed in
+(* Every cross-check draws its vectors from this seed, so a verdict
+   names the same vectors on every run. *)
+let cross_check (e : elab) (dp : Datapath.t) ~width ~vectors =
+  let rng = Prng.create 7 in
   let dfg = dp.Datapath.dfg in
-  let sample = sampler e dp ~width and interp = Interp.run ?control dp ~width in
+  let sample = sampler e dp ~width and interp = Interp.run dp ~width in
   let rec go i =
     if i >= vectors then (None, i)
     else begin
@@ -1145,29 +1147,29 @@ let parse_back rtl : parsed =
       in
       Ok { (elaborate empty) with problems })
 
-let structural ?(width = 8) ?bist ?sessions ?(regw = []) ?control e dp =
+let structural ?(width = 8) ?bist ?sessions ?(regw = []) e dp =
   Telemetry.with_span "rtl.structural" @@ fun () ->
   match e.problems with
   | _ :: _ -> e.problems
   | [] ->
     let st = Netlist.create () in
-    let model = Netlist.of_datapath st ~width ?bist ?sessions ~regw ?control dp in
+    let model = Netlist.of_datapath st ~width ?bist ?sessions ~regw dp in
     Netlist.differences st ~a_label:"model" ~b_label:"rtl" model (netlist st e)
 
-let functional ?(vectors = 16) ?(seed = 7) ?(width = 8) ?control e dp =
+let functional ?(vectors = 16) ?(width = 8) e dp =
   Telemetry.with_span "rtl.functional" @@ fun () ->
   if e.problems <> [] || vectors <= 0 then (None, 0)
-  else cross_check ?control e dp ~width ~vectors ~seed
+  else cross_check e dp ~width ~vectors
 
-let verify ?vectors ?seed ?width ?bist ?sessions ?regw ?control ~rtl dp =
+let verify ?vectors ?width ?bist ?sessions ?regw ~rtl dp =
   let t0 = Telemetry.now () in
   let result =
     Telemetry.with_span "rtl.equiv" @@ fun () ->
     match parse_back rtl with
     | Error errs -> Error errs
     | Ok e ->
-      let structural = structural ?width ?bist ?sessions ?regw ?control e dp in
-      let functional, vectors_run = functional ?vectors ?seed ?width ?control e dp in
+      let structural = structural ?width ?bist ?sessions ?regw e dp in
+      let functional, vectors_run = functional ?vectors ?width e dp in
       Ok { structural; functional; vectors_run }
   in
   Telemetry.observe "rtl.verify_ns" (Int64.to_int (Int64.sub (Telemetry.now ()) t0));

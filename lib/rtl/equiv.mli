@@ -104,26 +104,23 @@ val structural :
   ?bist:Bistpath_bist.Allocator.solution ->
   ?sessions:Bistpath_bist.Session.t ->
   ?regw:(string * int) list ->
-  ?control:Bistpath_datapath.Control.t ->
   elab ->
   Bistpath_datapath.Datapath.t ->
   string list
 (** The {!report}'s [structural] field: differences from the reference
-    netlist built from the data path, or the elaboration problems.
-    [control] is the data path's {!Bistpath_datapath.Control.build}
-    table, if the caller has it ({!Netlist.of_datapath}). *)
+    netlist built from the data path ({!Netlist.of_datapath}), or the
+    elaboration problems. *)
 
 val functional :
   ?vectors:int ->
-  ?seed:int ->
   ?width:int ->
-  ?control:Bistpath_datapath.Control.t ->
   elab ->
   Bistpath_datapath.Datapath.t ->
   mismatch option * int
 (** The {!report}'s [functional] and [vectors_run] fields; [(None, 0)]
-    without vectors or on a module with elaboration problems. [control]
-    is passed on to the interpreter ({!Bistpath_datapath.Interp.run}). *)
+    without vectors or on a module with elaboration problems. The
+    vectors are drawn from a fixed seed (7) and compared against
+    {!Bistpath_datapath.Interp.run}. *)
 
 val simulate_vectors :
   elab ->
@@ -153,12 +150,10 @@ val test_signatures :
 
 val verify :
   ?vectors:int ->
-  ?seed:int ->
   ?width:int ->
   ?bist:Bistpath_bist.Allocator.solution ->
   ?sessions:Bistpath_bist.Session.t ->
   ?regw:(string * int) list ->
-  ?control:Bistpath_datapath.Control.t ->
   rtl:string ->
   Bistpath_datapath.Datapath.t ->
   (report, Bistpath_resilience.Diagnostic.t list) result
@@ -173,9 +168,7 @@ val verify :
     elaboration problems in parsable input are reported as structural
     differences instead. [vectors] (default 16) random input vectors
     drive the simulation cross-check; 0 skips it ([functional] is
-    [None]). [seed] (default 7) seeds the vector generator. [control],
-    the data path's control table when the caller already built it, is
-    shared by both checks instead of being rebuilt. *)
+    [None]). *)
 
 (** {1 The verdict text}
 

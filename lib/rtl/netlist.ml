@@ -221,10 +221,10 @@ let op_name = function
   | Op.Xor -> "xor"
   | Op.Less -> "less"
 
-let of_datapath st ?(width = 8) ?bist ?sessions ?(regw = []) ?control (dp : Datapath.t) =
+let of_datapath st ?(width = 8) ?bist ?sessions ?(regw = []) (dp : Datapath.t) =
   let rw rid = match List.assoc_opt rid regw with Some w -> w | None -> width in
   let dfg = dp.Datapath.dfg in
-  let control = match control with Some c -> c | None -> Control.build dp in
+  let control = Control.build dp in
   let steps = Dfg.num_csteps dfg in
   let session_list =
     match sessions with Some (t : Session.t) -> t.Session.sessions | None -> []

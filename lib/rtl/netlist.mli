@@ -125,14 +125,13 @@ val of_datapath :
   ?bist:Bistpath_bist.Allocator.solution ->
   ?sessions:Bistpath_bist.Session.t ->
   ?regw:(string * int) list ->
-  ?control:Bistpath_datapath.Control.t ->
   Bistpath_datapath.Datapath.t ->
   t
 (** The reference netlist of a data path emitted with the same
     configuration, mirroring the emitted multiplexer, function-select
     and session-steering chains. Each unit's output node is built once
-    per slot class it reads. [control] is the data path's
-    {!Bistpath_datapath.Control.build} table, built here when absent. *)
+    per slot class it reads, from the data path's
+    {!Bistpath_datapath.Control.build} table. *)
 
 val refine : store -> t -> t -> int array * int array
 (** The two netlists' register colours at the fixed point of the

@@ -7,13 +7,9 @@ module Listx = Bistpath_util.Listx
 
 let sanitize = Verilog.sanitize
 
-let generate ?(width = 8) ?name (dp : Datapath.t) ~vectors =
+let generate ?(width = 8) (dp : Datapath.t) ~vectors =
   let dut = Verilog.module_name dp in
-  let tb =
-    match name with
-    | Some n -> Verilog.mangle n
-    | None -> Verilog.mangle (dp.Datapath.dfg.Dfg.name ^ "_datapath_tb")
-  in
+  let tb = Verilog.mangle (dp.Datapath.dfg.Dfg.name ^ "_datapath_tb") in
   let ins = Dfg.used_inputs dp.Datapath.dfg in
   let outs =
     List.map (fun (v, _) -> (v, Control.latch_step dp.Datapath.dfg v)) dp.Datapath.outputs

@@ -9,12 +9,11 @@
 
 val generate :
   ?width:int ->
-  ?name:string ->
   Bistpath_datapath.Datapath.t ->
   vectors:(string * int) list list ->
   string
-(** One test per vector set (a full assignment of the DFG's used
-    inputs). Each output is checked right after the step that latches
+(** Module [<design>_datapath_tb], one test per vector set (a full
+    assignment of the DFG's used inputs). Each output is checked right after the step that latches
     it ({!Bistpath_datapath.Control.latch_step}). Raises
     [Invalid_argument] on incomplete vectors (via {!Bistpath_dfg.Eval}). *)
 

@@ -7,6 +7,7 @@ module Allocator = Bistpath_bist.Allocator
 module Session = Bistpath_bist.Session
 module Ipath = Bistpath_ipath.Ipath
 module Control = Bistpath_datapath.Control
+module Telemetry = Bistpath_telemetry.Telemetry
 
 (* Hex-escaping keeps the map injective for names that differ only in
    their punctuation (greedy module binders name units "*1", "+1", ...,
@@ -106,7 +107,8 @@ let session_of session_list mid =
   in
   go 0 session_list
 
-let emit ?(width = 8) ?bist ?sessions ?(regw = []) ?(unitw = []) ?control dp =
+let emit ?(width = 8) ?bist ?sessions ?(regw = []) ?(unitw = []) dp =
+  Telemetry.with_span "rtl.emit" @@ fun () ->
   let buf = Buffer.create 4096 in
   let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   (* Per-component narrowed widths (synth rtl --narrow). Ports stay at
@@ -149,7 +151,7 @@ let emit ?(width = 8) ?bist ?sessions ?(regw = []) ?(unitw = []) ?control dp =
      enables are derived from the synthesized control table so the
      module is self-contained (step 0 loads inputs, steps 1..T run the
      schedule, then the counter saturates). *)
-  let control = match control with Some c -> c | None -> Control.build dp in
+  let control = Control.build dp in
   let steps = Dfg.num_csteps dp.Datapath.dfg in
   let step_bits =
     max 1 (int_of_float (ceil (log (float_of_int (steps + 2)) /. log 2.0)))
@@ -443,5 +445,5 @@ let primitives ~width =
       "";
     ]
 
-let source ~width ?bist ?sessions ?regw ?unitw ?control dp =
-  primitives ~width ^ "\n" ^ emit ~width ?bist ?sessions ?regw ?unitw ?control dp ^ "\n"
+let source ~width ?bist ?sessions dp =
+  primitives ~width ^ "\n" ^ emit ~width ?bist ?sessions dp ^ "\n"

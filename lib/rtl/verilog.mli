@@ -14,7 +14,6 @@ val emit :
   ?sessions:Bistpath_bist.Session.t ->
   ?regw:(string * int) list ->
   ?unitw:(string * int) list ->
-  ?control:Bistpath_datapath.Control.t ->
   Bistpath_datapath.Datapath.t ->
   string
 (** Verilog source text. [regw] / [unitw] narrow individual registers /
@@ -31,9 +30,9 @@ val emit :
     BIST embeddings (port selects to the chosen TPGs, each SA register's
     input to the unit it compacts, BILBO compact/generate modes) —
     making the emitted architecture execute exactly the configurations
-    the allocator chose. [control] is the data path's
-    {!Bistpath_datapath.Control.build} table when the caller already
-    has it; without it the table is built here. *)
+    the allocator chose. The per-step selects and enables come from
+    the data path's {!Bistpath_datapath.Control.build} table, built
+    here. Runs in an [rtl.emit] telemetry span. *)
 
 val test_seed : width:int -> string -> int
 (** Per-register non-zero LFSR reset seed (hash of the register name),
@@ -98,9 +97,6 @@ val source :
   width:int ->
   ?bist:Bistpath_bist.Allocator.solution ->
   ?sessions:Bistpath_bist.Session.t ->
-  ?regw:(string * int) list ->
-  ?unitw:(string * int) list ->
-  ?control:Bistpath_datapath.Control.t ->
   Bistpath_datapath.Datapath.t ->
   string
 (** {!primitives} then {!emit}, each followed by a newline: the

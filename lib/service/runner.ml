@@ -67,11 +67,11 @@ let render_run (inst : B.instance) r =
   Format.asprintf "%a@.@.%a@.@.test sessions: %a@." Dfg.pp inst.B.dfg
     Flow.pp_result r Session.pp r.Flow.sessions
 
-let render_rtl ~width ?regw ?unitw ?control ~bist ~wrapper r =
+let render_rtl ~width ?regw ?unitw ~bist ~wrapper r =
   let bist_sol = if bist then Some r.Flow.bist else None in
   let sessions = if wrapper then Some r.Flow.sessions else None in
   let module_ =
-    Verilog.emit ~width ?bist:bist_sol ?sessions ?regw ?unitw ?control r.Flow.datapath
+    Verilog.emit ~width ?bist:bist_sol ?sessions ?regw ?unitw r.Flow.datapath
   in
   (* [Verilog.source]'s layout, around the one emitted module *)
   Verilog.primitives ~width ^ "\n" ^ module_ ^ "\n"
@@ -142,13 +142,8 @@ let rtl ?cache ~budget ~bist ~wrapper inst (job : Job.t) =
 let verify ~budget inst (job : Job.t) =
   let width = job.Job.width in
   let r = flow ~budget inst job in
-  (* one control table for the emitter and both checks; a rejected one
-     is left for the emitter to report *)
-  let control =
-    try Some (Bistpath_datapath.Control.build r.Flow.datapath) with _ -> None
-  in
-  let rtl = render_rtl ~width ?control ~bist:true ~wrapper:false r in
-  let result = Equiv.verify ~width ~bist:r.Flow.bist ?control ~rtl r.Flow.datapath in
+  let rtl = render_rtl ~width ~bist:true ~wrapper:false r in
+  let result = Equiv.verify ~width ~bist:r.Flow.bist ~rtl r.Flow.datapath in
   match (result, Equiv.verdict result) with
   | Ok rep, [] ->
     Ok

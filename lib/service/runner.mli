@@ -55,7 +55,6 @@ val render_rtl :
   width:int ->
   ?regw:(string * int) list ->
   ?unitw:(string * int) list ->
-  ?control:Bistpath_datapath.Control.t ->
   bist:bool ->
   wrapper:bool ->
   Bistpath_core.Flow.result ->
@@ -64,9 +63,9 @@ val render_rtl :
     variants with [bist], plus session steering and the self-test
     wrapper with [wrapper] (which needs [bist] and no narrowing: the
     wrapper's golden signatures are simulated on the data path module
-    emitted here). [regw]/[unitw] narrow components and [control] is
-    passed on, as in {!Bistpath_rtl.Verilog.emit}. The data path module
-    is emitted once. *)
+    emitted here). [regw]/[unitw] narrow components, as in
+    {!Bistpath_rtl.Verilog.emit}. The data path module is emitted
+    once. *)
 
 val rtl :
   ?cache:Bistpath_cache.Store.t ->

@@ -187,7 +187,7 @@
     [bist_sim] span per graded unit, with a [unit] attribute naming it;
     [synth atpg] wraps each unit's [Podem.classify_all] in a [podem]
     span with the same attribute. [Pareto.explore] opens a [pareto]
-    span.
+    span, [Verilog.emit] an [rtl.emit] span.
 
     {1 Domain safety}
 

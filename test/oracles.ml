@@ -1096,10 +1096,10 @@ let pareto_front candidates =
    enumerated first (counted against the leaf cap and the budget), then
    each is costed by a full [Allocator.solution_of] and a schedule, and
    the minimum plus the in-bound leaves, in reverse enumeration order,
-   go through the front. *)
+   go through [pareto_front]. Each point keeps the solution that
+   achieves it, the minimum for its own pair. *)
 
 module Session = Bistpath_bist.Session
-module Pareto = Bistpath_bist.Pareto
 
 let session_conflict styles (a : Ipath.embedding) (b : Ipath.embedding) =
   let is_cbilbo r = List.assoc_opt r styles = Some Resource.Cbilbo in
@@ -1132,9 +1132,8 @@ let session_schedule ?(budget = Budget.unlimited) (sol : Allocator.solution) =
 let pareto_slack_percent = 50
 let pareto_leaf_cap = 20_000
 
-let pareto_explore ?(model = Area.default) ?(width = 8) ?(transparency = false)
-    ?(budget = Budget.unlimited) dp =
-  let minimum = Allocator.solve ~model ~width ~transparency ~budget dp in
+let pareto_explore ?(width = 8) ?(transparency = false) ?(budget = Budget.unlimited) dp =
+  let minimum = Allocator.solve ~width ~transparency ~budget dp in
   let bound = minimum.Allocator.delta_gates * (100 + pareto_slack_percent) / 100 in
   let units =
     dp.Datapath.massign.Massign.units
@@ -1156,7 +1155,7 @@ let pareto_explore ?(model = Area.default) ?(width = 8) ?(transparency = false)
         List.iter (fun e -> enumerate (e :: chosen) rest) es
   in
   enumerate [] units;
-  let solution_of = Allocator.solution_of ~model ~width dp in
+  let solution_of = Allocator.solution_of ~width dp in
   let sessions sol = List.length (session_schedule ~budget sol).Session.sessions in
   let evaluate chosen =
     Inject.fire "pareto.leaf";
@@ -1167,9 +1166,7 @@ let pareto_explore ?(model = Area.default) ?(width = 8) ?(transparency = false)
   in
   let leaves = Budget.map budget evaluate !chosen_leaves |> List.filter_map Option.join in
   let min_point = (minimum.Allocator.delta_gates, sessions minimum, minimum) in
-  Pareto.front (min_point :: leaves)
-  |> List.map (fun (delta_gates, sessions, solution) ->
-         { Pareto.delta_gates; sessions; solution })
+  pareto_front (min_point :: leaves)
 
 (* The structural equivalence engine on trees, as Equiv ran it before
    the hash-consed node store: every slot's cone is a tree, [normalize]

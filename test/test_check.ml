@@ -270,6 +270,39 @@ let catches_swapped_operands () =
   in
   check rules_list "RTL005 and EQ002 fire" [ "EQ002"; "RTL005" ] (fired rep)
 
+(* A record update of the data path reaches every rule that reads it:
+   with each commutative route's operands exchanged, the reference
+   netlist (RTL005) and the interpreter build their control table from
+   the updated routes, so no rule indexes a stale one and crashes. *)
+let swapped_routes_crash_no_rule () =
+  List.iter
+    (fun tag ->
+      let _, _, ctx =
+        flow_ctx ~vectors:10 ~style:(Flow.Testable Testable_alloc.default_options) tag
+      in
+      let dp = ctx.Check.datapath in
+      let commutative (r : Datapath.route) =
+        match Dfg.op_by_id dp.Datapath.dfg r.Datapath.opid with
+        | Some op -> Op.commutative op.Op.kind
+        | None -> false
+      in
+      let routes =
+        List.map
+          (fun (r : Datapath.route) ->
+            if commutative r then
+              { r with
+                Datapath.l_reg = r.Datapath.r_reg;
+                r_reg = r.Datapath.l_reg;
+                swapped = not r.Datapath.swapped;
+              }
+            else r)
+          dp.Datapath.routes
+      in
+      let rep = Check.run { ctx with Check.datapath = { dp with Datapath.routes } } in
+      check rules_list (tag ^ ": no rule crashed") []
+        (List.filter (String.equal "CHK000") (fired rep)))
+    [ "Paulin"; "iir"; "ewf"; "ar"; "dct4" ]
+
 (* analyze runs only the ABS family: it must never pay for the parse-back *)
 let parse_back_stays_lazy () =
   let _, _, ctx = flow_ctx ~style:Flow.Traditional "ex1" in
@@ -594,6 +627,7 @@ let suite =
     case "second assign caught by RTL004" catches_multi_driven_wire;
     case "narrowed wire caught by DP002 alone" catches_narrow_wire;
     case "swapped operands caught by RTL005 and EQ002" catches_swapped_operands;
+    case "swapped routes crash no rule" swapped_routes_crash_no_rule;
     case "parse-back stays lazy for the ABS family" parse_back_stays_lazy;
     case "missing control step caught by CTL001 alone" catches_missing_control_step;
     case "bad write select caught by CTL002 alone" catches_bad_write_select;

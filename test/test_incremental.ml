@@ -273,15 +273,15 @@ let product_prefix limit lists =
   (try go [] lists with Full -> ());
   List.rev !out
 
-type visit = In of Allocator.solution * int * int | Beyond
+type visit = In of int * int | Beyond
 
 (* The factored table against the materialised lists on one data path:
    each unit's counts and predicates (the check facts); [solve]'s
    search order; and [walk]'s first leaves, in the oracle's I-path
-   product order, each costed and scheduled as the oracle's solution of
-   it when within the bound and passed over as [beyond] past it. *)
+   product order, each with the gates and sessions of the oracle's
+   solution of it when within the bound and passed over as [beyond]
+   past it. *)
 let table_agrees ~width ~io_penalty_percent ~transparency dp =
-  let model = Bistpath_datapath.Area.default in
   let table = Ipath.table ~transparency dp in
   let units = dp.Datapath.massign.Massign.units in
   let facts_agree =
@@ -307,7 +307,7 @@ let table_agrees ~width ~io_penalty_percent ~transparency dp =
         else match Oracles.embeddings ~transparency dp u.mid with [] -> None | es -> Some es)
       units
   in
-  let solution_of = Allocator.solution_of ~model ~width dp in
+  let solution_of = Allocator.solution_of ~width dp in
   let oracle_leaves =
     List.map
       (fun chosen ->
@@ -321,21 +321,16 @@ let table_agrees ~width ~io_penalty_percent ~transparency dp =
       if !seen < limit then visits := v :: !visits;
       incr seen
     in
-    Allocator.walk ~model ~width ~transparency dp ~bound
+    Allocator.walk ~width ~transparency dp ~bound
       ~descend:(fun () -> !seen < limit)
       ~beyond:(fun () -> visit Beyond)
-      (fun leaf ->
-        visit
-          (In
-             ( solution_of (Allocator.kept_embeddings (Allocator.keep leaf)),
-               Allocator.leaf_gates leaf,
-               Allocator.leaf_sessions leaf )));
+      (fun leaf -> visit (In (Allocator.leaf_gates leaf, Allocator.leaf_sessions leaf)));
     List.rev !visits
   in
   let expected bound =
     List.map
       (fun ((sol : Allocator.solution), sessions) ->
-        if sol.delta_gates <= bound then In (sol, sol.delta_gates, sessions) else Beyond)
+        if sol.delta_gates <= bound then In (sol.delta_gates, sessions) else Beyond)
       oracle_leaves
   in
   let cheapest =

@@ -61,15 +61,23 @@ let front_sessions_decrease () =
   in
   check Alcotest.bool "strictly decreasing sessions" true (strictly_decreasing sessions)
 
+let pairs points = List.map (fun p -> (p.Pareto.delta_gates, p.Pareto.sessions)) points
+let oracle_pairs points = List.map (fun (d, s, _) -> (d, s)) points
+
+(* Every printed point is achieved: the collect-then-cost oracle finds
+   the same pairs, each with a solution that schedules to its sessions. *)
 let points_internally_consistent () =
-  let points = Pareto.explore (datapath_of "ex2") in
+  let dp = datapath_of "ex2" in
+  let oracle = Oracles.pareto_explore dp in
+  check
+    Alcotest.(list (pair int int))
+    "oracle's pairs" (oracle_pairs oracle)
+    (pairs (Pareto.explore dp));
   List.iter
-    (fun p ->
-      check Alcotest.int "recomputed sessions match" p.Pareto.sessions
-        (Session.num_sessions (Session.schedule p.Pareto.solution));
-      check Alcotest.int "recorded delta matches solution" p.Pareto.delta_gates
-        p.Pareto.solution.Allocator.delta_gates)
-    points
+    (fun (_, sessions, sol) ->
+      check Alcotest.int "recomputed sessions match" sessions
+        (Session.num_sessions (Session.schedule sol)))
+    oracle
 
 let ex1_known_front () =
   (* minimum 80 gates needs 2 sessions (shared CBILBO SA); 1 session is
@@ -79,7 +87,7 @@ let ex1_known_front () =
     (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
     "(gates, sessions) front"
     [ (80, 2); (112, 1) ]
-    (List.map (fun p -> (p.Pareto.delta_gates, p.Pareto.sessions)) points)
+    (pairs points)
 
 let prop_front_valid_random =
   QCheck.Test.make ~name:"Pareto front valid on random instances" ~count:20
@@ -98,16 +106,13 @@ let prop_front_valid_random =
       && List.for_all (fun p -> p.Pareto.sessions >= 1) points)
 
 (* Few distinct (gates, sessions) pairs among many candidates, as on
-   fir8 (20,001 candidates, 3 front points): each payload is a fresh
-   block, so the sweep must keep the very candidates the quadratic
-   filter keeps. *)
+   fir8 (20,001 candidates, 3 front points). *)
 let prop_front_matches_quadratic_filter =
   QCheck.Test.make ~name:"sweep keeps the quadratic filter's candidates" ~count:300
     QCheck.(list_of_size Gen.(int_range 0 400) (pair (int_bound 15) (int_range 1 6)))
-    (fun pairs ->
-      let candidates = List.mapi (fun i (d, s) -> (d, s, ref i)) pairs in
-      let got = Pareto.front candidates and want = Oracles.pareto_front candidates in
-      List.length got = List.length want && List.for_all2 ( == ) got want)
+    (fun candidates ->
+      Pareto.front candidates
+      = oracle_pairs (Oracles.pareto_front (List.map (fun (d, s) -> (d, s, ())) candidates)))
 
 let explore_span () =
   let dp = datapath_of "ex1" in
@@ -250,8 +255,8 @@ let random_datapath seed testable =
   (Flow.run ~style inst.B.dfg inst.B.massign ~policy:inst.B.policy).Flow.datapath
 
 (* The one-walk sweep against the collect-then-cost sweep it replaced
-   (Oracles.pareto_explore): the same points, solutions included, and
-   the same leaf count, with a roomy budget and with one that trips
+   (Oracles.pareto_explore): the same (gates, sessions) points, and the
+   same leaf count, with a roomy budget and with one that trips
    partway through the enumeration, whichever order the units come in. *)
 let prop_explore_matches_oracle =
   QCheck.Test.make ~name:"one-walk sweep matches the collect-then-cost oracle" ~count:40
@@ -275,21 +280,23 @@ let prop_explore_matches_oracle =
           let points = explore budget in
           (points, Budget.leaves budget, Budget.stop_reason budget)
         in
-        sweep (fun budget -> Pareto.explore ~width ~transparency ~budget dp)
-        = sweep (fun budget -> Oracles.pareto_explore ~width ~transparency ~budget dp)
+        sweep (fun budget -> pairs (Pareto.explore ~width ~transparency ~budget dp))
+        = sweep (fun budget ->
+              oracle_pairs (Oracles.pareto_explore ~width ~transparency ~budget dp))
       in
       agree (fun () -> Budget.create ~leaf_budget:10_000_000 ())
       && agree (fun () -> Budget.create ~leaf_budget ()))
 
 (* [Session.schedule] through the int kernel groups every front point's
-   and every minimum's units as the string-keyed conflict graph did. *)
+   (as the oracle sweep builds it) and every minimum's units as the
+   string-keyed conflict graph did. *)
 let prop_schedule_matches_oracle =
   QCheck.Test.make ~name:"session kernel schedules as the conflict-graph oracle" ~count:40
     QCheck.(triple (int_bound 100_000) bool bool)
     (fun (seed, testable, transparency) ->
       let dp = random_datapath seed testable in
       Allocator.solve ~transparency dp
-      :: List.map (fun p -> p.Pareto.solution) (Pareto.explore ~transparency dp)
+      :: List.map (fun (_, _, sol) -> sol) (Oracles.pareto_explore ~transparency dp)
       |> List.for_all (fun sol ->
              (Session.schedule sol).Session.sessions
              = (Oracles.session_schedule sol).Session.sessions))
@@ -304,12 +311,11 @@ let flow_minimum_same_front () =
         Flow.run ~style:(Flow.Testable Bistpath_core.Testable_alloc.default_options)
           inst.B.dfg inst.B.massign ~policy:inst.B.policy
       in
-      let gates points = List.map (fun p -> (p.Pareto.delta_gates, p.Pareto.sessions)) points in
       check
         Alcotest.(list (pair int int))
         tag
-        (gates (Pareto.explore r.Flow.datapath))
-        (gates (Pareto.explore ~minimum:r.Flow.bist r.Flow.datapath)))
+        (pairs (Pareto.explore r.Flow.datapath))
+        (pairs (Pareto.explore ~minimum:r.Flow.bist r.Flow.datapath)))
     B.all_tags
 
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests

@@ -278,17 +278,30 @@ let check_families_are_spans () =
     Check.ctx_of_flow ~vectors:2 ~design:"ex1" ~width:8 inst.B.dfg inst.B.massign
       ~policy:inst.B.policy r
   in
-  let roots rules =
+  let spans rules =
     let _, t = Telemetry.collect (fun () -> Check.run ?rules ctx) in
+    Array.of_list (Telemetry.spans t)
+  in
+  let roots spans =
     List.filter_map
       (fun (s : Telemetry.span) -> if s.Telemetry.depth = 0 then Some s.Telemetry.name else None)
-      (Telemetry.spans t)
+      (Array.to_list spans)
   in
+  (* the first run forces the ctx's lazy RTL *)
+  let all = spans None in
   check (Alcotest.list Alcotest.string) "one span per family, in rule order"
     [ "check.alloc"; "check.datapath"; "check.rtl"; "check.equiv"; "check.absint" ]
-    (List.filter (fun n -> String.starts_with ~prefix:"check." n) (roots None));
+    (List.filter (fun n -> String.starts_with ~prefix:"check." n) (roots all));
   check (Alcotest.list Alcotest.string) "the ABS family alone" [ "check.absint" ]
-    (roots (Some Check.absint_family))
+    (roots (spans (Some Check.absint_family)));
+  (* DP002 forces the RTL first, so its emit is timed once, in its own
+     span under check.datapath. *)
+  check (Alcotest.list Alcotest.string) "one rtl.emit span, under check.datapath"
+    [ "check.datapath" ]
+    (Array.to_list all
+    |> List.filter_map (fun (s : Telemetry.span) ->
+           if s.Telemetry.name <> "rtl.emit" then None
+           else Option.map (fun p -> all.(p).Telemetry.name) s.Telemetry.parent))
 
 let suite =
   [
