@@ -1,7 +1,9 @@
 (* Benchmark harness: regenerates every table and figure of the paper
    (Tables I-III, Figs. 1-6), runs the extension experiments (ablation,
-   gate-level BIST coverage), then times the pipeline stages with
-   Bechamel (one Test.make per table/figure family). *)
+   gate-level BIST coverage), then writes four records:
+   BENCH_telemetry.json (the library's spans per design),
+   BENCH_service.json, BENCH_cache.json (all three gated by
+   bench/compare.exe) and BENCH_absint.json. *)
 
 module B = Bistpath_benchmarks.Benchmarks
 module Flow = Bistpath_core.Flow
@@ -191,11 +193,11 @@ let rec rm_rf path =
     else Sys.remove path
 
 (* Fleet throughput: the same job stream through the forked worker
-   fleet at widths 1/4/16, driving the real synth binary — this bench
-   process already runs domains, and [Unix.fork] is forbidden once
-   domains exist, so [Fleet.run] cannot be called in-process. Records
-   land in BENCH_service.json under scenario "fleet-wN" so the compare
-   gate tracks fleet wall time alongside the in-process service. *)
+   fleet at widths 1/4/16, driving the real synth binary as a
+   [synth serve --workers N] subprocess, so the wall time is what such
+   a caller waits for, process start included. Records land in
+   BENCH_service.json under scenario "fleet-wN" so the compare gate
+   tracks fleet wall time alongside the in-process service. *)
 let fleet_widths = [ 1; 4; 16 ]
 
 let fleet_records () =
@@ -473,114 +475,9 @@ let absint_section () =
     ("[\n" ^ String.concat ",\n" records ^ "\n]\n");
   print_endline "\n(wrote BENCH_absint.json)"
 
-(* --- Bechamel timing benches ------------------------------------- *)
-
-open Bechamel
-open Toolkit
-
-let flow_test tag =
-  let inst = match B.by_tag tag with Some i -> i | None -> assert false in
-  Test.make ~name:(Printf.sprintf "flow:%s" tag)
-    (Staged.stage (fun () ->
-         ignore
-           (Flow.run ~style:(Flow.Testable Testable_alloc.default_options) inst.B.dfg
-              inst.B.massign ~policy:inst.B.policy)))
-
-let table_tests =
-  [
-    Test.make ~name:"table1" (Staged.stage (fun () -> ignore (Report.table1 ())));
-    Test.make ~name:"table2" (Staged.stage (fun () -> ignore (Report.table2 ())));
-    Test.make ~name:"table3" (Staged.stage (fun () -> ignore (Report.table3 ())));
-    Test.make ~name:"fig4+fig5"
-      (Staged.stage (fun () ->
-           ignore (Report.fig4 ());
-           ignore (Report.fig5 ())));
-    Test.make ~name:"fig6" (Staged.stage (fun () -> ignore (Report.fig6 ())));
-  ]
-
-let alloc_tests = List.map flow_test [ "ex1"; "ex2"; "Tseng1"; "Paulin"; "ewf" ]
-
-let podem_test =
-  Test.make ~name:"podem:multiplier-w4"
-    (Staged.stage (fun () ->
-         ignore
-           (Bistpath_gatelevel.Podem.classify_all
-              (Bistpath_gatelevel.Library.array_multiplier ~width:4))))
-
-let pareto_test =
-  let inst = B.ex1 () in
-  let r =
-    Flow.run ~style:(Flow.Testable Testable_alloc.default_options) inst.B.dfg
-      inst.B.massign ~policy:inst.B.policy
-  in
-  Test.make ~name:"pareto:ex1"
-    (Staged.stage (fun () ->
-         ignore (Bistpath_bist.Pareto.explore ~minimum:r.Flow.bist r.Flow.datapath)))
-
-let rtl_test =
-  let inst = B.paulin () in
-  let r =
-    Flow.run ~style:(Flow.Testable Testable_alloc.default_options) inst.B.dfg
-      inst.B.massign ~policy:inst.B.policy
-  in
-  Test.make ~name:"rtl+goldens:Paulin"
-    (Staged.stage (fun () ->
-         let golden =
-           Bistpath_rtl.Bist_wrapper.golden_signatures r.Flow.datapath r.Flow.bist
-             r.Flow.sessions
-         in
-         ignore
-           (Bistpath_rtl.Verilog.emit ~bist:r.Flow.bist ~sessions:r.Flow.sessions
-              r.Flow.datapath);
-         ignore
-           (Bistpath_rtl.Bist_wrapper.emit ~golden r.Flow.datapath r.Flow.bist
-              r.Flow.sessions)))
-
-let coverage_test =
-  let inst = B.ex1 () in
-  let r =
-    Flow.run ~style:(Flow.Testable Testable_alloc.default_options) inst.B.dfg
-      inst.B.massign ~policy:inst.B.policy
-  in
-  Test.make ~name:"faultsim:ex1"
-    (Staged.stage (fun () ->
-         ignore (Bist_sim.run ~width:8 ~pattern_count:63 r.Flow.datapath r.Flow.bist)))
-
-let benchmark () =
-  let test =
-    Test.make_grouped ~name:"bistpath"
-      (table_tests @ alloc_tests @ [ podem_test; pareto_test; rtl_test; coverage_test ])
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) () in
-  let raw = Benchmark.all cfg instances test in
-  let ols =
-    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = List.map (fun instance -> Analyze.all ols instance raw) instances in
-  let results = Analyze.merge ols instances results in
-  Printf.printf "\n================================================================\n";
-  Printf.printf "Timing (Bechamel, monotonic clock, ns per run)\n";
-  Printf.printf "================================================================\n\n";
-  Hashtbl.iter
-    (fun measure tbl ->
-      if String.equal measure (Measure.label Instance.monotonic_clock) then begin
-        let rows = Hashtbl.fold (fun name result acc -> (name, result) :: acc) tbl [] in
-        List.iter
-          (fun (name, result) ->
-            match Analyze.OLS.estimates result with
-            | Some (est :: _) -> Printf.printf "  %-28s %14.0f ns/run\n" name est
-            | Some [] | None -> Printf.printf "  %-28s (no estimate)\n" name)
-          (List.sort compare rows)
-      end)
-    results
-
 let () =
   run_reports ();
   telemetry_section ();
   service_section ();
   cache_section ();
-  absint_section ();
-  match Sys.getenv_opt "BISTPATH_SKIP_TIMING" with
-  | Some _ -> print_endline "\n(timing skipped: BISTPATH_SKIP_TIMING set)"
-  | None -> benchmark ()
+  absint_section ()

@@ -275,14 +275,6 @@ let with_common c f =
     else begin
       let r = Telemetry.create () in
       let flushed = ref false in
-      (* bin links no unix; Sys.mkdir is enough for the shallow trees
-         --trace-dir asks for *)
-      let rec mkdir_p dir =
-        if not (Sys.file_exists dir) then begin
-          mkdir_p (Filename.dirname dir);
-          try Sys.mkdir dir 0o755 with Sys_error _ when Sys.file_exists dir -> ()
-        end
-      in
       let flush ~exit_on_error =
         if not !flushed then begin
           flushed := true;
@@ -298,7 +290,7 @@ let with_common c f =
           Option.iter write_trace c.trace;
           Option.iter
             (fun dir ->
-              (try mkdir_p dir
+              (try Bistpath_util.Atomic_io.mkdir_p dir
                with Sys_error msg ->
                  Printf.eprintf "synth: cannot create trace directory: %s\n" msg;
                  if exit_on_error then exit 1);

@@ -353,81 +353,31 @@ let name_ranks (names : string array) =
    level 0 is entered once and is not keyed. *)
 let memo_regs = 20
 
-(* Below this many leaves in the whole product the search is cheaper
-   than setting the memo up. *)
-let memo_min_leaves = 1024
-
-(* Open addressing from a level's packed key to the bound recorded for
-   it; keys are never negative, so -1 marks a free slot. Tables start
-   empty and double at half full. *)
-type bounds = { mutable keys : int array; mutable lbs : int array; mutable size : int }
-
-let bounds () = { keys = [||]; lbs = [||]; size = 0 }
-
-(* The slot holding [key], or the free slot it would take. *)
-let slot t key =
-  let mask = Array.length t.keys - 1 in
-  let rec probe h =
-    let k = t.keys.(h) in
-    if k = key || k = -1 then h else probe ((h + 1) land mask)
-  in
-  probe (((key * 0x2545F4914F6CDD1D) lsr 24) land mask)
-
-(* The bound recorded for [key], [min_int] if none. *)
-let bound t key =
-  if t.size = 0 then min_int
-  else
-    let h = slot t key in
-    if t.keys.(h) = key then t.lbs.(h) else min_int
-
-(* Keeps the larger of two bounds for one key: both hold. *)
-let rec record t key lb =
-  if 2 * (t.size + 1) > Array.length t.keys then begin
-    let keys = t.keys and lbs = t.lbs in
-    let size = max 16 (2 * Array.length keys) in
-    t.keys <- Array.make size (-1);
-    t.lbs <- Array.make size 0;
-    t.size <- 0;
-    Array.iteri (fun h k -> if k <> -1 then record t k lbs.(h)) keys
-  end;
-  let h = slot t key in
-  if t.keys.(h) = key then (if lb > t.lbs.(h) then t.lbs.(h) <- lb)
-  else begin
-    t.keys.(h) <- key;
-    t.lbs.(h) <- lb;
-    t.size <- t.size + 1
-  end
-
 (* Per level, the registers an option of its unit or a later one
-   touches, in key order; level 0, levels past [memo_regs] registers and
-   every level of a product under [memo_min_leaves] get none. *)
+   touches, in key order; level 0 and levels past [memo_regs] registers
+   get none. *)
 let key_registers (idx : index) (units : (Ipath.row * int array) array) =
   let n = Array.length units in
   let key_regs = Array.make n [||] in
-  let leaves =
-    Array.fold_left (fun p (_, xs) -> min memo_min_leaves (p * Array.length xs)) 1 units
+  let seen = Array.make (Hashtbl.length idx.regs) false in
+  let touched = ref [] in
+  let touch r =
+    if not seen.(r) then begin
+      seen.(r) <- true;
+      touched := r :: !touched
+    end
   in
-  if leaves >= memo_min_leaves then begin
-    let seen = Array.make (Hashtbl.length idx.regs) false in
-    let touched = ref [] in
-    let touch r =
-      if not seen.(r) then begin
-        seen.(r) <- true;
-        touched := r :: !touched
-      end
-    in
-    for i = n - 1 downto 1 do
-      let row, xs = units.(i) in
-      Array.iter
-        (fun x ->
-          touch (l_of row x);
-          touch (r_of row x);
-          touch (sa_of row x))
-        xs;
-      if List.compare_length_with !touched memo_regs <= 0 then
-        key_regs.(i) <- Array.of_list !touched
-    done
-  end;
+  for i = n - 1 downto 1 do
+    let row, xs = units.(i) in
+    Array.iter
+      (fun x ->
+        touch (l_of row x);
+        touch (r_of row x);
+        touch (sa_of row x))
+      xs;
+    if List.compare_length_with !touched memo_regs <= 0 then
+      key_regs.(i) <- Array.of_list !touched
+  done;
   key_regs
 
 (* The units [solve] searches and their options, both in search order:
@@ -523,7 +473,7 @@ let solve ?(model = Area.default) ?(width = 8) ?(forbidden = [])
   let best = ref (if !best_cost = max_int then None else Some (Array.map Option.get greedy)) in
   let eng = engine idx in
   let key_regs = key_registers idx arr in
-  let memo = Array.init n (fun _ -> bounds ()) in
+  let memo = Array.init n (fun _ -> Hashtbl.create 16) in
   let key i =
     let rs = key_regs.(i) in
     if Array.length rs = 0 then -1
@@ -554,7 +504,12 @@ let solve ?(model = Area.default) ?(width = 8) ?(forbidden = [])
          its entry cost, or cut it off at a bound that high: if this one
          is no further below the best, it holds no leaf strictly cheaper. *)
       let key = if partial < !best_cost then key i else -1 in
-      let skip = key >= 0 && bound memo.(i) key >= !best_cost - partial in
+      let skip =
+        key >= 0
+        && match Hashtbl.find_opt memo.(i) key with
+           | Some lb -> lb >= !best_cost - partial
+           | None -> false
+      in
       if not skip then begin
         (* The partial's cost is the same before every sibling and the
            bound only falls, so the first failed test ends the loop. *)
@@ -571,9 +526,14 @@ let solve ?(model = Area.default) ?(width = 8) ?(forbidden = [])
           unapply_option eng row xs.(!k);
           incr k
         done;
-        (* With no feasible leaf known, none lies below. *)
-        if key >= 0 && not !exhausted then
-          record memo.(i) key (if !best_cost = max_int then max_int else !best_cost - partial)
+        (* With no feasible leaf known, none lies below. Of two bounds
+           for one key both hold, so the larger is kept. *)
+        if key >= 0 && not !exhausted then begin
+          let lb = if !best_cost = max_int then max_int else !best_cost - partial in
+          match Hashtbl.find_opt memo.(i) key with
+          | Some old when old >= lb -> ()
+          | _ -> Hashtbl.replace memo.(i) key lb
+        end
       end
     end
   in

@@ -30,7 +30,8 @@
     designs (fir16 testable still reaches it). Hitting the cap is
     reported only through [exact = false]: it does not trip the caller's
     {!Bistpath_resilience.Budget}, whose {!Bistpath_resilience.Budget.stop_reason}
-    stays [None]. A capped search returns the best leaf found so far,
+    stays [None], and the service runner does not cache a flow whose
+    search was capped. A capped search returns the best leaf found so far,
     never worse than the unmemoized search's at the same cap, since it
     stops further along the same order.
 

@@ -46,7 +46,9 @@ val run :
     a tripped budget yields a valid flow built from the best allocation
     found so far, and {!Bistpath_resilience.Budget.stop_reason} says
     why. [result.bist.exact] is also [false] when the allocator reached
-    its fixed node cap (200,000 nodes), which does not trip the budget. *)
+    its fixed node cap (200,000 nodes). That does not trip the budget, so
+    the CLI exits 0, but the service runner does not cache such a
+    result. *)
 
 (** {1 Cache keys}
 

@@ -12,8 +12,9 @@
     early: [synth] exits 3 and [synth serve] journals the job as
     degraded and does not cache it. The solvers' own fixed caps — the
     allocator's [node_cap] and the Pareto sweep's [leaf_cap] — do not
-    trip the budget: the allocator reports its cap only through
-    [solution.exact], and the Pareto cap is silent.
+    trip the budget. The allocator reports its cap through
+    [solution.exact]: the run exits 0, and the service runner does not
+    cache it. The Pareto cap is silent.
 
     {!unlimited} — the default everywhere — short-circuits every
     operation to a single branch, so budgeting is zero-cost when not

@@ -11,6 +11,7 @@ module Equiv = Bistpath_rtl.Equiv
 module Bist_sim = Bistpath_gatelevel.Bist_sim
 module Session = Bistpath_bist.Session
 module Pareto = Bistpath_bist.Pareto
+module Allocator = Bistpath_bist.Allocator
 module Check = Bistpath_check.Check
 module Json = Bistpath_util.Json
 module Store = Bistpath_cache.Store
@@ -92,14 +93,14 @@ let check_report ?suppress ?(vectors = 10) ~budget (inst : B.instance) (job : Jo
        ~design:(inst.B.tag ^ "/" ^ job.Job.flow)
        ~width:job.Job.width inst.B.dfg inst.B.massign ~policy:inst.B.policy r)
 
-(* Terminal artifact stage: the whole rendered output, keyed from the
+(* Terminal artifact stage: [render] of the job's flow, keyed from the
    spec's schedule root hash plus the job parameters, so a warm job is
    served byte-identical without running the flow at all. This is where
    the CLI and serve alike look results up and commit them; without a
    store nothing is counted and no I/O happens. *)
 let cached ?cache ~budget ~stage ~extra (inst : B.instance) (job : Job.t) render =
   match cache with
-  | None -> (render (), None)
+  | None -> (render (flow ~budget inst job), None)
   | Some store -> (
     let key =
       Flow.artifact_key ~stage
@@ -120,11 +121,12 @@ let cached ?cache ~budget ~stage ~extra (inst : B.instance) (job : Job.t) render
     | None ->
       Telemetry.incr "cache.miss";
       Telemetry.incr ("cache.miss." ^ sname);
-      let payload = render () in
-      (* a budget-truncated artifact is valid but not deterministic in
-         the key *)
-      if not (Bistpath_resilience.Budget.should_stop budget) then
-        Store.put store ~stage:sname ~key payload;
+      let r = flow ~budget inst job in
+      let payload = render r in
+      (* an artifact cut short, by the budget or by the BIST search's
+         node cap, is valid but not the one the key names *)
+      if r.Flow.bist.Allocator.exact && not (Bistpath_resilience.Budget.should_stop budget)
+      then Store.put store ~stage:sname ~key payload;
       (payload, Some `Miss))
 
 let rtl ?cache ~budget ~bist ~wrapper inst (job : Job.t) =
@@ -132,7 +134,7 @@ let rtl ?cache ~budget ~bist ~wrapper inst (job : Job.t) =
     ~extra:
       [ ("artifact", Json.Str "rtl"); ("bist", Json.Bool bist); ("wrapper", Json.Bool wrapper) ]
     inst job
-    (fun () -> render_rtl ~width:job.Job.width ~bist ~wrapper (flow ~budget inst job))
+    (render_rtl ~width:job.Job.width ~bist ~wrapper)
 
 (* Parse-back equivalence of the emitted RTL. Never cached: the point
    is to re-exercise the emitter/parser loop, and a stored verdict would
@@ -167,8 +169,7 @@ let execute ?max_errors ?cache ~budget (job : Job.t) =
       Ok
         (cached ?cache ~budget ~stage:Stage.Report
            ~extra:[ ("artifact", Json.Str artifact) ]
-           inst job
-           (fun () -> render (flow ~budget inst job)))
+           inst job render)
     in
     match job.Job.pipeline with
     | Job.Check ->

@@ -106,9 +106,10 @@ val execute :
     served byte-identical from the store ([Some `Hit]) without running
     the flow, counting [cache.hit] and [cache.hit.<stage>]; a cold one
     runs the flow, renders, and commits the artifact unless its budget
-    tripped ([Some `Miss], counting [cache.miss] and
-    [cache.miss.<stage>]). [check], [verify], [coverage] and [export]
-    neither read nor write the store ([None]): they run the flow.
+    tripped or its BIST search stopped at the node cap ([Some `Miss],
+    counting [cache.miss] and [cache.miss.<stage>]). [check], [verify],
+    [coverage] and [export] neither read nor write the store ([None]):
+    they run the flow.
     Without [cache] the second component is always [None] and
     behaviour is byte-identical to the uncached runner. The CLI's
     [run], [rtl --bist] and [pareto] are these jobs, so the two front

@@ -193,11 +193,13 @@
 
     All instrumentation points ({!with_span}, {!incr}, {!set},
     {!add_timed}) and recorder reads are serialized by one process-wide
-    mutex, so another domain (the fleet supervisor's heartbeat domain)
-    may record concurrently with the main domain without crashing the
-    recorder or losing counts. Spans, however, form a single stack:
-    open and close spans from one domain at a time (in practice, only
-    the main domain opens spans). When no recorder is installed the
+    mutex, so another domain may record concurrently with the main
+    domain without crashing the recorder or losing counts. The one such
+    domain is the heartbeat each fleet worker runs
+    ([Fleet.worker_main]), which reaches telemetry through [Inject]'s
+    [fleet.heartbeat] site. Spans, however, form a single stack: open
+    and close spans from one domain at a time (in practice, only the
+    main domain opens spans). When no recorder is installed the
     fast path remains a lock-free global read and branch. *)
 
 type attr = string * string

@@ -57,14 +57,14 @@ let scoap_xor_rules () =
 let scoap_depth_monotone () =
   (* deeper logic is harder to control: the multiplier's MSB output
      should be harder to set than a primary input *)
-  let c = Library.array_multiplier ~width:4 in
+  let c = Library.of_kind Op.Mul ~width:4 in
   let t = Scoap.analyze c in
   let msb = List.nth c.Circuit.outputs 3 in
   check Alcotest.bool "CC1(msb) > CC1(input)" true
     (Scoap.cc1 t msb > Scoap.cc1 t (List.hd c.Circuit.inputs))
 
 let scoap_difficulty_orders_faults () =
-  let c = Library.array_multiplier ~width:4 in
+  let c = Library.of_kind Op.Mul ~width:4 in
   let t = Scoap.analyze c in
   let hard = Scoap.hardest_faults t c 5 in
   check Alcotest.int "asked for 5" 5 (List.length hard);
@@ -136,7 +136,7 @@ let podem_single_fault () =
   | None -> Alcotest.fail "should find the test"
 
 let podem_budget_respected () =
-  let c = Library.array_multiplier ~width:4 in
+  let c = Library.of_kind Op.Mul ~width:4 in
   (* a zero backtrack quota must abort rather than loop, and can never
      prove a fault redundant: that takes search *)
   let cls = Podem.classify_all ~max_backtracks:0 c in

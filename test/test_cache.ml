@@ -302,6 +302,25 @@ let uncached_pipelines_store_nothing () =
   check Alcotest.int "no entry stored" 0 (Store.stats cache).Store.entries;
   rm_rf d
 
+(* fir16's BIST search stops at the allocator's node cap without
+   tripping the budget: its artifact is not the exact one the key names,
+   so a cold job stores nothing and the next is a miss again. *)
+let capped_search_stores_nothing () =
+  let d = tmpdir () in
+  let cache = Store.open_ ~dir:(Filename.concat d "cache") () in
+  let j = job "fir16" "run" in
+  let plain, _ = execute j in
+  check Alcotest.bool "the search is capped" true
+    (contains ~sub:"(search truncated)" plain);
+  List.iter
+    (fun label ->
+      let out, h = execute ~cache j in
+      check Alcotest.string (label ^ ": uncached bytes") plain out;
+      check Alcotest.string (label ^ ": a miss") "miss" (how h);
+      check Alcotest.int (label ^ ": no entry stored") 0 (Store.stats cache).Store.entries)
+    [ "cold"; "second" ];
+  rm_rf d
+
 let cached_jobs spec = List.map (job spec) [ "run"; "rtl"; "pareto" ]
 
 let flow_corrupt_entries_degrade_to_miss () =
@@ -644,6 +663,7 @@ let suite =
     case "runner: ex1's run and rtl keys are pinned" terminal_keys_pinned;
     case "runner: cold cached check, verify and coverage store nothing"
       uncached_pipelines_store_nothing;
+    case "runner: a search cut at the node cap stores nothing" capped_search_stores_nothing;
     case "flow: corrupt entries degrade to clean recomputes"
       flow_corrupt_entries_degrade_to_miss;
     case "flow: cache.io faults leave results byte-equal to uncached"

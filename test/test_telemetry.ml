@@ -580,6 +580,24 @@ let cli_process_start () =
          events)
   | _ -> Alcotest.fail "no traceEvents array"
 
+(* --trace-dir creates its directory, parents included; a path that is
+   a regular file is refused before any trace is written. *)
+let cli_trace_dir () =
+  let d = Test_equiv.tmpdir () in
+  let tdir = Filename.concat (Filename.concat d "a") "b" in
+  let code, _, _ = Test_equiv.synth_capture [ "run"; "ex1"; "--trace-dir"; tdir ] in
+  check Alcotest.int "nested --trace-dir: exit" 0 code;
+  check Alcotest.bool "nested --trace-dir: trace written" true
+    (Sys.file_exists (Filename.concat tdir "synth.trace.json"));
+  let file = Filename.concat d "plain" in
+  Out_channel.with_open_bin file (fun oc -> output_string oc "x");
+  let code, _, err = Test_equiv.synth_capture [ "run"; "ex1"; "--trace-dir"; file ] in
+  Test_equiv.rm_rf d;
+  check Alcotest.int "file as --trace-dir: exit" 1 code;
+  check Alcotest.string "file as --trace-dir: message"
+    (Printf.sprintf "synth: cannot create trace directory: %s: not a directory\n" file)
+    err
+
 let suite =
   [
     case "span nesting and ordering" span_nesting;
@@ -602,4 +620,5 @@ let suite =
     case "flow emits each stage span once" flow_stage_spans;
     case "counters survive concurrent domains" concurrent_domains;
     case "binary: --stats and --trace report process.start_us" cli_process_start;
+    case "binary: --trace-dir makes its directory or refuses a file" cli_trace_dir;
   ]
